@@ -27,11 +27,14 @@ from .stabilizers import StabilizerState
 
 @dataclass
 class ExperimentLedger:
-    """Cost accounting for the access model; monotone over a run."""
+    """Cost accounting for the access model; monotone over a run.
 
-    total_evolution_time: float = 0.0
-    query_count: int = 0
-    min_query_time: float = math.inf
+    The ledger keeps an integer query count per distinct query time |t| and
+    derives every total from those counts, so charging m experiments in one
+    batch gives exactly the snapshot of m single charges.
+    """
+
+    queries_by_time: dict = field(default_factory=dict)
     experiment_count: int = 0
 
     def charge_queries(self, count: int, each_time: float) -> None:
@@ -40,9 +43,19 @@ class ExperimentLedger:
         t = abs(each_time)
         if t <= 0:
             raise ValueError("query time must be nonzero")
-        self.total_evolution_time += count * t
-        self.query_count += count
-        self.min_query_time = min(self.min_query_time, t)
+        self.queries_by_time[t] = self.queries_by_time.get(t, 0) + count
+
+    @property
+    def total_evolution_time(self) -> float:
+        return math.fsum(count * t for t, count in self.queries_by_time.items())
+
+    @property
+    def query_count(self) -> int:
+        return sum(self.queries_by_time.values())
+
+    @property
+    def min_query_time(self) -> float:
+        return min(self.queries_by_time, default=math.inf)
 
     def charge_experiments(self, count: int = 1) -> None:
         self.experiment_count += count

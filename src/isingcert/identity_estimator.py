@@ -9,6 +9,11 @@ phi itself.  Because the uniform stabilizer ensemble is a state 2-design,
 
 so (1 + 2^-n) * mean - 2^-n estimates |u_I|^2; it is clamped to [0, 1].
 No ancillas, one query per experiment, nothing retained between experiments.
+
+Experiments are independent and each draws a fresh state, so the hit count
+is exactly Binomial(m, retain * E[indicator] + (1 - retain) / 2^n) under
+depolarizing noise; the simulation makes that one draw.  method="plans" runs
+every experiment literally and is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -30,12 +35,8 @@ from .dynamics import (
 )
 from .errors import BudgetExceededError
 from .hamiltonians import LocalHamiltonian
-from .stabilizers import (
-    StabilizerState,
-    enumerate_stabilizer_states,
-    sample_stabilizer_state,
-    stabilizer_state_matrix,
-)
+from .oracle import identity_coeff
+from .stabilizers import StabilizerState, sample_stabilizer_state, stabilizer_state_matrix
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ def make_single_query_factory(steps, n: int):
 
     The returned factory closes over a fixed step tuple, so every emitted
     plan makes the same single logical query; the `shared_steps` attribute
-    lets the estimator batch the simulation.
+    lets the estimator simulate all experiments through their exact law.
     """
     steps = tuple(steps)
 
@@ -68,7 +69,6 @@ def make_single_query_factory(steps, n: int):
         return ExperimentPlan(state, steps, "stabilizer")
 
     factory.shared_steps = steps
-    factory.n = n
     return factory
 
 
@@ -86,63 +86,46 @@ def estimate_identity_sq(
 ) -> IdentityCoeffEstimate:
     """Run the memoryless protocol against the simulated access model.
 
-    `plan_factory(state)` must yield the experiment plan for one draw;
-    `h_true` feeds the query slots of the simulation.  With `method="auto"`
-    a factory built by make_single_query_factory is batch-simulated through
-    the exact per-state outcome probabilities, which is distribution-
-    identical to looping run_experiment.
+    `plan_factory` comes from make_single_query_factory; `h_true` feeds the
+    query slots of the simulation.  With `method="auto"` the hit count is one
+    draw from its exact Binomial law and the ledger takes one batched charge.
+    `method="plans"` is the literal reference: each experiment samples a
+    stabilizer state, builds its plan and goes through run_experiment.
     """
+    if method not in ("auto", "plans"):
+        raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(rng)
     m = sample_count(eps, delta)
     if max_experiments is not None and m > max_experiments:
         raise BudgetExceededError(
             f"estimator needs {m} experiments, over the budget {max_experiments}"
         )
-    shared = getattr(plan_factory, "shared_steps", None)
-    if method == "plans" or shared is None:
+    if method == "plans":
         hits = 0
         for _ in range(m):
-            state = sample_stabilizer_state(n, rng)
-            plan = plan_factory(state)
-            outcome = run_experiment(plan, h_true, noise, rng, ledger)
-            hits += outcome == 0
+            plan = plan_factory(sample_stabilizer_state(n, rng))
+            hits += run_experiment(plan, h_true, noise, rng, ledger) == 0
         mean = hits / m
     else:
-        mean = _shared_query_mean(shared, h_true, n, m, rng, ledger, noise)
+        mean = _shared_query_mean(plan_factory.shared_steps, h_true, n, m, rng, ledger, noise)
     raw = (1.0 + 2.0**-n) * mean - 2.0**-n
     return IdentityCoeffEstimate(min(1.0, max(0.0, raw)), raw, m, eps, delta)
 
 
 def _shared_query_mean(steps, h_true, n, m, rng, ledger, noise) -> float:
-    probe = ExperimentPlan(_probe_state(n), steps, "stabilizer")
-    u = net_unitary(probe, h_true)
-    retain = noise.retain_factor(n, probe.logical_queries())
+    # hits ~ Binomial(m, p) exactly (module docstring); the probe's initial
+    # state is immaterial, only its unitary, noise and charges are read
     dim = 2**n
-    if n <= 2:
-        mat = stabilizer_state_matrix(n)
-        q = np.abs(np.einsum("si,ij,sj->s", mat.conj(), u, mat)) ** 2
-        probs = retain * q + (1.0 - retain) / dim
-        idx = rng.integers(len(mat), size=m)
-        hits = int(np.sum(rng.random(m) < probs[idx]))
-    else:
-        hits = 0
-        for _ in range(m):
-            v = sample_stabilizer_state(n, rng).vector
-            q = abs(np.vdot(v, u @ v)) ** 2
-            p = retain * q + (1.0 - retain) / dim
-            hits += rng.random() < p
+    probe = ExperimentPlan(np.eye(dim, dtype=complex)[0], steps)
+    identity_sq = abs(identity_coeff(net_unitary(probe, h_true))) ** 2
+    retain = noise.retain_factor(n, probe.logical_queries())
+    p = retain * design_expectation(identity_sq, n) + (1.0 - retain) / dim
+    if not -1e-12 <= p <= 1.0 + 1e-12:
+        raise ValueError(f"hit probability {p} lies outside [0, 1]")
+    hits = int(rng.binomial(m, min(1.0, max(0.0, p))))
     if ledger is not None:
-        # one charge per experiment, matching the plan-path arithmetic exactly
-        for _ in range(m):
-            charge_plan(probe, ledger)
+        charge_plan(probe, ledger, repeat=m)
     return hits / m
-
-
-def _probe_state(n: int) -> StabilizerState:
-    from .paulis import PauliString
-
-    gens = tuple(PauliString.from_label("I" * i + "Z" + "I" * (n - 1 - i)) for i in range(n))
-    return StabilizerState(n, gens, (1,) * n)
 
 
 def exact_indicator_expectation(u: np.ndarray, n: int) -> float:
@@ -156,7 +139,3 @@ def design_expectation(identity_sq: float, n: int) -> float:
     """2-design value (4^n |u_I|^2 + 2^n) / (2^n (2^n + 1)) of the indicator."""
     d = 2**n
     return (d * d * identity_sq + d) / (d * (d + 1))
-
-
-def enumerated_state_count(n: int) -> int:
-    return len(enumerate_stabilizer_states(n))

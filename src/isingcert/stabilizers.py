@@ -208,19 +208,19 @@ def stabilizer_state_matrix(n: int) -> np.ndarray:
 def sample_stabilizer_state(n: int, rng, method: str = "auto") -> StabilizerState:
     """Exactly uniform draw over all pure stabilizer states of n qubits.
 
-    For n <= 2 a uniform index into the full enumeration is used.  Otherwise
-    generators are drawn sequentially: at step i the candidate set is the
-    symplectic commutant of the chosen generators minus their span, whose
-    size depends only on i, so every maximal commuting subgroup is produced
-    by the same number of equally likely generator sequences; uniform signs
-    then make the signed draw uniform.
+    For n <= 2, method="auto" takes a uniform index into the full
+    enumeration.  Otherwise generators are drawn sequentially: at step i the
+    candidate set is the symplectic commutant of the chosen generators minus
+    their span, whose size depends only on i, so every maximal commuting
+    subgroup is produced by the same number of equally likely generator
+    sequences; uniform signs then make the signed draw uniform.
     """
     if not 1 <= n <= 12:
         raise ValueError(f"n={n} out of supported range [1, 12]")
     rng = np.random.default_rng(rng)
-    if method not in ("auto", "enumerated", "sequential"):
+    if method not in ("auto", "sequential"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "enumerated" or (method == "auto" and n <= 2):
+    if method == "auto" and n <= 2:
         states = enumerate_stabilizer_states(n)
         return states[int(rng.integers(len(states)))]
 

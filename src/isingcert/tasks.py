@@ -207,6 +207,11 @@ def _dynamics_trial(args) -> dict:
 
 
 def task_certify_dynamics(params, trials, seed, parallelism):
+    gap = 12.0 * params["eps"] if params["arm"] == "far" else params["eps"]
+    if gap >= params["c_frob"]:
+        raise ConfigError(
+            f"{params['arm']} arm needs ||H - H0||_F = {gap} below c_frob = {params['c_frob']}"
+        )
     records = _run_trials(_dynamics_trial, params, trials, seed, parallelism)
     errors = sum(1 for r in records if not r["correct"])
     total_time = [r["ledger"]["total_evolution_time"] for r in records]

@@ -82,6 +82,23 @@ def test_promise_violation_exit_code(tmp_path):
     assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_PROMISE
 
 
+def test_far_arm_gap_beyond_c_frob_is_config_error(tmp_path, monkeypatch, capsys):
+    # 12 eps = 1.08 >= c_frob = 1: no far-arm instance exists
+    import isingcert.tasks as tasks
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the config was rejected")
+
+    monkeypatch.setattr(tasks, "_run_trials", no_trials)
+    cfg = {"schema_version": 1, "task": "certify-dynamics", "trials": 2,
+           "params": {"arm": "far", "n": 2, "eps": 0.09}}
+    path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir)]) == EXIT_CONFIG
+    assert "c_frob" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_successful_run_writes_report_and_tables(tmp_path, capsys):
     cfg = {
         "schema_version": 1, "task": "verify-bonami", "seed": 5, "trials": 10,

@@ -9,6 +9,7 @@ from isingcert.dynamics import (
     ExperimentPlan,
     NoiseModel,
     QueryStep,
+    TrotterFragment,
     UnitaryStep,
     charge_plan,
     diamond_to_depolarizing,
@@ -184,3 +185,18 @@ def test_plan_serialization_roundtrip_and_replay():
     charge_plan(plan, led_a, repeat=7)
     charge_plan(back, led_b, repeat=7)
     assert led_a.snapshot() == led_b.snapshot()
+
+
+def test_batched_charge_equals_repeated_single_charges():
+    # a non-dyadic query time makes a float running sum drift from one multiply
+    frag = TrotterFragment(LocalHamiltonian(1, 1, {P("Z"): 0.5}), 0.7, 3, 1e-3, 1.0)
+    plan = ExperimentPlan(enumerate_stabilizer_states(1)[0], (frag, QueryStep(0.3)),
+                          "stabilizer")
+    m = 1000
+    led_a, led_b = ExperimentLedger(), ExperimentLedger()
+    charge_plan(plan, led_a, repeat=m)
+    for _ in range(m):
+        charge_plan(plan, led_b)
+    assert led_a.snapshot() == led_b.snapshot()
+    assert led_a.query_count == m * (frag.query_count + 1)
+    assert led_a.min_query_time == frag.query_time

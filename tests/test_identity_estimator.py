@@ -8,9 +8,10 @@ from isingcert.dynamics import (
     NoiseModel,
     QueryStep,
     UnitaryStep,
+    trotter_compile,
 )
 from isingcert.errors import BudgetExceededError
-from isingcert.hamiltonians import LocalHamiltonian
+from isingcert.hamiltonians import LocalHamiltonian, random_hamiltonian
 from isingcert.identity_estimator import (
     design_expectation,
     estimate_identity_sq,
@@ -20,6 +21,7 @@ from isingcert.identity_estimator import (
 )
 from isingcert.oracle import evolve, identity_coeff
 from isingcert.paulis import PauliString, pauli_to_matrix
+from isingcert.stabilizers import sample_stabilizer_state
 
 P = PauliString.from_label
 HZ = LocalHamiltonian(1, 1, {P("Z"): 1.0})
@@ -174,3 +176,59 @@ def test_two_qubit_sampled_run():
     fac = make_single_query_factory((QueryStep(t),), 2)
     est = estimate_identity_sq(fac, h, 2, 0.05, 0.05, np.random.default_rng(8))
     assert abs(est.value - truth) <= 0.05
+
+
+def _shared_fragment_case(n):
+    rng = np.random.default_rng(40 + n)
+    h = random_hamiltonian(n, 2, rng).scaled(0.3)
+    h0 = random_hamiltonian(n, 2, rng).scaled(0.3)
+    frag = trotter_compile(h0, 0.7, 1e-2, 2.0)
+    noise = NoiseModel(spam_diamond_budget=0.04, per_query_diamond_budget=0.02)
+    return h, frag, noise
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_law_matches_plan_path(n):
+    h, frag, noise = _shared_fragment_case(n)
+    fac = make_single_query_factory((frag,), n)
+    eps, delta, seeds = 0.4, 0.3, 20
+    raws = {"auto": [], "plans": []}
+    for seed in range(seeds):
+        ledgers = {}
+        for method in raws:
+            ledgers[method] = ExperimentLedger()
+            est = estimate_identity_sq(fac, h, n, eps, delta, np.random.default_rng(seed),
+                                       ledgers[method], noise=noise, method=method)
+            raws[method].append(est.raw_value)
+        assert ledgers["auto"].snapshot() == ledgers["plans"].snapshot()
+    # both means estimate the same quantity; sigma from the exact hit law
+    dim = 2**n
+    retain = noise.retain_factor(n, 1)
+    identity_sq = abs(identity_coeff(frag.realize(h))) ** 2
+    p = retain * design_expectation(identity_sq, n) + (1 - retain) / dim
+    m = sample_count(eps, delta)
+    sigma_raw = (1 + 1 / dim) * math.sqrt(p * (1 - p) / m)
+    sigma_diff = sigma_raw * math.sqrt(2 / seeds)
+    assert abs(np.mean(raws["auto"]) - np.mean(raws["plans"])) <= 4 * sigma_diff
+
+
+def test_sampled_stabilizer_states_match_design_n3():
+    # the exact law rests on the 2-design property; n = 3 has no enumeration
+    n, draws = 3, 2000
+    h, frag, _ = _shared_fragment_case(n)
+    u = frag.realize(h)
+    rng = np.random.default_rng(43)
+    vals = np.empty(draws)
+    for i in range(draws):
+        v = sample_stabilizer_state(n, rng).vector
+        vals[i] = abs(np.vdot(v, u @ v)) ** 2
+    target = design_expectation(abs(identity_coeff(u)) ** 2, n)
+    assert abs(vals.mean() - target) <= 4 * vals.std(ddof=1) / math.sqrt(draws)
+
+
+def test_unknown_method_rejected():
+    fac = make_single_query_factory((QueryStep(0.4),), 1)
+    for method in ("plan", "enumerated", ""):
+        with pytest.raises(ValueError, match="unknown method"):
+            estimate_identity_sq(fac, HZ, 1, 0.3, 0.2, np.random.default_rng(0),
+                                 method=method)
