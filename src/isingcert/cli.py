@@ -66,12 +66,14 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        config = validate_config(raw)
+    if isinstance(raw, dict):
+        # overrides go through the same validation as the file's values
         for key in ("seed", "trials", "parallelism", "out"):
             val = getattr(args, key)
             if val is not None:
-                config[key] = val
+                raw[key] = val
+    try:
+        config = validate_config(raw)
         if args.profile is not None:
             config.setdefault("params", {})["profile"] = args.profile
         payload, tables = run_task(config)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .hamiltonians import GibbsState, HamiltonianNet, LocalHamiltonian, gibbs
 from .paulis import PauliString, enumerate_local_paulis, pauli_trace_inner
-from .shadows import ShadowData, estimate_pauli, mom_batches, shadow_budget
+from .shadows import ShadowData, estimate_paulis, mom_batches, shadow_budget
 
 
 @dataclass(frozen=True)
@@ -102,21 +102,16 @@ class LearnReport:
         return out
 
 
-def scan_objective(net: HamiltonianNet, coeff_gaps: np.ndarray) -> float:
+def scan_objective(net: HamiltonianNet, coeff_gaps: np.ndarray) -> np.ndarray | float:
     """max_{i,j} |sum_P ((h_i)_P - (h_j)_P) c_P| via the two-scan reduction.
 
     The maximand is g(i) - g(j) for the linear form g(i) = sum_P (h_i)_P c_P,
     so the pairwise max is max g - min g, and over the symmetric product grid
-    each scan separates per coordinate into gmax |c_P|.
+    each scan separates per coordinate into gmax |c_P|.  `coeff_gaps` holds
+    the c_P on its last axis, e.g. one row per candidate member.
     """
     gmax = float(net.grid[-1])
-    return 2.0 * gmax * float(np.sum(np.abs(coeff_gaps)))
-
-
-def pairwise_objective(net: HamiltonianNet, coeff_gaps: np.ndarray) -> float:
-    """Literal max over all member pairs; only for small nets (tests)."""
-    f = net.value_matrix() @ coeff_gaps
-    return float(np.max(f) - np.min(f))
+    return 2.0 * gmax * np.sum(np.abs(coeff_gaps), axis=-1)
 
 
 def learn_gibbs(
@@ -138,12 +133,11 @@ def learn_gibbs(
         )
     if estimates is None:
         batches = mom_batches(config.n, config.k, config.delta)
-        estimates = {p: estimate_pauli(samples, p, batches) for p in net.support}
+        estimates = dict(zip(net.support,
+                             estimate_paulis(samples, net.support, batches).tolist()))
     est_vec = np.array([estimates[p] for p in net.support])
     member_coeffs = net.gibbs_coeff_matrix(config.beta)   # rows: Tr[P tau_i]
-    gaps = est_vec[None, :] - member_coeffs               # c_P per member
-    gmax = float(net.grid[-1])
-    objectives = 2.0 * gmax * np.sum(np.abs(gaps), axis=1)
+    objectives = scan_objective(net, est_vec[None, :] - member_coeffs)
     index = int(np.argmin(objectives))
     state = gibbs(net.member(index), config.beta)
     report = LearnReport(
@@ -237,9 +231,9 @@ def certify_gibbs(
     """
     paulis = enumerate_local_paulis(config.n, config.k)
     batches = mom_batches(config.n, config.k, config.delta)
-    est_rho = {p: estimate_pauli(samples_rho, p, batches) for p in paulis}
+    est_rho = dict(zip(paulis, estimate_paulis(samples_rho, paulis, batches).tolist()))
     if isinstance(rho0_or_samples, ShadowData):
-        est_rho0 = {p: estimate_pauli(rho0_or_samples, p, batches) for p in paulis}
+        est_rho0 = dict(zip(paulis, estimate_paulis(rho0_or_samples, paulis, batches).tolist()))
         m0 = len(rho0_or_samples)
     else:
         rho0 = np.asarray(rho0_or_samples)

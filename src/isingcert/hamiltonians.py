@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import NET_ENUMERATION_BUDGET
-from .paulis import PauliString, pauli_phases, pauli_trace_inner
+from .paulis import PauliString, pauli_sum_matrix, pauli_to_matrix, pauli_trace_inner
 
 _COEFF_TOL = 1e-12
+# bytes of one stacked (members, 2^n, 2^n) array in HamiltonianNet.gibbs_coeff_matrix
+_GIBBS_CHUNK_BYTES = 2**20
 
 
 @dataclass(eq=False)
@@ -61,13 +63,7 @@ class LocalHamiltonian:
         return float(np.max(np.abs(np.linalg.eigvalsh(self.to_matrix()))))
 
     def to_matrix(self) -> np.ndarray:
-        dim = 2**self.n
-        out = np.zeros((dim, dim), dtype=complex)
-        cols = np.arange(dim)
-        for p, h in sorted(self.coeffs.items(), key=lambda kv: kv[0].code):
-            flip, phases = pauli_phases(p)
-            out[cols ^ flip, cols] += h * phases
-        return out
+        return pauli_sum_matrix(self.n, sorted(self.coeffs.items(), key=lambda kv: kv[0].code))
 
     def scaled(self, factor: float) -> "LocalHamiltonian":
         return LocalHamiltonian(self.n, self.k, {p: h * factor for p, h in self.coeffs.items()})
@@ -91,10 +87,7 @@ def hamiltonian_sum(a: LocalHamiltonian, b: LocalHamiltonian) -> LocalHamiltonia
 
 
 def hamiltonian_diff(a: LocalHamiltonian, b: LocalHamiltonian) -> LocalHamiltonian:
-    if a.n != b.n:
-        raise ValueError("qubit counts differ")
-    keys = set(a.coeffs) | set(b.coeffs)
-    return _unchecked(a.n, max(a.k, b.k), {p: a.coeff(p) - b.coeff(p) for p in keys})
+    return hamiltonian_sum(a, _unchecked(b.n, b.k, {p: -h for p, h in b.coeffs.items()}))
 
 
 @dataclass(eq=False)
@@ -264,36 +257,31 @@ class HamiltonianNet:
         values = [round_to_grid(h.coeff(p), self.eta) for p in self.support]
         return self.index_of_values(values)
 
-    def value_matrix(self) -> np.ndarray:
-        """(size, |support|) array of member grid values, row i = member i."""
-        cached = getattr(self, "_value_matrix", None)
-        if cached is not None:
-            return cached
-        g = len(self.grid)
-        s = len(self.support)
-        out = np.empty((self.size, s))
-        for pos in range(s):
-            reps = g ** (s - 1 - pos)
-            tiles = g**pos
-            out[:, pos] = np.tile(np.repeat(self.grid, reps), tiles)
-        self._value_matrix = out
-        return out
+    def value_matrix(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Grid values of members start..stop-1 (default: all), one row each."""
+        index = np.arange(start, self.size if stop is None else min(stop, self.size))
+        g, s = len(self.grid), len(self.support)
+        return self.grid[(index[:, None] // g ** np.arange(s - 1, -1, -1)) % g]
 
     def gibbs_coeff_matrix(self, beta: float) -> np.ndarray:
-        """(size, |support|) array of Tr[P rho_i] for every member Gibbs state."""
-        cache = getattr(self, "_gibbs_coeffs", None)
-        if cache is None:
-            cache = {}
-            self._gibbs_coeffs = cache
-        hit = cache.get(beta)
-        if hit is not None:
-            return hit
+        """(size, |support|) array of Tr[P rho_i] for every member Gibbs state.
+
+        Members go through in chunks of a few MB: a stack of dense member
+        matrices, one batched eigh, the stack of Gibbs states (normalized as
+        in `gibbs`), then one contraction against the support matrices.
+        """
+        if beta < 0:
+            raise ValueError(f"beta must be >= 0, got {beta}")
+        basis = np.array([pauli_to_matrix(p) for p in self.support])
         out = np.empty((self.size, len(self.support)))
-        for i in range(self.size):
-            state = gibbs(self.member(i), beta)
-            for j, p in enumerate(self.support):
-                out[i, j] = pauli_trace_inner(p, state.rho).real
-        cache[beta] = out
+        chunk = max(1, _GIBBS_CHUNK_BYTES // basis[0].nbytes)
+        for start in range(0, self.size, chunk):
+            h = np.tensordot(self.value_matrix(start, start + chunk), basis, axes=1)
+            w, v = np.linalg.eigh(h)
+            expw = np.exp(-beta * (w - w.min(axis=1, keepdims=True)))
+            expw /= expw.sum(axis=1, keepdims=True)
+            rho = (v * expw[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            out[start:start + chunk] = np.einsum("sij,cji->cs", basis, rho).real
         return out
 
 

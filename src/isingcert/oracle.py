@@ -27,11 +27,11 @@ def hermitian_eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
 
 def evolve(h: LocalHamiltonian, t: float) -> np.ndarray:
     """exp(-i t H) via eigendecomposition; unitary to 1e-10."""
-    w, v = hermitian_eig(h.to_matrix())
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    return evolve_matrix(h.to_matrix(), t)
 
 
 def evolve_matrix(hmat: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t H) for a dense Hermitian H."""
     w, v = hermitian_eig(hmat)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
@@ -49,12 +49,18 @@ def operator_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b, ord=2))
 
 
+def schatten_moments(h: LocalHamiltonian, ls) -> list[float]:
+    """(Tr[|H|^l] / 2^n)^(1/l) for every order l in `ls`, from one spectrum."""
+    ls = list(ls)
+    if min(ls) < 2:
+        raise ValueError(f"moment orders must be >= 2, got {ls}")
+    w, _ = hermitian_eig(h.to_matrix())
+    return [float(np.mean(np.abs(w) ** l) ** (1.0 / l)) for l in ls]
+
+
 def schatten_moment(h: LocalHamiltonian, l: int) -> float:
     """(Tr[|H|^l] / 2^n)^(1/l) from the exact spectrum."""
-    if l < 2:
-        raise ValueError(f"moment order must be >= 2, got {l}")
-    w, _ = hermitian_eig(h.to_matrix())
-    return float(np.mean(np.abs(w) ** l) ** (1.0 / l))
+    return schatten_moments(h, [l])[0]
 
 
 def identity_coeff(u: np.ndarray) -> complex:

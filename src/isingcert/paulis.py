@@ -8,6 +8,7 @@ enumerations in the package inherit this order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -117,12 +118,14 @@ def local_pauli_count(n: int, k: int) -> int:
     return sum(3**l * math.comb(n, l) for l in range(k + 1))
 
 
+@functools.lru_cache(maxsize=1024)
 def pauli_phases(p: PauliString) -> tuple[int, np.ndarray]:
     """Action data for p: p|x> = phases[x] * |x ^ flip_mask>.
 
     flip_mask has a bit per qubit where the letter is X or Y (qubit 0 is the
     most significant bit, matching the tensor-product index convention).
-    phases[x] = i^{#Y} * (-1)^{popcount(x & zy_mask)}.
+    phases[x] = i^{#Y} * (-1)^{popcount(x & zy_mask)}.  Results are cached
+    per string, so the phase array is read-only.
     """
     digits = p.digits()
     n = p.n
@@ -139,18 +142,34 @@ def pauli_phases(p: PauliString) -> tuple[int, np.ndarray]:
             num_y += 1
     x = np.arange(2**n, dtype=np.uint64)
     parity = np.bitwise_count(x & np.uint64(zy)) & 1
-    phases = (1j**num_y) * np.where(parity, -1.0, 1.0)
-    return flip, phases.astype(complex)
+    phases = ((1j**num_y) * np.where(parity, -1.0, 1.0)).astype(complex)
+    phases.flags.writeable = False
+    return flip, phases
+
+
+def pauli_sum_matrix(n: int, terms) -> np.ndarray:
+    """Dense sum_j a_j P_j of (P_j, a_j) pairs on n qubits, as one scatter.
+
+    np.bincount adds its weights in input order, so every entry accumulates
+    the terms in the order given, exactly as adding the terms one by one.
+    """
+    terms = list(terms)
+    dim = 2**n
+    out = np.zeros((dim, dim), dtype=complex)
+    if not terms:
+        return out
+    flips, phases = zip(*(pauli_phases(p) for p, _ in terms))
+    weights = np.array([a for _, a in terms])[:, None] * np.array(phases)
+    cols = np.arange(dim)
+    index = ((cols ^ np.array(flips)[:, None]) * dim + cols).ravel()
+    out.real = np.bincount(index, weights.real.ravel(), dim * dim).reshape(dim, dim)
+    out.imag = np.bincount(index, weights.imag.ravel(), dim * dim).reshape(dim, dim)
+    return out
 
 
 def pauli_to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a Pauli string."""
-    flip, phases = pauli_phases(p)
-    dim = 2**p.n
-    m = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    m[cols ^ flip, cols] = phases
-    return m
+    return pauli_sum_matrix(p.n, [(p, 1.0)])
 
 
 def pauli_matvec(p: PauliString, vec: np.ndarray) -> np.ndarray:
@@ -180,13 +199,7 @@ class PauliExpansion:
         return self.coeffs.get(p, 0.0 + 0.0j)
 
     def reconstruct(self) -> np.ndarray:
-        dim = 2**self.n
-        out = np.zeros((dim, dim), dtype=complex)
-        cols = np.arange(dim)
-        for p, a in self.coeffs.items():
-            flip, phases = pauli_phases(p)
-            out[cols ^ flip, cols] += a * phases
-        return out
+        return pauli_sum_matrix(self.n, self.coeffs.items())
 
     def parseval_sum(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.coeffs.values()))

@@ -10,6 +10,7 @@ a fixed denominator; aggregation is median of means.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,6 @@ _EIGVECS = {
     1: np.array([[_SQ2, _SQ2], [1j * _SQ2, -1j * _SQ2]], dtype=complex),  # Y
     2: np.eye(2, dtype=complex),                                          # Z
 }
-# PauliString letter index (X=1, Y=2, Z=3) -> basis letter index
-_PAULI_TO_BASIS = {1: 0, 2: 1, 3: 2}
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,8 @@ def collect_shadows(rho: np.ndarray, m: int, rng) -> ShadowData:
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of 2")
     probs = _joint_distribution(rho, n)
-    flat = rng.choice(len(probs), size=m, p=probs)
+    # the smallest type holding every joint index keeps the temporaries small
+    flat = rng.choice(len(probs), size=m, p=probs).astype(np.min_scalar_type(-len(probs)))
     b = flat // dim
     o = flat % dim
     bases = np.empty((m, n), dtype=np.int8)
@@ -96,30 +96,51 @@ def collect_shadows(rho: np.ndarray, m: int, rng) -> ShadowData:
     return ShadowData(bases, outcomes)
 
 
-def single_sample_values(samples: ShadowData, p: PauliString) -> np.ndarray:
-    """Per-sample unbiased estimates of Tr[P rho] (zeros where bases mismatch)."""
-    if p.n != samples.n:
-        raise ValueError(f"string acts on {p.n} qubits, samples have {samples.n}")
-    digits = p.digits()
-    supp = [i for i, d in enumerate(digits) if d != 0]
-    if not supp:
-        return np.ones(len(samples))
-    codes = np.array([_PAULI_TO_BASIS[digits[i]] for i in supp], dtype=np.int8)
-    match = np.all(samples.bases[:, supp] == codes, axis=1)
-    vals = 3.0 ** len(supp) * np.prod(samples.outcomes[:, supp], axis=1)
-    return np.where(match, vals, 0.0)
+def estimate_paulis(samples: ShadowData, paulis: Sequence[PauliString],
+                    batches: int = 1) -> np.ndarray:
+    """Median of means of the single-sample estimator, for every string at once.
+
+    Streams over the `batches` batches (np.array_split boundaries).  In each
+    batch, qubit q gets a table of four rows: 1 (for I), then 3 * outcome
+    where the basis is X, Y or Z and 0 elsewhere.  Gathering each string's
+    letter per qubit and multiplying over the qubits gives the (strings,
+    batch) block of single-sample values.  They are integers, so every sum
+    is exact and the result does not depend on the summation order.
+    """
+    if len(samples) == 0:
+        raise ValueError("empty sample list")
+    if any(p.n != samples.n for p in paulis):
+        raise ValueError(f"every string must act on the samples' {samples.n} qubits")
+    n, m = samples.n, len(samples)
+    letters = np.array([p.digits() for p in paulis], dtype=np.intp).reshape(-1, n)
+    dtype = np.min_scalar_type(-(3**n))   # holds every value, 0 or +-3^weight
+    batches = max(1, min(batches, m))
+    size, extra = divmod(m, batches)
+    means = []
+    start = 0
+    for b in range(batches):
+        stop = start + size + (b < extra)
+        bases = samples.bases[start:stop].T
+        tables = np.ones((n, 4, stop - start), dtype)
+        for c in range(3):
+            tables[:, c + 1] = np.where(bases == c, 3 * samples.outcomes[start:stop].T, 0)
+        block = tables[0, letters[:, 0]]
+        for q in range(1, n):
+            block *= tables[q, letters[:, q]]
+        means.append(block.sum(axis=1, dtype=np.int64) / (stop - start))
+        start = stop
+    if batches == 1:
+        return means[0]
+    # the median as np.median takes it (mean of the middle pair), without its
+    # NaN check, which imports numpy.ma (1.3 MB); the means are finite
+    ranked = np.sort(means, axis=0)
+    mid = batches // 2
+    return ranked[mid] if batches % 2 else (ranked[mid - 1] + ranked[mid]) / 2
 
 
 def estimate_pauli(samples: ShadowData, p: PauliString, batches: int = 1) -> float:
     """Median of means of the single-sample estimator over `batches` batches."""
-    if len(samples) == 0:
-        raise ValueError("empty sample list")
-    vals = single_sample_values(samples, p)
-    if batches <= 1:
-        return float(np.mean(vals))
-    batches = min(batches, len(vals))
-    means = [chunk.mean() for chunk in np.array_split(vals, batches)]
-    return float(np.median(means))
+    return float(estimate_paulis(samples, [p], batches)[0])
 
 
 def mom_batches(n: int, k: int, delta: float) -> int:
@@ -157,31 +178,9 @@ def estimate_all(samples: ShadowData, k: int, delta: float,
     n = samples.n
     if batches is None:
         batches = mom_batches(n, k, delta)
-    values = {
-        p: estimate_pauli(samples, p, batches)
-        for p in enumerate_local_paulis(n, k)
-    }
+    paulis = enumerate_local_paulis(n, k)
+    values = dict(zip(paulis, estimate_paulis(samples, paulis, batches).tolist()))
     return ShadowEstimates(n, k, values, len(samples), batches)
-
-
-def member_linear_values(net, coeff_map: dict[PauliString, float]) -> np.ndarray:
-    """f(i) = sum_P (h_i)_P c_P for every net member, vectorized."""
-    c = np.array([coeff_map[p] for p in net.support])
-    return net.value_matrix() @ c
-
-
-def estimate_net_observables(samples: ShadowData, net, batches: int = 1,
-                             max_pairs: int = 10**6) -> dict[tuple[int, int], float]:
-    """Estimates of Tr[(H_i - H_j) rho] for every net member pair.
-
-    Built from the per-string estimates by linearity, so the output is exactly
-    antisymmetric and vanishes on the diagonal.
-    """
-    if net.size**2 > max_pairs:
-        raise ValueError(f"net has {net.size}^2 pairs, over the cap {max_pairs}")
-    est = {p: estimate_pauli(samples, p, batches) for p in net.support}
-    f = member_linear_values(net, est)
-    return {(i, j): float(f[i] - f[j]) for i in range(net.size) for j in range(net.size)}
 
 
 def write_shadow_file(samples: ShadowData, path) -> None:

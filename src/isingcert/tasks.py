@@ -33,7 +33,7 @@ from .hamiltonians import (
     hamiltonian_diff,
     random_hamiltonian,
 )
-from .oracle import schatten_moment, trace_distance
+from .oracle import schatten_moments, trace_distance
 from .paulis import PauliString, enumerate_local_paulis, pauli_trace_inner
 from .shadows import collect_shadows, estimate_all, shadow_budget
 
@@ -56,8 +56,11 @@ def trial_rng(seed: int, *key: int) -> np.random.Generator:
 def _run_trials(trial_fn, params: dict, trials: int, seed: int, parallelism: int) -> list:
     args = [(params, seed, t) for t in range(trials)]
     if parallelism > 1:
+        # a few chunks per worker: one IPC round trip per trial costs more
+        # than a small trial
+        chunksize = math.ceil(trials / (4 * parallelism))
         with ProcessPoolExecutor(max_workers=parallelism) as ex:
-            return list(ex.map(trial_fn, args))
+            return list(ex.map(trial_fn, args, chunksize=chunksize))
     return [trial_fn(a) for a in args]
 
 
@@ -71,8 +74,8 @@ def _bonami_trial(args) -> dict:
     frob = h.frobenius_norm()
     rows = []
     min_slack = math.inf
-    for l in range(params["l_min"], params["l_max"] + 1):
-        moment = schatten_moment(h, l)
+    ls = range(params["l_min"], params["l_max"] + 1)
+    for l, moment in zip(ls, schatten_moments(h, ls)):
         bound = l ** (params["k"] / 2.0) * frob
         slack = bound - moment
         min_slack = min(min_slack, slack)
@@ -170,6 +173,15 @@ DEFAULT_PARAMS["verify-bounds"] = {
 
 # ---------------------------------------------------------------- dynamics
 
+def _cert_config(params: dict) -> CertConfig:
+    return CertConfig(
+        eps=params["eps"], delta=params["delta"], c_op=params["c_op"],
+        c_frob=params["c_frob"], profile=params["profile"],
+        estimator=params["estimator"],
+        synthetic_noise=params.get("synthetic_noise", 0.0),
+    )
+
+
 def _dynamics_trial(args) -> dict:
     params, seed, trial = args
     rng = trial_rng(seed, trial)
@@ -187,13 +199,7 @@ def _dynamics_trial(args) -> dict:
         raise PromiseViolationError(
             f"close-arm instance has ||dH||_F = {delta_norm} > eps = {eps}"
         )
-    config = CertConfig(
-        eps=eps, delta=params["delta"], c_op=params["c_op"],
-        c_frob=params["c_frob"], profile=params["profile"],
-        estimator=params["estimator"],
-        synthetic_noise=params.get("synthetic_noise", 0.0),
-    )
-    report = certify(h0, h, config, rng, seed=[seed, trial])
+    report = certify(h0, h, _cert_config(params), rng, seed=[seed, trial])
     expected = "FAR" if far else "CLOSE"
     return {
         "trial": trial,
@@ -216,11 +222,6 @@ def task_certify_dynamics(params, trials, seed, parallelism):
     errors = sum(1 for r in records if not r["correct"])
     total_time = [r["ledger"]["total_evolution_time"] for r in records]
     schedule = IterationSchedule(params["eps"], params["delta"], params["c_frob"])
-    config = CertConfig(
-        eps=params["eps"], delta=params["delta"], c_op=params["c_op"],
-        c_frob=params["c_frob"], profile=params["profile"],
-        estimator=params["estimator"],
-    )
     mean_time = float(np.mean(total_time))
     payload = {
         "task": "certify-dynamics",
@@ -229,7 +230,7 @@ def task_certify_dynamics(params, trials, seed, parallelism):
         "error_rate": errors / len(records),
         "mean_total_evolution_time": mean_time,
         "normalized_time": mean_time * params["eps"] / schedule.log_factor(),
-        "time_bound": evolution_time_bound(config),
+        "time_bound": evolution_time_bound(_cert_config(params)),
         "schedule_levels": schedule.big_l + 1,
         "trials": [{k: v for k, v in r.items() if k != "levels"} for r in records],
     }
@@ -495,17 +496,11 @@ def validate_config(raw: dict) -> dict:
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {', '.join(TASKS)}")
     out = {"schema_version": 1, "task": task}
-    for key, kind, default in (
-        ("seed", int, 0), ("trials", int, None), ("parallelism", int, 1),
-    ):
+    for key, default, minimum in (("seed", 0, 0), ("trials", None, 1), ("parallelism", 1, 1)):
         val = raw.get(key, default)
-        if val is not None and (not isinstance(val, int) or isinstance(val, bool) or val < 0):
-            raise ConfigError(f"{key} must be a nonnegative integer, got {val!r}")
+        if val is not None and (not isinstance(val, int) or isinstance(val, bool) or val < minimum):
+            raise ConfigError(f"{key} must be an integer >= {minimum}, got {val!r}")
         out[key] = val
-    if out["parallelism"] == 0:
-        raise ConfigError("parallelism must be >= 1")
-    if out["trials"] is not None and out["trials"] == 0:
-        raise ConfigError("trials must be >= 1")
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")

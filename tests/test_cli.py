@@ -177,3 +177,46 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert (tmp_path / "out" / "verify-bonami.json").exists()
+
+
+def test_chunked_parallel_records_match_serial(tmp_path):
+    # 19 trials at parallelism 2 go out in chunks of 3, the last one partial
+    base = {"schema_version": 1, "task": "verify-bonami", "seed": 4, "trials": 19,
+            "params": {"n_max": 3}}
+    for name, par in (("s", 1), ("p", 2)):
+        path = write_config(tmp_path, {**base, "parallelism": par}, f"{name}.json")
+        assert main(["--config", path, "--out", str(tmp_path / name)]) == EXIT_OK
+    a = json.loads((tmp_path / "s" / "verify-bonami.json").read_text())
+    b = json.loads((tmp_path / "p" / "verify-bonami.json").read_text())
+    assert [r["trial"] for r in b["trials"]] == list(range(19))
+    assert a["trials"] == b["trials"]
+    assert ((tmp_path / "s" / "verify-bonami_moments.csv").read_bytes()
+            == (tmp_path / "p" / "verify-bonami_moments.csv").read_bytes())
+
+
+def _override_is_rejected(tmp_path, monkeypatch, capsys, flag, value):
+    import isingcert.tasks as tasks
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the override was rejected")
+
+    monkeypatch.setattr(tasks, "_run_trials", no_trials)
+    cfg = {"schema_version": 1, "task": "verify-bonami", "trials": 3,
+           "params": {"n_max": 2}}
+    path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir), flag, value]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_trials_override_zero_is_config_error(tmp_path, monkeypatch, capsys):
+    _override_is_rejected(tmp_path, monkeypatch, capsys, "--trials", "0")
+
+
+def test_parallelism_override_zero_is_config_error(tmp_path, monkeypatch, capsys):
+    _override_is_rejected(tmp_path, monkeypatch, capsys, "--parallelism", "0")
+
+
+def test_negative_seed_override_is_config_error(tmp_path, monkeypatch, capsys):
+    _override_is_rejected(tmp_path, monkeypatch, capsys, "--seed", "-3")

@@ -1,0 +1,109 @@
+"""Batched kernels against the literal per-item loops they replace.
+
+Each reference below is the loop the package ran before its batched kernel:
+the per-term Pauli scatter, the per-member net Gibbs table and the
+per-order Schatten moment.  The per-string shadow estimator is the reference
+in test_shadows.py.
+"""
+
+import numpy as np
+import pytest
+
+import isingcert.hamiltonians as hamiltonians
+from isingcert.hamiltonians import build_net, gibbs, random_hamiltonian
+from isingcert.oracle import hermitian_eig, schatten_moment, schatten_moments
+from isingcert.paulis import (
+    PauliString,
+    enumerate_local_paulis,
+    expand,
+    pauli_phases,
+    pauli_to_matrix,
+    pauli_trace_inner,
+)
+
+P = PauliString.from_label
+
+
+def reference_to_matrix(h):
+    dim = 2**h.n
+    out = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
+    for p, c in sorted(h.coeffs.items(), key=lambda kv: kv[0].code):
+        flip, phases = pauli_phases(p)
+        out[cols ^ flip, cols] += c * phases
+    return out
+
+
+def reference_reconstruct(expansion):
+    dim = 2**expansion.n
+    out = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
+    for p, a in expansion.coeffs.items():
+        flip, phases = pauli_phases(p)
+        out[cols ^ flip, cols] += a * phases
+    return out
+
+
+def reference_gibbs_table(net, beta):
+    out = np.empty((net.size, len(net.support)))
+    for i in range(net.size):
+        state = gibbs(net.member(i), beta)
+        for j, p in enumerate(net.support):
+            out[i, j] = pauli_trace_inner(p, state.rho).real
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_to_matrix_equals_per_term_loop(n):
+    rng = np.random.default_rng(100 + n)
+    for k in range(1, min(n, 3) + 1):
+        h = random_hamiltonian(n, k, rng)
+        np.testing.assert_array_equal(h.to_matrix(), reference_to_matrix(h))
+        sparse = random_hamiltonian(n, k, rng, law="sparse", support_size=1)
+        np.testing.assert_array_equal(sparse.to_matrix(), reference_to_matrix(sparse))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_to_matrix_and_reconstruct_equal_loops(n):
+    rng = np.random.default_rng(200 + n)
+    cols = np.arange(2**n)
+    for p in enumerate_local_paulis(n, n):
+        flip, phases = pauli_phases(p)
+        ref = np.zeros((2**n, 2**n), dtype=complex)
+        ref[cols ^ flip, cols] = phases
+        np.testing.assert_array_equal(pauli_to_matrix(p), ref)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    e = expand(a)
+    np.testing.assert_array_equal(e.reconstruct(), reference_reconstruct(e))
+
+
+def test_pauli_phases_cached_read_only():
+    flip, phases = pauli_phases(P("XYZ"))
+    assert pauli_phases(P("XYZ"))[1] is phases
+    with pytest.raises(ValueError):
+        phases[0] = 2.0
+
+
+@pytest.mark.parametrize("support, eta, beta", [
+    (("X",), 0.25, 1.3),
+    (("XYI", "IZZ", "ZIX"), 0.5, 0.7),
+])
+def test_gibbs_table_matches_per_member_states(support, eta, beta, monkeypatch):
+    net = build_net([P(s) for s in support], eta)
+    ref = reference_gibbs_table(net, beta)
+    np.testing.assert_allclose(net.gibbs_coeff_matrix(beta), ref, rtol=0, atol=1e-12)
+    # chunks of 7 members, so the last chunk is partial
+    dim = 2**net.n
+    monkeypatch.setattr(hamiltonians, "_GIBBS_CHUNK_BYTES", 7 * 16 * dim * dim)
+    np.testing.assert_allclose(net.gibbs_coeff_matrix(beta), ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_schatten_moments_equal_per_order_moments(n):
+    h = random_hamiltonian(n, 2, 400 + n)
+    ls = range(2, 9)
+    w, _ = hermitian_eig(h.to_matrix())
+    literal = [float(np.mean(np.abs(w) ** l) ** (1.0 / l)) for l in ls]
+    assert schatten_moments(h, ls) == [schatten_moment(h, l) for l in ls] == literal
+    with pytest.raises(ValueError):
+        schatten_moments(h, [3, 1])
