@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import TROTTER_KAPPA, TROTTER_STEP_BUDGET
 from .hamiltonians import LocalHamiltonian, format_hamiltonian, parse_hamiltonian
-from .oracle import evolve
+from .oracle import clip_distribution, evolve
 from .stabilizers import StabilizerState
 
 
@@ -273,9 +273,7 @@ def outcome_distribution(
     evolved = u @ rho @ u.conj().T
     probs = np.einsum("ij,jk,ki->i", basis.conj().T, evolved, basis).real
     dim = probs.shape[0]
-    probs = retain * probs + (1.0 - retain) / dim
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return clip_distribution(retain * probs + (1.0 - retain) / dim)
 
 
 def run_experiment(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .hamiltonians import GibbsState, HamiltonianNet, LocalHamiltonian, gibbs
-from .paulis import PauliString, enumerate_local_paulis, pauli_trace_inner
+from .paulis import PauliString, enumerate_local_paulis, pauli_trace_inners
 from .shadows import ShadowData, estimate_paulis, mom_batches, shadow_budget
 
 
@@ -231,15 +231,14 @@ def certify_gibbs(
     """
     paulis = enumerate_local_paulis(config.n, config.k)
     batches = mom_batches(config.n, config.k, config.delta)
-    est_rho = dict(zip(paulis, estimate_paulis(samples_rho, paulis, batches).tolist()))
+    est_rho = estimate_paulis(samples_rho, paulis, batches)
     if isinstance(rho0_or_samples, ShadowData):
-        est_rho0 = dict(zip(paulis, estimate_paulis(rho0_or_samples, paulis, batches).tolist()))
+        est_rho0 = estimate_paulis(rho0_or_samples, paulis, batches)
         m0 = len(rho0_or_samples)
     else:
-        rho0 = np.asarray(rho0_or_samples)
-        est_rho0 = {p: pauli_trace_inner(p, rho0).real for p in paulis}
+        est_rho0 = pauli_trace_inners(paulis, np.asarray(rho0_or_samples)).real
         m0 = 0
-    gaps = {p: abs(est_rho[p] - est_rho0[p]) for p in paulis}
+    gaps = dict(zip(paulis, np.abs(est_rho - est_rho0).tolist()))
     witness = max(gaps, key=gaps.get)
     max_gap = gaps[witness]
     verdict = "FAR" if max_gap >= config.far_threshold else "CLOSE"
@@ -305,10 +304,9 @@ def pinsker_gap(
     keys = set(h.coeffs) | set(h0.coeffs)
     sup_coeff = max((abs(h.coeff(p) - h0.coeff(p)) for p in keys), default=0.0)
     rhs_coeff = 200.0 * beta * n**k * sup_coeff
-    sup_state = max(
-        abs(pauli_trace_inner(p, rho).real - pauli_trace_inner(p, rho0).real)
-        for p in enumerate_local_paulis(n, k)
-    )
+    paulis = enumerate_local_paulis(n, k)
+    sup_state = float(np.max(np.abs(
+        pauli_trace_inners(paulis, rho).real - pauli_trace_inners(paulis, rho0).real)))
     rhs_state = math.sqrt(400.0 * beta * n**k * sup_state)
     return BoundDiagnostics(lhs, rhs_pinsker, rhs_coeff, rhs_state)
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import NET_ENUMERATION_BUDGET
-from .paulis import PauliString, pauli_sum_matrix, pauli_to_matrix, pauli_trace_inner
+from .paulis import (PauliString, enumerate_local_paulis, pauli_sum_matrix, pauli_to_matrix,
+                     pauli_trace_inner)
 
 _COEFF_TOL = 1e-12
 # bytes of one stacked (members, 2^n, 2^n) array in HamiltonianNet.gibbs_coeff_matrix
@@ -60,7 +61,8 @@ class LocalHamiltonian:
 
     def operator_norm(self) -> float:
         """Largest |eigenvalue| of the dense materialization."""
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.to_matrix()))))
+        from .oracle import hermitian_eig  # oracle imports this module
+        return float(np.max(np.abs(hermitian_eig(self.to_matrix())[0])))
 
     def to_matrix(self) -> np.ndarray:
         return pauli_sum_matrix(self.n, sorted(self.coeffs.items(), key=lambda kv: kv[0].code))
@@ -105,9 +107,10 @@ class GibbsState:
 
 def gibbs(h: LocalHamiltonian, beta: float) -> GibbsState:
     """Exact Gibbs state via Hermitian eigendecomposition."""
+    from .oracle import hermitian_eig  # oracle imports this module
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    w, v = np.linalg.eigh(h.to_matrix())
+    w, v = hermitian_eig(h.to_matrix())
     # shift for numerical stability of the exponentials
     expw = np.exp(-beta * (w - w.min()))
     expw /= expw.sum()
@@ -134,12 +137,11 @@ def random_hamiltonian(
     "sparse" picks support_size distinct strings; "fixed_norm" rescales a
     uniform draw to the requested normalized Frobenius norm.
     """
-    from .paulis import enumerate_local_paulis
-
     rng = np.random.default_rng(rng)
     paulis = enumerate_local_paulis(n, k, include_identity=False)
+    # one vector draw gives the same stream as one scalar draw per string
     if law == "uniform":
-        coeffs = {p: float(rng.uniform(-1.0, 1.0)) for p in paulis}
+        coeffs = dict(zip(paulis, rng.uniform(-1.0, 1.0, len(paulis)).tolist()))
     elif law == "sparse":
         if support_size is None or not 1 <= support_size <= len(paulis):
             raise ValueError(f"support_size must be in [1, {len(paulis)}]")
@@ -153,7 +155,7 @@ def random_hamiltonian(
     elif law == "fixed_norm":
         if frobenius is None or frobenius < 0:
             raise ValueError("fixed_norm law needs a nonnegative target norm")
-        coeffs = {p: float(rng.uniform(-1.0, 1.0)) for p in paulis}
+        coeffs = dict(zip(paulis, rng.uniform(-1.0, 1.0, len(paulis)).tolist()))
         cur = math.sqrt(sum(h * h for h in coeffs.values()))
         if cur == 0.0:
             raise ValueError("degenerate draw, cannot rescale")

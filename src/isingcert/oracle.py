@@ -14,6 +14,7 @@ import numpy as np
 from .hamiltonians import LocalHamiltonian
 
 HERMITIAN_TOL = 1e-10
+CLIP_TOL = 1e-12  # negative probability mass that clip_distribution takes for rounding
 
 
 def hermitian_eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
@@ -23,6 +24,16 @@ def hermitian_eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     if np.max(np.abs(a - a.conj().T)) > tol * max(1.0, np.max(np.abs(a))):
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigh(a)
+
+
+def clip_distribution(probs: np.ndarray) -> np.ndarray:
+    """Born probabilities with rounding-level negatives clipped, renormalized;
+    more than CLIP_TOL of negative mass means a non-PSD state: ValueError."""
+    negative = -float(probs[probs < 0].sum())
+    if negative > CLIP_TOL:
+        raise ValueError(f"state is not PSD: negative probability mass {negative:.3g}")
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
 
 
 def evolve(h: LocalHamiltonian, t: float) -> np.ndarray:

@@ -55,16 +55,12 @@ class PauliString:
 
     def digits(self) -> tuple[int, ...]:
         """Per-qubit letter indices, qubit 0 first."""
-        out = []
-        c = self.code
-        for _ in range(self.n):
-            out.append(c % 4)
-            c //= 4
-        return tuple(reversed(out))
+        return tuple(self.code >> 2 * i & 3 for i in range(self.n - 1, -1, -1))
 
     @property
     def weight(self) -> int:
-        return sum(1 for d in self.digits() if d != 0)
+        # a letter is not I iff one of its bits is set; the mask keeps each low bit
+        return ((self.code | self.code >> 1) & (4**self.n - 1) // 3).bit_count()
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -89,28 +85,24 @@ def enumerate_local_paulis(n: int, k: int, include_identity: bool = True) -> lis
     """All Pauli strings of weight <= k on n qubits, in lexicographic order.
 
     The count is sum_{l=0..k} 3^l C(n,l), minus one if the identity is
-    excluded, and never exceeds 100 n^k.
+    excluded, and never exceeds 100 n^k.  The strings are built once per
+    (n, k, include_identity); every call returns a new list.
     """
+    return list(_local_paulis(n, k, include_identity))
+
+
+@functools.lru_cache(maxsize=64)
+def _local_paulis(n: int, k: int, include_identity: bool) -> tuple[PauliString, ...]:
     if not 1 <= n <= 12:
         raise ValueError(f"n={n} out of supported range [1, 12]")
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range [0, {n}]")
-    codes = []
-    for l in range(0 if include_identity else 1, k + 1):
-        for sites in itertools.combinations(range(n), l):
-            for letters in itertools.product((1, 2, 3), repeat=l):
-                code = 0
-                it = iter(zip(sites, letters))
-                nxt = next(it, None)
-                for q in range(n):
-                    d = 0
-                    if nxt is not None and nxt[0] == q:
-                        d = nxt[1]
-                        nxt = next(it, None)
-                    code = 4 * code + d
-                codes.append(code)
-    codes.sort()
-    return [PauliString(n, c) for c in codes]
+    return tuple(PauliString(n, c) for c in sorted(
+        sum(d << 2 * (n - 1 - q) for q, d in zip(sites, letters))
+        for l in range(0 if include_identity else 1, k + 1)
+        for sites in itertools.combinations(range(n), l)
+        for letters in itertools.product((1, 2, 3), repeat=l)
+    ))
 
 
 def local_pauli_count(n: int, k: int) -> int:
@@ -181,11 +173,17 @@ def pauli_matvec(p: PauliString, vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def pauli_trace_inners(paulis, a: np.ndarray) -> np.ndarray:
+    """Tr[P @ a] for every string P, as one gather a[x ^ flip_P, x] times the
+    conjugated phases; each row sum is bit-identical to a one-string sum."""
+    flips, phases = zip(*(pauli_phases(p) for p in paulis))
+    cols = np.arange(a.shape[0])
+    return np.sum(np.conj(phases) * a[cols ^ np.array(flips)[:, None], cols], axis=1)
+
+
 def pauli_trace_inner(p: PauliString, a: np.ndarray) -> complex:
     """Tr[p @ a] without materializing p, using the flip/phase structure."""
-    flip, phases = pauli_phases(p)
-    cols = np.arange(a.shape[0])
-    return complex(np.sum(np.conj(phases) * a[cols ^ flip, cols]))
+    return complex(pauli_trace_inners([p], a)[0])
 
 
 @dataclass(frozen=True)
@@ -220,11 +218,7 @@ def expand(a: np.ndarray, k: int | None = None) -> PauliExpansion:
     n = _qubit_count(a)
     dim = 2**n
     paulis = enumerate_local_paulis(n, n if k is None else k)
-    coeffs = {}
-    for p in paulis:
-        c = pauli_trace_inner(p, a) / dim
-        coeffs[p] = c
-    return PauliExpansion(n, coeffs)
+    return PauliExpansion(n, dict(zip(paulis, (pauli_trace_inners(paulis, a) / dim).tolist())))
 
 
 def plancherel_inner(a: PauliExpansion, b: PauliExpansion) -> complex:

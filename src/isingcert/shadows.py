@@ -16,15 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MOM_BATCH_CONSTANT, SHADOW_SAMPLE_CONSTANT
+from .oracle import clip_distribution
 from .paulis import PauliString, enumerate_local_paulis
 
 _BASIS_LETTERS = "XYZ"
 _SQ2 = 1.0 / math.sqrt(2.0)
-_EIGVECS = {
-    0: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),          # X
-    1: np.array([[_SQ2, _SQ2], [1j * _SQ2, -1j * _SQ2]], dtype=complex),  # Y
-    2: np.eye(2, dtype=complex),                                          # Z
-}
+_EIGVECS = np.array([
+    [[_SQ2, _SQ2], [_SQ2, -_SQ2]],              # X
+    [[_SQ2, _SQ2], [1j * _SQ2, -1j * _SQ2]],    # Y
+    [[1, 0], [0, 1]],                           # Z
+], dtype=complex)
+# _BORN[2b + o, 2i + j] = conj(V_b[i, o]) V_b[j, o]: contracted with one
+# qubit's rho[i, j], row 2b + o is the probability of outcome o in basis b
+_BORN = np.einsum("bio,bjo->boij", _EIGVECS.conj(), _EIGVECS).reshape(6, 4)
+_GUIDE_BUCKETS = 2**14  # u in [j, j + 1) / 2^14 falls in bucket j of the draw
 
 
 @dataclass(frozen=True)
@@ -61,17 +66,38 @@ class ShadowData:
 
 
 def _joint_distribution(rho: np.ndarray, n: int) -> np.ndarray:
-    """Exact probabilities over (basis word, outcome word), flattened."""
-    probs = np.empty(3**n * 2**n)
-    basis_weight = 3.0**-n
-    for b in range(3**n):
-        digits = [(b // 3 ** (n - 1 - i)) % 3 for i in range(n)]
-        m = np.array([[1.0]], dtype=complex)
-        for d in digits:
-            m = np.kron(m, _EIGVECS[d])
-        block = np.einsum("ij,jk,ki->i", m.conj().T, rho, m).real
-        probs[b * 2**n:(b + 1) * 2**n] = np.clip(block, 0.0, None) * basis_weight
-    return probs / probs.sum()
+    """Exact probabilities over (basis word, outcome word), flattened.
+
+    rho becomes a tensor with one (row bit, column bit) axis per qubit, and
+    _BORN turns each into the qubit's six (basis, outcome) rows in turn.
+    """
+    pairs = np.arange(2 * n).reshape(2, n).T.ravel()
+    t = rho.reshape((2,) * 2 * n).transpose(pairs).reshape((4,) * n)
+    for _ in range(n):
+        t = np.tensordot(t, _BORN, axes=([0], [1]))   # qubit axes rotate back into order
+    words = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
+    return clip_distribution(t.real.reshape((3, 2) * n).transpose(words).ravel() * 3.0**-n)
+
+
+def _draw_indices(probs: np.ndarray, m: int, rng) -> np.ndarray:
+    """rng.choice(len(probs), size=m, p=probs): the same checks, indices and
+    generator state.  Every u in guide bucket j maps into [edges[j],
+    edges[j + 1]], so the binary search runs only where those differ; u and
+    the cdf are scaled by a power of two, which is exact.
+    """
+    if not (np.all(np.isfinite(probs)) and np.all(probs >= 0)
+            and abs(probs.sum() - 1.0) <= np.sqrt(np.finfo(float).eps)):
+        raise ValueError("probabilities must be finite, nonnegative and sum to 1")
+    cdf = probs.cumsum()
+    cdf = cdf / cdf[-1] * _GUIDE_BUCKETS
+    u = rng.random(m) * _GUIDE_BUCKETS
+    edges = cdf.searchsorted(np.arange(_GUIDE_BUCKETS + 1), side="right")
+    edges = edges.astype(np.min_scalar_type(len(probs)))   # small gathers
+    bucket = u.astype(np.int16)
+    idx = edges[:-1][bucket]
+    search = np.flatnonzero(idx != edges[1:][bucket])
+    idx[search] = cdf.searchsorted(u[search], side="right")
+    return idx
 
 
 def collect_shadows(rho: np.ndarray, m: int, rng) -> ShadowData:
@@ -83,17 +109,13 @@ def collect_shadows(rho: np.ndarray, m: int, rng) -> ShadowData:
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of 2")
-    probs = _joint_distribution(rho, n)
-    # the smallest type holding every joint index keeps the temporaries small
-    flat = rng.choice(len(probs), size=m, p=probs).astype(np.min_scalar_type(-len(probs)))
-    b = flat // dim
-    o = flat % dim
-    bases = np.empty((m, n), dtype=np.int8)
-    outcomes = np.empty((m, n), dtype=np.int8)
-    for i in range(n):
-        bases[:, i] = (b // 3 ** (n - 1 - i)) % 3
-        outcomes[:, i] = 1 - 2 * ((o >> (n - 1 - i)) & 1)
-    return ShadowData(bases, outcomes)
+    flat = _draw_indices(_joint_distribution(rho, n), m, rng)
+    # (basis, outcome) rows of every joint index b 2^n + o, gathered per sample;
+    # np.take gathers whole rows several times faster than bases[flat]
+    index, shift = np.arange(6**n)[:, None], np.arange(n - 1, -1, -1)
+    bases = ((index >> n) // 3**shift % 3).astype(np.int8)
+    outcomes = (1 - 2 * ((index >> shift) & 1)).astype(np.int8)
+    return ShadowData(np.take(bases, flat, axis=0), np.take(outcomes, flat, axis=0))
 
 
 def estimate_paulis(samples: ShadowData, paulis: Sequence[PauliString],

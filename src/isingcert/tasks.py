@@ -34,7 +34,7 @@ from .hamiltonians import (
     random_hamiltonian,
 )
 from .oracle import schatten_moments, trace_distance
-from .paulis import PauliString, enumerate_local_paulis, pauli_trace_inner
+from .paulis import LETTERS, PauliString, enumerate_local_paulis, pauli_trace_inners
 from .shadows import collect_shadows, estimate_all, shadow_budget
 
 TASKS = (
@@ -283,7 +283,7 @@ def _learn_trial(args) -> dict:
         truth = LocalHamiltonian(params["n"], params["k"], coeffs)
     rho = gibbs_density(truth, params["beta"])
     if params.get("exact_estimates"):
-        estimates = {p: pauli_trace_inner(p, rho).real for p in support}
+        estimates = dict(zip(support, pauli_trace_inners(support, rho).real.tolist()))
         samples = None
         index, learned, report = learn_gibbs(None, net, config, estimates=estimates)
     else:
@@ -416,10 +416,9 @@ def _shadow_trial(args) -> dict:
     m = _resolve_samples(params.get("samples"), shadow_budget(n, k, eps, delta))
     samples = collect_shadows(rho, m, trial_rng(seed, trial, 2))
     est = estimate_all(samples, k, delta)
-    errors = {
-        p.label: abs(est.value(p) - pauli_trace_inner(p, rho).real)
-        for p in enumerate_local_paulis(n, k)
-    }
+    paulis = enumerate_local_paulis(n, k)
+    exact = pauli_trace_inners(paulis, rho).real.tolist()
+    errors = {p.label: abs(est.value(p) - x) for p, x in zip(paulis, exact)}
     max_err = max(errors.values())
     return {
         "trial": trial, "samples_used": m, "batches": est.batches,
@@ -450,6 +449,11 @@ DEFAULT_PARAMS["shadow-estimate"] = {
 
 
 # ---------------------------------------------------------------- dispatch
+
+# params a task reads only when given, beside its DEFAULT_PARAMS
+OPTIONAL_PARAMS = {"certify-dynamics": {"synthetic_noise": 0.0}, "shadow-estimate": {"samples": 0}}
+# params whose null makes the task derive the value (nominal budget or eta)
+NULLABLE_PARAMS = {"samples", "eta"}
 
 _TASK_FUNCS = {
     "verify-bonami": task_verify_bonami,
@@ -504,11 +508,22 @@ def validate_config(raw: dict) -> dict:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    allowed = set(DEFAULT_PARAMS[task]) | {"samples", "synthetic_noise", "on_grid",
-                                           "exact_estimates", "eta"}
-    unknown = set(params) - allowed
+    schema = {**DEFAULT_PARAMS[task], **OPTIONAL_PARAMS.get(task, {})}
+    unknown = set(params) - set(schema)
     if unknown:
         raise ConfigError(f"unknown params for {task}: {sorted(unknown)}")
+    n = params.get("n", schema.get("n"))
+    for key, val in params.items():
+        kind = type(schema[key])
+        if val is None:
+            ok = key in NULLABLE_PARAMS
+        elif kind is list:  # Pauli words, one letter per qubit
+            ok = isinstance(val, list) and all(
+                isinstance(w, str) and len(w) == n and set(w) <= set(LETTERS) for w in val)
+        else:
+            ok = type(val) is kind or (kind is float and type(val) is int)
+        if not ok:
+            raise ConfigError(f"params.{key} must be like {schema[key]!r}, got {val!r}")
     out["params"] = params
     if "out" in raw:
         if not isinstance(raw["out"], str):

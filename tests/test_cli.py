@@ -220,3 +220,38 @@ def test_parallelism_override_zero_is_config_error(tmp_path, monkeypatch, capsys
 
 def test_negative_seed_override_is_config_error(tmp_path, monkeypatch, capsys):
     _override_is_rejected(tmp_path, monkeypatch, capsys, "--seed", "-3")
+
+
+def _param_is_rejected(tmp_path, monkeypatch, capsys, task, params, name):
+    import isingcert.tasks as tasks
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the params were rejected")
+
+    monkeypatch.setattr(tasks, "_run_trials", no_trials)
+    path = write_config(tmp_path, {"schema_version": 1, "task": task, "trials": 1,
+                                   "params": params})
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir)]) == EXIT_CONFIG
+    assert f"config error: params.{name}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_support_with_unknown_letter_is_config_error(tmp_path, monkeypatch, capsys):
+    _param_is_rejected(tmp_path, monkeypatch, capsys, "learn-gibbs", {"support": ["ZQ"]},
+                       "support")
+
+
+def test_string_for_integer_param_is_config_error(tmp_path, monkeypatch, capsys):
+    _param_is_rejected(tmp_path, monkeypatch, capsys, "verify-bonami", {"n_max": "5"},
+                       "n_max")
+
+
+def test_param_the_task_ignores_is_config_error(tmp_path, monkeypatch, capsys):
+    import isingcert.tasks as tasks
+
+    monkeypatch.setattr(tasks, "_run_trials", None)
+    path = write_config(tmp_path, {"schema_version": 1, "task": "certify-dynamics",
+                                   "trials": 1, "params": {"eta": 0.25}})
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "unknown params for certify-dynamics: ['eta']" in capsys.readouterr().err

@@ -200,3 +200,12 @@ def test_batched_charge_equals_repeated_single_charges():
     assert led_a.snapshot() == led_b.snapshot()
     assert led_a.query_count == m * (frag.query_count + 1)
     assert led_a.min_query_time == frag.query_time
+
+
+def test_outcome_distribution_rejects_non_psd_state():
+    plan = ExperimentPlan(np.diag([1.5, -0.5]).astype(complex), (), "computational")
+    with pytest.raises(ValueError, match="PSD"):
+        outcome_distribution(plan, HZ)
+    # rounding-level negative mass is clipped, as before
+    plan = ExperimentPlan(np.diag([1.0 + 1e-14, -1e-14]).astype(complex), (), "computational")
+    np.testing.assert_array_equal(outcome_distribution(plan, HZ), [1.0, 0.0])

@@ -1,15 +1,18 @@
 """Batched kernels against the literal per-item loops they replace.
 
 Each reference below is the loop the package ran before its batched kernel:
-the per-term Pauli scatter, the per-member net Gibbs table and the
-per-order Schatten moment.  The per-string shadow estimator is the reference
-in test_shadows.py.
+the per-term Pauli scatter, the per-member net Gibbs table, the per-order
+Schatten moment, the per-string trace inner product, the digit loops of
+PauliString and the per-string coefficient draw.  The per-string shadow
+estimator, the kron-loop Born table and rng.choice are the references in
+test_shadows.py.
 """
 
 import numpy as np
 import pytest
 
 import isingcert.hamiltonians as hamiltonians
+import isingcert.oracle as oracle
 from isingcert.hamiltonians import build_net, gibbs, random_hamiltonian
 from isingcert.oracle import hermitian_eig, schatten_moment, schatten_moments
 from isingcert.paulis import (
@@ -19,6 +22,7 @@ from isingcert.paulis import (
     pauli_phases,
     pauli_to_matrix,
     pauli_trace_inner,
+    pauli_trace_inners,
 )
 
 P = PauliString.from_label
@@ -107,3 +111,73 @@ def test_schatten_moments_equal_per_order_moments(n):
     assert schatten_moments(h, ls) == [schatten_moment(h, l) for l in ls] == literal
     with pytest.raises(ValueError):
         schatten_moments(h, [3, 1])
+
+
+def reference_digits(code, n):
+    out = []
+    for _ in range(n):
+        out.append(code % 4)
+        code //= 4
+    return tuple(reversed(out))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_trace_inners_equal_per_string_loop(n):
+    rng = np.random.default_rng(500 + n)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    cols = np.arange(2**n)
+    paulis = enumerate_local_paulis(n, n)
+    ref = []
+    for p in paulis:
+        flip, phases = pauli_phases(p)
+        ref.append(complex(np.sum(np.conj(phases) * a[cols ^ flip, cols])))
+    assert pauli_trace_inners(paulis, a).tolist() == ref
+    assert [pauli_trace_inner(p, a) for p in paulis] == ref
+
+
+def test_weight_and_digits_equal_digit_loop():
+    for n in range(1, 7):
+        for code in range(4**n):
+            p = PauliString(n, code)
+            digits = reference_digits(code, n)
+            assert p.digits() == digits
+            assert p.weight == sum(1 for d in digits if d != 0)
+
+
+def test_enumeration_is_cached_and_returns_independent_lists():
+    first = enumerate_local_paulis(4, 2)
+    ref = [PauliString(4, c) for c in range(4**4)
+           if sum(1 for d in reference_digits(c, 4) if d) <= 2]
+    assert first == ref
+    first.clear()
+    second = enumerate_local_paulis(4, 2)
+    assert second == ref and second is not enumerate_local_paulis(4, 2)
+    assert enumerate_local_paulis(4, 2, include_identity=False) == ref[1:]
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (3, 2), (4, 3)])
+def test_vector_coefficient_draw_equals_scalar_draws(n, k):
+    paulis = enumerate_local_paulis(n, k, include_identity=False)
+    for law, kwargs in (("uniform", {}), ("fixed_norm", {"frobenius": 0.5})):
+        rng, ref_rng = np.random.default_rng(600 + n), np.random.default_rng(600 + n)
+        h = random_hamiltonian(n, k, rng, law=law, **kwargs)
+        ref = {p: float(ref_rng.uniform(-1.0, 1.0)) for p in paulis}
+        if law == "fixed_norm":
+            scale = 0.5 / np.sqrt(sum(v * v for v in ref.values()))
+            ref = {p: v * scale for p, v in ref.items()}
+        assert h.coeffs == ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_gibbs_and_operator_norm_use_hermitian_eig(monkeypatch):
+    calls = []
+
+    def counted(a, tol=1e-8):
+        calls.append(a.shape)
+        return hermitian_eig(a, tol)
+
+    monkeypatch.setattr(oracle, "hermitian_eig", counted)
+    h = random_hamiltonian(2, 2, 700)
+    gibbs(h, 0.9)
+    h.operator_norm()
+    assert calls == [(4, 4), (4, 4)]

@@ -16,6 +16,8 @@ from isingcert.shadows import (
     read_shadow_file,
     shadow_budget,
     write_shadow_file,
+    _EIGVECS,
+    _draw_indices,
     _joint_distribution,
 )
 
@@ -249,3 +251,79 @@ def test_estimate_paulis_equals_per_string_loop(n, k, delta):
         est = estimate_all(samples, k, delta)
         ref = [reference_estimate(samples, p, mom_batches(n, k, delta)) for p in paulis]
         assert [est.value(p) for p in paulis] == ref
+
+
+def kron_joint_distribution(rho, n):
+    """Born table by the literal kron loop over the 3^n basis words."""
+    probs = np.empty(3**n * 2**n)
+    basis_weight = 3.0**-n
+    for b in range(3**n):
+        digits = [(b // 3 ** (n - 1 - i)) % 3 for i in range(n)]
+        m = np.array([[1.0]], dtype=complex)
+        for d in digits:
+            m = np.kron(m, _EIGVECS[d])
+        block = np.einsum("ij,jk,ki->i", m.conj().T, rho, m).real
+        probs[b * 2**n:(b + 1) * 2**n] = np.clip(block, 0.0, None) * basis_weight
+    return probs / probs.sum()
+
+
+def random_density(n, rng):
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_contracted_joint_distribution_matches_kron_loop(n):
+    rng = np.random.default_rng(800 + n)
+    for rho in (gibbs_density(random_hamiltonian(n, min(n, 2), rng), 1.1),
+                random_density(n, rng)):
+        np.testing.assert_allclose(_joint_distribution(rho, n),
+                                   kron_joint_distribution(rho, n), rtol=0, atol=1e-14)
+
+
+def test_joint_distribution_rejects_non_psd_state():
+    rho = np.diag([1.5, -0.5]).astype(complex)
+    with pytest.raises(ValueError, match="PSD"):
+        _joint_distribution(rho, 1)
+    with pytest.raises(ValueError, match="PSD"):
+        collect_shadows(rho, 10, 0)
+    # rounding-level negative mass is clipped, as before
+    probs = _joint_distribution(np.diag([1.0 + 1e-14, -1e-14]).astype(complex), 1)
+    assert probs.min() == 0.0 and probs.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_guide_table_draw_equals_rng_choice(n):
+    rng = np.random.default_rng(900 + n)
+    probs = _joint_distribution(random_density(n, rng), n)
+    sparse = probs.copy()
+    sparse[[0, 1, len(sparse) // 2, len(sparse) - 1]] = 0.0   # zero bins, both ends
+    sparse[len(sparse) // 3] = 1.0                           # one bin over many buckets
+    for p in (probs, sparse / sparse.sum(), np.full(6**n, 6.0**-n)):
+        for m in (1, 1000, 50000):
+            ours, ref = np.random.default_rng(m + n), np.random.default_rng(m + n)
+            np.testing.assert_array_equal(_draw_indices(p, m, ours),
+                                          ref.choice(len(p), size=m, p=p))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_guide_table_draw_keeps_choice_checks():
+    rng = np.random.default_rng(0)
+    for p in ([0.5, 0.6], [1.2, -0.2], [np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError):
+            rng.choice(2, size=3, p=p)
+        with pytest.raises(ValueError):
+            _draw_indices(np.array(p), 3, rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_collect_shadows_equals_digit_loop_over_choice(n):
+    rho = gibbs_density(random_hamiltonian(n, min(n, 2), 950 + n), 0.6)
+    m = 2000
+    samples = collect_shadows(rho, m, np.random.default_rng(n))
+    flat = np.random.default_rng(n).choice(6**n, size=m, p=_joint_distribution(rho, n))
+    b, o = flat // 2**n, flat % 2**n
+    for i in range(n):
+        np.testing.assert_array_equal(samples.bases[:, i], (b // 3 ** (n - 1 - i)) % 3)
+        np.testing.assert_array_equal(samples.outcomes[:, i], 1 - 2 * ((o >> (n - 1 - i)) & 1))
