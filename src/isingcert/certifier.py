@@ -87,8 +87,6 @@ class CertConfig:
     estimator: str = "sampled"      # "sampled" or "oracle"
     synthetic_noise: float = 0.0    # oracle mode: uniform noise amplitude
     noise: NoiseModel = NO_NOISE
-    max_experiments: int | None = con.EXPERIMENT_BUDGET
-    kappa: float = con.TROTTER_KAPPA
 
     def __post_init__(self):
         if not 0 < self.eps < self.c_frob:
@@ -180,13 +178,13 @@ def certify_subroutine(
     rng = np.random.default_rng(rng)
     profile = PROFILES[config.profile]()
     t = profile.time_for(eps)
-    fragment = trotter_compile(h0, t, profile.eps_trott, config.c_op, config.kappa)
+    fragment = trotter_compile(h0, t, profile.eps_trott, config.c_op)
     n = h0.n
     if config.estimator == "sampled":
         est = estimate_identity_sq(
             make_single_query_factory((fragment,), n),
             h_true, n, profile.est_accuracy, delta, rng, ledger,
-            noise=config.noise, max_experiments=config.max_experiments,
+            noise=config.noise, max_experiments=con.EXPERIMENT_BUDGET,
         )
         value = est.value
         samples = est.samples_used
@@ -242,7 +240,7 @@ def certify(
         "estimator": config.estimator, "synthetic_noise": config.synthetic_noise,
         "spam_diamond_budget": config.noise.spam_diamond_budget,
         "per_query_diamond_budget": config.noise.per_query_diamond_budget,
-        "kappa": config.kappa,
+        "kappa": con.TROTTER_KAPPA,
         # holds with probability >= 1 - delta even when neither promise does
         "unconditional_guarantee": (
             "FAR implies ||H - H0||_F >= eps; CLOSE implies ||H - H0||_F <= 12 eps"

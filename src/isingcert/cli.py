@@ -72,10 +72,11 @@ def main(argv=None) -> int:
             val = getattr(args, key)
             if val is not None:
                 raw[key] = val
+        params = raw.setdefault("params", {})
+        if args.profile is not None and isinstance(params, dict):
+            params["profile"] = args.profile
     try:
         config = validate_config(raw)
-        if args.profile is not None:
-            config.setdefault("params", {})["profile"] = args.profile
         payload, tables = run_task(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .hamiltonians import GibbsState, HamiltonianNet, LocalHamiltonian, gibbs
+from .oracle import trace_distance
 from .paulis import PauliString, enumerate_local_paulis, pauli_trace_inners
 from .shadows import ShadowData, estimate_paulis, mom_batches, shadow_budget
 
@@ -95,11 +96,6 @@ class LearnReport:
     samples_used: int
     nominal_budget: int
     config: dict
-
-    def to_payload(self) -> dict:
-        out = vars(self).copy()
-        out["estimates"] = {p.label: v for p, v in self.estimates.items()}
-        return out
 
 
 def scan_objective(net: HamiltonianNet, coeff_gaps: np.ndarray) -> np.ndarray | float:
@@ -212,11 +208,6 @@ class GibbsCertReport:
     nominal_budget: int
     config: dict
 
-    def to_payload(self) -> dict:
-        out = vars(self).copy()
-        out["gaps"] = {p.label: v for p, v in self.gaps.items()}
-        return out
-
 
 def certify_gibbs(
     samples_rho: ShadowData,
@@ -294,8 +285,6 @@ def pinsker_gap(
     and, for |h_P|, |h0_P| <= 1,
                       <= sqrt(400 beta n^k sup |Tr[P rho] - Tr[P rho0]|).
     """
-    from .oracle import trace_distance
-
     n = h.n
     k = max(h.k, h0.k)
     lhs = trace_distance(rho, rho0)

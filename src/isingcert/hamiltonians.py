@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import oracle
 from .constants import NET_ENUMERATION_BUDGET
 from .paulis import (PauliString, enumerate_local_paulis, pauli_sum_matrix, pauli_to_matrix,
                      pauli_trace_inner)
@@ -61,8 +62,7 @@ class LocalHamiltonian:
 
     def operator_norm(self) -> float:
         """Largest |eigenvalue| of the dense materialization."""
-        from .oracle import hermitian_eig  # oracle imports this module
-        return float(np.max(np.abs(hermitian_eig(self.to_matrix())[0])))
+        return float(np.max(np.abs(oracle.hermitian_eig(self.to_matrix())[0])))
 
     def to_matrix(self) -> np.ndarray:
         return pauli_sum_matrix(self.n, sorted(self.coeffs.items(), key=lambda kv: kv[0].code))
@@ -107,10 +107,9 @@ class GibbsState:
 
 def gibbs(h: LocalHamiltonian, beta: float) -> GibbsState:
     """Exact Gibbs state via Hermitian eigendecomposition."""
-    from .oracle import hermitian_eig  # oracle imports this module
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    w, v = hermitian_eig(h.to_matrix())
+    w, v = oracle.hermitian_eig(h.to_matrix())
     # shift for numerical stability of the exponentials
     expw = np.exp(-beta * (w - w.min()))
     expw /= expw.sum()
@@ -204,6 +203,8 @@ class HamiltonianNet:
                 raise ValueError("support strings act on different qubit counts")
             if p.is_identity():
                 raise ValueError("identity cannot be in the support")
+        if self.eta <= 0:
+            raise ValueError(f"eta must be positive, got {self.eta}")
         jmax = math.floor(1.0 / self.eta + 1e-9)
         self.grid = self.eta * np.arange(-jmax, jmax + 1)
         if len(self.grid) ** len(self.support) > self.budget:
@@ -303,11 +304,9 @@ def net_covering_check(h: LocalHamiltonian, net: HamiltonianNet, beta: float) ->
 
     The distance must come out <= 200 beta n^k eta for any admissible h.
     """
-    from .oracle import trace_distance
-
     idx = net.round_member_index(h)
     rounded = net.member(idx)
-    dist = trace_distance(gibbs_density(h, beta), gibbs_density(rounded, beta))
+    dist = oracle.trace_distance(gibbs_density(h, beta), gibbs_density(rounded, beta))
     bound = 200.0 * beta * net.n**net.k * net.eta
     return CoveringCheck(dist, bound, idx)
 

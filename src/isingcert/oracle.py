@@ -8,10 +8,12 @@ kernel so there is a single numerically audited code path.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hamiltonians import LocalHamiltonian
+if TYPE_CHECKING:
+    from .hamiltonians import LocalHamiltonian
 
 HERMITIAN_TOL = 1e-10
 CLIP_TOL = 1e-12  # negative probability mass that clip_distribution takes for rounding

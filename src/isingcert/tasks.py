@@ -2,7 +2,9 @@
 
 Every trial builds a fresh generator from (seed, trial index) through
 SeedSequence spawn keys, so records are identical whatever the parallelism,
-and reports are canonicalized by trial index.  Promise checks run against the
+and reports are canonicalized by trial index.  Each driver builds what every
+trial shares (configs, net, sample count) once, before any trial runs; a
+ValueError raised there is a ConfigError.  Promise checks run against the
 exact dense oracle and raise PromiseViolationError when an instance falls
 outside its advertised regime.
 """
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,15 +41,6 @@ from .oracle import schatten_moments, trace_distance
 from .paulis import LETTERS, PauliString, enumerate_local_paulis, pauli_trace_inners
 from .shadows import collect_shadows, estimate_all, shadow_budget
 
-TASKS = (
-    "certify-dynamics",
-    "learn-gibbs",
-    "certify-gibbs",
-    "verify-bonami",
-    "verify-bounds",
-    "shadow-estimate",
-)
-
 SLACK_TOL = -1e-9
 
 
@@ -53,8 +48,9 @@ def trial_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _run_trials(trial_fn, params: dict, trials: int, seed: int, parallelism: int) -> list:
-    args = [(params, seed, t) for t in range(trials)]
+def _run_trials(trial_fn, shared, trials: int, seed: int, parallelism: int) -> list:
+    """Run trial_fn((shared, seed, t)) for every trial t, in trial order."""
+    args = [(shared, seed, t) for t in range(trials)]
     if parallelism > 1:
         # a few chunks per worker: one IPC round trip per trial costs more
         # than a small trial
@@ -62,6 +58,35 @@ def _run_trials(trial_fn, params: dict, trials: int, seed: int, parallelism: int
         with ProcessPoolExecutor(max_workers=parallelism) as ex:
             return list(ex.map(trial_fn, args, chunksize=chunksize))
     return [trial_fn(a) for a in args]
+
+
+@contextmanager
+def _config_boundary():
+    """A ValueError raised while a task builds its configs is a config error;
+    one raised inside a trial keeps its own exit code."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _arm(params: dict, allowed: tuple[str, str]) -> str:
+    if params["arm"] not in allowed:
+        raise ConfigError(f"params.arm must be one of {list(allowed)}, got {params['arm']!r}")
+    return params["arm"]
+
+
+def _resolve_samples(requested, nominal: int) -> int:
+    if requested is not None:
+        if requested < 1:
+            raise ConfigError(f"params.samples must be >= 1, got {requested}")
+        return int(requested)
+    if nominal > SHADOW_SAMPLE_HARD_CAP:
+        raise BudgetExceededError(
+            f"nominal sample budget {nominal} exceeds the hard cap "
+            f"{SHADOW_SAMPLE_HARD_CAP}; set params.samples explicitly"
+        )
+    return nominal
 
 
 # ---------------------------------------------------------------- bonami
@@ -98,13 +123,6 @@ def task_verify_bonami(params, trials, seed, parallelism):
         "trials": [{k: v for k, v in r.items() if k != "rows"} for r in records],
     }
     return payload, {"moments": (["trial", "n", "l", "moment", "bound", "slack"], table)}
-
-
-DEFAULT_PARAMS = {}
-
-DEFAULT_PARAMS["verify-bonami"] = {
-    "n_min": 2, "n_max": 5, "k": 2, "l_min": 3, "l_max": 8,
-}
 
 
 # ---------------------------------------------------------------- bounds
@@ -165,25 +183,10 @@ def task_verify_bounds(params, trials, seed, parallelism):
     return payload, {"bounds": (header, table)}
 
 
-DEFAULT_PARAMS["verify-bounds"] = {
-    "n_min": 2, "n_max": 3, "k": 2, "beta_min": 1e-3, "beta_max": 3.0,
-    "footnote_pairs": 50, "footnote_eps": 0.3, "footnote_n": 2,
-}
-
-
 # ---------------------------------------------------------------- dynamics
 
-def _cert_config(params: dict) -> CertConfig:
-    return CertConfig(
-        eps=params["eps"], delta=params["delta"], c_op=params["c_op"],
-        c_frob=params["c_frob"], profile=params["profile"],
-        estimator=params["estimator"],
-        synthetic_noise=params.get("synthetic_noise", 0.0),
-    )
-
-
 def _dynamics_trial(args) -> dict:
-    params, seed, trial = args
+    (params, config), seed, trial = args
     rng = trial_rng(seed, trial)
     eps = params["eps"]
     far = params["arm"] == "far"
@@ -199,7 +202,7 @@ def _dynamics_trial(args) -> dict:
         raise PromiseViolationError(
             f"close-arm instance has ||dH||_F = {delta_norm} > eps = {eps}"
         )
-    report = certify(h0, h, _cert_config(params), rng, seed=[seed, trial])
+    report = certify(h0, h, config, rng, seed=[seed, trial])
     expected = "FAR" if far else "CLOSE"
     return {
         "trial": trial,
@@ -213,24 +216,32 @@ def _dynamics_trial(args) -> dict:
 
 
 def task_certify_dynamics(params, trials, seed, parallelism):
-    gap = 12.0 * params["eps"] if params["arm"] == "far" else params["eps"]
+    arm = _arm(params, ("close", "far"))
+    with _config_boundary():
+        config = CertConfig(
+            eps=params["eps"], delta=params["delta"], c_op=params["c_op"],
+            c_frob=params["c_frob"], profile=params["profile"],
+            estimator=params["estimator"],
+            synthetic_noise=params.get("synthetic_noise", 0.0),
+        )
+    gap = 12.0 * params["eps"] if arm == "far" else params["eps"]
     if gap >= params["c_frob"]:
         raise ConfigError(
-            f"{params['arm']} arm needs ||H - H0||_F = {gap} below c_frob = {params['c_frob']}"
+            f"{arm} arm needs ||H - H0||_F = {gap} below c_frob = {params['c_frob']}"
         )
-    records = _run_trials(_dynamics_trial, params, trials, seed, parallelism)
+    records = _run_trials(_dynamics_trial, (params, config), trials, seed, parallelism)
     errors = sum(1 for r in records if not r["correct"])
     total_time = [r["ledger"]["total_evolution_time"] for r in records]
     schedule = IterationSchedule(params["eps"], params["delta"], params["c_frob"])
     mean_time = float(np.mean(total_time))
     payload = {
         "task": "certify-dynamics",
-        "arm": params["arm"],
+        "arm": arm,
         "error_count": errors,
         "error_rate": errors / len(records),
         "mean_total_evolution_time": mean_time,
         "normalized_time": mean_time * params["eps"] / schedule.log_factor(),
-        "time_bound": evolution_time_bound(_cert_config(params)),
+        "time_bound": evolution_time_bound(config),
         "schedule_levels": schedule.big_l + 1,
         "trials": [{k: v for k, v in r.items() if k != "levels"} for r in records],
     }
@@ -245,49 +256,24 @@ def task_certify_dynamics(params, trials, seed, parallelism):
     return payload, {"verdicts": (header, table)}
 
 
-DEFAULT_PARAMS["certify-dynamics"] = {
-    "n": 2, "eps": 0.05, "delta": 0.1, "arm": "close", "c_frob": 1.0,
-    "c_op": 2.0, "profile": "calibrated", "estimator": "sampled",
-}
-
-
 # ---------------------------------------------------------------- learn
 
-def _resolve_samples(requested, nominal: int) -> int:
-    if requested is not None:
-        return int(requested)
-    if nominal > SHADOW_SAMPLE_HARD_CAP:
-        raise BudgetExceededError(
-            f"nominal sample budget {nominal} exceeds the hard cap "
-            f"{SHADOW_SAMPLE_HARD_CAP}; set params.samples explicitly"
-        )
-    return nominal
-
-
 def _learn_trial(args) -> dict:
-    params, seed, trial = args
-    support = tuple(PauliString.from_label(s) for s in params["support"])
-    config = GibbsLearnConfig(
-        n=params["n"], k=params["k"], beta=params["beta"],
-        eps=params["eps"], delta=params["delta"], support=support,
-        eta=params.get("eta"), samples=params.get("samples"),
-    )
-    net = build_net(support, config.eta_used)
+    (params, config, net, m), seed, trial = args
     rng = trial_rng(seed, trial)
     if params.get("on_grid"):
         truth_index = int(rng.integers(net.size))
         truth = net.member(truth_index)
     else:
         truth_index = None
-        coeffs = {p: float(rng.uniform(-1.0, 1.0)) for p in support}
+        coeffs = {p: float(rng.uniform(-1.0, 1.0)) for p in net.support}
         truth = LocalHamiltonian(params["n"], params["k"], coeffs)
     rho = gibbs_density(truth, params["beta"])
     if params.get("exact_estimates"):
-        estimates = dict(zip(support, pauli_trace_inners(support, rho).real.tolist()))
+        estimates = dict(zip(net.support, pauli_trace_inners(net.support, rho).real.tolist()))
         samples = None
         index, learned, report = learn_gibbs(None, net, config, estimates=estimates)
     else:
-        m = _resolve_samples(params.get("samples"), config.nominal_budget)
         samples = collect_shadows(rho, m, trial_rng(seed, trial, 1))
         index, learned, report = learn_gibbs(samples, net, config)
     dist = trace_distance(learned.rho, rho)
@@ -307,7 +293,18 @@ def _learn_trial(args) -> dict:
 
 
 def task_learn_gibbs(params, trials, seed, parallelism):
-    records = _run_trials(_learn_trial, params, trials, seed, parallelism)
+    with _config_boundary():
+        support = tuple(PauliString.from_label(s) for s in params["support"])
+        config = GibbsLearnConfig(
+            n=params["n"], k=params["k"], beta=params["beta"],
+            eps=params["eps"], delta=params["delta"], support=support,
+            eta=params.get("eta"), samples=params.get("samples"),
+        )
+        net = build_net(support, config.eta_used)
+        # exact estimates draw no samples, so no sample budget applies
+        m = None if params.get("exact_estimates") else _resolve_samples(
+            params.get("samples"), config.nominal_budget)
+    records = _run_trials(_learn_trial, (params, config, net, m), trials, seed, parallelism)
     success = sum(1 for r in records if r["within_eps"])
     payload = {
         "task": "learn-gibbs",
@@ -323,13 +320,6 @@ def task_learn_gibbs(params, trials, seed, parallelism):
     return payload, {"learned": (header, table)}
 
 
-DEFAULT_PARAMS["learn-gibbs"] = {
-    "n": 2, "k": 2, "beta": 1.0, "eps": 0.3, "delta": 0.1,
-    "support": ["ZI", "IZ", "ZZ"], "eta": 0.25, "samples": 20000,
-    "on_grid": False, "exact_estimates": False,
-}
-
-
 # ---------------------------------------------------------------- gibbs cert
 
 def _zblock_hamiltonian(n: int, k: int, sign: float) -> LocalHamiltonian:
@@ -341,36 +331,17 @@ def _zblock_hamiltonian(n: int, k: int, sign: float) -> LocalHamiltonian:
 
 
 def _gibbs_cert_trial(args) -> dict:
-    params, seed, trial = args
-    n, k, beta, eps = params["n"], params["k"], params["beta"], params["eps"]
-    config = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=params["delta"],
-                             samples=params.get("samples"))
-    m = _resolve_samples(params.get("samples"), config.nominal_budget)
-    arm = params["arm"]
-    if arm == "equal":
-        h = random_hamiltonian(n, k, trial_rng(seed, trial, 1))
-        rho = gibbs_density(h, beta)
-        rho0 = rho
-        expected = "CLOSE"
+    (config, m, far_states), seed, trial = args
+    if far_states is None:
+        h = random_hamiltonian(config.n, config.k, trial_rng(seed, trial, 1))
         # identical states sampled on identical sub-seeds, as the equal-arm
         # pairing: the two estimate sets then agree exactly
-        samples_a = collect_shadows(rho, m, trial_rng(seed, trial, 2))
-        samples_b = collect_shadows(rho0, m, trial_rng(seed, trial, 2))
-    elif arm == "far":
-        h = _zblock_hamiltonian(n, k, 1.0)
-        h0 = _zblock_hamiltonian(n, k, -1.0)
-        rho = gibbs_density(h, beta)
-        rho0 = gibbs_density(h0, beta)
-        dist = trace_distance(rho, rho0)
-        if dist < 2.0 * eps - 1e-9:
-            raise PromiseViolationError(
-                f"far-arm states are only {dist} apart, need >= {2 * eps}"
-            )
-        expected = "FAR"
-        samples_a = collect_shadows(rho, m, trial_rng(seed, trial, 2))
-        samples_b = collect_shadows(rho0, m, trial_rng(seed, trial, 3))
+        rho = rho0 = gibbs_density(h, config.beta)
+        key0, expected = 2, "CLOSE"
     else:
-        raise ConfigError(f"unknown arm {arm!r}")
+        (rho, rho0), key0, expected = far_states, 3, "FAR"
+    samples_a = collect_shadows(rho, m, trial_rng(seed, trial, 2))
+    samples_b = collect_shadows(rho0, m, trial_rng(seed, trial, key0))
     verdict, report = certify_gibbs(samples_a, samples_b, config)
     return {
         "trial": trial,
@@ -385,11 +356,27 @@ def _gibbs_cert_trial(args) -> dict:
 
 
 def task_certify_gibbs(params, trials, seed, parallelism):
-    records = _run_trials(_gibbs_cert_trial, params, trials, seed, parallelism)
+    arm = _arm(params, ("equal", "far"))
+    n, k, beta, eps = params["n"], params["k"], params["beta"], params["eps"]
+    with _config_boundary():
+        config = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=params["delta"],
+                                 samples=params.get("samples"))
+        m = _resolve_samples(params.get("samples"), config.nominal_budget)
+    far_states = None
+    if arm == "far":
+        far_states = (gibbs_density(_zblock_hamiltonian(n, k, 1.0), beta),
+                      gibbs_density(_zblock_hamiltonian(n, k, -1.0), beta))
+        dist = trace_distance(*far_states)
+        if dist < 2.0 * eps - 1e-9:
+            raise PromiseViolationError(
+                f"far-arm states are only {dist} apart, need >= {2 * eps}"
+            )
+    records = _run_trials(_gibbs_cert_trial, (config, m, far_states), trials, seed,
+                          parallelism)
     errors = sum(1 for r in records if not r["correct"])
     payload = {
         "task": "certify-gibbs",
-        "arm": params["arm"],
+        "arm": arm,
         "error_count": errors,
         "error_rate": errors / len(records),
         "trials": records,
@@ -400,41 +387,37 @@ def task_certify_gibbs(params, trials, seed, parallelism):
     return payload, {"verdicts": (header, table)}
 
 
-DEFAULT_PARAMS["certify-gibbs"] = {
-    "n": 2, "k": 2, "beta": 1.0, "eps": 0.3, "delta": 0.1,
-    "arm": "equal", "samples": 20000,
-}
-
-
 # ---------------------------------------------------------------- shadows
 
 def _shadow_trial(args) -> dict:
-    params, seed, trial = args
-    n, k, eps, delta = params["n"], params["k"], params["eps"], params["delta"]
-    h = random_hamiltonian(n, k, trial_rng(seed, trial, 1))
+    (params, m, paulis), seed, trial = args
+    h = random_hamiltonian(params["n"], params["k"], trial_rng(seed, trial, 1))
     rho = gibbs_density(h, params["beta"])
-    m = _resolve_samples(params.get("samples"), shadow_budget(n, k, eps, delta))
     samples = collect_shadows(rho, m, trial_rng(seed, trial, 2))
-    est = estimate_all(samples, k, delta)
-    paulis = enumerate_local_paulis(n, k)
+    est = estimate_all(samples, params["k"], params["delta"])
     exact = pauli_trace_inners(paulis, rho).real.tolist()
     errors = {p.label: abs(est.value(p) - x) for p, x in zip(paulis, exact)}
     max_err = max(errors.values())
     return {
         "trial": trial, "samples_used": m, "batches": est.batches,
-        "max_abs_error": max_err, "all_within_eps": bool(max_err <= eps),
+        "max_abs_error": max_err, "all_within_eps": bool(max_err <= params["eps"]),
         "errors": errors,
     }
 
 
 def task_shadow_estimate(params, trials, seed, parallelism):
-    records = _run_trials(_shadow_trial, params, trials, seed, parallelism)
+    n, k = params["n"], params["k"]
+    with _config_boundary():
+        m = _resolve_samples(params.get("samples"),
+                             shadow_budget(n, k, params["eps"], params["delta"]))
+        paulis = enumerate_local_paulis(n, k)
+    records = _run_trials(_shadow_trial, (params, m, paulis), trials, seed, parallelism)
     success = sum(1 for r in records if r["all_within_eps"])
     payload = {
         "task": "shadow-estimate",
         "success_count": success,
         "success_rate": success / len(records),
-        "budget": records[0]["samples_used"],
+        "budget": m,
         "trials": [{k: v for k, v in r.items() if k != "errors"} for r in records],
     }
     header = ["trial", "samples", "batches", "max_abs_error", "all_within_eps"]
@@ -443,45 +426,57 @@ def task_shadow_estimate(params, trials, seed, parallelism):
     return payload, {"coverage": (header, table)}
 
 
-DEFAULT_PARAMS["shadow-estimate"] = {
-    "n": 3, "k": 2, "eps": 0.1, "delta": 0.05, "beta": 1.0,
-}
-
-
 # ---------------------------------------------------------------- dispatch
 
-# params a task reads only when given, beside its DEFAULT_PARAMS
-OPTIONAL_PARAMS = {"certify-dynamics": {"synthetic_noise": 0.0}, "shadow-estimate": {"samples": 0}}
+class Task(NamedTuple):
+    """A CLI task: its driver, default trial count and default params, plus the
+    params it reads only when given.  Each param is typed by its value here;
+    its range is checked by the config objects the driver builds."""
+
+    driver: Callable
+    trials: int
+    params: dict
+    optional: dict = {}
+
+
+TASKS = {
+    "certify-dynamics": Task(task_certify_dynamics, 50, {
+        "n": 2, "eps": 0.05, "delta": 0.1, "arm": "close", "c_frob": 1.0,
+        "c_op": 2.0, "profile": "calibrated", "estimator": "sampled",
+    }, {"synthetic_noise": 0.0}),
+    "learn-gibbs": Task(task_learn_gibbs, 20, {
+        "n": 2, "k": 2, "beta": 1.0, "eps": 0.3, "delta": 0.1,
+        "support": ["ZI", "IZ", "ZZ"], "eta": 0.25, "samples": 20000,
+        "on_grid": False, "exact_estimates": False,
+    }),
+    "certify-gibbs": Task(task_certify_gibbs, 50, {
+        "n": 2, "k": 2, "beta": 1.0, "eps": 0.3, "delta": 0.1,
+        "arm": "equal", "samples": 20000,
+    }),
+    "verify-bonami": Task(task_verify_bonami, 1000, {
+        "n_min": 2, "n_max": 5, "k": 2, "l_min": 3, "l_max": 8,
+    }),
+    "verify-bounds": Task(task_verify_bounds, 500, {
+        "n_min": 2, "n_max": 3, "k": 2, "beta_min": 1e-3, "beta_max": 3.0,
+        "footnote_pairs": 50, "footnote_eps": 0.3, "footnote_n": 2,
+    }),
+    "shadow-estimate": Task(task_shadow_estimate, 40, {
+        "n": 3, "k": 2, "eps": 0.1, "delta": 0.05, "beta": 1.0,
+    }, {"samples": 0}),
+}
 # params whose null makes the task derive the value (nominal budget or eta)
 NULLABLE_PARAMS = {"samples", "eta"}
-
-_TASK_FUNCS = {
-    "verify-bonami": task_verify_bonami,
-    "verify-bounds": task_verify_bounds,
-    "certify-dynamics": task_certify_dynamics,
-    "learn-gibbs": task_learn_gibbs,
-    "certify-gibbs": task_certify_gibbs,
-    "shadow-estimate": task_shadow_estimate,
-}
-
-DEFAULT_TRIALS = {
-    "verify-bonami": 1000,
-    "verify-bounds": 500,
-    "certify-dynamics": 50,
-    "learn-gibbs": 20,
-    "certify-gibbs": 50,
-    "shadow-estimate": 40,
-}
 
 
 def run_task(config: dict) -> tuple[dict, dict]:
     """Execute a validated run configuration; returns (payload, csv tables)."""
     task = config["task"]
-    params = {**DEFAULT_PARAMS[task], **config.get("params", {})}
-    trials = config.get("trials") or DEFAULT_TRIALS[task]
+    spec = TASKS[task]
+    params = {**spec.params, **config.get("params", {})}
+    trials = config.get("trials") or spec.trials
     seed = config.get("seed", 0)
     parallelism = config.get("parallelism", 1)
-    payload, tables = _TASK_FUNCS[task](params, trials, seed, parallelism)
+    payload, tables = spec.driver(params, trials, seed, parallelism)
     payload["resolved_config"] = {
         "task": task, "seed": seed, "trials": trials,
         "parallelism": parallelism, "params": params,
@@ -508,7 +503,8 @@ def validate_config(raw: dict) -> dict:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    schema = {**DEFAULT_PARAMS[task], **OPTIONAL_PARAMS.get(task, {})}
+    spec = TASKS[task]
+    schema = {**spec.params, **spec.optional}
     unknown = set(params) - set(schema)
     if unknown:
         raise ConfigError(f"unknown params for {task}: {sorted(unknown)}")

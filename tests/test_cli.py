@@ -255,3 +255,55 @@ def test_param_the_task_ignores_is_config_error(tmp_path, monkeypatch, capsys):
                                    "trials": 1, "params": {"eta": 0.25}})
     assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "unknown params for certify-dynamics: ['eta']" in capsys.readouterr().err
+
+
+def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags=()):
+    import isingcert.tasks as tasks
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the config was rejected")
+
+    monkeypatch.setattr(tasks, "_run_trials", no_trials)
+    path = write_config(tmp_path, {"schema_version": 1, "task": task, "trials": 2,
+                                   "params": params})
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("task, params", [
+    pytest.param("learn-gibbs", {"eps": 2.0}, id="learn-eps"),
+    pytest.param("learn-gibbs", {"n": 2, "k": 1, "support": ["ZI", "ZZ"]},
+                 id="learn-support-weight"),
+    pytest.param("learn-gibbs", {"samples": 0}, id="learn-samples"),
+    pytest.param("learn-gibbs", {"eta": -0.5}, id="learn-eta"),
+    pytest.param("certify-dynamics", {"eps": -1}, id="dynamics-eps"),
+    pytest.param("certify-dynamics", {"arm": "nope"}, id="dynamics-arm"),
+    pytest.param("certify-dynamics", {"profile": "nope"}, id="dynamics-profile"),
+    pytest.param("certify-gibbs", {"beta": 0.0}, id="gibbs-beta"),
+    pytest.param("certify-gibbs", {"samples": -5}, id="gibbs-samples"),
+    pytest.param("shadow-estimate", {"eps": 1.5}, id="shadow-eps"),
+    pytest.param("shadow-estimate", {"n": 13}, id="shadow-n"),
+])
+def test_out_of_range_param_is_config_error(tmp_path, monkeypatch, capsys, task, params):
+    _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params)
+
+
+def test_profile_flag_on_task_without_profile_is_config_error(tmp_path, monkeypatch, capsys):
+    _refused_before_any_trial(tmp_path, monkeypatch, capsys, "verify-bonami", {"n_max": 2},
+                              ("--profile", "strict"))
+
+
+def test_learn_parallel_records_match_serial(tmp_path):
+    # the config and the net built once per task go to the workers by pickle
+    base = {"schema_version": 1, "task": "learn-gibbs", "seed": 6, "trials": 4,
+            "params": {"samples": 2000}}
+    for name, par in (("s", 1), ("p", 2)):
+        path = write_config(tmp_path, {**base, "parallelism": par}, f"{name}.json")
+        assert main(["--config", path, "--out", str(tmp_path / name)]) == EXIT_OK
+    a = json.loads((tmp_path / "s" / "learn-gibbs.json").read_text())
+    b = json.loads((tmp_path / "p" / "learn-gibbs.json").read_text())
+    assert a["trials"] == b["trials"]
+    assert ((tmp_path / "s" / "learn-gibbs_learned.csv").read_bytes()
+            == (tmp_path / "p" / "learn-gibbs_learned.csv").read_bytes())
