@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .hamiltonians import GibbsState, HamiltonianNet, LocalHamiltonian, gibbs
+from .hamiltonians import GibbsState, HamiltonianNet, LocalHamiltonian, check_beta, gibbs
 from .oracle import trace_distance
-from .paulis import PauliString, enumerate_local_paulis, pauli_trace_inners
+from .paulis import PauliString, check_size, enumerate_local_paulis, pauli_trace_inners
 from .shadows import ShadowData, estimate_paulis, mom_batches, shadow_budget
 
 
@@ -44,11 +44,13 @@ class GibbsLearnConfig:
     samples: int | None = None
 
     def __post_init__(self):
+        check_size(self.n, self.k)
         if not 0 < self.eps < 1 or not 0 < self.delta < 1:
             raise ValueError("eps and delta must be in (0, 1)")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        check_beta(self.beta)
         for p in self.support:
+            if p.n != self.n:
+                raise ValueError(f"support string {p} has {p.n} qubits, expected {self.n}")
             if p.weight > self.k:
                 raise ValueError(f"support string {p} has weight > k")
 
@@ -115,6 +117,7 @@ def learn_gibbs(
     net: HamiltonianNet,
     config: GibbsLearnConfig,
     estimates: dict[PauliString, float] | None = None,
+    member_coeffs: np.ndarray | None = None,
 ) -> tuple[int, GibbsState, LearnReport]:
     """Pick the net member whose Gibbs state matches the shadow estimates.
 
@@ -122,6 +125,8 @@ def learn_gibbs(
     the estimated and exact values of the net observables; ties resolve to
     the lowest member index.  Passing `estimates` (values of Tr[P rho])
     bypasses the shadow post-processing, e.g. to substitute exact values.
+    `member_coeffs` is `net.gibbs_coeff_matrix(config.beta)`, computed here
+    when not given; callers that learn many times on one net pass it in.
     """
     if config.samples is not None and samples is not None and len(samples) > config.samples:
         raise BudgetExceededError(
@@ -132,7 +137,8 @@ def learn_gibbs(
         estimates = dict(zip(net.support,
                              estimate_paulis(samples, net.support, batches).tolist()))
     est_vec = np.array([estimates[p] for p in net.support])
-    member_coeffs = net.gibbs_coeff_matrix(config.beta)   # rows: Tr[P tau_i]
+    if member_coeffs is None:
+        member_coeffs = net.gibbs_coeff_matrix(config.beta)   # rows: Tr[P tau_i]
     objectives = scan_objective(net, est_vec[None, :] - member_coeffs)
     index = int(np.argmin(objectives))
     state = gibbs(net.member(index), config.beta)
@@ -168,6 +174,7 @@ class GibbsCertConfig:
     samples: int | None = None
 
     def __post_init__(self):
+        check_size(self.n, self.k)
         if self.beta <= 0:
             raise ValueError(
                 "beta must be positive: the certification thresholds scale with 1/beta"

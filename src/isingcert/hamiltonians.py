@@ -16,8 +16,8 @@ import numpy as np
 
 from . import oracle
 from .constants import NET_ENUMERATION_BUDGET
-from .paulis import (PauliString, enumerate_local_paulis, pauli_sum_matrix, pauli_to_matrix,
-                     pauli_trace_inner)
+from .paulis import (PauliString, check_size, enumerate_local_paulis, pauli_sum_matrix,
+                     pauli_to_matrix, pauli_trace_inner)
 
 _COEFF_TOL = 1e-12
 # bytes of one stacked (members, 2^n, 2^n) array in HamiltonianNet.gibbs_coeff_matrix
@@ -33,10 +33,7 @@ class LocalHamiltonian:
     coeffs: dict[PauliString, float]
 
     def __post_init__(self):
-        if not 1 <= self.n <= 12:
-            raise ValueError(f"n={self.n} out of supported range [1, 12]")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"k={self.k} out of range [0, {self.n}]")
+        check_size(self.n, self.k)
         clean = {}
         for p, h in self.coeffs.items():
             if p.n != self.n:
@@ -105,10 +102,15 @@ class GibbsState:
         return pauli_trace_inner(p, self.rho).real / 2**self.source.n
 
 
-def gibbs(h: LocalHamiltonian, beta: float) -> GibbsState:
-    """Exact Gibbs state via Hermitian eigendecomposition."""
+def check_beta(beta: float) -> None:
+    """Raise ValueError unless the inverse temperature beta is >= 0."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
+
+
+def gibbs(h: LocalHamiltonian, beta: float) -> GibbsState:
+    """Exact Gibbs state via Hermitian eigendecomposition."""
+    check_beta(beta)
     w, v = oracle.hermitian_eig(h.to_matrix())
     # shift for numerical stability of the exponentials
     expw = np.exp(-beta * (w - w.min()))
@@ -273,8 +275,7 @@ class HamiltonianNet:
         matrices, one batched eigh, the stack of Gibbs states (normalized as
         in `gibbs`), then one contraction against the support matrices.
         """
-        if beta < 0:
-            raise ValueError(f"beta must be >= 0, got {beta}")
+        check_beta(beta)
         basis = np.array([pauli_to_matrix(p) for p in self.support])
         out = np.empty((self.size, len(self.support)))
         chunk = max(1, _GIBBS_CHUNK_BYTES // basis[0].nbytes)

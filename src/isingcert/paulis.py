@@ -16,6 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 LETTERS = "IXYZ"
+MAX_QUBITS = 12
+
+
+def check_size(n: int, k: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_QUBITS and 0 <= k <= n."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n={n} out of supported range [1, {MAX_QUBITS}]")
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} out of range [0, {n}]")
+
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -93,10 +103,7 @@ def enumerate_local_paulis(n: int, k: int, include_identity: bool = True) -> lis
 
 @functools.lru_cache(maxsize=64)
 def _local_paulis(n: int, k: int, include_identity: bool) -> tuple[PauliString, ...]:
-    if not 1 <= n <= 12:
-        raise ValueError(f"n={n} out of supported range [1, 12]")
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range [0, {n}]")
+    check_size(n, k)
     return tuple(PauliString(n, c) for c in sorted(
         sum(d << 2 * (n - 1 - q) for q, d in zip(sites, letters))
         for l in range(0 if include_identity else 1, k + 1)

@@ -1,10 +1,11 @@
 """Classical shadows from random Pauli-basis measurements on single copies.
 
 Each sample picks one of the 3^n basis words uniformly, measures every qubit
-in its letter's eigenbasis, and stores the +-1 outcomes.  The single-sample
-estimator for a string P multiplies 3*outcome over supp(P) when the basis
-word matches there and contributes 0 otherwise, which keeps it unbiased with
-a fixed denominator; aggregation is median of means.
+in its letter's eigenbasis, and records the +-1 outcomes; a sample is kept
+as one joint index over the 6^n (basis word, outcome word) pairs.  The
+single-sample estimator for a string P multiplies 3*outcome over supp(P)
+when the basis word matches there and contributes 0 otherwise, which keeps
+it unbiased with a fixed denominator; aggregation is median of means.
 """
 
 from __future__ import annotations
@@ -39,30 +40,52 @@ class ShadowSample:
 
 
 class ShadowData:
-    """Array-backed sequence of shadow samples."""
+    """Shadow samples, each stored as its joint index b 2^n + o.
+
+    b is the basis word in base 3 (X, Y, Z = 0, 1, 2, first qubit most
+    significant) and o the outcome word in binary (bit 1 for outcome -1).
+    `ShadowData(bases, outcomes)` encodes (m, n) rows; `bases` and
+    `outcomes` decode them again.
+    """
 
     def __init__(self, bases: np.ndarray, outcomes: np.ndarray):
-        if bases.shape != outcomes.shape:
-            raise ValueError("bases and outcomes must have matching shapes")
-        self.bases = np.asarray(bases, dtype=np.int8)       # (m, n) in {0,1,2}
-        self.outcomes = np.asarray(outcomes, dtype=np.int8)  # (m, n) in {-1,+1}
+        bases, outcomes = np.asarray(bases), np.asarray(outcomes)
+        if bases.ndim != 2 or bases.shape != outcomes.shape:
+            raise ValueError("bases and outcomes must be (m, n) rows of one shape, "
+                             f"got {bases.shape} and {outcomes.shape}")
+        n = bases.shape[1]
+        shift = np.arange(n - 1, -1, -1)
+        words = bases.astype(np.int64) @ 3**shift << n | (outcomes < 0) @ (1 << shift)
+        self.n = n
+        self.index = words.astype(np.min_scalar_type(6**n))
+
+    @classmethod
+    def from_index(cls, index: np.ndarray, n: int) -> ShadowData:
+        samples = cls.__new__(cls)
+        samples.n, samples.index = n, index
+        return samples
 
     @property
-    def n(self) -> int:
-        return self.bases.shape[1]
+    def bases(self) -> np.ndarray:
+        """(m, n) basis letters in {0, 1, 2}."""
+        shift = np.arange(self.n - 1, -1, -1)
+        return ((self.index.astype(np.int64) >> self.n)[:, None] // 3**shift % 3).astype(np.int8)
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        """(m, n) outcomes in {-1, +1}."""
+        shift = np.arange(self.n - 1, -1, -1)
+        return (1 - 2 * (self.index.astype(np.int64)[:, None] >> shift & 1)).astype(np.int8)
 
     def __len__(self) -> int:
-        return self.bases.shape[0]
+        return len(self.index)
 
     def __getitem__(self, i: int) -> ShadowSample:
+        one = ShadowData.from_index(self.index[[i]], self.n)
         return ShadowSample(
-            "".join(_BASIS_LETTERS[b] for b in self.bases[i]),
-            tuple(int(o) for o in self.outcomes[i]),
+            "".join(_BASIS_LETTERS[b] for b in one.bases[0]),
+            tuple(int(o) for o in one.outcomes[0]),
         )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 def _joint_distribution(rho: np.ndarray, n: int) -> np.ndarray:
@@ -101,7 +124,8 @@ def _draw_indices(probs: np.ndarray, m: int, rng) -> np.ndarray:
 
 
 def collect_shadows(rho: np.ndarray, m: int, rng) -> ShadowData:
-    """Draw m single-copy samples from the exact Born distribution of rho."""
+    """Draw m single-copy samples from the exact Born distribution of rho;
+    the drawn joint indices are the samples."""
     if m < 1:
         raise ValueError(f"need at least one sample, got {m}")
     rng = np.random.default_rng(rng)
@@ -109,25 +133,49 @@ def collect_shadows(rho: np.ndarray, m: int, rng) -> ShadowData:
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of 2")
-    flat = _draw_indices(_joint_distribution(rho, n), m, rng)
-    # (basis, outcome) rows of every joint index b 2^n + o, gathered per sample;
-    # np.take gathers whole rows several times faster than bases[flat]
-    index, shift = np.arange(6**n)[:, None], np.arange(n - 1, -1, -1)
-    bases = ((index >> n) // 3**shift % 3).astype(np.int8)
-    outcomes = (1 - 2 * ((index >> shift) & 1)).astype(np.int8)
-    return ShadowData(np.take(bases, flat, axis=0), np.take(outcomes, flat, axis=0))
+    return ShadowData.from_index(_draw_indices(_joint_distribution(rho, n), m, rng), n)
+
+
+def _value_table(letters: np.ndarray) -> np.ndarray:
+    """(6^q, rows) single-sample values of q-letter rows (0..3 = I, X, Y, Z)
+    at every joint index of q qubits, as floats (the values are integers).
+
+    Qubit i contributes 1 for I, and 3 * outcome where its basis matches the
+    letter, 0 elsewhere.
+    """
+    q = letters.shape[1]
+    every = ShadowData.from_index(np.arange(6**q), q)
+    tables = np.ones((q, 4, 6**q))   # [qubit, letter, joint index]
+    tables[:, 1:] = np.where(every.bases.T[:, None] == np.arange(3)[:, None],
+                             3 * every.outcomes.T[:, None], 0)
+    out = np.ones((6**q, len(letters)))
+    for i in range(q):
+        out *= tables[i, letters[:, i]].T
+    return out
 
 
 def estimate_paulis(samples: ShadowData, paulis: Sequence[PauliString],
                     batches: int = 1) -> np.ndarray:
     """Median of means of the single-sample estimator, for every string at once.
 
-    Streams over the `batches` batches (np.array_split boundaries).  In each
-    batch, qubit q gets a table of four rows: 1 (for I), then 3 * outcome
-    where the basis is X, Y or Z and 0 elsewhere.  Gathering each string's
-    letter per qubit and multiplying over the qubits gives the (strings,
-    batch) block of single-sample values.  They are integers, so every sum
-    is exact and the result does not depend on the summation order.
+    A sample's value for a string depends only on its joint index, and it is
+    the product of its values on the two halves of the qubits.  So each batch
+    (np.array_split boundaries) needs only the (strings of the first half) x
+    (strings of the second half) sums of products of half values:
+
+    - when the batches' histograms over the 6^n joint indices hold no more
+      entries than one (strings, batch) block, one np.bincount gives them,
+      and two matrix products with the (6^(n/2), half strings) value tables
+      contract them half by half;
+    - otherwise each batch gathers its samples' half values and multiplies
+      the two (batch, half strings) blocks.
+
+    Where both fit, the histograms are the faster: 2-3x at n <= 5 for the
+    weight <= 2 strings on 2 vCPUs.
+
+    Every product and partial sum is an integer of magnitude at most
+    3^n m < 2^53, so the float matrix products are exact in any order and
+    the estimates equal the per-string loop's bit for bit.
     """
     if len(samples) == 0:
         raise ValueError("empty sample list")
@@ -135,22 +183,36 @@ def estimate_paulis(samples: ShadowData, paulis: Sequence[PauliString],
         raise ValueError(f"every string must act on the samples' {samples.n} qubits")
     n, m = samples.n, len(samples)
     letters = np.array([p.digits() for p in paulis], dtype=np.intp).reshape(-1, n)
-    dtype = np.min_scalar_type(-(3**n))   # holds every value, 0 or +-3^weight
     batches = max(1, min(batches, m))
     size, extra = divmod(m, batches)
-    means = []
-    start = 0
-    for b in range(batches):
-        stop = start + size + (b < extra)
-        bases = samples.bases[start:stop].T
-        tables = np.ones((n, 4, stop - start), dtype)
-        for c in range(3):
-            tables[:, c + 1] = np.where(bases == c, 3 * samples.outcomes[start:stop].T, 0)
-        block = tables[0, letters[:, 0]]
-        for q in range(1, n):
-            block *= tables[q, letters[:, q]]
-        means.append(block.sum(axis=1, dtype=np.int64) / (stop - start))
-        start = stop
+    sizes = np.full(batches, size)
+    sizes[:extra] += 1
+    h = n // 2   # qubits 0..h-1 form the first half, h..n-1 the second
+    tables, picks = [], []
+    for part in (letters[:, :h], letters[:, h:]):
+        rows, pick = np.unique(part, axis=0, return_inverse=True)
+        tables.append(_value_table(rows))
+        picks.append(pick.reshape(-1))
+    table_a, table_b = tables
+    if batches * 6**n <= len(letters) * size:
+        batch_of = np.repeat(np.arange(batches) * 6**n, sizes)
+        counts = np.bincount(batch_of + samples.index, minlength=batches * 6**n)
+        # b 2^n + o with b = (bA, bB) in base 3 and o = (oA, oB) in binary:
+        # regroup the axes as ((bA, oA), (bB, oB)), the two half indices
+        counts = counts.astype(float).reshape(batches, 3**h, 3**(n - h), 2**h, 2**(n - h))
+        counts = counts.transpose(0, 1, 3, 2, 4).reshape(-1, 6**(n - h))
+        pairs = table_a.T @ (counts @ table_b).reshape(batches, 6**h, -1)
+    else:
+        index = samples.index.astype(np.intp)
+        words, bits = index >> n, index & (2**n - 1)
+        joint_a = words // 3**(n - h) << h | bits >> (n - h)
+        joint_b = words % 3**(n - h) << (n - h) | bits & (2**(n - h) - 1)
+        pairs = np.empty((batches, table_a.shape[1], table_b.shape[1]))
+        start = 0
+        for b, stop in enumerate(np.cumsum(sizes)):
+            pairs[b] = table_a[joint_a[start:stop]].T @ table_b[joint_b[start:stop]]
+            start = stop
+    means = pairs[:, picks[0], picks[1]] / sizes[:, None]
     if batches == 1:
         return means[0]
     # the median as np.median takes it (mean of the middle pair), without its
@@ -208,9 +270,9 @@ def estimate_all(samples: ShadowData, k: int, delta: float,
 def write_shadow_file(samples: ShadowData, path) -> None:
     """One line per sample: basis word, space, outcome word over +/-."""
     with open(path, "w") as fh:
-        for s in samples:
-            word = "".join("+" if o > 0 else "-" for o in s.outcomes)
-            fh.write(f"{s.bases} {word}\n")
+        for bases, outcomes in zip(samples.bases, samples.outcomes):
+            word = "".join("+" if o > 0 else "-" for o in outcomes)
+            fh.write(f"{''.join(_BASIS_LETTERS[b] for b in bases)} {word}\n")
 
 
 def read_shadow_file(path) -> ShadowData:

@@ -3,10 +3,10 @@
 Every trial builds a fresh generator from (seed, trial index) through
 SeedSequence spawn keys, so records are identical whatever the parallelism,
 and reports are canonicalized by trial index.  Each driver builds what every
-trial shares (configs, net, sample count) once, before any trial runs; a
-ValueError raised there is a ConfigError.  Promise checks run against the
-exact dense oracle and raise PromiseViolationError when an instance falls
-outside its advertised regime.
+trial shares (configs, net and its Gibbs table, sample count) once, before
+any trial runs; a ValueError raised there is a ConfigError.  Promise checks
+run against the exact dense oracle and raise PromiseViolationError when an
+instance falls outside its advertised regime.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .gibbs import (
 from .hamiltonians import (
     LocalHamiltonian,
     build_net,
+    check_beta,
     gibbs_density,
     hamiltonian_diff,
     random_hamiltonian,
@@ -259,7 +260,7 @@ def task_certify_dynamics(params, trials, seed, parallelism):
 # ---------------------------------------------------------------- learn
 
 def _learn_trial(args) -> dict:
-    (params, config, net, m), seed, trial = args
+    (params, config, net, member_coeffs, m), seed, trial = args
     rng = trial_rng(seed, trial)
     if params.get("on_grid"):
         truth_index = int(rng.integers(net.size))
@@ -272,10 +273,12 @@ def _learn_trial(args) -> dict:
     if params.get("exact_estimates"):
         estimates = dict(zip(net.support, pauli_trace_inners(net.support, rho).real.tolist()))
         samples = None
-        index, learned, report = learn_gibbs(None, net, config, estimates=estimates)
+        index, learned, report = learn_gibbs(None, net, config, estimates=estimates,
+                                             member_coeffs=member_coeffs)
     else:
         samples = collect_shadows(rho, m, trial_rng(seed, trial, 1))
-        index, learned, report = learn_gibbs(samples, net, config)
+        index, learned, report = learn_gibbs(samples, net, config,
+                                             member_coeffs=member_coeffs)
     dist = trace_distance(learned.rho, rho)
     rec = {
         "trial": trial,
@@ -304,7 +307,9 @@ def task_learn_gibbs(params, trials, seed, parallelism):
         # exact estimates draw no samples, so no sample budget applies
         m = None if params.get("exact_estimates") else _resolve_samples(
             params.get("samples"), config.nominal_budget)
-    records = _run_trials(_learn_trial, (params, config, net, m), trials, seed, parallelism)
+        member_coeffs = net.gibbs_coeff_matrix(config.beta)   # the same in every trial
+    records = _run_trials(_learn_trial, (params, config, net, member_coeffs, m), trials,
+                          seed, parallelism)
     success = sum(1 for r in records if r["within_eps"])
     payload = {
         "task": "learn-gibbs",
@@ -408,6 +413,7 @@ def _shadow_trial(args) -> dict:
 def task_shadow_estimate(params, trials, seed, parallelism):
     n, k = params["n"], params["k"]
     with _config_boundary():
+        check_beta(params["beta"])
         m = _resolve_samples(params.get("samples"),
                              shadow_budget(n, k, params["eps"], params["delta"]))
         paulis = enumerate_local_paulis(n, k)

@@ -307,3 +307,33 @@ def test_learn_parallel_records_match_serial(tmp_path):
     assert a["trials"] == b["trials"]
     assert ((tmp_path / "s" / "learn-gibbs_learned.csv").read_bytes()
             == (tmp_path / "p" / "learn-gibbs_learned.csv").read_bytes())
+
+
+@pytest.mark.parametrize("task, params", [
+    pytest.param("shadow-estimate", {"beta": -1.0}, id="shadow-beta"),
+    pytest.param("learn-gibbs", {"n": 13}, id="learn-n"),
+    pytest.param("certify-gibbs", {"n": 13}, id="gibbs-n"),
+    pytest.param("certify-gibbs", {"k": 3}, id="gibbs-k"),
+    pytest.param("learn-gibbs", {"n": 3, "on_grid": True}, id="learn-support-qubits"),
+])
+def test_gibbs_path_range_is_config_error(tmp_path, monkeypatch, capsys, task, params):
+    _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params)
+
+
+def test_learn_gibbs_table_computed_once_per_task(tmp_path, monkeypatch):
+    from isingcert.hamiltonians import HamiltonianNet
+
+    calls = []
+    table = HamiltonianNet.gibbs_coeff_matrix
+
+    def counted(net, beta):
+        calls.append(beta)
+        return table(net, beta)
+
+    monkeypatch.setattr(HamiltonianNet, "gibbs_coeff_matrix", counted)
+    for name, extra in (("shadows", {}), ("exact", {"exact_estimates": True})):
+        path = write_config(tmp_path, {"schema_version": 1, "task": "learn-gibbs",
+                                       "seed": 2, "trials": 3,
+                                       "params": {"samples": 500, **extra}}, f"{name}.json")
+        assert main(["--config", path, "--out", str(tmp_path / name)]) == EXIT_OK
+    assert calls == [1.0, 1.0]

@@ -327,3 +327,50 @@ def test_collect_shadows_equals_digit_loop_over_choice(n):
     for i in range(n):
         np.testing.assert_array_equal(samples.bases[:, i], (b // 3 ** (n - 1 - i)) % 3)
         np.testing.assert_array_equal(samples.outcomes[:, i], 1 - 2 * ((o >> (n - 1 - i)) & 1))
+
+
+@pytest.mark.parametrize("n, m, batch_counts", [
+    (2, 7, (1, 2, 3)),
+    (2, 5000, (1, 3, 18)),
+    (3, 1001, (1, 6, 100)),
+    (4, 5000, (1, 7, 27)),
+    (5, 1001, (1, 5, 24)),
+    (6, 997, (1, 5)),
+])
+def test_index_kernel_equals_per_string_reference(n, m, batch_counts):
+    rho = gibbs_density(random_hamiltonian(n, 2, 700 + n), 0.9)
+    samples = collect_shadows(rho, m, np.random.default_rng(710 + n))
+    paulis = enumerate_local_paulis(n, min(n, 3))
+    # the batch histograms when batches * 6^n <= strings * batch size, else
+    # the per-sample gather: every n but the (2, 5000) case runs both
+    histogram = {b * 6**n <= len(paulis) * (m // b) for b in batch_counts}
+    assert histogram == {True, False} or (n, m) == (2, 5000)
+    for batches in batch_counts:
+        assert batches == 1 or m % batches
+        ref = np.array([reference_estimate(samples, p, batches) for p in paulis])
+        np.testing.assert_array_equal(estimate_paulis(samples, paulis, batches), ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_shadow_rows_round_trip_through_index(n):
+    rng = np.random.default_rng(720 + n)
+    bases = rng.integers(0, 3, size=(300, n)).astype(np.int8)
+    outcomes = (1 - 2 * rng.integers(0, 2, size=(300, n))).astype(np.int8)
+    samples = ShadowData(bases, outcomes)
+    assert samples.index.shape == (300,) and samples.index.max() < 6**n
+    shift = np.arange(n - 1, -1, -1)
+    np.testing.assert_array_equal(
+        samples.index, (bases @ 3**shift) * 2**n + (outcomes < 0) @ 2**shift)
+    np.testing.assert_array_equal(samples.bases, bases)
+    np.testing.assert_array_equal(samples.outcomes, outcomes)
+    drawn = collect_shadows(np.eye(2**n, dtype=complex) / 2**n, 300, rng)
+    back = ShadowData(drawn.bases, drawn.outcomes)
+    assert back.index.dtype == drawn.index.dtype
+    np.testing.assert_array_equal(back.index, drawn.index)
+
+
+def test_empty_shadow_file_rejected(tmp_path):
+    path = tmp_path / "shadows.txt"
+    path.write_text("\n")
+    with pytest.raises(ValueError, match=r"\(m, n\) rows"):
+        read_shadow_file(path)
