@@ -8,36 +8,29 @@ shadows, and the net-based Gibbs learner/certifier.
 """
 
 from .certifier import CLOSE, FAR, CertConfig, certify, certify_subroutine
-from .dynamics import ExperimentLedger, ExperimentPlan, NoiseModel, run_experiment, trotter_compile
+from .dynamics import ExperimentLedger, NoiseModel, trotter_compile
 from .gibbs import GibbsCertConfig, GibbsLearnConfig, certify_gibbs, learn_gibbs, pinsker_gap
-from .hamiltonians import (
-    GibbsState,
-    HamiltonianNet,
-    LocalHamiltonian,
-    build_net,
-    gibbs,
-    net_covering_check,
-    random_hamiltonian,
-)
+from .hamiltonians import (GibbsState, HamiltonianNet, LocalHamiltonian, build_net, gibbs,
+                           random_hamiltonian)
 from .identity_estimator import estimate_identity_sq
 from .oracle import evolve, identity_coeff, schatten_moment, trace_distance
 from .paulis import PauliExpansion, PauliString, enumerate_local_paulis, expand, pauli_to_matrix, plancherel_inner
-from .shadows import ShadowSample, collect_shadows, estimate_pauli, shadow_budget
-from .stabilizers import StabilizerState, sample_stabilizer_state
+from .shadows import collect_shadows, estimate_pauli, shadow_budget
+from .stabilizers import StabilizerState
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CLOSE", "FAR", "CertConfig", "certify", "certify_subroutine",
-    "ExperimentLedger", "ExperimentPlan", "NoiseModel", "run_experiment", "trotter_compile",
+    "ExperimentLedger", "NoiseModel", "trotter_compile",
     "GibbsCertConfig", "GibbsLearnConfig", "certify_gibbs", "learn_gibbs", "pinsker_gap",
     "GibbsState", "HamiltonianNet", "LocalHamiltonian", "build_net", "gibbs",
-    "net_covering_check", "random_hamiltonian",
+    "random_hamiltonian",
     "estimate_identity_sq",
     "evolve", "identity_coeff", "schatten_moment", "trace_distance",
     "PauliExpansion", "PauliString", "enumerate_local_paulis", "expand",
     "pauli_to_matrix", "plancherel_inner",
-    "ShadowSample", "collect_shadows", "estimate_pauli", "shadow_budget",
-    "StabilizerState", "sample_stabilizer_state",
+    "collect_shadows", "estimate_pauli", "shadow_budget",
+    "StabilizerState",
     "__version__",
 ]

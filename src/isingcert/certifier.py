@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants as con
-from .dynamics import NO_NOISE, ExperimentLedger, NoiseModel, trotter_compile
+from .dynamics import NO_NOISE, ExperimentLedger, NoiseModel, charge_plan, trotter_compile
 from .hamiltonians import LocalHamiltonian
-from .identity_estimator import estimate_identity_sq, make_single_query_factory, sample_count
+from .identity_estimator import estimate_identity_sq, sample_count
 from .oracle import identity_coeff
 
 FAR = "FAR"
@@ -179,11 +179,9 @@ def certify_subroutine(
     profile = PROFILES[config.profile]()
     t = profile.time_for(eps)
     fragment = trotter_compile(h0, t, profile.eps_trott, config.c_op)
-    n = h0.n
     if config.estimator == "sampled":
         est = estimate_identity_sq(
-            make_single_query_factory((fragment,), n),
-            h_true, n, profile.est_accuracy, delta, rng, ledger,
+            (fragment,), h_true, h0.n, profile.est_accuracy, delta, rng, ledger,
             noise=config.noise, max_experiments=con.EXPERIMENT_BUDGET,
         )
         value = est.value
@@ -197,8 +195,7 @@ def certify_subroutine(
             value += rng.uniform(-config.synthetic_noise, config.synthetic_noise)
             value = min(1.0, max(0.0, value))
         # nominal protocol cost, so ledger totals stay meaningful
-        ledger.charge_queries(samples * fragment.query_count, fragment.query_time)
-        ledger.charge_experiments(samples)
+        charge_plan((fragment,), ledger, repeat=samples)
     verdict = decide(value, profile.far_threshold)
     record = LevelRecord(
         level=-1, eps=eps, delta=delta, estimate=value,

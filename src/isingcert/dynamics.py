@@ -1,5 +1,6 @@
-"""Simulated time-evolution access: experiments are prepare / query / fixed
-unitary / measure sequences, with every queried second charged to a ledger.
+"""Simulated time-evolution access: an experiment runs a sequence of query
+steps (queries to exp(-i t H), compiled Trotter fragments, fixed unitaries),
+and every queried second is charged to a ledger.
 
 Noise is depolarizing only.  SPAM splits a diamond-norm budget evenly between
 a channel after preparation and one before measurement; per-query noise
@@ -8,21 +9,19 @@ fragment counts as a single logical query even though it charges all of its
 internal evolution segments to the ledger).  Depolarizing channels commute
 with unitaries, so the final state is always
 (1 - Lambda) U rho U^dag + Lambda I/2^n for an accumulated Lambda, which is
-how outcome distributions are computed exactly.
+how outcome probabilities are computed exactly.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import TROTTER_KAPPA, TROTTER_STEP_BUDGET
-from .hamiltonians import LocalHamiltonian, format_hamiltonian, parse_hamiltonian
-from .oracle import clip_distribution, evolve
-from .stabilizers import StabilizerState
+from .hamiltonians import LocalHamiltonian
+from .oracle import evolve
 
 
 @dataclass
@@ -184,64 +183,15 @@ def trotter_compile(
     return TrotterFragment(h0, t, steps, eps_trott, op_norm_bound)
 
 
-@dataclass(eq=False)
-class ExperimentPlan:
-    """Prepare, run steps, measure.  H enters only through query slots.
-
-    measurement is either "computational", an orthonormal-column matrix, or
-    "stabilizer" (joint eigenbasis of the prepared stabilizer state).
-    """
-
-    initial_state: StabilizerState | np.ndarray
-    steps: tuple
-    measurement: object = "computational"
-
-    @property
-    def n(self) -> int:
-        if isinstance(self.initial_state, StabilizerState):
-            return self.initial_state.n
-        dim = self.initial_state.shape[0]
-        return dim.bit_length() - 1
-
-    def logical_queries(self) -> int:
-        return sum(1 for s in self.steps if isinstance(s, (QueryStep, TrotterFragment)))
+def logical_queries(steps) -> int:
+    """Logical queries in a step sequence: a fragment counts once."""
+    return sum(1 for s in steps if isinstance(s, (QueryStep, TrotterFragment)))
 
 
-def _initial_density(plan: ExperimentPlan) -> np.ndarray:
-    state = plan.initial_state
-    if isinstance(state, StabilizerState):
-        v = state.vector
-        return np.outer(v, v.conj())
-    if state.ndim == 1:
-        if abs(np.linalg.norm(state) - 1.0) > 1e-9:
-            raise ValueError("initial state vector is not normalized")
-        return np.outer(state, state.conj())
-    if abs(np.trace(state).real - 1.0) > 1e-9:
-        raise ValueError("initial density matrix does not have trace 1")
-    return state
-
-
-def _measurement_matrix(plan: ExperimentPlan) -> np.ndarray:
-    dim = 2**plan.n
-    m = plan.measurement
-    if isinstance(m, str):
-        if m == "computational":
-            return np.eye(dim, dtype=complex)
-        if m == "stabilizer":
-            if not isinstance(plan.initial_state, StabilizerState):
-                raise ValueError("stabilizer basis needs a stabilizer initial state")
-            return plan.initial_state.basis_matrix()
-        raise ValueError(f"unknown measurement {m!r}")
-    m = np.asarray(m)
-    if m.shape != (dim, dim) or np.max(np.abs(m.conj().T @ m - np.eye(dim))) > 1e-9:
-        raise ValueError("measurement basis is not an orthonormal 2^n frame")
-    return m
-
-
-def net_unitary(plan: ExperimentPlan, h_true: LocalHamiltonian) -> np.ndarray:
-    dim = 2**plan.n
-    u = np.eye(dim, dtype=complex)
-    for step in plan.steps:
+def net_unitary(steps, h_true: LocalHamiltonian, n: int) -> np.ndarray:
+    """Product of the steps' unitaries, first step rightmost."""
+    u = np.eye(2**n, dtype=complex)
+    for step in steps:
         if isinstance(step, QueryStep):
             u = evolve(h_true, step.t) @ u
         elif isinstance(step, TrotterFragment):
@@ -253,114 +203,11 @@ def net_unitary(plan: ExperimentPlan, h_true: LocalHamiltonian) -> np.ndarray:
     return u
 
 
-def charge_plan(plan: ExperimentPlan, ledger: ExperimentLedger, repeat: int = 1) -> None:
-    for step in plan.steps:
+def charge_plan(steps, ledger: ExperimentLedger, repeat: int = 1) -> None:
+    """Charge `repeat` experiments that each run `steps` once."""
+    for step in steps:
         if isinstance(step, QueryStep):
             ledger.charge_queries(repeat, step.t)
         elif isinstance(step, TrotterFragment):
             ledger.charge_queries(repeat * step.query_count, step.query_time)
     ledger.charge_experiments(repeat)
-
-
-def outcome_distribution(
-    plan: ExperimentPlan, h_true: LocalHamiltonian, noise: NoiseModel = NO_NOISE
-) -> np.ndarray:
-    """Exact Born distribution of the noisy circuit over basis outcomes."""
-    rho = _initial_density(plan)
-    basis = _measurement_matrix(plan)
-    u = net_unitary(plan, h_true)
-    retain = noise.retain_factor(plan.n, plan.logical_queries())
-    evolved = u @ rho @ u.conj().T
-    probs = np.einsum("ij,jk,ki->i", basis.conj().T, evolved, basis).real
-    dim = probs.shape[0]
-    return clip_distribution(retain * probs + (1.0 - retain) / dim)
-
-
-def run_experiment(
-    plan: ExperimentPlan,
-    h_true: LocalHamiltonian,
-    noise: NoiseModel,
-    rng,
-    ledger: ExperimentLedger | None = None,
-) -> int:
-    """Sample one measurement outcome and charge the ledger."""
-    rng = np.random.default_rng(rng)
-    probs = outcome_distribution(plan, h_true, noise)
-    outcome = int(rng.choice(len(probs), p=probs))
-    if ledger is not None:
-        charge_plan(plan, ledger)
-    return outcome
-
-
-def plan_to_json(plan: ExperimentPlan) -> str:
-    """Replayable structured-text form of a plan."""
-    if isinstance(plan.initial_state, StabilizerState):
-        init = {"type": "stabilizer", **plan.initial_state.descriptor()}
-    else:
-        state = np.asarray(plan.initial_state)
-        init = {
-            "type": "vector" if state.ndim == 1 else "density",
-            "re": np.real(state).tolist(),
-            "im": np.imag(state).tolist(),
-        }
-    steps = []
-    for s in plan.steps:
-        if isinstance(s, QueryStep):
-            steps.append({"type": "query", "t": s.t})
-        elif isinstance(s, TrotterFragment):
-            steps.append({
-                "type": "trotter",
-                "t": s.t,
-                "steps": s.steps,
-                "eps_trott": s.eps_trott,
-                "op_norm_bound": s.op_norm_bound,
-                "h0": format_hamiltonian(s.h0),
-            })
-        elif isinstance(s, UnitaryStep):
-            steps.append({
-                "type": "unitary",
-                "name": s.name,
-                "re": np.real(s.matrix).tolist(),
-                "im": np.imag(s.matrix).tolist(),
-            })
-    if isinstance(plan.measurement, str):
-        meas = {"type": plan.measurement}
-    else:
-        m = np.asarray(plan.measurement)
-        meas = {"type": "basis", "re": np.real(m).tolist(), "im": np.imag(m).tolist()}
-    return json.dumps({"initial_state": init, "steps": steps, "measurement": meas},
-                      sort_keys=True)
-
-
-def plan_from_json(text: str) -> ExperimentPlan:
-    from .paulis import PauliString
-
-    data = json.loads(text)
-    init = data["initial_state"]
-    if init["type"] == "stabilizer":
-        state = StabilizerState(
-            init["n"],
-            tuple(PauliString.from_label(g) for g in init["generators"]),
-            tuple(init["signs"]),
-        )
-    else:
-        state = np.array(init["re"]) + 1j * np.array(init["im"])
-    steps = []
-    for s in data["steps"]:
-        if s["type"] == "query":
-            steps.append(QueryStep(s["t"]))
-        elif s["type"] == "trotter":
-            steps.append(TrotterFragment(
-                parse_hamiltonian(s["h0"]), s["t"], s["steps"],
-                s["eps_trott"], s["op_norm_bound"],
-            ))
-        elif s["type"] == "unitary":
-            steps.append(UnitaryStep(s["name"], np.array(s["re"]) + 1j * np.array(s["im"])))
-        else:
-            raise ValueError(f"unknown step type {s['type']!r}")
-    meas = data["measurement"]
-    if meas["type"] in ("computational", "stabilizer"):
-        measurement = meas["type"]
-    else:
-        measurement = np.array(meas["re"]) + 1j * np.array(meas["im"])
-    return ExperimentPlan(state, tuple(steps), measurement)

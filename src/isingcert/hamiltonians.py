@@ -8,7 +8,6 @@ index, so scans never materialize the whole family.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -291,59 +290,3 @@ class HamiltonianNet:
 
 def build_net(support, eta: float, budget: int = NET_ENUMERATION_BUDGET) -> HamiltonianNet:
     return HamiltonianNet(tuple(support), eta, budget)
-
-
-@dataclass(frozen=True)
-class CoveringCheck:
-    distance: float
-    bound: float
-    member_index: int
-
-
-def net_covering_check(h: LocalHamiltonian, net: HamiltonianNet, beta: float) -> CoveringCheck:
-    """Round h onto the net and measure the exact Gibbs trace distance.
-
-    The distance must come out <= 200 beta n^k eta for any admissible h.
-    """
-    idx = net.round_member_index(h)
-    rounded = net.member(idx)
-    dist = oracle.trace_distance(gibbs_density(h, beta), gibbs_density(rounded, beta))
-    bound = 200.0 * beta * net.n**net.k * net.eta
-    return CoveringCheck(dist, bound, idx)
-
-
-def save_hamiltonian(h: LocalHamiltonian, path) -> None:
-    """Text format: header lines n/k, then one `<pauli-word> <coeff>` per term.
-
-    Coefficients are written with 17 significant digits, so a round trip is
-    bit-exact.
-    """
-    with open(path, "w") as f:
-        f.write(format_hamiltonian(h))
-
-
-def format_hamiltonian(h: LocalHamiltonian) -> str:
-    buf = io.StringIO()
-    buf.write(f"n {h.n}\n")
-    buf.write(f"k {h.k}\n")
-    for p in sorted(h.coeffs, key=lambda q: q.code):
-        buf.write(f"{p.label} {format(h.coeffs[p], '.17g')}\n")
-    return buf.getvalue()
-
-
-def parse_hamiltonian(text: str) -> LocalHamiltonian:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("n ") or not lines[1].startswith("k "):
-        raise ValueError("expected 'n <int>' and 'k <int>' header lines")
-    n = int(lines[0].split()[1])
-    k = int(lines[1].split()[1])
-    coeffs = {}
-    for ln in lines[2:]:
-        word, value = ln.split()
-        coeffs[PauliString.from_label(word)] = float(value)
-    return LocalHamiltonian(n, k, coeffs)
-
-
-def load_hamiltonian(path) -> LocalHamiltonian:
-    with open(path) as f:
-        return parse_hamiltonian(f.read())

@@ -12,8 +12,8 @@ No ancillas, one query per experiment, nothing retained between experiments.
 
 Experiments are independent and each draws a fresh state, so the hit count
 is exactly Binomial(m, retain * E[indicator] + (1 - retain) / 2^n) under
-depolarizing noise; the simulation makes that one draw.  method="plans" runs
-every experiment literally and is the reference the tests compare against.
+depolarizing noise; the simulation makes that one draw.  The test suite keeps
+the literal per-experiment loop as the reference it compares against.
 """
 
 from __future__ import annotations
@@ -24,19 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HOEFFDING_CONSTANT
-from .dynamics import (
-    NO_NOISE,
-    ExperimentLedger,
-    ExperimentPlan,
-    NoiseModel,
-    charge_plan,
-    net_unitary,
-    run_experiment,
-)
+from .dynamics import (NO_NOISE, ExperimentLedger, NoiseModel, charge_plan, logical_queries,
+                       net_unitary)
 from .errors import BudgetExceededError
 from .hamiltonians import LocalHamiltonian
 from .oracle import identity_coeff
-from .stabilizers import StabilizerState, sample_stabilizer_state, stabilizer_state_matrix
+from .stabilizers import stabilizer_state_matrix
 
 
 @dataclass(frozen=True)
@@ -56,24 +49,18 @@ def sample_count(eps: float, delta: float) -> int:
     return math.ceil(HOEFFDING_CONSTANT * math.log(2.0 / delta) / eps**2)
 
 
-def make_single_query_factory(steps, n: int):
-    """Plan factory for the estimator: one shared query sequence per state.
+def make_single_query_factory(steps, n: int) -> tuple:
+    """The step tuple that every experiment of the estimator runs once.
 
-    The returned factory closes over a fixed step tuple, so every emitted
-    plan makes the same single logical query; the `shared_steps` attribute
-    lets the estimator simulate all experiments through their exact law.
+    `estimate_identity_sq` takes the steps themselves; this is kept because
+    the acceptance suite (tests/test_acceptance.py) builds its estimator
+    input through it.  `n` is unused.
     """
-    steps = tuple(steps)
-
-    def factory(state: StabilizerState) -> ExperimentPlan:
-        return ExperimentPlan(state, steps, "stabilizer")
-
-    factory.shared_steps = steps
-    return factory
+    return tuple(steps)
 
 
 def estimate_identity_sq(
-    plan_factory,
+    steps,
     h_true: LocalHamiltonian,
     n: int,
     eps: float,
@@ -82,49 +69,36 @@ def estimate_identity_sq(
     ledger: ExperimentLedger | None = None,
     noise: NoiseModel = NO_NOISE,
     max_experiments: int | None = None,
-    method: str = "auto",
 ) -> IdentityCoeffEstimate:
     """Run the memoryless protocol against the simulated access model.
 
-    `plan_factory` comes from make_single_query_factory; `h_true` feeds the
-    query slots of the simulation.  With `method="auto"` the hit count is one
-    draw from its exact Binomial law and the ledger takes one batched charge.
-    `method="plans"` is the literal reference: each experiment samples a
-    stabilizer state, builds its plan and goes through run_experiment.
+    Every experiment runs the query steps `steps` once; `h_true` feeds their
+    query slots.  The hit count is one draw from its exact Binomial law and
+    the ledger takes one batched charge.
     """
-    if method not in ("auto", "plans"):
-        raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(rng)
     m = sample_count(eps, delta)
     if max_experiments is not None and m > max_experiments:
         raise BudgetExceededError(
             f"estimator needs {m} experiments, over the budget {max_experiments}"
         )
-    if method == "plans":
-        hits = 0
-        for _ in range(m):
-            plan = plan_factory(sample_stabilizer_state(n, rng))
-            hits += run_experiment(plan, h_true, noise, rng, ledger) == 0
-        mean = hits / m
-    else:
-        mean = _shared_query_mean(plan_factory.shared_steps, h_true, n, m, rng, ledger, noise)
+    mean = _shared_query_mean(tuple(steps), h_true, n, m, rng, ledger, noise)
     raw = (1.0 + 2.0**-n) * mean - 2.0**-n
     return IdentityCoeffEstimate(min(1.0, max(0.0, raw)), raw, m, eps, delta)
 
 
 def _shared_query_mean(steps, h_true, n, m, rng, ledger, noise) -> float:
-    # hits ~ Binomial(m, p) exactly (module docstring); the probe's initial
-    # state is immaterial, only its unitary, noise and charges are read
+    # hits ~ Binomial(m, p) exactly (module docstring): only the steps'
+    # unitary, logical query count and charges enter
     dim = 2**n
-    probe = ExperimentPlan(np.eye(dim, dtype=complex)[0], steps)
-    identity_sq = abs(identity_coeff(net_unitary(probe, h_true))) ** 2
-    retain = noise.retain_factor(n, probe.logical_queries())
+    identity_sq = abs(identity_coeff(net_unitary(steps, h_true, n))) ** 2
+    retain = noise.retain_factor(n, logical_queries(steps))
     p = retain * design_expectation(identity_sq, n) + (1.0 - retain) / dim
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ValueError(f"hit probability {p} lies outside [0, 1]")
     hits = int(rng.binomial(m, min(1.0, max(0.0, p))))
     if ledger is not None:
-        charge_plan(probe, ledger, repeat=m)
+        charge_plan(steps, ledger, repeat=m)
     return hits / m
 
 

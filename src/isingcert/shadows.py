@@ -20,7 +20,6 @@ from .constants import MOM_BATCH_CONSTANT, SHADOW_SAMPLE_CONSTANT
 from .oracle import clip_distribution
 from .paulis import PauliString, enumerate_local_paulis
 
-_BASIS_LETTERS = "XYZ"
 _SQ2 = 1.0 / math.sqrt(2.0)
 _EIGVECS = np.array([
     [[_SQ2, _SQ2], [_SQ2, -_SQ2]],              # X
@@ -31,12 +30,6 @@ _EIGVECS = np.array([
 # qubit's rho[i, j], row 2b + o is the probability of outcome o in basis b
 _BORN = np.einsum("bio,bjo->boij", _EIGVECS.conj(), _EIGVECS).reshape(6, 4)
 _GUIDE_BUCKETS = 2**14  # u in [j, j + 1) / 2^14 falls in bucket j of the draw
-
-
-@dataclass(frozen=True)
-class ShadowSample:
-    bases: str      # length-n word over X, Y, Z
-    outcomes: tuple[int, ...]  # +-1 per qubit
 
 
 class ShadowData:
@@ -79,13 +72,6 @@ class ShadowData:
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def __getitem__(self, i: int) -> ShadowSample:
-        one = ShadowData.from_index(self.index[[i]], self.n)
-        return ShadowSample(
-            "".join(_BASIS_LETTERS[b] for b in one.bases[0]),
-            tuple(int(o) for o in one.outcomes[0]),
-        )
 
 
 def _joint_distribution(rho: np.ndarray, n: int) -> np.ndarray:
@@ -265,26 +251,3 @@ def estimate_all(samples: ShadowData, k: int, delta: float,
     paulis = enumerate_local_paulis(n, k)
     values = dict(zip(paulis, estimate_paulis(samples, paulis, batches).tolist()))
     return ShadowEstimates(n, k, values, len(samples), batches)
-
-
-def write_shadow_file(samples: ShadowData, path) -> None:
-    """One line per sample: basis word, space, outcome word over +/-."""
-    with open(path, "w") as fh:
-        for bases, outcomes in zip(samples.bases, samples.outcomes):
-            word = "".join("+" if o > 0 else "-" for o in outcomes)
-            fh.write(f"{''.join(_BASIS_LETTERS[b] for b in bases)} {word}\n")
-
-
-def read_shadow_file(path) -> ShadowData:
-    bases_rows = []
-    outcome_rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            bword, oword = line.split()
-            bases_rows.append([_BASIS_LETTERS.index(ch) for ch in bword])
-            outcome_rows.append([1 if ch == "+" else -1 for ch in oword])
-    return ShadowData(np.array(bases_rows, dtype=np.int8),
-                      np.array(outcome_rows, dtype=np.int8))

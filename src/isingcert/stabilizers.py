@@ -1,5 +1,5 @@
-"""Stabilizer states: exact-uniform sampling, small-n enumeration, and the
-measurement bases the identity estimator needs.
+"""Stabilizer states and their n <= 2 enumeration, which gives the identity
+estimator its exact indicator expectation.
 
 A state is described by n independent, pairwise-commuting signed Pauli
 generators.  Independence plus commutation guarantees the signed group never
@@ -71,31 +71,6 @@ def _gf2_rref(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return m[:r], pivots
 
 
-def _gf2_in_span(rref: np.ndarray, pivots: list[int], v: np.ndarray) -> bool:
-    w = v.copy() % 2
-    for row, c in zip(rref, pivots):
-        if w[c]:
-            w ^= row
-    return not w.any()
-
-
-def _gf2_nullspace(rows: np.ndarray, width: int) -> np.ndarray:
-    """Basis of the null space of `rows` (GF(2)); full space if no rows."""
-    if rows.shape[0] == 0:
-        return np.eye(width, dtype=np.uint8)
-    rref, pivots = _gf2_rref(rows)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(width, dtype=np.uint8)
-        v[fc] = 1
-        for row, pc in zip(rref, pivots):
-            if row[fc]:
-                v[pc] = 1
-        basis.append(v)
-    return np.array(basis, dtype=np.uint8)
-
-
 @dataclass(frozen=True)
 class StabilizerState:
     """Pure stabilizer state given by signed commuting generators."""
@@ -125,18 +100,6 @@ class StabilizerState:
         """Dense unit vector fixed by every signed generator."""
         return self._project(self.signs)
 
-    def basis_vector(self, outcome: int) -> np.ndarray:
-        """Joint eigenbasis member: generator i eigenvalue flips iff bit i set."""
-        signs = tuple(
-            -s if (outcome >> (self.n - 1 - i)) & 1 else s for i, s in enumerate(self.signs)
-        )
-        return self._project(signs)
-
-    def basis_matrix(self) -> np.ndarray:
-        """Columns are the 2^n stabilizer-basis vectors, outcome 0 first."""
-        dim = 2**self.n
-        return np.column_stack([self.basis_vector(b) for b in range(dim)])
-
     def _project(self, signs) -> np.ndarray:
         # Apply the commuting projectors (I + s G)/2 to trial vectors until
         # one survives; the target state has support on some basis vector, so
@@ -157,13 +120,6 @@ class StabilizerState:
             if norm > 1e-9:
                 return w / norm
         raise RuntimeError("projector cascade annihilated every trial vector")
-
-    def descriptor(self) -> dict:
-        return {
-            "n": self.n,
-            "generators": [g.label for g in self.generators],
-            "signs": list(self.signs),
-        }
 
 
 @lru_cache(maxsize=4)
@@ -203,54 +159,3 @@ def stabilizer_state_matrix(n: int) -> np.ndarray:
     """Stacked vectors of the enumerated states, one row per state (n <= 2)."""
     states = enumerate_stabilizer_states(n)
     return np.array([s.vector for s in states])
-
-
-def sample_stabilizer_state(n: int, rng, method: str = "auto") -> StabilizerState:
-    """Exactly uniform draw over all pure stabilizer states of n qubits.
-
-    For n <= 2, method="auto" takes a uniform index into the full
-    enumeration.  Otherwise generators are drawn sequentially: at step i the
-    candidate set is the symplectic commutant of the chosen generators minus
-    their span, whose size depends only on i, so every maximal commuting
-    subgroup is produced by the same number of equally likely generator
-    sequences; uniform signs then make the signed draw uniform.
-    """
-    if not 1 <= n <= 12:
-        raise ValueError(f"n={n} out of supported range [1, 12]")
-    rng = np.random.default_rng(rng)
-    if method not in ("auto", "sequential"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and n <= 2:
-        states = enumerate_stabilizer_states(n)
-        return states[int(rng.integers(len(states)))]
-
-    chosen: list[np.ndarray] = []
-    rref = np.zeros((0, 2 * n), dtype=np.uint8)
-    pivots: list[int] = []
-    for _ in range(n):
-        if chosen:
-            constraints = np.array([np.concatenate([v[n:], v[:n]]) for v in chosen])
-        else:
-            constraints = np.zeros((0, 2 * n), dtype=np.uint8)
-        null_basis = _gf2_nullspace(constraints, 2 * n)
-        while True:
-            bits = rng.integers(0, 2, size=null_basis.shape[0]).astype(np.uint8)
-            v = (bits @ null_basis) % 2
-            v = v.astype(np.uint8)
-            if v.any() and not _gf2_in_span(rref, pivots, v):
-                break
-        chosen.append(v)
-        rref, pivots = _gf2_rref(np.array(chosen))
-    signs = tuple(1 if b else -1 for b in rng.integers(0, 2, size=n))
-    generators = tuple(zx_to_pauli(v) for v in chosen)
-    return StabilizerState(n, generators, signs)
-
-
-def state_index(state: StabilizerState) -> int:
-    """Index of `state` in the n <= 2 enumeration (vector comparison)."""
-    mat = stabilizer_state_matrix(state.n)
-    overlaps = np.abs(mat.conj() @ state.vector)
-    idx = int(np.argmax(overlaps))
-    if overlaps[idx] < 1.0 - 1e-8:
-        raise ValueError("state does not match any enumerated stabilizer state")
-    return idx

@@ -39,7 +39,7 @@ from .hamiltonians import (
     random_hamiltonian,
 )
 from .oracle import schatten_moments, trace_distance
-from .paulis import LETTERS, PauliString, enumerate_local_paulis, pauli_trace_inners
+from .paulis import LETTERS, PauliString, check_size, enumerate_local_paulis, pauli_trace_inners
 from .shadows import collect_shadows, estimate_all, shadow_budget
 
 SLACK_TOL = -1e-9
@@ -90,6 +90,14 @@ def _resolve_samples(requested, nominal: int) -> int:
     return nominal
 
 
+def _check_n_range(params: dict) -> None:
+    """Every n a sweep draws from [n_min, n_max] must be a valid size for k."""
+    if params["n_min"] > params["n_max"]:
+        raise ValueError(f"n_min={params['n_min']} exceeds n_max={params['n_max']}")
+    check_size(params["n_min"], params["k"])
+    check_size(params["n_max"], params["k"])
+
+
 # ---------------------------------------------------------------- bonami
 
 def _bonami_trial(args) -> dict:
@@ -111,6 +119,11 @@ def _bonami_trial(args) -> dict:
 
 
 def task_verify_bonami(params, trials, seed, parallelism):
+    with _config_boundary():
+        _check_n_range(params)
+        if not 2 <= params["l_min"] <= params["l_max"]:
+            raise ValueError(f"need 2 <= l_min <= l_max, got l_min={params['l_min']}, "
+                             f"l_max={params['l_max']}")
     records = _run_trials(_bonami_trial, params, trials, seed, parallelism)
     violations = sum(1 for r in records if r["min_slack"] < SLACK_TOL)
     table = [
@@ -162,6 +175,17 @@ def _footnote_trial(args) -> dict:
 
 
 def task_verify_bounds(params, trials, seed, parallelism):
+    with _config_boundary():
+        _check_n_range(params)
+        check_beta(params["beta_min"])
+        if params["beta_min"] > params["beta_max"]:
+            raise ValueError(f"beta_min={params['beta_min']} exceeds "
+                             f"beta_max={params['beta_max']}")
+        check_size(params["footnote_n"], params["k"])
+        if not 0 < params["footnote_eps"] < 1:
+            raise ValueError(f"footnote_eps must be in (0, 1), got {params['footnote_eps']}")
+        if params["footnote_pairs"] < 0:
+            raise ValueError(f"footnote_pairs must be >= 0, got {params['footnote_pairs']}")
     records = _run_trials(_bounds_trial, params, trials, seed, parallelism)
     foot = _run_trials(_footnote_trial, params, params["footnote_pairs"], seed, parallelism)
     violations = sum(1 for r in records if r["min_slack"] < SLACK_TOL)
@@ -219,6 +243,7 @@ def _dynamics_trial(args) -> dict:
 def task_certify_dynamics(params, trials, seed, parallelism):
     arm = _arm(params, ("close", "far"))
     with _config_boundary():
+        check_size(params["n"], 2)   # certifier instances are 2-local
         config = CertConfig(
             eps=params["eps"], delta=params["delta"], c_op=params["c_op"],
             c_frob=params["c_frob"], profile=params["profile"],
@@ -437,7 +462,7 @@ def task_shadow_estimate(params, trials, seed, parallelism):
 class Task(NamedTuple):
     """A CLI task: its driver, default trial count and default params, plus the
     params it reads only when given.  Each param is typed by its value here;
-    its range is checked by the config objects the driver builds."""
+    its range is checked where the driver builds its configs."""
 
     driver: Callable
     trials: int

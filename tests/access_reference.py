@@ -1,0 +1,269 @@
+"""Literal reference for the simulated access model: per-experiment plans,
+Born sampling and the uniform stabilizer sampler at any n.
+
+The package certifies on query steps alone and draws the identity
+estimator's hit count from its exact law; the tests check that law, and the
+charges that go with it, against the literal protocol here.  An experiment
+prepares a state, runs its steps and measures; the estimator's experiment
+prepares a uniform stabilizer state and measures in its stabilizer basis.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from isingcert.dynamics import (
+    NO_NOISE,
+    ExperimentLedger,
+    NoiseModel,
+    charge_plan,
+    logical_queries,
+    net_unitary,
+)
+from isingcert.errors import BudgetExceededError
+from isingcert.hamiltonians import HamiltonianNet, LocalHamiltonian, gibbs_density
+from isingcert.identity_estimator import IdentityCoeffEstimate, sample_count
+from isingcert.oracle import clip_distribution, trace_distance
+from isingcert.stabilizers import (
+    StabilizerState,
+    _gf2_rref,
+    enumerate_stabilizer_states,
+    stabilizer_state_matrix,
+    zx_to_pauli,
+)
+
+
+# ---------------------------------------------------------------- stabilizer bases
+
+def basis_vector(state: StabilizerState, outcome: int) -> np.ndarray:
+    """Joint eigenbasis member: generator i eigenvalue flips iff bit i set."""
+    signs = tuple(
+        -s if (outcome >> (state.n - 1 - i)) & 1 else s for i, s in enumerate(state.signs)
+    )
+    return state._project(signs)
+
+
+def basis_matrix(state: StabilizerState) -> np.ndarray:
+    """Columns are the 2^n stabilizer-basis vectors, outcome 0 first."""
+    return np.column_stack([basis_vector(state, b) for b in range(2**state.n)])
+
+
+def state_index(state: StabilizerState) -> int:
+    """Index of `state` in the n <= 2 enumeration (vector comparison)."""
+    mat = stabilizer_state_matrix(state.n)
+    overlaps = np.abs(mat.conj() @ state.vector)
+    idx = int(np.argmax(overlaps))
+    if overlaps[idx] < 1.0 - 1e-8:
+        raise ValueError("state does not match any enumerated stabilizer state")
+    return idx
+
+
+# ---------------------------------------------------------------- uniform sampler
+
+def _gf2_in_span(rref: np.ndarray, pivots: list[int], v: np.ndarray) -> bool:
+    w = v.copy() % 2
+    for row, c in zip(rref, pivots):
+        if w[c]:
+            w ^= row
+    return not w.any()
+
+
+def _gf2_nullspace(rows: np.ndarray, width: int) -> np.ndarray:
+    """Basis of the null space of `rows` (GF(2)); full space if no rows."""
+    if rows.shape[0] == 0:
+        return np.eye(width, dtype=np.uint8)
+    rref, pivots = _gf2_rref(rows)
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = np.zeros(width, dtype=np.uint8)
+        v[fc] = 1
+        for row, pc in zip(rref, pivots):
+            if row[fc]:
+                v[pc] = 1
+        basis.append(v)
+    return np.array(basis, dtype=np.uint8)
+
+
+def sample_stabilizer_state(n: int, rng, method: str = "auto") -> StabilizerState:
+    """Exactly uniform draw over all pure stabilizer states of n qubits.
+
+    For n <= 2, method="auto" takes a uniform index into the full
+    enumeration.  Otherwise generators are drawn sequentially: at step i the
+    candidate set is the symplectic commutant of the chosen generators minus
+    their span, whose size depends only on i, so every maximal commuting
+    subgroup is produced by the same number of equally likely generator
+    sequences; uniform signs then make the signed draw uniform.
+    """
+    if not 1 <= n <= 12:
+        raise ValueError(f"n={n} out of supported range [1, 12]")
+    rng = np.random.default_rng(rng)
+    if method not in ("auto", "sequential"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "auto" and n <= 2:
+        states = enumerate_stabilizer_states(n)
+        return states[int(rng.integers(len(states)))]
+
+    chosen: list[np.ndarray] = []
+    rref = np.zeros((0, 2 * n), dtype=np.uint8)
+    pivots: list[int] = []
+    for _ in range(n):
+        if chosen:
+            constraints = np.array([np.concatenate([v[n:], v[:n]]) for v in chosen])
+        else:
+            constraints = np.zeros((0, 2 * n), dtype=np.uint8)
+        null_basis = _gf2_nullspace(constraints, 2 * n)
+        while True:
+            bits = rng.integers(0, 2, size=null_basis.shape[0]).astype(np.uint8)
+            v = (bits @ null_basis) % 2
+            v = v.astype(np.uint8)
+            if v.any() and not _gf2_in_span(rref, pivots, v):
+                break
+        chosen.append(v)
+        rref, pivots = _gf2_rref(np.array(chosen))
+    signs = tuple(1 if b else -1 for b in rng.integers(0, 2, size=n))
+    generators = tuple(zx_to_pauli(v) for v in chosen)
+    return StabilizerState(n, generators, signs)
+
+
+# ---------------------------------------------------------------- experiments
+
+@dataclass(eq=False)
+class ExperimentPlan:
+    """Prepare, run steps, measure.  H enters only through query slots.
+
+    measurement is either "computational", an orthonormal-column matrix, or
+    "stabilizer" (joint eigenbasis of the prepared stabilizer state).
+    """
+
+    initial_state: StabilizerState | np.ndarray
+    steps: tuple
+    measurement: object = "computational"
+
+    @property
+    def n(self) -> int:
+        if isinstance(self.initial_state, StabilizerState):
+            return self.initial_state.n
+        dim = self.initial_state.shape[0]
+        return dim.bit_length() - 1
+
+    def logical_queries(self) -> int:
+        return logical_queries(self.steps)
+
+
+def single_query_plan(steps, state: StabilizerState) -> ExperimentPlan:
+    """The estimator's experiment on `state`: run the shared steps once and
+    measure in the state's stabilizer basis."""
+    return ExperimentPlan(state, tuple(steps), "stabilizer")
+
+
+def _initial_density(plan: ExperimentPlan) -> np.ndarray:
+    state = plan.initial_state
+    if isinstance(state, StabilizerState):
+        v = state.vector
+        return np.outer(v, v.conj())
+    if state.ndim == 1:
+        if abs(np.linalg.norm(state) - 1.0) > 1e-9:
+            raise ValueError("initial state vector is not normalized")
+        return np.outer(state, state.conj())
+    if abs(np.trace(state).real - 1.0) > 1e-9:
+        raise ValueError("initial density matrix does not have trace 1")
+    return state
+
+
+def _measurement_matrix(plan: ExperimentPlan) -> np.ndarray:
+    dim = 2**plan.n
+    m = plan.measurement
+    if isinstance(m, str):
+        if m == "computational":
+            return np.eye(dim, dtype=complex)
+        if m == "stabilizer":
+            if not isinstance(plan.initial_state, StabilizerState):
+                raise ValueError("stabilizer basis needs a stabilizer initial state")
+            return basis_matrix(plan.initial_state)
+        raise ValueError(f"unknown measurement {m!r}")
+    m = np.asarray(m)
+    if m.shape != (dim, dim) or np.max(np.abs(m.conj().T @ m - np.eye(dim))) > 1e-9:
+        raise ValueError("measurement basis is not an orthonormal 2^n frame")
+    return m
+
+
+def outcome_distribution(
+    plan: ExperimentPlan, h_true: LocalHamiltonian, noise: NoiseModel = NO_NOISE
+) -> np.ndarray:
+    """Exact Born distribution of the noisy circuit over basis outcomes."""
+    rho = _initial_density(plan)
+    basis = _measurement_matrix(plan)
+    u = net_unitary(plan.steps, h_true, plan.n)
+    retain = noise.retain_factor(plan.n, plan.logical_queries())
+    evolved = u @ rho @ u.conj().T
+    probs = np.einsum("ij,jk,ki->i", basis.conj().T, evolved, basis).real
+    dim = probs.shape[0]
+    return clip_distribution(retain * probs + (1.0 - retain) / dim)
+
+
+def run_experiment(
+    plan: ExperimentPlan,
+    h_true: LocalHamiltonian,
+    noise: NoiseModel,
+    rng,
+    ledger: ExperimentLedger | None = None,
+) -> int:
+    """Sample one measurement outcome and charge the ledger."""
+    rng = np.random.default_rng(rng)
+    probs = outcome_distribution(plan, h_true, noise)
+    outcome = int(rng.choice(len(probs), p=probs))
+    if ledger is not None:
+        charge_plan(plan.steps, ledger)
+    return outcome
+
+
+def estimate_identity_sq_literal(
+    steps,
+    h_true: LocalHamiltonian,
+    n: int,
+    eps: float,
+    delta: float,
+    rng,
+    ledger: ExperimentLedger | None = None,
+    noise: NoiseModel = NO_NOISE,
+    max_experiments: int | None = None,
+) -> IdentityCoeffEstimate:
+    """The memoryless protocol run experiment by experiment: each samples a
+    stabilizer state, builds its plan and goes through run_experiment."""
+    rng = np.random.default_rng(rng)
+    m = sample_count(eps, delta)
+    if max_experiments is not None and m > max_experiments:
+        raise BudgetExceededError(
+            f"estimator needs {m} experiments, over the budget {max_experiments}"
+        )
+    hits = 0
+    for _ in range(m):
+        plan = single_query_plan(steps, sample_stabilizer_state(n, rng))
+        hits += run_experiment(plan, h_true, noise, rng, ledger) == 0
+    mean = hits / m
+    raw = (1.0 + 2.0**-n) * mean - 2.0**-n
+    return IdentityCoeffEstimate(min(1.0, max(0.0, raw)), raw, m, eps, delta)
+
+
+# ---------------------------------------------------------------- covering net
+
+@dataclass(frozen=True)
+class CoveringCheck:
+    distance: float
+    bound: float
+    member_index: int
+
+
+def net_covering_check(h: LocalHamiltonian, net: HamiltonianNet, beta: float) -> CoveringCheck:
+    """Round h onto the net and measure the exact Gibbs trace distance.
+
+    The distance must come out <= 200 beta n^k eta for any admissible h.
+    """
+    idx = net.round_member_index(h)
+    rounded = net.member(idx)
+    dist = trace_distance(gibbs_density(h, beta), gibbs_density(rounded, beta))
+    bound = 200.0 * beta * net.n**net.k * net.eta
+    return CoveringCheck(dist, bound, idx)

@@ -179,6 +179,14 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "out" / "verify-bonami.json").exists()
 
 
+def test_all_names_resolve():
+    # a stale __all__ entry breaks `from isingcert import *`
+    import isingcert
+
+    missing = [name for name in isingcert.__all__ if not hasattr(isingcert, name)]
+    assert not missing
+
+
 def test_chunked_parallel_records_match_serial(tmp_path):
     # 19 trials at parallelism 2 go out in chunks of 3, the last one partial
     base = {"schema_version": 1, "task": "verify-bonami", "seed": 4, "trials": 19,
@@ -285,6 +293,23 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
     pytest.param("certify-gibbs", {"samples": -5}, id="gibbs-samples"),
     pytest.param("shadow-estimate", {"eps": 1.5}, id="shadow-eps"),
     pytest.param("shadow-estimate", {"n": 13}, id="shadow-n"),
+    pytest.param("certify-dynamics", {"n": 1}, id="dynamics-n-1"),
+    pytest.param("certify-dynamics", {"n": 13}, id="dynamics-n-13"),
+    pytest.param("verify-bonami", {"n_min": 4, "n_max": 3}, id="bonami-n-order"),
+    pytest.param("verify-bonami", {"n_min": 0}, id="bonami-n-min"),
+    pytest.param("verify-bonami", {"n_max": 13}, id="bonami-n-max"),
+    pytest.param("verify-bonami", {"k": 3}, id="bonami-k"),
+    pytest.param("verify-bonami", {"l_min": 1}, id="bonami-l-min"),
+    pytest.param("verify-bonami", {"l_min": 9}, id="bonami-l-order"),
+    pytest.param("verify-bounds", {"n_min": 4}, id="bounds-n-order"),
+    pytest.param("verify-bounds", {"n_min": 0}, id="bounds-n-min"),
+    pytest.param("verify-bounds", {"k": 3}, id="bounds-k"),
+    pytest.param("verify-bounds", {"beta_min": 4.0}, id="bounds-beta-order"),
+    pytest.param("verify-bounds", {"beta_min": -0.5}, id="bounds-beta-min"),
+    pytest.param("verify-bounds", {"footnote_n": 13}, id="bounds-footnote-n"),
+    pytest.param("verify-bounds", {"footnote_n": 1}, id="bounds-footnote-k"),
+    pytest.param("verify-bounds", {"footnote_eps": 1.5}, id="bounds-footnote-eps"),
+    pytest.param("verify-bounds", {"footnote_pairs": -1}, id="bounds-footnote-pairs"),
 ])
 def test_out_of_range_param_is_config_error(tmp_path, monkeypatch, capsys, task, params):
     _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params)

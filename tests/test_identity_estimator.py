@@ -3,6 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from access_reference import (
+    estimate_identity_sq_literal,
+    sample_stabilizer_state,
+    single_query_plan,
+)
 from isingcert.dynamics import (
     ExperimentLedger,
     NoiseModel,
@@ -21,7 +26,6 @@ from isingcert.identity_estimator import (
 )
 from isingcert.oracle import evolve, identity_coeff
 from isingcert.paulis import PauliString, pauli_to_matrix
-from isingcert.stabilizers import sample_stabilizer_state
 
 P = PauliString.from_label
 HZ = LocalHamiltonian(1, 1, {P("Z"): 1.0})
@@ -98,8 +102,7 @@ def test_plan_path_matches_batched_path_in_distribution():
     fac = make_single_query_factory((QueryStep(theta),), 1)
     led_a, led_b = ExperimentLedger(), ExperimentLedger()
     batched = estimate_identity_sq(fac, HZ, 1, 0.15, 0.1, np.random.default_rng(3), led_a)
-    plans = estimate_identity_sq(fac, HZ, 1, 0.15, 0.1, np.random.default_rng(3), led_b,
-                                 method="plans")
+    plans = estimate_identity_sq_literal(fac, HZ, 1, 0.15, 0.1, np.random.default_rng(3), led_b)
     # same protocol, same ledger costs, both near truth
     assert led_a.snapshot() == led_b.snapshot()
     truth = math.cos(theta) ** 2
@@ -114,7 +117,7 @@ def test_memorylessness_structure():
     from isingcert.stabilizers import enumerate_stabilizer_states
 
     for state in enumerate_stabilizer_states(2)[:8]:
-        plan = fac(state)
+        plan = single_query_plan(fac, state)
         assert plan.logical_queries() == 1
         assert plan.n == 2
         assert plan.measurement == "stabilizer"
@@ -195,10 +198,11 @@ def test_exact_law_matches_plan_path(n):
     raws = {"auto": [], "plans": []}
     for seed in range(seeds):
         ledgers = {}
-        for method in raws:
+        for method, estimate in (("auto", estimate_identity_sq),
+                                 ("plans", estimate_identity_sq_literal)):
             ledgers[method] = ExperimentLedger()
-            est = estimate_identity_sq(fac, h, n, eps, delta, np.random.default_rng(seed),
-                                       ledgers[method], noise=noise, method=method)
+            est = estimate(fac, h, n, eps, delta, np.random.default_rng(seed),
+                           ledgers[method], noise=noise)
             raws[method].append(est.raw_value)
         assert ledgers["auto"].snapshot() == ledgers["plans"].snapshot()
     # both means estimate the same quantity; sigma from the exact hit law
@@ -224,11 +228,3 @@ def test_sampled_stabilizer_states_match_design_n3():
         vals[i] = abs(np.vdot(v, u @ v)) ** 2
     target = design_expectation(abs(identity_coeff(u)) ** 2, n)
     assert abs(vals.mean() - target) <= 4 * vals.std(ddof=1) / math.sqrt(draws)
-
-
-def test_unknown_method_rejected():
-    fac = make_single_query_factory((QueryStep(0.4),), 1)
-    for method in ("plan", "enumerated", ""):
-        with pytest.raises(ValueError, match="unknown method"):
-            estimate_identity_sq(fac, HZ, 1, 0.3, 0.2, np.random.default_rng(0),
-                                 method=method)

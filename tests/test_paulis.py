@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isingcert.paulis import (
     PauliExpansion,
@@ -35,6 +37,32 @@ def test_labels_roundtrip():
     assert p.weight == 3
     assert p.support == (1, 2, 3)
     assert PauliString.identity(4).is_identity()
+
+
+@st.composite
+def pauli_strings(draw):
+    n = draw(st.integers(1, 12))
+    return PauliString(n, draw(st.integers(0, 4**n - 1)))
+
+
+@given(pauli_strings())
+def test_label_round_trip_property(p):
+    label = p.label
+    assert len(label) == p.n and set(label) <= set("IXYZ")
+    assert PauliString.from_label(label) == p
+    support = tuple(i for i, ch in enumerate(label) if ch != "I")
+    assert p.support == support
+    assert p.weight == len(support)
+
+
+_WORDS = st.text("IXYZ", max_size=6)
+
+
+@given(st.just("") | st.builds(lambda a, bad, b: a + bad + b, _WORDS,
+                               st.characters().filter(lambda c: c not in "IXYZ"), _WORDS))
+def test_malformed_label_rejected(label):
+    with pytest.raises(ValueError):
+        PauliString.from_label(label)
 
 
 def test_enumeration_counts():
