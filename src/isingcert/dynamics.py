@@ -135,7 +135,6 @@ class TrotterFragment:
     steps: int
     eps_trott: float
     op_norm_bound: float
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def query_count(self) -> int:
@@ -150,16 +149,9 @@ class TrotterFragment:
         return self.query_count * self.query_time
 
     def realize(self, h_true: LocalHamiltonian) -> np.ndarray:
-        key = id(h_true)
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is h_true:
-            return hit[1]
         a = evolve(h_true, self.t / (2 * self.steps))
         b = evolve(self.h0, -self.t / self.steps)  # e^{+i t H0 / l}
-        v = np.linalg.matrix_power(a @ b @ a, self.steps)
-        self._cache.clear()
-        self._cache[key] = (h_true, v)
-        return v
+        return np.linalg.matrix_power(a @ b @ a, self.steps)
 
 
 def trotter_compile(

@@ -231,7 +231,8 @@ def certify_gibbs(
     batches = mom_batches(config.n, config.k, config.delta)
     est_rho = estimate_paulis(samples_rho, paulis, batches)
     if isinstance(rho0_or_samples, ShadowData):
-        est_rho0 = estimate_paulis(rho0_or_samples, paulis, batches)
+        est_rho0 = (est_rho if rho0_or_samples is samples_rho
+                    else estimate_paulis(rho0_or_samples, paulis, batches))
         m0 = len(rho0_or_samples)
     else:
         est_rho0 = pauli_trace_inners(paulis, np.asarray(rho0_or_samples)).real

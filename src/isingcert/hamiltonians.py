@@ -25,11 +25,12 @@ _GIBBS_CHUNK_BYTES = 2**20
 
 @dataclass(eq=False)
 class LocalHamiltonian:
-    """Traceless k-local Hamiltonian given by real Pauli coefficients."""
+    """Traceless k-local Hamiltonian given by real Pauli coefficients, with a cached spectrum."""
 
     n: int
     k: int
     coeffs: dict[PauliString, float]
+    _spectrum: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         check_size(self.n, self.k)
@@ -58,7 +59,17 @@ class LocalHamiltonian:
 
     def operator_norm(self) -> float:
         """Largest |eigenvalue| of the dense materialization."""
-        return float(np.max(np.abs(oracle.hermitian_eig(self.to_matrix())[0])))
+        return float(np.max(np.abs(self.spectrum()[0])))
+
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (w, v) of `hermitian_eig(to_matrix())`, computed on first use.
+        Sound because `coeffs` is never written after construction: `scaled`
+        and `hamiltonian_sum` return new instances."""
+        if self._spectrum is None:
+            w, v = oracle.hermitian_eig(self.to_matrix())
+            w.flags.writeable = v.flags.writeable = False
+            self._spectrum = (w, v)
+        return self._spectrum
 
     def to_matrix(self) -> np.ndarray:
         return pauli_sum_matrix(self.n, sorted(self.coeffs.items(), key=lambda kv: kv[0].code))
@@ -108,9 +119,9 @@ def check_beta(beta: float) -> None:
 
 
 def gibbs(h: LocalHamiltonian, beta: float) -> GibbsState:
-    """Exact Gibbs state via Hermitian eigendecomposition."""
+    """Exact Gibbs state from the spectrum of h."""
     check_beta(beta)
-    w, v = oracle.hermitian_eig(h.to_matrix())
+    w, v = h.spectrum()
     # shift for numerical stability of the exponentials
     expw = np.exp(-beta * (w - w.min()))
     expw /= expw.sum()

@@ -2,7 +2,7 @@
 power moments, and identity Pauli coefficients.
 
 Every matrix function here goes through one Hermitian eigendecomposition
-kernel so there is a single numerically audited code path.
+kernel, which each LocalHamiltonian runs once, for its cached `spectrum()`.
 """
 
 from __future__ import annotations
@@ -39,12 +39,13 @@ def clip_distribution(probs: np.ndarray) -> np.ndarray:
 
 
 def evolve(h: LocalHamiltonian, t: float) -> np.ndarray:
-    """exp(-i t H) via eigendecomposition; unitary to 1e-10."""
-    return evolve_matrix(h.to_matrix(), t)
+    """exp(-i t H) from the cached spectrum of H; unitary to 1e-10."""
+    w, v = h.spectrum()
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 def evolve_matrix(hmat: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t H) for a dense Hermitian H."""
+    """exp(-i t H) for a dense Hermitian H, by the same formula as `evolve`."""
     w, v = hermitian_eig(hmat)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
@@ -67,7 +68,7 @@ def schatten_moments(h: LocalHamiltonian, ls) -> list[float]:
     ls = list(ls)
     if min(ls) < 2:
         raise ValueError(f"moment orders must be >= 2, got {ls}")
-    w, _ = hermitian_eig(h.to_matrix())
+    w, _ = h.spectrum()
     return [float(np.mean(np.abs(w) ** l) ** (1.0 / l)) for l in ls]
 
 

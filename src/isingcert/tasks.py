@@ -364,14 +364,14 @@ def _gibbs_cert_trial(args) -> dict:
     (config, m, far_states), seed, trial = args
     if far_states is None:
         h = random_hamiltonian(config.n, config.k, trial_rng(seed, trial, 1))
-        # identical states sampled on identical sub-seeds, as the equal-arm
-        # pairing: the two estimate sets then agree exactly
+        # the equal-arm pairing samples one state on one sub-seed key for
+        # both sides: one sample set, drawn and estimated once
         rho = rho0 = gibbs_density(h, config.beta)
         key0, expected = 2, "CLOSE"
     else:
         (rho, rho0), key0, expected = far_states, 3, "FAR"
     samples_a = collect_shadows(rho, m, trial_rng(seed, trial, 2))
-    samples_b = collect_shadows(rho0, m, trial_rng(seed, trial, key0))
+    samples_b = samples_a if key0 == 2 else collect_shadows(rho0, m, trial_rng(seed, trial, key0))
     verdict, report = certify_gibbs(samples_a, samples_b, config)
     return {
         "trial": trial,

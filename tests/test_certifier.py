@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isingcert import constants as con
+from isingcert import oracle
 from isingcert.calibration import certifier_instance
 from isingcert.certifier import (
     CLOSE,
@@ -20,7 +21,7 @@ from isingcert.certifier import (
 from isingcert.dynamics import ExperimentLedger
 from isingcert.errors import BudgetExceededError
 from isingcert.hamiltonians import LocalHamiltonian, hamiltonian_diff, random_hamiltonian
-from isingcert.oracle import identity_coeff, evolve_matrix
+from isingcert.oracle import evolve_matrix, hermitian_eig, identity_coeff
 from isingcert.paulis import PauliString
 
 P = PauliString.from_label
@@ -168,6 +169,25 @@ def test_identical_hamiltonians_close():
     report = certify(h0, h0, config, np.random.default_rng(1))
     assert report.verdict == CLOSE
     assert len(report.levels) == len(IterationSchedule(0.05, 0.1, 1.0).levels)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_certify_diagonalizes_each_hamiltonian_once(n, monkeypatch):
+    calls = []
+
+    def counted(a, tol=1e-8):
+        calls.append(a.shape)
+        return hermitian_eig(a, tol)
+
+    monkeypatch.setattr(oracle, "hermitian_eig", counted)
+    levels = []
+    for eps in (0.2, 0.05):   # one level, then six
+        h0, h = certifier_instance(np.random.SeedSequence((30, n)), n, eps, False)
+        calls.clear()
+        report = certify(h0, h, CertConfig(eps=eps, delta=0.1, c_op=2.0), np.random.default_rng(n))
+        assert calls == [(2**n, 2**n)] * 2
+        levels.append(len(report.levels))
+    assert levels == [1, 6]
 
 
 def test_zero_gap_subroutine_monte_carlo():

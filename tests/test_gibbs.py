@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from isingcert.hamiltonians import (
 )
 from isingcert.oracle import trace_distance
 from isingcert.paulis import PauliString, pauli_trace_inner
-from isingcert.shadows import collect_shadows
+from isingcert.shadows import collect_shadows, estimate_paulis
 
 P = PauliString.from_label
 
@@ -183,6 +184,26 @@ def test_certify_equal_states_same_seed_close():
     verdict, report = certify_gibbs(a, b, cfg)
     assert verdict == "CLOSE"
     assert report.max_gap == 0.0
+
+
+def test_certify_one_sample_set_estimated_once(monkeypatch):
+    h = random_hamiltonian(2, 2, 6)
+    rho = gibbs_density(h, 1.0)
+    cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
+    a = collect_shadows(rho, 5000, np.random.default_rng(78))
+    b = collect_shadows(rho, 5000, np.random.default_rng(78))
+    _, twice = certify_gibbs(a, b, cfg)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return estimate_paulis(*args)
+
+    # the package exports the function `gibbs`, which shadows the module name
+    monkeypatch.setattr(importlib.import_module("isingcert.gibbs"), "estimate_paulis", counted)
+    _, once = certify_gibbs(a, a, cfg)
+    assert len(calls) == 1
+    assert vars(once) == vars(twice)
 
 
 def test_certify_far_states():

@@ -3,9 +3,10 @@
 Each reference below is the loop the package ran before its batched kernel:
 the per-term Pauli scatter, the per-member net Gibbs table, the per-order
 Schatten moment, the per-string trace inner product, the digit loops of
-PauliString and the per-string coefficient draw.  The per-string shadow
-estimator, the kron-loop Born table and rng.choice are the references in
-test_shadows.py.
+PauliString, the per-string coefficient draw, and a fresh eigendecomposition
+per spectral function in place of a Hamiltonian's cached `spectrum()`.  The
+per-string shadow estimator, the kron-loop Born table and rng.choice are the
+references in test_shadows.py.
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 
 import isingcert.hamiltonians as hamiltonians
 import isingcert.oracle as oracle
-from isingcert.hamiltonians import build_net, gibbs, random_hamiltonian
-from isingcert.oracle import hermitian_eig, schatten_moment, schatten_moments
+from isingcert.hamiltonians import build_net, gibbs, hamiltonian_diff, random_hamiltonian
+from isingcert.oracle import evolve, evolve_matrix, hermitian_eig, schatten_moment, schatten_moments
 from isingcert.paulis import (
     PauliString,
     enumerate_local_paulis,
@@ -180,4 +181,47 @@ def test_gibbs_and_operator_norm_use_hermitian_eig(monkeypatch):
     h = random_hamiltonian(2, 2, 700)
     gibbs(h, 0.9)
     h.operator_norm()
+    evolve(h, 0.3)
+    schatten_moments(h, [2, 3])
+    assert calls == [(4, 4)]
+    random_hamiltonian(2, 2, 700).operator_norm()
     assert calls == [(4, 4), (4, 4)]
+
+
+def _hamiltonians(n):
+    # a checked instance and one built through _unchecked (a difference)
+    h = random_hamiltonian(n, 2, 710 + n)
+    return h, hamiltonian_diff(h, random_hamiltonian(n, 2, 720 + n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_evolve_equals_uncached_evolve_matrix(n):
+    for h in _hamiltonians(n):
+        for t in (0.37, -1.9, 0.37):   # the repeat reads the cached spectrum again
+            np.testing.assert_array_equal(evolve(h, t), evolve_matrix(h.to_matrix(), t))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_gibbs_and_moments_equal_uncached_formulas(n):
+    ls = [2, 3, 6]
+    for h in _hamiltonians(n):
+        w, v = hermitian_eig(h.to_matrix())
+        for beta in (0.0, 0.8, 3.0):
+            expw = np.exp(-beta * (w - w.min()))
+            expw /= expw.sum()
+            rho = (v * expw) @ v.conj().T
+            np.testing.assert_array_equal(gibbs(h, beta).rho, 0.5 * (rho + rho.conj().T))
+        literal = [float(np.mean(np.abs(w) ** l) ** (1.0 / l)) for l in ls]
+        assert schatten_moments(h, ls) == literal
+        assert h.operator_norm() == float(np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_cached_spectrum_is_read_only(n):
+    for h in _hamiltonians(n):
+        w, v = h.spectrum()
+        assert h.spectrum()[0] is w and h.spectrum()[1] is v
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
