@@ -279,33 +279,41 @@ class BoundDiagnostics:
         )
 
 
-def pinsker_gap(
-    rho: np.ndarray,
-    rho0: np.ndarray,
-    h: LocalHamiltonian,
-    h0: LocalHamiltonian,
-    beta: float,
-) -> BoundDiagnostics:
-    """Evaluate, with exact dense quantities, the chain
+def bound_diagnostics(rho: np.ndarray, rho0: np.ndarray, dh: np.ndarray, sup_coeff, beta,
+                      n: int, k: int) -> list[BoundDiagnostics]:
+    """Evaluate, with exact dense quantities, for every pair i of the stacks
+    rho, rho0 (m, 2^n, 2^n) of Gibbs states of k-local H, H0 at beta[i],
+    given dh = H0 - H and sup_coeff[i] = sup_P |h_P - h0_P|, the chain
 
     ||rho - rho0||_tr <= sqrt(2 beta Tr[(rho - rho0)(H0 - H)])
                       <= 200 beta n^k sup |h_P - h0_P|   (coefficient form)
     and, for |h_P|, |h0_P| <= 1,
                       <= sqrt(400 beta n^k sup |Tr[P rho] - Tr[P rho0]|).
     """
-    n = h.n
-    k = max(h.k, h0.k)
     lhs = trace_distance(rho, rho0)
-    inner = float(np.trace((rho - rho0) @ (h0.to_matrix() - h.to_matrix())).real)
-    rhs_pinsker = math.sqrt(max(0.0, 2.0 * beta * inner))
+    gap = (rho - rho0) @ dh
+    paulis = enumerate_local_paulis(n, k)
+    sup_state = np.max(np.abs(pauli_trace_inners(paulis, rho).real
+                              - pauli_trace_inners(paulis, rho0).real), axis=-1).tolist()
+    return [
+        BoundDiagnostics(
+            lhs[i],
+            math.sqrt(max(0.0, 2.0 * b * float(np.trace(gap[i]).real))),
+            200.0 * b * n**k * sup_coeff[i],
+            math.sqrt(400.0 * b * n**k * sup_state[i]),
+        )
+        for i, b in enumerate(beta)
+    ]
+
+
+def pinsker_gap(rho: np.ndarray, rho0: np.ndarray, h: LocalHamiltonian, h0: LocalHamiltonian,
+                beta: float) -> BoundDiagnostics:
+    """`bound_diagnostics` of the single pair rho, rho0 of states of h, h0."""
     keys = set(h.coeffs) | set(h0.coeffs)
     sup_coeff = max((abs(h.coeff(p) - h0.coeff(p)) for p in keys), default=0.0)
-    rhs_coeff = 200.0 * beta * n**k * sup_coeff
-    paulis = enumerate_local_paulis(n, k)
-    sup_state = float(np.max(np.abs(
-        pauli_trace_inners(paulis, rho).real - pauli_trace_inners(paulis, rho0).real)))
-    rhs_state = math.sqrt(400.0 * beta * n**k * sup_state)
-    return BoundDiagnostics(lhs, rhs_pinsker, rhs_coeff, rhs_state)
+    dh = h0.to_matrix() - h.to_matrix()
+    return bound_diagnostics(rho[None], rho0[None], dh[None], [sup_coeff], [beta],
+                             h.n, max(h.k, h0.k))[0]
 
 
 def degenerate_regime(config: GibbsCertConfig) -> bool:

@@ -19,8 +19,6 @@ from .paulis import (PauliString, check_size, enumerate_local_paulis, pauli_sum_
                      pauli_to_matrix, pauli_trace_inner)
 
 _COEFF_TOL = 1e-12
-# bytes of one stacked (members, 2^n, 2^n) array in HamiltonianNet.gibbs_coeff_matrix
-_GIBBS_CHUNK_BYTES = 2**20
 
 
 @dataclass(eq=False)
@@ -72,7 +70,8 @@ class LocalHamiltonian:
         return self._spectrum
 
     def to_matrix(self) -> np.ndarray:
-        return pauli_sum_matrix(self.n, sorted(self.coeffs.items(), key=lambda kv: kv[0].code))
+        items = sorted(self.coeffs.items(), key=lambda kv: kv[0].code)
+        return pauli_sum_matrix(self.n, [p for p, _ in items], [a for _, a in items])
 
     def scaled(self, factor: float) -> "LocalHamiltonian":
         return LocalHamiltonian(self.n, self.k, {p: h * factor for p, h in self.coeffs.items()})
@@ -118,16 +117,25 @@ def check_beta(beta: float) -> None:
         raise ValueError(f"beta must be >= 0, got {beta}")
 
 
+def thermal_map(w: np.ndarray, v: np.ndarray, beta) -> np.ndarray:
+    """v exp(-beta (w - min w)) v^dag / Tr, the Gibbs state of each spectrum (w, v)
+    of a stack on its last axes; beta is one value or one per spectrum."""
+    beta = np.asarray(beta)[..., None]
+    expw = np.exp(-beta * (w - w.min(axis=-1, keepdims=True)))
+    expw /= expw.sum(axis=-1, keepdims=True)
+    return (v * expw[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def gibbs_states(w: np.ndarray, v: np.ndarray, beta) -> np.ndarray:
+    """`thermal_map` made exactly Hermitian: (rho + rho^dag) / 2."""
+    rho = thermal_map(w, v, beta)
+    return 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
+
+
 def gibbs(h: LocalHamiltonian, beta: float) -> GibbsState:
     """Exact Gibbs state from the spectrum of h."""
     check_beta(beta)
-    w, v = h.spectrum()
-    # shift for numerical stability of the exponentials
-    expw = np.exp(-beta * (w - w.min()))
-    expw /= expw.sum()
-    rho = (v * expw) @ v.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return GibbsState(beta, h, rho)
+    return GibbsState(beta, h, gibbs_states(*h.spectrum(), beta))
 
 
 def gibbs_density(h: LocalHamiltonian, beta: float) -> np.ndarray:
@@ -281,20 +289,17 @@ class HamiltonianNet:
     def gibbs_coeff_matrix(self, beta: float) -> np.ndarray:
         """(size, |support|) array of Tr[P rho_i] for every member Gibbs state.
 
-        Members go through in chunks of a few MB: a stack of dense member
-        matrices, one batched eigh, the stack of Gibbs states (normalized as
-        in `gibbs`), then one contraction against the support matrices.
+        Members go through in chunks of `oracle.STACK_CHUNK_BYTES`: a stack of
+        dense member matrices, one batched `hermitian_eig`, their `thermal_map`,
+        then one contraction against the support matrices.
         """
         check_beta(beta)
         basis = np.array([pauli_to_matrix(p) for p in self.support])
         out = np.empty((self.size, len(self.support)))
-        chunk = max(1, _GIBBS_CHUNK_BYTES // basis[0].nbytes)
+        chunk = max(1, oracle.STACK_CHUNK_BYTES // basis[0].nbytes)
         for start in range(0, self.size, chunk):
             h = np.tensordot(self.value_matrix(start, start + chunk), basis, axes=1)
-            w, v = np.linalg.eigh(h)
-            expw = np.exp(-beta * (w - w.min(axis=1, keepdims=True)))
-            expw /= expw.sum(axis=1, keepdims=True)
-            rho = (v * expw[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            rho = thermal_map(*oracle.hermitian_eig(h), beta)
             out[start:start + chunk] = np.einsum("sij,cji->cs", basis, rho).real
         return out
 

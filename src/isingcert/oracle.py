@@ -15,15 +15,19 @@ import numpy as np
 if TYPE_CHECKING:
     from .hamiltonians import LocalHamiltonian
 
-HERMITIAN_TOL = 1e-10
+# bytes of one stacked complex array in a batched kernel: (m, 2^n, 2^n)
+# matrices, or the (m, terms, 2^n) weights of a stacked Pauli scatter
+STACK_CHUNK_BYTES = 2**20
 CLIP_TOL = 1e-12  # negative probability mass that clip_distribution takes for rounding
 
 
 def hermitian_eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Shared eigendecomposition kernel; rejects visibly non-Hermitian input."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > tol * max(1.0, np.max(np.abs(a))):
+    """Shared eigendecomposition kernel for one matrix or a stack (..., d, d);
+    rejects input with a visibly non-Hermitian matrix, each judged at its own scale."""
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got {a.shape}")
+    scale = np.maximum(abs(a).max(axis=(-2, -1), keepdims=True), 1.0)
+    if (abs(a - a.conj().swapaxes(-1, -2)) > tol * scale).any():
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigh(a)
 
@@ -50,12 +54,12 @@ def evolve_matrix(hmat: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Trace norm of rho - sigma (sum of singular values)."""
+def trace_distance(rho: np.ndarray, sigma: np.ndarray):
+    """Trace norm of rho - sigma (sum of singular values), one per pair of a stack."""
     if rho.shape != sigma.shape:
         raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
     w, _ = hermitian_eig(rho - sigma)
-    return float(np.sum(np.abs(w)))
+    return np.sum(np.abs(w), axis=-1).tolist()
 
 
 def operator_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -63,13 +67,20 @@ def operator_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b, ord=2))
 
 
-def schatten_moments(h: LocalHamiltonian, ls) -> list[float]:
-    """(Tr[|H|^l] / 2^n)^(1/l) for every order l in `ls`, from one spectrum."""
+def spectral_moments(w: np.ndarray, ls) -> list[list[float]]:
+    """(Tr[|H|^l] / 2^n)^(1/l) for every order l in `ls`, one row per spectrum
+    of the eigenvalue stack w (m, 2^n).  Each root is a scalar power: a
+    power over an array can miss it by an ulp."""
     ls = list(ls)
     if min(ls) < 2:
         raise ValueError(f"moment orders must be >= 2, got {ls}")
-    w, _ = h.spectrum()
-    return [float(np.mean(np.abs(w) ** l) ** (1.0 / l)) for l in ls]
+    means = [np.mean(np.abs(w) ** l, axis=-1) for l in ls]
+    return [[float(mean[i] ** (1.0 / l)) for mean, l in zip(means, ls)] for i in range(len(w))]
+
+
+def schatten_moments(h: LocalHamiltonian, ls) -> list[float]:
+    """(Tr[|H|^l] / 2^n)^(1/l) for every order l in `ls`, from one spectrum."""
+    return spectral_moments(h.spectrum()[0][None], ls)[0]
 
 
 def schatten_moment(h: LocalHamiltonian, l: int) -> float:

@@ -146,29 +146,29 @@ def pauli_phases(p: PauliString) -> tuple[int, np.ndarray]:
     return flip, phases
 
 
-def pauli_sum_matrix(n: int, terms) -> np.ndarray:
-    """Dense sum_j a_j P_j of (P_j, a_j) pairs on n qubits, as one scatter.
-
-    np.bincount adds its weights in input order, so every entry accumulates
-    the terms in the order given, exactly as adding the terms one by one.
+def pauli_sum_matrix(n: int, paulis, coeffs) -> np.ndarray:
+    """Dense sum_j coeffs[..., j] P_j on n qubits, as one scatter; coefficients
+    (m, T) give an (m, 2^n, 2^n) stack.  np.bincount adds its weights in input
+    order, so every entry accumulates the terms in the order given, exactly as
+    adding the terms one by one, and row i is bit-identical to coeffs[i] alone.
     """
-    terms = list(terms)
+    coeffs = np.asarray(coeffs)
     dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    if not terms:
-        return out
-    flips, phases = zip(*(pauli_phases(p) for p, _ in terms))
-    weights = np.array([a for _, a in terms])[:, None] * np.array(phases)
-    cols = np.arange(dim)
-    index = ((cols ^ np.array(flips)[:, None]) * dim + cols).ravel()
-    out.real = np.bincount(index, weights.real.ravel(), dim * dim).reshape(dim, dim)
-    out.imag = np.bincount(index, weights.imag.ravel(), dim * dim).reshape(dim, dim)
+    out = np.zeros((*coeffs.shape[:-1], dim, dim), dtype=complex)
+    if len(paulis):
+        flips, phases = zip(*(pauli_phases(p) for p in paulis))
+        weights = coeffs.reshape(-1, len(paulis), 1) * np.array(phases)
+        cols = np.arange(dim)
+        index = ((cols ^ np.array(flips)[:, None]) * dim + cols
+                 + np.arange(0, out.size, dim * dim)[:, None, None]).ravel()
+        out.real = np.bincount(index, weights.real.ravel(), out.size).reshape(out.shape)
+        out.imag = np.bincount(index, weights.imag.ravel(), out.size).reshape(out.shape)
     return out
 
 
 def pauli_to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a Pauli string."""
-    return pauli_sum_matrix(p.n, [(p, 1.0)])
+    return pauli_sum_matrix(p.n, [p], [1.0])
 
 
 def pauli_matvec(p: PauliString, vec: np.ndarray) -> np.ndarray:
@@ -182,10 +182,14 @@ def pauli_matvec(p: PauliString, vec: np.ndarray) -> np.ndarray:
 
 def pauli_trace_inners(paulis, a: np.ndarray) -> np.ndarray:
     """Tr[P @ a] for every string P, as one gather a[x ^ flip_P, x] times the
-    conjugated phases; each row sum is bit-identical to a one-string sum."""
+    conjugated phases; each row sum is bit-identical to a one-string sum.
+    A stack a (m, d, d) gives (m, len(paulis)), gathered one matrix at a
+    time: a sum over one gather of the whole stack can differ in the last bit."""
     flips, phases = zip(*(pauli_phases(p) for p in paulis))
-    cols = np.arange(a.shape[0])
-    return np.sum(np.conj(phases) * a[cols ^ np.array(flips)[:, None], cols], axis=1)
+    cols = np.arange(a.shape[-1])
+    rows, phases = cols ^ np.array(flips)[:, None], np.conj(phases)
+    sums = [np.sum(phases * x[rows, cols], axis=1) for x in a.reshape(-1, *a.shape[-2:])]
+    return sums[0] if a.ndim == 2 else np.array(sums)
 
 
 def pauli_trace_inner(p: PauliString, a: np.ndarray) -> complex:
@@ -204,7 +208,7 @@ class PauliExpansion:
         return self.coeffs.get(p, 0.0 + 0.0j)
 
     def reconstruct(self) -> np.ndarray:
-        return pauli_sum_matrix(self.n, self.coeffs.items())
+        return pauli_sum_matrix(self.n, list(self.coeffs), list(self.coeffs.values()))
 
     def parseval_sum(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.coeffs.values()))

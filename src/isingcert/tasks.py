@@ -1,8 +1,11 @@
 """Seeded, replayable drivers behind the CLI tasks.
 
 Every trial builds a fresh generator from (seed, trial index) through
-SeedSequence spawn keys, so records are identical whatever the parallelism,
-and reports are canonicalized by trial index.  Each driver builds what every
+SeedSequence spawn keys.  Trials run in contiguous blocks of indices, and a
+record never depends on its block mates, so records are identical whatever
+the parallelism; reports are canonicalized by trial index.  The sweeps run a
+block as stacks of one n: one Pauli scatter, eig and Gibbs map each, where
+the other tasks run trial by trial.  Each driver builds what every
 trial shares (configs, net and its Gibbs table, sample count) once, before
 any trial runs; a ValueError raised there is a ConfigError.  Promise checks
 run against the exact dense oracle and raise PromiseViolationError when an
@@ -14,21 +17,22 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import calibration
+from . import calibration, oracle
 from .certifier import CertConfig, IterationSchedule, certify, evolution_time_bound
 from .constants import SHADOW_SAMPLE_HARD_CAP, constants_ledger
 from .errors import BudgetExceededError, ConfigError, PromiseViolationError
 from .gibbs import (
     GibbsCertConfig,
     GibbsLearnConfig,
+    bound_diagnostics,
     certify_gibbs,
     degenerate_regime,
     learn_gibbs,
-    pinsker_gap,
 )
 from .hamiltonians import (
     LocalHamiltonian,
@@ -36,10 +40,12 @@ from .hamiltonians import (
     check_beta,
     gibbs_density,
     hamiltonian_diff,
+    gibbs_states,
     random_hamiltonian,
 )
-from .oracle import schatten_moments, trace_distance
-from .paulis import LETTERS, PauliString, check_size, enumerate_local_paulis, pauli_trace_inners
+from .oracle import hermitian_eig, spectral_moments, trace_distance
+from .paulis import (LETTERS, PauliString, check_size, enumerate_local_paulis, local_pauli_count,
+                     pauli_sum_matrix, pauli_trace_inners)
 from .shadows import collect_shadows, estimate_all, shadow_budget
 
 SLACK_TOL = -1e-9
@@ -49,16 +55,23 @@ def trial_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _run_trials(trial_fn, shared, trials: int, seed: int, parallelism: int) -> list:
-    """Run trial_fn((shared, seed, t)) for every trial t, in trial order."""
-    args = [(shared, seed, t) for t in range(trials)]
-    if parallelism > 1:
-        # a few chunks per worker: one IPC round trip per trial costs more
-        # than a small trial
-        chunksize = math.ceil(trials / (4 * parallelism))
+def _run_trials(block_fn, shared, trials: int, seed: int, parallelism: int) -> list:
+    """Records of trials 0..trials-1, in trial order, from block_fn((shared,
+    seed, block)) over contiguous ranges of trial indices: one block when
+    serial, a few per worker in parallel (an IPC round trip per trial costs
+    more than a small trial).  A record never depends on its block mates."""
+    if parallelism > 1 and trials:
+        size = math.ceil(trials / (4 * parallelism))
+        blocks = [(shared, seed, range(s, min(s + size, trials))) for s in range(0, trials, size)]
         with ProcessPoolExecutor(max_workers=parallelism) as ex:
-            return list(ex.map(trial_fn, args, chunksize=chunksize))
-    return [trial_fn(a) for a in args]
+            return [r for records in ex.map(block_fn, blocks) for r in records]
+    return block_fn((shared, seed, range(trials)))
+
+
+def _each(trial_fn, args) -> list:
+    """Block adapter of a per-trial function: trial_fn((shared, seed, t)) for t in the block."""
+    shared, seed, block = args
+    return [trial_fn((shared, seed, t)) for t in block]
 
 
 @contextmanager
@@ -98,24 +111,43 @@ def _check_n_range(params: dict) -> None:
     check_size(params["n_max"], params["k"])
 
 
-# ---------------------------------------------------------------- bonami
+# ---------------------------------------------------------------- sweeps
 
-def _bonami_trial(args) -> dict:
-    params, seed, trial = args
-    rng = trial_rng(seed, trial)
-    n = int(rng.integers(params["n_min"], params["n_max"] + 1))
-    h = random_hamiltonian(n, params["k"], rng)
-    frob = h.frobenius_norm()
-    rows = []
-    min_slack = math.inf
-    ls = range(params["l_min"], params["l_max"] + 1)
-    for l, moment in zip(ls, schatten_moments(h, ls)):
-        bound = l ** (params["k"] / 2.0) * frob
-        slack = bound - moment
-        min_slack = min(min_slack, slack)
-        rows.append({"l": l, "moment": moment, "bound": bound, "slack": slack})
-    return {"trial": trial, "n": n, "frobenius": frob,
-            "min_slack": min_slack, "rows": rows}
+def _sweep_stacks(k: int, seed: int, block, key: tuple, draw):
+    """Draw each trial t of `block` from trial_rng(seed, t, *key) as draw(rng) ->
+    (n, beta, r), then r coefficient vectors of random_hamiltonian's "uniform"
+    law.  Yield (n, trials, betas, c (m, r, terms), H (m, r, 2^n, 2^n)) per run
+    of trials of one n, with the run's scatter weights within STACK_CHUNK_BYTES."""
+    groups = {}
+    for t in block:
+        rng = trial_rng(seed, t, *key)
+        n, beta, r = draw(rng)
+        c = rng.uniform(-1.0, 1.0, (r, local_pauli_count(n, k) - 1))
+        groups.setdefault(n, []).append((t, beta, c))
+    for n, group in sorted(groups.items()):
+        r, terms = group[0][2].shape
+        size = max(1, oracle.STACK_CHUNK_BYTES // (16 * r * 2**n * max(2**n, terms)))
+        for start in range(0, len(group), size):
+            trials, betas, c = zip(*group[start:start + size])
+            c = np.array(c)
+            yield n, trials, list(betas), c, pauli_sum_matrix(
+                n, enumerate_local_paulis(n, k, include_identity=False), c)
+
+
+def _bonami_block(args) -> list:
+    params, seed, block = args
+    k, ls = params["k"], range(params["l_min"], params["l_max"] + 1)
+    records = {}
+    for n, trials, _, c, h in _sweep_stacks(k, seed, block, (), lambda rng: (
+            int(rng.integers(params["n_min"], params["n_max"] + 1)), None, 1)):
+        w, _ = hermitian_eig(h[:, 0])
+        for t, moments, sq in zip(trials, spectral_moments(w, ls), (c[:, 0] * c[:, 0]).tolist()):
+            frob = math.sqrt(sum(sq))   # as LocalHamiltonian.frobenius_norm
+            rows = [{"l": l, "moment": m, "bound": l ** (k / 2.0) * frob,
+                     "slack": l ** (k / 2.0) * frob - m} for l, m in zip(ls, moments)]
+            records[t] = {"trial": t, "n": n, "frobenius": frob,
+                          "min_slack": min(row["slack"] for row in rows), "rows": rows}
+    return [records[t] for t in block]
 
 
 def task_verify_bonami(params, trials, seed, parallelism):
@@ -124,7 +156,7 @@ def task_verify_bonami(params, trials, seed, parallelism):
         if not 2 <= params["l_min"] <= params["l_max"]:
             raise ValueError(f"need 2 <= l_min <= l_max, got l_min={params['l_min']}, "
                              f"l_max={params['l_max']}")
-    records = _run_trials(_bonami_trial, params, trials, seed, parallelism)
+    records = _run_trials(_bonami_block, params, trials, seed, parallelism)
     violations = sum(1 for r in records if r["min_slack"] < SLACK_TOL)
     table = [
         [r["trial"], r["n"], row["l"], row["moment"], row["bound"], row["slack"]]
@@ -139,39 +171,36 @@ def task_verify_bonami(params, trials, seed, parallelism):
     return payload, {"moments": (["trial", "n", "l", "moment", "bound", "slack"], table)}
 
 
-# ---------------------------------------------------------------- bounds
-
-def _bounds_trial(args) -> dict:
-    params, seed, trial = args
-    rng = trial_rng(seed, trial)
-    n = int(rng.integers(params["n_min"], params["n_max"] + 1))
+def _bounds_block(args) -> list:
+    params, seed, block = args
     k = params["k"]
-    beta = float(rng.uniform(params["beta_min"], params["beta_max"]))
-    h = random_hamiltonian(n, k, rng)
-    h0 = random_hamiltonian(n, k, rng)
-    diag = pinsker_gap(gibbs_density(h, beta), gibbs_density(h0, beta), h, h0, beta)
-    return {
-        "trial": trial, "n": n, "beta": beta,
-        "lhs": diag.lhs, "rhs_pinsker": diag.rhs_pinsker,
-        "rhs_coeff_sup": diag.rhs_coeff_sup, "rhs_state_sup": diag.rhs_state_sup,
-        "min_slack": min(diag.slacks),
-    }
+    records = {}
+    for n, trials, betas, c, h in _sweep_stacks(k, seed, block, (), lambda rng: (
+            int(rng.integers(params["n_min"], params["n_max"] + 1)),
+            float(rng.uniform(params["beta_min"], params["beta_max"])), 2)):
+        rho = gibbs_states(*hermitian_eig(h), np.array(betas)[:, None])
+        sup_coeff = np.max(np.abs(c[:, 0] - c[:, 1]), axis=1, initial=0.0).tolist()
+        diags = bound_diagnostics(rho[:, 0], rho[:, 1], h[:, 1] - h[:, 0], sup_coeff, betas, n, k)
+        for t, beta, diag in zip(trials, betas, diags):
+            # the fields lhs, rhs_pinsker, rhs_coeff_sup, rhs_state_sup, in order
+            records[t] = {"trial": t, "n": n, "beta": beta, **vars(diag),
+                          "min_slack": min(diag.slacks)}
+    return [records[t] for t in block]
 
 
-def _footnote_trial(args) -> dict:
-    params, seed, trial = args
-    rng = trial_rng(seed, trial, 1)
+def _footnote_block(args) -> list:
+    params, seed, block = args
     n, k, eps = params["footnote_n"], params["k"], params["footnote_eps"]
+    records = {}
     # regime eps^2/(400 beta n^k) >= 2 eps, i.e. beta <= eps / (800 n^k)
-    beta = float(rng.uniform(0.1, 1.0)) * eps / (800.0 * n**k)
-    h = random_hamiltonian(n, k, rng)
-    h0 = random_hamiltonian(n, k, rng)
-    dist = trace_distance(gibbs_density(h, beta), gibbs_density(h0, beta))
-    cfg = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=0.1)
-    return {
-        "trial": trial, "beta": beta, "distance": dist, "bound": eps / 2.0,
-        "regime": degenerate_regime(cfg), "ok": bool(dist <= eps / 2.0),
-    }
+    for _, trials, betas, _, h in _sweep_stacks(k, seed, block, (1,), lambda rng: (
+            n, float(rng.uniform(0.1, 1.0)) * eps / (800.0 * n**k), 2)):
+        rho = gibbs_states(*hermitian_eig(h), np.array(betas)[:, None])
+        for t, beta, dist in zip(trials, betas, trace_distance(rho[:, 0], rho[:, 1])):
+            cfg = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=0.1)
+            records[t] = {"trial": t, "beta": beta, "distance": dist, "bound": eps / 2.0,
+                          "regime": degenerate_regime(cfg), "ok": bool(dist <= eps / 2.0)}
+    return [records[t] for t in block]
 
 
 def task_verify_bounds(params, trials, seed, parallelism):
@@ -186,8 +215,8 @@ def task_verify_bounds(params, trials, seed, parallelism):
             raise ValueError(f"footnote_eps must be in (0, 1), got {params['footnote_eps']}")
         if params["footnote_pairs"] < 0:
             raise ValueError(f"footnote_pairs must be >= 0, got {params['footnote_pairs']}")
-    records = _run_trials(_bounds_trial, params, trials, seed, parallelism)
-    foot = _run_trials(_footnote_trial, params, params["footnote_pairs"], seed, parallelism)
+    records = _run_trials(_bounds_block, params, trials, seed, parallelism)
+    foot = _run_trials(_footnote_block, params, params["footnote_pairs"], seed, parallelism)
     violations = sum(1 for r in records if r["min_slack"] < SLACK_TOL)
     foot_violations = sum(1 for r in foot if not (r["regime"] and r["ok"]))
     payload = {
@@ -255,7 +284,8 @@ def task_certify_dynamics(params, trials, seed, parallelism):
         raise ConfigError(
             f"{arm} arm needs ||H - H0||_F = {gap} below c_frob = {params['c_frob']}"
         )
-    records = _run_trials(_dynamics_trial, (params, config), trials, seed, parallelism)
+    records = _run_trials(partial(_each, _dynamics_trial), (params, config), trials, seed,
+                          parallelism)
     errors = sum(1 for r in records if not r["correct"])
     total_time = [r["ledger"]["total_evolution_time"] for r in records]
     schedule = IterationSchedule(params["eps"], params["delta"], params["c_frob"])
@@ -333,8 +363,8 @@ def task_learn_gibbs(params, trials, seed, parallelism):
         m = None if params.get("exact_estimates") else _resolve_samples(
             params.get("samples"), config.nominal_budget)
         member_coeffs = net.gibbs_coeff_matrix(config.beta)   # the same in every trial
-    records = _run_trials(_learn_trial, (params, config, net, member_coeffs, m), trials,
-                          seed, parallelism)
+    records = _run_trials(partial(_each, _learn_trial), (params, config, net, member_coeffs, m),
+                          trials, seed, parallelism)
     success = sum(1 for r in records if r["within_eps"])
     payload = {
         "task": "learn-gibbs",
@@ -401,7 +431,7 @@ def task_certify_gibbs(params, trials, seed, parallelism):
             raise PromiseViolationError(
                 f"far-arm states are only {dist} apart, need >= {2 * eps}"
             )
-    records = _run_trials(_gibbs_cert_trial, (config, m, far_states), trials, seed,
+    records = _run_trials(partial(_each, _gibbs_cert_trial), (config, m, far_states), trials, seed,
                           parallelism)
     errors = sum(1 for r in records if not r["correct"])
     payload = {
@@ -442,7 +472,8 @@ def task_shadow_estimate(params, trials, seed, parallelism):
         m = _resolve_samples(params.get("samples"),
                              shadow_budget(n, k, params["eps"], params["delta"]))
         paulis = enumerate_local_paulis(n, k)
-    records = _run_trials(_shadow_trial, (params, m, paulis), trials, seed, parallelism)
+    records = _run_trials(partial(_each, _shadow_trial), (params, m, paulis), trials, seed,
+                          parallelism)
     success = sum(1 for r in records if r["all_within_eps"])
     payload = {
         "task": "shadow-estimate",

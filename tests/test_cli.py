@@ -166,6 +166,18 @@ def test_parallel_records_match_serial(tmp_path):
     assert a["footnote_trials"] == b["footnote_trials"]
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_zero_footnote_pairs(tmp_path, parallelism):
+    cfg = {"schema_version": 1, "task": "verify-bounds", "seed": 3, "trials": 3,
+           "parallelism": parallelism, "params": {"footnote_pairs": 0}}
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "verify-bounds.json").read_text())
+    assert report["footnote_trials"] == []
+    assert report["footnote_violations"] == 0
+    assert len(report["trials"]) == 3
+
+
 def test_module_entry_point(tmp_path):
     cfg = {"schema_version": 1, "task": "verify-bonami", "trials": 2,
            "params": {"n_max": 2}}

@@ -12,7 +12,6 @@ references in test_shadows.py.
 import numpy as np
 import pytest
 
-import isingcert.hamiltonians as hamiltonians
 import isingcert.oracle as oracle
 from isingcert.hamiltonians import build_net, gibbs, hamiltonian_diff, random_hamiltonian
 from isingcert.oracle import evolve, evolve_matrix, hermitian_eig, schatten_moment, schatten_moments
@@ -21,6 +20,7 @@ from isingcert.paulis import (
     enumerate_local_paulis,
     expand,
     pauli_phases,
+    pauli_sum_matrix,
     pauli_to_matrix,
     pauli_trace_inner,
     pauli_trace_inners,
@@ -82,6 +82,17 @@ def test_pauli_to_matrix_and_reconstruct_equal_loops(n):
     np.testing.assert_array_equal(e.reconstruct(), reference_reconstruct(e))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_pauli_sum_rows_equal_one_matrix_calls(n):
+    rng = np.random.default_rng(250 + n)
+    paulis = enumerate_local_paulis(n, 2, include_identity=False)
+    coeffs = rng.uniform(-1.0, 1.0, (5, len(paulis)))
+    stack = pauli_sum_matrix(n, paulis, coeffs)
+    assert stack.shape == (5, 2**n, 2**n)
+    for row, matrix in zip(coeffs, stack):
+        np.testing.assert_array_equal(matrix, pauli_sum_matrix(n, paulis, row))
+
+
 def test_pauli_phases_cached_read_only():
     flip, phases = pauli_phases(P("XYZ"))
     assert pauli_phases(P("XYZ"))[1] is phases
@@ -99,7 +110,7 @@ def test_gibbs_table_matches_per_member_states(support, eta, beta, monkeypatch):
     np.testing.assert_allclose(net.gibbs_coeff_matrix(beta), ref, rtol=0, atol=1e-12)
     # chunks of 7 members, so the last chunk is partial
     dim = 2**net.n
-    monkeypatch.setattr(hamiltonians, "_GIBBS_CHUNK_BYTES", 7 * 16 * dim * dim)
+    monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", 7 * 16 * dim * dim)
     np.testing.assert_allclose(net.gibbs_coeff_matrix(beta), ref, rtol=0, atol=1e-12)
 
 
@@ -186,6 +197,18 @@ def test_gibbs_and_operator_norm_use_hermitian_eig(monkeypatch):
     assert calls == [(4, 4)]
     random_hamiltonian(2, 2, 700).operator_norm()
     assert calls == [(4, 4), (4, 4)]
+
+
+def test_gibbs_table_uses_stacked_hermitian_eig(monkeypatch):
+    calls = []
+
+    def counted(a, tol=1e-8):
+        calls.append(a.shape)
+        return hermitian_eig(a, tol)
+
+    monkeypatch.setattr(oracle, "hermitian_eig", counted)
+    build_net([P("ZI"), P("IZ")], 0.5).gibbs_coeff_matrix(1.0)
+    assert calls == [(25, 4, 4)]
 
 
 def _hamiltonians(n):

@@ -24,6 +24,26 @@ def test_hermitian_eig_rejects_nonhermitian():
         hermitian_eig(np.zeros((2, 3)))
 
 
+def test_hermitian_eig_checks_each_matrix_of_a_stack():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    stack = a + np.swapaxes(a.conj(), -1, -2)
+    w, v = hermitian_eig(stack)
+    for i in range(4):
+        np.testing.assert_array_equal(w[i], hermitian_eig(stack[i])[0])
+    bad = stack.copy()
+    bad[2, 0, 1] += 1e-3
+    with pytest.raises(ValueError):
+        hermitian_eig(bad)
+    # each matrix at its own scale: an asymmetry of 1e-3 passes in a matrix
+    # of entries near 1e6, and still fails beside one
+    big = 1e6 * stack[0]
+    big[0, 1] += 1e-3
+    hermitian_eig(big)
+    with pytest.raises(ValueError):
+        hermitian_eig(np.array([big, bad[2]]))
+
+
 def test_evolve_identity_at_zero():
     h = random_hamiltonian(2, 2, 1)
     np.testing.assert_allclose(evolve(h, 0.0), np.eye(4), atol=1e-12)

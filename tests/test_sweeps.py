@@ -1,0 +1,80 @@
+"""Stacked sweep kernels against the literal per-trial references.
+
+Records must be equal (==, not close) whatever the trial's n, the block it
+runs in, the parallelism, and the chunk that its n-group is cut into.
+"""
+
+import numpy as np
+import pytest
+
+import isingcert.oracle as oracle
+import isingcert.tasks as tasks
+from isingcert.gibbs import pinsker_gap
+from isingcert.hamiltonians import gibbs_density, random_hamiltonian
+
+import sweep_reference as ref
+
+BONAMI = {**tasks.TASKS["verify-bonami"].params, "n_min": 2, "n_max": 6, "l_min": 2}
+BOUNDS = {**tasks.TASKS["verify-bounds"].params, "n_min": 2, "n_max": 6}
+
+KERNELS = [
+    pytest.param(tasks._bonami_block, ref.bonami_trial, BONAMI, id="bonami"),
+    pytest.param(tasks._bounds_block, ref.bounds_trial, BOUNDS, id="bounds"),
+    pytest.param(tasks._footnote_block, ref.footnote_trial, {**BOUNDS, "footnote_n": 4},
+                 id="footnote"),
+]
+
+
+def _blocks(block_fn, params, seed, cuts):
+    return [r for a, b in zip(cuts, cuts[1:]) for r in block_fn((params, seed, range(a, b)))]
+
+
+@pytest.mark.parametrize("block_fn, trial_fn, params", KERNELS)
+@pytest.mark.parametrize("seed", [7, 11])
+def test_blocks_equal_literal_trials(block_fn, trial_fn, params, seed):
+    expected = [trial_fn(params, seed, t) for t in range(14)]
+    assert block_fn((params, seed, range(14))) == expected
+    # blocks of size 1, then uneven blocks
+    assert _blocks(block_fn, params, seed, list(range(15))) == expected
+    assert _blocks(block_fn, params, seed, [0, 1, 4, 9, 14]) == expected
+
+
+@pytest.mark.parametrize("block_fn, trial_fn, params", KERNELS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_blocks_at_each_n(block_fn, trial_fn, params, n):
+    params = {**params, "n_min": n, "n_max": n, "footnote_n": n}
+    expected = [trial_fn(params, 3, t) for t in range(4)]
+    assert block_fn((params, 3, range(4))) == expected
+
+
+@pytest.mark.parametrize("block_fn, trial_fn, params", KERNELS)
+@pytest.mark.parametrize("parallelism", [1, 2, 3])
+def test_run_trials_equal_literal_trials(block_fn, trial_fn, params, parallelism):
+    params = {**params, "n_max": 4}
+    expected = [trial_fn(params, 5, t) for t in range(11)]
+    assert tasks._run_trials(block_fn, params, 11, 5, parallelism) == expected
+
+
+@pytest.mark.parametrize("block_fn, trial_fn, params", KERNELS)
+def test_partial_last_chunk(block_fn, trial_fn, params, monkeypatch):
+    # one n-group of 8 trials.  At n=3, k=2 a trial's scatter weights take
+    # 16 * 8 * 36 bytes per matrix, so a chunk holds 3 trials of the bounds'
+    # two matrices and 6 of bonami's one: the last chunk is partial
+    params = {**params, "n_min": 3, "n_max": 3, "footnote_n": 3}
+    monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", 3 * 2 * 16 * 8 * 36)
+    expected = [trial_fn(params, 9, t) for t in range(8)]
+    assert block_fn((params, 9, range(8))) == expected
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 3])
+def test_zero_trials_give_no_records(parallelism):
+    for block_fn in (tasks._bonami_block, tasks._footnote_block):
+        assert tasks._run_trials(block_fn, BOUNDS | BONAMI, 0, 1, parallelism) == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_pinsker_gap_equals_literal_chain(n):
+    rng = np.random.default_rng(40 + n)
+    h, h0 = random_hamiltonian(n, 2, rng), random_hamiltonian(n, 2, rng)
+    rho, rho0 = gibbs_density(h, 0.8), gibbs_density(h0, 0.8)
+    assert pinsker_gap(rho, rho0, h, h0, 0.8) == ref.pinsker_gap(rho, rho0, h, h0, 0.8)
