@@ -146,19 +146,6 @@ class CertReport:
     verdict: str
     levels: list[LevelRecord]
     ledger: dict
-    profile: str
-    config: dict
-    seed: object = None
-
-    def to_payload(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "levels": [vars(r) for r in self.levels],
-            "ledger": self.ledger,
-            "profile": self.profile,
-            "config": self.config,
-            "seed": self.seed,
-        }
 
 
 def certify_subroutine(
@@ -210,13 +197,15 @@ def certify(
     h_true: LocalHamiltonian,
     config: CertConfig,
     rng,
-    seed=None,
 ) -> CertReport:
     """Full certification: iterate the subroutine down the schedule.
 
     Any FAR stops the run with FAR; surviving every level means CLOSE.  For
     the promise gap (<= eps vs >= 12 eps) the verdict is correct with
-    probability >= 1 - delta.
+    probability >= 1 - delta.  Without either promise, FAR still implies
+    ||H - H0||_F >= eps and CLOSE implies ||H - H0||_F <= 12 eps with
+    probability >= 1 - delta.  Returns the verdict, the per-level records
+    and the ledger snapshot.
     """
     rng = np.random.default_rng(rng)
     schedule = IterationSchedule(config.eps, config.delta, config.c_frob)
@@ -231,19 +220,7 @@ def certify(
         records.append(record)
         if verdict == FAR:
             break
-    cfg = {
-        "eps": config.eps, "delta": config.delta, "c_op": config.c_op,
-        "c_frob": config.c_frob, "profile": config.profile,
-        "estimator": config.estimator, "synthetic_noise": config.synthetic_noise,
-        "spam_diamond_budget": config.noise.spam_diamond_budget,
-        "per_query_diamond_budget": config.noise.per_query_diamond_budget,
-        "kappa": con.TROTTER_KAPPA,
-        # holds with probability >= 1 - delta even when neither promise does
-        "unconditional_guarantee": (
-            "FAR implies ||H - H0||_F >= eps; CLOSE implies ||H - H0||_F <= 12 eps"
-        ),
-    }
-    return CertReport(verdict, records, ledger.snapshot(), config.profile, cfg, seed)
+    return CertReport(verdict, records, ledger.snapshot())
 
 
 def evolution_time_bound(config: CertConfig) -> float:

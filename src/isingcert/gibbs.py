@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .hamiltonians import GibbsState, HamiltonianNet, LocalHamiltonian, check_beta, gibbs
+from .hamiltonians import HamiltonianNet, LocalHamiltonian, check_beta, gibbs_density
 from .oracle import trace_distance
 from .paulis import PauliString, check_size, enumerate_local_paulis, pauli_trace_inners
 from .shadows import ShadowData, estimate_paulis, mom_batches, shadow_budget
@@ -87,19 +87,6 @@ class GibbsLearnConfig:
         return shadow_budget(self.n, self.k, self.per_pauli_accuracy, self.delta)
 
 
-@dataclass
-class LearnReport:
-    index: int
-    objective: float
-    estimates: dict
-    eta: float
-    net_size: int
-    support: list
-    samples_used: int
-    nominal_budget: int
-    config: dict
-
-
 def scan_objective(net: HamiltonianNet, coeff_gaps: np.ndarray) -> np.ndarray | float:
     """max_{i,j} |sum_P ((h_i)_P - (h_j)_P) c_P| via the two-scan reduction.
 
@@ -116,50 +103,32 @@ def learn_gibbs(
     samples: ShadowData,
     net: HamiltonianNet,
     config: GibbsLearnConfig,
-    estimates: dict[PauliString, float] | None = None,
+    estimates: np.ndarray | None = None,
     member_coeffs: np.ndarray | None = None,
-) -> tuple[int, GibbsState, LearnReport]:
-    """Pick the net member whose Gibbs state matches the shadow estimates.
+) -> tuple[int, np.ndarray, float]:
+    """Pick the net member whose Gibbs state matches the shadow estimates;
+    returns its index, its dense Gibbs state and its objective.
 
     For each member tau the objective is the pairwise-max deviation between
     the estimated and exact values of the net observables; ties resolve to
-    the lowest member index.  Passing `estimates` (values of Tr[P rho])
-    bypasses the shadow post-processing, e.g. to substitute exact values.
-    `member_coeffs` is `net.gibbs_coeff_matrix(config.beta)`, computed here
-    when not given; callers that learn many times on one net pass it in.
+    the lowest member index.  Passing `estimates` (values of Tr[P rho],
+    aligned with `net.support`) bypasses the shadow post-processing, e.g. to
+    substitute exact values.  `member_coeffs` is
+    `net.gibbs_coeff_matrix(config.beta)`, computed here when not given;
+    callers that learn many times on one net pass it in.
     """
     if config.samples is not None and samples is not None and len(samples) > config.samples:
         raise BudgetExceededError(
             f"{len(samples)} samples exceed the configured budget {config.samples}"
         )
     if estimates is None:
-        batches = mom_batches(config.n, config.k, config.delta)
-        estimates = dict(zip(net.support,
-                             estimate_paulis(samples, net.support, batches).tolist()))
-    est_vec = np.array([estimates[p] for p in net.support])
+        estimates = estimate_paulis(samples, net.support,
+                                    mom_batches(config.n, config.k, config.delta))
     if member_coeffs is None:
         member_coeffs = net.gibbs_coeff_matrix(config.beta)   # rows: Tr[P tau_i]
-    objectives = scan_objective(net, est_vec[None, :] - member_coeffs)
+    objectives = scan_objective(net, estimates[None, :] - member_coeffs)
     index = int(np.argmin(objectives))
-    state = gibbs(net.member(index), config.beta)
-    report = LearnReport(
-        index=index,
-        objective=float(objectives[index]),
-        estimates=dict(estimates),
-        eta=net.eta,
-        net_size=net.size,
-        support=[p.label for p in net.support],
-        samples_used=0 if samples is None else len(samples),
-        nominal_budget=config.nominal_budget,
-        config={
-            "n": config.n, "k": config.k, "beta": config.beta,
-            "eps": config.eps, "delta": config.delta,
-            "eps_prime": config.eps_prime, "obs_accuracy": config.obs_accuracy,
-            "per_pauli_accuracy": config.per_pauli_accuracy,
-            "eta_nominal": config.eta_nominal, "eta_used": config.eta_used,
-        },
-    )
-    return index, state, report
+    return index, gibbs_density(net.member(index), config.beta), float(objectives[index])
 
 
 @dataclass(frozen=True)
@@ -171,7 +140,6 @@ class GibbsCertConfig:
     beta: float
     eps: float
     delta: float
-    samples: int | None = None
 
     def __post_init__(self):
         check_size(self.n, self.k)
@@ -203,26 +171,14 @@ class GibbsCertConfig:
         return shadow_budget(self.n, self.k, self.per_pauli_accuracy, self.delta)
 
 
-@dataclass
-class GibbsCertReport:
-    verdict: str
-    max_gap: float
-    witness: str | None
-    far_threshold: float
-    gaps: dict
-    samples_rho: int
-    samples_rho0: int
-    nominal_budget: int
-    config: dict
-
-
 def certify_gibbs(
     samples_rho: ShadowData,
     rho0_or_samples,
     config: GibbsCertConfig,
-) -> tuple[str, GibbsCertReport]:
+) -> tuple[str, float, PauliString]:
     """FAR iff some weight <= k string separates the two estimate sets by at
-    least 3 eps^2 / (400 beta n^k).
+    least 3 eps^2 / (400 beta n^k); returns the verdict, the max gap and the
+    string attaining it (the lowest-code one among ties).
 
     `rho0_or_samples` is either a ShadowData of the second state or a dense
     density matrix, in which case its exact coefficients replace estimates.
@@ -233,32 +189,12 @@ def certify_gibbs(
     if isinstance(rho0_or_samples, ShadowData):
         est_rho0 = (est_rho if rho0_or_samples is samples_rho
                     else estimate_paulis(rho0_or_samples, paulis, batches))
-        m0 = len(rho0_or_samples)
     else:
         est_rho0 = pauli_trace_inners(paulis, np.asarray(rho0_or_samples)).real
-        m0 = 0
-    gaps = dict(zip(paulis, np.abs(est_rho - est_rho0).tolist()))
-    witness = max(gaps, key=gaps.get)
-    max_gap = gaps[witness]
-    verdict = "FAR" if max_gap >= config.far_threshold else "CLOSE"
-    report = GibbsCertReport(
-        verdict=verdict,
-        max_gap=max_gap,
-        witness=witness.label if verdict == "FAR" else None,
-        far_threshold=config.far_threshold,
-        gaps=gaps,
-        samples_rho=len(samples_rho),
-        samples_rho0=m0,
-        nominal_budget=config.nominal_budget,
-        config={
-            "n": config.n, "k": config.k, "beta": config.beta,
-            "eps": config.eps, "delta": config.delta,
-            "per_pauli_accuracy": config.per_pauli_accuracy,
-            "close_promise": config.close_promise,
-            "far_promise": config.far_promise,
-        },
-    )
-    return verdict, report
+    gaps = np.abs(est_rho - est_rho0)
+    witness = int(np.argmax(gaps))
+    max_gap = float(gaps[witness])
+    return ("FAR" if max_gap >= config.far_threshold else "CLOSE"), max_gap, paulis[witness]
 
 
 @dataclass(frozen=True)

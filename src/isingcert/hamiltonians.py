@@ -191,19 +191,6 @@ def random_hamiltonian(
     return LocalHamiltonian(n, k, coeffs)
 
 
-def round_to_grid(h: float, eta: float) -> float:
-    """Nearest point of (eta Z) intersect [-1,1]; ties go toward zero."""
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    jmax = math.floor(1.0 / eta + 1e-9)
-    a = abs(h) / eta
-    j = math.floor(a + 0.5)
-    if j - a == 0.5:  # exact tie
-        j -= 1
-    j = min(j, jmax)
-    return math.copysign(j * eta, h) if j else 0.0
-
-
 @dataclass(eq=False)
 class HamiltonianNet:
     """Grid family (eta Z intersect [-1,1])^support, enumerable by index."""
@@ -245,40 +232,12 @@ class HamiltonianNet:
     def size(self) -> int:
         return len(self.grid) ** len(self.support)
 
-    def member_values(self, index: int) -> np.ndarray:
-        """Grid values of member `index`, aligned with the support order."""
+    def member(self, index: int) -> LocalHamiltonian:
         if not 0 <= index < self.size:
             raise IndexError(f"member index {index} out of range [0, {self.size})")
-        g = len(self.grid)
-        digits = []
-        for _ in range(len(self.support)):
-            digits.append(index % g)
-            index //= g
-        return self.grid[np.array(list(reversed(digits)))]
-
-    def member(self, index: int) -> LocalHamiltonian:
-        values = self.member_values(index)
+        values = self.value_matrix(index, index + 1)[0]
         coeffs = {p: float(v) for p, v in zip(self.support, values) if v != 0.0}
         return LocalHamiltonian(self.n, self.k, coeffs)
-
-    def index_of_values(self, values) -> int:
-        g = len(self.grid)
-        idx = 0
-        for v in values:
-            j = int(round(v / self.eta)) + (g - 1) // 2
-            if not 0 <= j < g or abs(self.grid[j] - v) > 1e-9:
-                raise ValueError(f"value {v} is not on the grid")
-            idx = idx * g + j
-        return idx
-
-    def round_member_index(self, h: LocalHamiltonian) -> int:
-        """Index of the member obtained by rounding h coefficient-wise."""
-        sup = set(self.support)
-        for p in h.coeffs:
-            if p not in sup:
-                raise ValueError(f"{p} carries weight but is outside the net support")
-        values = [round_to_grid(h.coeff(p), self.eta) for p in self.support]
-        return self.index_of_values(values)
 
     def value_matrix(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Grid values of members start..stop-1 (default: all), one row each."""

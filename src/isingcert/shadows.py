@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import MOM_BATCH_CONSTANT, SHADOW_SAMPLE_CONSTANT
 from .oracle import clip_distribution
-from .paulis import PauliString, enumerate_local_paulis
+from .paulis import PauliString
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _EIGVECS = np.array([
@@ -227,27 +226,3 @@ def shadow_budget(n: int, k: int, eps: float, delta: float) -> int:
     return math.ceil(
         SHADOW_SAMPLE_CONSTANT * 3**k * k * math.log(100.0 * n**k / delta) / eps**2
     )
-
-
-@dataclass(frozen=True)
-class ShadowEstimates:
-    """Simultaneous estimates of Tr[P rho] for every weight <= k string."""
-
-    n: int
-    k: int
-    values: dict[PauliString, float]
-    samples_used: int
-    batches: int
-
-    def value(self, p: PauliString) -> float:
-        return self.values[p]
-
-
-def estimate_all(samples: ShadowData, k: int, delta: float,
-                 batches: int | None = None) -> ShadowEstimates:
-    n = samples.n
-    if batches is None:
-        batches = mom_batches(n, k, delta)
-    paulis = enumerate_local_paulis(n, k)
-    values = dict(zip(paulis, estimate_paulis(samples, paulis, batches).tolist()))
-    return ShadowEstimates(n, k, values, len(samples), batches)

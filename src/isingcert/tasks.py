@@ -15,7 +15,6 @@ instance falls outside its advertised regime.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from typing import Callable, NamedTuple
@@ -46,7 +45,7 @@ from .hamiltonians import (
 from .oracle import hermitian_eig, spectral_moments, trace_distance
 from .paulis import (LETTERS, PauliString, check_size, enumerate_local_paulis, local_pauli_count,
                      pauli_sum_matrix, pauli_trace_inners)
-from .shadows import collect_shadows, estimate_all, shadow_budget
+from .shadows import collect_shadows, estimate_paulis, mom_batches, shadow_budget
 
 SLACK_TOL = -1e-9
 
@@ -63,6 +62,8 @@ def _run_trials(block_fn, shared, trials: int, seed: int, parallelism: int) -> l
     if parallelism > 1 and trials:
         size = math.ceil(trials / (4 * parallelism))
         blocks = [(shared, seed, range(s, min(s + size, trials))) for s in range(0, trials, size)]
+        # imported here, so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=parallelism) as ex:
             return [r for records in ex.map(block_fn, blocks) for r in records]
     return block_fn((shared, seed, range(trials)))
@@ -256,7 +257,7 @@ def _dynamics_trial(args) -> dict:
         raise PromiseViolationError(
             f"close-arm instance has ||dH||_F = {delta_norm} > eps = {eps}"
         )
-    report = certify(h0, h, config, rng, seed=[seed, trial])
+    report = certify(h0, h, config, rng)
     expected = "FAR" if far else "CLOSE"
     return {
         "trial": trial,
@@ -326,23 +327,23 @@ def _learn_trial(args) -> dict:
         truth = LocalHamiltonian(params["n"], params["k"], coeffs)
     rho = gibbs_density(truth, params["beta"])
     if params.get("exact_estimates"):
-        estimates = dict(zip(net.support, pauli_trace_inners(net.support, rho).real.tolist()))
         samples = None
-        index, learned, report = learn_gibbs(None, net, config, estimates=estimates,
-                                             member_coeffs=member_coeffs)
+        index, learned, objective = learn_gibbs(
+            None, net, config, estimates=pauli_trace_inners(net.support, rho).real,
+            member_coeffs=member_coeffs)
     else:
         samples = collect_shadows(rho, m, trial_rng(seed, trial, 1))
-        index, learned, report = learn_gibbs(samples, net, config,
-                                             member_coeffs=member_coeffs)
-    dist = trace_distance(learned.rho, rho)
+        index, learned, objective = learn_gibbs(samples, net, config,
+                                                member_coeffs=member_coeffs)
+    dist = trace_distance(learned, rho)
     rec = {
         "trial": trial,
         "index": index,
-        "objective": report.objective,
+        "objective": objective,
         "distance_oracle_only": dist,
         "within_eps": bool(dist <= params["eps"]),
         "samples_used": 0 if samples is None else len(samples),
-        "nominal_budget": report.nominal_budget,
+        "nominal_budget": config.nominal_budget,
     }
     if truth_index is not None:
         rec["truth_index"] = truth_index
@@ -402,16 +403,16 @@ def _gibbs_cert_trial(args) -> dict:
         (rho, rho0), key0, expected = far_states, 3, "FAR"
     samples_a = collect_shadows(rho, m, trial_rng(seed, trial, 2))
     samples_b = samples_a if key0 == 2 else collect_shadows(rho0, m, trial_rng(seed, trial, key0))
-    verdict, report = certify_gibbs(samples_a, samples_b, config)
+    verdict, max_gap, _ = certify_gibbs(samples_a, samples_b, config)
     return {
         "trial": trial,
         "verdict": verdict,
         "expected": expected,
         "correct": verdict == expected,
-        "max_gap": report.max_gap,
-        "far_threshold": report.far_threshold,
+        "max_gap": max_gap,
+        "far_threshold": config.far_threshold,
         "samples_used": m,
-        "nominal_budget": report.nominal_budget,
+        "nominal_budget": config.nominal_budget,
     }
 
 
@@ -419,8 +420,7 @@ def task_certify_gibbs(params, trials, seed, parallelism):
     arm = _arm(params, ("equal", "far"))
     n, k, beta, eps = params["n"], params["k"], params["beta"], params["eps"]
     with _config_boundary():
-        config = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=params["delta"],
-                                 samples=params.get("samples"))
+        config = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=params["delta"])
         m = _resolve_samples(params.get("samples"), config.nominal_budget)
     far_states = None
     if arm == "far":
@@ -454,14 +454,12 @@ def _shadow_trial(args) -> dict:
     h = random_hamiltonian(params["n"], params["k"], trial_rng(seed, trial, 1))
     rho = gibbs_density(h, params["beta"])
     samples = collect_shadows(rho, m, trial_rng(seed, trial, 2))
-    est = estimate_all(samples, params["k"], params["delta"])
-    exact = pauli_trace_inners(paulis, rho).real.tolist()
-    errors = {p.label: abs(est.value(p) - x) for p, x in zip(paulis, exact)}
-    max_err = max(errors.values())
+    batches = mom_batches(params["n"], params["k"], params["delta"])
+    est = estimate_paulis(samples, paulis, batches)
+    max_err = float(np.max(np.abs(est - pauli_trace_inners(paulis, rho).real)))
     return {
-        "trial": trial, "samples_used": m, "batches": est.batches,
+        "trial": trial, "samples_used": m, "batches": batches,
         "max_abs_error": max_err, "all_within_eps": bool(max_err <= params["eps"]),
-        "errors": errors,
     }
 
 
@@ -480,7 +478,7 @@ def task_shadow_estimate(params, trials, seed, parallelism):
         "success_count": success,
         "success_rate": success / len(records),
         "budget": m,
-        "trials": [{k: v for k, v in r.items() if k != "errors"} for r in records],
+        "trials": records,
     }
     header = ["trial", "samples", "batches", "max_abs_error", "all_within_eps"]
     table = [[r["trial"], r["samples_used"], r["batches"],

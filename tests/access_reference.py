@@ -10,6 +10,7 @@ prepares a uniform stabilizer state and measures in its stabilizer basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,6 +251,40 @@ def estimate_identity_sq_literal(
 
 # ---------------------------------------------------------------- covering net
 
+def round_to_grid(h: float, eta: float) -> float:
+    """Nearest point of (eta Z) intersect [-1,1]; ties go toward zero."""
+    if eta <= 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    jmax = math.floor(1.0 / eta + 1e-9)
+    a = abs(h) / eta
+    j = math.floor(a + 0.5)
+    if j - a == 0.5:  # exact tie
+        j -= 1
+    j = min(j, jmax)
+    return math.copysign(j * eta, h) if j else 0.0
+
+
+def index_of_values(net: HamiltonianNet, values) -> int:
+    """Index of the member with these grid values, aligned with the support."""
+    g = len(net.grid)
+    idx = 0
+    for v in values:
+        j = int(round(v / net.eta)) + (g - 1) // 2
+        if not 0 <= j < g or abs(net.grid[j] - v) > 1e-9:
+            raise ValueError(f"value {v} is not on the grid")
+        idx = idx * g + j
+    return idx
+
+
+def round_member_index(net: HamiltonianNet, h: LocalHamiltonian) -> int:
+    """Index of the member obtained by rounding h coefficient-wise."""
+    sup = set(net.support)
+    for p in h.coeffs:
+        if p not in sup:
+            raise ValueError(f"{p} carries weight but is outside the net support")
+    return index_of_values(net, [round_to_grid(h.coeff(p), net.eta) for p in net.support])
+
+
 @dataclass(frozen=True)
 class CoveringCheck:
     distance: float
@@ -262,7 +297,7 @@ def net_covering_check(h: LocalHamiltonian, net: HamiltonianNet, beta: float) ->
 
     The distance must come out <= 200 beta n^k eta for any admissible h.
     """
-    idx = net.round_member_index(h)
+    idx = round_member_index(net, h)
     rounded = net.member(idx)
     dist = trace_distance(gibbs_density(h, beta), gibbs_density(rounded, beta))
     bound = 200.0 * beta * net.n**net.k * net.eta

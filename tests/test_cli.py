@@ -191,6 +191,17 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "out" / "verify-bonami.json").exists()
 
 
+def test_cli_import_skips_multiprocessing():
+    # only fan-out needs a process pool; serial runs should not pay its import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, isingcert.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_all_names_resolve():
     # a stale __all__ entry breaks `from isingcert import *`
     import isingcert

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from access_reference import net_covering_check
+from access_reference import index_of_values, net_covering_check, round_member_index, round_to_grid
 from isingcert.hamiltonians import (
     LocalHamiltonian,
     build_net,
@@ -11,7 +11,6 @@ from isingcert.hamiltonians import (
     gibbs_density,
     hamiltonian_diff,
     random_hamiltonian,
-    round_to_grid,
 )
 from isingcert.paulis import PauliString, pauli_trace_inner
 
@@ -131,7 +130,10 @@ def test_net_enumeration():
     members = [net.member(i).coeff(P("Z")) for i in range(5)]
     assert members == [-1.0, -0.5, 0.0, 0.5, 1.0]
     for i in range(5):
-        assert net.index_of_values(net.member_values(i)) == i
+        assert index_of_values(net, net.value_matrix(i, i + 1)[0]) == i
+    for i in (-1, 5):
+        with pytest.raises(IndexError):
+            net.member(i)
 
 
 def test_net_budget():
@@ -164,14 +166,15 @@ def test_net_rejects_off_support():
     net = build_net([P("ZI")], 0.5)
     h = LocalHamiltonian(2, 2, {P("XX"): 0.3})
     with pytest.raises(ValueError):
-        net.round_member_index(h)
+        round_member_index(net, h)
 
 
 def test_value_matrix_matches_members():
     net = build_net([P("ZI"), P("IZ")], 0.5)
     vm = net.value_matrix()
     for i in range(net.size):
-        np.testing.assert_allclose(vm[i], net.member_values(i))
+        np.testing.assert_array_equal(vm[i], net.value_matrix(i, i + 1)[0])
+        assert [net.member(i).coeff(p) for p in net.support] == vm[i].tolist()
 
 
 def test_gibbs_coeff_matrix_matches_states():

@@ -9,7 +9,6 @@ from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_trace_in
 from isingcert.shadows import (
     ShadowData,
     collect_shadows,
-    estimate_all,
     estimate_pauli,
     estimate_paulis,
     mom_batches,
@@ -123,9 +122,10 @@ def test_unbiasedness_exact_enumeration():
 def test_estimates_bounded_and_identity_exact():
     rho = gibbs_density(random_hamiltonian(2, 2, 5), 1.0)
     samples = collect_shadows(rho, 2000, np.random.default_rng(6))
-    est = estimate_all(samples, 2, 0.05)
-    assert est.values[P("II")] == 1.0
-    for p, v in est.values.items():
+    paulis = enumerate_local_paulis(2, 2)
+    est = estimate_paulis(samples, paulis, mom_batches(2, 2, 0.05))
+    assert paulis[0] == P("II") and est[0] == 1.0
+    for p, v in zip(paulis, est):
         assert abs(v) <= 3.0 ** p.weight + 1e-12
 
 
@@ -234,9 +234,6 @@ def test_estimate_paulis_equals_per_string_loop(n, k, delta):
             ref = np.array([reference_estimate(samples, p, batches) for p in paulis])
             np.testing.assert_array_equal(estimate_paulis(samples, paulis, batches), ref)
             assert estimate_pauli(samples, paulis[-1], batches) == ref[-1]
-        est = estimate_all(samples, k, delta)
-        ref = [reference_estimate(samples, p, mom_batches(n, k, delta)) for p in paulis]
-        assert [est.value(p) for p in paulis] == ref
 
 
 def kron_joint_distribution(rho, n):
