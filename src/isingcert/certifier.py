@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants as con
-from .dynamics import NO_NOISE, ExperimentLedger, NoiseModel, charge_plan, trotter_compile
+from .dynamics import ExperimentLedger, charge_plan, trotter_compile
 from .hamiltonians import LocalHamiltonian
 from .identity_estimator import estimate_identity_sq, sample_count
 from .oracle import identity_coeff
@@ -86,7 +86,6 @@ class CertConfig:
     profile: str = "calibrated"
     estimator: str = "sampled"      # "sampled" or "oracle"
     synthetic_noise: float = 0.0    # oracle mode: uniform noise amplitude
-    noise: NoiseModel = NO_NOISE
 
     def __post_init__(self):
         if not 0 < self.eps < self.c_frob:
@@ -169,7 +168,7 @@ def certify_subroutine(
     if config.estimator == "sampled":
         est = estimate_identity_sq(
             (fragment,), h_true, h0.n, profile.est_accuracy, delta, rng, ledger,
-            noise=config.noise, max_experiments=con.EXPERIMENT_BUDGET,
+            max_experiments=con.EXPERIMENT_BUDGET,
         )
         value = est.value
         samples = est.samples_used

@@ -31,7 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a JSON run configuration")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--trials", type=int, help="override the trial count")
-    parser.add_argument("--parallelism", type=int, help="worker process count")
     parser.add_argument("--out", help="output directory (default $ISINGCERT_OUT or ./out)")
     parser.add_argument("--profile", choices=["strict", "calibrated"],
                         help="certification profile override (certify-dynamics)")
@@ -68,7 +67,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     if isinstance(raw, dict):
         # overrides go through the same validation as the file's values
-        for key in ("seed", "trials", "parallelism", "out"):
+        for key in ("seed", "trials", "out"):
             val = getattr(args, key)
             if val is not None:
                 raw[key] = val

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .hamiltonians import HamiltonianNet, LocalHamiltonian, check_beta, gibbs_density
 from .oracle import trace_distance
 from .paulis import PauliString, check_size, enumerate_local_paulis, pauli_trace_inners
@@ -28,10 +27,11 @@ from .shadows import ShadowData, estimate_paulis, mom_batches, shadow_budget
 class GibbsLearnConfig:
     """Parameters of the net learner and its derived accuracy targets.
 
-    `eta` and `samples` default to the nominal derivations, which are far
-    beyond desk scale for most parameter choices (the learner is sample- but
-    not time-efficient); explicit overrides keep runs enumerable while the
-    protocol structure stays intact.
+    `eta` defaults to the nominal derivation, which is far beyond desk scale
+    for most parameter choices (the learner is sample- but not
+    time-efficient); an explicit value keeps the net enumerable while the
+    protocol structure stays intact.  The caller picks the sample count;
+    `nominal_budget` is the nominal one.
     """
 
     n: int
@@ -41,7 +41,6 @@ class GibbsLearnConfig:
     delta: float
     support: tuple[PauliString, ...]
     eta: float | None = None
-    samples: int | None = None
 
     def __post_init__(self):
         check_size(self.n, self.k)
@@ -117,10 +116,6 @@ def learn_gibbs(
     `net.gibbs_coeff_matrix(config.beta)`, computed here when not given;
     callers that learn many times on one net pass it in.
     """
-    if config.samples is not None and samples is not None and len(samples) > config.samples:
-        raise BudgetExceededError(
-            f"{len(samples)} samples exceed the configured budget {config.samples}"
-        )
     if estimates is None:
         estimates = estimate_paulis(samples, net.support,
                                     mom_batches(config.n, config.k, config.delta))

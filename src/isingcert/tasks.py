@@ -1,22 +1,22 @@
 """Seeded, replayable drivers behind the CLI tasks.
 
 Every trial builds a fresh generator from (seed, trial index) through
-SeedSequence spawn keys.  Trials run in contiguous blocks of indices, and a
-record never depends on its block mates, so records are identical whatever
-the parallelism; reports are canonicalized by trial index.  The sweeps run a
-block as stacks of one n: one Pauli scatter, eig and Gibbs map each, where
-the other tasks run trial by trial.  Each driver builds what every
-trial shares (configs, net and its Gibbs table, sample count) once, before
-any trial runs; a ValueError raised there is a ConfigError.  Promise checks
-run against the exact dense oracle and raise PromiseViolationError when an
-instance falls outside its advertised regime.
+SeedSequence spawn keys, so a record depends on its own trial index only, and
+reports list the records in trial order.  All trials of a task run in one
+process: the `parallelism` config field is validated and echoed in the
+report, and changes nothing else.  The sweeps run their trials as stacks of
+one n: one Pauli scatter, eig and Gibbs map each, where the other tasks run
+trial by trial.  Each driver builds what every trial shares (configs, net
+and its Gibbs table, sample count) once, before any trial runs; a ValueError
+raised there is a ConfigError.  Promise checks run against the exact dense
+oracle and raise PromiseViolationError when an instance falls outside its
+advertised regime.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,27 +52,6 @@ SLACK_TOL = -1e-9
 
 def trial_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def _run_trials(block_fn, shared, trials: int, seed: int, parallelism: int) -> list:
-    """Records of trials 0..trials-1, in trial order, from block_fn((shared,
-    seed, block)) over contiguous ranges of trial indices: one block when
-    serial, a few per worker in parallel (an IPC round trip per trial costs
-    more than a small trial).  A record never depends on its block mates."""
-    if parallelism > 1 and trials:
-        size = math.ceil(trials / (4 * parallelism))
-        blocks = [(shared, seed, range(s, min(s + size, trials))) for s in range(0, trials, size)]
-        # imported here, so that serial runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=parallelism) as ex:
-            return [r for records in ex.map(block_fn, blocks) for r in records]
-    return block_fn((shared, seed, range(trials)))
-
-
-def _each(trial_fn, args) -> list:
-    """Block adapter of a per-trial function: trial_fn((shared, seed, t)) for t in the block."""
-    shared, seed, block = args
-    return [trial_fn((shared, seed, t)) for t in block]
 
 
 @contextmanager
@@ -113,14 +92,16 @@ def _check_n_range(params: dict) -> None:
 
 
 # ---------------------------------------------------------------- sweeps
+# The kernels take `trials` as a range or list of trial indices, and return
+# their records in that order.
 
-def _sweep_stacks(k: int, seed: int, block, key: tuple, draw):
-    """Draw each trial t of `block` from trial_rng(seed, t, *key) as draw(rng) ->
+def _sweep_stacks(k: int, seed: int, trials, key: tuple, draw):
+    """Draw each trial t of `trials` from trial_rng(seed, t, *key) as draw(rng) ->
     (n, beta, r), then r coefficient vectors of random_hamiltonian's "uniform"
-    law.  Yield (n, trials, betas, c (m, r, terms), H (m, r, 2^n, 2^n)) per run
+    law.  Yield (n, indices, betas, c (m, r, terms), H (m, r, 2^n, 2^n)) per run
     of trials of one n, with the run's scatter weights within STACK_CHUNK_BYTES."""
     groups = {}
-    for t in block:
+    for t in trials:
         rng = trial_rng(seed, t, *key)
         n, beta, r = draw(rng)
         c = rng.uniform(-1.0, 1.0, (r, local_pauli_count(n, k) - 1))
@@ -129,35 +110,34 @@ def _sweep_stacks(k: int, seed: int, block, key: tuple, draw):
         r, terms = group[0][2].shape
         size = max(1, oracle.STACK_CHUNK_BYTES // (16 * r * 2**n * max(2**n, terms)))
         for start in range(0, len(group), size):
-            trials, betas, c = zip(*group[start:start + size])
+            indices, betas, c = zip(*group[start:start + size])
             c = np.array(c)
-            yield n, trials, list(betas), c, pauli_sum_matrix(
+            yield n, indices, list(betas), c, pauli_sum_matrix(
                 n, enumerate_local_paulis(n, k, include_identity=False), c)
 
 
-def _bonami_block(args) -> list:
-    params, seed, block = args
+def _bonami_block(params, seed, trials) -> list:
     k, ls = params["k"], range(params["l_min"], params["l_max"] + 1)
     records = {}
-    for n, trials, _, c, h in _sweep_stacks(k, seed, block, (), lambda rng: (
+    for n, indices, _, c, h in _sweep_stacks(k, seed, trials, (), lambda rng: (
             int(rng.integers(params["n_min"], params["n_max"] + 1)), None, 1)):
         w, _ = hermitian_eig(h[:, 0])
-        for t, moments, sq in zip(trials, spectral_moments(w, ls), (c[:, 0] * c[:, 0]).tolist()):
+        for t, moments, sq in zip(indices, spectral_moments(w, ls), (c[:, 0] * c[:, 0]).tolist()):
             frob = math.sqrt(sum(sq))   # as LocalHamiltonian.frobenius_norm
             rows = [{"l": l, "moment": m, "bound": l ** (k / 2.0) * frob,
                      "slack": l ** (k / 2.0) * frob - m} for l, m in zip(ls, moments)]
             records[t] = {"trial": t, "n": n, "frobenius": frob,
                           "min_slack": min(row["slack"] for row in rows), "rows": rows}
-    return [records[t] for t in block]
+    return [records[t] for t in trials]
 
 
-def task_verify_bonami(params, trials, seed, parallelism):
+def task_verify_bonami(params, trials, seed):
     with _config_boundary():
         _check_n_range(params)
         if not 2 <= params["l_min"] <= params["l_max"]:
             raise ValueError(f"need 2 <= l_min <= l_max, got l_min={params['l_min']}, "
                              f"l_max={params['l_max']}")
-    records = _run_trials(_bonami_block, params, trials, seed, parallelism)
+    records = _bonami_block(params, seed, range(trials))
     violations = sum(1 for r in records if r["min_slack"] < SLACK_TOL)
     table = [
         [r["trial"], r["n"], row["l"], row["moment"], row["bound"], row["slack"]]
@@ -172,39 +152,37 @@ def task_verify_bonami(params, trials, seed, parallelism):
     return payload, {"moments": (["trial", "n", "l", "moment", "bound", "slack"], table)}
 
 
-def _bounds_block(args) -> list:
-    params, seed, block = args
+def _bounds_block(params, seed, trials) -> list:
     k = params["k"]
     records = {}
-    for n, trials, betas, c, h in _sweep_stacks(k, seed, block, (), lambda rng: (
+    for n, indices, betas, c, h in _sweep_stacks(k, seed, trials, (), lambda rng: (
             int(rng.integers(params["n_min"], params["n_max"] + 1)),
             float(rng.uniform(params["beta_min"], params["beta_max"])), 2)):
         rho = gibbs_states(*hermitian_eig(h), np.array(betas)[:, None])
         sup_coeff = np.max(np.abs(c[:, 0] - c[:, 1]), axis=1, initial=0.0).tolist()
         diags = bound_diagnostics(rho[:, 0], rho[:, 1], h[:, 1] - h[:, 0], sup_coeff, betas, n, k)
-        for t, beta, diag in zip(trials, betas, diags):
+        for t, beta, diag in zip(indices, betas, diags):
             # the fields lhs, rhs_pinsker, rhs_coeff_sup, rhs_state_sup, in order
             records[t] = {"trial": t, "n": n, "beta": beta, **vars(diag),
                           "min_slack": min(diag.slacks)}
-    return [records[t] for t in block]
+    return [records[t] for t in trials]
 
 
-def _footnote_block(args) -> list:
-    params, seed, block = args
+def _footnote_block(params, seed, trials) -> list:
     n, k, eps = params["footnote_n"], params["k"], params["footnote_eps"]
     records = {}
     # regime eps^2/(400 beta n^k) >= 2 eps, i.e. beta <= eps / (800 n^k)
-    for _, trials, betas, _, h in _sweep_stacks(k, seed, block, (1,), lambda rng: (
+    for _, indices, betas, _, h in _sweep_stacks(k, seed, trials, (1,), lambda rng: (
             n, float(rng.uniform(0.1, 1.0)) * eps / (800.0 * n**k), 2)):
         rho = gibbs_states(*hermitian_eig(h), np.array(betas)[:, None])
-        for t, beta, dist in zip(trials, betas, trace_distance(rho[:, 0], rho[:, 1])):
+        for t, beta, dist in zip(indices, betas, trace_distance(rho[:, 0], rho[:, 1])):
             cfg = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=0.1)
             records[t] = {"trial": t, "beta": beta, "distance": dist, "bound": eps / 2.0,
                           "regime": degenerate_regime(cfg), "ok": bool(dist <= eps / 2.0)}
-    return [records[t] for t in block]
+    return [records[t] for t in trials]
 
 
-def task_verify_bounds(params, trials, seed, parallelism):
+def task_verify_bounds(params, trials, seed):
     with _config_boundary():
         _check_n_range(params)
         check_beta(params["beta_min"])
@@ -216,8 +194,8 @@ def task_verify_bounds(params, trials, seed, parallelism):
             raise ValueError(f"footnote_eps must be in (0, 1), got {params['footnote_eps']}")
         if params["footnote_pairs"] < 0:
             raise ValueError(f"footnote_pairs must be >= 0, got {params['footnote_pairs']}")
-    records = _run_trials(_bounds_block, params, trials, seed, parallelism)
-    foot = _run_trials(_footnote_block, params, params["footnote_pairs"], seed, parallelism)
+    records = _bounds_block(params, seed, range(trials))
+    foot = _footnote_block(params, seed, range(params["footnote_pairs"]))
     violations = sum(1 for r in records if r["min_slack"] < SLACK_TOL)
     foot_violations = sum(1 for r in foot if not (r["regime"] and r["ok"]))
     payload = {
@@ -240,8 +218,7 @@ def task_verify_bounds(params, trials, seed, parallelism):
 
 # ---------------------------------------------------------------- dynamics
 
-def _dynamics_trial(args) -> dict:
-    (params, config), seed, trial = args
+def _dynamics_trial(params, config, seed, trial) -> dict:
     rng = trial_rng(seed, trial)
     eps = params["eps"]
     far = params["arm"] == "far"
@@ -266,11 +243,11 @@ def _dynamics_trial(args) -> dict:
         "correct": report.verdict == expected,
         "delta_frobenius_oracle_only": delta_norm,
         "ledger": report.ledger,
-        "levels": [vars(r) for r in report.levels],
+        "levels": report.levels,
     }
 
 
-def task_certify_dynamics(params, trials, seed, parallelism):
+def task_certify_dynamics(params, trials, seed):
     arm = _arm(params, ("close", "far"))
     with _config_boundary():
         check_size(params["n"], 2)   # certifier instances are 2-local
@@ -285,8 +262,7 @@ def task_certify_dynamics(params, trials, seed, parallelism):
         raise ConfigError(
             f"{arm} arm needs ||H - H0||_F = {gap} below c_frob = {params['c_frob']}"
         )
-    records = _run_trials(partial(_each, _dynamics_trial), (params, config), trials, seed,
-                          parallelism)
+    records = [_dynamics_trial(params, config, seed, t) for t in range(trials)]
     errors = sum(1 for r in records if not r["correct"])
     total_time = [r["ledger"]["total_evolution_time"] for r in records]
     schedule = IterationSchedule(params["eps"], params["delta"], params["c_frob"])
@@ -310,13 +286,15 @@ def task_certify_dynamics(params, trials, seed, parallelism):
     ]
     header = ["trial", "verdict", "expected", "correct",
               "total_evolution_time", "query_count", "experiment_count"]
-    return payload, {"verdicts": (header, table)}
+    levels = [[r["trial"], *vars(level).values()] for r in records for level in r["levels"]]
+    level_header = ["trial", "level", "eps", "delta", "estimate", "threshold", "verdict",
+                    "samples", "trotter_steps"]   # LevelRecord's fields, in order
+    return payload, {"verdicts": (header, table), "levels": (level_header, levels)}
 
 
 # ---------------------------------------------------------------- learn
 
-def _learn_trial(args) -> dict:
-    (params, config, net, member_coeffs, m), seed, trial = args
+def _learn_trial(params, config, net, member_coeffs, m, seed, trial) -> dict:
     rng = trial_rng(seed, trial)
     if params.get("on_grid"):
         truth_index = int(rng.integers(net.size))
@@ -351,21 +329,21 @@ def _learn_trial(args) -> dict:
     return rec
 
 
-def task_learn_gibbs(params, trials, seed, parallelism):
+def task_learn_gibbs(params, trials, seed):
     with _config_boundary():
         support = tuple(PauliString.from_label(s) for s in params["support"])
         config = GibbsLearnConfig(
             n=params["n"], k=params["k"], beta=params["beta"],
             eps=params["eps"], delta=params["delta"], support=support,
-            eta=params.get("eta"), samples=params.get("samples"),
+            eta=params.get("eta"),
         )
         net = build_net(support, config.eta_used)
         # exact estimates draw no samples, so no sample budget applies
         m = None if params.get("exact_estimates") else _resolve_samples(
             params.get("samples"), config.nominal_budget)
         member_coeffs = net.gibbs_coeff_matrix(config.beta)   # the same in every trial
-    records = _run_trials(partial(_each, _learn_trial), (params, config, net, member_coeffs, m),
-                          trials, seed, parallelism)
+    records = [_learn_trial(params, config, net, member_coeffs, m, seed, t)
+               for t in range(trials)]
     success = sum(1 for r in records if r["within_eps"])
     payload = {
         "task": "learn-gibbs",
@@ -391,8 +369,7 @@ def _zblock_hamiltonian(n: int, k: int, sign: float) -> LocalHamiltonian:
     return LocalHamiltonian(n, k, coeffs)
 
 
-def _gibbs_cert_trial(args) -> dict:
-    (config, m, far_states), seed, trial = args
+def _gibbs_cert_trial(config, m, far_states, seed, trial) -> dict:
     if far_states is None:
         h = random_hamiltonian(config.n, config.k, trial_rng(seed, trial, 1))
         # the equal-arm pairing samples one state on one sub-seed key for
@@ -416,7 +393,7 @@ def _gibbs_cert_trial(args) -> dict:
     }
 
 
-def task_certify_gibbs(params, trials, seed, parallelism):
+def task_certify_gibbs(params, trials, seed):
     arm = _arm(params, ("equal", "far"))
     n, k, beta, eps = params["n"], params["k"], params["beta"], params["eps"]
     with _config_boundary():
@@ -431,8 +408,7 @@ def task_certify_gibbs(params, trials, seed, parallelism):
             raise PromiseViolationError(
                 f"far-arm states are only {dist} apart, need >= {2 * eps}"
             )
-    records = _run_trials(partial(_each, _gibbs_cert_trial), (config, m, far_states), trials, seed,
-                          parallelism)
+    records = [_gibbs_cert_trial(config, m, far_states, seed, t) for t in range(trials)]
     errors = sum(1 for r in records if not r["correct"])
     payload = {
         "task": "certify-gibbs",
@@ -449,8 +425,7 @@ def task_certify_gibbs(params, trials, seed, parallelism):
 
 # ---------------------------------------------------------------- shadows
 
-def _shadow_trial(args) -> dict:
-    (params, m, paulis), seed, trial = args
+def _shadow_trial(params, m, paulis, seed, trial) -> dict:
     h = random_hamiltonian(params["n"], params["k"], trial_rng(seed, trial, 1))
     rho = gibbs_density(h, params["beta"])
     samples = collect_shadows(rho, m, trial_rng(seed, trial, 2))
@@ -463,15 +438,14 @@ def _shadow_trial(args) -> dict:
     }
 
 
-def task_shadow_estimate(params, trials, seed, parallelism):
+def task_shadow_estimate(params, trials, seed):
     n, k = params["n"], params["k"]
     with _config_boundary():
         check_beta(params["beta"])
         m = _resolve_samples(params.get("samples"),
                              shadow_budget(n, k, params["eps"], params["delta"]))
         paulis = enumerate_local_paulis(n, k)
-    records = _run_trials(partial(_each, _shadow_trial), (params, m, paulis), trials, seed,
-                          parallelism)
+    records = [_shadow_trial(params, m, paulis, seed, t) for t in range(trials)]
     success = sum(1 for r in records if r["all_within_eps"])
     payload = {
         "task": "shadow-estimate",
@@ -489,9 +463,10 @@ def task_shadow_estimate(params, trials, seed, parallelism):
 # ---------------------------------------------------------------- dispatch
 
 class Task(NamedTuple):
-    """A CLI task: its driver, default trial count and default params, plus the
-    params it reads only when given.  Each param is typed by its value here;
-    its range is checked where the driver builds its configs."""
+    """A CLI task: its driver (params, trials, seed) -> (payload, tables), its
+    default trial count and default params, plus the params it reads only
+    when given.  Each param is typed by its value here; its range is checked
+    where the driver builds its configs."""
 
     driver: Callable
     trials: int
@@ -526,6 +501,8 @@ TASKS = {
 }
 # params whose null makes the task derive the value (nominal budget or eta)
 NULLABLE_PARAMS = {"samples", "eta"}
+# top-level keys of a schema-1 config; `parallelism` is checked and echoed only
+CONFIG_KEYS = {"schema_version", "task", "seed", "trials", "parallelism", "params", "out"}
 
 
 def run_task(config: dict) -> tuple[dict, dict]:
@@ -535,11 +512,10 @@ def run_task(config: dict) -> tuple[dict, dict]:
     params = {**spec.params, **config.get("params", {})}
     trials = config.get("trials") or spec.trials
     seed = config.get("seed", 0)
-    parallelism = config.get("parallelism", 1)
-    payload, tables = spec.driver(params, trials, seed, parallelism)
+    payload, tables = spec.driver(params, trials, seed)
     payload["resolved_config"] = {
         "task": task, "seed": seed, "trials": trials,
-        "parallelism": parallelism, "params": params,
+        "parallelism": config.get("parallelism", 1), "params": params,
         "schema_version": 1,
     }
     payload["constants"] = constants_ledger()
@@ -549,6 +525,9 @@ def run_task(config: dict) -> tuple[dict, dict]:
 def validate_config(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
+    unknown = set(raw) - CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if raw.get("schema_version") != 1:
         raise ConfigError(f"unsupported schema_version {raw.get('schema_version')!r}")
     task = raw.get("task")

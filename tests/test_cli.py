@@ -1,9 +1,11 @@
+import csv
 import json
 import subprocess
 import sys
 
 import pytest
 
+import isingcert.tasks as tasks
 from isingcert.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_PROMISE, main
 from isingcert.errors import ConfigError
 from isingcert.tasks import validate_config
@@ -13,6 +15,14 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def forbid_trials(monkeypatch):
+    """Fail the test if a trial starts: every trial draws its generator first."""
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the config was rejected")
+
+    monkeypatch.setattr(tasks, "trial_rng", no_trials)
 
 
 def test_constants_ledger_flag(capsys):
@@ -40,19 +50,35 @@ def test_invalid_json(tmp_path):
     assert main(["--config", str(path)]) == EXIT_CONFIG
 
 
-def test_schema_validation_errors(tmp_path):
+def test_schema_validation_errors(tmp_path, monkeypatch):
+    forbid_trials(monkeypatch)
+    bonami = {"schema_version": 1, "task": "verify-bonami", "params": {"n_max": 2}}
     cases = [
         {"task": "verify-bonami"},                                   # no version
         {"schema_version": 1, "task": "unknown-task"},
         {"schema_version": 1, "task": "verify-bonami", "seed": -1},
         {"schema_version": 1, "task": "verify-bonami", "params": {"bogus": 1}},
         {"schema_version": 1, "task": "verify-bonami", "params": "x"},
+        {**bonami, "parallelism": 0},
+        {**bonami, "parallelism": "2"},
+        {**bonami, "parallelism": True},
     ]
     for i, raw in enumerate(cases):
         path = write_config(tmp_path, raw, f"c{i}.json")
-        assert main(["--config", path]) == EXIT_CONFIG
+        assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError):
         validate_config({"schema_version": 2, "task": "verify-bonami"})
+
+
+def test_unknown_config_key_is_config_error(tmp_path, monkeypatch, capsys):
+    forbid_trials(monkeypatch)
+    path = write_config(tmp_path, {"schema_version": 1, "task": "verify-bonami", "trails": 2,
+                                   "params": {"n_max": 2}})
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir)]) == EXIT_CONFIG
+    assert "unknown config keys: ['trails']" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_budget_overrun_exit_code(tmp_path):
@@ -84,12 +110,7 @@ def test_promise_violation_exit_code(tmp_path):
 
 def test_far_arm_gap_beyond_c_frob_is_config_error(tmp_path, monkeypatch, capsys):
     # 12 eps = 1.08 >= c_frob = 1: no far-arm instance exists
-    import isingcert.tasks as tasks
-
-    def no_trials(*args):
-        raise AssertionError("a trial ran before the config was rejected")
-
-    monkeypatch.setattr(tasks, "_run_trials", no_trials)
+    forbid_trials(monkeypatch)
     cfg = {"schema_version": 1, "task": "certify-dynamics", "trials": 2,
            "params": {"arm": "far", "n": 2, "eps": 0.09}}
     path = write_config(tmp_path, cfg)
@@ -154,16 +175,32 @@ def test_reports_byte_identical_across_runs(tmp_path):
 
 
 def test_parallel_records_match_serial(tmp_path):
-    base = {"schema_version": 1, "task": "verify-bounds", "seed": 3, "trials": 6,
-            "params": {"footnote_pairs": 4}}
-    p_serial = write_config(tmp_path, {**base, "parallelism": 1}, "s.json")
-    p_par = write_config(tmp_path, {**base, "parallelism": 2}, "p.json")
-    assert main(["--config", p_serial, "--out", str(tmp_path / "s")]) == EXIT_OK
-    assert main(["--config", p_par, "--out", str(tmp_path / "p")]) == EXIT_OK
-    a = json.loads((tmp_path / "s" / "verify-bounds.json").read_text())
-    b = json.loads((tmp_path / "p" / "verify-bounds.json").read_text())
-    assert a["trials"] == b["trials"]
-    assert a["footnote_trials"] == b["footnote_trials"]
+    # `parallelism` is echoed in resolved_config and changes nothing else
+    small = {
+        "certify-dynamics": {"arm": "far"},
+        "learn-gibbs": {"samples": 2000},
+        "certify-gibbs": {"samples": 2000},
+        "verify-bonami": {"n_max": 3},
+        "verify-bounds": {"footnote_pairs": 4},
+        "shadow-estimate": {"samples": 2000},
+    }
+    for task, params in small.items():
+        base = {"schema_version": 1, "task": task, "seed": 4, "trials": 3, "params": params}
+        files = {}
+        for par in (1, 2):
+            out = tmp_path / f"{task}-{par}"
+            path = write_config(tmp_path, {**base, "parallelism": par}, f"{task}-{par}.json")
+            assert main(["--config", path, "--out", str(out)]) == EXIT_OK
+            files[par] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert files[1].keys() == files[2].keys()
+        for name, data in files[1].items():
+            if name.endswith(".json"):
+                a, b = json.loads(data), json.loads(files[2][name])
+                assert a["resolved_config"].pop("parallelism") == 1
+                assert b["resolved_config"].pop("parallelism") == 2
+                assert a == b, task
+            else:
+                assert data == files[2][name], name
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
@@ -191,15 +228,21 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "out" / "verify-bonami.json").exists()
 
 
-def test_cli_import_skips_multiprocessing():
-    # only fan-out needs a process pool; serial runs should not pay its import
+def test_cli_import_skips_multiprocessing(tmp_path):
+    # trials run in one process, at any parallelism: no process pool is loaded
+    path = write_config(tmp_path, {"schema_version": 1, "task": "verify-bonami", "trials": 4,
+                                   "parallelism": 2, "params": {"n_max": 3}})
+    loaded = "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, isingcert.cli; print('multiprocessing' in sys.modules)"],
+         f"import sys, isingcert.cli; {loaded}; isingcert.cli.main(sys.argv[1:]); {loaded}",
+         "--config", path, "--out", str(tmp_path / "out")],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.splitlines()
+    assert (tmp_path / "out" / "verify-bonami.json").exists()
+    assert lines[0] == lines[-1] == "False False"
 
 
 def test_all_names_resolve():
@@ -210,28 +253,8 @@ def test_all_names_resolve():
     assert not missing
 
 
-def test_chunked_parallel_records_match_serial(tmp_path):
-    # 19 trials at parallelism 2 go out in chunks of 3, the last one partial
-    base = {"schema_version": 1, "task": "verify-bonami", "seed": 4, "trials": 19,
-            "params": {"n_max": 3}}
-    for name, par in (("s", 1), ("p", 2)):
-        path = write_config(tmp_path, {**base, "parallelism": par}, f"{name}.json")
-        assert main(["--config", path, "--out", str(tmp_path / name)]) == EXIT_OK
-    a = json.loads((tmp_path / "s" / "verify-bonami.json").read_text())
-    b = json.loads((tmp_path / "p" / "verify-bonami.json").read_text())
-    assert [r["trial"] for r in b["trials"]] == list(range(19))
-    assert a["trials"] == b["trials"]
-    assert ((tmp_path / "s" / "verify-bonami_moments.csv").read_bytes()
-            == (tmp_path / "p" / "verify-bonami_moments.csv").read_bytes())
-
-
 def _override_is_rejected(tmp_path, monkeypatch, capsys, flag, value):
-    import isingcert.tasks as tasks
-
-    def no_trials(*args):
-        raise AssertionError("a trial ran before the override was rejected")
-
-    monkeypatch.setattr(tasks, "_run_trials", no_trials)
+    forbid_trials(monkeypatch)
     cfg = {"schema_version": 1, "task": "verify-bonami", "trials": 3,
            "params": {"n_max": 2}}
     path = write_config(tmp_path, cfg)
@@ -246,7 +269,16 @@ def test_trials_override_zero_is_config_error(tmp_path, monkeypatch, capsys):
 
 
 def test_parallelism_override_zero_is_config_error(tmp_path, monkeypatch, capsys):
-    _override_is_rejected(tmp_path, monkeypatch, capsys, "--parallelism", "0")
+    # --parallelism is no longer a flag: argparse refuses it with exit code 2
+    forbid_trials(monkeypatch)
+    path = write_config(tmp_path, {"schema_version": 1, "task": "verify-bonami", "trials": 3,
+                                   "params": {"n_max": 2}})
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", path, "--out", str(out_dir), "--parallelism", "0"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --parallelism 0" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_negative_seed_override_is_config_error(tmp_path, monkeypatch, capsys):
@@ -254,12 +286,7 @@ def test_negative_seed_override_is_config_error(tmp_path, monkeypatch, capsys):
 
 
 def _param_is_rejected(tmp_path, monkeypatch, capsys, task, params, name):
-    import isingcert.tasks as tasks
-
-    def no_trials(*args):
-        raise AssertionError("a trial ran before the params were rejected")
-
-    monkeypatch.setattr(tasks, "_run_trials", no_trials)
+    forbid_trials(monkeypatch)
     path = write_config(tmp_path, {"schema_version": 1, "task": task, "trials": 1,
                                    "params": params})
     out_dir = tmp_path / "out"
@@ -279,9 +306,7 @@ def test_string_for_integer_param_is_config_error(tmp_path, monkeypatch, capsys)
 
 
 def test_param_the_task_ignores_is_config_error(tmp_path, monkeypatch, capsys):
-    import isingcert.tasks as tasks
-
-    monkeypatch.setattr(tasks, "_run_trials", None)
+    forbid_trials(monkeypatch)
     path = write_config(tmp_path, {"schema_version": 1, "task": "certify-dynamics",
                                    "trials": 1, "params": {"eta": 0.25}})
     assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
@@ -289,12 +314,7 @@ def test_param_the_task_ignores_is_config_error(tmp_path, monkeypatch, capsys):
 
 
 def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags=()):
-    import isingcert.tasks as tasks
-
-    def no_trials(*args):
-        raise AssertionError("a trial ran before the config was rejected")
-
-    monkeypatch.setattr(tasks, "_run_trials", no_trials)
+    forbid_trials(monkeypatch)
     path = write_config(tmp_path, {"schema_version": 1, "task": task, "trials": 2,
                                    "params": params})
     out_dir = tmp_path / "out"
@@ -343,20 +363,6 @@ def test_profile_flag_on_task_without_profile_is_config_error(tmp_path, monkeypa
                               ("--profile", "strict"))
 
 
-def test_learn_parallel_records_match_serial(tmp_path):
-    # the config and the net built once per task go to the workers by pickle
-    base = {"schema_version": 1, "task": "learn-gibbs", "seed": 6, "trials": 4,
-            "params": {"samples": 2000}}
-    for name, par in (("s", 1), ("p", 2)):
-        path = write_config(tmp_path, {**base, "parallelism": par}, f"{name}.json")
-        assert main(["--config", path, "--out", str(tmp_path / name)]) == EXIT_OK
-    a = json.loads((tmp_path / "s" / "learn-gibbs.json").read_text())
-    b = json.loads((tmp_path / "p" / "learn-gibbs.json").read_text())
-    assert a["trials"] == b["trials"]
-    assert ((tmp_path / "s" / "learn-gibbs_learned.csv").read_bytes()
-            == (tmp_path / "p" / "learn-gibbs_learned.csv").read_bytes())
-
-
 @pytest.mark.parametrize("task, params", [
     pytest.param("shadow-estimate", {"beta": -1.0}, id="shadow-beta"),
     pytest.param("learn-gibbs", {"n": 13}, id="learn-n"),
@@ -385,3 +391,29 @@ def test_learn_gibbs_table_computed_once_per_task(tmp_path, monkeypatch):
                                        "params": {"samples": 500, **extra}}, f"{name}.json")
         assert main(["--config", path, "--out", str(tmp_path / name)]) == EXIT_OK
     assert calls == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("arm", ["close", "far"])
+def test_dynamics_levels_table(tmp_path, arm):
+    cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": 8, "trials": 4,
+           "params": {"arm": arm}}
+    out_dir = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out_dir)]) == EXIT_OK
+    report = json.loads((out_dir / f"certify-dynamics_{arm}.json").read_text())
+    with open(out_dir / f"certify-dynamics_{arm}_levels.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["trial", "level", "eps", "delta", "estimate", "threshold",
+                             "verdict", "samples", "trotter_steps"]
+    big_l = report["schedule_levels"] - 1
+    for trial in report["trials"]:
+        mine = [r for r in rows if int(r["trial"]) == trial["trial"]]
+        # levels run from L down; a CLOSE trial passes them all, a FAR one
+        # stops at its first FAR level
+        assert [int(r["level"]) for r in mine] == list(range(big_l, big_l - len(mine), -1))
+        assert [r["verdict"] for r in mine[:-1]] == ["CLOSE"] * (len(mine) - 1)
+        assert mine[-1]["verdict"] == trial["verdict"]
+        if trial["verdict"] == "CLOSE":
+            assert len(mine) == report["schedule_levels"]
+    assert sorted({int(r["trial"]) for r in rows}) == [t["trial"] for t in report["trials"]]
+    # the arm's own verdict, so its row pattern is exercised
+    assert any(t["verdict"] == arm.upper() for t in report["trials"])

@@ -147,17 +147,6 @@ def test_learn_accepts_beta_zero():
     np.testing.assert_allclose(state, np.eye(2) / 2, atol=1e-12)
 
 
-def test_learn_budget_guard():
-    from isingcert.errors import BudgetExceededError
-
-    cfg = _learn_config(samples=10)
-    net = build_net(cfg.support, 0.5)
-    rho = gibbs_density(random_hamiltonian(2, 2, 1), 1.0)
-    samples = collect_shadows(rho, 100, np.random.default_rng(0))
-    with pytest.raises(BudgetExceededError):
-        learn_gibbs(samples, net, cfg)
-
-
 def test_cert_config_thresholds():
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
     assert cfg.per_pauli_accuracy == pytest.approx(0.09 / 3200)

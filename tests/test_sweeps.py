@@ -1,7 +1,7 @@
 """Stacked sweep kernels against the literal per-trial references.
 
-Records must be equal (==, not close) whatever the trial's n, the block it
-runs in, the parallelism, and the chunk that its n-group is cut into.
+Records must be equal (==, not close) whatever the trial's n, the block of
+trial indices it runs in, and the chunk that its n-group is cut into.
 """
 
 import numpy as np
@@ -26,14 +26,19 @@ KERNELS = [
 
 
 def _blocks(block_fn, params, seed, cuts):
-    return [r for a, b in zip(cuts, cuts[1:]) for r in block_fn((params, seed, range(a, b)))]
+    return [r for a, b in zip(cuts, cuts[1:]) for r in block_fn(params, seed, range(a, b))]
+
+
+def _even_blocks(block_fn, params, seed, trials, blocks):
+    """Records of trials 0..trials-1 from `blocks` contiguous blocks of near-equal size."""
+    return _blocks(block_fn, params, seed, [trials * i // blocks for i in range(blocks + 1)])
 
 
 @pytest.mark.parametrize("block_fn, trial_fn, params", KERNELS)
 @pytest.mark.parametrize("seed", [7, 11])
 def test_blocks_equal_literal_trials(block_fn, trial_fn, params, seed):
     expected = [trial_fn(params, seed, t) for t in range(14)]
-    assert block_fn((params, seed, range(14))) == expected
+    assert block_fn(params, seed, range(14)) == expected
     # blocks of size 1, then uneven blocks
     assert _blocks(block_fn, params, seed, list(range(15))) == expected
     assert _blocks(block_fn, params, seed, [0, 1, 4, 9, 14]) == expected
@@ -44,15 +49,15 @@ def test_blocks_equal_literal_trials(block_fn, trial_fn, params, seed):
 def test_blocks_at_each_n(block_fn, trial_fn, params, n):
     params = {**params, "n_min": n, "n_max": n, "footnote_n": n}
     expected = [trial_fn(params, 3, t) for t in range(4)]
-    assert block_fn((params, 3, range(4))) == expected
+    assert block_fn(params, 3, range(4)) == expected
 
 
 @pytest.mark.parametrize("block_fn, trial_fn, params", KERNELS)
-@pytest.mark.parametrize("parallelism", [1, 2, 3])
-def test_run_trials_equal_literal_trials(block_fn, trial_fn, params, parallelism):
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_run_trials_equal_literal_trials(block_fn, trial_fn, params, blocks):
     params = {**params, "n_max": 4}
     expected = [trial_fn(params, 5, t) for t in range(11)]
-    assert tasks._run_trials(block_fn, params, 11, 5, parallelism) == expected
+    assert _even_blocks(block_fn, params, 5, 11, blocks) == expected
 
 
 @pytest.mark.parametrize("block_fn, trial_fn, params", KERNELS)
@@ -63,13 +68,13 @@ def test_partial_last_chunk(block_fn, trial_fn, params, monkeypatch):
     params = {**params, "n_min": 3, "n_max": 3, "footnote_n": 3}
     monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", 3 * 2 * 16 * 8 * 36)
     expected = [trial_fn(params, 9, t) for t in range(8)]
-    assert block_fn((params, 9, range(8))) == expected
+    assert block_fn(params, 9, range(8)) == expected
 
 
-@pytest.mark.parametrize("parallelism", [1, 2, 3])
-def test_zero_trials_give_no_records(parallelism):
-    for block_fn in (tasks._bonami_block, tasks._footnote_block):
-        assert tasks._run_trials(block_fn, BOUNDS | BONAMI, 0, 1, parallelism) == []
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_zero_trials_give_no_records(blocks):
+    for block_fn in (tasks._bonami_block, tasks._bounds_block, tasks._footnote_block):
+        assert _even_blocks(block_fn, BOUNDS | BONAMI, 1, 0, blocks) == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
