@@ -33,8 +33,14 @@ def hermitian_eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
 
 
 def clip_distribution(probs: np.ndarray) -> np.ndarray:
-    """Born probabilities with rounding-level negatives clipped, renormalized;
-    more than CLIP_TOL of negative mass means a non-PSD state: ValueError."""
+    """Born probabilities with rounding-level negatives clipped, renormalized.
+
+    A total off 1 by more than sqrt(eps) (a state without unit trace), or
+    more than CLIP_TOL of negative mass (a non-PSD state), is a ValueError.
+    """
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= np.sqrt(np.finfo(float).eps):
+        raise ValueError(f"state does not have unit trace: probabilities sum to {total:.6g}")
     negative = -float(probs[probs < 0].sum())
     if negative > CLIP_TOL:
         raise ValueError(f"state is not PSD: negative probability mass {negative:.3g}")

@@ -10,6 +10,7 @@ it unbiased with a fixed denominator; aggregation is median of means.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -89,21 +90,22 @@ def _joint_distribution(rho: np.ndarray, n: int) -> np.ndarray:
 
 def _draw_indices(probs: np.ndarray, m: int, rng) -> np.ndarray:
     """rng.choice(len(probs), size=m, p=probs): the same checks, indices and
-    generator state.  Every u in guide bucket j maps into [edges[j],
-    edges[j + 1]], so the binary search runs only where those differ; u and
-    the cdf are scaled by a power of two, which is exact.
+    generator state.  u and the cdf are scaled by a power of two, which is
+    exact, and every u in guide bucket j maps into [edges[j], edges[j + 1]],
+    with edges[j] the number of cdf entries <= j.  Since cdf[i] <= j exactly
+    when ceil(cdf[i]) <= j, a histogram of the ceilings counts the edges.
+    A bucket whose edges differ holds len(probs): search there.
     """
     if not (np.all(np.isfinite(probs)) and np.all(probs >= 0)
             and abs(probs.sum() - 1.0) <= np.sqrt(np.finfo(float).eps)):
         raise ValueError("probabilities must be finite, nonnegative and sum to 1")
     cdf = probs.cumsum()
-    cdf = cdf / cdf[-1] * _GUIDE_BUCKETS
+    cdf = cdf / cdf[-1] * _GUIDE_BUCKETS   # nondecreasing, ends at exactly 2^14
     u = rng.random(m) * _GUIDE_BUCKETS
-    edges = cdf.searchsorted(np.arange(_GUIDE_BUCKETS + 1), side="right")
-    edges = edges.astype(np.min_scalar_type(len(probs)))   # small gathers
-    bucket = u.astype(np.int16)
-    idx = edges[:-1][bucket]
-    search = np.flatnonzero(idx != edges[1:][bucket])
+    edges = np.bincount(np.ceil(cdf).astype(np.intp), minlength=_GUIDE_BUCKETS + 1).cumsum()
+    guide = np.where(edges[:-1] == edges[1:], edges[:-1], len(probs))
+    idx = guide.astype(np.min_scalar_type(len(probs)))[u.astype(np.int16)]   # small gathers
+    search = np.flatnonzero(idx == len(probs))
     idx[search] = cdf.searchsorted(u[search], side="right")
     return idx
 
@@ -139,9 +141,27 @@ def _value_table(letters: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _half_tables(n: int, codes: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(value table, pick) for each half of the qubits of the strings `codes`:
+    the value table of the distinct half rows, and each string's row in it.
+    Built once per string list, so the arrays are read-only."""
+    letters = np.array([PauliString(n, c).digits() for c in codes], dtype=np.intp).reshape(-1, n)
+    halves = []
+    for part in (letters[:, :n // 2], letters[:, n // 2:]):
+        rows, pick = np.unique(part, axis=0, return_inverse=True)
+        table, pick = _value_table(rows), pick.reshape(-1)
+        table.flags.writeable = pick.flags.writeable = False
+        halves.append((table, pick))
+    return tuple(halves)
+
+
 def estimate_paulis(samples: ShadowData, paulis: Sequence[PauliString],
                     batches: int = 1) -> np.ndarray:
     """Median of means of the single-sample estimator, for every string at once.
+
+    `batches` must be >= 1; more batches than samples are cut to one sample
+    per batch.
 
     A sample's value for a string depends only on its joint index, and it is
     the product of its values on the two halves of the qubits.  So each batch
@@ -166,20 +186,16 @@ def estimate_paulis(samples: ShadowData, paulis: Sequence[PauliString],
         raise ValueError("empty sample list")
     if any(p.n != samples.n for p in paulis):
         raise ValueError(f"every string must act on the samples' {samples.n} qubits")
+    if batches < 1:
+        raise ValueError(f"need at least one batch, got {batches}")
     n, m = samples.n, len(samples)
-    letters = np.array([p.digits() for p in paulis], dtype=np.intp).reshape(-1, n)
-    batches = max(1, min(batches, m))
+    (table_a, pick_a), (table_b, pick_b) = _half_tables(n, tuple(p.code for p in paulis))
+    batches = min(batches, m)
     size, extra = divmod(m, batches)
     sizes = np.full(batches, size)
     sizes[:extra] += 1
     h = n // 2   # qubits 0..h-1 form the first half, h..n-1 the second
-    tables, picks = [], []
-    for part in (letters[:, :h], letters[:, h:]):
-        rows, pick = np.unique(part, axis=0, return_inverse=True)
-        tables.append(_value_table(rows))
-        picks.append(pick.reshape(-1))
-    table_a, table_b = tables
-    if batches * 6**n <= len(letters) * size:
+    if batches * 6**n <= len(paulis) * size:
         batch_of = np.repeat(np.arange(batches) * 6**n, sizes)
         counts = np.bincount(batch_of + samples.index, minlength=batches * 6**n)
         # b 2^n + o with b = (bA, bB) in base 3 and o = (oA, oB) in binary:
@@ -197,7 +213,7 @@ def estimate_paulis(samples: ShadowData, paulis: Sequence[PauliString],
         for b, stop in enumerate(np.cumsum(sizes)):
             pairs[b] = table_a[joint_a[start:stop]].T @ table_b[joint_b[start:stop]]
             start = stop
-    means = pairs[:, picks[0], picks[1]] / sizes[:, None]
+    means = pairs[:, pick_a, pick_b] / sizes[:, None]
     if batches == 1:
         return means[0]
     # the median as np.median takes it (mean of the middle pair), without its

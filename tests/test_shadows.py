@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from isingcert import shadows
 from isingcert.hamiltonians import build_net, gibbs_density, random_hamiltonian
 from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_trace_inner
 from isingcert.shadows import (
@@ -15,6 +16,7 @@ from isingcert.shadows import (
     shadow_budget,
     _EIGVECS,
     _draw_indices,
+    _half_tables,
     _joint_distribution,
 )
 
@@ -199,6 +201,18 @@ def test_empty_samples_rejected():
         collect_shadows(np.eye(2, dtype=complex) / 2, 0, np.random.default_rng(0))
 
 
+def test_batch_count_below_one_rejected_and_above_m_clamped():
+    samples = collect_shadows(np.eye(4, dtype=complex) / 4, 5, np.random.default_rng(0))
+    paulis = enumerate_local_paulis(2, 2)
+    for batches in (0, -3):
+        with pytest.raises(ValueError, match="batch"):
+            estimate_paulis(samples, paulis, batches)
+        with pytest.raises(ValueError, match="batch"):
+            estimate_pauli(samples, P("ZZ"), batches)
+    np.testing.assert_array_equal(estimate_paulis(samples, paulis, 9),
+                                  estimate_paulis(samples, paulis, 5))
+
+
 def test_net_observable_estimates():
     support = (P("ZI"), P("IZ"))
     net = build_net(support, 1.0)  # grid {-1, 0, 1}, 9 members
@@ -276,6 +290,22 @@ def test_joint_distribution_rejects_non_psd_state():
     assert probs.min() == 0.0 and probs.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_non_unit_trace_state_rejected(n):
+    rho = random_density(n, np.random.default_rng(860 + n))
+    for scaled in (2 * rho, rho / 2):
+        with pytest.raises(ValueError, match="unit trace"):
+            _joint_distribution(scaled, n)
+        with pytest.raises(ValueError, match="unit trace"):
+            collect_shadows(scaled, 10, 0)
+    # trace 1 up to rounding still draws, from the table _joint_distribution returns
+    for nearly in (rho * (1 + 1e-12), rho * (1 - 1e-12)):
+        probs = _joint_distribution(nearly, n)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(collect_shadows(nearly, 50, 3).index,
+                                      np.random.default_rng(3).choice(6**n, size=50, p=probs))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_guide_table_draw_equals_rng_choice(n):
     rng = np.random.default_rng(900 + n)
@@ -298,6 +328,29 @@ def test_guide_table_draw_keeps_choice_checks():
             rng.choice(2, size=3, p=p)
         with pytest.raises(ValueError):
             _draw_indices(np.array(p), 3, rng)
+
+
+def random_integer_weights():
+    rng = np.random.default_rng(870)
+    for size in (2, 3, 36, 216, 1296):
+        weights = rng.integers(0, 4, size=size).astype(float)
+        weights[rng.integers(size)] += 1.0   # never all zero
+        yield weights / weights.sum()
+
+
+@pytest.mark.parametrize("p", [
+    [0.25, 0.25, 0.5], [0.5, 0, 0.5], [0, 0.5, 0.5, 0], [2**-14, 1 - 2**-14], [1.0],
+    *random_integer_weights(),
+], ids=lambda p: f"{len(p)}-bins")
+def test_guide_table_draw_at_bucket_edges_equals_rng_choice(p):
+    # the dyadic tables put the 2^14-scaled cdf exactly on bucket edges, the
+    # integer-weight ones mostly between them
+    p = np.array(p, dtype=float)
+    for m in (1, 7, 5000):
+        ours, ref = np.random.default_rng(880 + m), np.random.default_rng(880 + m)
+        np.testing.assert_array_equal(_draw_indices(p, m, ours),
+                                      ref.choice(len(p), size=m, p=p))
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -356,3 +409,23 @@ def test_empty_shadow_file_rejected():
     # what an empty shadow file used to read as: 1-D empty arrays, not (0, n) rows
     with pytest.raises(ValueError, match=r"\(m, n\) rows"):
         ShadowData(np.array([], dtype=np.int8), np.array([], dtype=np.int8))
+
+
+def test_half_tables_built_once_per_string_list(monkeypatch):
+    built = []
+    value_table = shadows._value_table
+    monkeypatch.setattr(shadows, "_value_table", lambda rows: built.append(rows) or value_table(rows))
+    _half_tables.cache_clear()
+    n = 3
+    rho = gibbs_density(random_hamiltonian(n, 2, 890), 0.7)
+    samples = collect_shadows(rho, 1001, np.random.default_rng(891))
+    paulis = enumerate_local_paulis(n, 2)
+    others = [P("XYZ"), P("ZIX"), P("IIY"), P("YYI")]
+    for batches in (1, 6):
+        for strings in (paulis, tuple(paulis), others):
+            ref = np.array([reference_estimate(samples, p, batches) for p in strings])
+            np.testing.assert_array_equal(estimate_paulis(samples, strings, batches), ref)
+    assert len(built) == 4   # two halves of each distinct string list
+    for table, pick in _half_tables(n, tuple(p.code for p in paulis)):
+        assert not table.flags.writeable and not pick.flags.writeable
+    assert len(built) == 4
