@@ -10,12 +10,11 @@ shadows, and the net-based Gibbs learner/certifier.
 from .certifier import CLOSE, FAR, CertConfig, certify, certify_subroutine
 from .dynamics import ExperimentLedger, NoiseModel, trotter_compile
 from .gibbs import GibbsCertConfig, GibbsLearnConfig, certify_gibbs, learn_gibbs, pinsker_gap
-from .hamiltonians import (GibbsState, HamiltonianNet, LocalHamiltonian, build_net, gibbs,
-                           random_hamiltonian)
+from .hamiltonians import HamiltonianNet, LocalHamiltonian, gibbs_density, random_hamiltonian
 from .identity_estimator import estimate_identity_sq
-from .oracle import evolve, identity_coeff, schatten_moment, trace_distance
-from .paulis import PauliExpansion, PauliString, enumerate_local_paulis, expand, pauli_to_matrix, plancherel_inner
-from .shadows import collect_shadows, estimate_pauli, shadow_budget
+from .oracle import evolve, identity_coeff, schatten_moments, trace_distance
+from .paulis import PauliString, enumerate_local_paulis, pauli_to_matrix
+from .shadows import collect_shadows, estimate_paulis, shadow_budget
 from .stabilizers import StabilizerState
 
 __version__ = "0.1.0"
@@ -24,13 +23,11 @@ __all__ = [
     "CLOSE", "FAR", "CertConfig", "certify", "certify_subroutine",
     "ExperimentLedger", "NoiseModel", "trotter_compile",
     "GibbsCertConfig", "GibbsLearnConfig", "certify_gibbs", "learn_gibbs", "pinsker_gap",
-    "GibbsState", "HamiltonianNet", "LocalHamiltonian", "build_net", "gibbs",
-    "random_hamiltonian",
+    "HamiltonianNet", "LocalHamiltonian", "gibbs_density", "random_hamiltonian",
     "estimate_identity_sq",
-    "evolve", "identity_coeff", "schatten_moment", "trace_distance",
-    "PauliExpansion", "PauliString", "enumerate_local_paulis", "expand",
-    "pauli_to_matrix", "plancherel_inner",
-    "collect_shadows", "estimate_pauli", "shadow_budget",
+    "evolve", "identity_coeff", "schatten_moments", "trace_distance",
+    "PauliString", "enumerate_local_paulis", "pauli_to_matrix",
+    "collect_shadows", "estimate_paulis", "shadow_budget",
     "StabilizerState",
     "__version__",
 ]

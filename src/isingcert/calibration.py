@@ -13,7 +13,6 @@ import numpy as np
 
 from .hamiltonians import LocalHamiltonian, hamiltonian_sum, random_hamiltonian
 
-CORPUS_VERSION = 1
 TROTTER_CORPUS_SEED = 20250601
 CERTIFIER_CORPUS_SEED = 20250602
 SHADOW_CORPUS_SEED = 20250603

@@ -98,6 +98,10 @@ class CertConfig:
             raise ValueError(f"unknown profile {self.profile!r}")
         if self.estimator not in ("sampled", "oracle"):
             raise ValueError(f"unknown estimator mode {self.estimator!r}")
+        if self.synthetic_noise < 0:
+            raise ValueError(f"synthetic_noise must be >= 0, got {self.synthetic_noise}")
+        if self.synthetic_noise and self.estimator == "sampled":
+            raise ValueError("synthetic_noise applies only to the oracle estimator")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import TROTTER_KAPPA, TROTTER_STEP_BUDGET
+from .errors import BudgetExceededError
 from .hamiltonians import LocalHamiltonian
 from .oracle import evolve
 
@@ -171,7 +172,7 @@ def trotter_compile(
     c = max(op_norm_bound, 1e-12)
     steps = max(1, math.ceil(kappa * math.sqrt((c * t) ** 3 / eps_trott)))
     if steps > step_budget:
-        raise ValueError(f"fragment needs {steps} steps, over the budget {step_budget}")
+        raise BudgetExceededError(f"fragment needs {steps} steps, over the budget {step_budget}")
     return TrotterFragment(h0, t, steps, eps_trott, op_norm_bound)
 
 

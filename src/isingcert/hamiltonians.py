@@ -16,7 +16,7 @@ import numpy as np
 from . import oracle
 from .constants import NET_ENUMERATION_BUDGET
 from .paulis import (PauliString, check_size, enumerate_local_paulis, pauli_sum_matrix,
-                     pauli_to_matrix, pauli_trace_inner)
+                     pauli_to_matrix)
 
 _COEFF_TOL = 1e-12
 
@@ -98,19 +98,6 @@ def hamiltonian_diff(a: LocalHamiltonian, b: LocalHamiltonian) -> LocalHamiltoni
     return hamiltonian_sum(a, _unchecked(b.n, b.k, {p: -h for p, h in b.coeffs.items()}))
 
 
-@dataclass(eq=False)
-class GibbsState:
-    """Thermal state exp(-beta H)/Tr[exp(-beta H)] with its source."""
-
-    beta: float
-    source: LocalHamiltonian
-    rho: np.ndarray
-
-    def pauli_coeff(self, p: PauliString) -> float:
-        """2^n-free coefficient rho_P = Tr[P rho] / 2^n."""
-        return pauli_trace_inner(p, self.rho).real / 2**self.source.n
-
-
 def check_beta(beta: float) -> None:
     """Raise ValueError unless the inverse temperature beta is >= 0."""
     if beta < 0:
@@ -132,14 +119,10 @@ def gibbs_states(w: np.ndarray, v: np.ndarray, beta) -> np.ndarray:
     return 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
 
 
-def gibbs(h: LocalHamiltonian, beta: float) -> GibbsState:
-    """Exact Gibbs state from the spectrum of h."""
-    check_beta(beta)
-    return GibbsState(beta, h, gibbs_states(*h.spectrum(), beta))
-
-
 def gibbs_density(h: LocalHamiltonian, beta: float) -> np.ndarray:
-    return gibbs(h, beta).rho
+    """Exact Gibbs state exp(-beta H) / Tr[exp(-beta H)] from the spectrum of h."""
+    check_beta(beta)
+    return gibbs_states(*h.spectrum(), beta)
 
 
 def random_hamiltonian(
@@ -261,7 +244,3 @@ class HamiltonianNet:
             rho = thermal_map(*oracle.hermitian_eig(h), beta)
             out[start:start + chunk] = np.einsum("sij,cji->cs", basis, rho).real
         return out
-
-
-def build_net(support, eta: float, budget: int = NET_ENUMERATION_BUDGET) -> HamiltonianNet:
-    return HamiltonianNet(tuple(support), eta, budget)

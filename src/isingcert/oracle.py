@@ -89,11 +89,6 @@ def schatten_moments(h: LocalHamiltonian, ls) -> list[float]:
     return spectral_moments(h.spectrum()[0][None], ls)[0]
 
 
-def schatten_moment(h: LocalHamiltonian, l: int) -> float:
-    """(Tr[|H|^l] / 2^n)^(1/l) from the exact spectrum."""
-    return schatten_moments(h, [l])[0]
-
-
 def identity_coeff(u: np.ndarray) -> complex:
     """Pauli coefficient of the identity string: Tr[U] / 2^n."""
     if u.ndim != 2 or u.shape[0] != u.shape[1]:

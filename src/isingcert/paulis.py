@@ -1,4 +1,4 @@
-"""Pauli strings, enumeration of local strings, and Pauli-basis transforms.
+"""Pauli strings, enumeration of local strings, and their action on matrices.
 
 A Pauli string on n qubits is a word over {I, X, Y, Z}.  Strings are encoded
 base-4 with the letter order I < X < Y < Z, most significant digit first, so
@@ -25,14 +25,6 @@ def check_size(n: int, k: int) -> None:
         raise ValueError(f"n={n} out of supported range [1, {MAX_QUBITS}]")
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range [0, {n}]")
-
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,51 +182,3 @@ def pauli_trace_inners(paulis, a: np.ndarray) -> np.ndarray:
     rows, phases = cols ^ np.array(flips)[:, None], np.conj(phases)
     sums = [np.sum(phases * x[rows, cols], axis=1) for x in a.reshape(-1, *a.shape[-2:])]
     return sums[0] if a.ndim == 2 else np.array(sums)
-
-
-def pauli_trace_inner(p: PauliString, a: np.ndarray) -> complex:
-    """Tr[p @ a] without materializing p, using the flip/phase structure."""
-    return complex(pauli_trace_inners([p], a)[0])
-
-
-@dataclass(frozen=True)
-class PauliExpansion:
-    """Pauli coefficients of an operator: coeffs[P] = Tr[P A] / 2^n."""
-
-    n: int
-    coeffs: dict[PauliString, complex]
-
-    def coeff(self, p: PauliString) -> complex:
-        return self.coeffs.get(p, 0.0 + 0.0j)
-
-    def reconstruct(self) -> np.ndarray:
-        return pauli_sum_matrix(self.n, list(self.coeffs), list(self.coeffs.values()))
-
-    def parseval_sum(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.coeffs.values()))
-
-
-def _qubit_count(a: np.ndarray) -> int:
-    dim = a.shape[0]
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of 2")
-    return n
-
-
-def expand(a: np.ndarray, k: int | None = None) -> PauliExpansion:
-    """Pauli expansion of a dense operator, optionally truncated to weight <= k."""
-    n = _qubit_count(a)
-    dim = 2**n
-    paulis = enumerate_local_paulis(n, n if k is None else k)
-    return PauliExpansion(n, dict(zip(paulis, (pauli_trace_inners(paulis, a) / dim).tolist())))
-
-
-def plancherel_inner(a: PauliExpansion, b: PauliExpansion) -> complex:
-    """sum_P conj(a_P) b_P, which equals Tr[A^dag B] / 2^n."""
-    if a.n != b.n:
-        raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-    keys = set(a.coeffs) & set(b.coeffs)
-    return complex(sum(np.conj(a.coeffs[p]) * b.coeffs[p] for p in keys))

@@ -223,11 +223,6 @@ def estimate_paulis(samples: ShadowData, paulis: Sequence[PauliString],
     return ranked[mid] if batches % 2 else (ranked[mid - 1] + ranked[mid]) / 2
 
 
-def estimate_pauli(samples: ShadowData, p: PauliString, batches: int = 1) -> float:
-    """Median of means of the single-sample estimator over `batches` batches."""
-    return float(estimate_paulis(samples, [p], batches)[0])
-
-
 def mom_batches(n: int, k: int, delta: float) -> int:
     """Batch count 2 ceil(ln(2 * 100 n^k / delta)) for median of means."""
     return MOM_BATCH_CONSTANT * math.ceil(math.log(2.0 * 100.0 * n**k / delta))

@@ -34,8 +34,8 @@ from .gibbs import (
     learn_gibbs,
 )
 from .hamiltonians import (
+    HamiltonianNet,
     LocalHamiltonian,
-    build_net,
     check_beta,
     gibbs_density,
     hamiltonian_diff,
@@ -56,8 +56,9 @@ def trial_rng(seed: int, *key: int) -> np.random.Generator:
 
 @contextmanager
 def _config_boundary():
-    """A ValueError raised while a task builds its configs is a config error;
-    one raised inside a trial keeps its own exit code."""
+    """A ValueError raised while a task builds its configs is a config error.
+    Trials refuse what they cannot run with BudgetExceededError or
+    PromiseViolationError, so a ValueError out of a trial is a fault."""
     try:
         yield
     except ValueError as exc:
@@ -222,9 +223,15 @@ def _dynamics_trial(params, config, seed, trial) -> dict:
     rng = trial_rng(seed, trial)
     eps = params["eps"]
     far = params["arm"] == "far"
-    h0, h = calibration.certifier_instance(
-        trial_rng(seed, trial, 1), params["n"], eps, far, params["c_frob"]
-    )
+    try:
+        h0, h = calibration.certifier_instance(
+            trial_rng(seed, trial, 1), params["n"], eps, far, params["c_frob"]
+        )
+    except ValueError as exc:
+        raise PromiseViolationError(
+            f"trial {trial}: the instance drawn at c_frob = {params['c_frob']} "
+            f"leaves the box |h_P| <= 1: {exc}"
+        ) from exc
     delta_norm = hamiltonian_diff(h, h0).frobenius_norm()
     if far and delta_norm < 12.0 * eps - 1e-9:
         raise PromiseViolationError(
@@ -337,7 +344,7 @@ def task_learn_gibbs(params, trials, seed):
             eps=params["eps"], delta=params["delta"], support=support,
             eta=params.get("eta"),
         )
-        net = build_net(support, config.eta_used)
+        net = HamiltonianNet(support, config.eta_used)
         # exact estimates draw no samples, so no sample budget applies
         m = None if params.get("exact_estimates") else _resolve_samples(
             params.get("samples"), config.nominal_budget)

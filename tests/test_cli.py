@@ -90,6 +90,17 @@ def test_budget_overrun_exit_code(tmp_path):
     assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_BUDGET
 
 
+def test_trotter_step_budget_overrun_exit_code(tmp_path, capsys):
+    # c_op = 1e5 asks one fragment for about 1.3e8 Trotter steps, over the 1e7 budget
+    cfg = {"schema_version": 1, "task": "certify-dynamics", "trials": 1,
+           "params": {"arm": "close", "c_op": 100000.0}}
+    path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir)]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget overrun: fragment needs")
+    assert not out_dir.exists()
+
+
 def test_strict_profile_flag_refused_at_desk_scale(tmp_path):
     cfg = {"schema_version": 1, "task": "certify-dynamics", "trials": 1,
            "params": {"arm": "close"}}
@@ -106,6 +117,18 @@ def test_promise_violation_exit_code(tmp_path):
     }
     path = write_config(tmp_path, cfg)
     assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_PROMISE
+
+
+def test_instance_outside_coefficient_box_exit_code(tmp_path, capsys):
+    # at c_frob = 3 the far-arm gap 12 eps = 2.4 pushes trial 1's XY coefficient past 1
+    cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": 1, "trials": 2,
+           "params": {"arm": "far", "c_frob": 3.0, "eps": 0.2}}
+    path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir)]) == EXIT_PROMISE
+    err = capsys.readouterr().err
+    assert err.startswith("promise violation: trial 1:") and "c_frob = 3.0" in err
+    assert not out_dir.exists()
 
 
 def test_far_arm_gap_beyond_c_frob_is_config_error(tmp_path, monkeypatch, capsys):
@@ -361,6 +384,9 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
     pytest.param("certify-dynamics", {"eps": -1}, id="dynamics-eps"),
     pytest.param("certify-dynamics", {"arm": "nope"}, id="dynamics-arm"),
     pytest.param("certify-dynamics", {"profile": "nope"}, id="dynamics-profile"),
+    pytest.param("certify-dynamics", {"estimator": "oracle", "synthetic_noise": -1.0},
+                 id="dynamics-noise-negative"),
+    pytest.param("certify-dynamics", {"synthetic_noise": 0.1}, id="dynamics-noise-sampled"),
     pytest.param("certify-gibbs", {"beta": 0.0}, id="gibbs-beta"),
     pytest.param("certify-gibbs", {"samples": -5}, id="gibbs-samples"),
     pytest.param("shadow-estimate", {"eps": 1.5}, id="shadow-eps"),

@@ -14,6 +14,7 @@ from isingcert.dynamics import (
     diamond_to_depolarizing,
     trotter_compile,
 )
+from isingcert.errors import BudgetExceededError
 from isingcert.hamiltonians import LocalHamiltonian, random_hamiltonian
 from isingcert.oracle import evolve, evolve_matrix, operator_norm_distance
 from isingcert.paulis import PauliString
@@ -137,7 +138,7 @@ def test_trotter_fragment_cost_and_budget():
     assert frag.evolution_time == pytest.approx(0.8)
     assert frag.query_count == 2 * frag.steps
     assert frag.query_time == pytest.approx(0.8 / (2 * frag.steps))
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceededError):
         trotter_compile(h0, 1.0, 1e-18, 1.0, step_budget=1000)
     with pytest.raises(ValueError):
         trotter_compile(h0, -1.0, 1e-3, 1.0)

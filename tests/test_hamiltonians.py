@@ -5,14 +5,13 @@ import pytest
 
 from access_reference import index_of_values, net_covering_check, round_member_index, round_to_grid
 from isingcert.hamiltonians import (
+    HamiltonianNet,
     LocalHamiltonian,
-    build_net,
-    gibbs,
     gibbs_density,
     hamiltonian_diff,
     random_hamiltonian,
 )
-from isingcert.paulis import PauliString, pauli_trace_inner
+from isingcert.paulis import PauliString, pauli_trace_inners
 
 P = PauliString.from_label
 
@@ -58,12 +57,11 @@ def test_operator_norm_triangle_bound():
 
 def test_gibbs_diagonal_case():
     h = LocalHamiltonian(1, 1, {P("Z"): 1.0})
-    state = gibbs(h, 1.0)
+    rho = gibbs_density(h, 1.0)
     z = math.exp(-1.0) + math.exp(1.0)
-    np.testing.assert_allclose(state.rho, np.diag([math.exp(-1.0), math.exp(1.0)]) / z,
-                               atol=1e-12)
-    # Pauli coefficient: 2 rho_Z = -tanh(1)
-    assert 2 * state.pauli_coeff(P("Z")) == pytest.approx(-math.tanh(1.0))
+    np.testing.assert_allclose(rho, np.diag([math.exp(-1.0), math.exp(1.0)]) / z, atol=1e-12)
+    # Pauli expectation: Tr[Z rho] = -tanh(1)
+    assert pauli_trace_inners([P("Z")], rho)[0].real == pytest.approx(-math.tanh(1.0))
 
 
 def test_gibbs_degenerate_cases():
@@ -72,7 +70,7 @@ def test_gibbs_degenerate_cases():
     zero = LocalHamiltonian(2, 2, {})
     np.testing.assert_allclose(gibbs_density(zero, 2.0), np.eye(4) / 4, atol=1e-12)
     with pytest.raises(ValueError):
-        gibbs(h, -0.1)
+        gibbs_density(h, -0.1)
 
 
 def test_gibbs_positivity_normalization_sweep():
@@ -124,7 +122,7 @@ def test_round_to_grid():
 
 
 def test_net_enumeration():
-    net = build_net([P("Z")], 0.5)
+    net = HamiltonianNet([P("Z")], 0.5)
     assert net.size == 5
     np.testing.assert_allclose(net.grid, [-1, -0.5, 0, 0.5, 1])
     members = [net.member(i).coeff(P("Z")) for i in range(5)]
@@ -138,11 +136,11 @@ def test_net_enumeration():
 
 def test_net_budget():
     with pytest.raises(ValueError):
-        build_net([P("ZI"), P("IZ"), P("ZZ")], 0.001)
+        HamiltonianNet([P("ZI"), P("IZ"), P("ZZ")], 0.001)
 
 
 def test_net_covering_on_grid_is_exact():
-    net = build_net([P("Z")], 0.5)
+    net = HamiltonianNet([P("Z")], 0.5)
     h = LocalHamiltonian(1, 1, {P("Z"): 0.5})
     check = net_covering_check(h, net, 1.0)
     assert check.distance == pytest.approx(0.0, abs=1e-12)
@@ -153,7 +151,7 @@ def test_net_covering_bound_random():
     # off-grid Hamiltonians on {Z1, Z2, Z1Z2}: trace distance <= 200 beta n^k eta
     rng = np.random.default_rng(8)
     support = [P("ZI"), P("IZ"), P("ZZ")]
-    net = build_net(support, 0.25)
+    net = HamiltonianNet(support, 0.25)
     for _ in range(25):
         coeffs = {p: float(rng.uniform(-1, 1)) for p in support}
         h = LocalHamiltonian(2, 2, coeffs)
@@ -163,14 +161,14 @@ def test_net_covering_bound_random():
 
 
 def test_net_rejects_off_support():
-    net = build_net([P("ZI")], 0.5)
+    net = HamiltonianNet([P("ZI")], 0.5)
     h = LocalHamiltonian(2, 2, {P("XX"): 0.3})
     with pytest.raises(ValueError):
         round_member_index(net, h)
 
 
 def test_value_matrix_matches_members():
-    net = build_net([P("ZI"), P("IZ")], 0.5)
+    net = HamiltonianNet([P("ZI"), P("IZ")], 0.5)
     vm = net.value_matrix()
     for i in range(net.size):
         np.testing.assert_array_equal(vm[i], net.value_matrix(i, i + 1)[0])
@@ -178,11 +176,11 @@ def test_value_matrix_matches_members():
 
 
 def test_gibbs_coeff_matrix_matches_states():
-    net = build_net([P("Z")], 0.5)
+    net = HamiltonianNet([P("Z")], 0.5)
     mat = net.gibbs_coeff_matrix(1.3)
     for i in range(net.size):
         rho = gibbs_density(net.member(i), 1.3)
-        assert mat[i, 0] == pytest.approx(pauli_trace_inner(P("Z"), rho).real, abs=1e-12)
+        assert mat[i, 0] == pytest.approx(pauli_trace_inners([P("Z")], rho)[0].real, abs=1e-12)
 
 
 def test_hamiltonian_diff_norm():

@@ -7,15 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isingcert.paulis import (
-    PauliExpansion,
     PauliString,
     enumerate_local_paulis,
-    expand,
     local_pauli_count,
     pauli_matvec,
+    pauli_sum_matrix,
     pauli_to_matrix,
-    pauli_trace_inner,
-    plancherel_inner,
+    pauli_trace_inners,
 )
 
 I2 = np.eye(2)
@@ -138,66 +136,46 @@ def test_matvec_agrees_with_matrix():
 def test_trace_inner_agrees_with_dense():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    for p in enumerate_local_paulis(3, 2):
-        assert abs(pauli_trace_inner(p, a) - np.trace(pauli_to_matrix(p) @ a)) < 1e-10
+    paulis = enumerate_local_paulis(3, 2)
+    for p, inner in zip(paulis, pauli_trace_inners(paulis, a)):
+        assert abs(inner - np.trace(pauli_to_matrix(p) @ a)) < 1e-10
+
+
+# Coefficients Tr[P A] / 2^n over all 4^n strings (I, X, Y, Z for one qubit),
+# summed back with pauli_sum_matrix.
+ONE_QUBIT = enumerate_local_paulis(1, 1)
 
 
 def test_expand_single_string():
-    e = expand(X)
-    assert abs(e.coeff(PauliString.from_label("X")) - 1.0) < 1e-14
-    assert abs(e.coeff(PauliString.from_label("Z"))) < 1e-14
+    coeffs = pauli_trace_inners(ONE_QUBIT, X) / 2
+    np.testing.assert_allclose(coeffs, [0, 1, 0, 0], rtol=0, atol=1e-14)
 
 
 def test_expand_diagonal_exponential():
     t = 0.83
     u = np.diag([np.exp(-1j * t), np.exp(1j * t)])
-    e = expand(u)
-    assert abs(e.coeff(PauliString.from_label("I")) - math.cos(t)) < 1e-12
-    assert abs(e.coeff(PauliString.from_label("Z")) - (-1j * math.sin(t))) < 1e-12
+    coeffs = pauli_trace_inners(ONE_QUBIT, u) / 2
+    np.testing.assert_allclose(coeffs, [math.cos(t), 0, 0, -1j * math.sin(t)], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pauli_sum_matrix(1, ONE_QUBIT, coeffs), u, rtol=0, atol=1e-12)
 
 
 def test_expand_parseval_simple():
-    a = (X + Z) / math.sqrt(2)
-    e = expand(a)
-    assert abs(e.coeff(PauliString.from_label("X")) - 1 / math.sqrt(2)) < 1e-12
-    assert abs(e.coeff(PauliString.from_label("Z")) - 1 / math.sqrt(2)) < 1e-12
-    assert abs(e.parseval_sum() - 1.0) < 1e-12
-
-
-def test_expand_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        expand(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        expand(np.zeros((2, 4)))
+    coeffs = pauli_trace_inners(ONE_QUBIT, (X + Z) / math.sqrt(2)) / 2
+    np.testing.assert_allclose(coeffs, [0, 1 / math.sqrt(2), 0, 1 / math.sqrt(2)],
+                               rtol=0, atol=1e-12)
+    assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) < 1e-12
 
 
 def test_roundtrip_and_parseval_random_corpus():
-    # 200 random operators, n <= 3: expand-reconstruct to 1e-10 and Parseval
+    # 200 random operators, n <= 3: coefficients summed back to 1e-10, and Parseval
     rng = np.random.default_rng(7)
     for trial in range(200):
         n = int(rng.integers(1, 4))
         dim = 2**n
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        e = expand(a)
-        np.testing.assert_allclose(e.reconstruct(), a, atol=1e-10)
+        paulis = enumerate_local_paulis(n, n)
+        assert len(paulis) == dim * dim
+        coeffs = pauli_trace_inners(paulis, a) / dim
+        np.testing.assert_allclose(pauli_sum_matrix(n, paulis, coeffs), a, atol=1e-10)
         frob_sq = np.trace(a.conj().T @ a).real / dim
-        assert abs(e.parseval_sum() - frob_sq) < 1e-10
-
-
-def test_plancherel_matches_trace_formula():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lhs = plancherel_inner(expand(a), expand(b))
-        rhs = np.trace(a.conj().T @ b) / 4
-        assert abs(lhs - rhs) < 1e-10
-
-
-def test_plancherel_orthonormality():
-    ex = expand(X)
-    ez = expand(Z)
-    assert abs(plancherel_inner(ex, ex) - 1.0) < 1e-14
-    assert abs(plancherel_inner(ex, ez)) < 1e-14
-    with pytest.raises(ValueError):
-        plancherel_inner(ex, PauliExpansion(2, {}))
+        assert abs(np.sum(np.abs(coeffs) ** 2) - frob_sq) < 1e-10

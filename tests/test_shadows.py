@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from isingcert import shadows
-from isingcert.hamiltonians import build_net, gibbs_density, random_hamiltonian
-from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_trace_inner
+from isingcert.hamiltonians import HamiltonianNet, gibbs_density, random_hamiltonian
+from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_trace_inners
 from isingcert.shadows import (
     ShadowData,
     collect_shadows,
-    estimate_pauli,
     estimate_paulis,
     mom_batches,
     shadow_budget,
@@ -44,12 +43,6 @@ def reference_estimate(samples, p, batches):
     return float(np.median(means))
 
 
-def member_linear_values(net, coeff_map: dict[PauliString, float]) -> np.ndarray:
-    """f(i) = sum_P (h_i)_P c_P for every net member, vectorized."""
-    c = np.array([coeff_map[p] for p in net.support])
-    return net.value_matrix() @ c
-
-
 def estimate_net_observables(samples: ShadowData, net, batches: int = 1,
                              max_pairs: int = 10**6) -> dict[tuple[int, int], float]:
     """Estimates of Tr[(H_i - H_j) rho] for every net member pair.
@@ -59,8 +52,7 @@ def estimate_net_observables(samples: ShadowData, net, batches: int = 1,
     """
     if net.size**2 > max_pairs:
         raise ValueError(f"net has {net.size}^2 pairs, over the cap {max_pairs}")
-    est = {p: estimate_pauli(samples, p, batches) for p in net.support}
-    f = member_linear_values(net, est)
+    f = net.value_matrix() @ estimate_paulis(samples, net.support, batches)
     return {(i, j): float(f[i] - f[j]) for i in range(net.size) for j in range(net.size)}
 
 
@@ -95,8 +87,7 @@ def test_single_sample_estimator_examples():
     rho = np.diag([1.0, 0.0]).astype(complex)
     samples = collect_shadows(rho, 20000, np.random.default_rng(3))
     # P = Z: expectation 1 (3 * 1/3 * 1); P = X: expectation 0
-    assert estimate_pauli(samples, P("Z")) == pytest.approx(1.0, abs=0.05)
-    assert estimate_pauli(samples, P("X")) == pytest.approx(0.0, abs=0.05)
+    assert estimate_paulis(samples, [P("Z"), P("X")]) == pytest.approx([1.0, 0.0], abs=0.05)
 
 
 def test_unbiasedness_exact_enumeration():
@@ -114,10 +105,9 @@ def test_unbiasedness_exact_enumeration():
             rows_b.append([(b // 3 ** (n - 1 - i)) % 3 for i in range(n)])
             rows_o.append([1 - 2 * ((o >> (n - 1 - i)) & 1) for i in range(n)])
         full = ShadowData(np.array(rows_b, dtype=np.int8), np.array(rows_o, dtype=np.int8))
-        for p in enumerate_local_paulis(n, n):
-            vals = single_sample_values(full, p)
-            expectation = float(np.dot(vals, probs))
-            truth = pauli_trace_inner(p, rho).real
+        paulis = enumerate_local_paulis(n, n)
+        for p, truth in zip(paulis, pauli_trace_inners(paulis, rho).real):
+            expectation = float(np.dot(single_sample_values(full, p), probs))
             assert expectation == pytest.approx(truth, abs=1e-10)
 
 
@@ -135,11 +125,11 @@ def test_random_gibbs_estimates_match_oracle():
     h = random_hamiltonian(2, 2, 7)
     rho = gibbs_density(h, 1.0)
     samples = collect_shadows(rho, 60000, np.random.default_rng(7))
-    for p in enumerate_local_paulis(2, 2, include_identity=False):
-        truth = pauli_trace_inner(p, rho).real
-        # 5 sigma of the single-sample spread
-        sigma = math.sqrt(9.0 / len(samples))
-        assert abs(estimate_pauli(samples, p) - truth) <= 5 * max(sigma, 1e-3) + 0.02
+    paulis = enumerate_local_paulis(2, 2, include_identity=False)
+    errors = np.abs(estimate_paulis(samples, paulis) - pauli_trace_inners(paulis, rho).real)
+    # 5 sigma of the single-sample spread
+    sigma = math.sqrt(9.0 / len(samples))
+    assert np.all(errors <= 5 * max(sigma, 1e-3) + 0.02)
 
 
 def test_budget_formula_scaling():
@@ -175,16 +165,11 @@ def test_median_of_means_no_worse_on_coverage():
     mom_ok = mean_ok = 0
     rng = np.random.default_rng(10)
     batches = mom_batches(3, 2, 0.05)
+    truth = pauli_trace_inners(paulis, rho).real
     for _ in range(reps):
         samples = collect_shadows(rho, m, rng)
-        errs_mom = []
-        errs_mean = []
-        for p in paulis:
-            truth = pauli_trace_inner(p, rho).real
-            errs_mom.append(abs(estimate_pauli(samples, p, batches) - truth))
-            errs_mean.append(abs(estimate_pauli(samples, p) - truth))
-        mom_ok += max(errs_mom) <= eps
-        mean_ok += max(errs_mean) <= eps
+        mom_ok += np.max(np.abs(estimate_paulis(samples, paulis, batches) - truth)) <= eps
+        mean_ok += np.max(np.abs(estimate_paulis(samples, paulis) - truth)) <= eps
     assert mom_ok >= mean_ok - 1
     assert mom_ok == reps
 
@@ -195,8 +180,8 @@ def test_mom_batch_formula():
 
 def test_empty_samples_rejected():
     with pytest.raises(ValueError):
-        estimate_pauli(ShadowData(np.zeros((0, 1), dtype=np.int8),
-                                  np.zeros((0, 1), dtype=np.int8)), P("Z"))
+        estimate_paulis(ShadowData(np.zeros((0, 1), dtype=np.int8),
+                                   np.zeros((0, 1), dtype=np.int8)), [P("Z")])
     with pytest.raises(ValueError):
         collect_shadows(np.eye(2, dtype=complex) / 2, 0, np.random.default_rng(0))
 
@@ -207,15 +192,13 @@ def test_batch_count_below_one_rejected_and_above_m_clamped():
     for batches in (0, -3):
         with pytest.raises(ValueError, match="batch"):
             estimate_paulis(samples, paulis, batches)
-        with pytest.raises(ValueError, match="batch"):
-            estimate_pauli(samples, P("ZZ"), batches)
     np.testing.assert_array_equal(estimate_paulis(samples, paulis, 9),
                                   estimate_paulis(samples, paulis, 5))
 
 
 def test_net_observable_estimates():
     support = (P("ZI"), P("IZ"))
-    net = build_net(support, 1.0)  # grid {-1, 0, 1}, 9 members
+    net = HamiltonianNet(support, 1.0)  # grid {-1, 0, 1}, 9 members
     h = random_hamiltonian(2, 2, 11)
     rho = gibbs_density(h, 1.0)
     samples = collect_shadows(rho, 40000, np.random.default_rng(11))
@@ -224,16 +207,11 @@ def test_net_observable_estimates():
     for i, j in itertools.product(range(net.size), repeat=2):
         assert obs[(i, j)] == pytest.approx(-obs[(j, i)], abs=1e-12)
     # triangle bound against the exact values: 200 n^k max per-string error
-    per_string_err = max(
-        abs(estimate_pauli(samples, p) - pauli_trace_inner(p, rho).real)
-        for p in support
-    )
+    truth = pauli_trace_inners(support, rho).real
+    per_string_err = np.max(np.abs(estimate_paulis(samples, support) - truth))
     for i, j in itertools.product(range(net.size), repeat=2):
         hi, hj = net.member(i), net.member(j)
-        exact = sum(
-            (hi.coeff(p) - hj.coeff(p)) * pauli_trace_inner(p, rho).real
-            for p in support
-        )
+        exact = sum((hi.coeff(p) - hj.coeff(p)) * t for p, t in zip(support, truth))
         assert abs(obs[(i, j)] - exact) <= 200 * 2**2 * per_string_err + 1e-9
 
 
@@ -247,7 +225,7 @@ def test_estimate_paulis_equals_per_string_loop(n, k, delta):
             assert m % batches or batches == 1
             ref = np.array([reference_estimate(samples, p, batches) for p in paulis])
             np.testing.assert_array_equal(estimate_paulis(samples, paulis, batches), ref)
-            assert estimate_pauli(samples, paulis[-1], batches) == ref[-1]
+            assert estimate_paulis(samples, paulis[-1:], batches)[0] == ref[-1]
 
 
 def kron_joint_distribution(rho, n):
