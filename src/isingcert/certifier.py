@@ -4,13 +4,15 @@ the promise.
 
 The subroutine compiles V ~ exp(-i t (H - H0)), estimates |v_I|^2 with the
 memoryless identity estimator, and declares FAR when the estimate falls at or
-below a fixed threshold.  Two profiles ship:
+below a fixed threshold.  The estimator reads only |Tr V / 2^n|^2, so a run
+takes Tr V of every level from Trotter steps written in H's eigenbasis, from
+the two cached spectra, instead of building V.  Two profiles ship:
 
 * "strict": the closed-form constants (threshold 1 - 23/(2400 e^6 C^2),
   accuracy 1/(4800 e^6 C^2), t = 1/(60 eps e^3 C)).  The implied experiment
-  count is ~1e13 per call, so sampled runs are refused; the profile is
-  exercised with oracle-valued estimates plus bounded synthetic noise, and
-  its decision rule is tested directly.
+  count is 2.6e14 per call at eps 0.05 and 3.0e14 at eps 0.01, so sampled
+  runs are refused; the profile is exercised with oracle-valued estimates
+  plus bounded synthetic noise, and its decision rule is tested directly.
 * "calibrated": t = 1/(c_t eps) with a threshold/accuracy pair fitted once on
   the in-repo corpus; this is the profile end-to-end sampled runs use.
 """
@@ -19,14 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import constants as con
-from .dynamics import ExperimentLedger, charge_plan, trotter_compile
+from . import oracle
+from .dynamics import ExperimentLedger, TrotterFragment, charge_plan, trotter_compile
 from .hamiltonians import LocalHamiltonian
-from .identity_estimator import estimate_identity_sq, sample_count
-from .oracle import identity_coeff
+from .identity_estimator import budgeted_sample_count, drawn_estimate, sample_count
 
 FAR = "FAR"
 CLOSE = "CLOSE"
@@ -151,6 +154,92 @@ class CertReport:
     ledger: dict
 
 
+class CompiledLevel(NamedTuple):
+    """One schedule level, compiled: its fragment and its experiment count."""
+
+    level: int
+    eps: float
+    delta: float
+    fragment: TrotterFragment
+    samples: int
+
+
+def _compile_levels(h0: LocalHamiltonian, levels, config: CertConfig) -> list[CompiledLevel]:
+    """Compile every (level, eps, delta) of `levels`; builds no matrices.
+
+    A Trotter step count over TROTTER_STEP_BUDGET, or a sampled experiment
+    count over EXPERIMENT_BUDGET, raises BudgetExceededError here, at any
+    level.
+    """
+    profile = PROFILES[config.profile]()
+    # the oracle estimator samples nothing, so no experiment budget applies
+    budget = con.EXPERIMENT_BUDGET if config.estimator == "sampled" else None
+    return [
+        CompiledLevel(level, eps_l, delta_l,
+                      trotter_compile(h0, profile.time_for(eps_l), profile.eps_trott, config.c_op),
+                      budgeted_sample_count(profile.est_accuracy, delta_l, budget))
+        for level, eps_l, delta_l in levels
+    ]
+
+
+def _identity_traces(h0: LocalHamiltonian, h_true: LocalHamiltonian, fragments):
+    """Tr V / 2^n of each fragment's V = (a b a)^steps, one chunk of levels at
+    a time, computed when the caller reaches it.
+
+    With H = W diag(w) W^dag, H0 = W0 diag(w0) W0^dag, M = W^dag W0 and
+    tau = t / (2 steps), the Trotter step in H's eigenbasis is
+    W^dag (a b a) W = D M diag(e^{2 i tau w0}) M^dag D with D = diag(e^{-i tau w}),
+    and V has the trace of its steps-th power.
+    """
+    w0, v0 = h0.spectrum()
+    w, v = h_true.spectrum()
+    m = v.conj().T @ v0
+    dim = len(w)
+    chunk = max(1, oracle.STACK_CHUNK_BYTES // (16 * dim * dim))
+    for start in range(0, len(fragments), chunk):
+        block = fragments[start:start + chunk]
+        tau = np.array([f.query_time for f in block])[:, None]
+        b = (m * np.exp(2j * tau * w0)[:, None, :]) @ m.conj().T
+        d = np.exp(-1j * tau * w)
+        x = d[:, :, None] * b * d[:, None, :]
+        for step, f in zip(x, block):
+            yield complex(np.trace(np.linalg.matrix_power(step, f.steps))) / dim
+
+
+def _run_levels(h0, h_true, levels: list[CompiledLevel], config: CertConfig, rng,
+                ledger: ExperimentLedger) -> tuple[str, list[LevelRecord]]:
+    """Certify at each compiled level in order until one says FAR.
+
+    A level's estimate reads only |Tr V / 2^n|^2: the sampled estimator
+    draws its hit count from `rng` exactly as `estimate_identity_sq` does.
+    Each level charges its experiments through `charge_plan`.
+    """
+    threshold = PROFILES[config.profile]().far_threshold
+    records = []
+    verdict = CLOSE
+    traces = _identity_traces(h0, h_true, [lvl.fragment for lvl in levels])
+    for lvl, trace in zip(levels, traces):
+        identity_sq = abs(trace) ** 2
+        if config.estimator == "sampled":
+            value, _ = drawn_estimate(identity_sq, h0.n, lvl.samples, rng)
+        else:
+            value = identity_sq
+            if config.synthetic_noise:
+                value += rng.uniform(-config.synthetic_noise, config.synthetic_noise)
+                value = min(1.0, max(0.0, value))
+        # the oracle estimator charges the nominal protocol cost too
+        charge_plan((lvl.fragment,), ledger, repeat=lvl.samples)
+        verdict = decide(value, threshold)
+        records.append(LevelRecord(
+            level=lvl.level, eps=lvl.eps, delta=lvl.delta, estimate=value,
+            threshold=threshold, verdict=verdict,
+            samples=lvl.samples, trotter_steps=lvl.fragment.steps,
+        ))
+        if verdict == FAR:
+            break
+    return verdict, records
+
+
 def certify_subroutine(
     h0: LocalHamiltonian,
     h_true: LocalHamiltonian,
@@ -160,39 +249,14 @@ def certify_subroutine(
     rng,
     ledger: ExperimentLedger,
 ) -> tuple[str, LevelRecord]:
-    """One bounded-promise certification call at accuracy eps.
+    """One bounded-promise certification call at accuracy eps (record level -1).
 
     The guarantee binds when ||H - H0||_F <= 15 eps; the call runs either way
     and FAR / CLOSE then still imply >= eps / <= 12 eps respectively.
     """
-    rng = np.random.default_rng(rng)
-    profile = PROFILES[config.profile]()
-    t = profile.time_for(eps)
-    fragment = trotter_compile(h0, t, profile.eps_trott, config.c_op)
-    if config.estimator == "sampled":
-        est = estimate_identity_sq(
-            (fragment,), h_true, h0.n, profile.est_accuracy, delta, rng, ledger,
-            max_experiments=con.EXPERIMENT_BUDGET,
-        )
-        value = est.value
-        samples = est.samples_used
-    else:
-        # oracle substitution: nominal sample count for the ledger, no
-        # experiment budget applies since nothing is sampled
-        samples = sample_count(profile.est_accuracy, delta)
-        value = abs(identity_coeff(fragment.realize(h_true))) ** 2
-        if config.synthetic_noise:
-            value += rng.uniform(-config.synthetic_noise, config.synthetic_noise)
-            value = min(1.0, max(0.0, value))
-        # nominal protocol cost, so ledger totals stay meaningful
-        charge_plan((fragment,), ledger, repeat=samples)
-    verdict = decide(value, profile.far_threshold)
-    record = LevelRecord(
-        level=-1, eps=eps, delta=delta, estimate=value,
-        threshold=profile.far_threshold, verdict=verdict,
-        samples=samples, trotter_steps=fragment.steps,
-    )
-    return verdict, record
+    levels = _compile_levels(h0, ((-1, eps, delta),), config)
+    verdict, records = _run_levels(h0, h_true, levels, config, np.random.default_rng(rng), ledger)
+    return verdict, records[0]
 
 
 def certify(
@@ -209,25 +273,29 @@ def certify(
     ||H - H0||_F >= eps and CLOSE implies ||H - H0||_F <= 12 eps with
     probability >= 1 - delta.  Returns the verdict, the per-level records
     and the ledger snapshot.
+
+    The whole schedule is compiled before the first draw, so a budget
+    overrun at any level raises BudgetExceededError with `rng` untouched,
+    even on a run that would have stopped at FAR before that level.
     """
-    rng = np.random.default_rng(rng)
     schedule = IterationSchedule(config.eps, config.delta, config.c_frob)
+    levels = _compile_levels(h0, schedule.levels, config)
     ledger = ExperimentLedger()
-    records = []
-    verdict = CLOSE
-    for level, eps_l, delta_l in schedule.levels:
-        verdict, record = certify_subroutine(
-            h0, h_true, eps_l, delta_l, config, rng, ledger
-        )
-        record.level = level
-        records.append(record)
-        if verdict == FAR:
-            break
+    verdict, records = _run_levels(h0, h_true, levels, config, np.random.default_rng(rng), ledger)
     return CertReport(verdict, records, ledger.snapshot())
 
 
 def evolution_time_bound(config: CertConfig) -> float:
-    """Shipped bound c log(C_F / (eps delta)) / eps on total evolution time."""
+    """Bound on a run's total evolution time.
+
+    Strict: the schedule's full charge sum_l m_l t_l, which a run that
+    reaches CLOSE spends.  Calibrated: the shipped c log(C_F / (eps delta)) / eps.
+    """
+    if config.profile == "strict":
+        profile = strict_profile()
+        schedule = IterationSchedule(config.eps, config.delta, config.c_frob)
+        return math.fsum(sample_count(profile.est_accuracy, delta_l) * profile.time_for(eps_l)
+                         for _, eps_l, delta_l in schedule.levels)
     return (
         con.EVOLUTION_TIME_CONSTANT
         * math.log(config.c_frob / (config.eps * config.delta))

@@ -52,9 +52,9 @@ SHADOW_SAMPLE_CONSTANT = 4.0
 MOM_BATCH_CONSTANT = 2
 
 # Calibrated certification profile (see calibration.certifier_corpus): the
-# strict constants above imply ~1e13 experiments per subroutine call, so
-# sampled end-to-end runs use t = 1 / (CAL_TIME_SCALE * eps) and the fitted
-# threshold/accuracy pair below.
+# strict constants above imply 2.6e14 (eps 0.05) to 3.0e14 (eps 0.01)
+# experiments per subroutine call, so sampled end-to-end runs use
+# t = 1 / (CAL_TIME_SCALE * eps) and the fitted threshold/accuracy pair below.
 CAL_TIME_SCALE = 15.0
 CAL_FAR_THRESHOLD = 0.75
 CAL_EST_ACCURACY = 0.07
@@ -71,7 +71,7 @@ NET_ENUMERATION_BUDGET = 10**6
 TROTTER_STEP_BUDGET = 10**7
 
 # Default cap on sampled experiments per subroutine call; the strict profile
-# wants ~1e13 and is refused, the calibrated profile needs ~1e4.
+# wants about 3e14 and is refused, the calibrated profile needs ~1e4.
 EXPERIMENT_BUDGET = 10**9
 
 # Cap on shadow sample counts resolved from nominal formulas without an

@@ -77,6 +77,20 @@ class LocalHamiltonian:
         return LocalHamiltonian(self.n, self.k, {p: h * factor for p, h in self.coeffs.items()})
 
 
+def cache_spectra(hams) -> None:
+    """Fill the `spectrum()` cache of every Hamiltonian of `hams` (one n) from
+    one stacked scatter over the union of their strings and one stacked
+    `hermitian_eig`.  A string a Hamiltonian lacks adds a zero, which leaves
+    every entry as it was, so each spectrum is bit-identical to the one
+    `spectrum()` computes alone."""
+    paulis = sorted({p for h in hams for p in h.coeffs}, key=lambda p: p.code)
+    coeffs = [[h.coeffs.get(p, 0.0) for p in paulis] for h in hams]
+    w, v = oracle.hermitian_eig(pauli_sum_matrix(hams[0].n, paulis, coeffs))
+    w.flags.writeable = v.flags.writeable = False
+    for h, spectrum in zip(hams, zip(w, v)):
+        h._spectrum = spectrum
+
+
 def _unchecked(n: int, k: int, coeffs: dict) -> LocalHamiltonian:
     # Differences of admissible Hamiltonians can leave [-1,1]; build without
     # the coefficient-bound check but keep the structural fields.

@@ -77,29 +77,39 @@ def estimate_identity_sq(
     the ledger takes one batched charge.
     """
     rng = np.random.default_rng(rng)
+    m = budgeted_sample_count(eps, delta, max_experiments)
+    steps = tuple(steps)
+    identity_sq = abs(identity_coeff(net_unitary(steps, h_true, n))) ** 2
+    value, raw = drawn_estimate(identity_sq, n, m, rng,
+                                noise.retain_factor(n, logical_queries(steps)))
+    if ledger is not None:
+        charge_plan(steps, ledger, repeat=m)
+    return IdentityCoeffEstimate(value, raw, m, eps, delta)
+
+
+def budgeted_sample_count(eps: float, delta: float, max_experiments: int | None) -> int:
+    """`sample_count`, refused with BudgetExceededError above `max_experiments`."""
     m = sample_count(eps, delta)
     if max_experiments is not None and m > max_experiments:
         raise BudgetExceededError(
             f"estimator needs {m} experiments, over the budget {max_experiments}"
         )
-    mean = _shared_query_mean(tuple(steps), h_true, n, m, rng, ledger, noise)
-    raw = (1.0 + 2.0**-n) * mean - 2.0**-n
-    return IdentityCoeffEstimate(min(1.0, max(0.0, raw)), raw, m, eps, delta)
+    return m
 
 
-def _shared_query_mean(steps, h_true, n, m, rng, ledger, noise) -> float:
-    # hits ~ Binomial(m, p) exactly (module docstring): only the steps'
-    # unitary, logical query count and charges enter
+def drawn_estimate(identity_sq: float, n: int, m: int, rng,
+                   retain: float = 1.0) -> tuple[float, float]:
+    """(clamped, raw) estimate from one draw of the hit count of m experiments
+    on a unitary with |u_I|^2 = identity_sq, where each experiment keeps the
+    state with probability `retain` (module docstring: the count is exactly
+    Binomial(m, p))."""
     dim = 2**n
-    identity_sq = abs(identity_coeff(net_unitary(steps, h_true, n))) ** 2
-    retain = noise.retain_factor(n, logical_queries(steps))
     p = retain * design_expectation(identity_sq, n) + (1.0 - retain) / dim
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ValueError(f"hit probability {p} lies outside [0, 1]")
-    hits = int(rng.binomial(m, min(1.0, max(0.0, p))))
-    if ledger is not None:
-        charge_plan(steps, ledger, repeat=m)
-    return hits / m
+    mean = int(rng.binomial(m, min(1.0, max(0.0, p)))) / m
+    raw = (1.0 + 2.0**-n) * mean - 2.0**-n
+    return min(1.0, max(0.0, raw)), raw
 
 
 def exact_indicator_expectation(u: np.ndarray, n: int) -> float:

@@ -5,12 +5,13 @@ SeedSequence spawn keys, so a record depends on its own trial index only, and
 reports list the records in trial order.  All trials of a task run in one
 process: the `parallelism` config field is validated and echoed in the
 report, and changes nothing else.  The sweeps run their trials as stacks of
-one n: one Pauli scatter, eig and Gibbs map each, where the other tasks run
-trial by trial.  Each driver builds what every trial shares (configs, net
-and its Gibbs table, sample count) once, before any trial runs; a ValueError
-raised there is a ConfigError.  Promise checks run against the exact dense
-oracle and raise PromiseViolationError when an instance falls outside its
-advertised regime.
+one n: one Pauli scatter, eig and Gibbs map each.  `certify-dynamics` takes
+the spectra of a block of trials from one scatter and eig, then certifies
+its trials one by one; the other tasks run trial by trial.  Each driver
+builds what every trial shares (configs, net and its Gibbs table, sample
+count) once, before any trial runs; a ValueError raised there is a
+ConfigError.  Promise checks run against the exact dense oracle and raise
+PromiseViolationError when an instance falls outside its advertised regime.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .gibbs import (
 from .hamiltonians import (
     HamiltonianNet,
     LocalHamiltonian,
+    cache_spectra,
     check_beta,
     gibbs_density,
     hamiltonian_diff,
@@ -96,6 +98,13 @@ def _check_n_range(params: dict) -> None:
 # The kernels take `trials` as a range or list of trial indices, and return
 # their records in that order.
 
+def _stack_size(n: int, r: int, terms: int) -> int:
+    """Items per stack when each item holds r Hamiltonians of `terms` strings
+    on n qubits: the scatter weights (r, terms, 2^n) and the matrices
+    (r, 2^n, 2^n) of a stack stay within STACK_CHUNK_BYTES."""
+    return max(1, oracle.STACK_CHUNK_BYTES // (16 * r * 2**n * max(2**n, terms)))
+
+
 def _sweep_stacks(k: int, seed: int, trials, key: tuple, draw):
     """Draw each trial t of `trials` from trial_rng(seed, t, *key) as draw(rng) ->
     (n, beta, r), then r coefficient vectors of random_hamiltonian's "uniform"
@@ -108,8 +117,7 @@ def _sweep_stacks(k: int, seed: int, trials, key: tuple, draw):
         c = rng.uniform(-1.0, 1.0, (r, local_pauli_count(n, k) - 1))
         groups.setdefault(n, []).append((t, beta, c))
     for n, group in sorted(groups.items()):
-        r, terms = group[0][2].shape
-        size = max(1, oracle.STACK_CHUNK_BYTES // (16 * r * 2**n * max(2**n, terms)))
+        size = _stack_size(n, *group[0][2].shape)
         for start in range(0, len(group), size):
             indices, betas, c = zip(*group[start:start + size])
             c = np.array(c)
@@ -219,8 +227,8 @@ def task_verify_bounds(params, trials, seed):
 
 # ---------------------------------------------------------------- dynamics
 
-def _dynamics_trial(params, config, seed, trial) -> dict:
-    rng = trial_rng(seed, trial)
+def _dynamics_instance(params, seed, trial) -> tuple:
+    """(H0, H, ||H - H0||_F) of one trial, with the arm's promise checked."""
     eps = params["eps"]
     far = params["arm"] == "far"
     try:
@@ -241,8 +249,26 @@ def _dynamics_trial(params, config, seed, trial) -> dict:
         raise PromiseViolationError(
             f"close-arm instance has ||dH||_F = {delta_norm} > eps = {eps}"
         )
-    report = certify(h0, h, config, rng)
-    expected = "FAR" if far else "CLOSE"
+    return h0, h, delta_norm
+
+
+def _dynamics_instances(params, seed, trials):
+    """Yield (trial, H0, H, ||H - H0||_F) in trial order.  Each block of
+    trials, sized like a sweep stack of two Hamiltonians per trial, is built
+    and promise-checked whole, and its spectra come from one `cache_spectra`;
+    the block is dropped when the next one starts."""
+    n = params["n"]
+    size = _stack_size(n, 2, local_pauli_count(n, 2) - 1)
+    for start in range(0, trials, size):
+        block = [(t, *_dynamics_instance(params, seed, t))
+                 for t in range(start, min(start + size, trials))]
+        cache_spectra([h for _, h0, h1, _ in block for h in (h0, h1)])
+        yield from block
+
+
+def _dynamics_record(params, config, seed, trial, h0, h, delta_norm) -> dict:
+    report = certify(h0, h, config, trial_rng(seed, trial))
+    expected = "FAR" if params["arm"] == "far" else "CLOSE"
     return {
         "trial": trial,
         "verdict": report.verdict,
@@ -269,7 +295,8 @@ def task_certify_dynamics(params, trials, seed):
         raise ConfigError(
             f"{arm} arm needs ||H - H0||_F = {gap} below c_frob = {params['c_frob']}"
         )
-    records = [_dynamics_trial(params, config, seed, t) for t in range(trials)]
+    records = [_dynamics_record(params, config, seed, *instance)
+               for instance in _dynamics_instances(params, seed, trials)]
     errors = sum(1 for r in records if not r["correct"])
     total_time = [r["ledger"]["total_evolution_time"] for r in records]
     schedule = IterationSchedule(params["eps"], params["delta"], params["c_frob"])

@@ -9,8 +9,11 @@ from isingcert.calibration import certifier_instance
 from isingcert.certifier import (
     CLOSE,
     FAR,
+    PROFILES,
     CertConfig,
+    CertReport,
     IterationSchedule,
+    LevelRecord,
     calibrated_profile,
     certify,
     certify_subroutine,
@@ -18,8 +21,9 @@ from isingcert.certifier import (
     evolution_time_bound,
     strict_profile,
 )
-from isingcert.dynamics import ExperimentLedger
+from isingcert.dynamics import ExperimentLedger, charge_plan, trotter_compile
 from isingcert.errors import BudgetExceededError
+from isingcert.identity_estimator import estimate_identity_sq, sample_count
 from isingcert.hamiltonians import LocalHamiltonian, hamiltonian_diff, random_hamiltonian
 from isingcert.oracle import evolve_matrix, hermitian_eig, identity_coeff
 from isingcert.paulis import PauliString
@@ -27,6 +31,34 @@ from isingcert.paulis import PauliString
 P = PauliString.from_label
 
 E6C2 = math.exp(6.0) * con.SERIES_TAIL_SUM**2
+
+
+def certify_literal(h0, h, config, rng) -> CertReport:
+    """Per-level reference for `certify`: compile each level as it is reached,
+    realize its fragment and run the estimator on that one query step."""
+    rng = np.random.default_rng(rng)
+    profile = PROFILES[config.profile]()
+    ledger = ExperimentLedger()
+    records, verdict = [], CLOSE
+    for level, eps_l, delta_l in IterationSchedule(config.eps, config.delta, config.c_frob).levels:
+        frag = trotter_compile(h0, profile.time_for(eps_l), profile.eps_trott, config.c_op)
+        if config.estimator == "sampled":
+            est = estimate_identity_sq((frag,), h, h0.n, profile.est_accuracy, delta_l, rng,
+                                       ledger, max_experiments=con.EXPERIMENT_BUDGET)
+            value, samples = est.value, est.samples_used
+        else:
+            samples = sample_count(profile.est_accuracy, delta_l)
+            value = abs(identity_coeff(frag.realize(h))) ** 2
+            if config.synthetic_noise:
+                value += rng.uniform(-config.synthetic_noise, config.synthetic_noise)
+                value = min(1.0, max(0.0, value))
+            charge_plan((frag,), ledger, repeat=samples)
+        verdict = decide(value, profile.far_threshold)
+        records.append(LevelRecord(level, eps_l, delta_l, value, profile.far_threshold,
+                                   verdict, samples, frag.steps))
+        if verdict == FAR:
+            break
+    return CertReport(verdict, records, ledger.snapshot())
 
 
 def test_strict_constants_closed_forms():
@@ -235,3 +267,72 @@ def test_report_payload_complete():
         assert set(vars(level)) >= {"level", "eps", "delta", "estimate", "threshold",
                                     "verdict", "samples", "trotter_steps"}
     assert report.ledger["total_evolution_time"] > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_certify_equals_per_level_reference(n):
+    # sampled: the same hit draws, so records and ledgers are equal, not close
+    for far in (False, True):
+        for seed in range(4):
+            h0, h = certifier_instance(np.random.SeedSequence((31, n, seed, far)), n, 0.05, far)
+            config = CertConfig(eps=0.05, delta=0.1, c_op=2.0)
+            report = certify(h0, h, config, np.random.default_rng(seed))
+            assert report == certify_literal(h0, h, config, np.random.default_rng(seed))
+            assert report.verdict == (FAR if far else CLOSE)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("profile,eps", [("calibrated", 0.05), ("strict", 0.05),
+                                         ("strict", 0.002)])
+def test_oracle_estimates_match_realized_fragments(n, profile, eps):
+    # Tr V from step factors in H's eigenbasis against |identity_coeff(realize)|^2.
+    # Each path rounds one Trotter step to about 2^n ulps, and `steps` powers
+    # amplify that linearly: at strict eps = 0.002 (up to about 2000 steps)
+    # realize itself is 1e-12 to 3e-12 off a long-double evaluation at n = 2, 3
+    steps = []
+    for far in (False, True):
+        h0, h = certifier_instance(np.random.SeedSequence((32, n, far)), n, eps, far)
+        config = CertConfig(eps=eps, delta=0.1, c_op=2.0, profile=profile, estimator="oracle")
+        report = certify(h0, h, config, 0)
+        literal = certify_literal(h0, h, config, 0)
+        assert [r.verdict for r in report.levels] == [r.verdict for r in literal.levels]
+        assert report.ledger == literal.ledger
+        for mine, ref in zip(report.levels, literal.levels):
+            tol = max(1e-12, 4 * mine.trotter_steps * 2**n * np.finfo(float).eps)
+            assert abs(mine.estimate - ref.estimate) <= tol
+            assert (mine.samples, mine.trotter_steps) == (ref.samples, ref.trotter_steps)
+            steps.append(mine.trotter_steps)
+    if profile == "strict" and eps == 0.002:
+        assert max(steps) > 1900
+
+
+def test_strict_time_bound_is_the_schedule_charge():
+    config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, profile="strict", estimator="oracle")
+    bound = evolution_time_bound(config)
+    totals = {}
+    for far in (False, True):
+        h0, h = certifier_instance(np.random.SeedSequence((33, far)), 2, 0.05, far)
+        report = certify(h0, h, config, 3)
+        assert report.verdict == (FAR if far else CLOSE)
+        totals[far] = report.ledger["total_evolution_time"]
+    # a CLOSE run charges every level, a FAR run stops early
+    assert totals[False] == pytest.approx(bound, rel=1e-12)
+    assert totals[True] <= bound
+    # the calibrated bound is the shipped closed form
+    cal = CertConfig(eps=0.05, delta=0.1, c_op=2.0)
+    assert evolution_time_bound(cal) == con.EVOLUTION_TIME_CONSTANT * math.log(1 / 0.005) / 0.05
+
+
+def test_budget_overrun_at_any_level_raises_before_any_draw():
+    # c_op = 6500 gives level 0 (eps 0.05) 1.14e7 Trotter steps, over the 1e7
+    # budget; levels 5..1 need at most 8.2e6
+    h0, h = certifier_instance(np.random.SeedSequence((40, 0)), 2, 0.05, True)
+    config = CertConfig(eps=0.05, delta=0.1, c_op=6500.0)
+    # compiled level by level, the far arm stops at FAR before level 0
+    literal = certify_literal(h0, h, config, 3)
+    assert literal.verdict == FAR and literal.levels[-1].level > 0
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(BudgetExceededError, match="fragment needs"):
+        certify(h0, h, config, rng)
+    assert rng.bit_generator.state == state

@@ -131,6 +131,18 @@ def test_instance_outside_coefficient_box_exit_code(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_promise_violation_fires_before_its_block_is_certified(tmp_path, monkeypatch, capsys):
+    # trial 1 of the instance above leaves the box; trial 0 shares its block
+    certified = []
+    monkeypatch.setattr(tasks, "certify", lambda *args: certified.append(args))
+    cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": 1, "trials": 2,
+           "params": {"arm": "far", "c_frob": 3.0, "eps": 0.2}}
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_PROMISE
+    assert capsys.readouterr().err.startswith("promise violation: trial 1:")
+    assert certified == []
+
+
 def test_far_arm_gap_beyond_c_frob_is_config_error(tmp_path, monkeypatch, capsys):
     # 12 eps = 1.08 >= c_frob = 1: no far-arm instance exists
     forbid_trials(monkeypatch)

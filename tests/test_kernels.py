@@ -4,7 +4,8 @@ Each reference below is the loop the package ran before its batched kernel:
 the per-term Pauli scatter, the per-member net Gibbs table, the per-order
 Schatten moment, the per-string trace inner product, the digit loops of
 PauliString, the per-string coefficient draw, and a fresh eigendecomposition
-per spectral function in place of a Hamiltonian's cached `spectrum()`.  The
+per spectral function in place of a Hamiltonian's cached `spectrum()`, and
+one `spectrum()` per Hamiltonian in place of a block's stacked spectra.  The
 per-string shadow estimator, the kron-loop Born table and rng.choice are the
 references in test_shadows.py.
 """
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 import isingcert.oracle as oracle
-from isingcert.hamiltonians import (HamiltonianNet, gibbs_density, hamiltonian_diff,
-                                   random_hamiltonian)
+import isingcert.tasks as tasks
+from isingcert.hamiltonians import (HamiltonianNet, cache_spectra, gibbs_density,
+                                   hamiltonian_diff, random_hamiltonian)
 from isingcert.oracle import evolve, evolve_matrix, hermitian_eig, schatten_moments
 from isingcert.paulis import (
     PauliString,
@@ -249,3 +251,36 @@ def test_cached_spectrum_is_read_only(n):
             w[0] = 0.0
         with pytest.raises(ValueError):
             v[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_spectra_equal_per_hamiltonian_spectra(n, monkeypatch):
+    calls = []
+
+    def counted(a, tol=1e-8):
+        calls.append(a.shape)
+        return hermitian_eig(a, tol)
+
+    # one Hamiltonian lacks strings the others have
+    hams = [*_hamiltonians(n), random_hamiltonian(n, 2, 730 + n, law="sparse", support_size=3)]
+    cache_spectra(hams)
+    for h in hams:
+        w, v = hermitian_eig(h.to_matrix())
+        np.testing.assert_array_equal(h.spectrum()[0], w)
+        np.testing.assert_array_equal(h.spectrum()[1], v)
+        with pytest.raises(ValueError):
+            h.spectrum()[0][0] = 0.0
+    # certify-dynamics: blocks of 3 trials, so 7 trials end in a partial block
+    terms = max(2**n, len(enumerate_local_paulis(n, 2, include_identity=False)))
+    monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", 3 * 2 * 16 * 2**n * terms)
+    monkeypatch.setattr(oracle, "hermitian_eig", counted)
+    params = {**tasks.TASKS["certify-dynamics"].params, "n": n}
+    instances = list(tasks._dynamics_instances(params, 5, 7))
+    assert [t for t, *_ in instances] == list(range(7))
+    assert calls == [(6, 2**n, 2**n), (6, 2**n, 2**n), (2, 2**n, 2**n)]
+    for _, h0, h, _ in instances:
+        for ham in (h0, h):
+            w, v = hermitian_eig(ham.to_matrix())
+            np.testing.assert_array_equal(ham.spectrum()[0], w)
+            np.testing.assert_array_equal(ham.spectrum()[1], v)
+    assert len(calls) == 3
