@@ -20,7 +20,7 @@ import numpy as np
 from .hamiltonians import HamiltonianNet, LocalHamiltonian, check_beta, gibbs_density
 from .oracle import trace_distance
 from .paulis import PauliString, check_size, enumerate_local_paulis, pauli_trace_inners
-from .shadows import ShadowData, estimate_paulis, mom_batches, shadow_budget
+from .shadows import ShadowData, batch_sizes, estimate_paulis, mom_batches, shadow_budget
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,18 @@ class GibbsLearnConfig:
     def nominal_budget(self) -> int:
         return shadow_budget(self.n, self.k, self.per_pauli_accuracy, self.delta)
 
+    @property
+    def batches(self) -> int:
+        """Median-of-means batches of the shadow estimates: collect with it."""
+        return mom_batches(self.n, self.k, self.delta)
+
+
+def _check_split(samples: ShadowData, batches: int) -> None:
+    """The samples must come in the config's median-of-means batches."""
+    if not np.array_equal(samples.sizes, batch_sizes(len(samples), batches)):
+        raise ValueError(f"samples come in {len(samples.sizes)} batches, "
+                         f"the config estimates with {batches}")
+
 
 def scan_objective(net: HamiltonianNet, coeff_gaps: np.ndarray) -> np.ndarray | float:
     """max_{i,j} |sum_P ((h_i)_P - (h_j)_P) c_P| via the two-scan reduction.
@@ -114,11 +126,12 @@ def learn_gibbs(
     aligned with `net.support`) bypasses the shadow post-processing, e.g. to
     substitute exact values.  `member_coeffs` is
     `net.gibbs_coeff_matrix(config.beta)`, computed here when not given;
-    callers that learn many times on one net pass it in.
+    callers that learn many times on one net pass it in.  `samples` must be
+    collected in `config.batches` batches; another split is a ValueError.
     """
     if estimates is None:
-        estimates = estimate_paulis(samples, net.support,
-                                    mom_batches(config.n, config.k, config.delta))
+        _check_split(samples, config.batches)
+        estimates = estimate_paulis(samples, net.support)
     if member_coeffs is None:
         member_coeffs = net.gibbs_coeff_matrix(config.beta)   # rows: Tr[P tau_i]
     objectives = scan_objective(net, estimates[None, :] - member_coeffs)
@@ -165,6 +178,11 @@ class GibbsCertConfig:
     def nominal_budget(self) -> int:
         return shadow_budget(self.n, self.k, self.per_pauli_accuracy, self.delta)
 
+    @property
+    def batches(self) -> int:
+        """Median-of-means batches of the shadow estimates: collect with it."""
+        return mom_batches(self.n, self.k, self.delta)
+
 
 def certify_gibbs(
     samples_rho: ShadowData,
@@ -177,13 +195,16 @@ def certify_gibbs(
 
     `rho0_or_samples` is either a ShadowData of the second state or a dense
     density matrix, in which case its exact coefficients replace estimates.
+    Sample sets must be collected in `config.batches` batches; another split
+    is a ValueError.
     """
     paulis = enumerate_local_paulis(config.n, config.k)
-    batches = mom_batches(config.n, config.k, config.delta)
-    est_rho = estimate_paulis(samples_rho, paulis, batches)
+    _check_split(samples_rho, config.batches)
+    est_rho = estimate_paulis(samples_rho, paulis)
     if isinstance(rho0_or_samples, ShadowData):
+        _check_split(rho0_or_samples, config.batches)
         est_rho0 = (est_rho if rho0_or_samples is samples_rho
-                    else estimate_paulis(rho0_or_samples, paulis, batches))
+                    else estimate_paulis(rho0_or_samples, paulis))
     else:
         est_rho0 = pauli_trace_inners(paulis, np.asarray(rho0_or_samples)).real
     gaps = np.abs(est_rho - est_rho0)

@@ -2,7 +2,9 @@
 power moments, and identity Pauli coefficients.
 
 Every matrix function here goes through one Hermitian eigendecomposition
-kernel, which each LocalHamiltonian runs once, for its cached `spectrum()`.
+kernel, which each LocalHamiltonian runs once, for its cached `spectrum()`;
+readers of eigenvalues alone take its values-only variant, behind the same
+Hermitian guard.
 """
 
 from __future__ import annotations
@@ -21,15 +23,27 @@ STACK_CHUNK_BYTES = 2**20
 CLIP_TOL = 1e-12  # negative probability mass that clip_distribution takes for rounding
 
 
-def hermitian_eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Shared eigendecomposition kernel for one matrix or a stack (..., d, d);
-    rejects input with a visibly non-Hermitian matrix, each judged at its own scale."""
+def _check_hermitian(a: np.ndarray, tol: float) -> None:
+    """Reject a non-square input, or one with a visibly non-Hermitian matrix,
+    each matrix judged at its own scale."""
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got {a.shape}")
     scale = np.maximum(abs(a).max(axis=(-2, -1), keepdims=True), 1.0)
     if (abs(a - a.conj().swapaxes(-1, -2)) > tol * scale).any():
         raise ValueError("matrix is not Hermitian")
+
+
+def hermitian_eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Shared eigendecomposition kernel for one matrix or a stack (..., d, d)."""
+    _check_hermitian(a, tol)
     return np.linalg.eigh(a)
+
+
+def hermitian_eigvals(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """The ascending eigenvalues of `hermitian_eig`, without the eigenvectors,
+    for callers that read only the spectrum."""
+    _check_hermitian(a, tol)
+    return np.linalg.eigvalsh(a)
 
 
 def clip_distribution(probs: np.ndarray) -> np.ndarray:
@@ -64,8 +78,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray):
     """Trace norm of rho - sigma (sum of singular values), one per pair of a stack."""
     if rho.shape != sigma.shape:
         raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
-    w, _ = hermitian_eig(rho - sigma)
-    return np.sum(np.abs(w), axis=-1).tolist()
+    return np.sum(np.abs(hermitian_eigvals(rho - sigma)), axis=-1).tolist()
 
 
 def operator_norm_distance(a: np.ndarray, b: np.ndarray) -> float:

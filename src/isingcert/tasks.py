@@ -9,9 +9,10 @@ one n: one Pauli scatter, eig and Gibbs map each.  `certify-dynamics` takes
 the spectra of a block of trials from one scatter and eig, then certifies
 its trials one by one; the other tasks run trial by trial.  Each driver
 builds what every trial shares (configs, net and its Gibbs table, sample
-count) once, before any trial runs; a ValueError raised there is a
-ConfigError.  Promise checks run against the exact dense oracle and raise
-PromiseViolationError when an instance falls outside its advertised regime.
+count, the far arm's Born tables) once, before any trial runs; a ValueError
+raised there is a ConfigError.  Promise checks run against the exact dense
+oracle and raise PromiseViolationError when an instance falls outside its
+advertised regime.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from .hamiltonians import (
     gibbs_states,
     random_hamiltonian,
 )
-from .oracle import hermitian_eig, spectral_moments, trace_distance
+from .oracle import hermitian_eig, hermitian_eigvals, spectral_moments, trace_distance
 from .paulis import (LETTERS, PauliString, check_size, enumerate_local_paulis, local_pauli_count,
                      pauli_sum_matrix, pauli_trace_inners)
-from .shadows import collect_shadows, estimate_paulis, mom_batches, shadow_budget
+from .shadows import born_table, collect_shadows, estimate_paulis, mom_batches, shadow_budget
 
 SLACK_TOL = -1e-9
 
@@ -130,7 +131,7 @@ def _bonami_block(params, seed, trials) -> list:
     records = {}
     for n, indices, _, c, h in _sweep_stacks(k, seed, trials, (), lambda rng: (
             int(rng.integers(params["n_min"], params["n_max"] + 1)), None, 1)):
-        w, _ = hermitian_eig(h[:, 0])
+        w = hermitian_eigvals(h[:, 0])
         for t, moments, sq in zip(indices, spectral_moments(w, ls), (c[:, 0] * c[:, 0]).tolist()):
             frob = math.sqrt(sum(sq))   # as LocalHamiltonian.frobenius_norm
             rows = [{"l": l, "moment": m, "bound": l ** (k / 2.0) * frob,
@@ -344,7 +345,7 @@ def _learn_trial(params, config, net, member_coeffs, m, seed, trial) -> dict:
             None, net, config, estimates=pauli_trace_inners(net.support, rho).real,
             member_coeffs=member_coeffs)
     else:
-        samples = collect_shadows(rho, m, trial_rng(seed, trial, 1))
+        samples = collect_shadows(rho, m, trial_rng(seed, trial, 1), config.batches)
         index, learned, objective = learn_gibbs(samples, net, config,
                                                 member_coeffs=member_coeffs)
     dist = trace_distance(learned, rho)
@@ -403,17 +404,19 @@ def _zblock_hamiltonian(n: int, k: int, sign: float) -> LocalHamiltonian:
     return LocalHamiltonian(n, k, coeffs)
 
 
-def _gibbs_cert_trial(config, m, far_states, seed, trial) -> dict:
-    if far_states is None:
+def _gibbs_cert_trial(config, m, far_tables, seed, trial) -> dict:
+    if far_tables is None:
         h = random_hamiltonian(config.n, config.k, trial_rng(seed, trial, 1))
         # the equal-arm pairing samples one state on one sub-seed key for
         # both sides: one sample set, drawn and estimated once
         rho = rho0 = gibbs_density(h, config.beta)
         key0, expected = 2, "CLOSE"
     else:
-        (rho, rho0), key0, expected = far_states, 3, "FAR"
-    samples_a = collect_shadows(rho, m, trial_rng(seed, trial, 2))
-    samples_b = samples_a if key0 == 2 else collect_shadows(rho0, m, trial_rng(seed, trial, key0))
+        # collect_shadows draws from a state or from its Born table alike
+        (rho, rho0), key0, expected = far_tables, 3, "FAR"
+    samples_a = collect_shadows(rho, m, trial_rng(seed, trial, 2), config.batches)
+    samples_b = samples_a if key0 == 2 else collect_shadows(
+        rho0, m, trial_rng(seed, trial, key0), config.batches)
     verdict, max_gap, _ = certify_gibbs(samples_a, samples_b, config)
     return {
         "trial": trial,
@@ -433,7 +436,7 @@ def task_certify_gibbs(params, trials, seed):
     with _config_boundary():
         config = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=params["delta"])
         m = _resolve_samples(params.get("samples"), config.nominal_budget)
-    far_states = None
+    far_tables = None
     if arm == "far":
         far_states = (gibbs_density(_zblock_hamiltonian(n, k, 1.0), beta),
                       gibbs_density(_zblock_hamiltonian(n, k, -1.0), beta))
@@ -442,7 +445,9 @@ def task_certify_gibbs(params, trials, seed):
             raise PromiseViolationError(
                 f"far-arm states are only {dist} apart, need >= {2 * eps}"
             )
-    records = [_gibbs_cert_trial(config, m, far_states, seed, t) for t in range(trials)]
+        # the same two states in every trial: their Born tables are built once
+        far_tables = tuple(born_table(rho) for rho in far_states)
+    records = [_gibbs_cert_trial(config, m, far_tables, seed, t) for t in range(trials)]
     errors = sum(1 for r in records if not r["correct"])
     payload = {
         "task": "certify-gibbs",
@@ -462,9 +467,9 @@ def task_certify_gibbs(params, trials, seed):
 def _shadow_trial(params, m, paulis, seed, trial) -> dict:
     h = random_hamiltonian(params["n"], params["k"], trial_rng(seed, trial, 1))
     rho = gibbs_density(h, params["beta"])
-    samples = collect_shadows(rho, m, trial_rng(seed, trial, 2))
     batches = mom_batches(params["n"], params["k"], params["delta"])
-    est = estimate_paulis(samples, paulis, batches)
+    samples = collect_shadows(rho, m, trial_rng(seed, trial, 2), batches)
+    est = estimate_paulis(samples, paulis)
     max_err = float(np.max(np.abs(est - pauli_trace_inners(paulis, rho).real)))
     return {
         "trial": trial, "samples_used": m, "batches": batches,

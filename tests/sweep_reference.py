@@ -25,7 +25,7 @@ def gibbs_density(h, beta):
 
 
 def trace_distance(rho, sigma):
-    w, _ = np.linalg.eigh(rho - sigma)
+    w = np.linalg.eigvalsh(rho - sigma)
     return float(np.sum(np.abs(w)))
 
 
@@ -50,7 +50,7 @@ def bonami_trial(params, seed, trial):
     n = int(rng.integers(params["n_min"], params["n_max"] + 1))
     h = random_hamiltonian(n, params["k"], rng)
     frob = h.frobenius_norm()
-    w, _ = np.linalg.eigh(h.to_matrix())
+    w = np.linalg.eigvalsh(h.to_matrix())
     rows = []
     min_slack = math.inf
     for l in range(params["l_min"], params["l_max"] + 1):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -458,6 +459,43 @@ def test_learn_gibbs_table_computed_once_per_task(tmp_path, monkeypatch):
                                        "params": {"samples": 500, **extra}}, f"{name}.json")
         assert main(["--config", path, "--out", str(tmp_path / name)]) == EXIT_OK
     assert calls == [1.0, 1.0]
+
+
+def test_certify_gibbs_far_born_tables_built_once_per_task(tmp_path, monkeypatch):
+    import isingcert.shadows as shadows
+
+    built, drawn = [], []
+    table, collect = shadows._joint_distribution, tasks.collect_shadows
+    monkeypatch.setattr(shadows, "_joint_distribution",
+                        lambda rho, n: built.append(n) or table(rho, n))
+    monkeypatch.setattr(tasks, "collect_shadows",
+                        lambda *args: drawn.append(args[1]) or collect(*args))
+    path = write_config(tmp_path, {"schema_version": 1, "task": "certify-gibbs", "seed": 3,
+                                   "trials": 4, "params": {"arm": "far", "samples": 2000}})
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert built == [2, 2]
+    assert drawn == [2000] * 8   # both states, every trial
+
+
+def test_shadow_estimate_per_sample_regime_end_to_end(tmp_path):
+    # n=5 at its nominal sample count: the median-of-means histograms would
+    # hold more entries than the samples, so the draw keeps per-sample indices
+    from isingcert.shadows import mom_batches, shadow_budget
+
+    samples = shadow_budget(5, 2, 0.1, 0.05)
+    assert mom_batches(5, 2, 0.05) * 6**5 > samples
+    cfg = {"schema_version": 1, "task": "shadow-estimate", "seed": 13, "trials": 20,
+           "params": {"n": 5, "samples": samples}}
+    path = write_config(tmp_path, cfg)
+    runs = []
+    for name in ("a", "b"):
+        assert main(["--config", path, "--out", str(tmp_path / name)]) == EXIT_OK
+        runs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert runs[0] == runs[1]
+    report = json.loads(runs[0]["shadow-estimate.json"])
+    trials = len(report["trials"])
+    floor = math.ceil(0.95 * trials - 3 * math.sqrt(trials * 0.95 * 0.05))
+    assert report["success_count"] >= floor
 
 
 @pytest.mark.parametrize("arm", ["close", "far"])

@@ -91,7 +91,7 @@ def test_learn_single_qubit_sampled():
     rho = gibbs_density(truth, 1.0)
     hits = 0
     for seed in range(20):
-        samples = collect_shadows(rho, 4000, np.random.default_rng(seed))
+        samples = collect_shadows(rho, 4000, np.random.default_rng(seed), cfg.batches)
         idx, state, _ = learn_gibbs(samples, net, cfg)
         hits += trace_distance(state, rho) <= 0.3
     assert hits >= 18
@@ -160,8 +160,8 @@ def test_certify_equal_states_same_seed_close():
     h = random_hamiltonian(2, 2, 5)
     rho = gibbs_density(h, 1.0)
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
-    a = collect_shadows(rho, 5000, np.random.default_rng(77))
-    b = collect_shadows(rho, 5000, np.random.default_rng(77))
+    a = collect_shadows(rho, 5000, np.random.default_rng(77), cfg.batches)
+    b = collect_shadows(rho, 5000, np.random.default_rng(77), cfg.batches)
     verdict, max_gap, _ = certify_gibbs(a, b, cfg)
     assert verdict == "CLOSE"
     assert max_gap == 0.0
@@ -171,8 +171,8 @@ def test_certify_one_sample_set_estimated_once(monkeypatch):
     h = random_hamiltonian(2, 2, 6)
     rho = gibbs_density(h, 1.0)
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
-    a = collect_shadows(rho, 5000, np.random.default_rng(78))
-    b = collect_shadows(rho, 5000, np.random.default_rng(78))
+    a = collect_shadows(rho, 5000, np.random.default_rng(78), cfg.batches)
+    b = collect_shadows(rho, 5000, np.random.default_rng(78), cfg.batches)
     twice = certify_gibbs(a, b, cfg)
     calls = []
 
@@ -194,8 +194,8 @@ def test_certify_far_states():
     cfg = GibbsCertConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1)
     wrong = 0
     for seed in range(20):
-        a = collect_shadows(rho, 3000, np.random.default_rng((seed, 0)))
-        b = collect_shadows(rho0, 3000, np.random.default_rng((seed, 1)))
+        a = collect_shadows(rho, 3000, np.random.default_rng((seed, 0)), cfg.batches)
+        b = collect_shadows(rho0, 3000, np.random.default_rng((seed, 1)), cfg.batches)
         verdict, _, _ = certify_gibbs(a, b, cfg)
         wrong += verdict != "FAR"
     assert wrong == 0
@@ -206,7 +206,7 @@ def test_certify_known_reference_mode():
     hmz = LocalHamiltonian(1, 1, {P("Z"): -1.0})
     rho, rho0 = gibbs_density(hz, 1.0), gibbs_density(hmz, 1.0)
     cfg = GibbsCertConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1)
-    samples = collect_shadows(rho, 3000, np.random.default_rng(2))
+    samples = collect_shadows(rho, 3000, np.random.default_rng(2), cfg.batches)
     verdict, _, witness = certify_gibbs(samples, rho0, cfg)
     assert verdict == "FAR"
     assert witness == P("Z")
@@ -217,11 +217,38 @@ def test_certify_witness_tie_names_lower_code_string():
     # Z estimates are both exactly 1.5, against 0 for the maximally mixed rho0
     cfg = GibbsCertConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1)
     assert mom_batches(1, 1, cfg.delta) == 16
-    samples = ShadowData(np.array([[0], [2]] * 32), np.ones((64, 1), dtype=int))
+    samples = ShadowData(np.array([[0], [2]] * 32), np.ones((64, 1), dtype=int), 16)
     verdict, max_gap, witness = certify_gibbs(samples, np.eye(2) / 2, cfg)
     assert verdict == "FAR"
     assert max_gap == 1.5
     assert witness == P("X")
+
+
+def test_learn_rejects_samples_in_another_split():
+    support = (P("Z"),)
+    net = HamiltonianNet(support, 0.25)
+    cfg = GibbsLearnConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1,
+                           support=support, eta=0.25)
+    rho = gibbs_density(LocalHamiltonian(1, 1, {P("Z"): 0.5}), 1.0)
+    assert cfg.batches == mom_batches(1, 1, 0.1) == 16
+    for batches in (1, 15, 17):
+        samples = collect_shadows(rho, 4000, np.random.default_rng(3), batches)
+        with pytest.raises(ValueError, match="batches"):
+            learn_gibbs(samples, net, cfg)
+    learn_gibbs(collect_shadows(rho, 4000, np.random.default_rng(3), cfg.batches), net, cfg)
+
+
+def test_certify_rejects_samples_in_another_split():
+    rho = gibbs_density(random_hamiltonian(2, 2, 5), 1.0)
+    cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
+    assert cfg.batches == mom_batches(2, 2, 0.1)
+    good = collect_shadows(rho, 5000, np.random.default_rng(4), cfg.batches)
+    for batches in (1, cfg.batches + 1):
+        bad = collect_shadows(rho, 5000, np.random.default_rng(4), batches)
+        for pair in ((bad, good), (good, bad), (bad, bad), (bad, rho)):
+            with pytest.raises(ValueError, match="batches"):
+                certify_gibbs(*pair, cfg)
+    certify_gibbs(good, rho, cfg)
 
 
 def test_certify_symmetry_under_swap():
@@ -229,8 +256,8 @@ def test_certify_symmetry_under_swap():
     h0 = random_hamiltonian(2, 2, 9)
     rho, rho0 = gibbs_density(h, 1.0), gibbs_density(h0, 1.0)
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
-    a = collect_shadows(rho, 4000, np.random.default_rng(30))
-    b = collect_shadows(rho0, 4000, np.random.default_rng(31))
+    a = collect_shadows(rho, 4000, np.random.default_rng(30), cfg.batches)
+    b = collect_shadows(rho0, 4000, np.random.default_rng(31), cfg.batches)
     v1, gap1, _ = certify_gibbs(a, b, cfg)
     v2, gap2, _ = certify_gibbs(b, a, cfg)
     assert v1 == v2

@@ -7,6 +7,7 @@ from isingcert.hamiltonians import LocalHamiltonian, gibbs_density, random_hamil
 from isingcert.oracle import (
     evolve,
     hermitian_eig,
+    hermitian_eigvals,
     identity_coeff,
     moment_tail_partial_sums,
     schatten_moments,
@@ -42,6 +43,27 @@ def test_hermitian_eig_checks_each_matrix_of_a_stack():
     hermitian_eig(big)
     with pytest.raises(ValueError):
         hermitian_eig(np.array([big, bad[2]]))
+
+
+def test_hermitian_eigvals_checks_each_matrix_of_a_stack():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    stack = a + np.swapaxes(a.conj(), -1, -2)
+    w = hermitian_eigvals(stack)
+    for i in range(4):
+        np.testing.assert_array_equal(w[i], hermitian_eigvals(stack[i]))
+    np.testing.assert_allclose(w, hermitian_eig(stack)[0], rtol=0, atol=1e-12)
+    bad = stack.copy()
+    bad[2, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="Hermitian"):
+        hermitian_eigvals(bad)
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigvals(stack[:, :2])
+    big = 1e6 * stack[0]
+    big[0, 1] += 1e-3
+    hermitian_eigvals(big)
+    with pytest.raises(ValueError, match="Hermitian"):
+        hermitian_eigvals(np.array([big, bad[2]]))
 
 
 def test_evolve_identity_at_zero():

@@ -9,6 +9,8 @@ from isingcert.hamiltonians import HamiltonianNet, gibbs_density, random_hamilto
 from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_trace_inners
 from isingcert.shadows import (
     ShadowData,
+    batch_sizes,
+    born_table,
     collect_shadows,
     estimate_paulis,
     mom_batches,
@@ -43,7 +45,36 @@ def reference_estimate(samples, p, batches):
     return float(np.median(means))
 
 
-def estimate_net_observables(samples: ShadowData, net, batches: int = 1,
+def per_sample(rho, m, rng) -> ShadowData:
+    """m samples as per-sample joint indices, in one batch.  collect_shadows
+    keeps indices when batches * 6^n > m, which one sample per batch forces,
+    and the indices it draws do not depend on the split."""
+    drawn = collect_shadows(rho, m, rng, m)
+    assert drawn.counts is None
+    return ShadowData.from_index(drawn.index, drawn.n)
+
+
+def resplit(samples: ShadowData, batches: int) -> ShadowData:
+    """Per-sample indices cut into `batches` batches instead."""
+    return ShadowData.from_index(samples.index, samples.n, batches)
+
+
+def assert_drawn_from(samples: ShadowData, probs, m, seed, batches=1):
+    """`samples` are the draw of collect_shadows(., m, seed, batches) from the
+    table probs: one rng.multinomial histogram per batch when batches * 6^n
+    <= m, else rng.choice indices."""
+    rng = np.random.default_rng(seed)
+    sizes = batch_sizes(m, batches)
+    np.testing.assert_array_equal(samples.sizes, sizes)
+    if len(sizes) * len(probs) <= m:
+        assert samples.index is None
+        np.testing.assert_array_equal(samples.counts, rng.multinomial(sizes, probs))
+    else:
+        assert samples.counts is None
+        np.testing.assert_array_equal(samples.index, rng.choice(len(probs), size=m, p=probs))
+
+
+def estimate_net_observables(samples: ShadowData, net,
                              max_pairs: int = 10**6) -> dict[tuple[int, int], float]:
     """Estimates of Tr[(H_i - H_j) rho] for every net member pair.
 
@@ -52,13 +83,13 @@ def estimate_net_observables(samples: ShadowData, net, batches: int = 1,
     """
     if net.size**2 > max_pairs:
         raise ValueError(f"net has {net.size}^2 pairs, over the cap {max_pairs}")
-    f = net.value_matrix() @ estimate_paulis(samples, net.support, batches)
+    f = net.value_matrix() @ estimate_paulis(samples, net.support)
     return {(i, j): float(f[i] - f[j]) for i in range(net.size) for j in range(net.size)}
 
 
 def test_zero_state_z_basis_always_plus():
     rho = np.diag([1.0, 0.0]).astype(complex)
-    samples = collect_shadows(rho, 500, np.random.default_rng(0))
+    samples = per_sample(rho, 500, np.random.default_rng(0))
     zmask = samples.bases[:, 0] == 2
     assert zmask.sum() > 100
     assert np.all(samples.outcomes[zmask, 0] == 1)
@@ -66,7 +97,7 @@ def test_zero_state_z_basis_always_plus():
 
 def test_maximally_mixed_outcomes_uniform():
     rho = np.eye(2, dtype=complex) / 2
-    samples = collect_shadows(rho, 10000, np.random.default_rng(1))
+    samples = per_sample(rho, 10000, np.random.default_rng(1))
     mean = samples.outcomes[:, 0].astype(float).mean()
     assert abs(mean) <= 3 / math.sqrt(10000)
 
@@ -74,7 +105,7 @@ def test_maximally_mixed_outcomes_uniform():
 def test_basis_words_uniform_chi_squared():
     rho = np.eye(4, dtype=complex) / 4
     m = 9000
-    samples = collect_shadows(rho, m, np.random.default_rng(2))
+    samples = per_sample(rho, m, np.random.default_rng(2))
     codes = samples.bases[:, 0].astype(int) * 3 + samples.bases[:, 1].astype(int)
     counts = np.bincount(codes, minlength=9)
     expected = m / 9
@@ -113,9 +144,9 @@ def test_unbiasedness_exact_enumeration():
 
 def test_estimates_bounded_and_identity_exact():
     rho = gibbs_density(random_hamiltonian(2, 2, 5), 1.0)
-    samples = collect_shadows(rho, 2000, np.random.default_rng(6))
+    samples = collect_shadows(rho, 2000, np.random.default_rng(6), mom_batches(2, 2, 0.05))
     paulis = enumerate_local_paulis(2, 2)
-    est = estimate_paulis(samples, paulis, mom_batches(2, 2, 0.05))
+    est = estimate_paulis(samples, paulis)
     assert paulis[0] == P("II") and est[0] == 1.0
     for p, v in zip(paulis, est):
         assert abs(v) <= 3.0 ** p.weight + 1e-12
@@ -167,9 +198,10 @@ def test_median_of_means_no_worse_on_coverage():
     batches = mom_batches(3, 2, 0.05)
     truth = pauli_trace_inners(paulis, rho).real
     for _ in range(reps):
-        samples = collect_shadows(rho, m, rng)
-        mom_ok += np.max(np.abs(estimate_paulis(samples, paulis, batches) - truth)) <= eps
-        mean_ok += np.max(np.abs(estimate_paulis(samples, paulis) - truth)) <= eps
+        samples = collect_shadows(rho, m, rng, batches)
+        pooled = ShadowData.from_counts(samples.counts.sum(axis=0, keepdims=True), 3)
+        mom_ok += np.max(np.abs(estimate_paulis(samples, paulis) - truth)) <= eps
+        mean_ok += np.max(np.abs(estimate_paulis(pooled, paulis) - truth)) <= eps
     assert mom_ok >= mean_ok - 1
     assert mom_ok == reps
 
@@ -187,13 +219,18 @@ def test_empty_samples_rejected():
 
 
 def test_batch_count_below_one_rejected_and_above_m_clamped():
-    samples = collect_shadows(np.eye(4, dtype=complex) / 4, 5, np.random.default_rng(0))
+    rho = np.eye(4, dtype=complex) / 4
+    samples = collect_shadows(rho, 5, np.random.default_rng(0))
     paulis = enumerate_local_paulis(2, 2)
     for batches in (0, -3):
         with pytest.raises(ValueError, match="batch"):
-            estimate_paulis(samples, paulis, batches)
-    np.testing.assert_array_equal(estimate_paulis(samples, paulis, 9),
-                                  estimate_paulis(samples, paulis, 5))
+            collect_shadows(rho, 5, np.random.default_rng(0), batches)
+        with pytest.raises(ValueError, match="batch"):
+            resplit(samples, batches)
+    clamped = collect_shadows(rho, 5, np.random.default_rng(0), 9)
+    np.testing.assert_array_equal(clamped.sizes, np.ones(5))
+    np.testing.assert_array_equal(estimate_paulis(clamped, paulis),
+                                  estimate_paulis(resplit(samples, 5), paulis))
 
 
 def test_net_observable_estimates():
@@ -220,12 +257,12 @@ def test_estimate_paulis_equals_per_string_loop(n, k, delta):
     rho = gibbs_density(random_hamiltonian(n, k, 300 + n), 0.8)
     paulis = enumerate_local_paulis(n, k)
     for m in (7, 1001):
-        samples = collect_shadows(rho, m, np.random.default_rng(m + n))
+        samples = per_sample(rho, m, np.random.default_rng(m + n))
         for batches in (1, 5, mom_batches(n, k, delta)):
             assert m % batches or batches == 1
             ref = np.array([reference_estimate(samples, p, batches) for p in paulis])
-            np.testing.assert_array_equal(estimate_paulis(samples, paulis, batches), ref)
-            assert estimate_paulis(samples, paulis[-1:], batches)[0] == ref[-1]
+            np.testing.assert_array_equal(estimate_paulis(resplit(samples, batches), paulis), ref)
+            assert estimate_paulis(resplit(samples, batches), paulis[-1:])[0] == ref[-1]
 
 
 def kron_joint_distribution(rho, n):
@@ -280,8 +317,7 @@ def test_non_unit_trace_state_rejected(n):
     for nearly in (rho * (1 + 1e-12), rho * (1 - 1e-12)):
         probs = _joint_distribution(nearly, n)
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_array_equal(collect_shadows(nearly, 50, 3).index,
-                                      np.random.default_rng(3).choice(6**n, size=50, p=probs))
+        assert_drawn_from(collect_shadows(nearly, 50, 3), probs, 50, 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -335,7 +371,7 @@ def test_guide_table_draw_at_bucket_edges_equals_rng_choice(p):
 def test_collect_shadows_equals_digit_loop_over_choice(n):
     rho = gibbs_density(random_hamiltonian(n, min(n, 2), 950 + n), 0.6)
     m = 2000
-    samples = collect_shadows(rho, m, np.random.default_rng(n))
+    samples = collect_shadows(rho, m, np.random.default_rng(n), m)   # the index regime
     flat = np.random.default_rng(n).choice(6**n, size=m, p=_joint_distribution(rho, n))
     b, o = flat // 2**n, flat % 2**n
     for i in range(n):
@@ -353,7 +389,7 @@ def test_collect_shadows_equals_digit_loop_over_choice(n):
 ])
 def test_index_kernel_equals_per_string_reference(n, m, batch_counts):
     rho = gibbs_density(random_hamiltonian(n, 2, 700 + n), 0.9)
-    samples = collect_shadows(rho, m, np.random.default_rng(710 + n))
+    samples = per_sample(rho, m, np.random.default_rng(710 + n))
     paulis = enumerate_local_paulis(n, min(n, 3))
     # the batch histograms when batches * 6^n <= strings * batch size, else
     # the per-sample gather: every n but the (2, 5000) case runs both
@@ -362,7 +398,7 @@ def test_index_kernel_equals_per_string_reference(n, m, batch_counts):
     for batches in batch_counts:
         assert batches == 1 or m % batches
         ref = np.array([reference_estimate(samples, p, batches) for p in paulis])
-        np.testing.assert_array_equal(estimate_paulis(samples, paulis, batches), ref)
+        np.testing.assert_array_equal(estimate_paulis(resplit(samples, batches), paulis), ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -377,7 +413,7 @@ def test_shadow_rows_round_trip_through_index(n):
         samples.index, (bases @ 3**shift) * 2**n + (outcomes < 0) @ 2**shift)
     np.testing.assert_array_equal(samples.bases, bases)
     np.testing.assert_array_equal(samples.outcomes, outcomes)
-    drawn = collect_shadows(np.eye(2**n, dtype=complex) / 2**n, 300, rng)
+    drawn = per_sample(np.eye(2**n, dtype=complex) / 2**n, 300, rng)
     back = ShadowData(drawn.bases, drawn.outcomes)
     assert back.index.dtype == drawn.index.dtype
     np.testing.assert_array_equal(back.index, drawn.index)
@@ -396,14 +432,112 @@ def test_half_tables_built_once_per_string_list(monkeypatch):
     _half_tables.cache_clear()
     n = 3
     rho = gibbs_density(random_hamiltonian(n, 2, 890), 0.7)
-    samples = collect_shadows(rho, 1001, np.random.default_rng(891))
+    samples = per_sample(rho, 1001, np.random.default_rng(891))
     paulis = enumerate_local_paulis(n, 2)
     others = [P("XYZ"), P("ZIX"), P("IIY"), P("YYI")]
     for batches in (1, 6):
         for strings in (paulis, tuple(paulis), others):
             ref = np.array([reference_estimate(samples, p, batches) for p in strings])
-            np.testing.assert_array_equal(estimate_paulis(samples, strings, batches), ref)
+            np.testing.assert_array_equal(estimate_paulis(resplit(samples, batches), strings),
+                                          ref)
     assert len(built) == 4   # two halves of each distinct string list
     for table, pick in _half_tables(n, tuple(p.code for p in paulis)):
         assert not table.flags.writeable and not pick.flags.writeable
     assert len(built) == 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_collect_shadows_draws_histograms_iff_they_are_no_larger(n):
+    rho = random_density(n, np.random.default_rng(1100 + n))
+    probs = born_table(rho)
+    np.testing.assert_array_equal(probs, _joint_distribution(rho, n))
+    for m, batches in ((6**n, 1), (6**n - 1, 1), (3 * 6**n, 3), (3 * 6**n - 1, 3),
+                       (3 * 6**n + 2, 3), (20, 30)):
+        ours = np.random.default_rng(m + batches)
+        samples = collect_shadows(rho, m, ours, batches)
+        assert (samples.counts is not None) == (min(batches, m) * 6**n <= m)
+        assert len(samples) == m
+        assert_drawn_from(samples, probs, m, m + batches, batches)
+        # a table built once draws the same samples and leaves the same state
+        again = np.random.default_rng(m + batches)
+        from_table = collect_shadows(probs, m, again, batches)
+        for a, b in ((samples.counts, from_table.counts), (samples.index, from_table.index)):
+            np.testing.assert_array_equal(a, b)
+        assert ours.bit_generator.state == again.bit_generator.state
+
+
+def test_born_table_keeps_the_state_checks():
+    with pytest.raises(ValueError, match="PSD"):
+        born_table(np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(ValueError, match="unit trace"):
+        born_table(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="power of 2"):
+        born_table(np.eye(3, dtype=complex) / 3)
+    with pytest.raises(ValueError, match="6\\^n"):
+        collect_shadows(np.full(7, 1 / 7), 10, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_histogram_estimates_equal_index_path_on_expanded_samples(n):
+    rng = np.random.default_rng(1200 + n)
+    rho = gibbs_density(random_hamiltonian(n, min(n, 2), rng), 0.7)
+    probs = born_table(rho)
+    paulis = enumerate_local_paulis(n, min(n, 3))
+    # drawn histograms at several batch counts, then hand-made ones whose
+    # batch count is cut to m (the clamp), which the draw never makes
+    cases = [collect_shadows(rho, m, rng, batches)
+             for m, batches in ((6**n, 1), (5 * 6**n + 3, 5), (18 * 6**n + 11, 18))]
+    cases += [ShadowData.from_counts(rng.multinomial(batch_sizes(m, batches), probs), n)
+              for m, batches in ((7, 10), (3, 40))]
+    for samples, batches in zip(cases, (1, 5, 18, 10, 40)):
+        assert samples.counts is not None
+        # expand each batch's histogram to samples, in a shuffled order
+        rows = [rng.permutation(np.repeat(np.arange(6**n), row)) for row in samples.counts]
+        index = ShadowData.from_index(np.concatenate(rows).astype(np.min_scalar_type(6**n)),
+                                      n, batches)
+        np.testing.assert_array_equal(index.sizes, samples.sizes)
+        np.testing.assert_array_equal(estimate_paulis(samples, paulis),
+                                      estimate_paulis(index, paulis))
+        ref = np.array([reference_estimate(index, p, batches) for p in paulis])
+        np.testing.assert_array_equal(estimate_paulis(samples, paulis), ref)
+
+
+@pytest.mark.parametrize("n, m", [(2, 50000), (3, 200000)])
+def test_histogram_draw_law(n, m):
+    rho = gibbs_density(random_hamiltonian(n, 2, 1300 + n), 1.0)
+    batches = mom_batches(n, 2, 0.05)
+    samples = collect_shadows(rho, m, np.random.default_rng(1310 + n), batches)
+    assert samples.counts.shape == (batches, 6**n)
+    np.testing.assert_array_equal(samples.counts.sum(axis=1),
+                                  [len(c) for c in np.array_split(np.arange(m), batches)])
+    # the pooled histogram against m p: a chi-square test over the bins
+    expected = m * born_table(rho)
+    chi2 = float(np.sum((samples.counts.sum(axis=0) - expected) ** 2 / expected))
+    dof = 6**n - 1
+    assert chi2 <= dof + 3 * math.sqrt(2 * dof)
+
+
+def test_histogram_and_index_estimates_share_their_law():
+    # median-of-means estimates from drawn histograms and from drawn indices:
+    # equal means and variances over many seeds, within 4 sigma
+    n, m, batches, reps = 2, 2000, 5, 300
+    rho = gibbs_density(random_hamiltonian(n, 2, 1400), 1.0)
+    paulis = enumerate_local_paulis(n, 2, include_identity=False)
+    hist, index = [], []
+    for seed in range(reps):
+        drawn = collect_shadows(rho, m, np.random.default_rng((1401, seed)), batches)
+        assert drawn.counts is not None
+        hist.append(estimate_paulis(drawn, paulis))
+        drawn = resplit(per_sample(rho, m, np.random.default_rng((1402, seed))), batches)
+        index.append(estimate_paulis(drawn, paulis))
+    hist, index = np.array(hist), np.array(index)
+
+    def moments(x):
+        mean, var = x.mean(axis=0), x.var(axis=0, ddof=1)
+        fourth = np.mean((x - mean) ** 4, axis=0)
+        return mean, var, var / reps, (fourth - var**2) / reps
+
+    mean_h, var_h, se2_mean_h, se2_var_h = moments(hist)
+    mean_i, var_i, se2_mean_i, se2_var_i = moments(index)
+    assert np.all(np.abs(mean_h - mean_i) <= 4 * np.sqrt(se2_mean_h + se2_mean_i))
+    assert np.all(np.abs(var_h - var_i) <= 4 * np.sqrt(se2_var_h + se2_var_i))
