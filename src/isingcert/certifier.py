@@ -6,7 +6,11 @@ The subroutine compiles V ~ exp(-i t (H - H0)), estimates |v_I|^2 with the
 memoryless identity estimator, and declares FAR when the estimate falls at or
 below a fixed threshold.  The estimator reads only |Tr V / 2^n|^2, so a run
 takes Tr V of every level from Trotter steps written in H's eigenbasis, from
-the two cached spectra, instead of building V.  Two profiles ship:
+the two spectra, instead of building V.  `certify_block` runs a block of
+trials as arrays: the schedule, whose step and experiment counts are the
+same for every trial, compiles once, and each level raises the steps of the
+trials that have not yet said FAR with one stacked `matrix_power`.
+`certify` and `certify_subroutine` are one-trial blocks.  Two profiles ship:
 
 * "strict": the closed-form constants (threshold 1 - 23/(2400 e^6 C^2),
   accuracy 1/(4800 e^6 C^2), t = 1/(60 eps e^3 C)).  The implied experiment
@@ -26,7 +30,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import constants as con
-from . import oracle
 from .dynamics import ExperimentLedger, TrotterFragment, charge_plan, trotter_compile
 from .hamiltonians import LocalHamiltonian
 from .identity_estimator import budgeted_sample_count, drawn_estimate, sample_count
@@ -164,107 +167,97 @@ class CompiledLevel(NamedTuple):
     samples: int
 
 
-def _compile_levels(h0: LocalHamiltonian, levels, config: CertConfig) -> list[CompiledLevel]:
+def compile_levels(levels, config: CertConfig) -> list[CompiledLevel]:
     """Compile every (level, eps, delta) of `levels`; builds no matrices.
 
-    A Trotter step count over TROTTER_STEP_BUDGET, or a sampled experiment
-    count over EXPERIMENT_BUDGET, raises BudgetExceededError here, at any
-    level.
+    Step and experiment counts depend on the config alone, so one compile
+    serves every trial, and its fragments carry no H0: the block kernel
+    reads their step counts and query times, and charges them.  A Trotter
+    step count over TROTTER_STEP_BUDGET, or a sampled experiment count over
+    EXPERIMENT_BUDGET, raises BudgetExceededError here, at any level.
     """
     profile = PROFILES[config.profile]()
     # the oracle estimator samples nothing, so no experiment budget applies
     budget = con.EXPERIMENT_BUDGET if config.estimator == "sampled" else None
-    return [
-        CompiledLevel(level, eps_l, delta_l,
-                      trotter_compile(h0, profile.time_for(eps_l), profile.eps_trott, config.c_op),
-                      budgeted_sample_count(profile.est_accuracy, delta_l, budget))
-        for level, eps_l, delta_l in levels
-    ]
+    return [CompiledLevel(level, eps_l, delta_l,
+                          trotter_compile(None, profile.time_for(eps_l), profile.eps_trott,
+                                          config.c_op),
+                          budgeted_sample_count(profile.est_accuracy, delta_l, budget))
+            for level, eps_l, delta_l in levels]
 
 
-def _identity_traces(h0: LocalHamiltonian, h_true: LocalHamiltonian, fragments):
-    """Tr V / 2^n of each fragment's V = (a b a)^steps, one chunk of levels at
-    a time, computed when the caller reaches it.
+def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs,
+                  ledgers) -> list[tuple[str, list[LevelRecord]]]:
+    """Certify a block of trials at each compiled level in order; a trial
+    stops at its first FAR, and survives every level as CLOSE.
 
-    With H = W diag(w) W^dag, H0 = W0 diag(w0) W0^dag, M = W^dag W0 and
-    tau = t / (2 steps), the Trotter step in H's eigenbasis is
-    W^dag (a b a) W = D M diag(e^{2 i tau w0}) M^dag D with D = diag(e^{-i tau w}),
-    and V has the trace of its steps-th power.
+    `spectra` is (w0, v0, w, v), each trial's eigenvalues (B, 2^n) and
+    eigenvectors (B, 2^n, 2^n) of H0 and of H.  Trial i draws from rngs[i]
+    and charges ledgers[i], one `charge_plan` per level it reaches.
+
+    A level's estimate reads only |Tr V / 2^n|^2.  With H = W diag(w) W^dag,
+    H0 = W0 diag(w0) W0^dag, M = W^dag W0 and tau = t / (2 steps), the
+    Trotter step in H's eigenbasis is X = D M diag(e^{2 i tau w0}) M^dag D
+    with D = diag(e^{-i tau w}), and Tr V = Tr X^steps.  Each level forms X
+    for the trials still running and raises them with one stacked
+    `matrix_power`; a level's stacks are at most half the size of the
+    spectra's, so a block sized within STACK_CHUNK_BYTES keeps them there.
+    The sampled estimator draws its hit count as `estimate_identity_sq` does.
     """
-    w0, v0 = h0.spectrum()
-    w, v = h_true.spectrum()
-    m = v.conj().T @ v0
-    dim = len(w)
-    chunk = max(1, oracle.STACK_CHUNK_BYTES // (16 * dim * dim))
-    for start in range(0, len(fragments), chunk):
-        block = fragments[start:start + chunk]
-        tau = np.array([f.query_time for f in block])[:, None]
-        b = (m * np.exp(2j * tau * w0)[:, None, :]) @ m.conj().T
-        d = np.exp(-1j * tau * w)
-        x = d[:, :, None] * b * d[:, None, :]
-        for step, f in zip(x, block):
-            yield complex(np.trace(np.linalg.matrix_power(step, f.steps))) / dim
-
-
-def _run_levels(h0, h_true, levels: list[CompiledLevel], config: CertConfig, rng,
-                ledger: ExperimentLedger) -> tuple[str, list[LevelRecord]]:
-    """Certify at each compiled level in order until one says FAR.
-
-    A level's estimate reads only |Tr V / 2^n|^2: the sampled estimator
-    draws its hit count from `rng` exactly as `estimate_identity_sq` does.
-    Each level charges its experiments through `charge_plan`.
-    """
+    w0, v0, w, v = spectra
+    dim = w.shape[-1]
+    n = dim.bit_length() - 1
+    m = np.swapaxes(v.conj(), -1, -2) @ v0
     threshold = PROFILES[config.profile]().far_threshold
-    records = []
-    verdict = CLOSE
-    traces = _identity_traces(h0, h_true, [lvl.fragment for lvl in levels])
-    for lvl, trace in zip(levels, traces):
-        identity_sq = abs(trace) ** 2
-        if config.estimator == "sampled":
-            value, _ = drawn_estimate(identity_sq, h0.n, lvl.samples, rng)
-        else:
-            value = identity_sq
-            if config.synthetic_noise:
-                value += rng.uniform(-config.synthetic_noise, config.synthetic_noise)
-                value = min(1.0, max(0.0, value))
-        # the oracle estimator charges the nominal protocol cost too
-        charge_plan((lvl.fragment,), ledger, repeat=lvl.samples)
-        verdict = decide(value, threshold)
-        records.append(LevelRecord(
-            level=lvl.level, eps=lvl.eps, delta=lvl.delta, estimate=value,
-            threshold=threshold, verdict=verdict,
-            samples=lvl.samples, trotter_steps=lvl.fragment.steps,
-        ))
-        if verdict == FAR:
+    records = [[] for _ in rngs]
+    alive = list(range(len(rngs)))
+    for lvl in levels:
+        if not alive:
             break
-    return verdict, records
+        tau, mi = lvl.fragment.query_time, m[alive]
+        b = (mi * np.exp(2j * tau * w0[alive])[:, None, :]) @ np.swapaxes(mi.conj(), -1, -2)
+        d = np.exp(-1j * tau * w[alive])
+        x = np.linalg.matrix_power(d[:, :, None] * b * d[:, None, :], lvl.fragment.steps)
+        for i, trace in zip(alive, np.trace(x, axis1=-2, axis2=-1).tolist()):
+            identity_sq = abs(trace / dim) ** 2
+            if config.estimator == "sampled":
+                value, _ = drawn_estimate(identity_sq, n, lvl.samples, rngs[i])
+            else:
+                value = identity_sq
+                if config.synthetic_noise:
+                    value += rngs[i].uniform(-config.synthetic_noise, config.synthetic_noise)
+                    value = min(1.0, max(0.0, value))
+            # the oracle estimator charges the nominal protocol cost too
+            charge_plan((lvl.fragment,), ledgers[i], repeat=lvl.samples)
+            records[i].append(LevelRecord(
+                level=lvl.level, eps=lvl.eps, delta=lvl.delta, estimate=value,
+                threshold=threshold, verdict=decide(value, threshold),
+                samples=lvl.samples, trotter_steps=lvl.fragment.steps,
+            ))
+        alive = [i for i in alive if records[i][-1].verdict == CLOSE]
+    return [(r[-1].verdict, r) for r in records]
 
 
-def certify_subroutine(
-    h0: LocalHamiltonian,
-    h_true: LocalHamiltonian,
-    eps: float,
-    delta: float,
-    config: CertConfig,
-    rng,
-    ledger: ExperimentLedger,
-) -> tuple[str, LevelRecord]:
+def _one_trial(h0: LocalHamiltonian, h_true: LocalHamiltonian, levels, config: CertConfig,
+               rng, ledger: ExperimentLedger) -> tuple[str, list[LevelRecord]]:
+    spectra = tuple(a[None] for a in (*h0.spectrum(), *h_true.spectrum()))
+    return certify_block(spectra, levels, config, [np.random.default_rng(rng)], [ledger])[0]
+
+
+def certify_subroutine(h0: LocalHamiltonian, h_true: LocalHamiltonian, eps: float, delta: float,
+                       config: CertConfig, rng,
+                       ledger: ExperimentLedger) -> tuple[str, LevelRecord]:
     """One bounded-promise certification call at accuracy eps (record level -1).
 
     The guarantee binds when ||H - H0||_F <= 15 eps; the call runs either way
     and FAR / CLOSE then still imply >= eps / <= 12 eps respectively.
     """
-    levels = _compile_levels(h0, ((-1, eps, delta),), config)
-    verdict, records = _run_levels(h0, h_true, levels, config, np.random.default_rng(rng), ledger)
+    levels = compile_levels(((-1, eps, delta),), config)
+    verdict, records = _one_trial(h0, h_true, levels, config, rng, ledger)
     return verdict, records[0]
 
 
-def certify(
-    h0: LocalHamiltonian,
-    h_true: LocalHamiltonian,
-    config: CertConfig,
-    rng,
-) -> CertReport:
+def certify(h0: LocalHamiltonian, h_true: LocalHamiltonian, config: CertConfig, rng) -> CertReport:
     """Full certification: iterate the subroutine down the schedule.
 
     Any FAR stops the run with FAR; surviving every level means CLOSE.  For
@@ -278,10 +271,10 @@ def certify(
     overrun at any level raises BudgetExceededError with `rng` untouched,
     even on a run that would have stopped at FAR before that level.
     """
-    schedule = IterationSchedule(config.eps, config.delta, config.c_frob)
-    levels = _compile_levels(h0, schedule.levels, config)
+    levels = compile_levels(IterationSchedule(config.eps, config.delta, config.c_frob).levels,
+                            config)
     ledger = ExperimentLedger()
-    verdict, records = _run_levels(h0, h_true, levels, config, np.random.default_rng(rng), ledger)
+    verdict, records = _one_trial(h0, h_true, levels, config, rng, ledger)
     return CertReport(verdict, records, ledger.snapshot())
 
 

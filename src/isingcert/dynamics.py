@@ -131,7 +131,7 @@ class TrotterFragment:
     is one logical query for noise purposes.
     """
 
-    h0: LocalHamiltonian
+    h0: LocalHamiltonian | None   # None: compiled for its steps and charges, not to realize
     t: float
     steps: int
     eps_trott: float
@@ -153,7 +153,7 @@ class TrotterFragment:
         """The dense V, as the literal Trotter product.
 
         Only `net_unitary`, and so `estimate_identity_sq`, builds it;
-        `certifier.certify` takes Tr V from the step in H's eigenbasis
+        `certifier.certify_block` takes Tr V from the step in H's eigenbasis
         instead.  Its rounding grows with the step count: at 1957 steps
         (the strict profile at eps 0.002, c_op 2), |Tr V / 2^n|^2 is 1e-12
         to 7e-12 off the same product of long-double factors (n = 2, 3, both

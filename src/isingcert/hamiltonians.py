@@ -62,7 +62,7 @@ class LocalHamiltonian:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (w, v) of `hermitian_eig(to_matrix())`, computed on first use.
         Sound because `coeffs` is never written after construction: `scaled`
-        and `hamiltonian_sum` return new instances."""
+        returns a new instance."""
         if self._spectrum is None:
             w, v = oracle.hermitian_eig(self.to_matrix())
             w.flags.writeable = v.flags.writeable = False
@@ -75,41 +75,6 @@ class LocalHamiltonian:
 
     def scaled(self, factor: float) -> "LocalHamiltonian":
         return LocalHamiltonian(self.n, self.k, {p: h * factor for p, h in self.coeffs.items()})
-
-
-def cache_spectra(hams) -> None:
-    """Fill the `spectrum()` cache of every Hamiltonian of `hams` (one n) from
-    one stacked scatter over the union of their strings and one stacked
-    `hermitian_eig`.  A string a Hamiltonian lacks adds a zero, which leaves
-    every entry as it was, so each spectrum is bit-identical to the one
-    `spectrum()` computes alone."""
-    paulis = sorted({p for h in hams for p in h.coeffs}, key=lambda p: p.code)
-    coeffs = [[h.coeffs.get(p, 0.0) for p in paulis] for h in hams]
-    w, v = oracle.hermitian_eig(pauli_sum_matrix(hams[0].n, paulis, coeffs))
-    w.flags.writeable = v.flags.writeable = False
-    for h, spectrum in zip(hams, zip(w, v)):
-        h._spectrum = spectrum
-
-
-def _unchecked(n: int, k: int, coeffs: dict) -> LocalHamiltonian:
-    # Differences of admissible Hamiltonians can leave [-1,1]; build without
-    # the coefficient-bound check but keep the structural fields.
-    out = LocalHamiltonian.__new__(LocalHamiltonian)
-    out.n = n
-    out.k = k
-    out.coeffs = {p: float(h) for p, h in coeffs.items() if h != 0.0 and not p.is_identity()}
-    return out
-
-
-def hamiltonian_sum(a: LocalHamiltonian, b: LocalHamiltonian) -> LocalHamiltonian:
-    if a.n != b.n:
-        raise ValueError("qubit counts differ")
-    keys = set(a.coeffs) | set(b.coeffs)
-    return _unchecked(a.n, max(a.k, b.k), {p: a.coeff(p) + b.coeff(p) for p in keys})
-
-
-def hamiltonian_diff(a: LocalHamiltonian, b: LocalHamiltonian) -> LocalHamiltonian:
-    return hamiltonian_sum(a, _unchecked(b.n, b.k, {p: -h for p, h in b.coeffs.items()}))
 
 
 def check_beta(beta: float) -> None:

@@ -241,13 +241,17 @@ def estimate_paulis(samples: ShadowData, paulis: Sequence[PauliString]) -> np.nd
     - otherwise each batch gathers its samples' half values and multiplies
       the two (batch, half strings) blocks.
 
-    Every product and partial sum is an integer of magnitude at most
-    3^n m < 2^53, so the float matrix products are exact in any order, and
-    the estimates equal the per-string loop's bit for bit on any samples
-    with the same per-batch histograms.
+    Every product and partial sum is an integer of magnitude at most 3^n
+    times the batch size, so the float matrix products are exact in any
+    order, and the estimates equal the per-string loop's bit for bit on any
+    samples with the same per-batch histograms.  A batch that takes that
+    bound to 2^53 is a ValueError.
     """
     if len(samples) == 0:
         raise ValueError("empty sample list")
+    if 3**samples.n * int(samples.sizes.max()) >= 2**53:
+        raise ValueError(f"a batch of {int(samples.sizes.max())} samples on {samples.n} qubits "
+                         "takes the partial sums past 2^53, where floats stop being exact")
     if any(p.n != samples.n for p in paulis):
         raise ValueError(f"every string must act on the samples' {samples.n} qubits")
     n, sizes = samples.n, samples.sizes

@@ -5,14 +5,16 @@ SeedSequence spawn keys, so a record depends on its own trial index only, and
 reports list the records in trial order.  All trials of a task run in one
 process: the `parallelism` config field is validated and echoed in the
 report, and changes nothing else.  The sweeps run their trials as stacks of
-one n: one Pauli scatter, eig and Gibbs map each.  `certify-dynamics` takes
-the spectra of a block of trials from one scatter and eig, then certifies
-its trials one by one; the other tasks run trial by trial.  Each driver
-builds what every trial shares (configs, net and its Gibbs table, sample
-count, the far arm's Born tables) once, before any trial runs; a ValueError
-raised there is a ConfigError.  Promise checks run against the exact dense
-oracle and raise PromiseViolationError when an instance falls outside its
-advertised regime.
+one n: one Pauli scatter, eig and Gibbs map each.  `certify-dynamics` runs
+blocks of trials as arrays: a block's instances are coefficient rows, its
+spectra come from one scatter and eig, and `certifier.certify_block`
+certifies the whole block; the other tasks run trial by trial.  Each driver
+builds what every trial shares (configs, the certification schedule, net and
+its Gibbs table, sample count, the far arm's Born tables) once, before any
+trial runs; a ValueError raised there is a ConfigError.  Promise checks run
+against the exact dense oracle and raise PromiseViolationError when an
+instance falls outside its advertised regime, before any trial of its block
+is certified.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import calibration, oracle
-from .certifier import CertConfig, IterationSchedule, certify, evolution_time_bound
+from .certifier import (CertConfig, IterationSchedule, certify_block, compile_levels,
+                        evolution_time_bound)
 from .constants import SHADOW_SAMPLE_HARD_CAP, constants_ledger
+from .dynamics import ExperimentLedger
 from .errors import BudgetExceededError, ConfigError, PromiseViolationError
 from .gibbs import (
     GibbsCertConfig,
@@ -38,10 +42,8 @@ from .gibbs import (
 from .hamiltonians import (
     HamiltonianNet,
     LocalHamiltonian,
-    cache_spectra,
     check_beta,
     gibbs_density,
-    hamiltonian_diff,
     gibbs_states,
     random_hamiltonian,
 )
@@ -228,57 +230,27 @@ def task_verify_bounds(params, trials, seed):
 
 # ---------------------------------------------------------------- dynamics
 
-def _dynamics_instance(params, seed, trial) -> tuple:
-    """(H0, H, ||H - H0||_F) of one trial, with the arm's promise checked."""
-    eps = params["eps"]
-    far = params["arm"] == "far"
-    try:
-        h0, h = calibration.certifier_instance(
-            trial_rng(seed, trial, 1), params["n"], eps, far, params["c_frob"]
-        )
-    except ValueError as exc:
-        raise PromiseViolationError(
-            f"trial {trial}: the instance drawn at c_frob = {params['c_frob']} "
-            f"leaves the box |h_P| <= 1: {exc}"
-        ) from exc
-    delta_norm = hamiltonian_diff(h, h0).frobenius_norm()
-    if far and delta_norm < 12.0 * eps - 1e-9:
-        raise PromiseViolationError(
-            f"far-arm instance has ||dH||_F = {delta_norm} < 12 eps = {12 * eps}"
-        )
-    if not far and delta_norm > eps + 1e-9:
-        raise PromiseViolationError(
-            f"close-arm instance has ||dH||_F = {delta_norm} > eps = {eps}"
-        )
-    return h0, h, delta_norm
-
-
-def _dynamics_instances(params, seed, trials):
-    """Yield (trial, H0, H, ||H - H0||_F) in trial order.  Each block of
-    trials, sized like a sweep stack of two Hamiltonians per trial, is built
-    and promise-checked whole, and its spectra come from one `cache_spectra`;
-    the block is dropped when the next one starts."""
+def _dynamics_blocks(params, seed, trials):
+    """Yield (trial indices, ||H - H0||_F per trial, spectra) block by block,
+    in trial order.  A block, sized like a sweep stack of two Hamiltonians
+    per trial, draws its instances as coefficient rows and checks them whole,
+    then takes the spectra (w0, v0, w, v) of its 2B Hamiltonians from one
+    scatter and one stacked `hermitian_eig`."""
     n = params["n"]
-    size = _stack_size(n, 2, local_pauli_count(n, 2) - 1)
+    paulis = enumerate_local_paulis(n, 2, include_identity=False)
+    size = _stack_size(n, 2, len(paulis))
     for start in range(0, trials, size):
-        block = [(t, *_dynamics_instance(params, seed, t))
-                 for t in range(start, min(start + size, trials))]
-        cache_spectra([h for _, h0, h1, _ in block for h in (h0, h1)])
-        yield from block
-
-
-def _dynamics_record(params, config, seed, trial, h0, h, delta_norm) -> dict:
-    report = certify(h0, h, config, trial_rng(seed, trial))
-    expected = "FAR" if params["arm"] == "far" else "CLOSE"
-    return {
-        "trial": trial,
-        "verdict": report.verdict,
-        "expected": expected,
-        "correct": report.verdict == expected,
-        "delta_frobenius_oracle_only": delta_norm,
-        "ledger": report.ledger,
-        "levels": report.levels,
-    }
+        block = range(start, min(start + size, trials))
+        try:
+            h0, h, delta = calibration.certifier_coeffs(
+                [trial_rng(seed, t, 1) for t in block], n, params["eps"],
+                params["arm"] == "far", params["c_frob"])
+        except calibration.InstanceError as exc:
+            raise PromiseViolationError(f"trial {block[exc.row]}: {exc}") from exc
+        # H0 and H of each trial side by side, as the rows of one stack
+        w, v = oracle.hermitian_eig(pauli_sum_matrix(n, paulis, np.stack([h0, h], axis=1)
+                                                     .reshape(-1, len(paulis))))
+        yield block, delta.tolist(), (w[0::2], v[0::2], w[1::2], v[1::2])
 
 
 def task_certify_dynamics(params, trials, seed):
@@ -296,11 +268,21 @@ def task_certify_dynamics(params, trials, seed):
         raise ConfigError(
             f"{arm} arm needs ||H - H0||_F = {gap} below c_frob = {params['c_frob']}"
         )
-    records = [_dynamics_record(params, config, seed, *instance)
-               for instance in _dynamics_instances(params, seed, trials)]
+    schedule = IterationSchedule(params["eps"], params["delta"], params["c_frob"])
+    levels = compile_levels(schedule.levels, config)   # a budget overrun exits before any draw
+    expected = "FAR" if arm == "far" else "CLOSE"
+    records = []
+    for block, deltas, spectra in _dynamics_blocks(params, seed, trials):
+        ledgers = [ExperimentLedger() for _ in block]
+        results = certify_block(spectra, levels, config, [trial_rng(seed, t) for t in block],
+                                ledgers)
+        records += [{
+            "trial": t, "verdict": verdict, "expected": expected,
+            "correct": verdict == expected, "delta_frobenius_oracle_only": delta,
+            "ledger": ledger.snapshot(), "levels": levels_run,
+        } for t, delta, ledger, (verdict, levels_run) in zip(block, deltas, ledgers, results)]
     errors = sum(1 for r in records if not r["correct"])
     total_time = [r["ledger"]["total_evolution_time"] for r in records]
-    schedule = IterationSchedule(params["eps"], params["delta"], params["c_frob"])
     mean_time = float(np.mean(total_time))
     payload = {
         "task": "certify-dynamics",

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from hamiltonian_reference import hamiltonian_diff, hamiltonian_sum
 from isingcert import constants as con
-from isingcert import oracle
+from isingcert import oracle, tasks
 from isingcert.calibration import certifier_instance
 from isingcert.certifier import (
     CLOSE,
@@ -16,7 +17,9 @@ from isingcert.certifier import (
     LevelRecord,
     calibrated_profile,
     certify,
+    certify_block,
     certify_subroutine,
+    compile_levels,
     decide,
     evolution_time_bound,
     strict_profile,
@@ -24,7 +27,7 @@ from isingcert.certifier import (
 from isingcert.dynamics import ExperimentLedger, charge_plan, trotter_compile
 from isingcert.errors import BudgetExceededError
 from isingcert.identity_estimator import estimate_identity_sq, sample_count
-from isingcert.hamiltonians import LocalHamiltonian, hamiltonian_diff, random_hamiltonian
+from isingcert.hamiltonians import LocalHamiltonian, random_hamiltonian
 from isingcert.oracle import evolve_matrix, hermitian_eig, identity_coeff
 from isingcert.paulis import PauliString
 
@@ -239,8 +242,6 @@ def test_far_perturbation_at_fourteen_epsilons():
     eps = 0.05
     h0 = random_hamiltonian(2, 2, 5, law="fixed_norm", frobenius=0.2)
     direction = random_hamiltonian(2, 2, 6, law="fixed_norm", frobenius=1.0)
-    from isingcert.hamiltonians import hamiltonian_sum
-
     h = hamiltonian_sum(h0, direction.scaled(14.4 * eps))
     assert hamiltonian_diff(h, h0).frobenius_norm() == pytest.approx(14.4 * eps)
     config = CertConfig(eps=eps, delta=0.1, c_op=2.0, c_frob=1.0)
@@ -336,3 +337,62 @@ def test_budget_overrun_at_any_level_raises_before_any_draw():
     with pytest.raises(BudgetExceededError, match="fragment needs"):
         certify(h0, h, config, rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("arm", ["close", "far"])
+def test_task_blocks_equal_per_trial_reference(n, arm):
+    # every trial of a four-trial block against the literal per-level run on
+    # its own instance: sampled records equal, oracle estimates as above
+    base = {**tasks.TASKS["certify-dynamics"].params, "n": n, "arm": arm}
+    for params in ({**base, "profile": "calibrated", "estimator": "sampled"},
+                   {**base, "profile": "strict", "estimator": "oracle"}):
+        payload, tables = tasks.run_task({"task": "certify-dynamics", "seed": 8, "trials": 4,
+                                          "params": params})
+        config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, profile=params["profile"],
+                            estimator=params["estimator"])
+        for record in payload["trials"]:
+            t = record["trial"]
+            h0, h = certifier_instance(tasks.trial_rng(8, t, 1), n, 0.05, arm == "far")
+            literal = certify_literal(h0, h, config, tasks.trial_rng(8, t))
+            assert (record["verdict"], record["ledger"]) == (literal.verdict, literal.ledger)
+            rows = [row[1:] for row in tables["levels"][1] if row[0] == t]
+            assert len(rows) == len(literal.levels)
+            for row, ref in zip(rows, literal.levels):
+                mine, ref = dict(zip(vars(ref), row)), dict(vars(ref))
+                if params["estimator"] == "oracle":
+                    tol = max(1e-12, 4 * ref["trotter_steps"] * 2**n * np.finfo(float).eps)
+                    assert abs(mine.pop("estimate") - ref.pop("estimate")) <= tol
+                assert mine == ref
+
+
+def test_block_raises_each_trial_only_to_its_stop(monkeypatch):
+    # far trials at growing gaps say FAR at earlier levels: each level raises
+    # the steps of the trials still running, and no level runs after the last FAR
+    config = CertConfig(eps=0.05, delta=0.1, c_op=2.0)
+    levels = compile_levels(IterationSchedule(0.05, 0.1, 1.0).levels, config)
+    h0 = random_hamiltonian(2, 2, 50, law="fixed_norm", frobenius=0.3)
+    direction = random_hamiltonian(2, 2, 51, law="fixed_norm", frobenius=1.0)
+    hams = [hamiltonian_sum(h0, direction.scaled(gap)) for gap in (0.6, 1.2, 0.9, 0.6)]
+    pairs = [(h0.spectrum(), h.spectrum()) for h in hams]
+    spectra = [np.array([pair[k][i] for pair in pairs]) for k in (0, 1) for i in (0, 1)]
+    calls = []
+    power = np.linalg.matrix_power
+
+    def counted(a, steps):
+        calls.append((len(a), steps))
+        return power(a, steps)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    ledgers = [ExperimentLedger() for _ in hams]
+    results = certify_block(spectra, levels, config, [np.random.default_rng(i) for i in range(4)],
+                            ledgers)
+    stops = [len(records) for _, records in results]
+    assert [verdict for verdict, _ in results] == [FAR] * 4
+    assert len(set(stops)) > 1 and max(stops) < len(levels)
+    assert calls == [(sum(stop > j for stop in stops), levels[j].fragment.steps)
+                     for j in range(max(stops))]
+    monkeypatch.undo()
+    for i, (h, ledger, (verdict, records)) in enumerate(zip(hams, ledgers, results)):
+        literal = certify_literal(h0, h, config, np.random.default_rng(i))
+        assert CertReport(verdict, records, ledger.snapshot()) == literal

@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+import isingcert.oracle as oracle
 import isingcert.tasks as tasks
 from isingcert.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_PROMISE, main
 from isingcert.errors import ConfigError
+from isingcert.paulis import local_pauli_count
 from isingcert.tasks import validate_config
 
 
@@ -102,6 +104,18 @@ def test_trotter_step_budget_overrun_exit_code(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_budget_overrun_at_a_late_level_exits_before_any_trial(tmp_path, monkeypatch, capsys):
+    # c_op = 6500 puts only level 0 over the Trotter step budget, past the
+    # level where a far-arm trial says FAR; the schedule compiles before any trial
+    forbid_trials(monkeypatch)
+    cfg = {"schema_version": 1, "task": "certify-dynamics", "trials": 2,
+           "params": {"arm": "far", "c_op": 6500.0}}
+    out_dir = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out_dir)]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget overrun: fragment needs")
+    assert not out_dir.exists()
+
+
 def test_strict_profile_flag_refused_at_desk_scale(tmp_path):
     cfg = {"schema_version": 1, "task": "certify-dynamics", "trials": 1,
            "params": {"arm": "close"}}
@@ -135,7 +149,7 @@ def test_instance_outside_coefficient_box_exit_code(tmp_path, capsys):
 def test_promise_violation_fires_before_its_block_is_certified(tmp_path, monkeypatch, capsys):
     # trial 1 of the instance above leaves the box; trial 0 shares its block
     certified = []
-    monkeypatch.setattr(tasks, "certify", lambda *args: certified.append(args))
+    monkeypatch.setattr(tasks, "certify_block", lambda *args: certified.append(args))
     cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": 1, "trials": 2,
            "params": {"arm": "far", "c_frob": 3.0, "eps": 0.2}}
     path = write_config(tmp_path, cfg)
@@ -522,3 +536,21 @@ def test_dynamics_levels_table(tmp_path, arm):
     assert sorted({int(r["trial"]) for r in rows}) == [t["trial"] for t in report["trials"]]
     # the arm's own verdict, so its row pattern is exercised
     assert any(t["verdict"] == arm.upper() for t in report["trials"])
+
+
+@pytest.mark.parametrize("n, arm", [(2, "close"), (2, "far"), (3, "close"), (3, "far")])
+def test_dynamics_reports_do_not_depend_on_the_block_size(tmp_path, monkeypatch, n, arm):
+    # blocks of 1 trial, of 3 (7 trials end in a partial block) and of all 7
+    cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": 9, "trials": 7,
+           "params": {"n": n, "arm": arm}}
+    path = write_config(tmp_path, cfg)
+    terms = local_pauli_count(n, 2) - 1
+    runs = []
+    for size in (1, 3, 7):
+        monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", size * 16 * 2 * 2**n * max(2**n, terms))
+        assert tasks._stack_size(n, 2, terms) == size
+        out_dir = tmp_path / f"block-{size}"
+        assert main(["--config", path, "--out", str(out_dir)]) == EXIT_OK
+        runs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert len(runs[0]) == 3
+    assert runs[0] == runs[1] == runs[2]

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from access_reference import index_of_values, net_covering_check, round_member_index, round_to_grid
+from hamiltonian_reference import hamiltonian_diff
 from isingcert.hamiltonians import (
     HamiltonianNet,
     LocalHamiltonian,
     gibbs_density,
-    hamiltonian_diff,
     random_hamiltonian,
 )
 from isingcert.paulis import PauliString, pauli_trace_inners

@@ -15,8 +15,9 @@ import pytest
 
 import isingcert.oracle as oracle
 import isingcert.tasks as tasks
-from isingcert.hamiltonians import (HamiltonianNet, cache_spectra, gibbs_density,
-                                   hamiltonian_diff, random_hamiltonian)
+from hamiltonian_reference import cache_spectra, hamiltonian_diff, hamiltonian_sum
+from isingcert.calibration import certifier_coeffs, certifier_instance
+from isingcert.hamiltonians import HamiltonianNet, gibbs_density, random_hamiltonian
 from isingcert.oracle import evolve, evolve_matrix, hermitian_eig, schatten_moments
 from isingcert.paulis import (
     PauliString,
@@ -275,12 +276,34 @@ def test_stacked_spectra_equal_per_hamiltonian_spectra(n, monkeypatch):
     monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", 3 * 2 * 16 * 2**n * terms)
     monkeypatch.setattr(oracle, "hermitian_eig", counted)
     params = {**tasks.TASKS["certify-dynamics"].params, "n": n}
-    instances = list(tasks._dynamics_instances(params, 5, 7))
-    assert [t for t, *_ in instances] == list(range(7))
+    blocks = list(tasks._dynamics_blocks(params, 5, 7))
+    assert [t for block, *_ in blocks for t in block] == list(range(7))
     assert calls == [(6, 2**n, 2**n), (6, 2**n, 2**n), (2, 2**n, 2**n)]
-    for _, h0, h, _ in instances:
-        for ham in (h0, h):
-            w, v = hermitian_eig(ham.to_matrix())
-            np.testing.assert_array_equal(ham.spectrum()[0], w)
-            np.testing.assert_array_equal(ham.spectrum()[1], v)
+    for block, _, (w0, v0, w1, v1) in blocks:
+        for i, t in enumerate(block):
+            pair = certifier_instance(tasks.trial_rng(5, t, 1), n, params["eps"], False)
+            for ham, w_ham, v_ham in zip(pair, (w0, w1), (v0, v1)):
+                w, v = hermitian_eig(ham.to_matrix())
+                np.testing.assert_array_equal(w_ham[i], w)
+                np.testing.assert_array_equal(v_ham[i], v)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_certifier_rows_equal_per_instance_draws(n):
+    # a block's coefficient rows against one random_hamiltonian pair per trial,
+    # summed as LocalHamiltonians; the gap norm only differs in summation order
+    paulis = enumerate_local_paulis(n, 2, include_identity=False)
+    for far, c_frob in ((False, 1.0), (True, 1.0), (True, 1.5)):
+        gap = 12.0 * 0.05 if far else 0.05   # as the arms compute it
+        h0_rows, h_rows, delta = certifier_coeffs(
+            [np.random.default_rng((740, n, t)) for t in range(5)], n, 0.05, far, c_frob)
+        for t in range(5):
+            rng = np.random.default_rng((740, n, t))
+            h0 = random_hamiltonian(n, 2, rng, law="fixed_norm",
+                                    frobenius=min(0.35 * c_frob, 0.9 * (c_frob - gap)))
+            h = hamiltonian_sum(h0, random_hamiltonian(n, 2, rng, law="fixed_norm",
+                                                       frobenius=1.0).scaled(gap))
+            assert h0_rows[t].tolist() == [h0.coeff(p) for p in paulis]
+            assert h_rows[t].tolist() == [h.coeff(p) for p in paulis]
+            assert delta[t] == pytest.approx(hamiltonian_diff(h, h0).frobenius_norm(), abs=1e-15)

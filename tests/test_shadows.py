@@ -218,6 +218,29 @@ def test_empty_samples_rejected():
         collect_shadows(np.eye(2, dtype=complex) / 2, 0, np.random.default_rng(0))
 
 
+def test_estimates_exact_up_to_the_float_bound():
+    # every partial sum is at most 3^n times its batch's size: at n = 2 a
+    # batch that takes 9 size to 2^53 is refused, and one just under it gives
+    # the exact integer sums, each mean rounded once
+    n, rng = 2, np.random.default_rng(1500)
+    probs = born_table(gibbs_density(random_hamiltonian(n, 2, rng), 0.7))
+    paulis = enumerate_local_paulis(n, 2)
+    under = (2**53 - 1) // 9
+    counts = rng.multinomial([under, 1000, under - 7], probs)
+    every = ShadowData.from_index(np.arange(6**n), n)
+    ref = []
+    for p in paulis:
+        values = single_sample_values(every, p).astype(int).tolist()
+        means = sorted(sum(c * v for c, v in zip(row, values)) / sum(row)
+                       for row in counts.tolist())
+        ref.append(means[1])
+    assert estimate_paulis(ShadowData.from_counts(counts, n), paulis).tolist() == ref
+    counts[2, 0] += 8   # batch 2 now holds under + 1 samples
+    assert 9 * int(counts[2].sum()) >= 2**53
+    with pytest.raises(ValueError, match="2\\^53"):
+        estimate_paulis(ShadowData.from_counts(counts, n), paulis)
+
+
 def test_batch_count_below_one_rejected_and_above_m_clamped():
     rho = np.eye(4, dtype=complex) / 4
     samples = collect_shadows(rho, 5, np.random.default_rng(0))
