@@ -57,8 +57,8 @@ def certifier_coeffs(rngs, n: int, eps: float, far: bool, c_frob: float = 1.0):
 
     Each generator draws H0 and then a unit direction as `random_hamiltonian`'s
     "fixed_norm" law does, with its arithmetic, and H = H0 + gap * direction.
-    The first row with a degenerate draw, with H0, the direction or
-    gap * direction outside the box |h_P| <= 1, or with ||H - H0||_F off its
+    The first row with a degenerate draw, with H0, the direction,
+    gap * direction or H outside the box |h_P| <= 1, or with ||H - H0||_F off its
     arm's gap by more than 1e-9, raises InstanceError.
     """
     gap = 12.0 * eps if far else eps
@@ -76,7 +76,7 @@ def certifier_coeffs(rngs, n: int, eps: float, far: bool, c_frob: float = 1.0):
     h0, step = rows[:, 0], rows[:, 1] * gap
     h = h0 + step
     delta = np.linalg.norm(h - h0, axis=-1)
-    peaks = np.abs(np.stack([h0, rows[:, 1], step], axis=1)).max(axis=-1)   # (B, 3)
+    peaks = np.abs(np.stack([h0, rows[:, 1], step, h], axis=1)).max(axis=-1)   # (B, 4)
     bad = np.column_stack([(norms == 0).any(axis=-1), peaks > 1.0 + _COEFF_TOL,
                            delta < gap - 1e-9 if far else delta > gap + 1e-9])
     if bad.any():   # the first failing row, at its first failing check
@@ -84,8 +84,8 @@ def certifier_coeffs(rngs, n: int, eps: float, far: bool, c_frob: float = 1.0):
         check = int(bad[row].argmax())
         if check == 0:
             message = "degenerate draw, cannot rescale"
-        elif check < 4:
-            part = ("H0", "the unit direction", "gap * direction")[check - 1]
+        elif check < 5:
+            part = ("H0", "the unit direction", "gap * direction", "H")[check - 1]
             message = (f"the instance drawn at c_frob = {c_frob} leaves the box |h_P| <= 1: "
                        f"{part} has |h_P| up to {peaks[row, check - 1]}")
         else:

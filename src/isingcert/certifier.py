@@ -10,7 +10,9 @@ the two spectra, instead of building V.  `certify_block` runs a block of
 trials as arrays: the schedule, whose step and experiment counts are the
 same for every trial, compiles once, and each level raises the steps of the
 trials that have not yet said FAR with one stacked `matrix_power`.
-`certify` and `certify_subroutine` are one-trial blocks.  Two profiles ship:
+`certify` is a one-trial block, and one subroutine call at accuracy eps is a
+one-level block, `compile_levels(((-1, eps, delta),), config)`.  Two
+profiles ship:
 
 * "strict": the closed-form constants (threshold 1 - 23/(2400 e^6 C^2),
   accuracy 1/(4800 e^6 C^2), t = 1/(60 eps e^3 C)).  The implied experiment
@@ -238,25 +240,6 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
     return [(r[-1].verdict, r) for r in records]
 
 
-def _one_trial(h0: LocalHamiltonian, h_true: LocalHamiltonian, levels, config: CertConfig,
-               rng, ledger: ExperimentLedger) -> tuple[str, list[LevelRecord]]:
-    spectra = tuple(a[None] for a in (*h0.spectrum(), *h_true.spectrum()))
-    return certify_block(spectra, levels, config, [np.random.default_rng(rng)], [ledger])[0]
-
-
-def certify_subroutine(h0: LocalHamiltonian, h_true: LocalHamiltonian, eps: float, delta: float,
-                       config: CertConfig, rng,
-                       ledger: ExperimentLedger) -> tuple[str, LevelRecord]:
-    """One bounded-promise certification call at accuracy eps (record level -1).
-
-    The guarantee binds when ||H - H0||_F <= 15 eps; the call runs either way
-    and FAR / CLOSE then still imply >= eps / <= 12 eps respectively.
-    """
-    levels = compile_levels(((-1, eps, delta),), config)
-    verdict, records = _one_trial(h0, h_true, levels, config, rng, ledger)
-    return verdict, records[0]
-
-
 def certify(h0: LocalHamiltonian, h_true: LocalHamiltonian, config: CertConfig, rng) -> CertReport:
     """Full certification: iterate the subroutine down the schedule.
 
@@ -274,7 +257,9 @@ def certify(h0: LocalHamiltonian, h_true: LocalHamiltonian, config: CertConfig, 
     levels = compile_levels(IterationSchedule(config.eps, config.delta, config.c_frob).levels,
                             config)
     ledger = ExperimentLedger()
-    verdict, records = _one_trial(h0, h_true, levels, config, rng, ledger)
+    spectra = tuple(a[None] for a in (*h0.spectrum(), *h_true.spectrum()))
+    [(verdict, records)] = certify_block(spectra, levels, config, [np.random.default_rng(rng)],
+                                         [ledger])
     return CertReport(verdict, records, ledger.snapshot())
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import HamiltonianNet, LocalHamiltonian, check_beta, gibbs_density
+from .hamiltonians import HamiltonianNet, check_beta, gibbs_density
 from .oracle import trace_distance
 from .paulis import PauliString, check_size, enumerate_local_paulis, pauli_trace_inners
 from .shadows import ShadowData, batch_sizes, estimate_paulis, mom_batches, shadow_budget
@@ -256,16 +256,6 @@ def bound_diagnostics(rho: np.ndarray, rho0: np.ndarray, dh: np.ndarray, sup_coe
         )
         for i, b in enumerate(beta)
     ]
-
-
-def pinsker_gap(rho: np.ndarray, rho0: np.ndarray, h: LocalHamiltonian, h0: LocalHamiltonian,
-                beta: float) -> BoundDiagnostics:
-    """`bound_diagnostics` of the single pair rho, rho0 of states of h, h0."""
-    keys = set(h.coeffs) | set(h0.coeffs)
-    sup_coeff = max((abs(h.coeff(p) - h0.coeff(p)) for p in keys), default=0.0)
-    dh = h0.to_matrix() - h.to_matrix()
-    return bound_diagnostics(rho[None], rho0[None], dh[None], [sup_coeff], [beta],
-                             h.n, max(h.k, h0.k))[0]
 
 
 def degenerate_regime(config: GibbsCertConfig) -> bool:

@@ -97,11 +97,6 @@ def spectral_moments(w: np.ndarray, ls) -> list[list[float]]:
     return [[float(mean[i] ** (1.0 / l)) for mean, l in zip(means, ls)] for i in range(len(w))]
 
 
-def schatten_moments(h: LocalHamiltonian, ls) -> list[float]:
-    """(Tr[|H|^l] / 2^n)^(1/l) for every order l in `ls`, from one spectrum."""
-    return spectral_moments(h.spectrum()[0][None], ls)[0]
-
-
 def identity_coeff(u: np.ndarray) -> complex:
     """Pauli coefficient of the identity string: Tr[U] / 2^n."""
     if u.ndim != 2 or u.shape[0] != u.shape[1]:

@@ -18,7 +18,6 @@ from isingcert.certifier import (
     calibrated_profile,
     certify,
     certify_block,
-    certify_subroutine,
     compile_levels,
     decide,
     evolution_time_bound,
@@ -34,6 +33,15 @@ from isingcert.paulis import PauliString
 P = PauliString.from_label
 
 E6C2 = math.exp(6.0) * con.SERIES_TAIL_SUM**2
+
+
+def certify_at(h0, h, eps, delta, config, rng, ledger):
+    """One bounded-promise call at accuracy eps: a one-level block whose
+    record is level -1."""
+    levels = compile_levels(((-1, eps, delta),), config)
+    spectra = tuple(a[None] for a in (*h0.spectrum(), *h.spectrum()))
+    [(verdict, records)] = certify_block(spectra, levels, config, [rng], [ledger])
+    return verdict, records[0]
 
 
 def certify_literal(h0, h, config, rng) -> CertReport:
@@ -152,7 +160,7 @@ def test_strict_profile_oracle_verdicts():
                                 profile="strict", estimator="oracle",
                                 synthetic_noise=prof.est_accuracy)
             ledger = ExperimentLedger()
-            verdict, record = certify_subroutine(h0, h, eps, 0.1, config, rng, ledger)
+            verdict, record = certify_at(h0, h, eps, 0.1, config, rng, ledger)
             gap = hamiltonian_diff(h, h0).frobenius_norm()
             if verdict == FAR:
                 assert gap >= eps
@@ -233,7 +241,7 @@ def test_zero_gap_subroutine_monte_carlo():
     close = 0
     for _ in range(50):
         ledger = ExperimentLedger()
-        verdict, _ = certify_subroutine(h0, h0, 0.05, 0.1, config, rng, ledger)
+        verdict, _ = certify_at(h0, h0, 0.05, 0.1, config, rng, ledger)
         close += verdict == CLOSE
     assert close >= 45
 

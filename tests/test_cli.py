@@ -135,22 +135,37 @@ def test_promise_violation_exit_code(tmp_path):
 
 
 def test_instance_outside_coefficient_box_exit_code(tmp_path, capsys):
-    # at c_frob = 3 the far-arm gap 12 eps = 2.4 pushes trial 1's XY coefficient past 1
+    # at c_frob = 3 the far-arm gap 12 eps = 2.4 pushes trial 0's H to |h_P| = 1.058
+    # and trial 1's gap * direction past 1; the first failing trial is reported
     cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": 1, "trials": 2,
            "params": {"arm": "far", "c_frob": 3.0, "eps": 0.2}}
     path = write_config(tmp_path, cfg)
     out_dir = tmp_path / "out"
     assert main(["--config", path, "--out", str(out_dir)]) == EXIT_PROMISE
     err = capsys.readouterr().err
-    assert err.startswith("promise violation: trial 1:") and "c_frob = 3.0" in err
+    assert err.startswith("promise violation: trial 0:") and "c_frob = 3.0" in err
+    assert not out_dir.exists()
+
+
+def test_h_outside_coefficient_box_exit_code(tmp_path, capsys):
+    # trial 0 above: H0, the direction and gap * direction stay in the box, H does not
+    cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": 1, "trials": 1,
+           "params": {"arm": "far", "c_frob": 3.0, "eps": 0.2}}
+    path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir)]) == EXIT_PROMISE
+    err = capsys.readouterr().err
+    assert err.startswith("promise violation: trial 0:") and "H has |h_P| up to 1.058" in err
     assert not out_dir.exists()
 
 
 def test_promise_violation_fires_before_its_block_is_certified(tmp_path, monkeypatch, capsys):
-    # trial 1 of the instance above leaves the box; trial 0 shares its block
+    # seed 2 is the smallest seed at these params whose trial 0 stays in the box and
+    # whose trial 1 leaves it (a scan of seeds 0, 1, 2 with calibration.certifier_coeffs);
+    # the two trials share a block
     certified = []
     monkeypatch.setattr(tasks, "certify_block", lambda *args: certified.append(args))
-    cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": 1, "trials": 2,
+    cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": 2, "trials": 2,
            "params": {"arm": "far", "c_frob": 3.0, "eps": 0.2}}
     path = write_config(tmp_path, cfg)
     assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_PROMISE

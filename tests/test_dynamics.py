@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from access_reference import ExperimentPlan, outcome_distribution, run_experiment
+from access_reference import (
+    ExperimentPlan,
+    enumerate_stabilizer_states,
+    outcome_distribution,
+    run_experiment,
+)
 from isingcert.dynamics import (
     NO_NOISE,
     ExperimentLedger,
@@ -18,7 +23,6 @@ from isingcert.errors import BudgetExceededError
 from isingcert.hamiltonians import LocalHamiltonian, random_hamiltonian
 from isingcert.oracle import evolve, evolve_matrix, operator_norm_distance
 from isingcert.paulis import PauliString
-from isingcert.stabilizers import enumerate_stabilizer_states
 
 P = PauliString.from_label
 HZ = LocalHamiltonian(1, 1, {P("Z"): 1.0})

@@ -6,10 +6,10 @@ import pytest
 from isingcert.gibbs import (
     GibbsCertConfig,
     GibbsLearnConfig,
+    bound_diagnostics,
     certify_gibbs,
     degenerate_regime,
     learn_gibbs,
-    pinsker_gap,
     scan_objective,
 )
 from isingcert.hamiltonians import (
@@ -19,7 +19,7 @@ from isingcert.hamiltonians import (
     random_hamiltonian,
 )
 from isingcert.oracle import trace_distance
-from isingcert.paulis import PauliString, pauli_trace_inners
+from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_trace_inners
 from isingcert.shadows import ShadowData, collect_shadows, estimate_paulis, mom_batches
 
 P = PauliString.from_label
@@ -282,8 +282,8 @@ def test_degenerate_regime_distance_bound():
 
 def test_pinsker_gap_identical_states():
     h = random_hamiltonian(2, 2, 50)
-    rho = gibbs_density(h, 1.0)
-    diag = pinsker_gap(rho, rho, h, h, 1.0)
+    rho = gibbs_density(h, 1.0)[None]
+    [diag] = bound_diagnostics(rho, rho, np.zeros_like(rho), [0.0], [1.0], 2, 2)
     assert diag.lhs == pytest.approx(0.0, abs=1e-12)
     assert diag.rhs_pinsker == pytest.approx(0.0, abs=1e-9)
 
@@ -292,7 +292,8 @@ def test_pinsker_gap_closed_form_example():
     hz = LocalHamiltonian(1, 1, {P("Z"): 1.0})
     hmz = LocalHamiltonian(1, 1, {P("Z"): -1.0})
     rho, rho0 = gibbs_density(hz, 1.0), gibbs_density(hmz, 1.0)
-    diag = pinsker_gap(rho, rho0, hz, hmz, 1.0)
+    dh = hmz.to_matrix() - hz.to_matrix()
+    [diag] = bound_diagnostics(rho[None], rho0[None], dh[None], [2.0], [1.0], 1, 1)
     assert diag.lhs == pytest.approx(2 * math.tanh(1.0))
     assert diag.rhs_pinsker == pytest.approx(math.sqrt(8 * math.tanh(1.0)))
     assert all(s >= -1e-9 for s in diag.slacks)
@@ -305,5 +306,8 @@ def test_pinsker_bounds_random_sweep():
         beta = float(rng.uniform(0.01, 3.0))
         h = random_hamiltonian(n, 2, rng)
         h0 = random_hamiltonian(n, 2, rng)
-        diag = pinsker_gap(gibbs_density(h, beta), gibbs_density(h0, beta), h, h0, beta)
+        sup_coeff = max(abs(h.coeff(p) - h0.coeff(p)) for p in enumerate_local_paulis(n, 2))
+        dh = h0.to_matrix() - h.to_matrix()
+        [diag] = bound_diagnostics(gibbs_density(h, beta)[None], gibbs_density(h0, beta)[None],
+                                   dh[None], [sup_coeff], [beta], n, 2)
         assert min(diag.slacks) >= -1e-9

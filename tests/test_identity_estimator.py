@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from access_reference import (
+    enumerate_stabilizer_states,
     estimate_identity_sq_literal,
     sample_stabilizer_state,
     single_query_plan,
@@ -114,8 +115,6 @@ def test_memorylessness_structure():
     # one logical query per experiment, no ancillas on any emitted plan
     frag_steps = (QueryStep(0.4),)
     fac = make_single_query_factory(frag_steps, 2)
-    from isingcert.stabilizers import enumerate_stabilizer_states
-
     for state in enumerate_stabilizer_states(2)[:8]:
         plan = single_query_plan(fac, state)
         assert plan.logical_queries() == 1

@@ -1,19 +1,55 @@
 import numpy as np
 import pytest
 
-from access_reference import basis_matrix, basis_vector, sample_stabilizer_state, state_index
-from isingcert.paulis import PauliString, pauli_matvec
-from isingcert.stabilizers import (
+from access_reference import (
     StabilizerState,
+    basis_matrix,
+    basis_vector,
     enumerate_stabilizer_states,
     pauli_to_zx,
     paulis_commute,
-    stabilizer_state_matrix,
+    sample_stabilizer_state,
+    state_index,
     symplectic_product,
     zx_to_pauli,
 )
+from isingcert.identity_estimator import exact_indicator_expectation
+from isingcert.paulis import PauliString, pauli_matvec
+from isingcert.stabilizers import stabilizer_state_matrix
 
 P = PauliString.from_label
+
+
+def _haar_unitary(dim, rng):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_orbit_matches_generator_enumeration_up_to_phase(n):
+    reference = np.array([s.vector for s in enumerate_stabilizer_states(n)])
+    overlaps = np.abs(stabilizer_state_matrix(n).conj() @ reference.T)
+    matched = overlaps > 1 - 1e-12
+    assert overlaps.shape == (len(reference),) * 2
+    assert (matched.sum(axis=0) == 1).all() and (matched.sum(axis=1) == 1).all()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_indicator_expectation_agrees_with_generator_enumeration(n):
+    reference = np.array([s.vector for s in enumerate_stabilizer_states(n)])
+    rng = np.random.default_rng(90 + n)
+    for _ in range(20):
+        u = _haar_unitary(2**n, rng)
+        literal = np.mean(np.abs(np.einsum("si,ij,sj->s", reference.conj(), u, reference)) ** 2)
+        assert exact_indicator_expectation(u, n) == pytest.approx(literal, abs=1e-12)
+
+
+def test_orbit_is_read_only_and_refuses_three_qubits():
+    for n in (1, 2):
+        assert not stabilizer_state_matrix(n).flags.writeable
+    with pytest.raises(ValueError):
+        exact_indicator_expectation(np.eye(8), 3)
 
 
 def test_zx_roundtrip_and_commutation():
