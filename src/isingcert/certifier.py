@@ -80,9 +80,10 @@ def calibrated_profile() -> CertProfile:
 PROFILES = {"strict": strict_profile, "calibrated": calibrated_profile}
 
 
-def decide(estimate: float, far_threshold: float) -> str:
-    """FAR iff the estimate is at or below the threshold; bit-exact, no slack."""
-    return FAR if estimate <= far_threshold else CLOSE
+def decide(estimate, far_threshold: float):
+    """FAR iff the estimate is at or below the threshold; bit-exact, no slack.
+    One estimate gives one verdict, an array of them a list of verdicts."""
+    return np.where(np.less_equal(estimate, far_threshold), FAR, CLOSE).tolist()
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,10 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
     for the trials still running and raises them with one stacked
     `matrix_power`; a level's stacks are at most half the size of the
     spectra's, so a block sized within STACK_CHUNK_BYTES keeps them there.
-    The sampled estimator draws its hit count as `estimate_identity_sq` does.
+    The level's hit probabilities, clamped estimates and verdicts are arrays
+    over those trials; each trial makes one draw of its hit count (the
+    sampled estimator, as `estimate_identity_sq` draws it) or of its noise,
+    and one `charge_plan`.
     """
     w0, v0, w, v = spectra
     dim = w.shape[-1]
@@ -220,23 +224,23 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
         b = (mi * np.exp(2j * tau * w0[alive])[:, None, :]) @ np.swapaxes(mi.conj(), -1, -2)
         d = np.exp(-1j * tau * w[alive])
         x = np.linalg.matrix_power(d[:, :, None] * b * d[:, None, :], lvl.fragment.steps)
-        for i, trace in zip(alive, np.trace(x, axis1=-2, axis2=-1).tolist()):
-            identity_sq = abs(trace / dim) ** 2
-            if config.estimator == "sampled":
-                value, _ = drawn_estimate(identity_sq, n, lvl.samples, rngs[i])
-            else:
-                value = identity_sq
-                if config.synthetic_noise:
-                    value += rngs[i].uniform(-config.synthetic_noise, config.synthetic_noise)
-                    value = min(1.0, max(0.0, value))
+        # Python's abs and ** (libm pow), which numpy's x * x need not match
+        values = np.array([abs(t / dim) ** 2 for t in np.trace(x, axis1=-2, axis2=-1).tolist()])
+        if config.estimator == "sampled":
+            values, _ = drawn_estimate(values, n, lvl.samples, [rngs[i] for i in alive])
+        elif config.synthetic_noise:
+            a = config.synthetic_noise
+            values = np.clip(values + [rngs[i].uniform(-a, a) for i in alive], 0.0, 1.0)
+        verdicts = decide(values, threshold)
+        for i, value, verdict in zip(alive, values.tolist(), verdicts):
             # the oracle estimator charges the nominal protocol cost too
             charge_plan((lvl.fragment,), ledgers[i], repeat=lvl.samples)
             records[i].append(LevelRecord(
                 level=lvl.level, eps=lvl.eps, delta=lvl.delta, estimate=value,
-                threshold=threshold, verdict=decide(value, threshold),
+                threshold=threshold, verdict=verdict,
                 samples=lvl.samples, trotter_steps=lvl.fragment.steps,
             ))
-        alive = [i for i in alive if records[i][-1].verdict == CLOSE]
+        alive = [i for i, verdict in zip(alive, verdicts) if verdict == CLOSE]
     return [(r[-1].verdict, r) for r in records]
 
 

@@ -75,7 +75,7 @@ TROTTER_STEP_BUDGET = 10**7
 EXPERIMENT_BUDGET = 10**9
 
 # Cap on shadow sample counts resolved from nominal formulas without an
-# explicit override.
+# explicit override, where the draw takes per-sample indices (batches 6^n > m).
 SHADOW_SAMPLE_HARD_CAP = 10**7
 
 

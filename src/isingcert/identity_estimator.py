@@ -80,11 +80,11 @@ def estimate_identity_sq(
     m = budgeted_sample_count(eps, delta, max_experiments)
     steps = tuple(steps)
     identity_sq = abs(identity_coeff(net_unitary(steps, h_true, n))) ** 2
-    value, raw = drawn_estimate(identity_sq, n, m, rng,
-                                noise.retain_factor(n, logical_queries(steps)))
+    (value,), (raw,) = drawn_estimate(np.array([identity_sq]), n, m, [rng],
+                                      noise.retain_factor(n, logical_queries(steps)))
     if ledger is not None:
         charge_plan(steps, ledger, repeat=m)
-    return IdentityCoeffEstimate(value, raw, m, eps, delta)
+    return IdentityCoeffEstimate(float(value), float(raw), m, eps, delta)
 
 
 def budgeted_sample_count(eps: float, delta: float, max_experiments: int | None) -> int:
@@ -97,19 +97,20 @@ def budgeted_sample_count(eps: float, delta: float, max_experiments: int | None)
     return m
 
 
-def drawn_estimate(identity_sq: float, n: int, m: int, rng,
-                   retain: float = 1.0) -> tuple[float, float]:
-    """(clamped, raw) estimate from one draw of the hit count of m experiments
-    on a unitary with |u_I|^2 = identity_sq, where each experiment keeps the
-    state with probability `retain` (module docstring: the count is exactly
-    Binomial(m, p))."""
-    dim = 2**n
-    p = retain * design_expectation(identity_sq, n) + (1.0 - retain) / dim
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"hit probability {p} lies outside [0, 1]")
-    mean = int(rng.binomial(m, min(1.0, max(0.0, p)))) / m
-    raw = (1.0 + 2.0**-n) * mean - 2.0**-n
-    return min(1.0, max(0.0, raw)), raw
+def drawn_estimate(identity_sq: np.ndarray, n: int, m: int, rngs,
+                   retain: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(clamped, raw) estimates, one per row: rngs[i] draws the hit count of
+    m experiments on a unitary with |u_I|^2 = identity_sq[i], where each
+    experiment keeps the state with probability `retain` (module docstring:
+    the count is exactly Binomial(m, p)).  Every step rounds as Python's
+    float arithmetic does."""
+    p = retain * design_expectation(identity_sq, n) + (1.0 - retain) / 2**n
+    outside = ~((p >= -1e-12) & (p <= 1.0 + 1e-12))
+    if outside.any():
+        raise ValueError(f"hit probability {p[outside][0]} lies outside [0, 1]")
+    hits = [rng.binomial(m, q) for rng, q in zip(rngs, np.clip(p, 0.0, 1.0).tolist())]
+    raw = (1.0 + 2.0**-n) * (np.array(hits, dtype=np.int64) / m) - 2.0**-n
+    return np.clip(raw, 0.0, 1.0), raw
 
 
 def exact_indicator_expectation(u: np.ndarray, n: int) -> float:

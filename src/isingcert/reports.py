@@ -6,8 +6,6 @@ byte-identical files.  Floats go through Python's shortest round-trip repr.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from pathlib import Path
@@ -19,6 +17,21 @@ def canonical_json(payload) -> str:
 
 def default_out_dir() -> Path:
     return Path(os.environ.get("ISINGCERT_OUT", "out"))
+
+
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """The table as csv.writer's default dialect writes the ints, floats and
+    fixed words of the reports: str() of each field (repr, for floats),
+    joined by commas, each line ending in CRLF.  Where csv would quote a
+    field (one holding a comma, a double quote, CR or LF) or write None as
+    an empty field, this raises ValueError instead."""
+    table = [header, *rows]
+    text = "\r\n".join([",".join(map(str, row)) for row in table]) + "\r\n"
+    if (text.count(",") != sum(len(row) - 1 for row in table if row) or '"' in text
+            or text.count("\r") != len(table) or text.count("\n") != len(table)
+            or "None" in text and any(None in row for row in table)):
+        raise ValueError("a CSV field is None or holds a comma, a double quote or a line break")
+    return text
 
 
 def write_report(out_dir, name: str, payload: dict,
@@ -37,11 +50,7 @@ def write_report(out_dir, name: str, payload: dict,
     report_path = out_dir / f"{name}.json"
     texts = {report_path: canonical_json(payload)}
     for table_name, (header, rows) in (tables or {}).items():
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        texts[out_dir / f"{name}_{table_name}.csv"] = buf.getvalue()
+        texts[out_dir / f"{name}_{table_name}.csv"] = csv_text(header, rows)
     temps = []
     try:
         for path, text in texts.items():

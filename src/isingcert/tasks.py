@@ -1,10 +1,12 @@
 """Seeded, replayable drivers behind the CLI tasks.
 
-Every trial builds a fresh generator from (seed, trial index) through
-SeedSequence spawn keys, so a record depends on its own trial index only, and
-reports list the records in trial order.  All trials of a task run in one
-process: the `parallelism` config field is validated and echoed in the
-report, and changes nothing else.  The sweeps run their trials as stacks of
+Every trial draws from fresh generators in the state of
+default_rng(SeedSequence(seed, spawn_key=(trial index, *key))), so a record
+depends on its own trial index only, and reports list the records in trial
+order.  `trial_rngs` seeds the generators of all trials of a key in bulk,
+with those states, and each driver asks for them before its first trial.
+All trials of a task run in one process: the `parallelism` config field is
+validated and echoed in the report, and changes nothing else.  The sweeps run their trials as stacks of
 one n: one Pauli scatter, eig and Gibbs map each.  `certify-dynamics` runs
 blocks of trials as arrays: a block's instances are coefficient rows, its
 spectra come from one scatter and eig, and `certifier.certify_block`
@@ -19,11 +21,13 @@ is certified.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import calibration, oracle
 from .certifier import (CertConfig, IterationSchedule, certify_block, compile_levels,
@@ -50,13 +54,92 @@ from .hamiltonians import (
 from .oracle import hermitian_eig, hermitian_eigvals, spectral_moments, trace_distance
 from .paulis import (LETTERS, PauliString, check_size, enumerate_local_paulis, local_pauli_count,
                      pauli_sum_matrix, pauli_trace_inners)
-from .shadows import born_table, collect_shadows, estimate_paulis, mom_batches, shadow_budget
+from .shadows import (batch_sizes, born_table, collect_shadows, estimate_paulis, mom_batches,
+                      shadow_budget)
 
 SLACK_TOL = -1e-9
 
 
-def trial_rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+# SeedSequence's hash constants (numpy.random.bit_generator)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """(2, count) uint32: the values before and after each of `count` hashmix
+    calls of a hash constant that each call multiplies by `mult`."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array([consts[:-1], consts[1:]], dtype=np.uint32)
+
+
+_GENERATE = _hash_consts(_INIT_B, _MULT_B, 8)   # generate_state's 8 words
+
+
+def _hashmix(value, before, after):
+    """SeedSequence's hashmix on uint32 arrays, elementwise."""
+    value = (value ^ before) * after
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ r >> 16
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int, spawn_words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 4-word pool of SeedSequence(seed, spawn_key=...) before its spawn
+    words are mixed in, and the hash constants before and after the 4 hashmix
+    calls of each spawn word, (spawn_words, 4) each; all read-only.
+
+    A spawn key pads the seed's words with zeros to the pool size, and the
+    pool's fill hashes zeros past the seed's words anyway, so that pool is
+    SeedSequence(seed)'s, after 4 hashmix calls per (padded) seed word."""
+    pool = np.random.SeedSequence(seed).pool.copy()
+    seed_words = max(4, -(-max(seed.bit_length(), 1) // 32))
+    before, after = _hash_consts(_INIT_A, _MULT_A, 4 * (seed_words + spawn_words))
+    out = pool, before[4 * seed_words:].reshape(-1, 4), after[4 * seed_words:].reshape(-1, 4)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _seed_words(seed: int, trials, key: tuple) -> np.ndarray:
+    """(len(trials), 4) uint64: the PCG64 seed words that
+    SeedSequence(seed, spawn_key=(t, *key)).generate_state(4, np.uint64)
+    gives for each trial t, computed for all trials at once."""
+    spawn = np.empty((1 + len(key), len(trials)), dtype=np.int64)
+    spawn[0], spawn[1:] = trials, np.reshape(key, (-1, 1))
+    if spawn.size and not 0 <= spawn.min() <= spawn.max() <= 0xFFFFFFFF:
+        raise ValueError("trial indices and keys must each fit one 32-bit spawn word")
+    pool, before, after = _seed_pool(seed, len(spawn))
+    for word, b, a in zip(spawn.astype(np.uint32)[:, :, None], before, after):
+        pool = _mix(pool, _hashmix(word, b, a))   # (trials, 4)
+    # generate_state cycles the pool through 8 words, read as 4 little-endian uint64
+    return _hashmix(np.tile(pool, 2), *_GENERATE).view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 its precomputed seed words.  PCG64 reads the raw buffer of
+    what `generate_state` returns, so `row` must be C-contiguous uint64."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
+
+
+def trial_rngs(seed: int, trials, *key: int):
+    """Iterator over one generator per trial t of `trials`, in order, each in
+    the state of default_rng(SeedSequence(seed, spawn_key=(t, *key))).  The
+    seed words of every trial come from one array pass; each generator is
+    built as it is read, so a caller that drops it after its trial never
+    holds them all."""
+    return (np.random.Generator(np.random.PCG64(_SeedWords(row)))
+            for row in _seed_words(seed, trials, key))
 
 
 @contextmanager
@@ -76,17 +159,27 @@ def _arm(params: dict, allowed: tuple[str, str]) -> str:
     return params["arm"]
 
 
-def _resolve_samples(requested, nominal: int) -> int:
-    if requested is not None:
-        if requested < 1:
-            raise ConfigError(f"params.samples must be >= 1, got {requested}")
-        return int(requested)
-    if nominal > SHADOW_SAMPLE_HARD_CAP:
+def _resolve_samples(requested, nominal: int, n: int, batches: int) -> int:
+    """The sample count of each shadow draw: `requested`, or the nominal
+    budget when it is None.  A draw of m samples costs O(batches 6^n) while it
+    takes batch histograms (batches 6^n <= m) and O(m) once it takes
+    per-sample indices, so a nominal budget is refused only in the second
+    case and over SHADOW_SAMPLE_HARD_CAP.  Any count whose largest batch
+    takes `estimate_paulis`' partial sums to 3^n batch >= 2^53 is refused
+    too, before any trial draws."""
+    if requested is not None and requested < 1:
+        raise ConfigError(f"params.samples must be >= 1, got {requested}")
+    m = nominal if requested is None else int(requested)
+    sizes = batch_sizes(m, batches)
+    if requested is None and len(sizes) * 6**n > m > SHADOW_SAMPLE_HARD_CAP:
         raise BudgetExceededError(
-            f"nominal sample budget {nominal} exceeds the hard cap "
-            f"{SHADOW_SAMPLE_HARD_CAP}; set params.samples explicitly"
-        )
-    return nominal
+            f"nominal sample budget {m} needs per-sample indices (batches 6^n > m) above "
+            f"the hard cap {SHADOW_SAMPLE_HARD_CAP}; set params.samples explicitly")
+    if 3**n * int(sizes[0]) >= 2**53:
+        raise BudgetExceededError(
+            f"a batch of {int(sizes[0])} samples on {n} qubits takes the shadow estimates' "
+            "partial sums past 2^53, where floats stop being exact")
+    return m
 
 
 def _check_n_range(params: dict) -> None:
@@ -109,15 +202,17 @@ def _stack_size(n: int, r: int, terms: int) -> int:
 
 
 def _sweep_stacks(k: int, seed: int, trials, key: tuple, draw):
-    """Draw each trial t of `trials` from trial_rng(seed, t, *key) as draw(rng) ->
-    (n, beta, r), then r coefficient vectors of random_hamiltonian's "uniform"
-    law.  Yield (n, indices, betas, c (m, r, terms), H (m, r, 2^n, 2^n)) per run
-    of trials of one n, with the run's scatter weights within STACK_CHUNK_BYTES."""
-    groups = {}
-    for t in trials:
-        rng = trial_rng(seed, t, *key)
+    """Draw each trial t of `trials` from its generator of trial_rngs(seed,
+    trials, *key) as draw(rng) -> (n, beta, r), then r coefficient vectors of
+    random_hamiltonian's "uniform" law.  Yield (n, indices, betas,
+    c (m, r, terms), H (m, r, 2^n, 2^n)) per run of trials of one n, with the
+    run's scatter weights within STACK_CHUNK_BYTES."""
+    groups, terms = {}, {}
+    for t, rng in zip(trials, trial_rngs(seed, trials, *key)):
         n, beta, r = draw(rng)
-        c = rng.uniform(-1.0, 1.0, (r, local_pauli_count(n, k) - 1))
+        if n not in terms:
+            terms[n] = local_pauli_count(n, k) - 1
+        c = rng.uniform(-1.0, 1.0, (r, terms[n]))
         groups.setdefault(n, []).append((t, beta, c))
     for n, group in sorted(groups.items()):
         size = _stack_size(n, *group[0][2].shape)
@@ -243,7 +338,7 @@ def _dynamics_blocks(params, seed, trials):
         block = range(start, min(start + size, trials))
         try:
             h0, h, delta = calibration.certifier_coeffs(
-                [trial_rng(seed, t, 1) for t in block], n, params["eps"],
+                trial_rngs(seed, block, 1), n, params["eps"],
                 params["arm"] == "far", params["c_frob"])
         except calibration.InstanceError as exc:
             raise PromiseViolationError(f"trial {block[exc.row]}: {exc}") from exc
@@ -274,8 +369,7 @@ def task_certify_dynamics(params, trials, seed):
     records = []
     for block, deltas, spectra in _dynamics_blocks(params, seed, trials):
         ledgers = [ExperimentLedger() for _ in block]
-        results = certify_block(spectra, levels, config, [trial_rng(seed, t) for t in block],
-                                ledgers)
+        results = certify_block(spectra, levels, config, list(trial_rngs(seed, block)), ledgers)
         records += [{
             "trial": t, "verdict": verdict, "expected": expected,
             "correct": verdict == expected, "delta_frobenius_oracle_only": delta,
@@ -311,8 +405,9 @@ def task_certify_dynamics(params, trials, seed):
 
 # ---------------------------------------------------------------- learn
 
-def _learn_trial(params, config, net, member_coeffs, m, seed, trial) -> dict:
-    rng = trial_rng(seed, trial)
+def _learn_trial(params, config, net, member_coeffs, m, rngs, trial) -> dict:
+    """One trial: its truth from rngs[0], its samples from rngs[1]."""
+    rng, sample_rng = rngs
     if params.get("on_grid"):
         truth_index = int(rng.integers(net.size))
         truth = net.member(truth_index)
@@ -327,7 +422,7 @@ def _learn_trial(params, config, net, member_coeffs, m, seed, trial) -> dict:
             None, net, config, estimates=pauli_trace_inners(net.support, rho).real,
             member_coeffs=member_coeffs)
     else:
-        samples = collect_shadows(rho, m, trial_rng(seed, trial, 1), config.batches)
+        samples = collect_shadows(rho, m, sample_rng, config.batches)
         index, learned, objective = learn_gibbs(samples, net, config,
                                                 member_coeffs=member_coeffs)
     dist = trace_distance(learned, rho)
@@ -357,10 +452,11 @@ def task_learn_gibbs(params, trials, seed):
         net = HamiltonianNet(support, config.eta_used)
         # exact estimates draw no samples, so no sample budget applies
         m = None if params.get("exact_estimates") else _resolve_samples(
-            params.get("samples"), config.nominal_budget)
+            params.get("samples"), config.nominal_budget, config.n, config.batches)
         member_coeffs = net.gibbs_coeff_matrix(config.beta)   # the same in every trial
-    records = [_learn_trial(params, config, net, member_coeffs, m, seed, t)
-               for t in range(trials)]
+    rngs = zip(trial_rngs(seed, range(trials)), trial_rngs(seed, range(trials), 1))
+    records = [_learn_trial(params, config, net, member_coeffs, m, pair, t)
+               for t, pair in enumerate(rngs)]
     success = sum(1 for r in records if r["within_eps"])
     payload = {
         "task": "learn-gibbs",
@@ -386,19 +482,20 @@ def _zblock_hamiltonian(n: int, k: int, sign: float) -> LocalHamiltonian:
     return LocalHamiltonian(n, k, coeffs)
 
 
-def _gibbs_cert_trial(config, m, far_tables, seed, trial) -> dict:
+def _gibbs_cert_trial(config, m, far_tables, rngs, trial) -> dict:
+    """One trial on its generators of keys (1, 2) (equal arm) or (2, 3) (far arm)."""
     if far_tables is None:
-        h = random_hamiltonian(config.n, config.k, trial_rng(seed, trial, 1))
+        h = random_hamiltonian(config.n, config.k, rngs[0])
         # the equal-arm pairing samples one state on one sub-seed key for
         # both sides: one sample set, drawn and estimated once
-        rho = rho0 = gibbs_density(h, config.beta)
-        key0, expected = 2, "CLOSE"
+        samples_a = samples_b = collect_shadows(gibbs_density(h, config.beta), m, rngs[1],
+                                                config.batches)
+        expected = "CLOSE"
     else:
         # collect_shadows draws from a state or from its Born table alike
-        (rho, rho0), key0, expected = far_tables, 3, "FAR"
-    samples_a = collect_shadows(rho, m, trial_rng(seed, trial, 2), config.batches)
-    samples_b = samples_a if key0 == 2 else collect_shadows(
-        rho0, m, trial_rng(seed, trial, key0), config.batches)
+        samples_a, samples_b = (collect_shadows(table, m, rng, config.batches)
+                                for table, rng in zip(far_tables, rngs))
+        expected = "FAR"
     verdict, max_gap, _ = certify_gibbs(samples_a, samples_b, config)
     return {
         "trial": trial,
@@ -417,7 +514,7 @@ def task_certify_gibbs(params, trials, seed):
     n, k, beta, eps = params["n"], params["k"], params["beta"], params["eps"]
     with _config_boundary():
         config = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=params["delta"])
-        m = _resolve_samples(params.get("samples"), config.nominal_budget)
+        m = _resolve_samples(params.get("samples"), config.nominal_budget, n, config.batches)
     far_tables = None
     if arm == "far":
         far_states = (gibbs_density(_zblock_hamiltonian(n, k, 1.0), beta),
@@ -429,7 +526,9 @@ def task_certify_gibbs(params, trials, seed):
             )
         # the same two states in every trial: their Born tables are built once
         far_tables = tuple(born_table(rho) for rho in far_states)
-    records = [_gibbs_cert_trial(config, m, far_tables, seed, t) for t in range(trials)]
+    rngs = zip(*(trial_rngs(seed, range(trials), key)
+                 for key in ((2, 3) if arm == "far" else (1, 2))))
+    records = [_gibbs_cert_trial(config, m, far_tables, pair, t) for t, pair in enumerate(rngs)]
     errors = sum(1 for r in records if not r["correct"])
     payload = {
         "task": "certify-gibbs",
@@ -446,11 +545,11 @@ def task_certify_gibbs(params, trials, seed):
 
 # ---------------------------------------------------------------- shadows
 
-def _shadow_trial(params, m, paulis, seed, trial) -> dict:
-    h = random_hamiltonian(params["n"], params["k"], trial_rng(seed, trial, 1))
+def _shadow_trial(params, m, batches, paulis, rngs, trial) -> dict:
+    """One trial: its Hamiltonian from rngs[0], its samples from rngs[1]."""
+    h = random_hamiltonian(params["n"], params["k"], rngs[0])
     rho = gibbs_density(h, params["beta"])
-    batches = mom_batches(params["n"], params["k"], params["delta"])
-    samples = collect_shadows(rho, m, trial_rng(seed, trial, 2), batches)
+    samples = collect_shadows(rho, m, rngs[1], batches)
     est = estimate_paulis(samples, paulis)
     max_err = float(np.max(np.abs(est - pauli_trace_inners(paulis, rho).real)))
     return {
@@ -463,10 +562,12 @@ def task_shadow_estimate(params, trials, seed):
     n, k = params["n"], params["k"]
     with _config_boundary():
         check_beta(params["beta"])
+        batches = mom_batches(n, k, params["delta"])
         m = _resolve_samples(params.get("samples"),
-                             shadow_budget(n, k, params["eps"], params["delta"]))
+                             shadow_budget(n, k, params["eps"], params["delta"]), n, batches)
         paulis = enumerate_local_paulis(n, k)
-    records = [_shadow_trial(params, m, paulis, seed, t) for t in range(trials)]
+    rngs = zip(trial_rngs(seed, range(trials), 1), trial_rngs(seed, range(trials), 2))
+    records = [_shadow_trial(params, m, batches, paulis, pair, t) for t, pair in enumerate(rngs)]
     success = sum(1 for r in records if r["all_within_eps"])
     payload = {
         "task": "shadow-estimate",

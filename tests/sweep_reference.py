@@ -13,7 +13,7 @@ import numpy as np
 from isingcert.gibbs import BoundDiagnostics, GibbsCertConfig, degenerate_regime
 from isingcert.hamiltonians import random_hamiltonian
 from isingcert.paulis import enumerate_local_paulis, pauli_trace_inners
-from isingcert.tasks import trial_rng
+from rng_reference import trial_rng
 
 
 def gibbs_density(h, beta):

@@ -29,6 +29,7 @@ from isingcert.identity_estimator import estimate_identity_sq, sample_count
 from isingcert.hamiltonians import LocalHamiltonian, random_hamiltonian
 from isingcert.oracle import evolve_matrix, hermitian_eig, identity_coeff
 from isingcert.paulis import PauliString
+from rng_reference import trial_rng
 
 P = PauliString.from_label
 
@@ -354,15 +355,18 @@ def test_task_blocks_equal_per_trial_reference(n, arm):
     # its own instance: sampled records equal, oracle estimates as above
     base = {**tasks.TASKS["certify-dynamics"].params, "n": n, "arm": arm}
     for params in ({**base, "profile": "calibrated", "estimator": "sampled"},
-                   {**base, "profile": "strict", "estimator": "oracle"}):
+                   {**base, "profile": "strict", "estimator": "oracle"},
+                   {**base, "profile": "calibrated", "estimator": "oracle",
+                    "synthetic_noise": 0.01}):
         payload, tables = tasks.run_task({"task": "certify-dynamics", "seed": 8, "trials": 4,
                                           "params": params})
         config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, profile=params["profile"],
-                            estimator=params["estimator"])
+                            estimator=params["estimator"],
+                            synthetic_noise=params.get("synthetic_noise", 0.0))
         for record in payload["trials"]:
             t = record["trial"]
-            h0, h = certifier_instance(tasks.trial_rng(8, t, 1), n, 0.05, arm == "far")
-            literal = certify_literal(h0, h, config, tasks.trial_rng(8, t))
+            h0, h = certifier_instance(trial_rng(8, t, 1), n, 0.05, arm == "far")
+            literal = certify_literal(h0, h, config, trial_rng(8, t))
             assert (record["verdict"], record["ledger"]) == (literal.verdict, literal.ledger)
             rows = [row[1:] for row in tables["levels"][1] if row[0] == t]
             assert len(rows) == len(literal.levels)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import subprocess
@@ -8,9 +9,12 @@ import pytest
 
 import isingcert.oracle as oracle
 import isingcert.tasks as tasks
+import rng_reference
 from isingcert.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_PROMISE, main
-from isingcert.errors import ConfigError
+from isingcert.constants import SHADOW_SAMPLE_HARD_CAP
+from isingcert.errors import BudgetExceededError, ConfigError
 from isingcert.paulis import local_pauli_count
+from isingcert.reports import csv_text
 from isingcert.tasks import validate_config
 
 
@@ -20,12 +24,24 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+# a small config of every task
+SMALL_PARAMS = {
+    "certify-dynamics": {"arm": "far"},
+    "learn-gibbs": {"samples": 2000},
+    "certify-gibbs": {"samples": 2000},
+    "verify-bonami": {"n_max": 3},
+    "verify-bounds": {"footnote_pairs": 4},
+    "shadow-estimate": {"samples": 2000},
+}
+
+
 def forbid_trials(monkeypatch):
-    """Fail the test if a trial starts: every trial draws its generator first."""
+    """Fail the test if a trial starts: every driver asks for its trials'
+    generators before the first trial runs."""
     def no_trials(*args):
         raise AssertionError("a trial ran before the config was rejected")
 
-    monkeypatch.setattr(tasks, "trial_rng", no_trials)
+    monkeypatch.setattr(tasks, "trial_rngs", no_trials)
 
 
 def test_constants_ledger_flag(capsys):
@@ -84,13 +100,65 @@ def test_unknown_config_key_is_config_error(tmp_path, monkeypatch, capsys):
     assert not out_dir.exists()
 
 
-def test_budget_overrun_exit_code(tmp_path):
+def test_budget_overrun_exit_code(tmp_path, monkeypatch, capsys):
+    # at n=6, k=3 a batch of the nominal learn-gibbs budget (9.2e14 samples)
+    # takes the shadow estimates' partial sums past 2^53
+    forbid_trials(monkeypatch)
     cfg = {
         "schema_version": 1, "task": "learn-gibbs", "trials": 1,
-        "params": {"samples": None, "eta": 0.25},
+        "params": {"n": 6, "k": 3, "support": ["ZIIIII", "ZZIIII", "ZZZIII"],
+                   "samples": None, "eta": 0.25},
     }
     path = write_config(tmp_path, cfg)
     assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_BUDGET
+    assert "past 2^53" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, n, k, support", [
+    ("certify-gibbs", 2, 2, None),
+    ("certify-gibbs", 3, 2, None),
+    ("certify-gibbs", 3, 3, None),
+    ("learn-gibbs", 2, 2, ["ZI", "IZ", "ZZ"]),
+    ("learn-gibbs", 3, 2, ["ZII", "IZI", "ZZI"]),
+    ("learn-gibbs", 3, 3, ["ZII", "ZZI", "ZZZ"]),
+])
+def test_nominal_sample_budget_runs(tmp_path, task, n, k, support):
+    # nominal budgets of 4.7e10 to 1.9e14 samples: each draw is batch
+    # histograms, whose cost does not grow with the sample count
+    params = {"n": n, "k": k, "samples": None, **({"support": support} if support else {})}
+    cfg = {"schema_version": 1, "task": task, "seed": 3, "trials": 2, "params": params}
+    out_dir = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out_dir)]) == EXIT_OK
+    [report] = [json.loads(p.read_text()) for p in out_dir.glob("*.json")]
+    for trial in report["trials"]:
+        assert trial["samples_used"] == trial["nominal_budget"] > SHADOW_SAMPLE_HARD_CAP
+
+
+def test_nominal_budget_past_exact_partial_sums_exits_before_any_trial(tmp_path, monkeypatch,
+                                                                       capsys):
+    # n=5, k=3: 3^n times the largest nominal batch is about 4.4e16 >= 2^53
+    forbid_trials(monkeypatch)
+    cfg = {"schema_version": 1, "task": "certify-gibbs", "trials": 2,
+           "params": {"n": 5, "k": 3, "samples": None}}
+    out_dir = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out_dir)]) == EXIT_BUDGET
+    assert "past 2^53" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_nominal_budget_refused_only_for_index_draws_over_the_cap():
+    cap = SHADOW_SAMPLE_HARD_CAP
+    # n=8, 20 batches: batches 6^n = 3.4e7 > m, so the draw takes per-sample indices
+    with pytest.raises(BudgetExceededError, match="per-sample indices"):
+        tasks._resolve_samples(None, 2 * cap, 8, 20)
+    assert tasks._resolve_samples(None, cap, 8, 20) == cap
+    assert tasks._resolve_samples(2 * cap, 1, 8, 20) == 2 * cap   # an explicit count runs
+    assert tasks._resolve_samples(None, 10**12, 2, 20) == 10**12  # batch histograms
+    # 3^n times the largest batch reaches 2^53, nominal or explicit
+    assert tasks._resolve_samples(None, 2**53 // 9, 2, 1) == 2**53 // 9
+    for requested, nominal in ((None, 2**53 // 9 + 1), (2**53 // 9 + 1, 1)):
+        with pytest.raises(BudgetExceededError, match=r"past 2\^53"):
+            tasks._resolve_samples(requested, nominal, 2, 1)
 
 
 def test_trotter_step_budget_overrun_exit_code(tmp_path, capsys):
@@ -241,15 +309,7 @@ def test_reports_byte_identical_across_runs(tmp_path):
 
 def test_parallel_records_match_serial(tmp_path):
     # `parallelism` is echoed in resolved_config and changes nothing else
-    small = {
-        "certify-dynamics": {"arm": "far"},
-        "learn-gibbs": {"samples": 2000},
-        "certify-gibbs": {"samples": 2000},
-        "verify-bonami": {"n_max": 3},
-        "verify-bounds": {"footnote_pairs": 4},
-        "shadow-estimate": {"samples": 2000},
-    }
-    for task, params in small.items():
+    for task, params in SMALL_PARAMS.items():
         base = {"schema_version": 1, "task": task, "seed": 4, "trials": 3, "params": params}
         files = {}
         for par in (1, 2):
@@ -569,3 +629,34 @@ def test_dynamics_reports_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
         runs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
     assert len(runs[0]) == 3
     assert runs[0] == runs[1] == runs[2]
+
+
+def _report_files(tmp_path, name, task, params):
+    cfg = {"schema_version": 1, "task": task, "seed": 4, "trials": 3, "params": params}
+    out_dir = tmp_path / name
+    assert main(["--config", write_config(tmp_path, cfg, f"{name}.json"),
+                 "--out", str(out_dir)]) == EXIT_OK
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+def test_reports_equal_with_per_trial_seed_sequences(tmp_path, monkeypatch):
+    # the bulk-seeded generators against one SeedSequence per trial and key,
+    # on every task and both arms of each arm-taking task
+    cases = [*SMALL_PARAMS.items(), ("certify-dynamics", {"arm": "close"}),
+             ("certify-gibbs", {"arm": "far", "samples": 2000}),
+             ("learn-gibbs", {"samples": 2000, "on_grid": True})]
+    bulk = [_report_files(tmp_path, f"bulk{i}", *case) for i, case in enumerate(cases)]
+    monkeypatch.setattr(tasks, "trial_rngs", rng_reference.trial_rngs)
+    for i, case in enumerate(cases):
+        assert _report_files(tmp_path, f"loop{i}", *case) == bulk[i], case
+
+
+def test_csv_tables_equal_csv_writers(tmp_path):
+    for task, params in SMALL_PARAMS.items():
+        _, tables = tasks.run_task({"task": task, "seed": 4, "trials": 3, "params": params})
+        for header, rows in tables.values():
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows(rows)
+            assert csv_text(header, rows) == buf.getvalue(), task

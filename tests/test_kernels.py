@@ -27,6 +27,7 @@ from isingcert.paulis import (
     pauli_to_matrix,
     pauli_trace_inners,
 )
+from rng_reference import trial_rng
 
 P = PauliString.from_label
 
@@ -282,7 +283,7 @@ def test_stacked_spectra_equal_per_hamiltonian_spectra(n, monkeypatch):
     assert calls == [(6, 2**n, 2**n), (6, 2**n, 2**n), (2, 2**n, 2**n)]
     for block, _, (w0, v0, w1, v1) in blocks:
         for i, t in enumerate(block):
-            pair = certifier_instance(tasks.trial_rng(5, t, 1), n, params["eps"], False)
+            pair = certifier_instance(trial_rng(5, t, 1), n, params["eps"], False)
             for ham, w_ham, v_ham in zip(pair, (w0, w1), (v0, v1)):
                 w, v = hermitian_eig(ham.to_matrix())
                 np.testing.assert_array_equal(w_ham[i], w)

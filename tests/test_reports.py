@@ -78,3 +78,11 @@ def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch):
     assert sorted(after) == ["r.json", "r_rows.csv"]
     assert after["r.json"] == b'{"x":2}\n'
     assert after["r_rows.csv"] == before["r_rows.csv"]
+
+
+@pytest.mark.parametrize("field", ["a,b", 'say "x"', "a\rb", "a\nb", None])
+def test_csv_field_that_csv_would_quote_raises(field):
+    # csv.writer would quote the field, or write None as an empty field
+    with pytest.raises(ValueError, match="CSV field"):
+        reports.csv_text(["a", "b"], [[1, 0.5], [2, field]])
+    assert reports.csv_text(["a", "b"], [[1, "None"], [2, True]]) == "a,b\r\n1,None\r\n2,True\r\n"
