@@ -9,11 +9,9 @@ instances it was fitted on.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .hamiltonians import _COEFF_TOL, LocalHamiltonian, random_hamiltonian
+from .hamiltonians import _COEFF_TOL, LocalHamiltonian, frobenius_norms, random_hamiltonian
 from .paulis import enumerate_local_paulis, local_pauli_count
 
 TROTTER_CORPUS_SEED = 20250601
@@ -68,9 +66,7 @@ def certifier_coeffs(rngs, n: int, eps: float, far: bool, c_frob: float = 1.0):
     terms = local_pauli_count(n, 2) - 1
     draws = np.array([[rng.uniform(-1.0, 1.0, terms) for _ in target]
                       for rng in map(np.random.default_rng, rngs)])   # (B, 2, T)
-    # random_hamiltonian's sequential sum, not np.sum's pairwise one
-    norms = np.array([[math.sqrt(sum(h * h for h in row)) for row in pair]
-                      for pair in draws.tolist()])
+    norms = frobenius_norms(draws)   # random_hamiltonian's sequential sum
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = draws * (target / norms)[..., None]
     h0, step = rows[:, 0], rows[:, 1] * gap

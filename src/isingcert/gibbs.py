@@ -8,6 +8,11 @@ linear in the member coefficients (a unit test pins the reduction against
 the literal pairwise maximum).  Certification compares per-string shadow
 estimates of the two states against a threshold proportional to
 eps^2 / (beta n^k).
+
+Both protocols run a block of trials at once: the block's sample sets are
+estimated in one `estimate_paulis` product, and learning scans the net and
+builds the learned members' Gibbs states as stacks.  One trial is a block
+of one.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import HamiltonianNet, check_beta, gibbs_density
-from .oracle import trace_distance
+from .hamiltonians import HamiltonianNet, check_beta, gibbs_states
+from .oracle import hermitian_eig, trace_distance
 from .paulis import PauliString, check_size, enumerate_local_paulis, pauli_trace_inners
-from .shadows import ShadowData, batch_sizes, estimate_paulis, mom_batches, shadow_budget
+from .shadows import batch_sizes, estimate_paulis, mom_batches, shadow_budget
 
 
 @dataclass(frozen=True)
@@ -91,11 +96,12 @@ class GibbsLearnConfig:
         return mom_batches(self.n, self.k, self.delta)
 
 
-def _check_split(samples: ShadowData, batches: int) -> None:
-    """The samples must come in the config's median-of-means batches."""
-    if not np.array_equal(samples.sizes, batch_sizes(len(samples), batches)):
-        raise ValueError(f"samples come in {len(samples.sizes)} batches, "
-                         f"the config estimates with {batches}")
+def _check_split(sets, batches: int) -> None:
+    """Every sample set must come in the config's median-of-means batches."""
+    for samples in sets:
+        if not np.array_equal(samples.sizes, batch_sizes(len(samples), batches)):
+            raise ValueError(f"samples come in {len(samples.sizes)} batches, "
+                             f"the config estimates with {batches}")
 
 
 def scan_objective(net: HamiltonianNet, coeff_gaps: np.ndarray) -> np.ndarray | float:
@@ -111,32 +117,35 @@ def scan_objective(net: HamiltonianNet, coeff_gaps: np.ndarray) -> np.ndarray | 
 
 
 def learn_gibbs(
-    samples: ShadowData,
+    samples,
     net: HamiltonianNet,
     config: GibbsLearnConfig,
     estimates: np.ndarray | None = None,
     member_coeffs: np.ndarray | None = None,
-) -> tuple[int, np.ndarray, float]:
-    """Pick the net member whose Gibbs state matches the shadow estimates;
-    returns its index, its dense Gibbs state and its objective.
+) -> tuple[list[int], np.ndarray, list[float]]:
+    """For each trial of a block, pick the net member whose Gibbs state
+    matches its shadow estimates; returns the members' indices, their dense
+    Gibbs states (B, 2^n, 2^n) and their objectives.
 
-    For each member tau the objective is the pairwise-max deviation between
-    the estimated and exact values of the net observables; ties resolve to
-    the lowest member index.  Passing `estimates` (values of Tr[P rho],
-    aligned with `net.support`) bypasses the shadow post-processing, e.g. to
-    substitute exact values.  `member_coeffs` is
-    `net.gibbs_coeff_matrix(config.beta)`, computed here when not given;
-    callers that learn many times on one net pass it in.  `samples` must be
-    collected in `config.batches` batches; another split is a ValueError.
+    `samples` holds one ShadowData per trial, collected in `config.batches`
+    batches (another split is a ValueError), all estimated in one
+    `estimate_paulis` product.  For each member tau the objective is the
+    pairwise-max deviation between the estimated and exact values of the net
+    observables; ties resolve to the lowest member index.  Passing
+    `estimates` (B, |support|) of Tr[P rho], aligned with `net.support`,
+    bypasses the shadow post-processing, e.g. to substitute exact values.
+    `member_coeffs` is `net.gibbs_coeff_matrix(config.beta)`, computed here
+    when not given; callers that learn many times on one net pass it in.
     """
     if estimates is None:
         _check_split(samples, config.batches)
         estimates = estimate_paulis(samples, net.support)
     if member_coeffs is None:
         member_coeffs = net.gibbs_coeff_matrix(config.beta)   # rows: Tr[P tau_i]
-    objectives = scan_objective(net, estimates[None, :] - member_coeffs)
-    index = int(np.argmin(objectives))
-    return index, gibbs_density(net.member(index), config.beta), float(objectives[index])
+    objectives = scan_objective(net, estimates[:, None, :] - member_coeffs)   # (B, members)
+    index = np.argmin(objectives, axis=-1)
+    states = gibbs_states(*hermitian_eig(net.matrices(net.values(index))), config.beta)
+    return index.tolist(), states, objectives[np.arange(len(index)), index].tolist()
 
 
 @dataclass(frozen=True)
@@ -184,33 +193,35 @@ class GibbsCertConfig:
         return mom_batches(self.n, self.k, self.delta)
 
 
-def certify_gibbs(
-    samples_rho: ShadowData,
-    rho0_or_samples,
-    config: GibbsCertConfig,
-) -> tuple[str, float, PauliString]:
-    """FAR iff some weight <= k string separates the two estimate sets by at
-    least 3 eps^2 / (400 beta n^k); returns the verdict, the max gap and the
-    string attaining it (the lowest-code one among ties).
+def certify_gibbs(samples, reference,
+                  config: GibbsCertConfig) -> list[tuple[str, float, PauliString]]:
+    """For each trial of a block: FAR iff some weight <= k string separates
+    its two estimate sets by at least 3 eps^2 / (400 beta n^k); returns per
+    trial the verdict, the max gap and the string attaining it (the
+    lowest-code one among ties).
 
-    `rho0_or_samples` is either a ShadowData of the second state or a dense
-    density matrix, in which case its exact coefficients replace estimates.
-    Sample sets must be collected in `config.batches` batches; another split
-    is a ValueError.
+    `samples` holds one ShadowData per trial.  `reference` is one of:
+    - the same sequence object: each set against itself, estimated once;
+    - one ShadowData per trial, of the second state;
+    - dense density matrices (B, d, d), whose exact coefficients replace
+      estimates.
+    Each side's sets are estimated in one `estimate_paulis` product, and
+    must be collected in `config.batches` batches; another split is a
+    ValueError.
     """
     paulis = enumerate_local_paulis(config.n, config.k)
-    _check_split(samples_rho, config.batches)
-    est_rho = estimate_paulis(samples_rho, paulis)
-    if isinstance(rho0_or_samples, ShadowData):
-        _check_split(rho0_or_samples, config.batches)
-        est_rho0 = (est_rho if rho0_or_samples is samples_rho
-                    else estimate_paulis(rho0_or_samples, paulis))
-    else:
-        est_rho0 = pauli_trace_inners(paulis, np.asarray(rho0_or_samples)).real
-    gaps = np.abs(est_rho - est_rho0)
-    witness = int(np.argmax(gaps))
-    max_gap = float(gaps[witness])
-    return ("FAR" if max_gap >= config.far_threshold else "CLOSE"), max_gap, paulis[witness]
+    dense = isinstance(reference, np.ndarray)
+    sides = [samples] if dense or reference is samples else [samples, reference]
+    for side in sides:
+        _check_split(side, config.batches)
+    est = [estimate_paulis(side, paulis) for side in sides]
+    if dense:
+        est.append(pauli_trace_inners(paulis, reference).real)
+    gaps = np.abs(est[0] - est[-1])
+    witness = np.argmax(gaps, axis=-1)
+    max_gap = gaps[np.arange(len(gaps)), witness].tolist()
+    return [("FAR" if gap >= config.far_threshold else "CLOSE", gap, paulis[w])
+            for gap, w in zip(max_gap, witness.tolist())]
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,16 @@ class LocalHamiltonian:
         return LocalHamiltonian(self.n, self.k, {p: h * factor for p, h in self.coeffs.items()})
 
 
+def frobenius_norms(coeffs: np.ndarray) -> np.ndarray:
+    """sqrt(sum_P h_P^2) of each coefficient row on the last axis, with the
+    squares added in order, as `LocalHamiltonian.frobenius_norm` adds them: a
+    cumulative sum adds sequentially, where np.sum adds pairwise."""
+    sq = coeffs * coeffs
+    if not sq.shape[-1]:
+        return np.zeros(sq.shape[:-1])
+    return np.sqrt(np.cumsum(sq, axis=-1)[..., -1])
+
+
 def check_beta(beta: float) -> None:
     """Raise ValueError unless the inverse temperature beta is >= 0."""
     if beta < 0:
@@ -172,6 +182,9 @@ class HamiltonianNet:
                 raise ValueError("support strings act on different qubit counts")
             if p.is_identity():
                 raise ValueError("identity cannot be in the support")
+        repeated = sorted({p.label for p in self.support if self.support.count(p) > 1})
+        if repeated:
+            raise ValueError(f"support strings must be distinct, got {repeated} more than once")
         if self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         jmax = math.floor(1.0 / self.eta + 1e-9)
@@ -197,15 +210,28 @@ class HamiltonianNet:
     def member(self, index: int) -> LocalHamiltonian:
         if not 0 <= index < self.size:
             raise IndexError(f"member index {index} out of range [0, {self.size})")
-        values = self.value_matrix(index, index + 1)[0]
+        values = self.values(index)
         coeffs = {p: float(v) for p, v in zip(self.support, values) if v != 0.0}
         return LocalHamiltonian(self.n, self.k, coeffs)
 
     def value_matrix(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Grid values of members start..stop-1 (default: all), one row each."""
-        index = np.arange(start, self.size if stop is None else min(stop, self.size))
+        return self.values(np.arange(start, self.size if stop is None else min(stop, self.size)))
+
+    def values(self, index) -> np.ndarray:
+        """Grid values of the members `index` (an index or an array of them),
+        one row over the support each."""
         g, s = len(self.grid), len(self.support)
-        return self.grid[(index[:, None] // g ** np.arange(s - 1, -1, -1)) % g]
+        return self.grid[(np.asarray(index)[..., None] // g ** np.arange(s - 1, -1, -1)) % g]
+
+    def matrices(self, values) -> np.ndarray:
+        """Dense sum_P values[..., P] P over the support, one matrix per row,
+        with the terms added in code order, as `LocalHamiltonian.to_matrix`
+        adds them: row i equals the matrix of the Hamiltonian it holds, bit
+        for bit."""
+        order = sorted(range(len(self.support)), key=lambda i: self.support[i].code)
+        return pauli_sum_matrix(self.n, [self.support[i] for i in order],
+                                np.asarray(values)[..., order])
 
     def gibbs_coeff_matrix(self, beta: float) -> np.ndarray:
         """(size, |support|) array of Tr[P rho_i] for every member Gibbs state.

@@ -47,19 +47,23 @@ def hermitian_eigvals(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
 
 def clip_distribution(probs: np.ndarray) -> np.ndarray:
-    """Born probabilities with rounding-level negatives clipped, renormalized.
+    """Born probabilities with rounding-level negatives clipped, renormalized;
+    a stack (..., K) is clipped row by row.
 
     A total off 1 by more than sqrt(eps) (a state without unit trace), or
-    more than CLIP_TOL of negative mass (a non-PSD state), is a ValueError.
+    more than CLIP_TOL of negative mass (a non-PSD state), in any row is a
+    ValueError.
     """
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= np.sqrt(np.finfo(float).eps):
-        raise ValueError(f"state does not have unit trace: probabilities sum to {total:.6g}")
-    negative = -float(probs[probs < 0].sum())
+    total = probs.sum(axis=-1, keepdims=True)
+    off = ~(abs(total - 1.0) <= np.sqrt(np.finfo(float).eps))
+    if off.any():
+        raise ValueError(f"state does not have unit trace: probabilities sum to "
+                         f"{float(total[off][0]):.6g}")
+    negative = -float(np.min(np.sum(probs, axis=-1, where=probs < 0)))
     if negative > CLIP_TOL:
         raise ValueError(f"state is not PSD: negative probability mass {negative:.3g}")
     probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def evolve(h: LocalHamiltonian, t: float) -> np.ndarray:

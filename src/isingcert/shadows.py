@@ -110,17 +110,24 @@ class ShadowData:
 
 
 def _joint_distribution(rho: np.ndarray, n: int) -> np.ndarray:
-    """Exact probabilities over (basis word, outcome word), flattened.
+    """Exact probabilities over (basis word, outcome word), flattened, of a
+    state or of each state of a stack (..., 2^n, 2^n).
 
-    rho becomes a tensor with one (row bit, column bit) axis per qubit, and
-    _BORN turns each into the qubit's six (basis, outcome) rows in turn.
+    Each state becomes a tensor with one (row bit, column bit) axis per
+    qubit, and _BORN turns each into the qubit's six (basis, outcome) rows
+    in turn, as one (rest, 4) @ (4, 6) matmul per state.  A stacked matmul
+    rounds every state as its own call does, at any stack size (a tensordot
+    of one state would take a vector-matrix product at n = 1).
     """
+    lead = rho.shape[:-2]
     pairs = np.arange(2 * n).reshape(2, n).T.ravel()
-    t = rho.reshape((2,) * 2 * n).transpose(pairs).reshape((4,) * n)
-    for _ in range(n):
-        t = np.tensordot(t, _BORN, axes=([0], [1]))   # qubit axes rotate back into order
+    t = rho.reshape(-1, *(2,) * 2 * n).transpose(0, *(pairs + 1)).reshape(-1, *(4,) * n)
+    for _ in range(n):   # qubit axes rotate back into order
+        rest = t.shape[2:]
+        t = (np.moveaxis(t, 1, -1).reshape(len(t), -1, 4) @ _BORN.T).reshape(len(t), *rest, 6)
     words = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
-    return clip_distribution(t.real.reshape((3, 2) * n).transpose(words).ravel() * 3.0**-n)
+    probs = t.real.reshape(-1, *(3, 2) * n).transpose(0, *(words + 1)).reshape(*lead, -1)
+    return clip_distribution(probs * 3.0**-n)
 
 
 def _check_probs(probs: np.ndarray) -> None:
@@ -150,10 +157,11 @@ def _draw_indices(probs: np.ndarray, m: int, rng) -> np.ndarray:
 
 
 def born_table(rho: np.ndarray) -> np.ndarray:
-    """The exact Born probabilities of rho over the 6^n joint indices, as
-    `collect_shadows` draws from them; a state sampled many times can build
-    its table once."""
-    dim = rho.shape[0]
+    """The exact Born probabilities of rho, or of each state of a stack
+    (..., d, d), over the 6^n joint indices, as `collect_shadows` draws from
+    them; a state sampled many times can build its table once.  Row i of a
+    stack's tables equals the table of state i alone, bit for bit."""
+    dim = rho.shape[-1]
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of 2")
@@ -224,9 +232,11 @@ def _half_tables(n: int, codes: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.n
     return tuple(halves)
 
 
-def estimate_paulis(samples: ShadowData, paulis: Sequence[PauliString]) -> np.ndarray:
+def estimate_paulis(samples, paulis: Sequence[PauliString]) -> np.ndarray:
     """Median of means of the single-sample estimator, for every string at
-    once, over the batches the samples were drawn in.
+    once, over the batches the samples were drawn in.  One ShadowData gives
+    (strings,); a sequence of B sets of one split (the same batch sizes)
+    gives (B, strings), from one contraction of all their histograms.
 
     A sample's value for a string depends only on its joint index, and it is
     the product of its values on the two halves of the qubits.  So each batch
@@ -244,48 +254,59 @@ def estimate_paulis(samples: ShadowData, paulis: Sequence[PauliString]) -> np.nd
     Every product and partial sum is an integer of magnitude at most 3^n
     times the batch size, so the float matrix products are exact in any
     order, and the estimates equal the per-string loop's bit for bit on any
-    samples with the same per-batch histograms.  A batch that takes that
-    bound to 2^53 is a ValueError.
+    samples with the same per-batch histograms, whatever the block.  A batch
+    that takes that bound to 2^53 is a ValueError.
     """
-    if len(samples) == 0:
+    if isinstance(samples, ShadowData):
+        return estimate_paulis([samples], paulis)[0]
+    n, sizes = samples[0].n, samples[0].sizes
+    if any(s.n != n or not np.array_equal(s.sizes, sizes) for s in samples):
+        raise ValueError("the sample sets of one block must share n and their batch sizes")
+    if sizes.sum() == 0:
         raise ValueError("empty sample list")
-    if 3**samples.n * int(samples.sizes.max()) >= 2**53:
-        raise ValueError(f"a batch of {int(samples.sizes.max())} samples on {samples.n} qubits "
+    if 3**n * int(sizes.max()) >= 2**53:
+        raise ValueError(f"a batch of {int(sizes.max())} samples on {n} qubits "
                          "takes the partial sums past 2^53, where floats stop being exact")
-    if any(p.n != samples.n for p in paulis):
-        raise ValueError(f"every string must act on the samples' {samples.n} qubits")
-    n, sizes = samples.n, samples.sizes
+    if any(p.n != n for p in paulis):
+        raise ValueError(f"every string must act on the samples' {n} qubits")
     batches = len(sizes)
     (table_a, pick_a), (table_b, pick_b) = _half_tables(n, tuple(p.code for p in paulis))
     h = n // 2   # qubits 0..h-1 form the first half, h..n-1 the second
-    counts = samples.counts
-    if counts is None and batches * 6**n <= len(paulis) * sizes[-1]:
+    counts = [s.counts for s in samples]
+    if any(c is None for c in counts) and batches * 6**n <= len(paulis) * sizes[-1]:
         batch_of = np.repeat(np.arange(batches) * 6**n, sizes)
-        counts = np.bincount(batch_of + samples.index, minlength=batches * 6**n)
-    if counts is not None:
+        counts = [c if c is not None else np.bincount(
+            batch_of + s.index, minlength=batches * 6**n).reshape(batches, -1)
+            for s, c in zip(samples, counts)]
+    pairs = np.empty((len(samples), batches, table_a.shape[1], table_b.shape[1]))
+    drawn = [i for i, c in enumerate(counts) if c is not None]
+    if drawn:
         # b 2^n + o with b = (bA, bB) in base 3 and o = (oA, oB) in binary:
         # regroup the axes as ((bA, oA), (bB, oB)), the two half indices
-        counts = counts.astype(float).reshape(batches, 3**h, 3**(n - h), 2**h, 2**(n - h))
-        counts = counts.transpose(0, 1, 3, 2, 4).reshape(-1, 6**(n - h))
-        pairs = table_a.T @ (counts @ table_b).reshape(batches, 6**h, -1)
-    else:
-        index = samples.index.astype(np.intp)
+        hist = np.array([counts[i] for i in drawn], dtype=float)
+        hist = hist.reshape(-1, 3**h, 3**(n - h), 2**h, 2**(n - h))
+        hist = hist.transpose(0, 1, 3, 2, 4).reshape(-1, 6**(n - h))
+        pairs[drawn] = (table_a.T @ (hist @ table_b).reshape(-1, 6**h, table_b.shape[1])
+                        ).reshape(len(drawn), batches, *pairs.shape[2:])
+    for s, c, out in zip(samples, counts, pairs):
+        if c is not None:
+            continue
+        index = s.index.astype(np.intp)
         words, bits = index >> n, index & (2**n - 1)
         joint_a = words // 3**(n - h) << h | bits >> (n - h)
         joint_b = words % 3**(n - h) << (n - h) | bits & (2**(n - h) - 1)
-        pairs = np.empty((batches, table_a.shape[1], table_b.shape[1]))
         start = 0
         for b, stop in enumerate(np.cumsum(sizes)):
-            pairs[b] = table_a[joint_a[start:stop]].T @ table_b[joint_b[start:stop]]
+            out[b] = table_a[joint_a[start:stop]].T @ table_b[joint_b[start:stop]]
             start = stop
-    means = pairs[:, pick_a, pick_b] / sizes[:, None]
+    means = pairs[..., pick_a, pick_b] / sizes[:, None]
     if batches == 1:
-        return means[0]
+        return means[:, 0]
     # the median as np.median takes it (mean of the middle pair), without its
     # NaN check, which imports numpy.ma (1.3 MB); the means are finite
-    ranked = np.sort(means, axis=0)
+    ranked = np.sort(means, axis=1)
     mid = batches // 2
-    return ranked[mid] if batches % 2 else (ranked[mid - 1] + ranked[mid]) / 2
+    return ranked[:, mid] if batches % 2 else (ranked[:, mid - 1] + ranked[:, mid]) / 2
 
 
 def mom_batches(n: int, k: int, delta: float) -> int:

@@ -6,23 +6,27 @@ depends on its own trial index only, and reports list the records in trial
 order.  `trial_rngs` seeds the generators of all trials of a key in bulk,
 with those states, and each driver asks for them before its first trial.
 All trials of a task run in one process: the `parallelism` config field is
-validated and echoed in the report, and changes nothing else.  The sweeps run their trials as stacks of
-one n: one Pauli scatter, eig and Gibbs map each.  `certify-dynamics` runs
-blocks of trials as arrays: a block's instances are coefficient rows, its
-spectra come from one scatter and eig, and `certifier.certify_block`
-certifies the whole block; the other tasks run trial by trial.  Each driver
-builds what every trial shares (configs, the certification schedule, net and
-its Gibbs table, sample count, the far arm's Born tables) once, before any
-trial runs; a ValueError raised there is a ConfigError.  Promise checks run
-against the exact dense oracle and raise PromiseViolationError when an
-instance falls outside its advertised regime, before any trial of its block
-is certified.
+validated and echoed in the report, and changes nothing else.  Every task
+runs its trials in blocks, as arrays, and cutting the trials into other
+blocks gives the same records.  The sweeps run stacks of one n: one Pauli
+scatter, eig and Gibbs map each.  `certify-dynamics` blocks draw their
+instances as coefficient rows, take their spectra from one scatter and eig,
+and `certifier.certify_block` certifies the whole block.  A Gibbs-task
+block builds its states with one scatter, eig and Gibbs map, its Born tables
+with one contraction, and estimates all its sample sets with one
+`estimate_paulis` product; only the draws run per trial, each on its
+trial's own generators.  Blocks stay within `oracle.STACK_CHUNK_BYTES`,
+histograms included.  Each driver builds what every trial shares (configs,
+the certification schedule, net and its Gibbs table, sample count, the far
+arm's Born tables) once, before any trial runs; a ValueError raised there is
+a ConfigError.  Promise checks run against the exact dense oracle and raise
+PromiseViolationError when an instance falls outside its advertised regime,
+before any trial of its block is certified.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
@@ -43,14 +47,8 @@ from .gibbs import (
     degenerate_regime,
     learn_gibbs,
 )
-from .hamiltonians import (
-    HamiltonianNet,
-    LocalHamiltonian,
-    check_beta,
-    gibbs_density,
-    gibbs_states,
-    random_hamiltonian,
-)
+from .hamiltonians import (HamiltonianNet, LocalHamiltonian, check_beta, frobenius_norms,
+                           gibbs_density, gibbs_states)
 from .oracle import hermitian_eig, hermitian_eigvals, spectral_moments, trace_distance
 from .paulis import (LETTERS, PauliString, check_size, enumerate_local_paulis, local_pauli_count,
                      pauli_sum_matrix, pauli_trace_inners)
@@ -194,19 +192,21 @@ def _check_n_range(params: dict) -> None:
 # The kernels take `trials` as a range or list of trial indices, and return
 # their records in that order.
 
-def _stack_size(n: int, r: int, terms: int) -> int:
+def _stack_size(n: int, r: int, terms: int, extra: int = 0) -> int:
     """Items per stack when each item holds r Hamiltonians of `terms` strings
-    on n qubits: the scatter weights (r, terms, 2^n) and the matrices
-    (r, 2^n, 2^n) of a stack stay within STACK_CHUNK_BYTES."""
-    return max(1, oracle.STACK_CHUNK_BYTES // (16 * r * 2**n * max(2**n, terms)))
+    on n qubits, and `extra` bytes of other arrays: the scatter weights
+    (r, terms, 2^n), the matrices (r, 2^n, 2^n) and the other arrays of a
+    stack each stay within STACK_CHUNK_BYTES."""
+    return max(1, oracle.STACK_CHUNK_BYTES // max(16 * r * 2**n * max(2**n, terms), extra))
 
 
-def _sweep_stacks(k: int, seed: int, trials, key: tuple, draw):
+def _sweep_stacks(k: int, seed: int, trials, key: tuple, draw, extra: int = 0):
     """Draw each trial t of `trials` from its generator of trial_rngs(seed,
     trials, *key) as draw(rng) -> (n, beta, r), then r coefficient vectors of
     random_hamiltonian's "uniform" law.  Yield (n, indices, betas,
     c (m, r, terms), H (m, r, 2^n, 2^n)) per run of trials of one n, with the
-    run's scatter weights within STACK_CHUNK_BYTES."""
+    run's scatter weights, and `extra` bytes per trial, within
+    STACK_CHUNK_BYTES."""
     groups, terms = {}, {}
     for t, rng in zip(trials, trial_rngs(seed, trials, *key)):
         n, beta, r = draw(rng)
@@ -215,7 +215,7 @@ def _sweep_stacks(k: int, seed: int, trials, key: tuple, draw):
         c = rng.uniform(-1.0, 1.0, (r, terms[n]))
         groups.setdefault(n, []).append((t, beta, c))
     for n, group in sorted(groups.items()):
-        size = _stack_size(n, *group[0][2].shape)
+        size = _stack_size(n, *group[0][2].shape, extra)
         for start in range(0, len(group), size):
             indices, betas, c = zip(*group[start:start + size])
             c = np.array(c)
@@ -229,8 +229,8 @@ def _bonami_block(params, seed, trials) -> list:
     for n, indices, _, c, h in _sweep_stacks(k, seed, trials, (), lambda rng: (
             int(rng.integers(params["n_min"], params["n_max"] + 1)), None, 1)):
         w = hermitian_eigvals(h[:, 0])
-        for t, moments, sq in zip(indices, spectral_moments(w, ls), (c[:, 0] * c[:, 0]).tolist()):
-            frob = math.sqrt(sum(sq))   # as LocalHamiltonian.frobenius_norm
+        for t, moments, frob in zip(indices, spectral_moments(w, ls),
+                                    frobenius_norms(c[:, 0]).tolist()):
             rows = [{"l": l, "moment": m, "bound": l ** (k / 2.0) * frob,
                      "slack": l ** (k / 2.0) * frob - m} for l, m in zip(ls, moments)]
             records[t] = {"trial": t, "n": n, "frobenius": frob,
@@ -403,42 +403,59 @@ def task_certify_dynamics(params, trials, seed):
     return payload, {"verdicts": (header, table), "levels": (level_header, levels)}
 
 
-# ---------------------------------------------------------------- learn
+# ---------------------------------------------------------------- Gibbs tasks
+# A records function runs trials 0..trials-1 in blocks, and returns their
+# records in trial order.  A block's states come from one scatter, eig and
+# Gibbs map, its Born tables from one contraction, and its estimates from
+# one `estimate_paulis` product; each trial draws its samples with
+# `collect_shadows` from its own generator.
 
-def _learn_trial(params, config, net, member_coeffs, m, rngs, trial) -> dict:
-    """One trial: its truth from rngs[0], its samples from rngs[1]."""
-    rng, sample_rng = rngs
-    if params.get("on_grid"):
-        truth_index = int(rng.integers(net.size))
-        truth = net.member(truth_index)
-    else:
-        truth_index = None
-        coeffs = {p: float(rng.uniform(-1.0, 1.0)) for p in net.support}
-        truth = LocalHamiltonian(params["n"], params["k"], coeffs)
-    rho = gibbs_density(truth, params["beta"])
-    if params.get("exact_estimates"):
-        samples = None
-        index, learned, objective = learn_gibbs(
-            None, net, config, estimates=pauli_trace_inners(net.support, rho).real,
-            member_coeffs=member_coeffs)
-    else:
-        samples = collect_shadows(rho, m, sample_rng, config.batches)
-        index, learned, objective = learn_gibbs(samples, net, config,
-                                                member_coeffs=member_coeffs)
-    dist = trace_distance(learned, rho)
-    rec = {
-        "trial": trial,
-        "index": index,
-        "objective": objective,
-        "distance_oracle_only": dist,
-        "within_eps": bool(dist <= params["eps"]),
-        "samples_used": 0 if samples is None else len(samples),
-        "nominal_budget": config.nominal_budget,
-    }
-    if truth_index is not None:
-        rec["truth_index"] = truth_index
-        rec["recovered"] = index == truth_index
-    return rec
+def _hist_bytes(n: int, batches: int, sets: int) -> int:
+    """Bytes of a trial's batch histograms, as the estimator contracts them."""
+    return 8 * sets * batches * 6**n
+
+
+def _block_samples(seed: int, block, tables, m: int, batches: int, key: int) -> list:
+    """One sample set per trial of `block`, each drawn from its Born table
+    with its generator of trial_rngs(seed, block, key)."""
+    return [collect_shadows(table, m, rng, batches)
+            for table, rng in zip(tables, trial_rngs(seed, block, key))]
+
+
+def _learn_records(params, config, net, member_coeffs, m, seed, trials) -> list:
+    """Each trial draws its truth from its generator of key () and its
+    samples from key (1,); `m` is None for exact estimates."""
+    exact = m is None
+    scan = 8 * net.size * len(net.support)   # a trial's (members, support) scan
+    size = _stack_size(config.n, 1, len(net.support),
+                       max(scan, 0 if exact else _hist_bytes(config.n, config.batches, 1)))
+    records = []
+    for start in range(0, trials, size):
+        block = range(start, min(start + size, trials))
+        rngs = list(trial_rngs(seed, block))
+        truth = [int(rng.integers(net.size)) for rng in rngs] if params.get("on_grid") else None
+        values = net.values(truth) if truth is not None else np.array(
+            [rng.uniform(-1.0, 1.0, len(net.support)) for rng in rngs])
+        rho = gibbs_states(*hermitian_eig(net.matrices(values)), config.beta)
+        samples = None if exact else _block_samples(seed, block, born_table(rho), m,
+                                                    config.batches, 1)
+        estimates = pauli_trace_inners(net.support, rho).real if exact else None
+        index, learned, objective = learn_gibbs(samples, net, config, estimates, member_coeffs)
+        for i, (t, dist) in enumerate(zip(block, trace_distance(learned, rho))):
+            rec = {
+                "trial": t,
+                "index": index[i],
+                "objective": objective[i],
+                "distance_oracle_only": dist,
+                "within_eps": bool(dist <= params["eps"]),
+                "samples_used": 0 if exact else m,
+                "nominal_budget": config.nominal_budget,
+            }
+            if truth is not None:
+                rec["truth_index"] = truth[i]
+                rec["recovered"] = index[i] == truth[i]
+            records.append(rec)
+    return records
 
 
 def task_learn_gibbs(params, trials, seed):
@@ -454,9 +471,7 @@ def task_learn_gibbs(params, trials, seed):
         m = None if params.get("exact_estimates") else _resolve_samples(
             params.get("samples"), config.nominal_budget, config.n, config.batches)
         member_coeffs = net.gibbs_coeff_matrix(config.beta)   # the same in every trial
-    rngs = zip(trial_rngs(seed, range(trials)), trial_rngs(seed, range(trials), 1))
-    records = [_learn_trial(params, config, net, member_coeffs, m, pair, t)
-               for t, pair in enumerate(rngs)]
+    records = _learn_records(params, config, net, member_coeffs, m, seed, trials)
     success = sum(1 for r in records if r["within_eps"])
     payload = {
         "task": "learn-gibbs",
@@ -472,8 +487,6 @@ def task_learn_gibbs(params, trials, seed):
     return payload, {"learned": (header, table)}
 
 
-# ---------------------------------------------------------------- gibbs cert
-
 def _zblock_hamiltonian(n: int, k: int, sign: float) -> LocalHamiltonian:
     coeffs = {}
     for i in range(n):
@@ -482,23 +495,31 @@ def _zblock_hamiltonian(n: int, k: int, sign: float) -> LocalHamiltonian:
     return LocalHamiltonian(n, k, coeffs)
 
 
-def _gibbs_cert_trial(config, m, far_tables, rngs, trial) -> dict:
-    """One trial on its generators of keys (1, 2) (equal arm) or (2, 3) (far arm)."""
+def _gibbs_cert_records(config, m, far_tables, seed, trials) -> list:
+    """Equal arm (`far_tables` None): each trial draws H from its generator
+    of key (1,) and one sample set from key (2,), compared with itself.  Far
+    arm: the two fixed states' sample sets from keys (2,) and (3,)."""
+    n, batches = config.n, config.batches
+    results = []
     if far_tables is None:
-        h = random_hamiltonian(config.n, config.k, rngs[0])
-        # the equal-arm pairing samples one state on one sub-seed key for
-        # both sides: one sample set, drawn and estimated once
-        samples_a = samples_b = collect_shadows(gibbs_density(h, config.beta), m, rngs[1],
-                                                config.batches)
         expected = "CLOSE"
+        for _, block, _, _, h in _sweep_stacks(config.k, seed, range(trials), (1,),
+                                               lambda rng: (n, None, 1),
+                                               _hist_bytes(n, batches, 1)):
+            tables = born_table(gibbs_states(*hermitian_eig(h[:, 0]), config.beta))
+            samples = _block_samples(seed, block, tables, m, batches, 2)
+            results += certify_gibbs(samples, samples, config)
     else:
-        # collect_shadows draws from a state or from its Born table alike
-        samples_a, samples_b = (collect_shadows(table, m, rng, config.batches)
-                                for table, rng in zip(far_tables, rngs))
         expected = "FAR"
-    verdict, max_gap, _ = certify_gibbs(samples_a, samples_b, config)
-    return {
-        "trial": trial,
+        size = _stack_size(n, 0, 0, _hist_bytes(n, batches, 2))   # no Hamiltonians
+        for start in range(0, trials, size):
+            block = range(start, min(start + size, trials))
+            # collect_shadows draws from a state or from its Born table alike
+            a, b = (_block_samples(seed, block, [table] * len(block), m, batches, key)
+                    for table, key in zip(far_tables, (2, 3)))
+            results += certify_gibbs(a, b, config)
+    return [{
+        "trial": t,
         "verdict": verdict,
         "expected": expected,
         "correct": verdict == expected,
@@ -506,7 +527,7 @@ def _gibbs_cert_trial(config, m, far_tables, rngs, trial) -> dict:
         "far_threshold": config.far_threshold,
         "samples_used": m,
         "nominal_budget": config.nominal_budget,
-    }
+    } for t, (verdict, max_gap, _) in enumerate(results)]
 
 
 def task_certify_gibbs(params, trials, seed):
@@ -526,9 +547,7 @@ def task_certify_gibbs(params, trials, seed):
             )
         # the same two states in every trial: their Born tables are built once
         far_tables = tuple(born_table(rho) for rho in far_states)
-    rngs = zip(*(trial_rngs(seed, range(trials), key)
-                 for key in ((2, 3) if arm == "far" else (1, 2))))
-    records = [_gibbs_cert_trial(config, m, far_tables, pair, t) for t, pair in enumerate(rngs)]
+    records = _gibbs_cert_records(config, m, far_tables, seed, trials)
     errors = sum(1 for r in records if not r["correct"])
     payload = {
         "task": "certify-gibbs",
@@ -543,19 +562,21 @@ def task_certify_gibbs(params, trials, seed):
     return payload, {"verdicts": (header, table)}
 
 
-# ---------------------------------------------------------------- shadows
-
-def _shadow_trial(params, m, batches, paulis, rngs, trial) -> dict:
-    """One trial: its Hamiltonian from rngs[0], its samples from rngs[1]."""
-    h = random_hamiltonian(params["n"], params["k"], rngs[0])
-    rho = gibbs_density(h, params["beta"])
-    samples = collect_shadows(rho, m, rngs[1], batches)
-    est = estimate_paulis(samples, paulis)
-    max_err = float(np.max(np.abs(est - pauli_trace_inners(paulis, rho).real)))
-    return {
-        "trial": trial, "samples_used": m, "batches": batches,
-        "max_abs_error": max_err, "all_within_eps": bool(max_err <= params["eps"]),
-    }
+def _shadow_records(params, m, batches, paulis, seed, trials) -> list:
+    """Each trial draws H from its generator of key (1,) and its samples
+    from key (2,)."""
+    n = params["n"]
+    records = []
+    for _, block, _, _, h in _sweep_stacks(params["k"], seed, range(trials), (1,),
+                                           lambda rng: (n, None, 1), _hist_bytes(n, batches, 1)):
+        rho = gibbs_states(*hermitian_eig(h[:, 0]), params["beta"])
+        samples = _block_samples(seed, block, born_table(rho), m, batches, 2)
+        errors = np.abs(estimate_paulis(samples, paulis) - pauli_trace_inners(paulis, rho).real)
+        records += [{
+            "trial": t, "samples_used": m, "batches": batches,
+            "max_abs_error": err, "all_within_eps": bool(err <= params["eps"]),
+        } for t, err in zip(block, np.max(errors, axis=-1).tolist())]
+    return records
 
 
 def task_shadow_estimate(params, trials, seed):
@@ -566,8 +587,7 @@ def task_shadow_estimate(params, trials, seed):
         m = _resolve_samples(params.get("samples"),
                              shadow_budget(n, k, params["eps"], params["delta"]), n, batches)
         paulis = enumerate_local_paulis(n, k)
-    rngs = zip(trial_rngs(seed, range(trials), 1), trial_rngs(seed, range(trials), 2))
-    records = [_shadow_trial(params, m, batches, paulis, pair, t) for t, pair in enumerate(rngs)]
+    records = _shadow_records(params, m, batches, paulis, seed, trials)
     success = sum(1 for r in records if r["all_within_eps"])
     payload = {
         "task": "shadow-estimate",

@@ -526,6 +526,7 @@ def test_profile_flag_on_task_without_profile_is_config_error(tmp_path, monkeypa
     pytest.param("certify-gibbs", {"n": 13}, id="gibbs-n"),
     pytest.param("certify-gibbs", {"k": 3}, id="gibbs-k"),
     pytest.param("learn-gibbs", {"n": 3, "on_grid": True}, id="learn-support-qubits"),
+    pytest.param("learn-gibbs", {"support": ["ZI", "ZI", "ZZ"]}, id="learn-support-repeated"),
 ])
 def test_gibbs_path_range_is_config_error(tmp_path, monkeypatch, capsys, task, params):
     _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params)

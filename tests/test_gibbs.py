@@ -67,7 +67,7 @@ def test_on_grid_truth_with_exact_estimates_recovers_member():
         truth_idx = int(rng.integers(net.size))
         rho = gibbs_density(net.member(truth_idx), 1.0)
         exact = pauli_trace_inners(support, rho).real
-        idx, state, objective = learn_gibbs(None, net, cfg, estimates=exact)
+        [idx], [state], [objective] = learn_gibbs(None, net, cfg, estimates=exact[None])
         assert idx == truth_idx
         assert objective == pytest.approx(0.0, abs=1e-9)
         assert trace_distance(state, rho) < 1e-9
@@ -78,7 +78,7 @@ def test_single_member_net_returns_it():
     assert net.size == 1
     cfg = GibbsLearnConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1,
                            support=(P("Z"),), eta=2.0)
-    idx, state, _ = learn_gibbs(None, net, cfg, estimates=np.array([0.73]))
+    [idx], _, _ = learn_gibbs(None, net, cfg, estimates=np.array([[0.73]]))
     assert idx == 0
 
 
@@ -92,7 +92,7 @@ def test_learn_single_qubit_sampled():
     hits = 0
     for seed in range(20):
         samples = collect_shadows(rho, 4000, np.random.default_rng(seed), cfg.batches)
-        idx, state, _ = learn_gibbs(samples, net, cfg)
+        _, [state], _ = learn_gibbs([samples], net, cfg)
         hits += trace_distance(state, rho) <= 0.3
     assert hits >= 18
 
@@ -106,7 +106,7 @@ def test_learn_permutation_invariance_of_objective():
     cfg = _learn_config(eta=0.5)
     rho = gibbs_density(random_hamiltonian(2, 2, 3), 1.0)
     est_vec = pauli_trace_inners(support, rho).real
-    idx, _, objective = learn_gibbs(None, net, cfg, estimates=est_vec)
+    [idx], _, [objective] = learn_gibbs(None, net, cfg, estimates=est_vec[None])
     per_member = []
     for i in range(net.size):
         tau = gibbs_density(net.member(i), 1.0)
@@ -131,7 +131,7 @@ def test_observable_match_chain_at_nominal_grid():
         truth = LocalHamiltonian(n, k, {P("Z"): float(rng.uniform(-1, 1))})
         rho = gibbs_density(truth, beta)
         exact = pauli_trace_inners([P("Z")], rho).real
-        idx, state, objective = learn_gibbs(None, net, cfg, estimates=exact)
+        _, [state], [objective] = learn_gibbs(None, net, cfg, estimates=exact[None])
         assert objective <= 3 * eps**2 / max(beta, 1.0)
         assert trace_distance(state, rho) <= eps
 
@@ -142,7 +142,7 @@ def test_learn_accepts_beta_zero():
                            support=(P("Z"),), eta=0.5)
     assert cfg.eta_nominal == 1.0
     net = HamiltonianNet((P("Z"),), 0.5)
-    idx, state, _ = learn_gibbs(None, net, cfg, estimates=np.array([0.0]))
+    _, [state], _ = learn_gibbs(None, net, cfg, estimates=np.array([[0.0]]))
     np.testing.assert_allclose(state, np.eye(2) / 2, atol=1e-12)
 
 
@@ -162,7 +162,7 @@ def test_certify_equal_states_same_seed_close():
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
     a = collect_shadows(rho, 5000, np.random.default_rng(77), cfg.batches)
     b = collect_shadows(rho, 5000, np.random.default_rng(77), cfg.batches)
-    verdict, max_gap, _ = certify_gibbs(a, b, cfg)
+    [(verdict, max_gap, _)] = certify_gibbs([a], [b], cfg)
     assert verdict == "CLOSE"
     assert max_gap == 0.0
 
@@ -173,7 +173,7 @@ def test_certify_one_sample_set_estimated_once(monkeypatch):
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
     a = collect_shadows(rho, 5000, np.random.default_rng(78), cfg.batches)
     b = collect_shadows(rho, 5000, np.random.default_rng(78), cfg.batches)
-    twice = certify_gibbs(a, b, cfg)
+    twice = certify_gibbs([a], [b], cfg)
     calls = []
 
     def counted(*args):
@@ -181,7 +181,8 @@ def test_certify_one_sample_set_estimated_once(monkeypatch):
         return estimate_paulis(*args)
 
     monkeypatch.setattr("isingcert.gibbs.estimate_paulis", counted)
-    once = certify_gibbs(a, a, cfg)
+    block = [a]
+    once = certify_gibbs(block, block, cfg)
     assert len(calls) == 1
     assert once == twice
 
@@ -196,7 +197,7 @@ def test_certify_far_states():
     for seed in range(20):
         a = collect_shadows(rho, 3000, np.random.default_rng((seed, 0)), cfg.batches)
         b = collect_shadows(rho0, 3000, np.random.default_rng((seed, 1)), cfg.batches)
-        verdict, _, _ = certify_gibbs(a, b, cfg)
+        [(verdict, _, _)] = certify_gibbs([a], [b], cfg)
         wrong += verdict != "FAR"
     assert wrong == 0
 
@@ -207,7 +208,7 @@ def test_certify_known_reference_mode():
     rho, rho0 = gibbs_density(hz, 1.0), gibbs_density(hmz, 1.0)
     cfg = GibbsCertConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1)
     samples = collect_shadows(rho, 3000, np.random.default_rng(2), cfg.batches)
-    verdict, _, witness = certify_gibbs(samples, rho0, cfg)
+    [(verdict, _, witness)] = certify_gibbs([samples], rho0[None], cfg)
     assert verdict == "FAR"
     assert witness == P("Z")
 
@@ -218,7 +219,7 @@ def test_certify_witness_tie_names_lower_code_string():
     cfg = GibbsCertConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1)
     assert mom_batches(1, 1, cfg.delta) == 16
     samples = ShadowData(np.array([[0], [2]] * 32), np.ones((64, 1), dtype=int), 16)
-    verdict, max_gap, witness = certify_gibbs(samples, np.eye(2) / 2, cfg)
+    [(verdict, max_gap, witness)] = certify_gibbs([samples], np.eye(2)[None] / 2, cfg)
     assert verdict == "FAR"
     assert max_gap == 1.5
     assert witness == P("X")
@@ -234,8 +235,8 @@ def test_learn_rejects_samples_in_another_split():
     for batches in (1, 15, 17):
         samples = collect_shadows(rho, 4000, np.random.default_rng(3), batches)
         with pytest.raises(ValueError, match="batches"):
-            learn_gibbs(samples, net, cfg)
-    learn_gibbs(collect_shadows(rho, 4000, np.random.default_rng(3), cfg.batches), net, cfg)
+            learn_gibbs([samples], net, cfg)
+    learn_gibbs([collect_shadows(rho, 4000, np.random.default_rng(3), cfg.batches)], net, cfg)
 
 
 def test_certify_rejects_samples_in_another_split():
@@ -245,10 +246,10 @@ def test_certify_rejects_samples_in_another_split():
     good = collect_shadows(rho, 5000, np.random.default_rng(4), cfg.batches)
     for batches in (1, cfg.batches + 1):
         bad = collect_shadows(rho, 5000, np.random.default_rng(4), batches)
-        for pair in ((bad, good), (good, bad), (bad, bad), (bad, rho)):
+        for pair in (([bad], [good]), ([good], [bad]), ([bad], [bad]), ([bad], rho[None])):
             with pytest.raises(ValueError, match="batches"):
                 certify_gibbs(*pair, cfg)
-    certify_gibbs(good, rho, cfg)
+    certify_gibbs([good], rho[None], cfg)
 
 
 def test_certify_symmetry_under_swap():
@@ -258,8 +259,8 @@ def test_certify_symmetry_under_swap():
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
     a = collect_shadows(rho, 4000, np.random.default_rng(30), cfg.batches)
     b = collect_shadows(rho0, 4000, np.random.default_rng(31), cfg.batches)
-    v1, gap1, _ = certify_gibbs(a, b, cfg)
-    v2, gap2, _ = certify_gibbs(b, a, cfg)
+    [(v1, gap1, _)] = certify_gibbs([a], [b], cfg)
+    [(v2, gap2, _)] = certify_gibbs([b], [a], cfg)
     assert v1 == v2
     assert gap1 == pytest.approx(gap2, abs=1e-14)
 

@@ -8,10 +8,12 @@ from hamiltonian_reference import hamiltonian_diff
 from isingcert.hamiltonians import (
     HamiltonianNet,
     LocalHamiltonian,
+    frobenius_norms,
     gibbs_density,
     random_hamiltonian,
 )
-from isingcert.paulis import PauliString, pauli_trace_inners
+from isingcert.paulis import (PauliString, enumerate_local_paulis, local_pauli_count,
+                              pauli_trace_inners)
 
 P = PauliString.from_label
 
@@ -165,6 +167,40 @@ def test_net_rejects_off_support():
     h = LocalHamiltonian(2, 2, {P("XX"): 0.3})
     with pytest.raises(ValueError):
         round_member_index(net, h)
+
+
+def test_net_rejects_repeated_support_strings():
+    # the Gibbs table would add both ZI columns, a member would keep one
+    with pytest.raises(ValueError, match="distinct"):
+        HamiltonianNet([P("ZI"), P("ZI"), P("ZZ")], 0.25)
+
+
+def test_member_matrices_equal_member_hamiltonians():
+    # members with zero values, then off-grid rows: each row is the matrix of
+    # its Hamiltonian, bit for bit, with the support in reverse code order
+    net = HamiltonianNet([P("ZZI"), P("ZII"), P("IZI"), P("IIZ")], 0.5)
+    index = np.arange(net.size)
+    np.testing.assert_array_equal(net.values(index), net.value_matrix())
+    matrices = net.matrices(net.values(index))
+    for i in index:
+        np.testing.assert_array_equal(matrices[i], net.member(i).to_matrix())
+    rows = np.random.default_rng(2).uniform(-1.0, 1.0, (200, 4))
+    matrices = net.matrices(rows)
+    for row, matrix in zip(rows.tolist(), matrices):
+        h = LocalHamiltonian(3, 2, dict(zip(net.support, row)))
+        np.testing.assert_array_equal(matrix, h.to_matrix())
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_frobenius_norms_equal_the_sequential_sum(n):
+    paulis = enumerate_local_paulis(n, 2, include_identity=False)
+    rows = np.random.default_rng(n).uniform(-1.0, 1.0, (4, 2, local_pauli_count(n, 2) - 1))
+    expected = [[math.sqrt(sum(h * h for h in row)) for row in pair] for pair in rows.tolist()]
+    np.testing.assert_array_equal(frobenius_norms(rows), expected)
+    np.testing.assert_array_equal(frobenius_norms(rows[0, 0]), expected[0][0])
+    h = LocalHamiltonian(n, 2, dict(zip(paulis, rows[1, 1].tolist())))
+    assert h.frobenius_norm() == expected[1][1]
+    assert frobenius_norms(np.zeros((3, 0))).tolist() == [0.0] * 3   # k = 0: no strings
 
 
 def test_value_matrix_matches_members():
