@@ -8,6 +8,7 @@ violation detected by the exact oracle.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,7 +23,9 @@ EXIT_BUDGET = 3
 EXIT_PROMISE = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="isingcert",
         description="Certification and learning runs for local Hamiltonians "

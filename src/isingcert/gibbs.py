@@ -254,14 +254,14 @@ def bound_diagnostics(rho: np.ndarray, rho0: np.ndarray, dh: np.ndarray, sup_coe
                       <= sqrt(400 beta n^k sup |Tr[P rho] - Tr[P rho0]|).
     """
     lhs = trace_distance(rho, rho0)
-    gap = (rho - rho0) @ dh
+    gap = np.trace((rho - rho0) @ dh, axis1=-2, axis2=-1).real.tolist()
     paulis = enumerate_local_paulis(n, k)
     sup_state = np.max(np.abs(pauli_trace_inners(paulis, rho).real
                               - pauli_trace_inners(paulis, rho0).real), axis=-1).tolist()
     return [
         BoundDiagnostics(
             lhs[i],
-            math.sqrt(max(0.0, 2.0 * b * float(np.trace(gap[i]).real))),
+            math.sqrt(max(0.0, 2.0 * b * gap[i])),
             200.0 * b * n**k * sup_coeff[i],
             math.sqrt(400.0 * b * n**k * sup_state[i]),
         )

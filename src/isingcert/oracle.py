@@ -17,18 +17,21 @@ import numpy as np
 if TYPE_CHECKING:
     from .hamiltonians import LocalHamiltonian
 
-# bytes of one stacked complex array in a batched kernel: (m, 2^n, 2^n)
-# matrices, or the (m, terms, 2^n) weights of a stacked Pauli scatter
+# bytes of one stacked array in a batched kernel: (m, 2^n, 2^n) complex
+# matrices, or the (m, terms, 2^n) bins and real weights of a stacked Pauli
+# scatter, together
 STACK_CHUNK_BYTES = 2**20
 CLIP_TOL = 1e-12  # negative probability mass that clip_distribution takes for rounding
 
 
 def _check_hermitian(a: np.ndarray, tol: float) -> None:
-    """Reject a non-square input, or one with a visibly non-Hermitian matrix,
-    each matrix judged at its own scale."""
+    """Reject a non-square input, or one with a non-finite or visibly
+    non-Hermitian matrix, each matrix judged at its own scale."""
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got {a.shape}")
     scale = np.maximum(abs(a).max(axis=(-2, -1), keepdims=True), 1.0)
+    if not np.isfinite(scale).all():   # a NaN or infinite entry
+        raise ValueError("matrix has a non-finite entry")
     if (abs(a - a.conj().swapaxes(-1, -2)) > tol * scale).any():
         raise ValueError("matrix is not Hermitian")
 
@@ -92,13 +95,15 @@ def operator_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def spectral_moments(w: np.ndarray, ls) -> list[list[float]]:
     """(Tr[|H|^l] / 2^n)^(1/l) for every order l in `ls`, one row per spectrum
-    of the eigenvalue stack w (m, 2^n).  Each root is a scalar power: a
-    power over an array can miss it by an ulp."""
+    of the eigenvalue stack w (m, 2^n).  Each root is a Python float power,
+    the C library's pow as for a numpy scalar: a power over an array can
+    miss it by an ulp."""
     ls = list(ls)
     if min(ls) < 2:
         raise ValueError(f"moment orders must be >= 2, got {ls}")
-    means = [np.mean(np.abs(w) ** l, axis=-1) for l in ls]
-    return [[float(mean[i] ** (1.0 / l)) for mean, l in zip(means, ls)] for i in range(len(w))]
+    a = np.abs(w)
+    means = [np.mean(a ** l, axis=-1).tolist() for l in ls]
+    return [[mean ** (1.0 / l) for mean, l in zip(row, ls)] for row in zip(*means)]
 
 
 def identity_coeff(u: np.ndarray) -> complex:

@@ -4,6 +4,10 @@ A Pauli string on n qubits is a word over {I, X, Y, Z}.  Strings are encoded
 base-4 with the letter order I < X < Y < Z, most significant digit first, so
 that integer order on the code equals lexicographic order on the label.  All
 enumerations in the package inherit this order.
+
+The two kernels that act with a list of strings on matrices, the dense sum
+`pauli_sum_matrix` and the trace inner products `pauli_trace_inners`, both
+read the list's cached `pauli_plan`.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,24 +143,68 @@ def pauli_phases(p: PauliString) -> tuple[int, np.ndarray]:
     return flip, phases
 
 
+class PauliPlan(NamedTuple):
+    """The action of a list of T strings on n qubits, read-only.  String j
+    puts its phase at the flat entry index[j, x] = (x ^ flip_j) 2^n + x of a
+    2^n x 2^n matrix.  That phase is signs[j, x] = +-1 for an even number of
+    Y, and i signs[j, x] for an odd number, so it lands in the float
+    bins[j, x] = 2 index[j, x] + (#Y odd) of the matrix viewed as floats."""
+
+    index: np.ndarray         # (T, 2^n)
+    conj_phases: np.ndarray   # (T, 2^n)
+    bins: np.ndarray          # (T, 2^n)
+    signs: np.ndarray         # (T, 2^n)
+
+
+@functools.lru_cache(maxsize=64)
+def pauli_plan(n: int, codes: tuple[int, ...]) -> PauliPlan:
+    """The action plan of the strings with these codes on n qubits, built
+    once per (n, codes) from `pauli_phases`."""
+    dim = 2**n
+    flips = np.zeros(len(codes), dtype=np.intp)
+    phases = np.zeros((len(codes), dim), dtype=complex)
+    for j, code in enumerate(codes):
+        flips[j], phases[j] = pauli_phases(PauliString(n, code))
+    cols = np.arange(dim)
+    index = (cols ^ flips[:, None]) * dim + cols
+    odd = phases[:, :1].real == 0   # phases[:, 0] = i^{#Y}
+    plan = PauliPlan(index, phases.conj(), 2 * index + odd,
+                     np.where(odd, phases.imag, phases.real))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _plan(n: int, paulis) -> PauliPlan:
+    if len(paulis) and paulis[0].n != n:
+        raise ValueError(f"strings on {paulis[0].n} qubits do not act on {n} qubits")
+    return pauli_plan(n, tuple(p.code for p in paulis))
+
+
 def pauli_sum_matrix(n: int, paulis, coeffs) -> np.ndarray:
-    """Dense sum_j coeffs[..., j] P_j on n qubits, as one scatter; coefficients
-    (m, T) give an (m, 2^n, 2^n) stack.  np.bincount adds its weights in input
-    order, so every entry accumulates the terms in the order given, exactly as
-    adding the terms one by one, and row i is bit-identical to coeffs[i] alone.
+    """Dense sum_j coeffs[..., j] P_j on n qubits; coefficients (m, T) give an
+    (m, 2^n, 2^n) stack.  The stack is one np.bincount into its float view,
+    over the plan's bins plus one offset per matrix, and np.bincount adds
+    its weights in input order.  Real coefficients put c * sign in the one
+    part each phase has: the parts left out would add exact zeros, so every
+    entry is bit-identical to adding the terms one by one, in the order
+    given.  Complex coefficients put both parts of c * phase, in the same
+    order.  Row i is bit-identical to coeffs[i] alone.
     """
     coeffs = np.asarray(coeffs)
     dim = 2**n
-    out = np.zeros((*coeffs.shape[:-1], dim, dim), dtype=complex)
-    if len(paulis):
-        flips, phases = zip(*(pauli_phases(p) for p in paulis))
-        weights = coeffs.reshape(-1, len(paulis), 1) * np.array(phases)
-        cols = np.arange(dim)
-        index = ((cols ^ np.array(flips)[:, None]) * dim + cols
-                 + np.arange(0, out.size, dim * dim)[:, None, None]).ravel()
-        out.real = np.bincount(index, weights.real.ravel(), out.size).reshape(out.shape)
-        out.imag = np.bincount(index, weights.imag.ravel(), out.size).reshape(out.shape)
-    return out
+    lead = coeffs.shape[:-1]
+    c = coeffs.reshape(math.prod(lead), len(paulis))
+    plan = _plan(n, paulis)
+    if np.iscomplexobj(c):
+        bins = 2 * plan.index[..., None] + np.array([0, 1])
+        weights = (c[:, :, None] * plan.conj_phases.conj()).view(float)
+    else:
+        bins, weights = plan.bins, c[:, :, None] * plan.signs
+    size = 2 * len(c) * dim * dim
+    bins = bins + np.arange(0, size, 2 * dim * dim).reshape(-1, *(1,) * bins.ndim)
+    out = np.bincount(bins.ravel(), weights.ravel(), size)
+    return out.view(complex).reshape(*lead, dim, dim)
 
 
 def pauli_to_matrix(p: PauliString) -> np.ndarray:
@@ -173,12 +222,14 @@ def pauli_matvec(p: PauliString, vec: np.ndarray) -> np.ndarray:
 
 
 def pauli_trace_inners(paulis, a: np.ndarray) -> np.ndarray:
-    """Tr[P @ a] for every string P, as one gather a[x ^ flip_P, x] times the
-    conjugated phases; each row sum is bit-identical to a one-string sum.
-    A stack a (m, d, d) gives (m, len(paulis)), gathered one matrix at a
-    time: a sum over one gather of the whole stack can differ in the last bit."""
-    flips, phases = zip(*(pauli_phases(p) for p in paulis))
-    cols = np.arange(a.shape[-1])
-    rows, phases = cols ^ np.array(flips)[:, None], np.conj(phases)
-    sums = [np.sum(phases * x[rows, cols], axis=1) for x in a.reshape(-1, *a.shape[-2:])]
-    return sums[0] if a.ndim == 2 else np.array(sums)
+    """Tr[P @ a] for every string P: sum_x conj(phase_P[x]) a[x ^ flip_P, x].
+    A stack a (..., d, d) gives (..., len(paulis)) from one gather of the
+    plan's flat index over the whole stack; the C-contiguous products are
+    summed row by row in one reduction, so each sum is bit-identical to the
+    sum over one matrix, or over one string."""
+    a = np.asarray(a)
+    dim = a.shape[-1]
+    plan = _plan(dim.bit_length() - 1, paulis)
+    products = a.reshape(-1, dim * dim).take(plan.index, axis=1) * plan.conj_phases
+    sums = np.add.reduce(products.reshape(-1, dim), axis=-1)
+    return sums.reshape(*a.shape[:-2], len(paulis))

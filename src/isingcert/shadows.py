@@ -37,6 +37,7 @@ _EIGVECS = np.array([
 # qubit's rho[i, j], row 2b + o is the probability of outcome o in basis b
 _BORN = np.einsum("bio,bjo->boij", _EIGVECS.conj(), _EIGVECS).reshape(6, 4)
 _GUIDE_BUCKETS = 2**14  # u in [j, j + 1) / 2^14 falls in bucket j of the draw
+_PROB_SUM_TOL = np.sqrt(np.finfo(float).eps)   # rng.choice's tolerance on sum(p) - 1
 
 
 def batch_sizes(m: int, batches: int) -> np.ndarray:
@@ -131,8 +132,10 @@ def _joint_distribution(rho: np.ndarray, n: int) -> np.ndarray:
 
 
 def _check_probs(probs: np.ndarray) -> None:
-    if not (np.all(np.isfinite(probs)) and np.all(probs >= 0)
-            and abs(probs.sum() - 1.0) <= np.sqrt(np.finfo(float).eps)):
+    """Two reductions: a NaN or infinite entry makes the sum NaN or infinite
+    (+inf beside -inf with numpy's invalid-value warning), which fails the
+    first test."""
+    if not (abs(probs.sum() - 1.0) <= _PROB_SUM_TOL and probs.min() >= 0):
         raise ValueError("probabilities must be finite, nonnegative and sum to 1")
 
 

@@ -194,9 +194,9 @@ def _check_n_range(params: dict) -> None:
 
 def _stack_size(n: int, r: int, terms: int, extra: int = 0) -> int:
     """Items per stack when each item holds r Hamiltonians of `terms` strings
-    on n qubits, and `extra` bytes of other arrays: the scatter weights
-    (r, terms, 2^n), the matrices (r, 2^n, 2^n) and the other arrays of a
-    stack each stay within STACK_CHUNK_BYTES."""
+    on n qubits, and `extra` bytes of other arrays: the scatter's bins and
+    real weights (r, terms, 2^n) together, the matrices (r, 2^n, 2^n) and the
+    other arrays of a stack each stay within STACK_CHUNK_BYTES."""
     return max(1, oracle.STACK_CHUNK_BYTES // max(16 * r * 2**n * max(2**n, terms), extra))
 
 

@@ -91,3 +91,14 @@ def footnote_trial(params, seed, trial):
         "trial": trial, "beta": beta, "distance": dist, "bound": eps / 2.0,
         "regime": degenerate_regime(cfg), "ok": bool(dist <= eps / 2.0),
     }
+
+
+def _per_trial(trial_fn):
+    def block(params, seed, trials):
+        return [trial_fn(params, seed, t) for t in trials]
+    return block
+
+
+# the per-trial references in the place of the stacked kernels of tasks.py
+BLOCKS = {"_bonami_block": _per_trial(bonami_trial), "_bounds_block": _per_trial(bounds_trial),
+          "_footnote_block": _per_trial(footnote_trial)}

@@ -10,7 +10,7 @@ import pytest
 import isingcert.oracle as oracle
 import isingcert.tasks as tasks
 import rng_reference
-from isingcert.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_PROMISE, main
+from isingcert.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_PROMISE, build_parser, main
 from isingcert.constants import SHADOW_SAMPLE_HARD_CAP
 from isingcert.errors import BudgetExceededError, ConfigError
 from isingcert.paulis import local_pauli_count
@@ -280,6 +280,38 @@ def test_cli_overrides_apply(tmp_path):
     report = json.loads((out_dir / "verify-bonami.json").read_text())
     assert report["resolved_config"]["trials"] == 4
     assert report["resolved_config"]["seed"] == 9
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    cfg = {"schema_version": 1, "task": "verify-bonami", "seed": 1, "trials": 50,
+           "params": {"n_max": 3}}
+    path = write_config(tmp_path, cfg)
+
+    def run(out, *overrides):
+        assert main(["--config", path, "--out", str(tmp_path / out), *overrides]) == EXIT_OK
+        capsys.readouterr()
+        return {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+
+    # each call alone, on a parser of its own
+    build_parser.cache_clear()
+    assert main(["--constants"]) == EXIT_OK
+    constants = capsys.readouterr().out
+    build_parser.cache_clear()
+    overridden = run("alone", "--seed", "9", "--trials", "4")
+    build_parser.cache_clear()
+    plain = run("plain-alone")
+    # the same calls in one process, on one parser
+    build_parser.cache_clear()
+    parser = build_parser()
+    assert main(["--constants"]) == EXIT_OK
+    assert capsys.readouterr().out == constants
+    assert run("shared", "--seed", "9", "--trials", "4") == overridden
+    assert run("plain-shared") == plain
+    assert build_parser() is parser
+    report = json.loads(overridden["verify-bonami.json"])["resolved_config"]
+    assert (report["seed"], report["trials"]) == (9, 4)
+    report = json.loads(plain["verify-bonami.json"])["resolved_config"]
+    assert (report["seed"], report["trials"]) == (1, 50)
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch, capsys):

@@ -27,6 +27,7 @@ from isingcert.paulis import (
     pauli_to_matrix,
     pauli_trace_inners,
 )
+from pauli_reference import pauli_sum as reference_pauli_sum
 from rng_reference import trial_rng
 
 P = PauliString.from_label
@@ -39,16 +40,6 @@ def reference_to_matrix(h):
     for p, c in sorted(h.coeffs.items(), key=lambda kv: kv[0].code):
         flip, phases = pauli_phases(p)
         out[cols ^ flip, cols] += c * phases
-    return out
-
-
-def reference_pauli_sum(n, paulis, coeffs):
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for p, a in zip(paulis, coeffs):
-        flip, phases = pauli_phases(p)
-        out[cols ^ flip, cols] += a * phases
     return out
 
 

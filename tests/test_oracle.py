@@ -66,6 +66,22 @@ def test_hermitian_eigvals_checks_each_matrix_of_a_stack():
         hermitian_eigvals(np.array([big, bad[2]]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_matrices_are_rejected(value):
+    bad = np.array([[value, 0.0], [0.0, 1.0]], dtype=complex)
+    # a stack with one finite matrix before the bad one
+    stack = np.array([np.eye(2) / 2, bad])
+    for a in (bad, stack):
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eig(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigvals(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            trace_distance(a, np.broadcast_to(np.eye(2) / 2, a.shape))
+        with pytest.raises(ValueError, match="non-finite"):
+            trace_distance(np.broadcast_to(np.eye(2) / 2, a.shape), a)
+
+
 def test_evolve_identity_at_zero():
     h = random_hamiltonian(2, 2, 1)
     np.testing.assert_allclose(evolve(h, 0.0), np.eye(4), atol=1e-12)

@@ -3,9 +3,9 @@ layer table names: a module that is gone crashes every traced run, while an
 attribute that is gone is only reported as a missing layer.  So a module that
 leaves src/ has to leave that table too.
 
-The benchmark's Gibbs-task calls (perfbench/workloads.py, read only) must
-write the same report files through the block drivers as through the
-per-trial references."""
+The benchmark's Gibbs-task and sweep calls (perfbench/workloads.py, read
+only) must write the same report files through the block drivers as through
+the per-trial references."""
 
 import importlib
 import importlib.util
@@ -16,11 +16,13 @@ from pathlib import Path
 import pytest
 
 import gibbs_reference
+import sweep_reference
 import isingcert.tasks as tasks
 from isingcert.cli import main
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _GIBBS_TASKS = ("learn-gibbs", "certify-gibbs", "shadow-estimate")
+_SWEEP_TASKS = ("verify-bonami", "verify-bounds")
 
 
 def _load(name: str):
@@ -44,13 +46,26 @@ def _files(tmp_path, name, call, seed):
     return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
 
-@pytest.mark.parametrize("seed", [1, 7])
-def test_gibbs_benchmark_calls_equal_per_trial_references(tmp_path, monkeypatch, seed):
+def _assert_calls_equal_references(tmp_path, monkeypatch, seed, task_names, references):
+    """Every call and warm-up of gibbs-sweeps running one of `task_names`
+    writes the same files with the `references` patched into tasks.py."""
     workload = _load("workloads").WORKLOADS["gibbs-sweeps"]
-    calls = [c for c in workload.calls + workload.warmup if c.task in _GIBBS_TASKS]
-    assert {c.task for c in calls} == set(_GIBBS_TASKS)
+    calls = [c for c in workload.calls + workload.warmup if c.task in task_names]
+    assert {c.task for c in calls} == set(task_names)
     shipped = [_files(tmp_path, f"shipped{i}", c, seed) for i, c in enumerate(calls)]
-    for name, driver in gibbs_reference.DRIVERS.items():
-        monkeypatch.setattr(tasks, name, driver)
+    for name, reference in references.items():
+        monkeypatch.setattr(tasks, name, reference)
     for i, call in enumerate(calls):
         assert _files(tmp_path, f"reference{i}", call, seed) == shipped[i], call.label
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_gibbs_benchmark_calls_equal_per_trial_references(tmp_path, monkeypatch, seed):
+    _assert_calls_equal_references(tmp_path, monkeypatch, seed, _GIBBS_TASKS,
+                                   gibbs_reference.DRIVERS)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_sweep_benchmark_calls_equal_per_trial_references(tmp_path, monkeypatch, seed):
+    _assert_calls_equal_references(tmp_path, monkeypatch, seed, _SWEEP_TASKS,
+                                   sweep_reference.BLOCKS)

@@ -367,6 +367,34 @@ def test_guide_table_draw_keeps_choice_checks():
             _draw_indices(np.array(p), 3, rng)
 
 
+def bad_tables():
+    """One-qubit Born tables (6 entries) that every draw must refuse."""
+    base = np.full(6, 1.0 / 6.0)
+    for name, entry, value in (("nan", 2, np.nan), ("+inf", 0, np.inf), ("-inf", 5, -np.inf),
+                               ("negative", 1, -0.1), ("off-sum", 3, 0.5)):
+        table = base.copy()
+        table[entry] = value
+        if name == "negative":
+            table[4] += 0.1 + 1.0 / 6.0   # still sums to 1
+        yield pytest.param(table, id=name)
+    yield pytest.param(np.array([np.inf, -np.inf, 0.5, 0.5, 0.0, 0.0]), id="+inf-and-inf")
+
+
+@pytest.mark.parametrize("table", bad_tables())
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")   # inf - inf
+def test_bad_tables_refused_by_both_draws(table):
+    assert not (np.isfinite(table).all() and (table >= 0).all()
+                and abs(table.sum() - 1.0) <= np.sqrt(np.finfo(float).eps))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="probabilities"):
+        _draw_indices(table, 3, rng)
+    # histograms when batches * 6^n <= m, per-sample indices otherwise
+    for m, batches in ((600, 2), (5, 1)):
+        with pytest.raises(ValueError, match="probabilities"):
+            collect_shadows(table, m, rng, batches)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 def random_integer_weights():
     rng = np.random.default_rng(870)
     for size in (2, 3, 36, 216, 1296):

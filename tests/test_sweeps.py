@@ -62,9 +62,9 @@ def test_run_trials_equal_literal_trials(block_fn, trial_fn, params, blocks):
 
 @pytest.mark.parametrize("block_fn, trial_fn, params", KERNELS)
 def test_partial_last_chunk(block_fn, trial_fn, params, monkeypatch):
-    # one n-group of 8 trials.  At n=3, k=2 a trial's scatter weights take
-    # 16 * 8 * 36 bytes per matrix, so a chunk holds 3 trials of the bounds'
-    # two matrices and 6 of bonami's one: the last chunk is partial
+    # one n-group of 8 trials.  At n=3, k=2 a trial's scatter bins and
+    # weights take 16 * 8 * 36 bytes per matrix, so a chunk holds 3 trials of
+    # the bounds' two matrices and 6 of bonami's one: the last chunk is partial
     params = {**params, "n_min": 3, "n_max": 3, "footnote_n": 3}
     monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", 3 * 2 * 16 * 8 * 36)
     expected = [trial_fn(params, 9, t) for t in range(8)]
