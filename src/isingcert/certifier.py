@@ -15,12 +15,12 @@ one-level block, `compile_levels(((-1, eps, delta),), config)`.  Two
 profiles ship:
 
 * "strict": the closed-form constants (threshold 1 - 23/(2400 e^6 C^2),
-  accuracy 1/(4800 e^6 C^2), t = 1/(60 eps e^3 C)).  The implied experiment
-  count is 2.6e14 per call at eps 0.05 and 3.0e14 at eps 0.01, so sampled
-  runs are refused; the profile is exercised with oracle-valued estimates
-  plus bounded synthetic noise, and its decision rule is tested directly.
+  accuracy 1/(4800 e^6 C^2), t = 1/(60 eps e^3 C)).  A level charges about
+  3e14 experiments (2.6e14 at eps 0.05, 3.0e14 at eps 0.01), and its hit
+  count is still one binomial draw, so a strict run costs what a calibrated
+  one does.
 * "calibrated": t = 1/(c_t eps) with a threshold/accuracy pair fitted once on
-  the in-repo corpus; this is the profile end-to-end sampled runs use.
+  the in-repo corpus; the cheap profile, about 1e4 experiments a level.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from . import constants as con
 from .dynamics import ExperimentLedger, TrotterFragment, charge_plan, trotter_compile
 from .hamiltonians import LocalHamiltonian
-from .identity_estimator import budgeted_sample_count, drawn_estimate, sample_count
+from .identity_estimator import drawn_estimate, sample_count
 
 FAR = "FAR"
 CLOSE = "CLOSE"
@@ -93,8 +93,6 @@ class CertConfig:
     c_op: float = 1.0
     c_frob: float = 1.0
     profile: str = "calibrated"
-    estimator: str = "sampled"      # "sampled" or "oracle"
-    synthetic_noise: float = 0.0    # oracle mode: uniform noise amplitude
 
     def __post_init__(self):
         if not 0 < self.eps < self.c_frob:
@@ -105,12 +103,6 @@ class CertConfig:
             raise ValueError("C_op and C_frob must be >= 1")
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
-        if self.estimator not in ("sampled", "oracle"):
-            raise ValueError(f"unknown estimator mode {self.estimator!r}")
-        if self.synthetic_noise < 0:
-            raise ValueError(f"synthetic_noise must be >= 0, got {self.synthetic_noise}")
-        if self.synthetic_noise and self.estimator == "sampled":
-            raise ValueError("synthetic_noise applies only to the oracle estimator")
 
 
 @dataclass(frozen=True)
@@ -176,17 +168,33 @@ def compile_levels(levels, config: CertConfig) -> list[CompiledLevel]:
     Step and experiment counts depend on the config alone, so one compile
     serves every trial, and its fragments carry no H0: the block kernel
     reads their step counts and query times, and charges them.  A Trotter
-    step count over TROTTER_STEP_BUDGET, or a sampled experiment count over
-    EXPERIMENT_BUDGET, raises BudgetExceededError here, at any level.
+    step count over TROTTER_STEP_BUDGET raises BudgetExceededError here, at
+    any level.
     """
     profile = PROFILES[config.profile]()
-    # the oracle estimator samples nothing, so no experiment budget applies
-    budget = con.EXPERIMENT_BUDGET if config.estimator == "sampled" else None
     return [CompiledLevel(level, eps_l, delta_l,
                           trotter_compile(None, profile.time_for(eps_l), profile.eps_trott,
                                           config.c_op),
-                          budgeted_sample_count(profile.est_accuracy, delta_l, budget))
+                          sample_count(profile.est_accuracy, delta_l))
             for level, eps_l, delta_l in levels]
+
+
+def eigenbasis_identity_sq(m: np.ndarray, w0: np.ndarray, w: np.ndarray,
+                           fragment: TrotterFragment) -> np.ndarray:
+    """|Tr V / 2^n|^2 of `fragment`'s V = X^steps, one value per row.
+
+    Row i is one pair: with H = W diag(w) W^dag and H0 = W0 diag(w0) W0^dag,
+    m[i] = W^dag W0 (2^n, 2^n), and w0[i], w[i] are the two spectra.  With
+    tau = t / (2 steps), the Trotter step in H's eigenbasis is
+    X = D M diag(e^{2 i tau w0}) M^dag D with D = diag(e^{-i tau w}), and
+    Tr V = Tr X^steps, so the rows are raised with one stacked `matrix_power`.
+    """
+    tau, dim = fragment.query_time, w.shape[-1]
+    b = (m * np.exp(2j * tau * w0)[:, None, :]) @ np.swapaxes(m.conj(), -1, -2)
+    d = np.exp(-1j * tau * w)
+    x = np.linalg.matrix_power(d[:, :, None] * b * d[:, None, :], fragment.steps)
+    # Python's abs and ** (libm pow), which numpy's x * x need not match
+    return np.array([abs(t / dim) ** 2 for t in np.trace(x, axis1=-2, axis2=-1).tolist()])
 
 
 def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs,
@@ -198,21 +206,15 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
     eigenvectors (B, 2^n, 2^n) of H0 and of H.  Trial i draws from rngs[i]
     and charges ledgers[i], one `charge_plan` per level it reaches.
 
-    A level's estimate reads only |Tr V / 2^n|^2.  With H = W diag(w) W^dag,
-    H0 = W0 diag(w0) W0^dag, M = W^dag W0 and tau = t / (2 steps), the
-    Trotter step in H's eigenbasis is X = D M diag(e^{2 i tau w0}) M^dag D
-    with D = diag(e^{-i tau w}), and Tr V = Tr X^steps.  Each level forms X
-    for the trials still running and raises them with one stacked
-    `matrix_power`; a level's stacks are at most half the size of the
-    spectra's, so a block sized within STACK_CHUNK_BYTES keeps them there.
-    The level's hit probabilities, clamped estimates and verdicts are arrays
-    over those trials; each trial makes one draw of its hit count (the
-    sampled estimator, as `estimate_identity_sq` draws it) or of its noise,
-    and one `charge_plan`.
+    Each level takes `eigenbasis_identity_sq` of the trials still running
+    only; its stacks are at most half the size of the spectra's, so a block
+    sized within STACK_CHUNK_BYTES keeps them there.  The level's hit
+    probabilities, clamped estimates and verdicts are arrays over those
+    trials; each trial makes one draw of its hit count, as
+    `estimate_identity_sq` draws it, and one `charge_plan`.
     """
     w0, v0, w, v = spectra
-    dim = w.shape[-1]
-    n = dim.bit_length() - 1
+    n = w.shape[-1].bit_length() - 1
     m = np.swapaxes(v.conj(), -1, -2) @ v0
     threshold = PROFILES[config.profile]().far_threshold
     records = [[] for _ in rngs]
@@ -220,20 +222,10 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
     for lvl in levels:
         if not alive:
             break
-        tau, mi = lvl.fragment.query_time, m[alive]
-        b = (mi * np.exp(2j * tau * w0[alive])[:, None, :]) @ np.swapaxes(mi.conj(), -1, -2)
-        d = np.exp(-1j * tau * w[alive])
-        x = np.linalg.matrix_power(d[:, :, None] * b * d[:, None, :], lvl.fragment.steps)
-        # Python's abs and ** (libm pow), which numpy's x * x need not match
-        values = np.array([abs(t / dim) ** 2 for t in np.trace(x, axis1=-2, axis2=-1).tolist()])
-        if config.estimator == "sampled":
-            values, _ = drawn_estimate(values, n, lvl.samples, [rngs[i] for i in alive])
-        elif config.synthetic_noise:
-            a = config.synthetic_noise
-            values = np.clip(values + [rngs[i].uniform(-a, a) for i in alive], 0.0, 1.0)
+        identity_sq = eigenbasis_identity_sq(m[alive], w0[alive], w[alive], lvl.fragment)
+        values, _ = drawn_estimate(identity_sq, n, lvl.samples, [rngs[i] for i in alive])
         verdicts = decide(values, threshold)
         for i, value, verdict in zip(alive, values.tolist(), verdicts):
-            # the oracle estimator charges the nominal protocol cost too
             charge_plan((lvl.fragment,), ledgers[i], repeat=lvl.samples)
             records[i].append(LevelRecord(
                 level=lvl.level, eps=lvl.eps, delta=lvl.delta, estimate=value,

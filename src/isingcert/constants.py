@@ -52,8 +52,8 @@ SHADOW_SAMPLE_CONSTANT = 4.0
 MOM_BATCH_CONSTANT = 2
 
 # Calibrated certification profile (see calibration.certifier_corpus): the
-# strict constants above imply 2.6e14 (eps 0.05) to 3.0e14 (eps 0.01)
-# experiments per subroutine call, so sampled end-to-end runs use
+# strict constants above charge 2.6e14 (eps 0.05) to 3.0e14 (eps 0.01)
+# experiments per subroutine call; the cheap profile, about 1e4 a call, uses
 # t = 1 / (CAL_TIME_SCALE * eps) and the fitted threshold/accuracy pair below.
 CAL_TIME_SCALE = 15.0
 CAL_FAR_THRESHOLD = 0.75
@@ -69,10 +69,6 @@ NET_ENUMERATION_BUDGET = 10**6
 
 # Guard on Trotter step counts before compiling a fragment.
 TROTTER_STEP_BUDGET = 10**7
-
-# Default cap on sampled experiments per subroutine call; the strict profile
-# wants about 3e14 and is refused, the calibrated profile needs ~1e4.
-EXPERIMENT_BUDGET = 10**9
 
 # Cap on shadow sample counts resolved from nominal formulas without an
 # explicit override, where the draw takes per-sample indices (batches 6^n > m).
@@ -124,8 +120,6 @@ REGISTRY = (
                   "covering-net guard"),
     ConstantEntry("trotter_step_budget", float(TROTTER_STEP_BUDGET), "10^7",
                   "fragment compile guard"),
-    ConstantEntry("experiment_budget", float(EXPERIMENT_BUDGET), "10^9",
-                  "default sampled-experiment guard per subroutine call"),
     ConstantEntry("shadow_sample_hard_cap", float(SHADOW_SAMPLE_HARD_CAP), "10^7",
                   "guard on nominal shadow budgets without an override"),
 )

@@ -26,7 +26,6 @@ import numpy as np
 from .constants import HOEFFDING_CONSTANT
 from .dynamics import (NO_NOISE, ExperimentLedger, NoiseModel, charge_plan, logical_queries,
                        net_unitary)
-from .errors import BudgetExceededError
 from .hamiltonians import LocalHamiltonian
 from .oracle import identity_coeff
 from .stabilizers import stabilizer_state_matrix
@@ -68,7 +67,6 @@ def estimate_identity_sq(
     rng,
     ledger: ExperimentLedger | None = None,
     noise: NoiseModel = NO_NOISE,
-    max_experiments: int | None = None,
 ) -> IdentityCoeffEstimate:
     """Run the memoryless protocol against the simulated access model.
 
@@ -77,7 +75,7 @@ def estimate_identity_sq(
     the ledger takes one batched charge.
     """
     rng = np.random.default_rng(rng)
-    m = budgeted_sample_count(eps, delta, max_experiments)
+    m = sample_count(eps, delta)
     steps = tuple(steps)
     identity_sq = abs(identity_coeff(net_unitary(steps, h_true, n))) ** 2
     (value,), (raw,) = drawn_estimate(np.array([identity_sq]), n, m, [rng],
@@ -85,16 +83,6 @@ def estimate_identity_sq(
     if ledger is not None:
         charge_plan(steps, ledger, repeat=m)
     return IdentityCoeffEstimate(float(value), float(raw), m, eps, delta)
-
-
-def budgeted_sample_count(eps: float, delta: float, max_experiments: int | None) -> int:
-    """`sample_count`, refused with BudgetExceededError above `max_experiments`."""
-    m = sample_count(eps, delta)
-    if max_experiments is not None and m > max_experiments:
-        raise BudgetExceededError(
-            f"estimator needs {m} experiments, over the budget {max_experiments}"
-        )
-    return m
 
 
 def drawn_estimate(identity_sq: np.ndarray, n: int, m: int, rngs,

@@ -224,17 +224,22 @@ def _sweep_stacks(k: int, seed: int, trials, key: tuple, draw, extra: int = 0):
 
 
 def _bonami_block(params, seed, trials) -> list:
-    k, ls = params["k"], range(params["l_min"], params["l_max"] + 1)
+    """Records of `trials`, in order; a record's "rows" are its rows of the
+    moments table, [trial, n, l, moment, bound, slack] for each order l."""
+    k, ls = params["k"], list(range(params["l_min"], params["l_max"] + 1))
+    scale = np.array([l ** (k / 2.0) for l in ls])   # Python float powers (libm pow)
     records = {}
     for n, indices, _, c, h in _sweep_stacks(k, seed, trials, (), lambda rng: (
             int(rng.integers(params["n_min"], params["n_max"] + 1)), None, 1)):
-        w = hermitian_eigvals(h[:, 0])
-        for t, moments, frob in zip(indices, spectral_moments(w, ls),
-                                    frobenius_norms(c[:, 0]).tolist()):
-            rows = [{"l": l, "moment": m, "bound": l ** (k / 2.0) * frob,
-                     "slack": l ** (k / 2.0) * frob - m} for l, m in zip(ls, moments)]
-            records[t] = {"trial": t, "n": n, "frobenius": frob,
-                          "min_slack": min(row["slack"] for row in rows), "rows": rows}
+        moments = np.array(spectral_moments(hermitian_eigvals(h[:, 0]), ls))
+        frob = frobenius_norms(c[:, 0])
+        bound = frob[:, None] * scale
+        slack = bound - moments
+        for t, f, low, *columns in zip(indices, frob.tolist(), slack.min(axis=1).tolist(),
+                                       moments.tolist(), bound.tolist(), slack.tolist()):
+            # columns: the trial's moments, bounds and slacks, one per order l
+            records[t] = {"trial": t, "n": n, "frobenius": f, "min_slack": low,
+                          "rows": [[t, n, *entry] for entry in zip(ls, *columns)]}
     return [records[t] for t in trials]
 
 
@@ -246,16 +251,13 @@ def task_verify_bonami(params, trials, seed):
                              f"l_max={params['l_max']}")
     records = _bonami_block(params, seed, range(trials))
     violations = sum(1 for r in records if r["min_slack"] < SLACK_TOL)
-    table = [
-        [r["trial"], r["n"], row["l"], row["moment"], row["bound"], row["slack"]]
-        for r in records for row in r["rows"]
-    ]
     payload = {
         "task": "verify-bonami",
         "violations": violations,
         "min_slack": min(r["min_slack"] for r in records),
         "trials": [{k: v for k, v in r.items() if k != "rows"} for r in records],
     }
+    table = [row for r in records for row in r["rows"]]
     return payload, {"moments": (["trial", "n", "l", "moment", "bound", "slack"], table)}
 
 
@@ -352,12 +354,8 @@ def task_certify_dynamics(params, trials, seed):
     arm = _arm(params, ("close", "far"))
     with _config_boundary():
         check_size(params["n"], 2)   # certifier instances are 2-local
-        config = CertConfig(
-            eps=params["eps"], delta=params["delta"], c_op=params["c_op"],
-            c_frob=params["c_frob"], profile=params["profile"],
-            estimator=params["estimator"],
-            synthetic_noise=params.get("synthetic_noise", 0.0),
-        )
+        config = CertConfig(eps=params["eps"], delta=params["delta"], c_op=params["c_op"],
+                            c_frob=params["c_frob"], profile=params["profile"])
     gap = 12.0 * params["eps"] if arm == "far" else params["eps"]
     if gap >= params["c_frob"]:
         raise ConfigError(
@@ -619,8 +617,8 @@ class Task(NamedTuple):
 TASKS = {
     "certify-dynamics": Task(task_certify_dynamics, 50, {
         "n": 2, "eps": 0.05, "delta": 0.1, "arm": "close", "c_frob": 1.0,
-        "c_op": 2.0, "profile": "calibrated", "estimator": "sampled",
-    }, {"synthetic_noise": 0.0}),
+        "c_op": 2.0, "profile": "calibrated",
+    }),
     "learn-gibbs": Task(task_learn_gibbs, 20, {
         "n": 2, "k": 2, "beta": 1.0, "eps": 0.3, "delta": 0.1,
         "support": ["ZI", "IZ", "ZZ"], "eta": 0.25, "samples": 20000,

@@ -25,7 +25,6 @@ from isingcert.dynamics import (
     logical_queries,
     net_unitary,
 )
-from isingcert.errors import BudgetExceededError
 from isingcert.hamiltonians import HamiltonianNet, LocalHamiltonian, gibbs_density
 from isingcert.identity_estimator import IdentityCoeffEstimate, sample_count
 from isingcert.oracle import clip_distribution, trace_distance
@@ -365,16 +364,11 @@ def estimate_identity_sq_literal(
     rng,
     ledger: ExperimentLedger | None = None,
     noise: NoiseModel = NO_NOISE,
-    max_experiments: int | None = None,
 ) -> IdentityCoeffEstimate:
     """The memoryless protocol run experiment by experiment: each samples a
     stabilizer state, builds its plan and goes through run_experiment."""
     rng = np.random.default_rng(rng)
     m = sample_count(eps, delta)
-    if max_experiments is not None and m > max_experiments:
-        raise BudgetExceededError(
-            f"estimator needs {m} experiments, over the budget {max_experiments}"
-        )
     hits = 0
     for _ in range(m):
         plan = single_query_plan(steps, sample_stabilizer_state(n, rng))

@@ -58,7 +58,7 @@ def bonami_trial(params, seed, trial):
         bound = l ** (params["k"] / 2.0) * frob
         slack = bound - moment
         min_slack = min(min_slack, slack)
-        rows.append({"l": l, "moment": moment, "bound": bound, "slack": slack})
+        rows.append([trial, n, l, moment, bound, slack])
     return {"trial": trial, "n": n, "frobenius": frob,
             "min_slack": min_slack, "rows": rows}
 

@@ -184,12 +184,33 @@ def test_budget_overrun_at_a_late_level_exits_before_any_trial(tmp_path, monkeyp
     assert not out_dir.exists()
 
 
-def test_strict_profile_flag_refused_at_desk_scale(tmp_path):
-    cfg = {"schema_version": 1, "task": "certify-dynamics", "trials": 1,
-           "params": {"arm": "close"}}
-    path = write_config(tmp_path, cfg)
-    assert main(["--config", path, "--out", str(tmp_path / "out"),
-                 "--profile", "strict"]) == EXIT_BUDGET
+def _strict_run(tmp_path, trials, seed=0, **params):
+    """Run certify-dynamics with `--profile strict`; returns its report."""
+    cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": seed, "trials": trials,
+           "params": params}
+    out_dir = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out_dir),
+                 "--profile", "strict"]) == EXIT_OK
+    return json.loads((out_dir / f"certify-dynamics_{params['arm']}.json").read_text())
+
+
+def test_strict_profile_flag_runs_at_desk_scale(tmp_path):
+    # a strict CLOSE run charges every level, and time_bound is that full charge
+    payload = _strict_run(tmp_path, 1, arm="close")
+    [trial] = payload["trials"]
+    assert trial["verdict"] == "CLOSE"
+    assert trial["ledger"]["total_evolution_time"] == payload["time_bound"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("arm", ["close", "far"])
+def test_strict_profile_sampled_error_rate_within_delta(tmp_path, n, arm):
+    # the paper's closed-form constants, sampled end to end: about 2.6e14
+    # experiments charged per level, at a fixed seed
+    payload = _strict_run(tmp_path, 20, seed=21, n=n, arm=arm)
+    params = payload["resolved_config"]["params"]
+    assert (params["profile"], len(payload["trials"])) == ("strict", 20)
+    assert payload["error_rate"] <= params["delta"]
 
 
 def test_promise_violation_exit_code(tmp_path):
@@ -518,9 +539,9 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
     pytest.param("certify-dynamics", {"eps": -1}, id="dynamics-eps"),
     pytest.param("certify-dynamics", {"arm": "nope"}, id="dynamics-arm"),
     pytest.param("certify-dynamics", {"profile": "nope"}, id="dynamics-profile"),
-    pytest.param("certify-dynamics", {"estimator": "oracle", "synthetic_noise": -1.0},
-                 id="dynamics-noise-negative"),
-    pytest.param("certify-dynamics", {"synthetic_noise": 0.1}, id="dynamics-noise-sampled"),
+    # certify-dynamics has one estimator: no param selects or perturbs it
+    pytest.param("certify-dynamics", {"estimator": "oracle", "synthetic_noise": 0.1},
+                 id="dynamics-estimator-params"),
     pytest.param("certify-gibbs", {"beta": 0.0}, id="gibbs-beta"),
     pytest.param("certify-gibbs", {"samples": -5}, id="gibbs-samples"),
     pytest.param("shadow-estimate", {"eps": 1.5}, id="shadow-eps"),

@@ -16,7 +16,6 @@ from isingcert.dynamics import (
     UnitaryStep,
     trotter_compile,
 )
-from isingcert.errors import BudgetExceededError
 from isingcert.hamiltonians import LocalHamiltonian, random_hamiltonian
 from isingcert.identity_estimator import (
     design_expectation,
@@ -120,13 +119,6 @@ def test_memorylessness_structure():
         assert plan.logical_queries() == 1
         assert plan.n == 2
         assert plan.measurement == "stabilizer"
-
-
-def test_budget_guard():
-    fac = make_single_query_factory((QueryStep(0.4),), 1)
-    with pytest.raises(BudgetExceededError):
-        estimate_identity_sq(fac, HZ, 1, 0.01, 0.01, np.random.default_rng(0),
-                             max_experiments=10)
 
 
 def test_ledger_charges_every_experiment():
