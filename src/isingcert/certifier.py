@@ -99,8 +99,9 @@ class CertConfig:
             raise ValueError(f"eps must be in (0, C_frob={self.c_frob}), got {self.eps}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.c_op < 1 or self.c_frob < 1:
-            raise ValueError("C_op and C_frob must be >= 1")
+        if not (1 <= self.c_op < math.inf and 1 <= self.c_frob < math.inf):
+            raise ValueError(f"C_op and C_frob must be finite and >= 1, got {self.c_op} "
+                             f"and {self.c_frob}")
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
 

@@ -160,10 +160,9 @@ class GibbsCertConfig:
 
     def __post_init__(self):
         check_size(self.n, self.k)
-        if self.beta <= 0:
-            raise ValueError(
-                "beta must be positive: the certification thresholds scale with 1/beta"
-            )
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite: the certification "
+                             f"thresholds scale with 1/beta, got {self.beta}")
         if not 0 < self.eps < 1 or not 0 < self.delta < 1:
             raise ValueError("eps and delta must be in (0, 1)")
 

@@ -3,7 +3,11 @@ covering nets over a restricted support.
 
 Hamiltonians here are traceless, k-local, with every coefficient in [-1, 1].
 The covering net enumerates the grid (eta Z intersect [-1,1])^support by
-index, so scans never materialize the whole family.
+index, so scans never materialize the whole family.  Every Gibbs state in
+the package comes from one stacked map, `gibbs_states`, on spectra of the
+shared eig kernel; the net's Gibbs table runs its members through the Pauli
+scatter, that eig, `gibbs_states` and the trace-inner gather in stacks of
+`oracle.stack_size`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from . import oracle
 from .constants import NET_ENUMERATION_BUDGET
 from .paulis import (PauliString, check_size, enumerate_local_paulis, pauli_sum_matrix,
-                     pauli_to_matrix)
+                     pauli_trace_inners)
 
 _COEFF_TOL = 1e-12
 
@@ -88,24 +92,22 @@ def frobenius_norms(coeffs: np.ndarray) -> np.ndarray:
 
 
 def check_beta(beta: float) -> None:
-    """Raise ValueError unless the inverse temperature beta is >= 0."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-
-
-def thermal_map(w: np.ndarray, v: np.ndarray, beta) -> np.ndarray:
-    """v exp(-beta (w - min w)) v^dag / Tr, the Gibbs state of each spectrum (w, v)
-    of a stack on its last axes; beta is one value or one per spectrum."""
-    beta = np.asarray(beta)[..., None]
-    expw = np.exp(-beta * (w - w.min(axis=-1, keepdims=True)))
-    expw /= expw.sum(axis=-1, keepdims=True)
-    return (v * expw[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    """Raise ValueError unless the inverse temperature beta is finite and >= 0."""
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
 
 
 def gibbs_states(w: np.ndarray, v: np.ndarray, beta) -> np.ndarray:
-    """`thermal_map` made exactly Hermitian: (rho + rho^dag) / 2."""
-    rho = thermal_map(w, v, beta)
-    return 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
+    """rho = v exp(-beta (w - min w)) v^dag / Tr, made exactly Hermitian as
+    (rho + rho^dag) / 2: the Gibbs state of each spectrum (w, v) of a stack
+    on its last axes; beta is one value or one per spectrum."""
+    beta = np.asarray(beta)[..., None]
+    expw = np.exp(-beta * (w - w.min(axis=-1, keepdims=True)))
+    expw /= expw.sum(axis=-1, keepdims=True)
+    rho = (v * expw[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    rho += np.swapaxes(rho.conj(), -1, -2)
+    rho *= 0.5
+    return rho
 
 
 def gibbs_density(h: LocalHamiltonian, beta: float) -> np.ndarray:
@@ -169,7 +171,6 @@ class HamiltonianNet:
 
     support: tuple[PauliString, ...]
     eta: float
-    budget: int = NET_ENUMERATION_BUDGET
     grid: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -185,14 +186,14 @@ class HamiltonianNet:
         repeated = sorted({p.label for p in self.support if self.support.count(p) > 1})
         if repeated:
             raise ValueError(f"support strings must be distinct, got {repeated} more than once")
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         jmax = math.floor(1.0 / self.eta + 1e-9)
         self.grid = self.eta * np.arange(-jmax, jmax + 1)
-        if len(self.grid) ** len(self.support) > self.budget:
+        if len(self.grid) ** len(self.support) > NET_ENUMERATION_BUDGET:
             raise ValueError(
                 f"net has {len(self.grid)}^{len(self.support)} members, "
-                f"over the enumeration budget {self.budget}"
+                f"over the enumeration budget {NET_ENUMERATION_BUDGET}"
             )
 
     @property
@@ -214,10 +215,6 @@ class HamiltonianNet:
         coeffs = {p: float(v) for p, v in zip(self.support, values) if v != 0.0}
         return LocalHamiltonian(self.n, self.k, coeffs)
 
-    def value_matrix(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Grid values of members start..stop-1 (default: all), one row each."""
-        return self.values(np.arange(start, self.size if stop is None else min(stop, self.size)))
-
     def values(self, index) -> np.ndarray:
         """Grid values of the members `index` (an index or an array of them),
         one row over the support each."""
@@ -236,16 +233,16 @@ class HamiltonianNet:
     def gibbs_coeff_matrix(self, beta: float) -> np.ndarray:
         """(size, |support|) array of Tr[P rho_i] for every member Gibbs state.
 
-        Members go through in chunks of `oracle.STACK_CHUNK_BYTES`: a stack of
-        dense member matrices, one batched `hermitian_eig`, their `thermal_map`,
-        then one contraction against the support matrices.
+        Members go through in stacks of `oracle.stack_size`: their `matrices`,
+        one `hermitian_eig`, `gibbs_states` and one `pauli_trace_inners`
+        gather, so row i equals the values of `gibbs_density(member(i))`, bit
+        for bit.
         """
         check_beta(beta)
-        basis = np.array([pauli_to_matrix(p) for p in self.support])
         out = np.empty((self.size, len(self.support)))
-        chunk = max(1, oracle.STACK_CHUNK_BYTES // basis[0].nbytes)
-        for start in range(0, self.size, chunk):
-            h = np.tensordot(self.value_matrix(start, start + chunk), basis, axes=1)
-            rho = thermal_map(*oracle.hermitian_eig(h), beta)
-            out[start:start + chunk] = np.einsum("sij,cji->cs", basis, rho).real
+        size = oracle.stack_size(self.n, 1, len(self.support))
+        for start in range(0, self.size, size):
+            values = self.values(np.arange(start, min(start + size, self.size)))
+            rho = gibbs_states(*oracle.hermitian_eig(self.matrices(values)), beta)
+            out[start:start + size] = pauli_trace_inners(self.support, rho).real
         return out

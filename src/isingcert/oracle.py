@@ -24,6 +24,14 @@ STACK_CHUNK_BYTES = 2**20
 CLIP_TOL = 1e-12  # negative probability mass that clip_distribution takes for rounding
 
 
+def stack_size(n: int, r: int, terms: int, extra: int = 0) -> int:
+    """Items per stack when each item holds r Hamiltonians of `terms` strings
+    on n qubits, and `extra` bytes of other arrays: the scatter's bins and
+    real weights (r, terms, 2^n) together, the matrices (r, 2^n, 2^n) and the
+    other arrays of a stack each stay within STACK_CHUNK_BYTES."""
+    return max(1, STACK_CHUNK_BYTES // max(16 * r * 2**n * max(2**n, terms), extra))
+
+
 def _check_hermitian(a: np.ndarray, tol: float) -> None:
     """Reject a non-square input, or one with a non-finite or visibly
     non-Hermitian matrix, each matrix judged at its own scale."""

@@ -212,15 +212,6 @@ def pauli_to_matrix(p: PauliString) -> np.ndarray:
     return pauli_sum_matrix(p.n, [p], [1.0])
 
 
-def pauli_matvec(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    """Apply a Pauli string to a state vector in O(2^n)."""
-    flip, phases = pauli_phases(p)
-    out = np.empty_like(vec, dtype=complex)
-    cols = np.arange(vec.shape[0])
-    out[cols ^ flip] = phases * vec
-    return out
-
-
 def pauli_trace_inners(paulis, a: np.ndarray) -> np.ndarray:
     """Tr[P @ a] for every string P: sum_x conj(phase_P[x]) a[x ^ flip_P, x].
     A stack a (..., d, d) gives (..., len(paulis)) from one gather of the

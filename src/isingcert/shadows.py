@@ -318,11 +318,15 @@ def mom_batches(n: int, k: int, delta: float) -> int:
 
 
 def shadow_budget(n: int, k: int, eps: float, delta: float) -> int:
-    """Single-copy count ceil(c_s 3^k k ln(100 n^k / delta) / eps^2)."""
+    """Single-copy count ceil(c_s 3^k k ln(100 n^k / delta) / eps^2); an
+    accuracy whose count is not a finite float (eps^2 underflows, or the
+    quotient overflows) is a ValueError."""
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise ValueError("eps and delta must be in (0, 1)")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return math.ceil(
-        SHADOW_SAMPLE_CONSTANT * 3**k * k * math.log(100.0 * n**k / delta) / eps**2
-    )
+    count = SHADOW_SAMPLE_CONSTANT * 3**k * k * math.log(100.0 * n**k / delta)
+    budget = count / eps**2 if eps**2 else math.inf
+    if not math.isfinite(budget):
+        raise ValueError(f"accuracy {eps:.3g} needs more samples than a float can count")
+    return math.ceil(budget)

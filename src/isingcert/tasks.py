@@ -15,11 +15,13 @@ and `certifier.certify_block` certifies the whole block.  A Gibbs-task
 block builds its states with one scatter, eig and Gibbs map, its Born tables
 with one contraction, and estimates all its sample sets with one
 `estimate_paulis` product; only the draws run per trial, each on its
-trial's own generators.  Blocks stay within `oracle.STACK_CHUNK_BYTES`,
+trial's own generators.  Blocks are sized by `oracle.stack_size`, the rule
+the net's Gibbs table also reads, and stay within `oracle.STACK_CHUNK_BYTES`,
 histograms included.  Each driver builds what every trial shares (configs,
 the certification schedule, net and its Gibbs table, sample count, the far
-arm's Born tables) once, before any trial runs; a ValueError raised there is
-a ConfigError.  Promise checks run against the exact dense oracle and raise
+arm's two states, from one scatter, eig and Gibbs map, and their Born
+tables) once, before any trial runs; a ValueError raised there is a
+ConfigError.  Promise checks run against the exact dense oracle and raise
 PromiseViolationError when an instance falls outside its advertised regime,
 before any trial of its block is certified.
 """
@@ -27,6 +29,8 @@ before any trial of its block is certified.
 from __future__ import annotations
 
 import functools
+import math
+import sys
 from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
@@ -47,8 +51,7 @@ from .gibbs import (
     degenerate_regime,
     learn_gibbs,
 )
-from .hamiltonians import (HamiltonianNet, LocalHamiltonian, check_beta, frobenius_norms,
-                           gibbs_density, gibbs_states)
+from .hamiltonians import HamiltonianNet, check_beta, frobenius_norms, gibbs_states
 from .oracle import hermitian_eig, hermitian_eigvals, spectral_moments, trace_distance
 from .paulis import (LETTERS, PauliString, check_size, enumerate_local_paulis, local_pauli_count,
                      pauli_sum_matrix, pauli_trace_inners)
@@ -56,6 +59,7 @@ from .shadows import (batch_sizes, born_table, collect_shadows, estimate_paulis,
                       shadow_budget)
 
 SLACK_TOL = -1e-9
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
@@ -192,14 +196,6 @@ def _check_n_range(params: dict) -> None:
 # The kernels take `trials` as a range or list of trial indices, and return
 # their records in that order.
 
-def _stack_size(n: int, r: int, terms: int, extra: int = 0) -> int:
-    """Items per stack when each item holds r Hamiltonians of `terms` strings
-    on n qubits, and `extra` bytes of other arrays: the scatter's bins and
-    real weights (r, terms, 2^n) together, the matrices (r, 2^n, 2^n) and the
-    other arrays of a stack each stay within STACK_CHUNK_BYTES."""
-    return max(1, oracle.STACK_CHUNK_BYTES // max(16 * r * 2**n * max(2**n, terms), extra))
-
-
 def _sweep_stacks(k: int, seed: int, trials, key: tuple, draw, extra: int = 0):
     """Draw each trial t of `trials` from its generator of trial_rngs(seed,
     trials, *key) as draw(rng) -> (n, beta, r), then r coefficient vectors of
@@ -215,7 +211,7 @@ def _sweep_stacks(k: int, seed: int, trials, key: tuple, draw, extra: int = 0):
         c = rng.uniform(-1.0, 1.0, (r, terms[n]))
         groups.setdefault(n, []).append((t, beta, c))
     for n, group in sorted(groups.items()):
-        size = _stack_size(n, *group[0][2].shape, extra)
+        size = oracle.stack_size(n, *group[0][2].shape, extra)
         for start in range(0, len(group), size):
             indices, betas, c = zip(*group[start:start + size])
             c = np.array(c)
@@ -249,6 +245,13 @@ def task_verify_bonami(params, trials, seed):
         if not 2 <= params["l_min"] <= params["l_max"]:
             raise ValueError(f"need 2 <= l_min <= l_max, got l_min={params['l_min']}, "
                              f"l_max={params['l_max']}")
+        # |lambda| <= T, the count of strings of weight <= k, so the sum that
+        # np.mean takes over 2^n eigenvalues |lambda|^l stays below 2^n T^l
+        t = local_pauli_count(params["n_max"], params["k"])
+        if t > 1 and params["l_max"] >= (
+                _LOG_FLOAT_MAX - params["n_max"] * math.log(2)) / math.log(t):
+            raise ValueError(f"l_max={params['l_max']} lets 2^n_max T^l_max reach the float "
+                             f"maximum, with T = {t} strings of weight <= k")
     records = _bonami_block(params, seed, range(trials))
     violations = sum(1 for r in records if r["min_slack"] < SLACK_TOL)
     payload = {
@@ -295,6 +298,7 @@ def task_verify_bounds(params, trials, seed):
     with _config_boundary():
         _check_n_range(params)
         check_beta(params["beta_min"])
+        check_beta(params["beta_max"])
         if params["beta_min"] > params["beta_max"]:
             raise ValueError(f"beta_min={params['beta_min']} exceeds "
                              f"beta_max={params['beta_max']}")
@@ -335,7 +339,7 @@ def _dynamics_blocks(params, seed, trials):
     scatter and one stacked `hermitian_eig`."""
     n = params["n"]
     paulis = enumerate_local_paulis(n, 2, include_identity=False)
-    size = _stack_size(n, 2, len(paulis))
+    size = oracle.stack_size(n, 2, len(paulis))
     for start in range(0, trials, size):
         block = range(start, min(start + size, trials))
         try:
@@ -425,8 +429,8 @@ def _learn_records(params, config, net, member_coeffs, m, seed, trials) -> list:
     samples from key (1,); `m` is None for exact estimates."""
     exact = m is None
     scan = 8 * net.size * len(net.support)   # a trial's (members, support) scan
-    size = _stack_size(config.n, 1, len(net.support),
-                       max(scan, 0 if exact else _hist_bytes(config.n, config.batches, 1)))
+    size = oracle.stack_size(config.n, 1, len(net.support),
+                             max(scan, 0 if exact else _hist_bytes(config.n, config.batches, 1)))
     records = []
     for start in range(0, trials, size):
         block = range(start, min(start + size, trials))
@@ -465,9 +469,10 @@ def task_learn_gibbs(params, trials, seed):
             eta=params.get("eta"),
         )
         net = HamiltonianNet(support, config.eta_used)
+        nominal = config.nominal_budget   # every record reports it, exact ones too
         # exact estimates draw no samples, so no sample budget applies
         m = None if params.get("exact_estimates") else _resolve_samples(
-            params.get("samples"), config.nominal_budget, config.n, config.batches)
+            params.get("samples"), nominal, config.n, config.batches)
         member_coeffs = net.gibbs_coeff_matrix(config.beta)   # the same in every trial
     records = _learn_records(params, config, net, member_coeffs, m, seed, trials)
     success = sum(1 for r in records if r["within_eps"])
@@ -483,14 +488,6 @@ def task_learn_gibbs(params, trials, seed):
     table = [[r["trial"], r["index"], r["objective"],
               r["distance_oracle_only"], int(r["within_eps"])] for r in records]
     return payload, {"learned": (header, table)}
-
-
-def _zblock_hamiltonian(n: int, k: int, sign: float) -> LocalHamiltonian:
-    coeffs = {}
-    for i in range(n):
-        label = "I" * i + "Z" + "I" * (n - 1 - i)
-        coeffs[PauliString.from_label(label)] = sign
-    return LocalHamiltonian(n, k, coeffs)
 
 
 def _gibbs_cert_records(config, m, far_tables, seed, trials) -> list:
@@ -509,7 +506,7 @@ def _gibbs_cert_records(config, m, far_tables, seed, trials) -> list:
             results += certify_gibbs(samples, samples, config)
     else:
         expected = "FAR"
-        size = _stack_size(n, 0, 0, _hist_bytes(n, batches, 2))   # no Hamiltonians
+        size = oracle.stack_size(n, 0, 0, _hist_bytes(n, batches, 2))   # no Hamiltonians
         for start in range(0, trials, size):
             block = range(start, min(start + size, trials))
             # collect_shadows draws from a state or from its Born table alike
@@ -536,8 +533,10 @@ def task_certify_gibbs(params, trials, seed):
         m = _resolve_samples(params.get("samples"), config.nominal_budget, n, config.batches)
     far_tables = None
     if arm == "far":
-        far_states = (gibbs_density(_zblock_hamiltonian(n, k, 1.0), beta),
-                      gibbs_density(_zblock_hamiltonian(n, k, -1.0), beta))
+        # the Gibbs states of +-sum_i Z_i, as two coefficient rows of one stack
+        z = [PauliString(n, 3 << 2 * i) for i in range(n)]
+        far_states = gibbs_states(*hermitian_eig(pauli_sum_matrix(n, z, [[1.0] * n, [-1.0] * n])),
+                                  beta)
         dist = trace_distance(*far_states)
         if dist < 2.0 * eps - 1e-9:
             raise PromiseViolationError(

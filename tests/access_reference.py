@@ -28,7 +28,8 @@ from isingcert.dynamics import (
 from isingcert.hamiltonians import HamiltonianNet, LocalHamiltonian, gibbs_density
 from isingcert.identity_estimator import IdentityCoeffEstimate, sample_count
 from isingcert.oracle import clip_distribution, trace_distance
-from isingcert.paulis import PauliString, pauli_matvec
+from isingcert.paulis import PauliString
+from pauli_reference import pauli_matvec
 
 
 # ---------------------------------------------------------------- stabilizer states

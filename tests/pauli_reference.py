@@ -2,7 +2,8 @@
 
 `trace_inners` is the per-matrix gather loop that `pauli_trace_inners` ran
 before it gathered whole stacks: one (strings, 2^n) gather and one row sum
-per matrix.  `pauli_sum` adds the terms one by one into each matrix.
+per matrix.  `pauli_sum` adds the terms one by one into each matrix, and
+`pauli_matvec` applies one string to a state vector.
 """
 
 import numpy as np
@@ -27,4 +28,11 @@ def pauli_sum(n, paulis, coeffs):
         for p, c in zip(paulis, row):
             flip, phases = pauli_phases(p)
             matrix[cols ^ flip, cols] += c * phases
+    return out
+
+
+def pauli_matvec(p, vec):
+    flip, phases = pauli_phases(p)
+    out = np.empty_like(vec, dtype=complex)
+    out[np.arange(vec.shape[0]) ^ flip] = phases * vec
     return out

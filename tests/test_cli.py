@@ -563,9 +563,39 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
     pytest.param("verify-bounds", {"footnote_n": 1}, id="bounds-footnote-k"),
     pytest.param("verify-bounds", {"footnote_eps": 1.5}, id="bounds-footnote-eps"),
     pytest.param("verify-bounds", {"footnote_pairs": -1}, id="bounds-footnote-pairs"),
+    # non-finite floats: NaN fails every range check, and +-inf is out of range
+    pytest.param("certify-dynamics", {"c_op": math.nan}, id="dynamics-c-op-nan"),
+    pytest.param("certify-dynamics", {"c_op": math.inf}, id="dynamics-c-op-inf"),
+    pytest.param("certify-dynamics", {"c_frob": math.inf}, id="dynamics-c-frob-inf"),
+    pytest.param("shadow-estimate", {"beta": math.nan}, id="shadow-beta-nan"),
+    pytest.param("shadow-estimate", {"beta": math.inf}, id="shadow-beta-inf"),
+    pytest.param("verify-bounds", {"beta_min": math.nan}, id="bounds-beta-min-nan"),
+    pytest.param("verify-bounds", {"beta_max": math.nan}, id="bounds-beta-max-nan"),
+    pytest.param("verify-bounds", {"beta_max": math.inf}, id="bounds-beta-max-inf"),
+    pytest.param("certify-gibbs", {"beta": math.nan}, id="gibbs-beta-nan"),
+    pytest.param("learn-gibbs", {"beta": math.inf}, id="learn-beta-inf"),
+    # a huge finite beta takes the per-string accuracy's square to 0
+    pytest.param("learn-gibbs", {"beta": 1e300}, id="learn-beta-huge"),
+    pytest.param("learn-gibbs", {"beta": 1e300, "exact_estimates": True},
+                 id="learn-beta-huge-exact"),
+    pytest.param("certify-gibbs", {"beta": 1e300}, id="gibbs-beta-huge"),
+    # |lambda|^l_max would overflow the moments' sums
+    pytest.param("verify-bonami", {"l_max": 400}, id="bonami-l-max-overflow"),
 ])
 def test_out_of_range_param_is_config_error(tmp_path, monkeypatch, capsys, task, params):
     _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params)
+
+
+def test_largest_l_max_below_the_float_maximum_runs(tmp_path, monkeypatch, capsys):
+    # n_max 5, k 2: T = 106 strings, and 2^5 106^l reaches the float maximum
+    # from l = 152 on
+    params = {"n_min": 5, "n_max": 5, "l_max": 151}
+    _refused_before_any_trial(tmp_path, monkeypatch, capsys, "verify-bonami",
+                              {**params, "l_max": 152})
+    monkeypatch.undo()
+    path = write_config(tmp_path, {"schema_version": 1, "task": "verify-bonami",
+                                   "trials": 2, "params": params})
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def test_profile_flag_on_task_without_profile_is_config_error(tmp_path, monkeypatch, capsys):
@@ -677,7 +707,7 @@ def test_dynamics_reports_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
     runs = []
     for size in (1, 3, 7):
         monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", size * 16 * 2 * 2**n * max(2**n, terms))
-        assert tasks._stack_size(n, 2, terms) == size
+        assert oracle.stack_size(n, 2, terms) == size
         out_dir = tmp_path / f"block-{size}"
         assert main(["--config", path, "--out", str(out_dir)]) == EXIT_OK
         runs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})

@@ -27,7 +27,7 @@ P = PauliString.from_label
 
 def pairwise_objective(net, coeff_gaps):
     """Literal max over all member pairs; only for small nets."""
-    f = net.value_matrix() @ coeff_gaps
+    f = net.values(np.arange(net.size)) @ coeff_gaps
     return float(np.max(f) - np.min(f))
 
 
@@ -125,7 +125,7 @@ def test_observable_match_chain_at_nominal_grid():
     # stays within 3 eps^2 / max(beta, 1)
     eps, beta, n, k = 0.9, 0.1, 1, 1
     cfg = GibbsLearnConfig(n=n, k=k, beta=beta, eps=eps, delta=0.1, support=(P("Z"),))
-    net = HamiltonianNet((P("Z"),), cfg.eta_nominal, budget=10**6)
+    net = HamiltonianNet((P("Z"),), cfg.eta_nominal)
     rng = np.random.default_rng(4)
     for _ in range(5):
         truth = LocalHamiltonian(n, k, {P("Z"): float(rng.uniform(-1, 1))})

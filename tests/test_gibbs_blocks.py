@@ -78,7 +78,7 @@ def test_report_files_do_not_depend_on_the_block_size(tmp_path, monkeypatch, tas
     # against the per-trial references
     runs = []
     for size in (1, 3, 7):
-        monkeypatch.setattr(tasks, "_stack_size", lambda *args, size=size: size)
+        monkeypatch.setattr(oracle, "stack_size", lambda *args, size=size: size)
         runs.append(report_files(tmp_path, f"block-{size}", task, params))
     monkeypatch.undo()
     patch_reference(monkeypatch)

@@ -130,7 +130,7 @@ def test_net_enumeration():
     members = [net.member(i).coeff(P("Z")) for i in range(5)]
     assert members == [-1.0, -0.5, 0.0, 0.5, 1.0]
     for i in range(5):
-        assert index_of_values(net, net.value_matrix(i, i + 1)[0]) == i
+        assert index_of_values(net, net.values(i)) == i
     for i in (-1, 5):
         with pytest.raises(IndexError):
             net.member(i)
@@ -169,6 +169,13 @@ def test_net_rejects_off_support():
         round_member_index(net, h)
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.5, math.nan, math.inf])
+def test_net_rejects_a_spacing_out_of_range(eta):
+    # NaN fails the check, where it would reach the grid as NaN values
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        HamiltonianNet([P("ZI")], eta)
+
+
 def test_net_rejects_repeated_support_strings():
     # the Gibbs table would add both ZI columns, a member would keep one
     with pytest.raises(ValueError, match="distinct"):
@@ -180,7 +187,7 @@ def test_member_matrices_equal_member_hamiltonians():
     # its Hamiltonian, bit for bit, with the support in reverse code order
     net = HamiltonianNet([P("ZZI"), P("ZII"), P("IZI"), P("IIZ")], 0.5)
     index = np.arange(net.size)
-    np.testing.assert_array_equal(net.values(index), net.value_matrix())
+    np.testing.assert_array_equal(net.values(index), [net.values(i) for i in index])
     matrices = net.matrices(net.values(index))
     for i in index:
         np.testing.assert_array_equal(matrices[i], net.member(i).to_matrix())
@@ -205,9 +212,9 @@ def test_frobenius_norms_equal_the_sequential_sum(n):
 
 def test_value_matrix_matches_members():
     net = HamiltonianNet([P("ZI"), P("IZ")], 0.5)
-    vm = net.value_matrix()
+    vm = net.values(np.arange(net.size))
     for i in range(net.size):
-        np.testing.assert_array_equal(vm[i], net.value_matrix(i, i + 1)[0])
+        np.testing.assert_array_equal(vm[i], net.values(i))
         assert [net.member(i).coeff(p) for p in net.support] == vm[i].tolist()
 
 

@@ -103,11 +103,27 @@ def test_pauli_phases_cached_read_only():
 def test_gibbs_table_matches_per_member_states(support, eta, beta, monkeypatch):
     net = HamiltonianNet([P(s) for s in support], eta)
     ref = reference_gibbs_table(net, beta)
-    np.testing.assert_allclose(net.gibbs_coeff_matrix(beta), ref, rtol=0, atol=1e-12)
-    # chunks of 7 members, so the last chunk is partial
+    np.testing.assert_array_equal(net.gibbs_coeff_matrix(beta), ref)
+    # stacks of 7 members, so the last stack is partial
     dim = 2**net.n
     monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", 7 * 16 * dim * dim)
-    np.testing.assert_allclose(net.gibbs_coeff_matrix(beta), ref, rtol=0, atol=1e-12)
+    assert oracle.stack_size(net.n, 1, len(net.support)) == 7
+    np.testing.assert_array_equal(net.gibbs_coeff_matrix(beta), ref)
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param({}, id="n2"),
+    pytest.param({"n": 3, "k": 3, "support": ["ZII", "IZI", "XXZ"]}, id="n3"),
+])
+def test_exact_on_grid_learning_finds_every_truth_with_objective_zero(params):
+    # the table's rows are the members' exact values, bit for bit, so the
+    # exact estimates of an on-grid truth match its row with no rounding gap
+    config = {"task": "learn-gibbs", "seed": 5, "trials": 20, "params": {
+        **tasks.TASKS["learn-gibbs"].params, "beta": 2.0, "eta": 0.25, "on_grid": True,
+        "exact_estimates": True, **params}}
+    payload, _ = tasks.run_task(config)
+    assert [r["objective"] for r in payload["trials"]] == [0.0] * 20
+    assert payload["recovery_rate"] == 1.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -65,14 +65,14 @@ def test_scatter_equals_term_by_term_sum(n, kind):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_scatter_stack_cut_at_chunk_boundary_equals_whole(n, monkeypatch):
-    # the sweeps cut their stacks at _stack_size items: here 3, so 8 rows
+    # the sweeps cut their stacks at oracle.stack_size items: here 3, so 8 rows
     # make chunks of 3, 3 and 2
     paulis = enumerate_local_paulis(n, 2, include_identity=False)
     coeffs = np.random.default_rng(710 + n).uniform(-1.0, 1.0, (8, len(paulis)))
     whole = pauli_sum_matrix(n, paulis, coeffs)
     monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES",
                         3 * 16 * 2**n * max(2**n, len(paulis)))
-    size = tasks._stack_size(n, 1, len(paulis))
+    size = oracle.stack_size(n, 1, len(paulis))
     assert size == 3
     chunks = [pauli_sum_matrix(n, paulis, coeffs[i:i + size]) for i in range(0, 8, size)]
     assert_same_bits(np.concatenate(chunks), whole)

@@ -10,11 +10,11 @@ from isingcert.paulis import (
     PauliString,
     enumerate_local_paulis,
     local_pauli_count,
-    pauli_matvec,
     pauli_sum_matrix,
     pauli_to_matrix,
     pauli_trace_inners,
 )
+from pauli_reference import pauli_matvec
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -83,7 +83,7 @@ def estimate_net_observables(samples: ShadowData, net,
     """
     if net.size**2 > max_pairs:
         raise ValueError(f"net has {net.size}^2 pairs, over the cap {max_pairs}")
-    f = net.value_matrix() @ estimate_paulis(samples, net.support)
+    f = net.values(np.arange(net.size)) @ estimate_paulis(samples, net.support)
     return {(i, j): float(f[i] - f[j]) for i in range(net.size) for j in range(net.size)}
 
 
@@ -175,6 +175,14 @@ def test_budget_formula_scaling():
         shadow_budget(3, 0, 0.1, 0.05)
     with pytest.raises(ValueError):
         shadow_budget(3, 2, 0.0, 0.05)
+
+
+@pytest.mark.parametrize("eps", [1e-200, 1e-160])
+def test_budget_past_the_float_range_names_the_accuracy(eps):
+    # 1e-200 squares to 0, and 1e-160 squares to a subnormal the count
+    # overflows against
+    with pytest.raises(ValueError, match=f"accuracy {eps:.3g}"):
+        shadow_budget(3, 2, eps, 0.05)
 
 
 def test_budget_linear_in_weight_factor():

@@ -14,8 +14,9 @@ from access_reference import (
     zx_to_pauli,
 )
 from isingcert.identity_estimator import exact_indicator_expectation
-from isingcert.paulis import PauliString, pauli_matvec
+from isingcert.paulis import PauliString
 from isingcert.stabilizers import stabilizer_state_matrix
+from pauli_reference import pauli_matvec
 
 P = PauliString.from_label
 
