@@ -64,7 +64,7 @@ def certifier_coeffs(rngs, n: int, eps: float, far: bool, c_frob: float = 1.0):
         raise ValueError(f"12 eps = {gap} leaves no room inside c_frob = {c_frob}")
     target = np.array([min(0.35 * c_frob, 0.9 * (c_frob - gap)), 1.0])
     terms = local_pauli_count(n, 2) - 1
-    draws = np.array([[rng.uniform(-1.0, 1.0, terms) for _ in target]
+    draws = np.array([rng.uniform(-1.0, 1.0, (2, terms))
                       for rng in map(np.random.default_rng, rngs)])   # (B, 2, T)
     norms = frobenius_norms(draws)   # random_hamiltonian's sequential sum
     with np.errstate(divide="ignore", invalid="ignore"):

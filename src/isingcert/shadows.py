@@ -11,8 +11,8 @@ The median-of-means split is fixed when the samples are drawn, and an
 estimate reads only each batch's histogram over the joint indices.  The
 histograms of iid samples cut at np.array_split boundaries are independent
 Multinomial(batch size, p) draws, so `collect_shadows` draws them directly
-when they hold no more entries than the samples would, and draws per-sample
-indices otherwise.
+when they hold no more entries than the samples would (batches 6^n <= m),
+and draws per-sample indices otherwise.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ _EIGVECS = np.array([
 # _BORN[2b + o, 2i + j] = conj(V_b[i, o]) V_b[j, o]: contracted with one
 # qubit's rho[i, j], row 2b + o is the probability of outcome o in basis b
 _BORN = np.einsum("bio,bjo->boij", _EIGVECS.conj(), _EIGVECS).reshape(6, 4)
-_GUIDE_BUCKETS = 2**14  # u in [j, j + 1) / 2^14 falls in bucket j of the draw
 _PROB_SUM_TOL = np.sqrt(np.finfo(float).eps)   # rng.choice's tolerance on sum(p) - 1
 
 
@@ -139,26 +138,6 @@ def _check_probs(probs: np.ndarray) -> None:
         raise ValueError("probabilities must be finite, nonnegative and sum to 1")
 
 
-def _draw_indices(probs: np.ndarray, m: int, rng) -> np.ndarray:
-    """rng.choice(len(probs), size=m, p=probs): the same checks, indices and
-    generator state.  u and the cdf are scaled by a power of two, which is
-    exact, and every u in guide bucket j maps into [edges[j], edges[j + 1]],
-    with edges[j] the number of cdf entries <= j.  Since cdf[i] <= j exactly
-    when ceil(cdf[i]) <= j, a histogram of the ceilings counts the edges.
-    A bucket whose edges differ holds len(probs): search there.
-    """
-    _check_probs(probs)
-    cdf = probs.cumsum()
-    cdf = cdf / cdf[-1] * _GUIDE_BUCKETS   # nondecreasing, ends at exactly 2^14
-    u = rng.random(m) * _GUIDE_BUCKETS
-    edges = np.bincount(np.ceil(cdf).astype(np.intp), minlength=_GUIDE_BUCKETS + 1).cumsum()
-    guide = np.where(edges[:-1] == edges[1:], edges[:-1], len(probs))
-    idx = guide.astype(np.min_scalar_type(len(probs)))[u.astype(np.int16)]   # small gathers
-    search = np.flatnonzero(idx == len(probs))
-    idx[search] = cdf.searchsorted(u[search], side="right")
-    return idx
-
-
 def born_table(rho: np.ndarray) -> np.ndarray:
     """The exact Born probabilities of rho, or of each state of a stack
     (..., d, d), over the 6^n joint indices, as `collect_shadows` draws from
@@ -178,15 +157,9 @@ def collect_shadows(rho: np.ndarray, m: int, rng, batches: int = 1) -> ShadowDat
 
     Each batch is one Multinomial(batch size, p) histogram when batches 6^n
     <= m, so the histograms hold no more entries than the samples would;
-    otherwise the m joint indices are drawn as rng.choice draws them.
-    Measured with one BLAS thread (2 vCPUs, weight <= 2 strings, batches
-    18-22), draw plus `estimate_paulis` took, histograms against indices:
-    0.11 vs 0.21 ms at n=2, m=2000; 0.91 vs 1.68 ms at n=3, m=70547;
-    2.6 vs 1.2 ms at n=4, m=2e4 and 3.5 vs 5.4 ms at m=1e5; 11 vs 4.4 ms
-    at n=5, m=2e4 and 23 vs 57 ms at m=5e5.  The histograms overtake the
-    indices at m of about 0.8, 2-3.5 and 4.6 times batches 6^n at n = 5, 4
-    and 3 (below the crossover at n=3 they lose by at most 0.13 ms), and
-    everywhere at n=2.
+    otherwise the m joint indices are one rng.choice draw.  A table that is
+    not a distribution is a ValueError before either draw, with the
+    generator untouched.
     """
     if m < 1:
         raise ValueError(f"need at least one sample, got {m}")
@@ -196,10 +169,11 @@ def collect_shadows(rho: np.ndarray, m: int, rng, batches: int = 1) -> ShadowDat
     if len(probs) != 6**n:
         raise ValueError(f"a Born table has 6^n entries, got {len(probs)}")
     sizes = batch_sizes(m, batches)
+    _check_probs(probs)
     if len(sizes) * len(probs) <= m:
-        _check_probs(probs)
         return ShadowData.from_counts(rng.multinomial(sizes, probs), n)
-    return ShadowData.from_index(_draw_indices(probs, m, rng), n, batches)
+    index = rng.choice(len(probs), size=m, p=probs)
+    return ShadowData.from_index(index.astype(np.min_scalar_type(len(probs))), n, batches)
 
 
 def _value_table(letters: np.ndarray) -> np.ndarray:
@@ -235,6 +209,13 @@ def _half_tables(n: int, codes: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.n
     return tuple(halves)
 
 
+def exact_batch_limit(n: int) -> int:
+    """The largest batch whose estimator sums stay exact on n qubits: every
+    product and partial sum of `estimate_paulis` is an integer of magnitude
+    at most 3^n times the batch size, and floats hold integers below 2^53."""
+    return (2**53 - 1) // 3**n
+
+
 def estimate_paulis(samples, paulis: Sequence[PauliString]) -> np.ndarray:
     """Median of means of the single-sample estimator, for every string at
     once, over the batches the samples were drawn in.  One ShadowData gives
@@ -246,19 +227,16 @@ def estimate_paulis(samples, paulis: Sequence[PauliString]) -> np.ndarray:
     needs only the (strings of the first half) x (strings of the second half)
     sums of products of half values:
 
-    - from the batches' histograms over the 6^n joint indices, two matrix
-      products with the (6^(n/2), half strings) value tables contract them
-      half by half.  Samples drawn as histograms carry them; per-sample
-      indices are counted with one np.bincount when the histograms hold no
-      more entries than one (strings, batch) block;
-    - otherwise each batch gathers its samples' half values and multiplies
-      the two (batch, half strings) blocks.
+    - sets drawn as histograms over the 6^n joint indices take two matrix
+      products with the (6^(n/2), half strings) value tables, which contract
+      the histograms half by half;
+    - sets of per-sample indices gather each batch's half values and
+      multiply the two (batch, half strings) blocks.
 
-    Every product and partial sum is an integer of magnitude at most 3^n
-    times the batch size, so the float matrix products are exact in any
-    order, and the estimates equal the per-string loop's bit for bit on any
-    samples with the same per-batch histograms, whatever the block.  A batch
-    that takes that bound to 2^53 is a ValueError.
+    The sums are exact integers in any order, so the estimates equal the
+    per-string loop's bit for bit on any samples with the same per-batch
+    histograms, in either form.  A batch over `exact_batch_limit` is a
+    ValueError.
     """
     if isinstance(samples, ShadowData):
         return estimate_paulis([samples], paulis)[0]
@@ -267,7 +245,7 @@ def estimate_paulis(samples, paulis: Sequence[PauliString]) -> np.ndarray:
         raise ValueError("the sample sets of one block must share n and their batch sizes")
     if sizes.sum() == 0:
         raise ValueError("empty sample list")
-    if 3**n * int(sizes.max()) >= 2**53:
+    if sizes.max() > exact_batch_limit(n):
         raise ValueError(f"a batch of {int(sizes.max())} samples on {n} qubits "
                          "takes the partial sums past 2^53, where floats stop being exact")
     if any(p.n != n for p in paulis):
@@ -275,24 +253,18 @@ def estimate_paulis(samples, paulis: Sequence[PauliString]) -> np.ndarray:
     batches = len(sizes)
     (table_a, pick_a), (table_b, pick_b) = _half_tables(n, tuple(p.code for p in paulis))
     h = n // 2   # qubits 0..h-1 form the first half, h..n-1 the second
-    counts = [s.counts for s in samples]
-    if any(c is None for c in counts) and batches * 6**n <= len(paulis) * sizes[-1]:
-        batch_of = np.repeat(np.arange(batches) * 6**n, sizes)
-        counts = [c if c is not None else np.bincount(
-            batch_of + s.index, minlength=batches * 6**n).reshape(batches, -1)
-            for s, c in zip(samples, counts)]
     pairs = np.empty((len(samples), batches, table_a.shape[1], table_b.shape[1]))
-    drawn = [i for i, c in enumerate(counts) if c is not None]
+    drawn = [i for i, s in enumerate(samples) if s.counts is not None]
     if drawn:
         # b 2^n + o with b = (bA, bB) in base 3 and o = (oA, oB) in binary:
         # regroup the axes as ((bA, oA), (bB, oB)), the two half indices
-        hist = np.array([counts[i] for i in drawn], dtype=float)
+        hist = np.array([samples[i].counts for i in drawn], dtype=float)
         hist = hist.reshape(-1, 3**h, 3**(n - h), 2**h, 2**(n - h))
         hist = hist.transpose(0, 1, 3, 2, 4).reshape(-1, 6**(n - h))
         pairs[drawn] = (table_a.T @ (hist @ table_b).reshape(-1, 6**h, table_b.shape[1])
                         ).reshape(len(drawn), batches, *pairs.shape[2:])
-    for s, c, out in zip(samples, counts, pairs):
-        if c is not None:
+    for s, out in zip(samples, pairs):
+        if s.counts is not None:
             continue
         index = s.index.astype(np.intp)
         words, bits = index >> n, index & (2**n - 1)
@@ -303,8 +275,6 @@ def estimate_paulis(samples, paulis: Sequence[PauliString]) -> np.ndarray:
             out[b] = table_a[joint_a[start:stop]].T @ table_b[joint_b[start:stop]]
             start = stop
     means = pairs[..., pick_a, pick_b] / sizes[:, None]
-    if batches == 1:
-        return means[:, 0]
     # the median as np.median takes it (mean of the middle pair), without its
     # NaN check, which imports numpy.ma (1.3 MB); the means are finite
     ranked = np.sort(means, axis=1)

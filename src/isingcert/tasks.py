@@ -55,8 +55,8 @@ from .hamiltonians import HamiltonianNet, check_beta, frobenius_norms, gibbs_sta
 from .oracle import hermitian_eig, hermitian_eigvals, spectral_moments, trace_distance
 from .paulis import (LETTERS, PauliString, check_size, enumerate_local_paulis, local_pauli_count,
                      pauli_sum_matrix, pauli_trace_inners)
-from .shadows import (batch_sizes, born_table, collect_shadows, estimate_paulis, mom_batches,
-                      shadow_budget)
+from .shadows import (batch_sizes, born_table, collect_shadows, estimate_paulis,
+                      exact_batch_limit, mom_batches, shadow_budget)
 
 SLACK_TOL = -1e-9
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -166,9 +166,8 @@ def _resolve_samples(requested, nominal: int, n: int, batches: int) -> int:
     budget when it is None.  A draw of m samples costs O(batches 6^n) while it
     takes batch histograms (batches 6^n <= m) and O(m) once it takes
     per-sample indices, so a nominal budget is refused only in the second
-    case and over SHADOW_SAMPLE_HARD_CAP.  Any count whose largest batch
-    takes `estimate_paulis`' partial sums to 3^n batch >= 2^53 is refused
-    too, before any trial draws."""
+    case and over SHADOW_SAMPLE_HARD_CAP.  Any count whose largest batch is
+    over `exact_batch_limit` is refused too, before any trial draws."""
     if requested is not None and requested < 1:
         raise ConfigError(f"params.samples must be >= 1, got {requested}")
     m = nominal if requested is None else int(requested)
@@ -177,7 +176,7 @@ def _resolve_samples(requested, nominal: int, n: int, batches: int) -> int:
         raise BudgetExceededError(
             f"nominal sample budget {m} needs per-sample indices (batches 6^n > m) above "
             f"the hard cap {SHADOW_SAMPLE_HARD_CAP}; set params.samples explicitly")
-    if 3**n * int(sizes[0]) >= 2**53:
+    if sizes[0] > exact_batch_limit(n):
         raise BudgetExceededError(
             f"a batch of {int(sizes[0])} samples on {n} qubits takes the shadow estimates' "
             "partial sums past 2^53, where floats stop being exact")
@@ -242,13 +241,15 @@ def _bonami_block(params, seed, trials) -> list:
 def task_verify_bonami(params, trials, seed):
     with _config_boundary():
         _check_n_range(params)
+        if params["k"] < 1:
+            raise ValueError(f"k must be >= 1, got {params['k']}: at k = 0 every instance is H = 0")
         if not 2 <= params["l_min"] <= params["l_max"]:
             raise ValueError(f"need 2 <= l_min <= l_max, got l_min={params['l_min']}, "
                              f"l_max={params['l_max']}")
         # |lambda| <= T, the count of strings of weight <= k, so the sum that
         # np.mean takes over 2^n eigenvalues |lambda|^l stays below 2^n T^l
         t = local_pauli_count(params["n_max"], params["k"])
-        if t > 1 and params["l_max"] >= (
+        if params["l_max"] >= (
                 _LOG_FLOAT_MAX - params["n_max"] * math.log(2)) / math.log(t):
             raise ValueError(f"l_max={params['l_max']} lets 2^n_max T^l_max reach the float "
                              f"maximum, with T = {t} strings of weight <= k")

@@ -581,6 +581,8 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
     pytest.param("certify-gibbs", {"beta": 1e300}, id="gibbs-beta-huge"),
     # |lambda|^l_max would overflow the moments' sums
     pytest.param("verify-bonami", {"l_max": 400}, id="bonami-l-max-overflow"),
+    # at k = 0 every instance is H = 0, and no float rule bounds l_max
+    pytest.param("verify-bonami", {"n_max": 2, "k": 0, "l_max": 200000}, id="bonami-k-0"),
 ])
 def test_out_of_range_param_is_config_error(tmp_path, monkeypatch, capsys, task, params):
     _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params)

@@ -16,7 +16,6 @@ from isingcert.shadows import (
     mom_batches,
     shadow_budget,
     _EIGVECS,
-    _draw_indices,
     _half_tables,
     _joint_distribution,
 )
@@ -62,7 +61,7 @@ def resplit(samples: ShadowData, batches: int) -> ShadowData:
 def assert_drawn_from(samples: ShadowData, probs, m, seed, batches=1):
     """`samples` are the draw of collect_shadows(., m, seed, batches) from the
     table probs: one rng.multinomial histogram per batch when batches * 6^n
-    <= m, else rng.choice indices."""
+    <= m, else rng.choice indices.  Returns the generator after that draw."""
     rng = np.random.default_rng(seed)
     sizes = batch_sizes(m, batches)
     np.testing.assert_array_equal(samples.sizes, sizes)
@@ -72,6 +71,7 @@ def assert_drawn_from(samples: ShadowData, probs, m, seed, batches=1):
     else:
         assert samples.counts is None
         np.testing.assert_array_equal(samples.index, rng.choice(len(probs), size=m, p=probs))
+    return rng
 
 
 def estimate_net_observables(samples: ShadowData, net,
@@ -351,30 +351,6 @@ def test_non_unit_trace_state_rejected(n):
         assert_drawn_from(collect_shadows(nearly, 50, 3), probs, 50, 3)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_guide_table_draw_equals_rng_choice(n):
-    rng = np.random.default_rng(900 + n)
-    probs = _joint_distribution(random_density(n, rng), n)
-    sparse = probs.copy()
-    sparse[[0, 1, len(sparse) // 2, len(sparse) - 1]] = 0.0   # zero bins, both ends
-    sparse[len(sparse) // 3] = 1.0                           # one bin over many buckets
-    for p in (probs, sparse / sparse.sum(), np.full(6**n, 6.0**-n)):
-        for m in (1, 1000, 50000):
-            ours, ref = np.random.default_rng(m + n), np.random.default_rng(m + n)
-            np.testing.assert_array_equal(_draw_indices(p, m, ours),
-                                          ref.choice(len(p), size=m, p=p))
-            assert ours.bit_generator.state == ref.bit_generator.state
-
-
-def test_guide_table_draw_keeps_choice_checks():
-    rng = np.random.default_rng(0)
-    for p in ([0.5, 0.6], [1.2, -0.2], [np.nan, 1.0], [np.inf, 0.0]):
-        with pytest.raises(ValueError):
-            rng.choice(2, size=3, p=p)
-        with pytest.raises(ValueError):
-            _draw_indices(np.array(p), 3, rng)
-
-
 def bad_tables():
     """One-qubit Born tables (6 entries) that every draw must refuse."""
     base = np.full(6, 1.0 / 6.0)
@@ -394,36 +370,11 @@ def test_bad_tables_refused_by_both_draws(table):
     assert not (np.isfinite(table).all() and (table >= 0).all()
                 and abs(table.sum() - 1.0) <= np.sqrt(np.finfo(float).eps))
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="probabilities"):
-        _draw_indices(table, 3, rng)
     # histograms when batches * 6^n <= m, per-sample indices otherwise
     for m, batches in ((600, 2), (5, 1)):
         with pytest.raises(ValueError, match="probabilities"):
             collect_shadows(table, m, rng, batches)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
-
-
-def random_integer_weights():
-    rng = np.random.default_rng(870)
-    for size in (2, 3, 36, 216, 1296):
-        weights = rng.integers(0, 4, size=size).astype(float)
-        weights[rng.integers(size)] += 1.0   # never all zero
-        yield weights / weights.sum()
-
-
-@pytest.mark.parametrize("p", [
-    [0.25, 0.25, 0.5], [0.5, 0, 0.5], [0, 0.5, 0.5, 0], [2**-14, 1 - 2**-14], [1.0],
-    *random_integer_weights(),
-], ids=lambda p: f"{len(p)}-bins")
-def test_guide_table_draw_at_bucket_edges_equals_rng_choice(p):
-    # the dyadic tables put the 2^14-scaled cdf exactly on bucket edges, the
-    # integer-weight ones mostly between them
-    p = np.array(p, dtype=float)
-    for m in (1, 7, 5000):
-        ours, ref = np.random.default_rng(880 + m), np.random.default_rng(880 + m)
-        np.testing.assert_array_equal(_draw_indices(p, m, ours),
-                                      ref.choice(len(p), size=m, p=p))
-        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -450,14 +401,30 @@ def test_index_kernel_equals_per_string_reference(n, m, batch_counts):
     rho = gibbs_density(random_hamiltonian(n, 2, 700 + n), 0.9)
     samples = per_sample(rho, m, np.random.default_rng(710 + n))
     paulis = enumerate_local_paulis(n, min(n, 3))
-    # the batch histograms when batches * 6^n <= strings * batch size, else
-    # the per-sample gather: every n but the (2, 5000) case runs both
-    histogram = {b * 6**n <= len(paulis) * (m // b) for b in batch_counts}
-    assert histogram == {True, False} or (n, m) == (2, 5000)
     for batches in batch_counts:
         assert batches == 1 or m % batches
         ref = np.array([reference_estimate(samples, p, batches) for p in paulis])
         np.testing.assert_array_equal(estimate_paulis(resplit(samples, batches), paulis), ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_index_estimates_equal_their_bincounted_histograms(n):
+    # the same samples as per-sample indices (the per-batch gather) and
+    # bincounted into batch histograms (the half-split contraction)
+    rho = gibbs_density(random_hamiltonian(n, 2, 1500 + n), 0.8)
+    samples = per_sample(rho, 1001, np.random.default_rng(1510 + n))
+    paulis = enumerate_local_paulis(n, min(n, 3))
+    for batches in (1, 6, 7):
+        index = resplit(samples, batches)
+        rows = np.split(index.index, np.cumsum(index.sizes)[:-1])
+        counts = np.array([np.bincount(r, minlength=6**n) for r in rows])
+        hist = ShadowData.from_counts(counts, n)
+        np.testing.assert_array_equal(hist.sizes, index.sizes)
+        expected = estimate_paulis(hist, paulis)
+        np.testing.assert_array_equal(estimate_paulis(index, paulis), expected)
+        # one block that holds both forms gives each set its own row
+        np.testing.assert_array_equal(estimate_paulis([index, hist], paulis),
+                                      [expected, expected])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -505,7 +472,7 @@ def test_half_tables_built_once_per_string_list(monkeypatch):
     assert len(built) == 4
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_collect_shadows_draws_histograms_iff_they_are_no_larger(n):
     rho = random_density(n, np.random.default_rng(1100 + n))
     probs = born_table(rho)
@@ -516,7 +483,8 @@ def test_collect_shadows_draws_histograms_iff_they_are_no_larger(n):
         samples = collect_shadows(rho, m, ours, batches)
         assert (samples.counts is not None) == (min(batches, m) * 6**n <= m)
         assert len(samples) == m
-        assert_drawn_from(samples, probs, m, m + batches, batches)
+        ref = assert_drawn_from(samples, probs, m, m + batches, batches)
+        assert ours.bit_generator.state == ref.bit_generator.state
         # a table built once draws the same samples and leaves the same state
         again = np.random.default_rng(m + batches)
         from_table = collect_shadows(probs, m, again, batches)
