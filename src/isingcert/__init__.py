@@ -7,27 +7,12 @@ identity-coefficient estimator, the iterated dynamics certifier, classical
 shadows, and the net-based Gibbs learner/certifier.  Literal references
 that only the tests read (stabilizer states as signed generators, the
 per-experiment access model, the per-trial sweeps) live in tests/.
-"""
 
-from .certifier import CLOSE, FAR, CertConfig, certify
-from .dynamics import ExperimentLedger, NoiseModel, trotter_compile
-from .gibbs import GibbsCertConfig, GibbsLearnConfig, certify_gibbs, learn_gibbs
-from .hamiltonians import HamiltonianNet, LocalHamiltonian, gibbs_density, random_hamiltonian
-from .identity_estimator import estimate_identity_sq
-from .oracle import evolve, identity_coeff, trace_distance
-from .paulis import PauliString, enumerate_local_paulis, pauli_to_matrix
-from .shadows import collect_shadows, estimate_paulis, shadow_budget
+Importing the package loads none of its modules: import each one by name
+(`from isingcert import oracle`, `from isingcert.certifier import certify`),
+so a process loads only the layers it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLOSE", "FAR", "CertConfig", "certify",
-    "ExperimentLedger", "NoiseModel", "trotter_compile",
-    "GibbsCertConfig", "GibbsLearnConfig", "certify_gibbs", "learn_gibbs",
-    "HamiltonianNet", "LocalHamiltonian", "gibbs_density", "random_hamiltonian",
-    "estimate_identity_sq",
-    "evolve", "identity_coeff", "trace_distance",
-    "PauliString", "enumerate_local_paulis", "pauli_to_matrix",
-    "collect_shadows", "estimate_paulis", "shadow_budget",
-    "__version__",
-]
+__all__ = ["__version__"]

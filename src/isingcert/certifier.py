@@ -26,7 +26,6 @@ profiles ship:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -40,8 +39,7 @@ FAR = "FAR"
 CLOSE = "CLOSE"
 
 
-@dataclass(frozen=True)
-class CertProfile:
+class CertProfile(NamedTuple):
     """Constants one subroutine call runs with; t(eps) = 1/(time_scale * eps)."""
 
     name: str
@@ -86,44 +84,34 @@ def decide(estimate, far_threshold: float):
     return np.where(np.less_equal(estimate, far_threshold), FAR, CLOSE).tolist()
 
 
-@dataclass(frozen=True)
 class CertConfig:
-    eps: float
-    delta: float
-    c_op: float = 1.0
-    c_frob: float = 1.0
-    profile: str = "calibrated"
-
-    def __post_init__(self):
-        if not 0 < self.eps < self.c_frob:
-            raise ValueError(f"eps must be in (0, C_frob={self.c_frob}), got {self.eps}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not (1 <= self.c_op < math.inf and 1 <= self.c_frob < math.inf):
-            raise ValueError(f"C_op and C_frob must be finite and >= 1, got {self.c_op} "
-                             f"and {self.c_frob}")
-        if self.profile not in PROFILES:
-            raise ValueError(f"unknown profile {self.profile!r}")
+    def __init__(self, eps: float, delta: float, c_op: float = 1.0, c_frob: float = 1.0,
+                 profile: str = "calibrated"):
+        if not 0 < eps < c_frob:
+            raise ValueError(f"eps must be in (0, C_frob={c_frob}), got {eps}")
+        if not 0 < delta < 1:
+            raise ValueError(f"delta must be in (0, 1), got {delta}")
+        if not (1 <= c_op < math.inf and 1 <= c_frob < math.inf):
+            raise ValueError(f"C_op and C_frob must be finite and >= 1, got {c_op} "
+                             f"and {c_frob}")
+        if profile not in PROFILES:
+            raise ValueError(f"unknown profile {profile!r}")
+        self.eps, self.delta, self.c_op, self.c_frob = eps, delta, c_op, c_frob
+        self.profile = profile
 
 
-@dataclass(frozen=True)
 class IterationSchedule:
     """Geometric relaxation eps_l = (15/12)^l eps, run from l = L down to 0."""
 
-    eps: float
-    delta: float
-    c_frob: float
-    levels: tuple = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, eps: float, delta: float, c_frob: float):
         ratio = 15.0 / 12.0
-        arg = 2.0 * self.c_frob / (15.0 * self.eps)
+        arg = 2.0 * c_frob / (15.0 * eps)
         big_l = max(0, math.ceil(math.log(arg) / math.log(ratio))) if arg > 1 else 0
-        delta_l = self.delta / (big_l + 1)
-        levels = tuple(
-            (l, ratio**l * self.eps, delta_l) for l in range(big_l, -1, -1)
+        delta_l = delta / (big_l + 1)
+        self.eps, self.delta, self.c_frob = eps, delta, c_frob
+        self.levels = tuple(
+            (l, ratio**l * eps, delta_l) for l in range(big_l, -1, -1)
         )
-        object.__setattr__(self, "levels", levels)
 
     @property
     def big_l(self) -> int:
@@ -134,8 +122,7 @@ class IterationSchedule:
         return math.log(2.0 * (self.big_l + 1) / self.delta)
 
 
-@dataclass
-class LevelRecord:
+class LevelRecord(NamedTuple):
     level: int
     eps: float
     delta: float
@@ -146,8 +133,7 @@ class LevelRecord:
     trotter_steps: int
 
 
-@dataclass
-class CertReport:
+class CertReport(NamedTuple):
     verdict: str
     levels: list[LevelRecord]
     ledger: dict

@@ -10,7 +10,7 @@ appears exactly once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Geometric series sum_{l>=0} e^{-2l} controlling the Taylor tail of the
 # identity coefficient.
@@ -75,8 +75,7 @@ TROTTER_STEP_BUDGET = 10**7
 SHADOW_SAMPLE_HARD_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class ConstantEntry:
+class ConstantEntry(NamedTuple):
     name: str
     value: float
     formula: str
@@ -127,7 +126,4 @@ REGISTRY = (
 
 def constants_ledger() -> list[dict]:
     """Registry rows as plain dicts, ready for serialization."""
-    return [
-        {"name": e.name, "value": e.value, "formula": e.formula, "provenance": e.provenance}
-        for e in REGISTRY
-    ]
+    return [e._asdict() for e in REGISTRY]

@@ -15,7 +15,6 @@ how outcome probabilities are computed exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .hamiltonians import LocalHamiltonian
 from .oracle import evolve
 
 
-@dataclass
 class ExperimentLedger:
     """Cost accounting for the access model; monotone over a run.
 
@@ -34,8 +32,9 @@ class ExperimentLedger:
     batch gives exactly the snapshot of m single charges.
     """
 
-    queries_by_time: dict = field(default_factory=dict)
-    experiment_count: int = 0
+    def __init__(self):
+        self.queries_by_time = {}   # |t| -> count of queries of that time
+        self.experiment_count = 0
 
     def charge_queries(self, count: int, each_time: float) -> None:
         if count <= 0:
@@ -69,16 +68,14 @@ class ExperimentLedger:
         }
 
 
-@dataclass(frozen=True)
 class NoiseModel:
     """Diamond-norm budgets for SPAM and per-logical-query depolarizing noise."""
 
-    spam_diamond_budget: float = 0.0
-    per_query_diamond_budget: float = 0.0
-
-    def __post_init__(self):
-        if self.spam_diamond_budget < 0 or self.per_query_diamond_budget < 0:
+    def __init__(self, spam_diamond_budget: float = 0.0, per_query_diamond_budget: float = 0.0):
+        if spam_diamond_budget < 0 or per_query_diamond_budget < 0:
             raise ValueError("noise budgets must be nonnegative")
+        self.spam_diamond_budget = spam_diamond_budget
+        self.per_query_diamond_budget = per_query_diamond_budget
 
     def retain_factor(self, n: int, logical_queries: int) -> float:
         """Product of (1 - lambda) over all channels in one experiment."""
@@ -102,26 +99,22 @@ def diamond_to_depolarizing(budget: float, n: int) -> float:
     return lam
 
 
-@dataclass(frozen=True)
 class QueryStep:
     """One query to the unknown evolution exp(-i t H); t < 0 uses the inverse."""
 
-    t: float
-
-    def __post_init__(self):
-        if self.t == 0:
+    def __init__(self, t: float):
+        if t == 0:
             raise ValueError("query time must be nonzero")
+        self.t = t
 
 
-@dataclass(eq=False)
 class UnitaryStep:
     """A fixed, known unitary; free of ledger charge."""
 
-    name: str
-    matrix: np.ndarray
+    def __init__(self, name: str, matrix: np.ndarray):
+        self.name, self.matrix = name, matrix
 
 
-@dataclass(eq=False)
 class TrotterFragment:
     """Compiled approximation V of exp(-i t (H - H0)).
 
@@ -131,11 +124,11 @@ class TrotterFragment:
     is one logical query for noise purposes.
     """
 
-    h0: LocalHamiltonian | None   # None: compiled for its steps and charges, not to realize
-    t: float
-    steps: int
-    eps_trott: float
-    op_norm_bound: float
+    def __init__(self, h0: LocalHamiltonian | None, t: float, steps: int, eps_trott: float,
+                 op_norm_bound: float):
+        self.h0 = h0   # None: compiled for its steps and charges, not to realize
+        self.t, self.steps = t, steps
+        self.eps_trott, self.op_norm_bound = eps_trott, op_norm_bound
 
     @property
     def query_count(self) -> int:

@@ -18,7 +18,7 @@ of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .paulis import PauliString, check_size, enumerate_local_paulis, pauli_trace
 from .shadows import batch_sizes, estimate_paulis, mom_batches, shadow_budget
 
 
-@dataclass(frozen=True)
 class GibbsLearnConfig:
     """Parameters of the net learner and its derived accuracy targets.
 
@@ -39,24 +38,19 @@ class GibbsLearnConfig:
     `nominal_budget` is the nominal one.
     """
 
-    n: int
-    k: int
-    beta: float
-    eps: float
-    delta: float
-    support: tuple[PauliString, ...]
-    eta: float | None = None
-
-    def __post_init__(self):
-        check_size(self.n, self.k)
-        if not 0 < self.eps < 1 or not 0 < self.delta < 1:
+    def __init__(self, n: int, k: int, beta: float, eps: float, delta: float,
+                 support: tuple[PauliString, ...], eta: float | None = None):
+        check_size(n, k)
+        if not 0 < eps < 1 or not 0 < delta < 1:
             raise ValueError("eps and delta must be in (0, 1)")
-        check_beta(self.beta)
-        for p in self.support:
-            if p.n != self.n:
-                raise ValueError(f"support string {p} has {p.n} qubits, expected {self.n}")
-            if p.weight > self.k:
+        check_beta(beta)
+        for p in support:
+            if p.n != n:
+                raise ValueError(f"support string {p} has {p.n} qubits, expected {n}")
+            if p.weight > k:
                 raise ValueError(f"support string {p} has weight > k")
+        self.n, self.k, self.beta, self.eps, self.delta = n, k, beta, eps, delta
+        self.support, self.eta = support, eta
 
     @property
     def beta_floor(self) -> float:
@@ -148,23 +142,17 @@ def learn_gibbs(
     return index.tolist(), states, objectives[np.arange(len(index)), index].tolist()
 
 
-@dataclass(frozen=True)
 class GibbsCertConfig:
     """Thresholds of the Gibbs certification test; beta must be positive."""
 
-    n: int
-    k: int
-    beta: float
-    eps: float
-    delta: float
-
-    def __post_init__(self):
-        check_size(self.n, self.k)
-        if not 0 < self.beta < math.inf:
+    def __init__(self, n: int, k: int, beta: float, eps: float, delta: float):
+        check_size(n, k)
+        if not 0 < beta < math.inf:
             raise ValueError(f"beta must be positive and finite: the certification "
-                             f"thresholds scale with 1/beta, got {self.beta}")
-        if not 0 < self.eps < 1 or not 0 < self.delta < 1:
+                             f"thresholds scale with 1/beta, got {beta}")
+        if not 0 < eps < 1 or not 0 < delta < 1:
             raise ValueError("eps and delta must be in (0, 1)")
+        self.n, self.k, self.beta, self.eps, self.delta = n, k, beta, eps, delta
 
     @property
     def per_pauli_accuracy(self) -> float:
@@ -223,8 +211,7 @@ def certify_gibbs(samples, reference,
             for gap, w in zip(max_gap, witness.tolist())]
 
 
-@dataclass(frozen=True)
-class BoundDiagnostics:
+class BoundDiagnostics(NamedTuple):
     """The three trace-distance bounds with their slacks against the exact LHS."""
 
     lhs: float

@@ -13,7 +13,6 @@ scatter, that eig, `gibbs_states` and the trace-inner gather in stacks of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,32 +24,28 @@ from .paulis import (PauliString, check_size, enumerate_local_paulis, pauli_sum_
 _COEFF_TOL = 1e-12
 
 
-@dataclass(eq=False)
 class LocalHamiltonian:
     """Traceless k-local Hamiltonian given by real Pauli coefficients, with a cached spectrum."""
 
-    n: int
-    k: int
-    coeffs: dict[PauliString, float]
-    _spectrum: tuple | None = field(default=None, init=False, repr=False)
+    _spectrum = None   # (w, v), set on the instance by the first `spectrum()`
 
-    def __post_init__(self):
-        check_size(self.n, self.k)
+    def __init__(self, n: int, k: int, coeffs: dict[PauliString, float]):
+        check_size(n, k)
         clean = {}
-        for p, h in self.coeffs.items():
-            if p.n != self.n:
-                raise ValueError(f"term {p} has {p.n} qubits, expected {self.n}")
+        for p, h in coeffs.items():
+            if p.n != n:
+                raise ValueError(f"term {p} has {p.n} qubits, expected {n}")
             if p.is_identity():
                 if abs(h) > _COEFF_TOL:
                     raise ValueError("identity coefficient must vanish (traceless)")
                 continue
-            if p.weight > self.k:
-                raise ValueError(f"term {p} has weight {p.weight} > k={self.k}")
+            if p.weight > k:
+                raise ValueError(f"term {p} has weight {p.weight} > k={k}")
             if abs(h) > 1.0 + _COEFF_TOL:
                 raise ValueError(f"|coefficient| of {p} exceeds 1: {h}")
             if h != 0.0:
                 clean[p] = float(h)
-        self.coeffs = clean
+        self.n, self.k, self.coeffs = n, k, clean
 
     def coeff(self, p: PauliString) -> float:
         return self.coeffs.get(p, 0.0)
@@ -165,34 +160,30 @@ def random_hamiltonian(
     return LocalHamiltonian(n, k, coeffs)
 
 
-@dataclass(eq=False)
 class HamiltonianNet:
     """Grid family (eta Z intersect [-1,1])^support, enumerable by index."""
 
-    support: tuple[PauliString, ...]
-    eta: float
-    grid: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if not self.support:
+    def __init__(self, support, eta: float):
+        if not support:
             raise ValueError("net needs a nonempty support")
-        self.support = tuple(self.support)
-        n = self.support[0].n
-        for p in self.support:
+        support = tuple(support)
+        n = support[0].n
+        for p in support:
             if p.n != n:
                 raise ValueError("support strings act on different qubit counts")
             if p.is_identity():
                 raise ValueError("identity cannot be in the support")
-        repeated = sorted({p.label for p in self.support if self.support.count(p) > 1})
+        repeated = sorted({p.label for p in support if support.count(p) > 1})
         if repeated:
             raise ValueError(f"support strings must be distinct, got {repeated} more than once")
-        if not 0 < self.eta < math.inf:
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        jmax = math.floor(1.0 / self.eta + 1e-9)
-        self.grid = self.eta * np.arange(-jmax, jmax + 1)
-        if len(self.grid) ** len(self.support) > NET_ENUMERATION_BUDGET:
+        if not 0 < eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {eta}")
+        jmax = math.floor(1.0 / eta + 1e-9)
+        self.support, self.eta = support, eta
+        self.grid = eta * np.arange(-jmax, jmax + 1)
+        if len(self.grid) ** len(support) > NET_ENUMERATION_BUDGET:
             raise ValueError(
-                f"net has {len(self.grid)}^{len(self.support)} members, "
+                f"net has {len(self.grid)}^{len(support)} members, "
                 f"over the enumeration budget {NET_ENUMERATION_BUDGET}"
             )
 

@@ -19,7 +19,7 @@ the literal per-experiment loop as the reference it compares against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .oracle import identity_coeff
 from .stabilizers import stabilizer_state_matrix
 
 
-@dataclass(frozen=True)
-class IdentityCoeffEstimate:
+class IdentityCoeffEstimate(NamedTuple):
     value: float          # clamped to [0, 1]
     raw_value: float      # before clamping, in [-2^-n, 1 + 2^-n]
     samples_used: int

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,18 +31,36 @@ def check_size(n: int, k: int) -> None:
         raise ValueError(f"k={k} out of range [0, {n}]")
 
 
-@dataclass(frozen=True, slots=True)
 class PauliString:
-    """An n-letter Pauli word, stored as a base-4 integer code."""
+    """An n-letter Pauli word, stored as a base-4 integer code.  Immutable,
+    equal and hashed by (n, code), so a string serves as a dict and cache key."""
 
-    n: int
-    code: int
+    __slots__ = ("n", "code")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one qubit, got n={self.n}")
-        if not 0 <= self.code < 4**self.n:
-            raise ValueError(f"code {self.code} out of range for n={self.n}")
+    def __init__(self, n: int, code: int):
+        if n < 1:
+            raise ValueError(f"need at least one qubit, got n={n}")
+        if not 0 <= code < 4**n:
+            raise ValueError(f"code {code} out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "code", code)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PauliString is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PauliString is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.code) == (other.n, other.code)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.code))
+
+    def __repr__(self) -> str:
+        return f"PauliString(n={self.n}, code={self.code})"
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":

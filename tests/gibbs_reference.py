@@ -4,7 +4,7 @@ One trial at a time: a LocalHamiltonian from its own generator, its own
 eigendecomposition and Gibbs state, one `collect_shadows` call on the dense
 state (which builds its own Born table), one estimate per sample set, and
 the net scan or the certification test on that trial's estimates alone.
-Each `*_records` function takes the arguments of its `tasks` counterpart and
+Each `*_records` function takes the arguments of its `state_tasks` counterpart and
 returns the records the CLI writes; the block drivers must return equal ones.
 """
 
@@ -115,6 +115,6 @@ def shadow_records(params, m, batches, paulis, seed, trials):
     return [shadow_trial(params, m, batches, paulis, seed, t) for t in range(trials)]
 
 
-# the block driver in tasks that each reference replaces
+# the block driver in state_tasks that each reference replaces
 DRIVERS = {"_learn_records": learn_records, "_gibbs_cert_records": gibbs_cert_records,
            "_shadow_records": shadow_records}

@@ -1,4 +1,4 @@
-"""Literal per-trial references for the stacked sweep kernels in tasks.py.
+"""Literal per-trial references for the stacked sweep kernels in state_tasks.py.
 
 One trial at a time: a LocalHamiltonian from random_hamiltonian, its own
 to_matrix and eigendecomposition, its own Gibbs state, and the bound chain
@@ -99,6 +99,6 @@ def _per_trial(trial_fn):
     return block
 
 
-# the per-trial references in the place of the stacked kernels of tasks.py
+# the per-trial references in the place of the stacked kernels of state_tasks.py
 BLOCKS = {"_bonami_block": _per_trial(bonami_trial), "_bounds_block": _per_trial(bounds_trial),
           "_footnote_block": _per_trial(footnote_trial)}

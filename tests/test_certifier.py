@@ -260,8 +260,8 @@ def test_report_payload_complete():
     report = certify(h0, h, config, np.random.default_rng(3))
     assert report.verdict in (CLOSE, FAR)
     for level in report.levels:
-        assert set(vars(level)) >= {"level", "eps", "delta", "estimate", "threshold",
-                                    "verdict", "samples", "trotter_steps"}
+        assert set(level._asdict()) >= {"level", "eps", "delta", "estimate", "threshold",
+                                        "verdict", "samples", "trotter_steps"}
     assert report.ledger["total_evolution_time"] > 0
 
 
@@ -362,7 +362,7 @@ def test_task_blocks_equal_per_trial_reference(n, arm):
             rows = [row[1:] for row in tables["levels"][1] if row[0] == t]
             assert len(rows) == len(literal.levels)
             for row, ref in zip(rows, literal.levels):
-                mine, ref = dict(zip(vars(ref), row)), dict(vars(ref))
+                mine, ref = dict(zip(ref._fields, row)), ref._asdict()
                 if profile == "strict":
                     tol = step_tolerance(ref["trotter_steps"], n)
                     assert abs(mine.pop("estimate") - ref.pop("estimate")) <= tol

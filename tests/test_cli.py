@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import isingcert.oracle as oracle
+import isingcert.state_tasks as state_tasks
 import isingcert.tasks as tasks
 import rng_reference
 from isingcert.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_PROMISE, build_parser, main
@@ -41,7 +42,8 @@ def forbid_trials(monkeypatch):
     def no_trials(*args):
         raise AssertionError("a trial ran before the config was rejected")
 
-    monkeypatch.setattr(tasks, "trial_rngs", no_trials)
+    for module in (tasks, state_tasks):
+        monkeypatch.setattr(module, "trial_rngs", no_trials)
 
 
 def test_constants_ledger_flag(capsys):
@@ -150,15 +152,15 @@ def test_nominal_budget_refused_only_for_index_draws_over_the_cap():
     cap = SHADOW_SAMPLE_HARD_CAP
     # n=8, 20 batches: batches 6^n = 3.4e7 > m, so the draw takes per-sample indices
     with pytest.raises(BudgetExceededError, match="per-sample indices"):
-        tasks._resolve_samples(None, 2 * cap, 8, 20)
-    assert tasks._resolve_samples(None, cap, 8, 20) == cap
-    assert tasks._resolve_samples(2 * cap, 1, 8, 20) == 2 * cap   # an explicit count runs
-    assert tasks._resolve_samples(None, 10**12, 2, 20) == 10**12  # batch histograms
+        state_tasks._resolve_samples(None, 2 * cap, 8, 20)
+    assert state_tasks._resolve_samples(None, cap, 8, 20) == cap
+    assert state_tasks._resolve_samples(2 * cap, 1, 8, 20) == 2 * cap   # an explicit count runs
+    assert state_tasks._resolve_samples(None, 10**12, 2, 20) == 10**12  # batch histograms
     # 3^n times the largest batch reaches 2^53, nominal or explicit
-    assert tasks._resolve_samples(None, 2**53 // 9, 2, 1) == 2**53 // 9
+    assert state_tasks._resolve_samples(None, 2**53 // 9, 2, 1) == 2**53 // 9
     for requested, nominal in ((None, 2**53 // 9 + 1), (2**53 // 9 + 1, 1)):
         with pytest.raises(BudgetExceededError, match=r"past 2\^53"):
-            tasks._resolve_samples(requested, nominal, 2, 1)
+            state_tasks._resolve_samples(requested, nominal, 2, 1)
 
 
 def test_trotter_step_budget_overrun_exit_code(tmp_path, capsys):
@@ -452,6 +454,26 @@ def test_cli_import_skips_multiprocessing(tmp_path):
     assert lines[0] == lines[-1] == "False False"
 
 
+def test_dynamics_start_loads_only_what_it_runs(tmp_path):
+    # a fresh certify-dynamics process loads neither the Gibbs and shadow
+    # layers nor the other tasks' drivers, and no src/ class is a dataclass
+    path = write_config(tmp_path, {"schema_version": 1, "task": "certify-dynamics",
+                                   "trials": 1, "params": {"arm": "close", "eps": 0.2}})
+    unused = ("isingcert.gibbs", "isingcert.shadows", "isingcert.state_tasks", "dataclasses")
+    loaded = f"print([m for m in {unused!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, isingcert.cli; {loaded}; rc = isingcert.cli.main(sys.argv[1:]); "
+         f"{loaded}; sys.exit(rc)",
+         "--config", path, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (tmp_path / "out" / "certify-dynamics_close.json").exists()
+    assert lines[0] == lines[-1] == "[]"
+
+
 def test_all_names_resolve():
     # a stale __all__ entry breaks `from isingcert import *`
     import isingcert
@@ -583,6 +605,8 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
     pytest.param("verify-bonami", {"l_max": 400}, id="bonami-l-max-overflow"),
     # at k = 0 every instance is H = 0, and no float rule bounds l_max
     pytest.param("verify-bonami", {"n_max": 2, "k": 0, "l_max": 200000}, id="bonami-k-0"),
+    # the same for the bound chain: every lhs and rhs would be 0.0
+    pytest.param("verify-bounds", {"k": 0, "footnote_pairs": 2}, id="bounds-k-0"),
 ])
 def test_out_of_range_param_is_config_error(tmp_path, monkeypatch, capsys, task, params):
     _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params)
@@ -640,10 +664,10 @@ def test_certify_gibbs_far_born_tables_built_once_per_task(tmp_path, monkeypatch
     import isingcert.shadows as shadows
 
     built, drawn = [], []
-    table, collect = shadows._joint_distribution, tasks.collect_shadows
+    table, collect = shadows._joint_distribution, state_tasks.collect_shadows
     monkeypatch.setattr(shadows, "_joint_distribution",
                         lambda rho, n: built.append(n) or table(rho, n))
-    monkeypatch.setattr(tasks, "collect_shadows",
+    monkeypatch.setattr(state_tasks, "collect_shadows",
                         lambda *args: drawn.append(args[1]) or collect(*args))
     path = write_config(tmp_path, {"schema_version": 1, "task": "certify-gibbs", "seed": 3,
                                    "trials": 4, "params": {"arm": "far", "samples": 2000}})
@@ -732,7 +756,8 @@ def test_reports_equal_with_per_trial_seed_sequences(tmp_path, monkeypatch):
              ("certify-gibbs", {"arm": "far", "samples": 2000}),
              ("learn-gibbs", {"samples": 2000, "on_grid": True})]
     bulk = [_report_files(tmp_path, f"bulk{i}", *case) for i, case in enumerate(cases)]
-    monkeypatch.setattr(tasks, "trial_rngs", rng_reference.trial_rngs)
+    for module in (tasks, state_tasks):
+        monkeypatch.setattr(module, "trial_rngs", rng_reference.trial_rngs)
     for i, case in enumerate(cases):
         assert _report_files(tmp_path, f"loop{i}", *case) == bulk[i], case
 

@@ -14,6 +14,7 @@ import pytest
 import gibbs_reference as ref
 import isingcert.gibbs as gibbs
 import isingcert.oracle as oracle
+import isingcert.state_tasks as state_tasks
 import isingcert.tasks as tasks
 from isingcert.cli import main
 from isingcert.hamiltonians import gibbs_density, random_hamiltonian
@@ -46,7 +47,7 @@ CASES = [
 
 def patch_reference(monkeypatch):
     for name, driver in ref.DRIVERS.items():
-        monkeypatch.setattr(tasks, name, driver)
+        monkeypatch.setattr(state_tasks, name, driver)
 
 
 def report_files(tmp_path, name, task, params, trials=7, seed=5):
@@ -98,7 +99,8 @@ def test_blocks_stay_within_the_chunk_bytes(monkeypatch, task, params):
     # every stack of histograms, matrices and scan rows stays within it
     full = {**tasks.TASKS[task].params, **params}
     n, far = full["n"], full.get("arm") == "far"
-    chunk = 3 * tasks._hist_bytes(n, mom_batches(n, full["k"], full["delta"]), 2 if far else 1)
+    batches = mom_batches(n, full["k"], full["delta"])
+    chunk = 3 * state_tasks._hist_bytes(n, batches, 2 if far else 1)
     if task == "learn-gibbs":
         chunk = 3 * 8 * 729 * 3   # the scan rows of the 729-member net are larger
     monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", chunk)
@@ -106,14 +108,14 @@ def test_blocks_stay_within_the_chunk_bytes(monkeypatch, task, params):
 
     def counted_estimate(samples, paulis):
         blocks.append(len(samples))
-        assert tasks._hist_bytes(n, len(samples[0].sizes), len(samples)) <= chunk
+        assert state_tasks._hist_bytes(n, len(samples[0].sizes), len(samples)) <= chunk
         return estimate(samples, paulis)
 
     def counted_eig(a):
         assert a.nbytes <= chunk
         return eig(a)
 
-    for module in (tasks, gibbs):
+    for module in (state_tasks, gibbs):
         monkeypatch.setattr(module, "estimate_paulis", counted_estimate, raising=False)
         monkeypatch.setattr(module, "hermitian_eig", counted_eig, raising=False)
     tasks.run_task({"task": task, "seed": 2, "trials": 7, "params": params})

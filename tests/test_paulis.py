@@ -37,6 +37,19 @@ def test_labels_roundtrip():
     assert PauliString.identity(4).is_identity()
 
 
+def test_strings_are_immutable_values():
+    # strings key dicts and the plan caches: equal and hashed by (n, code),
+    # and never changed in place
+    p, q = PauliString.from_label("XZ"), PauliString(2, 7)
+    assert p == q and hash(p) == hash(q) and {p: 1}[q] == 1
+    assert p != PauliString(3, 7) and p != (2, 7)
+    with pytest.raises(AttributeError):
+        p.code = 0
+    with pytest.raises(AttributeError):
+        del p.n
+    assert (p.n, p.code) == (2, 7)
+
+
 @st.composite
 def pauli_strings(draw):
     n = draw(st.integers(1, 12))

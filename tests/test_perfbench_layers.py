@@ -17,7 +17,7 @@ import pytest
 
 import gibbs_reference
 import sweep_reference
-import isingcert.tasks as tasks
+import isingcert.state_tasks as state_tasks
 from isingcert.cli import main
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,6 +39,18 @@ def test_every_traced_layer_module_imports():
         importlib.import_module(module)
 
 
+def test_every_traced_method_is_in_its_class_dict():
+    # the tracer finds a method layer through vars(cls), so the method must be
+    # defined in the class body itself, not inherited or generated elsewhere
+    tracing = _load("tracing")
+    methods = [(module, attr) for _, module, attr, *_ in tracing.LAYERS if "." in attr]
+    assert methods
+    for module, attr in methods:
+        cls, name = attr.split(".")
+        owner = getattr(importlib.import_module(module), cls)
+        assert callable(vars(owner).get(name)), f"{module}.{attr}"
+
+
 def _files(tmp_path, name, call, seed):
     cfg, out_dir = tmp_path / f"{name}.json", tmp_path / name
     cfg.write_text(json.dumps(call.config(seed)))
@@ -48,13 +60,13 @@ def _files(tmp_path, name, call, seed):
 
 def _assert_calls_equal_references(tmp_path, monkeypatch, seed, task_names, references):
     """Every call and warm-up of gibbs-sweeps running one of `task_names`
-    writes the same files with the `references` patched into tasks.py."""
+    writes the same files with the `references` patched into state_tasks.py."""
     workload = _load("workloads").WORKLOADS["gibbs-sweeps"]
     calls = [c for c in workload.calls + workload.warmup if c.task in task_names]
     assert {c.task for c in calls} == set(task_names)
     shipped = [_files(tmp_path, f"shipped{i}", c, seed) for i, c in enumerate(calls)]
     for name, reference in references.items():
-        monkeypatch.setattr(tasks, name, reference)
+        monkeypatch.setattr(state_tasks, name, reference)
     for i, call in enumerate(calls):
         assert _files(tmp_path, f"reference{i}", call, seed) == shipped[i], call.label
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import isingcert.oracle as oracle
+import isingcert.state_tasks as state_tasks
 import isingcert.tasks as tasks
 from isingcert.gibbs import bound_diagnostics
 from isingcert.hamiltonians import gibbs_density, random_hamiltonian
@@ -18,9 +19,9 @@ BONAMI = {**tasks.TASKS["verify-bonami"].params, "n_min": 2, "n_max": 6, "l_min"
 BOUNDS = {**tasks.TASKS["verify-bounds"].params, "n_min": 2, "n_max": 6}
 
 KERNELS = [
-    pytest.param(tasks._bonami_block, ref.bonami_trial, BONAMI, id="bonami"),
-    pytest.param(tasks._bounds_block, ref.bounds_trial, BOUNDS, id="bounds"),
-    pytest.param(tasks._footnote_block, ref.footnote_trial, {**BOUNDS, "footnote_n": 4},
+    pytest.param(state_tasks._bonami_block, ref.bonami_trial, BONAMI, id="bonami"),
+    pytest.param(state_tasks._bounds_block, ref.bounds_trial, BOUNDS, id="bounds"),
+    pytest.param(state_tasks._footnote_block, ref.footnote_trial, {**BOUNDS, "footnote_n": 4},
                  id="footnote"),
 ]
 
@@ -73,7 +74,8 @@ def test_partial_last_chunk(block_fn, trial_fn, params, monkeypatch):
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 def test_zero_trials_give_no_records(blocks):
-    for block_fn in (tasks._bonami_block, tasks._bounds_block, tasks._footnote_block):
+    for block_fn in (state_tasks._bonami_block, state_tasks._bounds_block,
+                     state_tasks._footnote_block):
         assert _even_blocks(block_fn, BOUNDS | BONAMI, 1, 0, blocks) == []
 
 
