@@ -9,10 +9,11 @@ takes Tr V of every level from Trotter steps written in H's eigenbasis, from
 the two spectra, instead of building V.  `certify_block` runs a block of
 trials as arrays: the schedule, whose step and experiment counts are the
 same for every trial, compiles once, and each level raises the steps of the
-trials that have not yet said FAR with one stacked `matrix_power`.
-`certify` is a one-trial block, and one subroutine call at accuracy eps is a
-one-level block, `compile_levels(((-1, eps, delta),), config)`.  Two
-profiles ship:
+trials that have not yet said FAR with one stacked `matrix_power`.  It
+returns each trial's estimates of the levels it ran; its verdict (`decide`
+of the last) and its records (`level_records`) follow from them.  `certify`
+is a one-trial block, and one subroutine call at accuracy eps is a one-level
+block, `compile_levels(((-1, eps, delta),), config)`.  Two profiles ship:
 
 * "strict": the closed-form constants (threshold 1 - 23/(2400 e^6 C^2),
   accuracy 1/(4800 e^6 C^2), t = 1/(60 eps e^3 C)).  A level charges about
@@ -26,6 +27,7 @@ profiles ship:
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -185,9 +187,11 @@ def eigenbasis_identity_sq(m: np.ndarray, w0: np.ndarray, w: np.ndarray,
 
 
 def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs,
-                  ledgers) -> list[tuple[str, list[LevelRecord]]]:
+                  ledgers) -> list[list[float]]:
     """Certify a block of trials at each compiled level in order; a trial
-    stops at its first FAR, and survives every level as CLOSE.
+    stops at its first FAR, and survives every level as CLOSE.  Returns,
+    per trial, the clamped estimates of the levels it ran: its stop level is
+    the last of them, and `decide` of its last estimate is its verdict.
 
     `spectra` is (w0, v0, w, v), each trial's eigenvalues (B, 2^n) and
     eigenvectors (B, 2^n, 2^n) of H0 and of H.  Trial i draws from rngs[i]
@@ -196,31 +200,39 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
     Each level takes `eigenbasis_identity_sq` of the trials still running
     only; its stacks are at most half the size of the spectra's, so a block
     sized within STACK_CHUNK_BYTES keeps them there.  The level's hit
-    probabilities, clamped estimates and verdicts are arrays over those
-    trials; each trial makes one draw of its hit count, as
-    `estimate_identity_sq` draws it, and one `charge_plan`.
+    probabilities and clamped estimates are arrays over those trials, and
+    one comparison with the threshold picks the trials that run on; a level
+    that stops none of them keeps its arrays as they are.  Each trial makes
+    one draw of its hit count, as `estimate_identity_sq` draws it, and one
+    `charge_plan`.
     """
     w0, v0, w, v = spectra
     n = w.shape[-1].bit_length() - 1
     m = np.swapaxes(v.conj(), -1, -2) @ v0
     threshold = PROFILES[config.profile]().far_threshold
-    records = [[] for _ in rngs]
-    alive = list(range(len(rngs)))
+    estimates = [[] for _ in rngs]
+    running, rngs = list(range(len(rngs))), list(rngs)
     for lvl in levels:
-        if not alive:
-            break
-        identity_sq = eigenbasis_identity_sq(m[alive], w0[alive], w[alive], lvl.fragment)
-        values, _ = drawn_estimate(identity_sq, n, lvl.samples, [rngs[i] for i in alive])
-        verdicts = decide(values, threshold)
-        for i, value, verdict in zip(alive, values.tolist(), verdicts):
+        identity_sq = eigenbasis_identity_sq(m, w0, w, lvl.fragment)
+        values, _ = drawn_estimate(identity_sq, n, lvl.samples, rngs)
+        for i, value in zip(running, values.tolist()):
             charge_plan((lvl.fragment,), ledgers[i], repeat=lvl.samples)
-            records[i].append(LevelRecord(
-                level=lvl.level, eps=lvl.eps, delta=lvl.delta, estimate=value,
-                threshold=threshold, verdict=verdict,
-                samples=lvl.samples, trotter_steps=lvl.fragment.steps,
-            ))
-        alive = [i for i, verdict in zip(alive, verdicts) if verdict == CLOSE]
-    return [(r[-1].verdict, r) for r in records]
+            estimates[i].append(value)
+        close = values > threshold   # the trials `decide` calls CLOSE run on
+        if not close.any():
+            break
+        if not close.all():
+            m, w0, w = m[close], w0[close], w[close]
+            running, rngs = list(compress(running, close)), list(compress(rngs, close))
+    return estimates
+
+
+def level_records(levels: list[CompiledLevel], estimates: list[float],
+                  threshold: float) -> list[LevelRecord]:
+    """The records of one trial that ran the first len(estimates) levels."""
+    return [LevelRecord(lvl.level, lvl.eps, lvl.delta, value, threshold, verdict, lvl.samples,
+                        lvl.fragment.steps)
+            for lvl, value, verdict in zip(levels, estimates, decide(estimates, threshold))]
 
 
 def certify(h0: LocalHamiltonian, h_true: LocalHamiltonian, config: CertConfig, rng) -> CertReport:
@@ -241,9 +253,9 @@ def certify(h0: LocalHamiltonian, h_true: LocalHamiltonian, config: CertConfig, 
                             config)
     ledger = ExperimentLedger()
     spectra = tuple(a[None] for a in (*h0.spectrum(), *h_true.spectrum()))
-    [(verdict, records)] = certify_block(spectra, levels, config, [np.random.default_rng(rng)],
-                                         [ledger])
-    return CertReport(verdict, records, ledger.snapshot())
+    [estimates] = certify_block(spectra, levels, config, [np.random.default_rng(rng)], [ledger])
+    records = level_records(levels, estimates, PROFILES[config.profile]().far_threshold)
+    return CertReport(records[-1].verdict, records, ledger.snapshot())
 
 
 def evolution_time_bound(config: CertConfig) -> float:

@@ -173,7 +173,11 @@ def trotter_compile(
     if eps_trott <= 0:
         raise ValueError(f"eps_trott must be positive, got {eps_trott}")
     c = max(op_norm_bound, 1e-12)
-    steps = max(1, math.ceil(kappa * math.sqrt((c * t) ** 3 / eps_trott)))
+    try:
+        steps = max(1, math.ceil(kappa * math.sqrt((c * t) ** 3 / eps_trott)))
+    except OverflowError:   # (c t)^3 or the step count past the float range
+        raise BudgetExceededError("fragment needs a step count past the float range, over "
+                                  f"the budget {step_budget}") from None
     if steps > step_budget:
         raise BudgetExceededError(f"fragment needs {steps} steps, over the budget {step_budget}")
     return TrotterFragment(h0, t, steps, eps_trott, op_norm_bound)

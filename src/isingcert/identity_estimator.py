@@ -28,7 +28,6 @@ from .dynamics import (NO_NOISE, ExperimentLedger, NoiseModel, charge_plan, logi
                        net_unitary)
 from .hamiltonians import LocalHamiltonian
 from .oracle import identity_coeff
-from .stabilizers import stabilizer_state_matrix
 
 
 class IdentityCoeffEstimate(NamedTuple):
@@ -102,6 +101,8 @@ def drawn_estimate(identity_sq: np.ndarray, n: int, m: int, rngs,
 
 def exact_indicator_expectation(u: np.ndarray, n: int) -> float:
     """Average of |<phi|U|phi>|^2 over every stabilizer state (n <= 2)."""
+    from .stabilizers import stabilizer_state_matrix   # not loaded by a certify run
+
     mat = stabilizer_state_matrix(n)
     vals = np.abs(np.einsum("si,ij,sj->s", mat.conj(), u, mat)) ** 2
     return float(np.mean(vals))

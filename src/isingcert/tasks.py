@@ -1,5 +1,6 @@
 """Seeded, replayable dispatch behind the CLI tasks: the config schema and
-its validation, the trial generators, and the `certify-dynamics` driver.
+its validation, the trial generators, and the `certify-dynamics` driver with
+its instance draws.
 
 Every trial draws from fresh generators in the state of
 default_rng(SeedSequence(seed, spawn_key=(trial index, *key))), so a record
@@ -11,7 +12,10 @@ validated and echoed in the report, and changes nothing else.  Every task
 runs its trials in blocks, as arrays, and cutting the trials into other
 blocks gives the same records.  `certify-dynamics` blocks draw their
 instances as coefficient rows, take their spectra from one scatter and eig,
-and `certifier.certify_block` certifies the whole block.  The drivers of the
+and `certifier.certify_block` certifies the whole block.  A trial's verdict,
+ledger snapshot and level rows follow from its estimates and the level where
+it stopped: one snapshot serves every trial with the same stop, and the
+fields a level's rows share are rendered once per task.  The drivers of the
 other five tasks are in `state_tasks`, which `run_task` imports the first
 time it dispatches to one of them, so a `certify-dynamics` run never loads
 it, nor the Gibbs and shadow modules.  Each driver builds what every trial
@@ -32,13 +36,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from . import calibration, oracle
-from .certifier import (CertConfig, IterationSchedule, LevelRecord, certify_block,
-                        compile_levels, evolution_time_bound)
+from . import oracle
+from .certifier import (CLOSE, PROFILES, CertConfig, IterationSchedule, LevelRecord,
+                        certify_block, compile_levels, decide, evolution_time_bound)
 from .constants import constants_ledger
 from .dynamics import ExperimentLedger
 from .errors import ConfigError, PromiseViolationError
-from .paulis import LETTERS, check_size, enumerate_local_paulis, pauli_sum_matrix
+from .hamiltonians import _COEFF_TOL, frobenius_norms
+from .paulis import LETTERS, check_size, enumerate_local_paulis, local_pauli_count, pauli_sum_matrix
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
@@ -142,6 +147,58 @@ def task_arm(params: dict, allowed: tuple[str, str]) -> str:
 
 # ---------------------------------------------------------------- dynamics
 
+class InstanceError(ValueError):
+    """Row `row` of a block of drawn instances breaks its box or its gap."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def certifier_coeffs(rngs, n: int, eps: float, far: bool, c_frob: float = 1.0):
+    """(H0, H, ||H - H0||_F) of one instance per generator of `rngs`: coefficient
+    rows (B, T) over enumerate_local_paulis(n, 2, include_identity=False) and
+    the B gap norms.  ||H - H0||_F is eps (close arm) or 12 eps (far arm),
+    and both norms stay within c_frob.
+
+    Each generator draws H0 and then a unit direction as `random_hamiltonian`'s
+    "fixed_norm" law does, with its arithmetic, and H = H0 + gap * direction.
+    The first row with a degenerate draw, with H0, the direction,
+    gap * direction or H outside the box |h_P| <= 1, or with ||H - H0||_F off its
+    arm's gap by more than 1e-9, raises InstanceError.
+    """
+    gap = 12.0 * eps if far else eps
+    if gap >= c_frob:
+        raise ValueError(f"12 eps = {gap} leaves no room inside c_frob = {c_frob}")
+    target = np.array([min(0.35 * c_frob, 0.9 * (c_frob - gap)), 1.0])
+    terms = local_pauli_count(n, 2) - 1
+    draws = np.array([rng.uniform(-1.0, 1.0, (2, terms))
+                      for rng in map(np.random.default_rng, rngs)])   # (B, 2, T)
+    norms = frobenius_norms(draws)   # random_hamiltonian's sequential sum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = draws * (target / norms)[..., None]
+    h0, step = rows[:, 0], rows[:, 1] * gap
+    h = h0 + step
+    delta = np.linalg.norm(h - h0, axis=-1)
+    peaks = np.abs(np.stack([h0, rows[:, 1], step, h], axis=1)).max(axis=-1)   # (B, 4)
+    bad = np.column_stack([(norms == 0).any(axis=-1), peaks > 1.0 + _COEFF_TOL,
+                           delta < gap - 1e-9 if far else delta > gap + 1e-9])
+    if bad.any():   # the first failing row, at its first failing check
+        row = int(bad.any(axis=1).argmax())
+        check = int(bad[row].argmax())
+        if check == 0:
+            message = "degenerate draw, cannot rescale"
+        elif check < 5:
+            part = ("H0", "the unit direction", "gap * direction", "H")[check - 1]
+            message = (f"the instance drawn at c_frob = {c_frob} leaves the box |h_P| <= 1: "
+                       f"{part} has |h_P| up to {peaks[row, check - 1]}")
+        else:
+            message = (f"{'far' if far else 'close'}-arm instance has ||dH||_F = {delta[row]}, "
+                       f"{'below 12 eps' if far else 'above eps'} = {gap}")
+        raise InstanceError(row, message)
+    return h0, h, delta
+
+
 def _dynamics_blocks(params, seed, trials):
     """Yield (trial indices, ||H - H0||_F per trial, spectra) block by block,
     in trial order.  A block, sized like a sweep stack of two Hamiltonians
@@ -154,10 +211,9 @@ def _dynamics_blocks(params, seed, trials):
     for start in range(0, trials, size):
         block = range(start, min(start + size, trials))
         try:
-            h0, h, delta = calibration.certifier_coeffs(
-                trial_rngs(seed, block, 1), n, params["eps"],
-                params["arm"] == "far", params["c_frob"])
-        except calibration.InstanceError as exc:
+            h0, h, delta = certifier_coeffs(trial_rngs(seed, block, 1), n, params["eps"],
+                                            params["arm"] == "far", params["c_frob"])
+        except InstanceError as exc:
             raise PromiseViolationError(f"trial {block[exc.row]}: {exc}") from exc
         # H0 and H of each trial side by side, as the rows of one stack
         w, v = oracle.hermitian_eig(pauli_sum_matrix(n, paulis, np.stack([h0, h], axis=1)
@@ -178,16 +234,32 @@ def task_certify_dynamics(params, trials, seed):
         )
     schedule = IterationSchedule(params["eps"], params["delta"], params["c_frob"])
     levels = compile_levels(schedule.levels, config)   # a budget overrun exits before any draw
+    threshold = PROFILES[config.profile]().far_threshold
     expected = "FAR" if arm == "far" else "CLOSE"
-    records = []
+    # every trial charges the same compiled levels, so the ledgers of two
+    # trials that stop at the same level are equal: one snapshot per stop
+    snapshots = {}
+    # the fields a level's rows share, as `reports.csv_text` writes them
+    shared = [(str(lvl.level), str(lvl.eps), str(lvl.delta), str(threshold), str(lvl.samples),
+               str(lvl.fragment.steps)) for lvl in levels]
+    records, level_rows = [], []
     for block, deltas, spectra in _dynamics_blocks(params, seed, trials):
         ledgers = [ExperimentLedger() for _ in block]
-        results = certify_block(spectra, levels, config, list(trial_rngs(seed, block)), ledgers)
-        records += [{
-            "trial": t, "verdict": verdict, "expected": expected,
-            "correct": verdict == expected, "delta_frobenius_oracle_only": delta,
-            "ledger": ledger.snapshot(), "levels": levels_run,
-        } for t, delta, ledger, (verdict, levels_run) in zip(block, deltas, ledgers, results)]
+        estimates = certify_block(spectra, levels, config, list(trial_rngs(seed, block)), ledgers)
+        verdicts = decide([values[-1] for values in estimates], threshold)
+        for t, delta, ledger, values, verdict in zip(block, deltas, ledgers, estimates, verdicts):
+            stop = len(values) - 1
+            if stop not in snapshots:
+                snapshots[stop] = ledger.snapshot()
+            records.append({
+                "trial": t, "verdict": verdict, "expected": expected,
+                "correct": verdict == expected, "delta_frobenius_oracle_only": delta,
+                "ledger": snapshots[stop],
+            })
+            level_rows += [[t, level, eps, delta_l, value, threshold_s, level_verdict, samples,
+                            steps]
+                           for (level, eps, delta_l, threshold_s, samples, steps), value,
+                           level_verdict in zip(shared, values, [CLOSE] * stop + [verdict])]
     errors = sum(1 for r in records if not r["correct"])
     total_time = [r["ledger"]["total_evolution_time"] for r in records]
     mean_time = float(np.mean(total_time))
@@ -200,7 +272,7 @@ def task_certify_dynamics(params, trials, seed):
         "normalized_time": mean_time * params["eps"] / schedule.log_factor(),
         "time_bound": evolution_time_bound(config),
         "schedule_levels": schedule.big_l + 1,
-        "trials": [{k: v for k, v in r.items() if k != "levels"} for r in records],
+        "trials": records,
     }
     table = [
         [r["trial"], r["verdict"], r["expected"], int(r["correct"]),
@@ -210,9 +282,8 @@ def task_certify_dynamics(params, trials, seed):
     ]
     header = ["trial", "verdict", "expected", "correct",
               "total_evolution_time", "query_count", "experiment_count"]
-    levels = [[r["trial"], *level] for r in records for level in r["levels"]]
     level_header = ["trial", *LevelRecord._fields]
-    return payload, {"verdicts": (header, table), "levels": (level_header, levels)}
+    return payload, {"verdicts": (header, table), "levels": (level_header, level_rows)}
 
 
 # ---------------------------------------------------------------- dispatch

@@ -5,7 +5,7 @@ import pytest
 
 from hamiltonian_reference import hamiltonian_diff, hamiltonian_sum
 from isingcert import constants as con
-from isingcert import oracle, tasks
+from isingcert import certifier, oracle, tasks
 from isingcert.calibration import certifier_instance
 from isingcert.certifier import (
     CLOSE,
@@ -22,6 +22,7 @@ from isingcert.certifier import (
     decide,
     eigenbasis_identity_sq,
     evolution_time_bound,
+    level_records,
     strict_profile,
 )
 from isingcert.dynamics import ExperimentLedger, trotter_compile
@@ -30,6 +31,7 @@ from isingcert.identity_estimator import estimate_identity_sq
 from isingcert.hamiltonians import LocalHamiltonian, random_hamiltonian
 from isingcert.oracle import evolve_matrix, hermitian_eig, identity_coeff
 from isingcert.paulis import PauliString
+from isingcert.reports import canonical_json, csv_text
 from rng_reference import trial_rng
 
 P = PauliString.from_label
@@ -42,8 +44,9 @@ def certify_at(h0, h, eps, delta, config, rng, ledger):
     record is level -1."""
     levels = compile_levels(((-1, eps, delta),), config)
     spectra = tuple(a[None] for a in (*h0.spectrum(), *h.spectrum()))
-    [(verdict, records)] = certify_block(spectra, levels, config, [rng], [ledger])
-    return verdict, records[0]
+    [estimates] = certify_block(spectra, levels, config, [rng], [ledger])
+    [record] = level_records(levels, estimates, PROFILES[config.profile]().far_threshold)
+    return record.verdict, record
 
 
 def certify_literal(h0, h, config, rng) -> CertReport:
@@ -342,31 +345,51 @@ def test_budget_overrun_at_any_level_raises_before_any_draw():
     assert rng.bit_generator.state == state
 
 
+def assert_task_equals_per_trial_reference(n, arm, profile, seed, trials, eps=0.05, delta=0.1):
+    """Every trial of one `certify-dynamics` block against the literal
+    per-level run on its own instance, both sampled; returns the number of
+    levels each trial ran.  At strict's m of about 2.6e14 a hit count
+    resolves p to 1e-14, so realize's last bits can move it: strict
+    estimates agree within the kernel's step tolerance, the rest is equal."""
+    params = {**tasks.TASKS["certify-dynamics"].params, "n": n, "arm": arm, "profile": profile,
+              "eps": eps, "delta": delta}
+    payload, tables = tasks.run_task({"task": "certify-dynamics", "seed": seed, "trials": trials,
+                                      "params": params})
+    config = CertConfig(eps=eps, delta=delta, c_op=2.0, profile=profile)
+    stops = []
+    for record in payload["trials"]:
+        t = record["trial"]
+        h0, h = certifier_instance(trial_rng(seed, t, 1), n, eps, arm == "far")
+        literal = certify_literal(h0, h, config, trial_rng(seed, t))
+        assert (record["verdict"], record["ledger"]) == (literal.verdict, literal.ledger)
+        rows = [row[1:] for row in tables["levels"][1] if row[0] == t]
+        assert len(rows) == len(literal.levels)
+        for row, ref in zip(rows, literal.levels):
+            # the fields every trial shares are rendered text, as the CSV writes them
+            mine, ref = dict(zip(ref._fields, row)), ref._asdict()
+            if profile == "strict":
+                tol = step_tolerance(ref["trotter_steps"], n)
+                assert abs(mine.pop("estimate") - ref.pop("estimate")) <= tol
+            assert mine == {k: v if k == "estimate" else str(v) for k, v in ref.items()}
+        stops.append(len(rows))
+    return stops
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("arm", ["close", "far"])
 def test_task_blocks_equal_per_trial_reference(n, arm):
-    # every trial of a four-trial block against the literal per-level run on
-    # its own instance, both sampled.  At strict's m of about 2.6e14 a hit
-    # count resolves p to 1e-14, so realize's last bits can move it: strict
-    # estimates agree within the kernel's step tolerance, the rest is equal
-    base = {**tasks.TASKS["certify-dynamics"].params, "n": n, "arm": arm}
     for profile in ("calibrated", "strict"):
-        payload, tables = tasks.run_task({"task": "certify-dynamics", "seed": 8, "trials": 4,
-                                          "params": {**base, "profile": profile}})
-        config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, profile=profile)
-        for record in payload["trials"]:
-            t = record["trial"]
-            h0, h = certifier_instance(trial_rng(8, t, 1), n, 0.05, arm == "far")
-            literal = certify_literal(h0, h, config, trial_rng(8, t))
-            assert (record["verdict"], record["ledger"]) == (literal.verdict, literal.ledger)
-            rows = [row[1:] for row in tables["levels"][1] if row[0] == t]
-            assert len(rows) == len(literal.levels)
-            for row, ref in zip(rows, literal.levels):
-                mine, ref = dict(zip(ref._fields, row)), ref._asdict()
-                if profile == "strict":
-                    tol = step_tolerance(ref["trotter_steps"], n)
-                    assert abs(mine.pop("estimate") - ref.pop("estimate")) <= tol
-                assert mine == ref
+        assert_task_equals_per_trial_reference(n, arm, profile, seed=8, trials=4)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_task_trials_with_different_stops_equal_per_trial_reference(n):
+    # at delta 0.9 a few far trials say FAR one level early (seed 15: trial 1
+    # at n = 3, trials 1 and 6 at n = 2), so the block holds two stop levels,
+    # each with its own ledger snapshot and rows
+    stops = assert_task_equals_per_trial_reference(n, "far", "calibrated", seed=15, trials=8,
+                                                   eps=0.07, delta=0.9)
+    assert len(set(stops)) == 2
 
 
 def test_block_raises_each_trial_only_to_its_stop(monkeypatch):
@@ -390,12 +413,49 @@ def test_block_raises_each_trial_only_to_its_stop(monkeypatch):
     ledgers = [ExperimentLedger() for _ in hams]
     results = certify_block(spectra, levels, config, [np.random.default_rng(i) for i in range(4)],
                             ledgers)
-    stops = [len(records) for _, records in results]
-    assert [verdict for verdict, _ in results] == [FAR] * 4
+    stops = [len(estimates) for estimates in results]
+    threshold = PROFILES[config.profile]().far_threshold
+    assert decide([estimates[-1] for estimates in results], threshold) == [FAR] * 4
     assert len(set(stops)) > 1 and max(stops) < len(levels)
     assert calls == [(sum(stop > j for stop in stops), levels[j].fragment.steps)
                      for j in range(max(stops))]
     monkeypatch.undo()
-    for i, (h, ledger, (verdict, records)) in enumerate(zip(hams, ledgers, results)):
+    for i, (h, ledger, estimates) in enumerate(zip(hams, ledgers, results)):
         literal = certify_literal(h0, h, config, np.random.default_rng(i))
-        assert CertReport(verdict, records, ledger.snapshot()) == literal
+        records = level_records(levels, estimates, threshold)
+        assert CertReport(records[-1].verdict, records, ledger.snapshot()) == literal
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("arm", ["close", "far"])
+def test_charge_plan_experiments_equal_the_ledgers(n, arm, monkeypatch):
+    # the invariant the traced benchmark run checks: the `repeat` sum over the
+    # `charge_plan` calls of a run is the experiment count its ledgers report
+    repeats = []
+    charge_plan = certifier.charge_plan
+
+    def counted(steps, ledger, repeat=1):
+        repeats.append(repeat)
+        return charge_plan(steps, ledger, repeat)
+
+    monkeypatch.setattr(certifier, "charge_plan", counted)
+    payload, _ = tasks.run_task({"task": "certify-dynamics", "seed": 3, "trials": 6,
+                                 "params": {"n": n, "arm": arm}})
+    assert repeats
+    assert sum(repeats) == sum(r["ledger"]["experiment_count"] for r in payload["trials"])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("profile", ["calibrated", "strict"])
+@pytest.mark.parametrize("arm", ["close", "far"])
+def test_task_reports_equal_in_blocks_of_one_and_in_one_block(n, profile, arm, monkeypatch):
+    # 7 trials as 7 blocks of one and as one block of 7
+    config = {"task": "certify-dynamics", "seed": 12, "trials": 7,
+              "params": {"n": n, "arm": arm, "profile": profile}}
+    texts = []
+    for size in (1, 7):
+        monkeypatch.setattr(oracle, "stack_size", lambda *args, size=size: size)
+        payload, tables = tasks.run_task(config)
+        texts.append([canonical_json(payload),
+                      *(csv_text(*tables[name]) for name in ("levels", "verdicts"))])
+    assert texts[0] == texts[1]

@@ -163,10 +163,12 @@ def test_nominal_budget_refused_only_for_index_draws_over_the_cap():
             state_tasks._resolve_samples(requested, nominal, 2, 1)
 
 
-def test_trotter_step_budget_overrun_exit_code(tmp_path, capsys):
-    # c_op = 1e5 asks one fragment for about 1.3e8 Trotter steps, over the 1e7 budget
+@pytest.mark.parametrize("c_op", [1e5, 1e50, 1e150, 1e300], ids=["1e5", "1e50", "1e150", "1e300"])
+def test_trotter_step_budget_overrun_exit_code(tmp_path, capsys, c_op):
+    # c_op = 1e5 asks one fragment for about 1.3e8 Trotter steps, over the 1e7
+    # budget; from about 1e100 on, (c_op t)^3 is past the float range
     cfg = {"schema_version": 1, "task": "certify-dynamics", "trials": 1,
-           "params": {"arm": "close", "c_op": 100000.0}}
+           "params": {"arm": "close", "c_op": c_op}}
     path = write_config(tmp_path, cfg)
     out_dir = tmp_path / "out"
     assert main(["--config", path, "--out", str(out_dir)]) == EXIT_BUDGET
@@ -252,10 +254,11 @@ def test_h_outside_coefficient_box_exit_code(tmp_path, capsys):
 
 def test_promise_violation_fires_before_its_block_is_certified(tmp_path, monkeypatch, capsys):
     # seed 2 is the smallest seed at these params whose trial 0 stays in the box and
-    # whose trial 1 leaves it (a scan of seeds 0, 1, 2 with calibration.certifier_coeffs);
+    # whose trial 1 leaves it (a scan of seeds 0, 1, 2 with tasks.certifier_coeffs);
     # the two trials share a block
     certified = []
-    monkeypatch.setattr(tasks, "certify_block", lambda *args: certified.append(args))
+    monkeypatch.setattr(tasks, "certify_block", lambda *args: certified.append(args)
+                        or [[1.0] for _ in args[3]])
     cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": 2, "trials": 2,
            "params": {"arm": "far", "c_frob": 3.0, "eps": 0.2}}
     path = write_config(tmp_path, cfg)
@@ -459,7 +462,8 @@ def test_dynamics_start_loads_only_what_it_runs(tmp_path):
     # layers nor the other tasks' drivers, and no src/ class is a dataclass
     path = write_config(tmp_path, {"schema_version": 1, "task": "certify-dynamics",
                                    "trials": 1, "params": {"arm": "close", "eps": 0.2}})
-    unused = ("isingcert.gibbs", "isingcert.shadows", "isingcert.state_tasks", "dataclasses")
+    unused = ("isingcert.gibbs", "isingcert.shadows", "isingcert.state_tasks", "dataclasses",
+              "isingcert.calibration", "isingcert.stabilizers")
     loaded = f"print([m for m in {unused!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -16,7 +16,7 @@ import pytest
 import isingcert.oracle as oracle
 import isingcert.tasks as tasks
 from hamiltonian_reference import cache_spectra, hamiltonian_diff, hamiltonian_sum
-from isingcert.calibration import certifier_coeffs, certifier_instance
+from isingcert.calibration import certifier_instance
 from isingcert.hamiltonians import HamiltonianNet, gibbs_density, random_hamiltonian
 from isingcert.oracle import evolve, evolve_matrix, hermitian_eig, spectral_moments
 from isingcert.paulis import (
@@ -305,7 +305,7 @@ def test_certifier_rows_equal_per_instance_draws(n):
     paulis = enumerate_local_paulis(n, 2, include_identity=False)
     for far, c_frob in ((False, 1.0), (True, 1.0), (True, 1.5)):
         gap = 12.0 * 0.05 if far else 0.05   # as the arms compute it
-        h0_rows, h_rows, delta = certifier_coeffs(
+        h0_rows, h_rows, delta = tasks.certifier_coeffs(
             [np.random.default_rng((740, n, t)) for t in range(5)], n, 0.05, far, c_frob)
         for t in range(5):
             rng = np.random.default_rng((740, n, t))
