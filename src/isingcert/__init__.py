@@ -9,7 +9,7 @@ that only the tests read (stabilizer states as signed generators, the
 per-experiment access model, the per-trial sweeps) live in tests/.
 
 Importing the package loads none of its modules: import each one by name
-(`from isingcert import oracle`, `from isingcert.certifier import certify`),
+(`from isingcert import oracle`, `from isingcert.certifier import certify_block`),
 so a process loads only the layers it runs.
 """
 

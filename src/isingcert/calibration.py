@@ -40,22 +40,16 @@ def _op_norm_capped(h: LocalHamiltonian, rng) -> LocalHamiltonian:
     return h.scaled(target / norm)
 
 
-def certifier_instance(rng, n: int, eps: float, far: bool,
-                       c_frob: float = 1.0) -> tuple[LocalHamiltonian, LocalHamiltonian]:
-    """The (H0, H) that `certifier_coeffs` draws from `rng`, as LocalHamiltonians."""
-    paulis = enumerate_local_paulis(n, 2, include_identity=False)
-    h0, h, _ = certifier_coeffs([rng], n, eps, far, c_frob)
-    return tuple(LocalHamiltonian(n, 2, dict(zip(paulis, row[0].tolist()))) for row in (h0, h))
-
-
 def certifier_corpus(trials: int = 40, n: int = 2, eps: float = 0.05):
-    """Instances used to fit the calibrated threshold/accuracy pair."""
-    ss = np.random.SeedSequence(CERTIFIER_CORPUS_SEED)
+    """Instances used to fit the calibrated threshold/accuracy pair: (H0, H,
+    far) triples, the arms alternating, as `certifier_coeffs` draws them."""
+    paulis = enumerate_local_paulis(n, 2, include_identity=False)
     out = []
-    for i, child in enumerate(ss.spawn(2 * trials)):
+    for i, child in enumerate(np.random.SeedSequence(CERTIFIER_CORPUS_SEED).spawn(2 * trials)):
         far = i % 2 == 1
-        h0, h = certifier_instance(child, n, eps, far)
-        out.append((h0, h, far))
+        rows = certifier_coeffs([child], n, eps, far)[:2]
+        out.append((*(LocalHamiltonian(n, 2, dict(zip(paulis, r[0].tolist()))) for r in rows),
+                    far))
     return out
 
 

@@ -10,10 +10,10 @@ the two spectra, instead of building V.  `certify_block` runs a block of
 trials as arrays: the schedule, whose step and experiment counts are the
 same for every trial, compiles once, and each level raises the steps of the
 trials that have not yet said FAR with one stacked `matrix_power`.  It
-returns each trial's estimates of the levels it ran; its verdict (`decide`
-of the last) and its records (`level_records`) follow from them.  `certify`
-is a one-trial block, and one subroutine call at accuracy eps is a one-level
-block, `compile_levels(((-1, eps, delta),), config)`.  Two profiles ship:
+returns each trial's estimates of the levels it ran, and `decide` of the
+last is the trial's verdict.  One subroutine call at accuracy eps is a
+one-level block, `compile_levels(((-1, eps, delta),), config)`.  Two
+profiles ship:
 
 * "strict": the closed-form constants (threshold 1 - 23/(2400 e^6 C^2),
   accuracy 1/(4800 e^6 C^2), t = 1/(60 eps e^3 C)).  A level charges about
@@ -33,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import constants as con
-from .dynamics import ExperimentLedger, TrotterFragment, charge_plan, trotter_compile
-from .hamiltonians import LocalHamiltonian
+from .dynamics import TrotterFragment, charge_plan, trotter_compile
 from .identity_estimator import drawn_estimate, sample_count
 
 FAR = "FAR"
@@ -124,23 +123,6 @@ class IterationSchedule:
         return math.log(2.0 * (self.big_l + 1) / self.delta)
 
 
-class LevelRecord(NamedTuple):
-    level: int
-    eps: float
-    delta: float
-    estimate: float
-    threshold: float
-    verdict: str
-    samples: int
-    trotter_steps: int
-
-
-class CertReport(NamedTuple):
-    verdict: str
-    levels: list[LevelRecord]
-    ledger: dict
-
-
 class CompiledLevel(NamedTuple):
     """One schedule level, compiled: its fragment and its experiment count."""
 
@@ -193,6 +175,12 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
     per trial, the clamped estimates of the levels it ran: its stop level is
     the last of them, and `decide` of its last estimate is its verdict.
 
+    Run down a whole `IterationSchedule`, a trial's verdict is correct with
+    probability >= 1 - delta under the promise gap (||H - H0||_F <= eps
+    against >= 12 eps).  Without either promise, FAR still implies
+    ||H - H0||_F >= eps, and CLOSE implies ||H - H0||_F <= 12 eps, each with
+    probability >= 1 - delta.
+
     `spectra` is (w0, v0, w, v), each trial's eigenvalues (B, 2^n) and
     eigenvectors (B, 2^n, 2^n) of H0 and of H.  Trial i draws from rngs[i]
     and charges ledgers[i], one `charge_plan` per level it reaches.
@@ -225,37 +213,6 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
             m, w0, w = m[close], w0[close], w[close]
             running, rngs = list(compress(running, close)), list(compress(rngs, close))
     return estimates
-
-
-def level_records(levels: list[CompiledLevel], estimates: list[float],
-                  threshold: float) -> list[LevelRecord]:
-    """The records of one trial that ran the first len(estimates) levels."""
-    return [LevelRecord(lvl.level, lvl.eps, lvl.delta, value, threshold, verdict, lvl.samples,
-                        lvl.fragment.steps)
-            for lvl, value, verdict in zip(levels, estimates, decide(estimates, threshold))]
-
-
-def certify(h0: LocalHamiltonian, h_true: LocalHamiltonian, config: CertConfig, rng) -> CertReport:
-    """Full certification: iterate the subroutine down the schedule.
-
-    Any FAR stops the run with FAR; surviving every level means CLOSE.  For
-    the promise gap (<= eps vs >= 12 eps) the verdict is correct with
-    probability >= 1 - delta.  Without either promise, FAR still implies
-    ||H - H0||_F >= eps and CLOSE implies ||H - H0||_F <= 12 eps with
-    probability >= 1 - delta.  Returns the verdict, the per-level records
-    and the ledger snapshot.
-
-    The whole schedule is compiled before the first draw, so a budget
-    overrun at any level raises BudgetExceededError with `rng` untouched,
-    even on a run that would have stopped at FAR before that level.
-    """
-    levels = compile_levels(IterationSchedule(config.eps, config.delta, config.c_frob).levels,
-                            config)
-    ledger = ExperimentLedger()
-    spectra = tuple(a[None] for a in (*h0.spectrum(), *h_true.spectrum()))
-    [estimates] = certify_block(spectra, levels, config, [np.random.default_rng(rng)], [ledger])
-    records = level_records(levels, estimates, PROFILES[config.profile]().far_threshold)
-    return CertReport(records[-1].verdict, records, ledger.snapshot())
 
 
 def evolution_time_bound(config: CertConfig) -> float:

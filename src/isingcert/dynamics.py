@@ -1,6 +1,6 @@
 """Simulated time-evolution access: an experiment runs a sequence of query
-steps (queries to exp(-i t H), compiled Trotter fragments, fixed unitaries),
-and every queried second is charged to a ledger.
+steps (queries to exp(-i t H) and compiled Trotter fragments), and every
+queried second is charged to a ledger.
 
 Noise is depolarizing only.  SPAM splits a diamond-norm budget evenly between
 a channel after preparation and one before measurement; per-query noise
@@ -108,13 +108,6 @@ class QueryStep:
         self.t = t
 
 
-class UnitaryStep:
-    """A fixed, known unitary; free of ledger charge."""
-
-    def __init__(self, name: str, matrix: np.ndarray):
-        self.name, self.matrix = name, matrix
-
-
 class TrotterFragment:
     """Compiled approximation V of exp(-i t (H - H0)).
 
@@ -138,10 +131,6 @@ class TrotterFragment:
     def query_time(self) -> float:
         return self.t / (2 * self.steps)
 
-    @property
-    def evolution_time(self) -> float:
-        return self.query_count * self.query_time
-
     def realize(self, h_true: LocalHamiltonian) -> np.ndarray:
         """The dense V, as the literal Trotter product.
 
@@ -150,8 +139,8 @@ class TrotterFragment:
         instead.  Its rounding grows with the step count: at 1957 steps
         (the strict profile at eps 0.002, c_op 2), |Tr V / 2^n|^2 is 1e-12
         to 7e-12 off the same product of long-double factors (n = 2, 3, both
-        arms of `calibration.certifier_instance`), and the eigenbasis step
-        path 0.4e-12 to 4e-12 off.
+        arms of the instances `tasks.certifier_coeffs` draws), and the
+        eigenbasis step path 0.4e-12 to 4e-12 off.
         """
         a = evolve(h_true, self.t / (2 * self.steps))
         b = evolve(self.h0, -self.t / self.steps)  # e^{+i t H0 / l}
@@ -196,8 +185,6 @@ def net_unitary(steps, h_true: LocalHamiltonian, n: int) -> np.ndarray:
             u = evolve(h_true, step.t) @ u
         elif isinstance(step, TrotterFragment):
             u = step.realize(h_true) @ u
-        elif isinstance(step, UnitaryStep):
-            u = step.matrix @ u
         else:
             raise TypeError(f"unknown plan step {step!r}")
     return u

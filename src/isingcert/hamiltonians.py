@@ -47,13 +47,6 @@ class LocalHamiltonian:
                 clean[p] = float(h)
         self.n, self.k, self.coeffs = n, k, clean
 
-    def coeff(self, p: PauliString) -> float:
-        return self.coeffs.get(p, 0.0)
-
-    def frobenius_norm(self) -> float:
-        """Normalized Frobenius norm sqrt(sum_P h_P^2)."""
-        return math.sqrt(sum(h * h for h in self.coeffs.values()))
-
     def operator_norm(self) -> float:
         """Largest |eigenvalue| of the dense materialization."""
         return float(np.max(np.abs(self.spectrum()[0])))
@@ -77,9 +70,9 @@ class LocalHamiltonian:
 
 
 def frobenius_norms(coeffs: np.ndarray) -> np.ndarray:
-    """sqrt(sum_P h_P^2) of each coefficient row on the last axis, with the
-    squares added in order, as `LocalHamiltonian.frobenius_norm` adds them: a
-    cumulative sum adds sequentially, where np.sum adds pairwise."""
+    """The normalized Frobenius norm sqrt(sum_P h_P^2) of each coefficient row
+    on the last axis, with the squares added in order, as a Python sum adds
+    them: a cumulative sum adds sequentially, where np.sum adds pairwise."""
     sq = coeffs * coeffs
     if not sq.shape[-1]:
         return np.zeros(sq.shape[:-1])
@@ -178,33 +171,22 @@ class HamiltonianNet:
             raise ValueError(f"support strings must be distinct, got {repeated} more than once")
         if not 0 < eta < math.inf:
             raise ValueError(f"eta must be positive and finite, got {eta}")
-        jmax = math.floor(1.0 / eta + 1e-9)
+        # the members are counted in Python integers before the grid is built;
+        # a 1/eta past the float range gives more than any budget
+        jmax = math.floor(1.0 / eta + 1e-9) if 1.0 / eta < math.inf else math.inf
+        if (2 * jmax + 1) ** len(support) > NET_ENUMERATION_BUDGET:
+            raise ValueError(f"net has {2 * jmax + 1}^{len(support)} members, "
+                             f"over the enumeration budget {NET_ENUMERATION_BUDGET}")
         self.support, self.eta = support, eta
         self.grid = eta * np.arange(-jmax, jmax + 1)
-        if len(self.grid) ** len(support) > NET_ENUMERATION_BUDGET:
-            raise ValueError(
-                f"net has {len(self.grid)}^{len(support)} members, "
-                f"over the enumeration budget {NET_ENUMERATION_BUDGET}"
-            )
 
     @property
     def n(self) -> int:
         return self.support[0].n
 
     @property
-    def k(self) -> int:
-        return max(p.weight for p in self.support)
-
-    @property
     def size(self) -> int:
         return len(self.grid) ** len(self.support)
-
-    def member(self, index: int) -> LocalHamiltonian:
-        if not 0 <= index < self.size:
-            raise IndexError(f"member index {index} out of range [0, {self.size})")
-        values = self.values(index)
-        coeffs = {p: float(v) for p, v in zip(self.support, values) if v != 0.0}
-        return LocalHamiltonian(self.n, self.k, coeffs)
 
     def values(self, index) -> np.ndarray:
         """Grid values of the members `index` (an index or an array of them),
@@ -226,8 +208,8 @@ class HamiltonianNet:
 
         Members go through in stacks of `oracle.stack_size`: their `matrices`,
         one `hermitian_eig`, `gibbs_states` and one `pauli_trace_inners`
-        gather, so row i equals the values of `gibbs_density(member(i))`, bit
-        for bit.
+        gather, so row i equals the values of `gibbs_density` of member i's
+        LocalHamiltonian, bit for bit.
         """
         check_beta(beta)
         out = np.empty((self.size, len(self.support)))

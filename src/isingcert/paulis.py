@@ -59,19 +59,12 @@ class PauliString:
     def __hash__(self) -> int:
         return hash((self.n, self.code))
 
-    def __repr__(self) -> str:
-        return f"PauliString(n={self.n}, code={self.code})"
-
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
         code = 0
         for ch in label:
             code = 4 * code + LETTERS.index(ch)
         return cls(len(label), code)
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0)
 
     @property
     def label(self) -> str:
@@ -86,23 +79,11 @@ class PauliString:
         # a letter is not I iff one of its bits is set; the mask keeps each low bit
         return ((self.code | self.code >> 1) & (4**self.n - 1) // 3).bit_count()
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.digits()) if d != 0)
-
     def is_identity(self) -> bool:
         return self.code == 0
 
     def __str__(self) -> str:
         return self.label
-
-    def __lt__(self, other: "PauliString") -> bool:
-        if self.n != other.n:
-            raise ValueError("cannot order Pauli strings on different qubit counts")
-        return self.code < other.code
-
-    def __le__(self, other: "PauliString") -> bool:
-        return self == other or self < other
 
 
 def enumerate_local_paulis(n: int, k: int, include_identity: bool = True) -> list[PauliString]:
@@ -222,11 +203,6 @@ def pauli_sum_matrix(n: int, paulis, coeffs) -> np.ndarray:
     bins = bins + np.arange(0, size, 2 * dim * dim).reshape(-1, *(1,) * bins.ndim)
     out = np.bincount(bins.ravel(), weights.ravel(), size)
     return out.view(complex).reshape(*lead, dim, dim)
-
-
-def pauli_to_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a Pauli string."""
-    return pauli_sum_matrix(p.n, [p], [1.0])
 
 
 def pauli_trace_inners(paulis, a: np.ndarray) -> np.ndarray:

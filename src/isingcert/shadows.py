@@ -58,35 +58,19 @@ class ShadowData:
 
     A joint index is b 2^n + o, with b the basis word in base 3 (X, Y, Z =
     0, 1, 2, first qubit most significant) and o the outcome word in binary
-    (bit 1 for outcome -1).  `ShadowData(bases, outcomes, batches)` encodes
-    (m, n) rows; `bases` and `outcomes` decode per-sample indices again.
+    (bit 1 for outcome -1); `bases` and `outcomes` decode per-sample indices.
     """
 
-    def __init__(self, bases: np.ndarray, outcomes: np.ndarray, batches: int = 1):
-        bases, outcomes = np.asarray(bases), np.asarray(outcomes)
-        if bases.ndim != 2 or bases.shape != outcomes.shape:
-            raise ValueError("bases and outcomes must be (m, n) rows of one shape, "
-                             f"got {bases.shape} and {outcomes.shape}")
-        n = bases.shape[1]
-        shift = np.arange(n - 1, -1, -1)
-        words = bases.astype(np.int64) @ 3**shift << n | (outcomes < 0) @ (1 << shift)
-        self.n, self.counts = n, None
-        self.index = words.astype(np.min_scalar_type(6**n))
-        self.sizes = batch_sizes(len(words), batches)
+    def __init__(self, n: int, index, counts, sizes: np.ndarray):
+        self.n, self.index, self.counts, self.sizes = n, index, counts, sizes
 
     @classmethod
     def from_index(cls, index: np.ndarray, n: int, batches: int = 1) -> ShadowData:
-        samples = cls.__new__(cls)
-        samples.n, samples.index, samples.counts = n, index, None
-        samples.sizes = batch_sizes(len(index), batches)
-        return samples
+        return cls(n, index, None, batch_sizes(len(index), batches))
 
     @classmethod
     def from_counts(cls, counts: np.ndarray, n: int) -> ShadowData:
-        samples = cls.__new__(cls)
-        samples.n, samples.index, samples.counts = n, None, counts
-        samples.sizes = counts.sum(axis=1)
-        return samples
+        return cls(n, None, counts, counts.sum(axis=1))
 
     @property
     def bases(self) -> np.ndarray:

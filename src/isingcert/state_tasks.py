@@ -188,6 +188,10 @@ def task_verify_bounds(params, trials, seed):
         if params["beta_min"] > params["beta_max"]:
             raise ValueError(f"beta_min={params['beta_min']} exceeds "
                              f"beta_max={params['beta_max']}")
+        # the state form's 400 beta n^k sup, with sup <= 2, is the chain's largest product
+        if not math.isfinite(800.0 * params["beta_max"] * params["n_max"] ** params["k"]):
+            raise ValueError(f"beta_max={params['beta_max']} takes the bound chain's "
+                             f"800 beta n_max^k past the float range")
         check_size(params["footnote_n"], params["k"])
         if not 0 < params["footnote_eps"] < 1:
             raise ValueError(f"footnote_eps must be in (0, 1), got {params['footnote_eps']}")

@@ -37,13 +37,14 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import oracle
-from .certifier import (CLOSE, PROFILES, CertConfig, IterationSchedule, LevelRecord,
-                        certify_block, compile_levels, decide, evolution_time_bound)
+from .certifier import (CLOSE, PROFILES, CertConfig, IterationSchedule, certify_block,
+                        compile_levels, decide, evolution_time_bound)
 from .constants import constants_ledger
 from .dynamics import ExperimentLedger
 from .errors import ConfigError, PromiseViolationError
 from .hamiltonians import _COEFF_TOL, frobenius_norms
-from .paulis import LETTERS, check_size, enumerate_local_paulis, local_pauli_count, pauli_sum_matrix
+from .paulis import (LETTERS, MAX_QUBITS, enumerate_local_paulis, local_pauli_count,
+                     pauli_sum_matrix)
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
@@ -224,7 +225,9 @@ def _dynamics_blocks(params, seed, trials):
 def task_certify_dynamics(params, trials, seed):
     arm = task_arm(params, ("close", "far"))
     with config_boundary():
-        check_size(params["n"], 2)   # certifier instances are 2-local
+        if not 2 <= params["n"] <= MAX_QUBITS:
+            raise ValueError(f"n={params['n']} out of range [2, {MAX_QUBITS}]: "
+                             "certify-dynamics instances are 2-local")
         config = CertConfig(eps=params["eps"], delta=params["delta"], c_op=params["c_op"],
                             c_frob=params["c_frob"], profile=params["profile"])
     gap = 12.0 * params["eps"] if arm == "far" else params["eps"]
@@ -282,7 +285,8 @@ def task_certify_dynamics(params, trials, seed):
     ]
     header = ["trial", "verdict", "expected", "correct",
               "total_evolution_time", "query_count", "experiment_count"]
-    level_header = ["trial", *LevelRecord._fields]
+    level_header = ["trial", "level", "eps", "delta", "estimate", "threshold", "verdict",
+                    "samples", "trotter_steps"]
     return payload, {"verdicts": (header, table), "levels": (level_header, level_rows)}
 
 

@@ -17,6 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from hamiltonian_reference import net_member
 from isingcert.dynamics import (
     NO_NOISE,
     ExperimentLedger,
@@ -412,7 +413,8 @@ def round_member_index(net: HamiltonianNet, h: LocalHamiltonian) -> int:
     for p in h.coeffs:
         if p not in sup:
             raise ValueError(f"{p} carries weight but is outside the net support")
-    return index_of_values(net, [round_to_grid(h.coeff(p), net.eta) for p in net.support])
+    return index_of_values(net, [round_to_grid(h.coeffs.get(p, 0.0), net.eta)
+                                 for p in net.support])
 
 
 @dataclass(frozen=True)
@@ -428,7 +430,8 @@ def net_covering_check(h: LocalHamiltonian, net: HamiltonianNet, beta: float) ->
     The distance must come out <= 200 beta n^k eta for any admissible h.
     """
     idx = round_member_index(net, h)
-    rounded = net.member(idx)
+    rounded = net_member(net, idx)
     dist = trace_distance(gibbs_density(h, beta), gibbs_density(rounded, beta))
-    bound = 200.0 * beta * net.n**net.k * net.eta
+    k = max(p.weight for p in net.support)
+    bound = 200.0 * beta * net.n**k * net.eta
     return CoveringCheck(dist, bound, idx)

@@ -10,6 +10,7 @@ returns the records the CLI writes; the block drivers must return equal ones.
 
 import numpy as np
 
+from hamiltonian_reference import net_member
 from isingcert.gibbs import scan_objective
 from isingcert.hamiltonians import LocalHamiltonian, gibbs_density, random_hamiltonian
 from isingcert.oracle import trace_distance
@@ -22,7 +23,7 @@ def learn_one(estimates, net, config, member_coeffs):
     """The net scan of one trial: (member index, its Gibbs state, objective)."""
     objectives = scan_objective(net, estimates[None, :] - member_coeffs)
     index = int(np.argmin(objectives))
-    return index, gibbs_density(net.member(index), config.beta), float(objectives[index])
+    return index, gibbs_density(net_member(net, index), config.beta), float(objectives[index])
 
 
 def certify_one(est_rho, est_rho0, config):
@@ -36,7 +37,7 @@ def learn_trial(params, config, net, member_coeffs, m, seed, trial):
     rng = trial_rng(seed, trial)
     if params.get("on_grid"):
         truth_index = int(rng.integers(net.size))
-        truth = net.member(truth_index)
+        truth = net_member(net, truth_index)
     else:
         truth_index = None
         coeffs = {p: float(rng.uniform(-1.0, 1.0)) for p in net.support}

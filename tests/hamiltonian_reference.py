@@ -1,9 +1,13 @@
-"""Hamiltonian arithmetic and spectrum caching that only the tests use.
+"""Hamiltonian arithmetic, norms, net members and spectrum caching that only
+the tests use.
 
 `certify-dynamics` draws its instances as coefficient rows and takes their
-spectra from one stacked eig per block; these helpers build the same
-objects one LocalHamiltonian at a time, for the tests that compare them.
+spectra from one stacked eig per block, and the net works on grid-value
+rows; these helpers build the same objects one LocalHamiltonian at a time,
+for the tests that compare them.
 """
+
+import math
 
 import numpy as np
 
@@ -40,8 +44,22 @@ def hamiltonian_sum(a: LocalHamiltonian, b: LocalHamiltonian) -> LocalHamiltonia
     if a.n != b.n:
         raise ValueError("qubit counts differ")
     keys = set(a.coeffs) | set(b.coeffs)
-    return _unchecked(a.n, max(a.k, b.k), {p: a.coeff(p) + b.coeff(p) for p in keys})
+    return _unchecked(a.n, max(a.k, b.k),
+                      {p: a.coeffs.get(p, 0.0) + b.coeffs.get(p, 0.0) for p in keys})
 
 
 def hamiltonian_diff(a: LocalHamiltonian, b: LocalHamiltonian) -> LocalHamiltonian:
     return hamiltonian_sum(a, _unchecked(b.n, b.k, {p: -h for p, h in b.coeffs.items()}))
+
+
+def frobenius_norm(h: LocalHamiltonian) -> float:
+    """Normalized Frobenius norm sqrt(sum_P h_P^2)."""
+    return math.sqrt(sum(c * c for c in h.coeffs.values()))
+
+
+def net_member(net, index: int) -> LocalHamiltonian:
+    """Member `index` of the HamiltonianNet `net`, as a LocalHamiltonian."""
+    if not 0 <= index < net.size:
+        raise IndexError(f"member index {index} out of range [0, {net.size})")
+    coeffs = {p: float(v) for p, v in zip(net.support, net.values(index)) if v != 0.0}
+    return LocalHamiltonian(net.n, max(p.weight for p in net.support), coeffs)

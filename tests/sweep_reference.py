@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from hamiltonian_reference import frobenius_norm
 from isingcert.gibbs import BoundDiagnostics, GibbsCertConfig, degenerate_regime
 from isingcert.hamiltonians import random_hamiltonian
 from isingcert.paulis import enumerate_local_paulis, pauli_trace_inners
@@ -36,7 +37,7 @@ def pinsker_gap(rho, rho0, h, h0, beta):
     inner = float(np.trace((rho - rho0) @ (h0.to_matrix() - h.to_matrix())).real)
     rhs_pinsker = math.sqrt(max(0.0, 2.0 * beta * inner))
     keys = set(h.coeffs) | set(h0.coeffs)
-    sup_coeff = max((abs(h.coeff(p) - h0.coeff(p)) for p in keys), default=0.0)
+    sup_coeff = max((abs(h.coeffs.get(p, 0.0) - h0.coeffs.get(p, 0.0)) for p in keys), default=0.0)
     rhs_coeff = 200.0 * beta * n**k * sup_coeff
     paulis = enumerate_local_paulis(n, k)
     sup_state = float(np.max(np.abs(
@@ -49,7 +50,7 @@ def bonami_trial(params, seed, trial):
     rng = trial_rng(seed, trial)
     n = int(rng.integers(params["n_min"], params["n_max"] + 1))
     h = random_hamiltonian(n, params["k"], rng)
-    frob = h.frobenius_norm()
+    frob = frobenius_norm(h)
     w = np.linalg.eigvalsh(h.to_matrix())
     rows = []
     min_slack = math.inf

@@ -3,26 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from hamiltonian_reference import hamiltonian_diff, hamiltonian_sum
+from certifier_reference import (CertReport, LevelRecord, certifier_instance, certify_trial,
+                                  level_records)
+from hamiltonian_reference import frobenius_norm, hamiltonian_diff, hamiltonian_sum
 from isingcert import constants as con
 from isingcert import certifier, oracle, tasks
-from isingcert.calibration import certifier_instance
 from isingcert.certifier import (
     CLOSE,
     FAR,
     PROFILES,
     CertConfig,
-    CertReport,
     IterationSchedule,
-    LevelRecord,
     calibrated_profile,
-    certify,
     certify_block,
     compile_levels,
     decide,
     eigenbasis_identity_sq,
     evolution_time_bound,
-    level_records,
     strict_profile,
 )
 from isingcert.dynamics import ExperimentLedger, trotter_compile
@@ -50,7 +47,7 @@ def certify_at(h0, h, eps, delta, config, rng, ledger):
 
 
 def certify_literal(h0, h, config, rng) -> CertReport:
-    """Per-level reference for `certify`: compile each level as it is reached,
+    """Per-level reference for `certify_trial`: compile each level as it is reached,
     realize its fragment and run the estimator on that one query step."""
     rng = np.random.default_rng(rng)
     profile = PROFILES[config.profile]()
@@ -135,7 +132,7 @@ def test_strict_profile_sampled_run_completes():
     config = CertConfig(eps=0.05, delta=0.1, profile="strict")
     for gap, expected in ((0.02, CLOSE), (0.7, FAR)):
         h = LocalHamiltonian(1, 1, {P("Z"): 0.2 + gap})
-        report = certify(h0, h, config, np.random.default_rng(0))
+        report = certify_trial(h0, h, config, np.random.default_rng(0))
         assert report.verdict == expected
         assert min(level.samples for level in report.levels) > 2.5e14
         assert report.ledger["experiment_count"] == sum(level.samples for level in report.levels)
@@ -151,7 +148,7 @@ def test_strict_profile_oracle_verdicts():
             config = CertConfig(eps=eps, delta=0.1, c_op=2.0, c_frob=1.0, profile="strict")
             ledger = ExperimentLedger()
             verdict, record = certify_at(h0, h, eps, 0.1, config, rng, ledger)
-            gap = hamiltonian_diff(h, h0).frobenius_norm()
+            gap = frobenius_norm(hamiltonian_diff(h, h0))
             if verdict == FAR:
                 assert gap >= eps
             else:
@@ -190,7 +187,7 @@ def test_end_to_end_close_and_far():
         for far in (False, True):
             h0, h = certifier_instance(np.random.SeedSequence((2, seed, far)), 2, 0.05, far)
             config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, c_frob=1.0)
-            report = certify(h0, h, config, np.random.default_rng(seed))
+            report = certify_trial(h0, h, config, np.random.default_rng(seed))
             expected = FAR if far else CLOSE
             errors += report.verdict != expected
     assert errors == 0
@@ -199,7 +196,7 @@ def test_end_to_end_close_and_far():
 def test_identical_hamiltonians_close():
     h0 = random_hamiltonian(2, 2, 3, law="fixed_norm", frobenius=0.5)
     config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, c_frob=1.0)
-    report = certify(h0, h0, config, np.random.default_rng(1))
+    report = certify_trial(h0, h0, config, np.random.default_rng(1))
     assert report.verdict == CLOSE
     assert len(report.levels) == len(IterationSchedule(0.05, 0.1, 1.0).levels)
 
@@ -217,7 +214,8 @@ def test_certify_diagonalizes_each_hamiltonian_once(n, monkeypatch):
     for eps in (0.2, 0.05):   # one level, then six
         h0, h = certifier_instance(np.random.SeedSequence((30, n)), n, eps, False)
         calls.clear()
-        report = certify(h0, h, CertConfig(eps=eps, delta=0.1, c_op=2.0), np.random.default_rng(n))
+        report = certify_trial(h0, h, CertConfig(eps=eps, delta=0.1, c_op=2.0),
+                               np.random.default_rng(n))
         assert calls == [(2**n, 2**n)] * 2
         levels.append(len(report.levels))
     assert levels == [1, 6]
@@ -241,11 +239,11 @@ def test_far_perturbation_at_fourteen_epsilons():
     h0 = random_hamiltonian(2, 2, 5, law="fixed_norm", frobenius=0.2)
     direction = random_hamiltonian(2, 2, 6, law="fixed_norm", frobenius=1.0)
     h = hamiltonian_sum(h0, direction.scaled(14.4 * eps))
-    assert hamiltonian_diff(h, h0).frobenius_norm() == pytest.approx(14.4 * eps)
+    assert frobenius_norm(hamiltonian_diff(h, h0)) == pytest.approx(14.4 * eps)
     config = CertConfig(eps=eps, delta=0.1, c_op=2.0, c_frob=1.0)
     wrong = 0
     for seed in range(10):
-        report = certify(h0, h, config, np.random.default_rng(seed))
+        report = certify_trial(h0, h, config, np.random.default_rng(seed))
         wrong += report.verdict != FAR
     assert wrong == 0
 
@@ -253,14 +251,14 @@ def test_far_perturbation_at_fourteen_epsilons():
 def test_ledger_time_within_shipped_bound():
     config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, c_frob=1.0)
     h0, h = certifier_instance(np.random.SeedSequence(11), 2, 0.05, False)
-    report = certify(h0, h, config, np.random.default_rng(2))
+    report = certify_trial(h0, h, config, np.random.default_rng(2))
     assert report.ledger["total_evolution_time"] <= evolution_time_bound(config)
 
 
 def test_report_payload_complete():
     h0, h = certifier_instance(np.random.SeedSequence(12), 2, 0.05, False)
     config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, c_frob=1.0)
-    report = certify(h0, h, config, np.random.default_rng(3))
+    report = certify_trial(h0, h, config, np.random.default_rng(3))
     assert report.verdict in (CLOSE, FAR)
     for level in report.levels:
         assert set(level._asdict()) >= {"level", "eps", "delta", "estimate", "threshold",
@@ -275,7 +273,7 @@ def test_certify_equals_per_level_reference(n):
         for seed in range(4):
             h0, h = certifier_instance(np.random.SeedSequence((31, n, seed, far)), n, 0.05, far)
             config = CertConfig(eps=0.05, delta=0.1, c_op=2.0)
-            report = certify(h0, h, config, np.random.default_rng(seed))
+            report = certify_trial(h0, h, config, np.random.default_rng(seed))
             assert report == certify_literal(h0, h, config, np.random.default_rng(seed))
             assert report.verdict == (FAR if far else CLOSE)
 
@@ -319,7 +317,7 @@ def test_strict_time_bound_is_the_schedule_charge():
     totals = {}
     for far in (False, True):
         h0, h = certifier_instance(np.random.SeedSequence((33, far)), 2, 0.05, far)
-        report = certify(h0, h, config, 3)
+        report = certify_trial(h0, h, config, 3)
         assert report.verdict == (FAR if far else CLOSE)
         totals[far] = report.ledger["total_evolution_time"]
     # a CLOSE run charges every level, a FAR run stops early
@@ -341,7 +339,7 @@ def test_budget_overrun_at_any_level_raises_before_any_draw():
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     with pytest.raises(BudgetExceededError, match="fragment needs"):
-        certify(h0, h, config, rng)
+        certify_trial(h0, h, config, rng)
     assert rng.bit_generator.state == state
 
 

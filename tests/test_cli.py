@@ -552,8 +552,10 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
                                    "params": params})
     out_dir = tmp_path / "out"
     assert main(["--config", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
     assert not out_dir.exists()
+    return err
 
 
 @pytest.mark.parametrize("task, params", [
@@ -562,6 +564,10 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
                  id="learn-support-weight"),
     pytest.param("learn-gibbs", {"samples": 0}, id="learn-samples"),
     pytest.param("learn-gibbs", {"eta": -0.5}, id="learn-eta"),
+    # 1/eta past the float range, and a grid numpy cannot allocate
+    pytest.param("learn-gibbs", {"eta": 1e-320}, id="learn-eta-subnormal"),
+    pytest.param("learn-gibbs", {"eta": 5e-324}, id="learn-eta-smallest"),
+    pytest.param("learn-gibbs", {"eta": 1e-30}, id="learn-eta-tiny"),
     pytest.param("certify-dynamics", {"eps": -1}, id="dynamics-eps"),
     pytest.param("certify-dynamics", {"arm": "nope"}, id="dynamics-arm"),
     pytest.param("certify-dynamics", {"profile": "nope"}, id="dynamics-profile"),
@@ -598,6 +604,9 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
     pytest.param("verify-bounds", {"beta_min": math.nan}, id="bounds-beta-min-nan"),
     pytest.param("verify-bounds", {"beta_max": math.nan}, id="bounds-beta-max-nan"),
     pytest.param("verify-bounds", {"beta_max": math.inf}, id="bounds-beta-max-inf"),
+    # 800 beta n_max^k, the bound chain's largest product, past the float range
+    pytest.param("verify-bounds", {"beta_max": 1e305}, id="bounds-beta-max-huge"),
+    pytest.param("verify-bounds", {"beta_max": 1.7e308}, id="bounds-beta-max-float-max"),
     pytest.param("certify-gibbs", {"beta": math.nan}, id="gibbs-beta-nan"),
     pytest.param("learn-gibbs", {"beta": math.inf}, id="learn-beta-inf"),
     # a huge finite beta takes the per-string accuracy's square to 0
@@ -626,6 +635,18 @@ def test_largest_l_max_below_the_float_maximum_runs(tmp_path, monkeypatch, capsy
     path = write_config(tmp_path, {"schema_version": 1, "task": "verify-bonami",
                                    "trials": 2, "params": params})
     assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_largest_beta_max_below_the_float_maximum_runs(tmp_path):
+    # n_max 3, k 2: 800 beta 9 passes the float maximum between 1e304 and 1e305
+    path = write_config(tmp_path, {"schema_version": 1, "task": "verify-bounds", "trials": 3,
+                                   "params": {"beta_max": 1e304, "footnote_pairs": 2}})
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_dynamics_n_1_names_n(tmp_path, monkeypatch, capsys):
+    err = _refused_before_any_trial(tmp_path, monkeypatch, capsys, "certify-dynamics", {"n": 1})
+    assert "n=1 out of range [2, 12]" in err and "2-local" in err
 
 
 def test_profile_flag_on_task_without_profile_is_config_error(tmp_path, monkeypatch, capsys):

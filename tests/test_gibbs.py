@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hamiltonian_reference import net_member
 from isingcert.gibbs import (
     GibbsCertConfig,
     GibbsLearnConfig,
@@ -20,7 +21,8 @@ from isingcert.hamiltonians import (
 )
 from isingcert.oracle import trace_distance
 from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_trace_inners
-from isingcert.shadows import ShadowData, collect_shadows, estimate_paulis, mom_batches
+from isingcert.shadows import collect_shadows, estimate_paulis, mom_batches
+from shadow_reference import encode_samples
 
 P = PauliString.from_label
 
@@ -65,7 +67,7 @@ def test_on_grid_truth_with_exact_estimates_recovers_member():
     rng = np.random.default_rng(1)
     for _ in range(10):
         truth_idx = int(rng.integers(net.size))
-        rho = gibbs_density(net.member(truth_idx), 1.0)
+        rho = gibbs_density(net_member(net, truth_idx), 1.0)
         exact = pauli_trace_inners(support, rho).real
         [idx], [state], [objective] = learn_gibbs(None, net, cfg, estimates=exact[None])
         assert idx == truth_idx
@@ -109,7 +111,7 @@ def test_learn_permutation_invariance_of_objective():
     [idx], _, [objective] = learn_gibbs(None, net, cfg, estimates=est_vec[None])
     per_member = []
     for i in range(net.size):
-        tau = gibbs_density(net.member(i), 1.0)
+        tau = gibbs_density(net_member(net, i), 1.0)
         gaps = est_vec - pauli_trace_inners(support, tau).real
         per_member.append(pairwise_objective(net, gaps))
     rng = np.random.default_rng(6)
@@ -218,7 +220,7 @@ def test_certify_witness_tie_names_lower_code_string():
     # Z estimates are both exactly 1.5, against 0 for the maximally mixed rho0
     cfg = GibbsCertConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1)
     assert mom_batches(1, 1, cfg.delta) == 16
-    samples = ShadowData(np.array([[0], [2]] * 32), np.ones((64, 1), dtype=int), 16)
+    samples = encode_samples(np.array([[0], [2]] * 32), np.ones((64, 1), dtype=int), 16)
     [(verdict, max_gap, witness)] = certify_gibbs([samples], np.eye(2)[None] / 2, cfg)
     assert verdict == "FAR"
     assert max_gap == 1.5
@@ -307,7 +309,8 @@ def test_pinsker_bounds_random_sweep():
         beta = float(rng.uniform(0.01, 3.0))
         h = random_hamiltonian(n, 2, rng)
         h0 = random_hamiltonian(n, 2, rng)
-        sup_coeff = max(abs(h.coeff(p) - h0.coeff(p)) for p in enumerate_local_paulis(n, 2))
+        sup_coeff = max(abs(h.coeffs.get(p, 0.0) - h0.coeffs.get(p, 0.0))
+                        for p in enumerate_local_paulis(n, 2))
         dh = h0.to_matrix() - h.to_matrix()
         [diag] = bound_diagnostics(gibbs_density(h, beta)[None], gibbs_density(h0, beta)[None],
                                    dh[None], [sup_coeff], [beta], n, 2)

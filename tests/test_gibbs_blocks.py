@@ -19,8 +19,8 @@ import isingcert.tasks as tasks
 from isingcert.cli import main
 from isingcert.hamiltonians import gibbs_density, random_hamiltonian
 from isingcert.paulis import enumerate_local_paulis
-from isingcert.shadows import (ShadowData, born_table, collect_shadows, estimate_paulis,
-                               mom_batches)
+from isingcert.shadows import born_table, collect_shadows, estimate_paulis, mom_batches
+from shadow_reference import encode_samples
 
 # out of code order, so that the scatter must sort the terms
 N3_SUPPORT = {"n": 3, "support": ["ZZI", "ZII", "IZI", "IIZ"], "eta": 0.5}
@@ -156,7 +156,7 @@ def test_block_estimates_equal_per_set_estimates(n, batches):
     # histogram and index sets of one split in one block
     drawn = collect_shadows(table, batches * 6**n, rng, batches)
     rows = np.full((len(drawn), n), 2)   # every sample in the Z basis, outcome +1
-    index = ShadowData(rows, np.ones_like(rows), batches)
+    index = encode_samples(rows, np.ones_like(rows), batches)
     mixed = estimate_paulis([drawn, index], paulis)
     np.testing.assert_array_equal(mixed[0], estimate_paulis(drawn, paulis))
     np.testing.assert_array_equal(mixed[1], estimate_paulis(index, paulis))

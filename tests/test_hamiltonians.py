@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from access_reference import index_of_values, net_covering_check, round_member_index, round_to_grid
-from hamiltonian_reference import hamiltonian_diff
+from hamiltonian_reference import frobenius_norm, hamiltonian_diff, net_member
 from isingcert.hamiltonians import (
     HamiltonianNet,
     LocalHamiltonian,
@@ -30,9 +30,9 @@ def test_invariants_enforced():
 
 
 def test_frobenius_examples():
-    assert LocalHamiltonian(1, 1, {P("X"): 0.3}).frobenius_norm() == pytest.approx(0.3)
+    assert frobenius_norm(LocalHamiltonian(1, 1, {P("X"): 0.3})) == pytest.approx(0.3)
     h = LocalHamiltonian(2, 1, {P("XI"): 0.5, P("IZ"): 0.5})
-    assert h.frobenius_norm() == pytest.approx(1 / math.sqrt(2))
+    assert frobenius_norm(h) == pytest.approx(1 / math.sqrt(2))
 
 
 def test_frobenius_matches_dense_oracle():
@@ -41,7 +41,7 @@ def test_frobenius_matches_dense_oracle():
         h = random_hamiltonian(3, 2, rng)
         m = h.to_matrix()
         dense = math.sqrt(np.trace(m @ m).real / 8)
-        assert abs(h.frobenius_norm() - dense) < 1e-10
+        assert abs(frobenius_norm(h) - dense) < 1e-10
 
 
 def test_operator_norm_examples():
@@ -102,7 +102,7 @@ def test_random_hamiltonian_determinism():
 
 def test_random_hamiltonian_laws():
     h = random_hamiltonian(3, 2, 11, law="fixed_norm", frobenius=0.6)
-    assert abs(h.frobenius_norm() - 0.6) < 1e-12
+    assert abs(frobenius_norm(h) - 0.6) < 1e-12
     h2 = random_hamiltonian(3, 2, 12, law="sparse", support_size=3)
     assert len(h2.coeffs) == 3
     with pytest.raises(ValueError):
@@ -127,18 +127,21 @@ def test_net_enumeration():
     net = HamiltonianNet([P("Z")], 0.5)
     assert net.size == 5
     np.testing.assert_allclose(net.grid, [-1, -0.5, 0, 0.5, 1])
-    members = [net.member(i).coeff(P("Z")) for i in range(5)]
+    members = [net_member(net, i).coeffs.get(P("Z"), 0.0) for i in range(5)]
     assert members == [-1.0, -0.5, 0.0, 0.5, 1.0]
     for i in range(5):
         assert index_of_values(net, net.values(i)) == i
     for i in (-1, 5):
         with pytest.raises(IndexError):
-            net.member(i)
+            net_member(net, i)
 
 
 def test_net_budget():
-    with pytest.raises(ValueError):
-        HamiltonianNet([P("ZI"), P("IZ"), P("ZZ")], 0.001)
+    # the members are counted before the grid is built: 1/eta = 1e30 is a
+    # grid numpy cannot allocate, and 1/eta past the float range is inf
+    for eta in (0.001, 1e-30, 1e-320, 5e-324):
+        with pytest.raises(ValueError, match="over the enumeration budget"):
+            HamiltonianNet([P("ZI"), P("IZ"), P("ZZ")], eta)
 
 
 def test_net_covering_on_grid_is_exact():
@@ -146,7 +149,7 @@ def test_net_covering_on_grid_is_exact():
     h = LocalHamiltonian(1, 1, {P("Z"): 0.5})
     check = net_covering_check(h, net, 1.0)
     assert check.distance == pytest.approx(0.0, abs=1e-12)
-    assert net.member(check.member_index).coeff(P("Z")) == pytest.approx(0.5)
+    assert net_member(net, check.member_index).coeffs.get(P("Z"), 0.0) == pytest.approx(0.5)
 
 
 def test_net_covering_bound_random():
@@ -190,7 +193,7 @@ def test_member_matrices_equal_member_hamiltonians():
     np.testing.assert_array_equal(net.values(index), [net.values(i) for i in index])
     matrices = net.matrices(net.values(index))
     for i in index:
-        np.testing.assert_array_equal(matrices[i], net.member(i).to_matrix())
+        np.testing.assert_array_equal(matrices[i], net_member(net, i).to_matrix())
     rows = np.random.default_rng(2).uniform(-1.0, 1.0, (200, 4))
     matrices = net.matrices(rows)
     for row, matrix in zip(rows.tolist(), matrices):
@@ -206,7 +209,7 @@ def test_frobenius_norms_equal_the_sequential_sum(n):
     np.testing.assert_array_equal(frobenius_norms(rows), expected)
     np.testing.assert_array_equal(frobenius_norms(rows[0, 0]), expected[0][0])
     h = LocalHamiltonian(n, 2, dict(zip(paulis, rows[1, 1].tolist())))
-    assert h.frobenius_norm() == expected[1][1]
+    assert frobenius_norm(h) == expected[1][1]
     assert frobenius_norms(np.zeros((3, 0))).tolist() == [0.0] * 3   # k = 0: no strings
 
 
@@ -215,14 +218,14 @@ def test_value_matrix_matches_members():
     vm = net.values(np.arange(net.size))
     for i in range(net.size):
         np.testing.assert_array_equal(vm[i], net.values(i))
-        assert [net.member(i).coeff(p) for p in net.support] == vm[i].tolist()
+        assert [net_member(net, i).coeffs.get(p, 0.0) for p in net.support] == vm[i].tolist()
 
 
 def test_gibbs_coeff_matrix_matches_states():
     net = HamiltonianNet([P("Z")], 0.5)
     mat = net.gibbs_coeff_matrix(1.3)
     for i in range(net.size):
-        rho = gibbs_density(net.member(i), 1.3)
+        rho = gibbs_density(net_member(net, i), 1.3)
         assert mat[i, 0] == pytest.approx(pauli_trace_inners([P("Z")], rho)[0].real, abs=1e-12)
 
 
@@ -230,4 +233,4 @@ def test_hamiltonian_diff_norm():
     a = LocalHamiltonian(1, 1, {P("Z"): 0.9})
     b = LocalHamiltonian(1, 1, {P("Z"): -0.9})
     d = hamiltonian_diff(a, b)
-    assert d.frobenius_norm() == pytest.approx(1.8)
+    assert frobenius_norm(d) == pytest.approx(1.8)

@@ -13,7 +13,6 @@ from isingcert.dynamics import (
     ExperimentLedger,
     NoiseModel,
     QueryStep,
-    UnitaryStep,
     trotter_compile,
 )
 from isingcert.hamiltonians import LocalHamiltonian, random_hamiltonian
@@ -25,7 +24,7 @@ from isingcert.identity_estimator import (
     sample_count,
 )
 from isingcert.oracle import evolve, identity_coeff
-from isingcert.paulis import PauliString, pauli_to_matrix
+from isingcert.paulis import PauliString, pauli_sum_matrix
 
 P = PauliString.from_label
 HZ = LocalHamiltonian(1, 1, {P("Z"): 1.0})
@@ -49,7 +48,8 @@ def test_sample_count_formula():
 
 def test_exact_expectation_pauli_x():
     # over the six single-qubit states: only |+> and |-> survive X
-    assert exact_indicator_expectation(pauli_to_matrix(P("X")), 1) == pytest.approx(1 / 3)
+    x = pauli_sum_matrix(1, [P("X")], [1.0])
+    assert exact_indicator_expectation(x, 1) == pytest.approx(1 / 3)
     est_mean = design_expectation(0.0, 1)
     assert (1 + 0.5) * (1 / 3) - 0.5 == pytest.approx(0.0)
     assert est_mean == pytest.approx(1 / 3)
@@ -76,15 +76,19 @@ def test_unbiasedness_random_unitaries():
 
 
 def test_identity_unitary_estimates_one_exactly():
-    fac = make_single_query_factory((UnitaryStep("id", np.eye(2, dtype=complex)),), 1)
-    est = estimate_identity_sq(fac, HZ, 1, 0.3, 0.2, np.random.default_rng(0))
+    # H = 0 evolves to the identity exactly
+    fac = make_single_query_factory((QueryStep(1.0),), 1)
+    est = estimate_identity_sq(fac, LocalHamiltonian(1, 1, {}), 1, 0.3, 0.2,
+                               np.random.default_rng(0))
     assert est.value == 1.0
     assert est.raw_value == 1.0
 
 
 def test_estimate_range_and_clamp():
-    fac = make_single_query_factory((UnitaryStep("x", pauli_to_matrix(P("X"))),), 1)
-    est = estimate_identity_sq(fac, HZ, 1, 0.1, 0.1, np.random.default_rng(1))
+    # exp(-i (pi/2) X) = -i X, whose identity coefficient vanishes
+    fac = make_single_query_factory((QueryStep(math.pi / 2),), 1)
+    est = estimate_identity_sq(fac, LocalHamiltonian(1, 1, {P("X"): 1.0}), 1, 0.1, 0.1,
+                               np.random.default_rng(1))
     assert -0.5 - 1e-12 <= est.raw_value <= 1.5 + 1e-12
     assert 0.0 <= est.value <= 1.0
     assert est.value == pytest.approx(0.0, abs=0.1)

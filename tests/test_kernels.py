@@ -15,8 +15,9 @@ import pytest
 
 import isingcert.oracle as oracle
 import isingcert.tasks as tasks
-from hamiltonian_reference import cache_spectra, hamiltonian_diff, hamiltonian_sum
-from isingcert.calibration import certifier_instance
+from certifier_reference import certifier_instance
+from hamiltonian_reference import (cache_spectra, frobenius_norm, hamiltonian_diff,
+                                   hamiltonian_sum, net_member)
 from isingcert.hamiltonians import HamiltonianNet, gibbs_density, random_hamiltonian
 from isingcert.oracle import evolve, evolve_matrix, hermitian_eig, spectral_moments
 from isingcert.paulis import (
@@ -24,7 +25,6 @@ from isingcert.paulis import (
     enumerate_local_paulis,
     pauli_phases,
     pauli_sum_matrix,
-    pauli_to_matrix,
     pauli_trace_inners,
 )
 from pauli_reference import pauli_sum as reference_pauli_sum
@@ -46,7 +46,7 @@ def reference_to_matrix(h):
 def reference_gibbs_table(net, beta):
     out = np.empty((net.size, len(net.support)))
     for i in range(net.size):
-        rho = gibbs_density(net.member(i), beta)
+        rho = gibbs_density(net_member(net, i), beta)
         for j, p in enumerate(net.support):
             out[i, j] = pauli_trace_inners([p], rho)[0].real
     return out
@@ -70,7 +70,7 @@ def test_pauli_to_matrix_and_reconstruct_equal_loops(n):
         flip, phases = pauli_phases(p)
         ref = np.zeros((2**n, 2**n), dtype=complex)
         ref[cols ^ flip, cols] = phases
-        np.testing.assert_array_equal(pauli_to_matrix(p), ref)
+        np.testing.assert_array_equal(pauli_sum_matrix(n, [p], [1.0]), ref)
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     paulis = enumerate_local_paulis(n, n)
     coeffs = pauli_trace_inners(paulis, a) / 2**n
@@ -313,6 +313,6 @@ def test_certifier_rows_equal_per_instance_draws(n):
                                     frobenius=min(0.35 * c_frob, 0.9 * (c_frob - gap)))
             h = hamiltonian_sum(h0, random_hamiltonian(n, 2, rng, law="fixed_norm",
                                                        frobenius=1.0).scaled(gap))
-            assert h0_rows[t].tolist() == [h0.coeff(p) for p in paulis]
-            assert h_rows[t].tolist() == [h.coeff(p) for p in paulis]
-            assert delta[t] == pytest.approx(hamiltonian_diff(h, h0).frobenius_norm(), abs=1e-15)
+            assert h0_rows[t].tolist() == [h0.coeffs.get(p, 0.0) for p in paulis]
+            assert h_rows[t].tolist() == [h.coeffs.get(p, 0.0) for p in paulis]
+            assert delta[t] == pytest.approx(frobenius_norm(hamiltonian_diff(h, h0)), abs=1e-15)

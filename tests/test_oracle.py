@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hamiltonian_reference import frobenius_norm
 from isingcert.hamiltonians import LocalHamiltonian, gibbs_density, random_hamiltonian
 from isingcert.oracle import (
     evolve,
@@ -123,7 +124,7 @@ def test_schatten_examples():
     assert spectral_moments(zz.spectrum()[0][None], [2, 3, 5, 8])[0] == pytest.approx([1.0] * 4)
     h = random_hamiltonian(3, 2, 5)
     w = h.spectrum()[0][None]
-    assert spectral_moments(w, [2])[0][0] == pytest.approx(h.frobenius_norm(), abs=1e-10)
+    assert spectral_moments(w, [2])[0][0] == pytest.approx(frobenius_norm(h), abs=1e-10)
     with pytest.raises(ValueError):
         spectral_moments(w, [1])
 
@@ -134,7 +135,7 @@ def test_moment_bound_small_sweep():
     for _ in range(50):
         n = int(rng.integers(2, 5))
         h = random_hamiltonian(n, 2, rng)
-        frob = h.frobenius_norm()
+        frob = frobenius_norm(h)
         ls = range(3, 9)
         for l, moment in zip(ls, spectral_moments(h.spectrum()[0][None], ls)[0]):
             assert moment <= l * frob + 1e-9

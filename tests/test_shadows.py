@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hamiltonian_reference import net_member
 from isingcert import shadows
 from isingcert.hamiltonians import HamiltonianNet, gibbs_density, random_hamiltonian
 from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_trace_inners
@@ -19,6 +20,7 @@ from isingcert.shadows import (
     _half_tables,
     _joint_distribution,
 )
+from shadow_reference import encode_samples
 
 P = PauliString.from_label
 
@@ -135,7 +137,7 @@ def test_unbiasedness_exact_enumeration():
             b, o = divmod(flat, dim)
             rows_b.append([(b // 3 ** (n - 1 - i)) % 3 for i in range(n)])
             rows_o.append([1 - 2 * ((o >> (n - 1 - i)) & 1) for i in range(n)])
-        full = ShadowData(np.array(rows_b, dtype=np.int8), np.array(rows_o, dtype=np.int8))
+        full = encode_samples(np.array(rows_b, dtype=np.int8), np.array(rows_o, dtype=np.int8))
         paulis = enumerate_local_paulis(n, n)
         for p, truth in zip(paulis, pauli_trace_inners(paulis, rho).real):
             expectation = float(np.dot(single_sample_values(full, p), probs))
@@ -220,8 +222,8 @@ def test_mom_batch_formula():
 
 def test_empty_samples_rejected():
     with pytest.raises(ValueError):
-        estimate_paulis(ShadowData(np.zeros((0, 1), dtype=np.int8),
-                                   np.zeros((0, 1), dtype=np.int8)), [P("Z")])
+        estimate_paulis(encode_samples(np.zeros((0, 1), dtype=np.int8),
+                                       np.zeros((0, 1), dtype=np.int8)), [P("Z")])
     with pytest.raises(ValueError):
         collect_shadows(np.eye(2, dtype=complex) / 2, 0, np.random.default_rng(0))
 
@@ -278,8 +280,9 @@ def test_net_observable_estimates():
     truth = pauli_trace_inners(support, rho).real
     per_string_err = np.max(np.abs(estimate_paulis(samples, support) - truth))
     for i, j in itertools.product(range(net.size), repeat=2):
-        hi, hj = net.member(i), net.member(j)
-        exact = sum((hi.coeff(p) - hj.coeff(p)) * t for p, t in zip(support, truth))
+        hi, hj = net_member(net, i), net_member(net, j)
+        exact = sum((hi.coeffs.get(p, 0.0) - hj.coeffs.get(p, 0.0)) * t
+                    for p, t in zip(support, truth))
         assert abs(obs[(i, j)] - exact) <= 200 * 2**2 * per_string_err + 1e-9
 
 
@@ -432,7 +435,7 @@ def test_shadow_rows_round_trip_through_index(n):
     rng = np.random.default_rng(720 + n)
     bases = rng.integers(0, 3, size=(300, n)).astype(np.int8)
     outcomes = (1 - 2 * rng.integers(0, 2, size=(300, n))).astype(np.int8)
-    samples = ShadowData(bases, outcomes)
+    samples = encode_samples(bases, outcomes)
     assert samples.index.shape == (300,) and samples.index.max() < 6**n
     shift = np.arange(n - 1, -1, -1)
     np.testing.assert_array_equal(
@@ -440,7 +443,7 @@ def test_shadow_rows_round_trip_through_index(n):
     np.testing.assert_array_equal(samples.bases, bases)
     np.testing.assert_array_equal(samples.outcomes, outcomes)
     drawn = per_sample(np.eye(2**n, dtype=complex) / 2**n, 300, rng)
-    back = ShadowData(drawn.bases, drawn.outcomes)
+    back = encode_samples(drawn.bases, drawn.outcomes)
     assert back.index.dtype == drawn.index.dtype
     np.testing.assert_array_equal(back.index, drawn.index)
 
@@ -448,7 +451,7 @@ def test_shadow_rows_round_trip_through_index(n):
 def test_empty_shadow_file_rejected():
     # what an empty shadow file used to read as: 1-D empty arrays, not (0, n) rows
     with pytest.raises(ValueError, match=r"\(m, n\) rows"):
-        ShadowData(np.array([], dtype=np.int8), np.array([], dtype=np.int8))
+        encode_samples(np.array([], dtype=np.int8), np.array([], dtype=np.int8))
 
 
 def test_half_tables_built_once_per_string_list(monkeypatch):
@@ -568,3 +571,48 @@ def test_histogram_and_index_estimates_share_their_law():
     mean_i, var_i, se2_mean_i, se2_var_i = moments(index)
     assert np.all(np.abs(mean_h - mean_i) <= 4 * np.sqrt(se2_mean_h + se2_mean_i))
     assert np.all(np.abs(var_h - var_i) <= 4 * np.sqrt(se2_var_h + se2_var_i))
+
+
+def _batch_sets(samples: ShadowData) -> list[ShadowData]:
+    """Each batch of `samples` as a one-batch set, whose estimate is its mean."""
+    if samples.counts is not None:
+        return [ShadowData.from_counts(row[None], samples.n) for row in samples.counts]
+    stops = np.cumsum(samples.sizes)
+    return [ShadowData.from_index(samples.index[stop - size:stop], samples.n)
+            for size, stop in zip(samples.sizes, stops)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_estimates_invariant_under_qubit_permutation(n):
+    # samples with qubit i moved to perm[i] estimate the strings moved the same
+    # way exactly, batch by batch: every batch sum is an integer, and a sample
+    # keeps its value on the moved string
+    rng = np.random.default_rng(930 + n)
+    table = born_table(gibbs_density(random_hamiltonian(n, 2, rng), 0.8))
+    paulis = enumerate_local_paulis(n, min(n, 3))
+    every = ShadowData.from_index(np.arange(6**n), n)
+    batches = 4
+    for perm in (rng.permutation(n), np.arange(n)[::-1]):
+        bases, outcomes = np.empty_like(every.bases), np.empty_like(every.outcomes)
+        bases[:, perm], outcomes[:, perm] = every.bases, every.outcomes
+        where = encode_samples(bases, outcomes).index   # joint index j moves to where[j]
+        moved = []
+        for p in paulis:
+            letters = np.empty(n, dtype=int)
+            letters[perm] = p.digits()
+            moved.append(PauliString.from_label("".join("IXYZ"[d] for d in letters)))
+        for m in (batches * 6**n, batches * 6**n - 1):   # batch histograms, then indices
+            samples = collect_shadows(table, m, rng, batches)
+            assert (samples.counts is not None) == (m == batches * 6**n)
+            if samples.counts is not None:
+                counts = np.zeros_like(samples.counts)
+                counts[:, where] = samples.counts
+                permuted = ShadowData.from_counts(counts, n)
+            else:
+                permuted = ShadowData.from_index(where[samples.index].astype(samples.index.dtype),
+                                                 n, batches)
+            np.testing.assert_array_equal(estimate_paulis(permuted, moved),
+                                          estimate_paulis(samples, paulis))
+            for one, moved_one in zip(_batch_sets(samples), _batch_sets(permuted)):
+                np.testing.assert_array_equal(estimate_paulis(moved_one, moved),
+                                              estimate_paulis(one, paulis))

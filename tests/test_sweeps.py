@@ -84,7 +84,8 @@ def test_pinsker_gap_equals_literal_chain(n):
     rng = np.random.default_rng(40 + n)
     h, h0 = random_hamiltonian(n, 2, rng), random_hamiltonian(n, 2, rng)
     rho, rho0 = gibbs_density(h, 0.8), gibbs_density(h0, 0.8)
-    sup_coeff = max(abs(h.coeff(p) - h0.coeff(p)) for p in set(h.coeffs) | set(h0.coeffs))
+    sup_coeff = max(abs(h.coeffs.get(p, 0.0) - h0.coeffs.get(p, 0.0))
+                    for p in set(h.coeffs) | set(h0.coeffs))
     dh = h0.to_matrix() - h.to_matrix()
     [diag] = bound_diagnostics(rho[None], rho0[None], dh[None], [sup_coeff], [0.8], n, 2)
     assert diag == ref.pinsker_gap(rho, rho0, h, h0, 0.8)
