@@ -20,7 +20,7 @@ CERTIFIER_CORPUS_SEED = 20250602
 SHADOW_CORPUS_SEED = 20250603
 
 
-def trotter_corpus(pairs: int = 100):
+def trotter_corpus(pairs: int):
     """Random (H, H0) pairs, n <= 3, 2-local, operator norms <= 1, t in (0, 1]."""
     ss = np.random.SeedSequence(TROTTER_CORPUS_SEED)
     out = []

@@ -11,10 +11,11 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 from .constants import constants_ledger
 from .errors import BudgetExceededError, ConfigError, PromiseViolationError
-from .reports import default_out_dir, write_report
+from .reports import check_out_dir, default_out_dir, write_report
 from .tasks import run_task, validate_config
 
 EXIT_OK = 0
@@ -42,13 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def print_constants(stream=None) -> None:
-    stream = stream or sys.stdout
+def print_constants() -> None:
     rows = constants_ledger()
     width = max(len(r["name"]) for r in rows)
     for r in rows:
-        stream.write(f"{r['name']:<{width}}  {r['value']!r:>24}  {r['formula']}"
-                     f"  [{r['provenance']}]\n")
+        print(f"{r['name']:<{width}}  {r['value']!r:>24}  {r['formula']}  [{r['provenance']}]")
 
 
 def main(argv=None) -> int:
@@ -79,6 +78,8 @@ def main(argv=None) -> int:
             params["profile"] = args.profile
     try:
         config = validate_config(raw)
+        out_dir = Path(config.get("out") or default_out_dir())
+        check_out_dir(out_dir)   # before any trial runs
         payload, tables = run_task(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -89,7 +90,6 @@ def main(argv=None) -> int:
     except PromiseViolationError as exc:
         print(f"promise violation: {exc}", file=sys.stderr)
         return EXIT_PROMISE
-    out_dir = config.get("out") or default_out_dir()
     name = config["task"]
     arm = config.get("params", {}).get("arm")
     if arm:

@@ -117,11 +117,9 @@ class TrotterFragment:
     is one logical query for noise purposes.
     """
 
-    def __init__(self, h0: LocalHamiltonian | None, t: float, steps: int, eps_trott: float,
-                 op_norm_bound: float):
+    def __init__(self, h0: LocalHamiltonian | None, t: float, steps: int):
         self.h0 = h0   # None: compiled for its steps and charges, not to realize
         self.t, self.steps = t, steps
-        self.eps_trott, self.op_norm_bound = eps_trott, op_norm_bound
 
     @property
     def query_count(self) -> int:
@@ -147,29 +145,26 @@ class TrotterFragment:
         return np.linalg.matrix_power(a @ b @ a, self.steps)
 
 
-def trotter_compile(
-    h0: LocalHamiltonian,
-    t: float,
-    eps_trott: float,
-    op_norm_bound: float,
-    kappa: float = TROTTER_KAPPA,
-    step_budget: int = TROTTER_STEP_BUDGET,
-) -> TrotterFragment:
+def trotter_compile(h0: LocalHamiltonian, t: float, eps_trott: float,
+                    op_norm_bound: float) -> TrotterFragment:
     """Build the fragment realizing exp(-i t (H - H0)) to operator-norm error
-    eps_trott, for any H with operator norm at most op_norm_bound."""
+    eps_trott, for any H with operator norm at most op_norm_bound, with
+    TROTTER_KAPPA steps per unit of sqrt((c t)^3 / eps_trott); a step count
+    over TROTTER_STEP_BUDGET is a BudgetExceededError."""
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     if eps_trott <= 0:
         raise ValueError(f"eps_trott must be positive, got {eps_trott}")
     c = max(op_norm_bound, 1e-12)
     try:
-        steps = max(1, math.ceil(kappa * math.sqrt((c * t) ** 3 / eps_trott)))
+        steps = max(1, math.ceil(TROTTER_KAPPA * math.sqrt((c * t) ** 3 / eps_trott)))
     except OverflowError:   # (c t)^3 or the step count past the float range
         raise BudgetExceededError("fragment needs a step count past the float range, over "
-                                  f"the budget {step_budget}") from None
-    if steps > step_budget:
-        raise BudgetExceededError(f"fragment needs {steps} steps, over the budget {step_budget}")
-    return TrotterFragment(h0, t, steps, eps_trott, op_norm_bound)
+                                  f"the budget {TROTTER_STEP_BUDGET}") from None
+    if steps > TROTTER_STEP_BUDGET:
+        raise BudgetExceededError(f"fragment needs {steps} steps, over the budget "
+                                  f"{TROTTER_STEP_BUDGET}")
+    return TrotterFragment(h0, t, steps)
 
 
 def logical_queries(steps) -> int:

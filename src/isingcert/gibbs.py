@@ -110,13 +110,9 @@ def scan_objective(net: HamiltonianNet, coeff_gaps: np.ndarray) -> np.ndarray | 
     return 2.0 * gmax * np.sum(np.abs(coeff_gaps), axis=-1)
 
 
-def learn_gibbs(
-    samples,
-    net: HamiltonianNet,
-    config: GibbsLearnConfig,
-    estimates: np.ndarray | None = None,
-    member_coeffs: np.ndarray | None = None,
-) -> tuple[list[int], np.ndarray, list[float]]:
+def learn_gibbs(samples, net: HamiltonianNet, config: GibbsLearnConfig,
+                estimates: np.ndarray | None,
+                member_coeffs: np.ndarray) -> tuple[list[int], np.ndarray, list[float]]:
     """For each trial of a block, pick the net member whose Gibbs state
     matches its shadow estimates; returns the members' indices, their dense
     Gibbs states (B, 2^n, 2^n) and their objectives.
@@ -125,17 +121,15 @@ def learn_gibbs(
     batches (another split is a ValueError), all estimated in one
     `estimate_paulis` product.  For each member tau the objective is the
     pairwise-max deviation between the estimated and exact values of the net
-    observables; ties resolve to the lowest member index.  Passing
-    `estimates` (B, |support|) of Tr[P rho], aligned with `net.support`,
-    bypasses the shadow post-processing, e.g. to substitute exact values.
-    `member_coeffs` is `net.gibbs_coeff_matrix(config.beta)`, computed here
-    when not given; callers that learn many times on one net pass it in.
+    observables; ties resolve to the lowest member index.  `estimates`
+    (B, |support|) of Tr[P rho], aligned with `net.support`, replaces the
+    shadow post-processing when it is not None, e.g. with exact values.
+    `member_coeffs` is `net.gibbs_coeff_matrix(config.beta)`, which callers
+    that learn many times on one net build once.
     """
     if estimates is None:
         _check_split(samples, config.batches)
         estimates = estimate_paulis(samples, net.support)
-    if member_coeffs is None:
-        member_coeffs = net.gibbs_coeff_matrix(config.beta)   # rows: Tr[P tau_i]
     objectives = scan_objective(net, estimates[:, None, :] - member_coeffs)   # (B, members)
     index = np.argmin(objectives, axis=-1)
     states = gibbs_states(*hermitian_eig(net.matrices(net.values(index))), config.beta)

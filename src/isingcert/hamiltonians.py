@@ -104,53 +104,13 @@ def gibbs_density(h: LocalHamiltonian, beta: float) -> np.ndarray:
     return gibbs_states(*h.spectrum(), beta)
 
 
-def random_hamiltonian(
-    n: int,
-    k: int,
-    rng,
-    law: str = "uniform",
-    support_size: int | None = None,
-    frobenius: float | None = None,
-) -> LocalHamiltonian:
-    """Random k-local Hamiltonian; deterministic given the seed.
-
-    Laws: "uniform" draws every weight <= k coefficient from U[-1,1];
-    "sparse" picks support_size distinct strings; "fixed_norm" rescales a
-    uniform draw to the requested normalized Frobenius norm.
-    """
+def random_hamiltonian(n: int, k: int, rng) -> LocalHamiltonian:
+    """Random k-local Hamiltonian with every weight <= k coefficient drawn
+    from U[-1,1]; deterministic given the seed."""
     rng = np.random.default_rng(rng)
     paulis = enumerate_local_paulis(n, k, include_identity=False)
     # one vector draw gives the same stream as one scalar draw per string
-    if law == "uniform":
-        coeffs = dict(zip(paulis, rng.uniform(-1.0, 1.0, len(paulis)).tolist()))
-    elif law == "sparse":
-        if support_size is None or not 1 <= support_size <= len(paulis):
-            raise ValueError(f"support_size must be in [1, {len(paulis)}]")
-        idx = rng.choice(len(paulis), size=support_size, replace=False)
-        coeffs = {}
-        for i in sorted(idx):
-            h = 0.0
-            while abs(h) < 1e-9:
-                h = float(rng.uniform(-1.0, 1.0))
-            coeffs[paulis[i]] = h
-    elif law == "fixed_norm":
-        if frobenius is None or frobenius < 0:
-            raise ValueError("fixed_norm law needs a nonnegative target norm")
-        coeffs = dict(zip(paulis, rng.uniform(-1.0, 1.0, len(paulis)).tolist()))
-        cur = math.sqrt(sum(h * h for h in coeffs.values()))
-        if cur == 0.0:
-            raise ValueError("degenerate draw, cannot rescale")
-        s = frobenius / cur
-        coeffs = {p: h * s for p, h in coeffs.items()}
-        worst = max(abs(h) for h in coeffs.values())
-        if worst > 1.0 + _COEFF_TOL:
-            raise ValueError(
-                f"target Frobenius norm {frobenius} unreachable with |h_P| <= 1 "
-                f"(would need |h_P| up to {worst:.3f})"
-            )
-    else:
-        raise ValueError(f"unknown law {law!r}")
-    return LocalHamiltonian(n, k, coeffs)
+    return LocalHamiltonian(n, k, dict(zip(paulis, rng.uniform(-1.0, 1.0, len(paulis)).tolist())))
 
 
 class HamiltonianNet:

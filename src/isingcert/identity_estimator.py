@@ -24,8 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import HOEFFDING_CONSTANT
-from .dynamics import (NO_NOISE, ExperimentLedger, NoiseModel, charge_plan, logical_queries,
-                       net_unitary)
+from .dynamics import NO_NOISE, NoiseModel, logical_queries, net_unitary
 from .hamiltonians import LocalHamiltonian
 from .oracle import identity_coeff
 
@@ -63,14 +62,14 @@ def estimate_identity_sq(
     eps: float,
     delta: float,
     rng,
-    ledger: ExperimentLedger | None = None,
     noise: NoiseModel = NO_NOISE,
 ) -> IdentityCoeffEstimate:
     """Run the memoryless protocol against the simulated access model.
 
     Every experiment runs the query steps `steps` once; `h_true` feeds their
-    query slots.  The hit count is one draw from its exact Binomial law and
-    the ledger takes one batched charge.
+    query slots.  The hit count is one draw from its exact Binomial law.  A
+    caller that keeps a ledger charges the run as
+    `charge_plan(steps, ledger, repeat=estimate.samples_used)`.
     """
     rng = np.random.default_rng(rng)
     m = sample_count(eps, delta)
@@ -78,8 +77,6 @@ def estimate_identity_sq(
     identity_sq = abs(identity_coeff(net_unitary(steps, h_true, n))) ** 2
     (value,), (raw,) = drawn_estimate(np.array([identity_sq]), n, m, [rng],
                                       noise.retain_factor(n, logical_queries(steps)))
-    if ledger is not None:
-        charge_plan(steps, ledger, repeat=m)
     return IdentityCoeffEstimate(float(value), float(raw), m, eps, delta)
 
 

@@ -22,6 +22,7 @@ if TYPE_CHECKING:
 # scatter, together
 STACK_CHUNK_BYTES = 2**20
 CLIP_TOL = 1e-12  # negative probability mass that clip_distribution takes for rounding
+HERMITIAN_TOL = 1e-8   # largest |a - a^dag| entry the eig kernel takes, per unit of max |a|
 
 
 def stack_size(n: int, r: int, terms: int, extra: int = 0) -> int:
@@ -32,7 +33,7 @@ def stack_size(n: int, r: int, terms: int, extra: int = 0) -> int:
     return max(1, STACK_CHUNK_BYTES // max(16 * r * 2**n * max(2**n, terms), extra))
 
 
-def _check_hermitian(a: np.ndarray, tol: float) -> None:
+def _check_hermitian(a: np.ndarray) -> None:
     """Reject a non-square input, or one with a non-finite or visibly
     non-Hermitian matrix, each matrix judged at its own scale."""
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
@@ -40,20 +41,20 @@ def _check_hermitian(a: np.ndarray, tol: float) -> None:
     scale = np.maximum(abs(a).max(axis=(-2, -1), keepdims=True), 1.0)
     if not np.isfinite(scale).all():   # a NaN or infinite entry
         raise ValueError("matrix has a non-finite entry")
-    if (abs(a - a.conj().swapaxes(-1, -2)) > tol * scale).any():
+    if (abs(a - a.conj().swapaxes(-1, -2)) > HERMITIAN_TOL * scale).any():
         raise ValueError("matrix is not Hermitian")
 
 
-def hermitian_eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shared eigendecomposition kernel for one matrix or a stack (..., d, d)."""
-    _check_hermitian(a, tol)
+    _check_hermitian(a)
     return np.linalg.eigh(a)
 
 
-def hermitian_eigvals(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
     """The ascending eigenvalues of `hermitian_eig`, without the eigenvectors,
     for callers that read only the spectrum."""
-    _check_hermitian(a, tol)
+    _check_hermitian(a)
     return np.linalg.eigvalsh(a)
 
 

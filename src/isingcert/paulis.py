@@ -180,28 +180,22 @@ def _plan(n: int, paulis) -> PauliPlan:
 
 
 def pauli_sum_matrix(n: int, paulis, coeffs) -> np.ndarray:
-    """Dense sum_j coeffs[..., j] P_j on n qubits; coefficients (m, T) give an
-    (m, 2^n, 2^n) stack.  The stack is one np.bincount into its float view,
-    over the plan's bins plus one offset per matrix, and np.bincount adds
-    its weights in input order.  Real coefficients put c * sign in the one
-    part each phase has: the parts left out would add exact zeros, so every
-    entry is bit-identical to adding the terms one by one, in the order
-    given.  Complex coefficients put both parts of c * phase, in the same
-    order.  Row i is bit-identical to coeffs[i] alone.
+    """Dense sum_j coeffs[..., j] P_j on n qubits, for real coefficients;
+    coefficients (m, T) give an (m, 2^n, 2^n) stack.  The stack is one
+    np.bincount into its float view, over the plan's bins plus one offset per
+    matrix, and np.bincount adds its weights in input order.  Each weight
+    c * sign goes to the one part its phase has: the parts left out would add
+    exact zeros, so every entry is bit-identical to adding the terms one by
+    one, in the order given, and row i is bit-identical to coeffs[i] alone.
     """
     coeffs = np.asarray(coeffs)
     dim = 2**n
     lead = coeffs.shape[:-1]
     c = coeffs.reshape(math.prod(lead), len(paulis))
     plan = _plan(n, paulis)
-    if np.iscomplexobj(c):
-        bins = 2 * plan.index[..., None] + np.array([0, 1])
-        weights = (c[:, :, None] * plan.conj_phases.conj()).view(float)
-    else:
-        bins, weights = plan.bins, c[:, :, None] * plan.signs
     size = 2 * len(c) * dim * dim
-    bins = bins + np.arange(0, size, 2 * dim * dim).reshape(-1, *(1,) * bins.ndim)
-    out = np.bincount(bins.ravel(), weights.ravel(), size)
+    bins = plan.bins + np.arange(0, size, 2 * dim * dim).reshape(-1, 1, 1)
+    out = np.bincount(bins.ravel(), (c[:, :, None] * plan.signs).ravel(), size)
     return out.view(complex).reshape(*lead, dim, dim)
 
 

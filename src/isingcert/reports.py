@@ -10,6 +10,8 @@ import json
 import os
 from pathlib import Path
 
+from .errors import ConfigError
+
 
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
@@ -17,6 +19,17 @@ def canonical_json(payload) -> str:
 
 def default_out_dir() -> Path:
     return Path(os.environ.get("ISINGCERT_OUT", "out"))
+
+
+def check_out_dir(out_dir: Path) -> None:
+    """Raise ConfigError when `write_report` could not make `out_dir` a
+    directory: it, or the nearest of its ancestors that exists, is no
+    directory."""
+    for path in (out_dir, *out_dir.parents):
+        if path.is_dir():
+            return
+        if os.path.lexists(path):
+            raise ConfigError(f"out path {out_dir} cannot be a directory: {path} is not one")
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:

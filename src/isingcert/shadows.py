@@ -134,10 +134,9 @@ def born_table(rho: np.ndarray) -> np.ndarray:
     return _joint_distribution(rho, n)
 
 
-def collect_shadows(rho: np.ndarray, m: int, rng, batches: int = 1) -> ShadowData:
-    """Draw m single-copy samples from the exact Born distribution of rho (a
-    density matrix, or its `born_table`), split into `batches` batches for
-    median of means.
+def collect_shadows(probs: np.ndarray, m: int, rng, batches: int = 1) -> ShadowData:
+    """Draw m single-copy samples from a state's `born_table` `probs`, split
+    into `batches` batches for median of means.
 
     Each batch is one Multinomial(batch size, p) histogram when batches 6^n
     <= m, so the histograms hold no more entries than the samples would;
@@ -148,7 +147,6 @@ def collect_shadows(rho: np.ndarray, m: int, rng, batches: int = 1) -> ShadowDat
     if m < 1:
         raise ValueError(f"need at least one sample, got {m}")
     rng = np.random.default_rng(rng)
-    probs = rho if rho.ndim == 1 else born_table(rho)
     n = round(math.log(len(probs), 6))
     if len(probs) != 6**n:
         raise ValueError(f"a Born table has 6^n entries, got {len(probs)}")
@@ -200,11 +198,11 @@ def exact_batch_limit(n: int) -> int:
     return (2**53 - 1) // 3**n
 
 
-def estimate_paulis(samples, paulis: Sequence[PauliString]) -> np.ndarray:
+def estimate_paulis(samples: Sequence[ShadowData], paulis: Sequence[PauliString]) -> np.ndarray:
     """Median of means of the single-sample estimator, for every string at
-    once, over the batches the samples were drawn in.  One ShadowData gives
-    (strings,); a sequence of B sets of one split (the same batch sizes)
-    gives (B, strings), from one contraction of all their histograms.
+    once, over the batches the samples were drawn in: B sample sets of one
+    split (the same batch sizes) give (B, strings), from one contraction of
+    all their histograms.
 
     A sample's value for a string depends only on its joint index, and it is
     the product of its values on the two halves of the qubits.  So each batch
@@ -222,8 +220,6 @@ def estimate_paulis(samples, paulis: Sequence[PauliString]) -> np.ndarray:
     histograms, in either form.  A batch over `exact_batch_limit` is a
     ValueError.
     """
-    if isinstance(samples, ShadowData):
-        return estimate_paulis([samples], paulis)[0]
     n, sizes = samples[0].n, samples[0].sizes
     if any(s.n != n or not np.array_equal(s.sizes, sizes) for s in samples):
         raise ValueError("the sample sets of one block must share n and their batch sizes")

@@ -39,7 +39,7 @@ from .paulis import (PauliString, check_size, enumerate_local_paulis, local_paul
                      pauli_sum_matrix, pauli_trace_inners)
 from .shadows import (batch_sizes, born_table, collect_shadows, estimate_paulis,
                       exact_batch_limit, mom_batches, shadow_budget)
-from .tasks import config_boundary, task_arm, trial_rngs
+from .tasks import MAX_TRIALS, config_boundary, task_arm, trial_rngs
 
 SLACK_TOL = -1e-9
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -85,7 +85,7 @@ def _check_sweep_sizes(params: dict) -> None:
 def _sweep_stacks(k: int, seed: int, trials, key: tuple, draw, extra: int = 0):
     """Draw each trial t of `trials` from its generator of trial_rngs(seed,
     trials, *key) as draw(rng) -> (n, beta, r), then r coefficient vectors of
-    random_hamiltonian's "uniform" law.  Yield (n, indices, betas,
+    random_hamiltonian's law.  Yield (n, indices, betas,
     c (m, r, terms), H (m, r, 2^n, 2^n)) per run of trials of one n, with the
     run's scatter weights, and `extra` bytes per trial, within
     STACK_CHUNK_BYTES."""
@@ -195,8 +195,9 @@ def task_verify_bounds(params, trials, seed):
         check_size(params["footnote_n"], params["k"])
         if not 0 < params["footnote_eps"] < 1:
             raise ValueError(f"footnote_eps must be in (0, 1), got {params['footnote_eps']}")
-        if params["footnote_pairs"] < 0:
-            raise ValueError(f"footnote_pairs must be >= 0, got {params['footnote_pairs']}")
+        if not 0 <= params["footnote_pairs"] <= MAX_TRIALS:
+            raise ValueError(f"footnote_pairs must be in [0, {MAX_TRIALS}], "
+                             f"got {params['footnote_pairs']}")
     records = _bounds_block(params, seed, range(trials))
     foot = _footnote_block(params, seed, range(params["footnote_pairs"]))
     violations = sum(1 for r in records if r["min_slack"] < SLACK_TOL)
@@ -323,7 +324,6 @@ def _gibbs_cert_records(config, m, far_tables, seed, trials) -> list:
         size = oracle.stack_size(n, 0, 0, _hist_bytes(n, batches, 2))   # no Hamiltonians
         for start in range(0, trials, size):
             block = range(start, min(start + size, trials))
-            # collect_shadows draws from a state or from its Born table alike
             a, b = (_block_samples(seed, block, [table] * len(block), m, batches, key)
                     for table, key in zip(far_tables, (2, 3)))
             results += certify_gibbs(a, b, config)
@@ -394,9 +394,10 @@ def task_shadow_estimate(params, trials, seed):
     n, k = params["n"], params["k"]
     with config_boundary():
         check_beta(params["beta"])
+        check_size(n, k)
+        nominal = shadow_budget(n, k, params["eps"], params["delta"])   # checks eps and delta
         batches = mom_batches(n, k, params["delta"])
-        m = _resolve_samples(params.get("samples"),
-                             shadow_budget(n, k, params["eps"], params["delta"]), n, batches)
+        m = _resolve_samples(params.get("samples"), nominal, n, batches)
         paulis = enumerate_local_paulis(n, k)
     records = _shadow_records(params, m, batches, paulis, seed, trials)
     success = sum(1 for r in records if r["all_within_eps"])

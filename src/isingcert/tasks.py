@@ -162,8 +162,10 @@ def certifier_coeffs(rngs, n: int, eps: float, far: bool, c_frob: float = 1.0):
     the B gap norms.  ||H - H0||_F is eps (close arm) or 12 eps (far arm),
     and both norms stay within c_frob.
 
-    Each generator draws H0 and then a unit direction as `random_hamiltonian`'s
-    "fixed_norm" law does, with its arithmetic, and H = H0 + gap * direction.
+    Each generator draws H0 and then a unit direction as uniform draws
+    rescaled to a fixed normalized Frobenius norm, with the arithmetic of
+    the test reference `random_fixed_norm` (tests/hamiltonian_reference.py),
+    and H = H0 + gap * direction.
     The first row with a degenerate draw, with H0, the direction,
     gap * direction or H outside the box |h_P| <= 1, or with ||H - H0||_F off its
     arm's gap by more than 1e-9, raises InstanceError.
@@ -175,7 +177,7 @@ def certifier_coeffs(rngs, n: int, eps: float, far: bool, c_frob: float = 1.0):
     terms = local_pauli_count(n, 2) - 1
     draws = np.array([rng.uniform(-1.0, 1.0, (2, terms))
                       for rng in map(np.random.default_rng, rngs)])   # (B, 2, T)
-    norms = frobenius_norms(draws)   # random_hamiltonian's sequential sum
+    norms = frobenius_norms(draws)   # the reference's sequential sum
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = draws * (target / norms)[..., None]
     h0, step = rows[:, 0], rows[:, 1] * gap
@@ -339,6 +341,8 @@ TASKS = {
         "n": 3, "k": 2, "eps": 0.1, "delta": 0.05, "beta": 1.0,
     }, {"samples": 0}),
 }
+# trial indices t < MAX_TRIALS each fit one 32-bit spawn word (`_seed_words`)
+MAX_TRIALS = 2**32
 # params whose null makes the task derive the value (nominal budget or eta)
 NULLABLE_PARAMS = {"samples", "eta"}
 # top-level keys of a schema-1 config; `parallelism` is checked and echoed only
@@ -379,6 +383,8 @@ def validate_config(raw: dict) -> dict:
         if val is not None and (not isinstance(val, int) or isinstance(val, bool) or val < minimum):
             raise ConfigError(f"{key} must be an integer >= {minimum}, got {val!r}")
         out[key] = val
+    if out["trials"] is not None and out["trials"] > MAX_TRIALS:
+        raise ConfigError(f"trials must be at most {MAX_TRIALS}, got {out['trials']}")
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")

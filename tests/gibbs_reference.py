@@ -1,8 +1,8 @@
 """Literal per-trial references for the block drivers of the Gibbs tasks.
 
 One trial at a time: a LocalHamiltonian from its own generator, its own
-eigendecomposition and Gibbs state, one `collect_shadows` call on the dense
-state (which builds its own Born table), one estimate per sample set, and
+eigendecomposition and Gibbs state, one `collect_shadows` call on that
+state's own Born table, one estimate per sample set, and
 the net scan or the certification test on that trial's estimates alone.
 Each `*_records` function takes the arguments of its `state_tasks` counterpart and
 returns the records the CLI writes; the block drivers must return equal ones.
@@ -15,7 +15,7 @@ from isingcert.gibbs import scan_objective
 from isingcert.hamiltonians import LocalHamiltonian, gibbs_density, random_hamiltonian
 from isingcert.oracle import trace_distance
 from isingcert.paulis import enumerate_local_paulis, pauli_trace_inners
-from isingcert.shadows import collect_shadows, estimate_paulis
+from isingcert.shadows import born_table, collect_shadows, estimate_paulis
 from rng_reference import trial_rng
 
 
@@ -46,8 +46,8 @@ def learn_trial(params, config, net, member_coeffs, m, seed, trial):
     if m is None:
         estimates = pauli_trace_inners(net.support, rho).real
     else:
-        samples = collect_shadows(rho, m, trial_rng(seed, trial, 1), config.batches)
-        estimates = estimate_paulis(samples, net.support)
+        samples = collect_shadows(born_table(rho), m, trial_rng(seed, trial, 1), config.batches)
+        estimates = estimate_paulis([samples], net.support)[0]
     index, learned, objective = learn_one(estimates, net, config, member_coeffs)
     dist = trace_distance(learned, rho)
     rec = {
@@ -74,13 +74,13 @@ def gibbs_cert_trial(config, m, far_tables, seed, trial):
     if far_tables is None:
         h = random_hamiltonian(config.n, config.k, trial_rng(seed, trial, 1))
         rho = gibbs_density(h, config.beta)
-        est_a = est_b = estimate_paulis(
-            collect_shadows(rho, m, trial_rng(seed, trial, 2), config.batches), paulis)
+        samples = collect_shadows(born_table(rho), m, trial_rng(seed, trial, 2), config.batches)
+        est_a = est_b = estimate_paulis([samples], paulis)[0]
         expected = "CLOSE"
     else:
         est_a, est_b = (
-            estimate_paulis(collect_shadows(table, m, trial_rng(seed, trial, key), config.batches),
-                            paulis)
+            estimate_paulis([collect_shadows(table, m, trial_rng(seed, trial, key),
+                                             config.batches)], paulis)[0]
             for table, key in zip(far_tables, (2, 3)))
         expected = "FAR"
     verdict, max_gap = certify_one(est_a, est_b, config)
@@ -103,8 +103,8 @@ def gibbs_cert_records(config, m, far_tables, seed, trials):
 def shadow_trial(params, m, batches, paulis, seed, trial):
     h = random_hamiltonian(params["n"], params["k"], trial_rng(seed, trial, 1))
     rho = gibbs_density(h, params["beta"])
-    samples = collect_shadows(rho, m, trial_rng(seed, trial, 2), batches)
-    est = estimate_paulis(samples, paulis)
+    samples = collect_shadows(born_table(rho), m, trial_rng(seed, trial, 2), batches)
+    est = estimate_paulis([samples], paulis)[0]
     max_err = float(np.max(np.abs(est - pauli_trace_inners(paulis, rho).real)))
     return {
         "trial": trial, "samples_used": m, "batches": batches,

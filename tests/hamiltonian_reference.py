@@ -1,5 +1,5 @@
-"""Hamiltonian arithmetic, norms, net members and spectrum caching that only
-the tests use.
+"""Hamiltonian arithmetic, norms, net members, spectrum caching and the
+random laws besides the uniform one, which only the tests use.
 
 `certify-dynamics` draws its instances as coefficient rows and takes their
 spectra from one stacked eig per block, and the net works on grid-value
@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from isingcert import oracle
-from isingcert.hamiltonians import LocalHamiltonian
-from isingcert.paulis import pauli_sum_matrix
+from isingcert.hamiltonians import LocalHamiltonian, random_hamiltonian
+from isingcert.paulis import enumerate_local_paulis, pauli_sum_matrix
 
 
 def cache_spectra(hams) -> None:
@@ -63,3 +63,27 @@ def net_member(net, index: int) -> LocalHamiltonian:
         raise IndexError(f"member index {index} out of range [0, {net.size})")
     coeffs = {p: float(v) for p, v in zip(net.support, net.values(index)) if v != 0.0}
     return LocalHamiltonian(net.n, max(p.weight for p in net.support), coeffs)
+
+
+def random_fixed_norm(n: int, k: int, rng, frobenius: float) -> LocalHamiltonian:
+    """`random_hamiltonian`'s uniform draw rescaled to normalized Frobenius
+    norm `frobenius`: the law `tasks.certifier_coeffs` draws H0 and the unit
+    direction from, with the same arithmetic.  A scale that takes some
+    |h_P| past 1 is LocalHamiltonian's ValueError."""
+    h = random_hamiltonian(n, k, rng)
+    scale = frobenius / frobenius_norm(h)
+    return LocalHamiltonian(n, k, {p: c * scale for p, c in h.coeffs.items()})
+
+
+def random_sparse(n: int, k: int, rng, support_size: int) -> LocalHamiltonian:
+    """k-local Hamiltonian on `support_size` distinct strings, drawn without
+    replacement, each with a nonzero U[-1,1] coefficient."""
+    rng = np.random.default_rng(rng)
+    paulis = enumerate_local_paulis(n, k, include_identity=False)
+    coeffs = {}
+    for i in sorted(rng.choice(len(paulis), size=support_size, replace=False)):
+        h = 0.0
+        while abs(h) < 1e-9:
+            h = float(rng.uniform(-1.0, 1.0))
+        coeffs[paulis[i]] = h
+    return LocalHamiltonian(n, k, coeffs)

@@ -578,6 +578,10 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
     pytest.param("certify-gibbs", {"samples": -5}, id="gibbs-samples"),
     pytest.param("shadow-estimate", {"eps": 1.5}, id="shadow-eps"),
     pytest.param("shadow-estimate", {"n": 13}, id="shadow-n"),
+    # the median-of-means batch count divides by delta and takes ln(200 n^k / delta)
+    pytest.param("shadow-estimate", {"delta": 0.0}, id="shadow-delta-0"),
+    pytest.param("shadow-estimate", {"delta": -0.1}, id="shadow-delta-negative"),
+    pytest.param("shadow-estimate", {"n": 0}, id="shadow-n-0"),
     pytest.param("certify-dynamics", {"n": 1}, id="dynamics-n-1"),
     pytest.param("certify-dynamics", {"n": 13}, id="dynamics-n-13"),
     pytest.param("verify-bonami", {"n_min": 4, "n_max": 3}, id="bonami-n-order"),
@@ -595,6 +599,8 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
     pytest.param("verify-bounds", {"footnote_n": 1}, id="bounds-footnote-k"),
     pytest.param("verify-bounds", {"footnote_eps": 1.5}, id="bounds-footnote-eps"),
     pytest.param("verify-bounds", {"footnote_pairs": -1}, id="bounds-footnote-pairs"),
+    # pair indices must each fit one 32-bit spawn word
+    pytest.param("verify-bounds", {"footnote_pairs": 2**32 + 1}, id="bounds-footnote-pairs-2-32"),
     # non-finite floats: NaN fails every range check, and +-inf is out of range
     pytest.param("certify-dynamics", {"c_op": math.nan}, id="dynamics-c-op-nan"),
     pytest.param("certify-dynamics", {"c_op": math.inf}, id="dynamics-c-op-inf"),
@@ -642,6 +648,45 @@ def test_largest_beta_max_below_the_float_maximum_runs(tmp_path):
     path = write_config(tmp_path, {"schema_version": 1, "task": "verify-bounds", "trials": 3,
                                    "params": {"beta_max": 1e304, "footnote_pairs": 2}})
     assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_shadow_estimate_bad_delta_and_n_name_their_ranges(tmp_path, monkeypatch, capsys):
+    err = _refused_before_any_trial(tmp_path, monkeypatch, capsys, "shadow-estimate",
+                                    {"delta": 0.0})
+    assert "eps and delta must be in (0, 1)" in err
+    err = _refused_before_any_trial(tmp_path, monkeypatch, capsys, "shadow-estimate", {"n": 0})
+    assert "n=0 out of supported range" in err
+
+
+@pytest.mark.parametrize("task", ["verify-bonami", "certify-dynamics"])
+def test_trials_past_one_spawn_word_are_refused(tmp_path, monkeypatch, capsys, task):
+    # trial indices t < 2^32 each fit one 32-bit spawn word; never run such a
+    # config without forbid_trials
+    err = _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, {},
+                                    ("--trials", str(2**32 + 1)))
+    assert "trials must be at most 4294967296" in err
+    assert validate_config({"schema_version": 1, "task": task, "trials": 2**32})["trials"] == 2**32
+
+
+@pytest.mark.parametrize("where", ["file", "below-file", "env-file"])
+def test_out_path_at_or_below_a_file_is_refused_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                                 where):
+    forbid_trials(monkeypatch)
+    blocker = tmp_path / "report"
+    blocker.write_text("kept")
+    out_dir = blocker / "sub" if where == "below-file" else blocker
+    path = write_config(tmp_path, {"schema_version": 1, "task": "verify-bonami", "trials": 2,
+                                   "params": {"n_max": 2}})
+    argv = ["--config", path]
+    if where == "env-file":
+        monkeypatch.setenv("ISINGCERT_OUT", str(out_dir))
+    else:
+        argv += ["--out", str(out_dir)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: out path {out_dir} cannot be a directory: {blocker} is not one" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report"]
+    assert blocker.read_text() == "kept"
 
 
 def test_dynamics_n_1_names_n(tmp_path, monkeypatch, capsys):

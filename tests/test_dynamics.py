@@ -9,6 +9,7 @@ from access_reference import (
     outcome_distribution,
     run_experiment,
 )
+from isingcert import dynamics
 from isingcert.dynamics import (
     NO_NOISE,
     ExperimentLedger,
@@ -136,14 +137,15 @@ def test_trotter_error_bound_random_pairs():
             assert operator_norm_distance(frag.realize(h), target) <= eps
 
 
-def test_trotter_fragment_cost_and_budget():
+def test_trotter_fragment_cost_and_budget(monkeypatch):
     h0 = LocalHamiltonian(1, 1, {P("Z"): 0.5})
     frag = trotter_compile(h0, 0.8, 1e-3, 1.0)
     assert frag.query_count * frag.query_time == pytest.approx(0.8)
     assert frag.query_count == 2 * frag.steps
     assert frag.query_time == pytest.approx(0.8 / (2 * frag.steps))
-    with pytest.raises(BudgetExceededError):
-        trotter_compile(h0, 1.0, 1e-18, 1.0, step_budget=1000)
+    monkeypatch.setattr(dynamics, "TROTTER_STEP_BUDGET", 1000)
+    with pytest.raises(BudgetExceededError, match="over the budget 1000"):
+        trotter_compile(h0, 1.0, 1e-18, 1.0)
     with pytest.raises(ValueError):
         trotter_compile(h0, -1.0, 1e-3, 1.0)
 
@@ -173,7 +175,7 @@ def test_stabilizer_measurement_probabilities_sum():
 
 def test_batched_charge_equals_repeated_single_charges():
     # a non-dyadic query time makes a float running sum drift from one multiply
-    frag = TrotterFragment(LocalHamiltonian(1, 1, {P("Z"): 0.5}), 0.7, 3, 1e-3, 1.0)
+    frag = TrotterFragment(LocalHamiltonian(1, 1, {P("Z"): 0.5}), 0.7, 3)
     plan = ExperimentPlan(enumerate_stabilizer_states(1)[0], (frag, QueryStep(0.3)),
                           "stabilizer")
     m = 1000

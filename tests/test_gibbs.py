@@ -21,10 +21,15 @@ from isingcert.hamiltonians import (
 )
 from isingcert.oracle import trace_distance
 from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_trace_inners
-from isingcert.shadows import collect_shadows, estimate_paulis, mom_batches
+from isingcert.shadows import born_table, collect_shadows, estimate_paulis, mom_batches
 from shadow_reference import encode_samples
 
 P = PauliString.from_label
+
+
+def learn_exact(net, cfg, estimates):
+    """`learn_gibbs` on given estimates, with the net's Gibbs table."""
+    return learn_gibbs(None, net, cfg, estimates, net.gibbs_coeff_matrix(cfg.beta))
 
 
 def pairwise_objective(net, coeff_gaps):
@@ -69,7 +74,7 @@ def test_on_grid_truth_with_exact_estimates_recovers_member():
         truth_idx = int(rng.integers(net.size))
         rho = gibbs_density(net_member(net, truth_idx), 1.0)
         exact = pauli_trace_inners(support, rho).real
-        [idx], [state], [objective] = learn_gibbs(None, net, cfg, estimates=exact[None])
+        [idx], [state], [objective] = learn_exact(net, cfg, exact[None])
         assert idx == truth_idx
         assert objective == pytest.approx(0.0, abs=1e-9)
         assert trace_distance(state, rho) < 1e-9
@@ -80,7 +85,7 @@ def test_single_member_net_returns_it():
     assert net.size == 1
     cfg = GibbsLearnConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1,
                            support=(P("Z"),), eta=2.0)
-    [idx], _, _ = learn_gibbs(None, net, cfg, estimates=np.array([[0.73]]))
+    [idx], _, _ = learn_exact(net, cfg, np.array([[0.73]]))
     assert idx == 0
 
 
@@ -91,10 +96,11 @@ def test_learn_single_qubit_sampled():
                            support=support, eta=0.25)
     truth = LocalHamiltonian(1, 1, {P("Z"): 0.5})
     rho = gibbs_density(truth, 1.0)
+    table, member_coeffs = born_table(rho), net.gibbs_coeff_matrix(cfg.beta)
     hits = 0
     for seed in range(20):
-        samples = collect_shadows(rho, 4000, np.random.default_rng(seed), cfg.batches)
-        _, [state], _ = learn_gibbs([samples], net, cfg)
+        samples = collect_shadows(table, 4000, np.random.default_rng(seed), cfg.batches)
+        _, [state], _ = learn_gibbs([samples], net, cfg, None, member_coeffs)
         hits += trace_distance(state, rho) <= 0.3
     assert hits >= 18
 
@@ -108,7 +114,7 @@ def test_learn_permutation_invariance_of_objective():
     cfg = _learn_config(eta=0.5)
     rho = gibbs_density(random_hamiltonian(2, 2, 3), 1.0)
     est_vec = pauli_trace_inners(support, rho).real
-    [idx], _, [objective] = learn_gibbs(None, net, cfg, estimates=est_vec[None])
+    [idx], _, [objective] = learn_exact(net, cfg, est_vec[None])
     per_member = []
     for i in range(net.size):
         tau = gibbs_density(net_member(net, i), 1.0)
@@ -133,7 +139,7 @@ def test_observable_match_chain_at_nominal_grid():
         truth = LocalHamiltonian(n, k, {P("Z"): float(rng.uniform(-1, 1))})
         rho = gibbs_density(truth, beta)
         exact = pauli_trace_inners([P("Z")], rho).real
-        _, [state], [objective] = learn_gibbs(None, net, cfg, estimates=exact[None])
+        _, [state], [objective] = learn_exact(net, cfg, exact[None])
         assert objective <= 3 * eps**2 / max(beta, 1.0)
         assert trace_distance(state, rho) <= eps
 
@@ -144,7 +150,7 @@ def test_learn_accepts_beta_zero():
                            support=(P("Z"),), eta=0.5)
     assert cfg.eta_nominal == 1.0
     net = HamiltonianNet((P("Z"),), 0.5)
-    _, [state], _ = learn_gibbs(None, net, cfg, estimates=np.array([[0.0]]))
+    _, [state], _ = learn_exact(net, cfg, np.array([[0.0]]))
     np.testing.assert_allclose(state, np.eye(2) / 2, atol=1e-12)
 
 
@@ -162,8 +168,8 @@ def test_certify_equal_states_same_seed_close():
     h = random_hamiltonian(2, 2, 5)
     rho = gibbs_density(h, 1.0)
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
-    a = collect_shadows(rho, 5000, np.random.default_rng(77), cfg.batches)
-    b = collect_shadows(rho, 5000, np.random.default_rng(77), cfg.batches)
+    a = collect_shadows(born_table(rho), 5000, np.random.default_rng(77), cfg.batches)
+    b = collect_shadows(born_table(rho), 5000, np.random.default_rng(77), cfg.batches)
     [(verdict, max_gap, _)] = certify_gibbs([a], [b], cfg)
     assert verdict == "CLOSE"
     assert max_gap == 0.0
@@ -173,8 +179,8 @@ def test_certify_one_sample_set_estimated_once(monkeypatch):
     h = random_hamiltonian(2, 2, 6)
     rho = gibbs_density(h, 1.0)
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
-    a = collect_shadows(rho, 5000, np.random.default_rng(78), cfg.batches)
-    b = collect_shadows(rho, 5000, np.random.default_rng(78), cfg.batches)
+    a = collect_shadows(born_table(rho), 5000, np.random.default_rng(78), cfg.batches)
+    b = collect_shadows(born_table(rho), 5000, np.random.default_rng(78), cfg.batches)
     twice = certify_gibbs([a], [b], cfg)
     calls = []
 
@@ -196,9 +202,10 @@ def test_certify_far_states():
     assert trace_distance(rho, rho0) == pytest.approx(2 * math.tanh(1.0))
     cfg = GibbsCertConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1)
     wrong = 0
+    tables = born_table(np.array([rho, rho0]))
     for seed in range(20):
-        a = collect_shadows(rho, 3000, np.random.default_rng((seed, 0)), cfg.batches)
-        b = collect_shadows(rho0, 3000, np.random.default_rng((seed, 1)), cfg.batches)
+        a = collect_shadows(tables[0], 3000, np.random.default_rng((seed, 0)), cfg.batches)
+        b = collect_shadows(tables[1], 3000, np.random.default_rng((seed, 1)), cfg.batches)
         [(verdict, _, _)] = certify_gibbs([a], [b], cfg)
         wrong += verdict != "FAR"
     assert wrong == 0
@@ -209,7 +216,7 @@ def test_certify_known_reference_mode():
     hmz = LocalHamiltonian(1, 1, {P("Z"): -1.0})
     rho, rho0 = gibbs_density(hz, 1.0), gibbs_density(hmz, 1.0)
     cfg = GibbsCertConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1)
-    samples = collect_shadows(rho, 3000, np.random.default_rng(2), cfg.batches)
+    samples = collect_shadows(born_table(rho), 3000, np.random.default_rng(2), cfg.batches)
     [(verdict, _, witness)] = certify_gibbs([samples], rho0[None], cfg)
     assert verdict == "FAR"
     assert witness == P("Z")
@@ -234,20 +241,22 @@ def test_learn_rejects_samples_in_another_split():
                            support=support, eta=0.25)
     rho = gibbs_density(LocalHamiltonian(1, 1, {P("Z"): 0.5}), 1.0)
     assert cfg.batches == mom_batches(1, 1, 0.1) == 16
+    table, member_coeffs = born_table(rho), net.gibbs_coeff_matrix(cfg.beta)
     for batches in (1, 15, 17):
-        samples = collect_shadows(rho, 4000, np.random.default_rng(3), batches)
+        samples = collect_shadows(table, 4000, np.random.default_rng(3), batches)
         with pytest.raises(ValueError, match="batches"):
-            learn_gibbs([samples], net, cfg)
-    learn_gibbs([collect_shadows(rho, 4000, np.random.default_rng(3), cfg.batches)], net, cfg)
+            learn_gibbs([samples], net, cfg, None, member_coeffs)
+    samples = collect_shadows(table, 4000, np.random.default_rng(3), cfg.batches)
+    learn_gibbs([samples], net, cfg, None, member_coeffs)
 
 
 def test_certify_rejects_samples_in_another_split():
     rho = gibbs_density(random_hamiltonian(2, 2, 5), 1.0)
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
     assert cfg.batches == mom_batches(2, 2, 0.1)
-    good = collect_shadows(rho, 5000, np.random.default_rng(4), cfg.batches)
+    good = collect_shadows(born_table(rho), 5000, np.random.default_rng(4), cfg.batches)
     for batches in (1, cfg.batches + 1):
-        bad = collect_shadows(rho, 5000, np.random.default_rng(4), batches)
+        bad = collect_shadows(born_table(rho), 5000, np.random.default_rng(4), batches)
         for pair in (([bad], [good]), ([good], [bad]), ([bad], [bad]), ([bad], rho[None])):
             with pytest.raises(ValueError, match="batches"):
                 certify_gibbs(*pair, cfg)
@@ -259,8 +268,8 @@ def test_certify_symmetry_under_swap():
     h0 = random_hamiltonian(2, 2, 9)
     rho, rho0 = gibbs_density(h, 1.0), gibbs_density(h0, 1.0)
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
-    a = collect_shadows(rho, 4000, np.random.default_rng(30), cfg.batches)
-    b = collect_shadows(rho0, 4000, np.random.default_rng(31), cfg.batches)
+    a = collect_shadows(born_table(rho), 4000, np.random.default_rng(30), cfg.batches)
+    b = collect_shadows(born_table(rho0), 4000, np.random.default_rng(31), cfg.batches)
     [(v1, gap1, _)] = certify_gibbs([a], [b], cfg)
     [(v2, gap2, _)] = certify_gibbs([b], [a], cfg)
     assert v1 == v2

@@ -150,7 +150,7 @@ def test_block_estimates_equal_per_set_estimates(n, batches):
     table = born_table(gibbs_density(random_hamiltonian(n, min(n, 2), rng), 0.7))
     for m in (batches * 6**n, batches * 6**n - 1):   # batch histograms, then indices
         sets = [collect_shadows(table, m, rng, batches) for _ in range(5)]
-        expected = np.array([estimate_paulis(s, paulis) for s in sets])
+        expected = np.array([estimate_paulis([s], paulis)[0] for s in sets])
         np.testing.assert_array_equal(estimate_paulis(sets, paulis), expected)
         np.testing.assert_array_equal(estimate_paulis(sets[2:3], paulis), expected[2:3])
     # histogram and index sets of one split in one block
@@ -158,8 +158,8 @@ def test_block_estimates_equal_per_set_estimates(n, batches):
     rows = np.full((len(drawn), n), 2)   # every sample in the Z basis, outcome +1
     index = encode_samples(rows, np.ones_like(rows), batches)
     mixed = estimate_paulis([drawn, index], paulis)
-    np.testing.assert_array_equal(mixed[0], estimate_paulis(drawn, paulis))
-    np.testing.assert_array_equal(mixed[1], estimate_paulis(index, paulis))
+    np.testing.assert_array_equal(mixed[0], estimate_paulis([drawn], paulis)[0])
+    np.testing.assert_array_equal(mixed[1], estimate_paulis([index], paulis)[0])
 
 
 def test_block_estimates_need_one_split():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from access_reference import index_of_values, net_covering_check, round_member_index, round_to_grid
-from hamiltonian_reference import frobenius_norm, hamiltonian_diff, net_member
+from hamiltonian_reference import (frobenius_norm, hamiltonian_diff, net_member, random_fixed_norm,
+                                   random_sparse)
 from isingcert.hamiltonians import (
     HamiltonianNet,
     LocalHamiltonian,
@@ -101,15 +102,14 @@ def test_random_hamiltonian_determinism():
 
 
 def test_random_hamiltonian_laws():
-    h = random_hamiltonian(3, 2, 11, law="fixed_norm", frobenius=0.6)
+    # the test references for the laws besides the uniform one
+    h = random_fixed_norm(3, 2, 11, 0.6)
     assert abs(frobenius_norm(h) - 0.6) < 1e-12
-    h2 = random_hamiltonian(3, 2, 12, law="sparse", support_size=3)
+    h2 = random_sparse(3, 2, 12, 3)
     assert len(h2.coeffs) == 3
     with pytest.raises(ValueError):
         # 15 strings with |h| <= 1 cannot reach Frobenius norm 4
-        random_hamiltonian(2, 2, 13, law="fixed_norm", frobenius=4.0)
-    with pytest.raises(ValueError):
-        random_hamiltonian(2, 2, 13, law="nope")
+        random_fixed_norm(2, 2, 13, 4.0)
 
 
 def test_round_to_grid():

@@ -13,6 +13,7 @@ from isingcert.dynamics import (
     ExperimentLedger,
     NoiseModel,
     QueryStep,
+    charge_plan,
     trotter_compile,
 )
 from isingcert.hamiltonians import LocalHamiltonian, random_hamiltonian
@@ -105,7 +106,8 @@ def test_plan_path_matches_batched_path_in_distribution():
     theta = 0.8
     fac = make_single_query_factory((QueryStep(theta),), 1)
     led_a, led_b = ExperimentLedger(), ExperimentLedger()
-    batched = estimate_identity_sq(fac, HZ, 1, 0.15, 0.1, np.random.default_rng(3), led_a)
+    batched = estimate_identity_sq(fac, HZ, 1, 0.15, 0.1, np.random.default_rng(3))
+    charge_plan(fac, led_a, repeat=batched.samples_used)
     plans = estimate_identity_sq_literal(fac, HZ, 1, 0.15, 0.1, np.random.default_rng(3), led_b)
     # same protocol, same ledger costs, both near truth
     assert led_a.snapshot() == led_b.snapshot()
@@ -126,9 +128,12 @@ def test_memorylessness_structure():
 
 
 def test_ledger_charges_every_experiment():
+    # the estimator charges nothing itself: its caller charges samples_used runs
     fac = make_single_query_factory((QueryStep(0.4),), 1)
     ledger = ExperimentLedger()
-    est = estimate_identity_sq(fac, HZ, 1, 0.2, 0.2, np.random.default_rng(5), ledger)
+    est = estimate_identity_sq(fac, HZ, 1, 0.2, 0.2, np.random.default_rng(5))
+    assert ledger.snapshot()["experiment_count"] == 0
+    charge_plan(fac, ledger, repeat=est.samples_used)
     snap = ledger.snapshot()
     assert snap["experiment_count"] == est.samples_used
     assert snap["query_count"] == est.samples_used
@@ -192,13 +197,14 @@ def test_exact_law_matches_plan_path(n):
     eps, delta, seeds = 0.4, 0.3, 20
     raws = {"auto": [], "plans": []}
     for seed in range(seeds):
-        ledgers = {}
-        for method, estimate in (("auto", estimate_identity_sq),
-                                 ("plans", estimate_identity_sq_literal)):
-            ledgers[method] = ExperimentLedger()
-            est = estimate(fac, h, n, eps, delta, np.random.default_rng(seed),
-                           ledgers[method], noise=noise)
-            raws[method].append(est.raw_value)
+        ledgers = {method: ExperimentLedger() for method in raws}
+        est = estimate_identity_sq(fac, h, n, eps, delta, np.random.default_rng(seed),
+                                   noise=noise)
+        charge_plan(fac, ledgers["auto"], repeat=est.samples_used)
+        raws["auto"].append(est.raw_value)
+        est = estimate_identity_sq_literal(fac, h, n, eps, delta, np.random.default_rng(seed),
+                                           ledgers["plans"], noise=noise)
+        raws["plans"].append(est.raw_value)
         assert ledgers["auto"].snapshot() == ledgers["plans"].snapshot()
     # both means estimate the same quantity; sigma from the exact hit law
     dim = 2**n

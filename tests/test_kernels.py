@@ -17,7 +17,7 @@ import isingcert.oracle as oracle
 import isingcert.tasks as tasks
 from certifier_reference import certifier_instance
 from hamiltonian_reference import (cache_spectra, frobenius_norm, hamiltonian_diff,
-                                   hamiltonian_sum, net_member)
+                                   hamiltonian_sum, net_member, random_fixed_norm, random_sparse)
 from isingcert.hamiltonians import HamiltonianNet, gibbs_density, random_hamiltonian
 from isingcert.oracle import evolve, evolve_matrix, hermitian_eig, spectral_moments
 from isingcert.paulis import (
@@ -58,7 +58,7 @@ def test_to_matrix_equals_per_term_loop(n):
     for k in range(1, min(n, 3) + 1):
         h = random_hamiltonian(n, k, rng)
         np.testing.assert_array_equal(h.to_matrix(), reference_to_matrix(h))
-        sparse = random_hamiltonian(n, k, rng, law="sparse", support_size=1)
+        sparse = random_sparse(n, k, rng, 1)
         np.testing.assert_array_equal(sparse.to_matrix(), reference_to_matrix(sparse))
 
 
@@ -73,7 +73,7 @@ def test_pauli_to_matrix_and_reconstruct_equal_loops(n):
         np.testing.assert_array_equal(pauli_sum_matrix(n, [p], [1.0]), ref)
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     paulis = enumerate_local_paulis(n, n)
-    coeffs = pauli_trace_inners(paulis, a) / 2**n
+    coeffs = pauli_trace_inners(paulis, a + a.conj().T).real / 2**n   # Hermitian: real
     np.testing.assert_array_equal(pauli_sum_matrix(n, paulis, coeffs),
                                   reference_pauli_sum(n, paulis, coeffs))
 
@@ -183,11 +183,11 @@ def test_enumeration_is_cached_and_returns_independent_lists():
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (3, 2), (4, 3)])
 def test_vector_coefficient_draw_equals_scalar_draws(n, k):
     paulis = enumerate_local_paulis(n, k, include_identity=False)
-    for law, kwargs in (("uniform", {}), ("fixed_norm", {"frobenius": 0.5})):
+    for draw in (random_hamiltonian, lambda n, k, rng: random_fixed_norm(n, k, rng, 0.5)):
         rng, ref_rng = np.random.default_rng(600 + n), np.random.default_rng(600 + n)
-        h = random_hamiltonian(n, k, rng, law=law, **kwargs)
+        h = draw(n, k, rng)
         ref = {p: float(ref_rng.uniform(-1.0, 1.0)) for p in paulis}
-        if law == "fixed_norm":
+        if draw is not random_hamiltonian:
             scale = 0.5 / np.sqrt(sum(v * v for v in ref.values()))
             ref = {p: v * scale for p, v in ref.items()}
         assert h.coeffs == ref
@@ -197,9 +197,9 @@ def test_vector_coefficient_draw_equals_scalar_draws(n, k):
 def test_gibbs_and_operator_norm_use_hermitian_eig(monkeypatch):
     calls = []
 
-    def counted(a, tol=1e-8):
+    def counted(a):
         calls.append(a.shape)
-        return hermitian_eig(a, tol)
+        return hermitian_eig(a)
 
     monkeypatch.setattr(oracle, "hermitian_eig", counted)
     h = random_hamiltonian(2, 2, 700)
@@ -215,9 +215,9 @@ def test_gibbs_and_operator_norm_use_hermitian_eig(monkeypatch):
 def test_gibbs_table_uses_stacked_hermitian_eig(monkeypatch):
     calls = []
 
-    def counted(a, tol=1e-8):
+    def counted(a):
         calls.append(a.shape)
-        return hermitian_eig(a, tol)
+        return hermitian_eig(a)
 
     monkeypatch.setattr(oracle, "hermitian_eig", counted)
     HamiltonianNet([P("ZI"), P("IZ")], 0.5).gibbs_coeff_matrix(1.0)
@@ -267,12 +267,12 @@ def test_cached_spectrum_is_read_only(n):
 def test_stacked_spectra_equal_per_hamiltonian_spectra(n, monkeypatch):
     calls = []
 
-    def counted(a, tol=1e-8):
+    def counted(a):
         calls.append(a.shape)
-        return hermitian_eig(a, tol)
+        return hermitian_eig(a)
 
     # one Hamiltonian lacks strings the others have
-    hams = [*_hamiltonians(n), random_hamiltonian(n, 2, 730 + n, law="sparse", support_size=3)]
+    hams = [*_hamiltonians(n), random_sparse(n, 2, 730 + n, 3)]
     cache_spectra(hams)
     for h in hams:
         w, v = hermitian_eig(h.to_matrix())
@@ -309,10 +309,8 @@ def test_certifier_rows_equal_per_instance_draws(n):
             [np.random.default_rng((740, n, t)) for t in range(5)], n, 0.05, far, c_frob)
         for t in range(5):
             rng = np.random.default_rng((740, n, t))
-            h0 = random_hamiltonian(n, 2, rng, law="fixed_norm",
-                                    frobenius=min(0.35 * c_frob, 0.9 * (c_frob - gap)))
-            h = hamiltonian_sum(h0, random_hamiltonian(n, 2, rng, law="fixed_norm",
-                                                       frobenius=1.0).scaled(gap))
+            h0 = random_fixed_norm(n, 2, rng, min(0.35 * c_frob, 0.9 * (c_frob - gap)))
+            h = hamiltonian_sum(h0, random_fixed_norm(n, 2, rng, 1.0).scaled(gap))
             assert h0_rows[t].tolist() == [h0.coeffs.get(p, 0.0) for p in paulis]
             assert h_rows[t].tolist() == [h.coeffs.get(p, 0.0) for p in paulis]
             assert delta[t] == pytest.approx(frobenius_norm(hamiltonian_diff(h, h0)), abs=1e-15)

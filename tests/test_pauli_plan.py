@@ -45,14 +45,13 @@ def coefficient_rows(n, terms):
     signed_zeros[:, ::2] = -0.0
     return {
         "real": real,
-        "complex": real + 1j * rng.uniform(-1.0, 1.0, (3, terms)),
         "zero": np.zeros((3, terms)),
         "negative-zero": np.full((3, terms), -0.0),
         "signed-zeros": signed_zeros,
     }
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "zero", "negative-zero", "signed-zeros"])
+@pytest.mark.parametrize("kind", ["real", "zero", "negative-zero", "signed-zeros"])
 @pytest.mark.parametrize("n", NS)
 def test_scatter_equals_term_by_term_sum(n, kind):
     paulis = strings(n)

@@ -13,7 +13,7 @@ from isingcert.paulis import (
     pauli_sum_matrix,
     pauli_trace_inners,
 )
-from pauli_reference import pauli_matvec
+from pauli_reference import pauli_matvec, pauli_sum
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -153,7 +153,7 @@ def test_trace_inner_agrees_with_dense():
 
 
 # Coefficients Tr[P A] / 2^n over all 4^n strings (I, X, Y, Z for one qubit),
-# summed back with pauli_sum_matrix.
+# summed back term by term (complex coefficients: pauli_sum_matrix takes real ones).
 ONE_QUBIT = enumerate_local_paulis(1, 1)
 
 
@@ -167,7 +167,7 @@ def test_expand_diagonal_exponential():
     u = np.diag([np.exp(-1j * t), np.exp(1j * t)])
     coeffs = pauli_trace_inners(ONE_QUBIT, u) / 2
     np.testing.assert_allclose(coeffs, [math.cos(t), 0, 0, -1j * math.sin(t)], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(pauli_sum_matrix(1, ONE_QUBIT, coeffs), u, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pauli_sum(1, ONE_QUBIT, coeffs), u, rtol=0, atol=1e-12)
 
 
 def test_expand_parseval_simple():
@@ -187,6 +187,6 @@ def test_roundtrip_and_parseval_random_corpus():
         paulis = enumerate_local_paulis(n, n)
         assert len(paulis) == dim * dim
         coeffs = pauli_trace_inners(paulis, a) / dim
-        np.testing.assert_allclose(pauli_sum_matrix(n, paulis, coeffs), a, atol=1e-10)
+        np.testing.assert_allclose(pauli_sum(n, paulis, coeffs), a, atol=1e-10)
         frob_sq = np.trace(a.conj().T @ a).real / dim
         assert abs(np.sum(np.abs(coeffs) ** 2) - frob_sq) < 1e-10

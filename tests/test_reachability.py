@@ -1,5 +1,6 @@
-"""Every function in src/isingcert runs from the CLI, or has a written reason
-not to.
+"""Every function in src/isingcert runs from the CLI, and every parameter
+with a default takes another value in some run, or has a written reason not
+to.
 
 One subprocess turns on a `sys.setprofile` hook before it imports isingcert,
 runs `cli.main` on each config of MATRIX, then runs tests/test_acceptance.py,
@@ -12,8 +13,18 @@ ALLOWLIST with one of REASONS.  An entry is stale, and fails the test too,
 when MATRIX reaches it, when its function is gone, or when its reason is
 ACCEPTANCE and the acceptance suite no longer reaches it.
 
+The hook also compares, at each call of a src function, every argument with
+its parameter's default: by identity, then by type and == for scalars (a
+generator's resume is a call too, and shows its parameters' values then).  A
+parameter with a default, in a function that MATRIX or the acceptance suite
+runs, must be passed another value by some call of either, or be on
+PARAM_ALLOWLIST with its reason.  An option that no run sets is one only
+tests set, and it leaves src/.  A PARAM_ALLOWLIST entry is stale when its
+parameter is varied, is gone, or is in a function that no longer runs.
+
 `python tests/test_reachability.py` prints the functions that no config
-reaches and the stale entries.
+reaches, the parameters that no call varies, and the stale entries of both
+lists.
 """
 
 import ast
@@ -69,6 +80,15 @@ ALLOWLIST = {
     "stabilizers.stabilizer_state_matrix": ACCEPTANCE,
 }
 
+NOISE = "noise model: ROADMAP item 19 wires it into certify-dynamics"
+# module.qualname.parameter -> why no run passes it a value besides its default
+PARAM_ALLOWLIST = {
+    "dynamics.NoiseModel.__init__.spam_diamond_budget": NOISE,
+    "dynamics.NoiseModel.__init__.per_query_diamond_budget": NOISE,
+    "identity_estimator.estimate_identity_sq.noise": NOISE,
+    "identity_estimator.drawn_estimate.retain": NOISE,
+}
+
 
 def case(code: int, config, *flags: str, out: bool = True):
     """One CLI run: its expected exit code, its config (a dict written as
@@ -113,13 +133,28 @@ MATRIX = (
 def defined_functions() -> dict[tuple[str, int], str]:
     """(file, first line) -> module.qualname of every function and method in
     src/isingcert; a decorated function's code starts at its first decorator."""
+    return {key: name for key, (name, _) in _definitions().items()}
+
+
+def defined_parameters() -> dict[str, list[str]]:
+    """module.qualname -> the names of its parameters that have a default."""
+    return dict(_definitions().values())
+
+
+def _definitions() -> dict[tuple[str, int], tuple[str, list[str]]]:
+    """(file, first line) -> (module.qualname, names of its parameters with
+    a default) of every function and method in src/isingcert."""
     found = {}
 
     def walk(node, path, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 line = min([d.lineno for d in child.decorator_list] + [child.lineno])
-                found[str(path), line] = f"{path.stem}.{prefix}{child.name}"
+                a = child.args
+                positional = a.posonlyargs + a.args
+                defaults = [p.arg for p in positional[len(positional) - len(a.defaults):]]
+                defaults += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found[str(path), line] = f"{path.stem}.{prefix}{child.name}", defaults
                 walk(child, path, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
                 walk(child, path, f"{prefix}{child.name}.")
@@ -132,11 +167,37 @@ def defined_functions() -> dict[tuple[str, int], str]:
 
 
 _CHILD = """
-import json, sys
+import gc, importlib, json, pkgutil, sys, types
 import pytest
-called = set()
-sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
+called, varied, defaults = set(), set(), {}
+SCALARS = (bool, int, float, complex, str, bytes)
+
+def same(value, default):
+    return value is default or (type(value) is type(default) and isinstance(default, SCALARS)
+                                and value == default)
+
+def hook(frame, event, arg):
+    if event != "call":
+        return
+    code = frame.f_code
+    called.add(code)
+    if defaults.get(code):   # the parameters no call has varied yet
+        args = frame.f_locals
+        varied.update((code, name) for name, d in defaults[code] if not same(args[name], d))
+        defaults[code] = [(name, d) for name, d in defaults[code] if (code, name) not in varied]
+
+sys.setprofile(hook)
+import isingcert
 from isingcert.cli import main
+SRC = isingcert.__path__[0]
+for module in pkgutil.iter_modules(isingcert.__path__):
+    importlib.import_module(f"isingcert.{module.name}")
+# the default of every parameter, from the src function objects
+for f in gc.get_objects():
+    if isinstance(f, types.FunctionType) and f.__code__.co_filename.startswith(SRC):
+        code, pos = f.__code__, f.__defaults__ or ()
+        names = code.co_varnames[code.co_argcount - len(pos):code.co_argcount]
+        defaults[code] = [*zip(names, pos), *(f.__kwdefaults__ or {}).items()]
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 cli, called = called, set()
 status = pytest.main([sys.argv[2], "-q", "-p", "no:cacheprovider", "--basetemp", sys.argv[3]])
@@ -144,14 +205,17 @@ sys.setprofile(None)
 with open(sys.argv[4], "w") as fh:
     json.dump({"codes": codes, "acceptance_status": int(status),
                "cli": [[c.co_filename, c.co_firstlineno] for c in cli],
-               "acceptance": [[c.co_filename, c.co_firstlineno] for c in called]}, fh)
+               "acceptance": [[c.co_filename, c.co_firstlineno] for c in called],
+               "varied": [[c.co_filename, c.co_firstlineno, name] for c, name in varied]}, fh)
 """
 
 
-def run_matrix(work: Path) -> tuple[list[int], set[str], set[str]]:
+def run_matrix(work: Path) -> tuple[list[int], set[str], set[str], set[str]]:
     """Run MATRIX, then the acceptance suite, in one profiled process under
-    `work`; returns MATRIX's exit codes and the module.qualname of every src/
-    function that MATRIX ran, and of every one the acceptance suite ran."""
+    `work`; returns MATRIX's exit codes, the module.qualname of every src/
+    function that MATRIX ran and of every one the acceptance suite ran, and
+    the module.qualname.parameter of every parameter that some call of
+    either passed a value besides its default."""
     runs = []
     for i, (_, config, flags, out) in enumerate(MATRIX):
         argv = list(flags)
@@ -176,7 +240,9 @@ def run_matrix(work: Path) -> tuple[list[int], set[str], set[str]]:
     reached = [{functions[key] for f, line in data[run]
                 if (key := (os.path.realpath(f), line)) in functions}
                for run in ("cli", "acceptance")]
-    return data["codes"], *reached
+    varied = {f"{functions[key]}.{name}" for f, line, name in data["varied"]
+              if (key := (os.path.realpath(f), line)) in functions}
+    return data["codes"], *reached, varied
 
 
 def audit(reached: set[str], acceptance: set[str]) -> tuple[list[str], list[str]]:
@@ -189,21 +255,38 @@ def audit(reached: set[str], acceptance: set[str]) -> tuple[list[str], list[str]
     return unreached, stale
 
 
+def audit_parameters(ran: set[str], varied: set[str]) -> tuple[list[str], list[str]]:
+    """(parameters of functions that ran that no call varied, minus
+    PARAM_ALLOWLIST; stale PARAM_ALLOWLIST entries).  Functions that never
+    ran are skipped."""
+    unvaried = {f"{function}.{name}" for function, names in defined_parameters().items()
+                if function in ran for name in names} - varied
+    return sorted(unvaried - set(PARAM_ALLOWLIST)), sorted(set(PARAM_ALLOWLIST) - unvaried)
+
+
 def test_every_src_function_runs_or_has_a_reason(tmp_path):
-    codes, reached, acceptance = run_matrix(tmp_path)
+    codes, reached, acceptance, varied = run_matrix(tmp_path)
     assert codes == [code for code, *_ in MATRIX]
     assert set(ALLOWLIST.values()) <= set(REASONS)
     unreached, stale = audit(reached, acceptance)
     assert unreached == [], "no MATRIX config reaches these, and ALLOWLIST names no reason"
     assert stale == [], "these ALLOWLIST entries ran from MATRIX, are gone, or lost their reason"
+    assert all(PARAM_ALLOWLIST.values())
+    unvaried, stale_params = audit_parameters(reached | acceptance, varied)
+    assert unvaried == [], "no call passes these a value besides their default, " \
+                           "and PARAM_ALLOWLIST names no reason"
+    assert stale_params == [], "these PARAM_ALLOWLIST entries are varied, gone, or never run"
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
-        codes, reached, acceptance = run_matrix(Path(work))
+        codes, reached, acceptance, varied = run_matrix(Path(work))
     unreached, stale = audit(reached, acceptance)
+    unvaried, stale_params = audit_parameters(reached | acceptance, varied)
     if codes != [code for code, *_ in MATRIX]:
         print(f"exit codes {codes} differ from MATRIX's")
     print("not reached, no reason:", *unreached or ["(none)"], sep="\n  ")
     print("stale allowlist entries:", *stale or ["(none)"], sep="\n  ")
-    sys.exit(bool(unreached or stale))
+    print("not varied, no reason:", *unvaried or ["(none)"], sep="\n  ")
+    print("stale parameter allowlist entries:", *stale_params or ["(none)"], sep="\n  ")
+    sys.exit(bool(unreached or stale or unvaried or stale_params))

@@ -50,7 +50,7 @@ def per_sample(rho, m, rng) -> ShadowData:
     """m samples as per-sample joint indices, in one batch.  collect_shadows
     keeps indices when batches * 6^n > m, which one sample per batch forces,
     and the indices it draws do not depend on the split."""
-    drawn = collect_shadows(rho, m, rng, m)
+    drawn = collect_shadows(born_table(rho), m, rng, m)
     assert drawn.counts is None
     return ShadowData.from_index(drawn.index, drawn.n)
 
@@ -85,7 +85,7 @@ def estimate_net_observables(samples: ShadowData, net,
     """
     if net.size**2 > max_pairs:
         raise ValueError(f"net has {net.size}^2 pairs, over the cap {max_pairs}")
-    f = net.values(np.arange(net.size)) @ estimate_paulis(samples, net.support)
+    f = net.values(np.arange(net.size)) @ estimate_paulis([samples], net.support)[0]
     return {(i, j): float(f[i] - f[j]) for i in range(net.size) for j in range(net.size)}
 
 
@@ -118,9 +118,9 @@ def test_basis_words_uniform_chi_squared():
 
 def test_single_sample_estimator_examples():
     rho = np.diag([1.0, 0.0]).astype(complex)
-    samples = collect_shadows(rho, 20000, np.random.default_rng(3))
+    samples = collect_shadows(born_table(rho), 20000, np.random.default_rng(3))
     # P = Z: expectation 1 (3 * 1/3 * 1); P = X: expectation 0
-    assert estimate_paulis(samples, [P("Z"), P("X")]) == pytest.approx([1.0, 0.0], abs=0.05)
+    assert estimate_paulis([samples], [P("Z"), P("X")])[0] == pytest.approx([1.0, 0.0], abs=0.05)
 
 
 def test_unbiasedness_exact_enumeration():
@@ -146,9 +146,10 @@ def test_unbiasedness_exact_enumeration():
 
 def test_estimates_bounded_and_identity_exact():
     rho = gibbs_density(random_hamiltonian(2, 2, 5), 1.0)
-    samples = collect_shadows(rho, 2000, np.random.default_rng(6), mom_batches(2, 2, 0.05))
+    samples = collect_shadows(born_table(rho), 2000, np.random.default_rng(6),
+                              mom_batches(2, 2, 0.05))
     paulis = enumerate_local_paulis(2, 2)
-    est = estimate_paulis(samples, paulis)
+    est = estimate_paulis([samples], paulis)[0]
     assert paulis[0] == P("II") and est[0] == 1.0
     for p, v in zip(paulis, est):
         assert abs(v) <= 3.0 ** p.weight + 1e-12
@@ -157,9 +158,9 @@ def test_estimates_bounded_and_identity_exact():
 def test_random_gibbs_estimates_match_oracle():
     h = random_hamiltonian(2, 2, 7)
     rho = gibbs_density(h, 1.0)
-    samples = collect_shadows(rho, 60000, np.random.default_rng(7))
+    samples = collect_shadows(born_table(rho), 60000, np.random.default_rng(7))
     paulis = enumerate_local_paulis(2, 2, include_identity=False)
-    errors = np.abs(estimate_paulis(samples, paulis) - pauli_trace_inners(paulis, rho).real)
+    errors = np.abs(estimate_paulis([samples], paulis)[0] - pauli_trace_inners(paulis, rho).real)
     # 5 sigma of the single-sample spread
     sigma = math.sqrt(9.0 / len(samples))
     assert np.all(errors <= 5 * max(sigma, 1e-3) + 0.02)
@@ -208,10 +209,10 @@ def test_median_of_means_no_worse_on_coverage():
     batches = mom_batches(3, 2, 0.05)
     truth = pauli_trace_inners(paulis, rho).real
     for _ in range(reps):
-        samples = collect_shadows(rho, m, rng, batches)
+        samples = collect_shadows(born_table(rho), m, rng, batches)
         pooled = ShadowData.from_counts(samples.counts.sum(axis=0, keepdims=True), 3)
-        mom_ok += np.max(np.abs(estimate_paulis(samples, paulis) - truth)) <= eps
-        mean_ok += np.max(np.abs(estimate_paulis(pooled, paulis) - truth)) <= eps
+        mom_ok += np.max(np.abs(estimate_paulis([samples], paulis)[0] - truth)) <= eps
+        mean_ok += np.max(np.abs(estimate_paulis([pooled], paulis)[0] - truth)) <= eps
     assert mom_ok >= mean_ok - 1
     assert mom_ok == reps
 
@@ -222,10 +223,10 @@ def test_mom_batch_formula():
 
 def test_empty_samples_rejected():
     with pytest.raises(ValueError):
-        estimate_paulis(encode_samples(np.zeros((0, 1), dtype=np.int8),
-                                       np.zeros((0, 1), dtype=np.int8)), [P("Z")])
+        estimate_paulis([encode_samples(np.zeros((0, 1), dtype=np.int8),
+                                        np.zeros((0, 1), dtype=np.int8))], [P("Z")])
     with pytest.raises(ValueError):
-        collect_shadows(np.eye(2, dtype=complex) / 2, 0, np.random.default_rng(0))
+        collect_shadows(born_table(np.eye(2, dtype=complex) / 2), 0, np.random.default_rng(0))
 
 
 def test_estimates_exact_up_to_the_float_bound():
@@ -244,26 +245,26 @@ def test_estimates_exact_up_to_the_float_bound():
         means = sorted(sum(c * v for c, v in zip(row, values)) / sum(row)
                        for row in counts.tolist())
         ref.append(means[1])
-    assert estimate_paulis(ShadowData.from_counts(counts, n), paulis).tolist() == ref
+    assert estimate_paulis([ShadowData.from_counts(counts, n)], paulis)[0].tolist() == ref
     counts[2, 0] += 8   # batch 2 now holds under + 1 samples
     assert 9 * int(counts[2].sum()) >= 2**53
     with pytest.raises(ValueError, match="2\\^53"):
-        estimate_paulis(ShadowData.from_counts(counts, n), paulis)
+        estimate_paulis([ShadowData.from_counts(counts, n)], paulis)
 
 
 def test_batch_count_below_one_rejected_and_above_m_clamped():
     rho = np.eye(4, dtype=complex) / 4
-    samples = collect_shadows(rho, 5, np.random.default_rng(0))
+    samples = collect_shadows(born_table(rho), 5, np.random.default_rng(0))
     paulis = enumerate_local_paulis(2, 2)
     for batches in (0, -3):
         with pytest.raises(ValueError, match="batch"):
-            collect_shadows(rho, 5, np.random.default_rng(0), batches)
+            collect_shadows(born_table(rho), 5, np.random.default_rng(0), batches)
         with pytest.raises(ValueError, match="batch"):
             resplit(samples, batches)
-    clamped = collect_shadows(rho, 5, np.random.default_rng(0), 9)
+    clamped = collect_shadows(born_table(rho), 5, np.random.default_rng(0), 9)
     np.testing.assert_array_equal(clamped.sizes, np.ones(5))
-    np.testing.assert_array_equal(estimate_paulis(clamped, paulis),
-                                  estimate_paulis(resplit(samples, 5), paulis))
+    np.testing.assert_array_equal(estimate_paulis([clamped], paulis)[0],
+                                  estimate_paulis([resplit(samples, 5)], paulis)[0])
 
 
 def test_net_observable_estimates():
@@ -271,14 +272,14 @@ def test_net_observable_estimates():
     net = HamiltonianNet(support, 1.0)  # grid {-1, 0, 1}, 9 members
     h = random_hamiltonian(2, 2, 11)
     rho = gibbs_density(h, 1.0)
-    samples = collect_shadows(rho, 40000, np.random.default_rng(11))
+    samples = collect_shadows(born_table(rho), 40000, np.random.default_rng(11))
     obs = estimate_net_observables(samples, net)
     assert all(obs[(i, i)] == 0.0 for i in range(net.size))
     for i, j in itertools.product(range(net.size), repeat=2):
         assert obs[(i, j)] == pytest.approx(-obs[(j, i)], abs=1e-12)
     # triangle bound against the exact values: 200 n^k max per-string error
     truth = pauli_trace_inners(support, rho).real
-    per_string_err = np.max(np.abs(estimate_paulis(samples, support) - truth))
+    per_string_err = np.max(np.abs(estimate_paulis([samples], support)[0] - truth))
     for i, j in itertools.product(range(net.size), repeat=2):
         hi, hj = net_member(net, i), net_member(net, j)
         exact = sum((hi.coeffs.get(p, 0.0) - hj.coeffs.get(p, 0.0)) * t
@@ -295,8 +296,9 @@ def test_estimate_paulis_equals_per_string_loop(n, k, delta):
         for batches in (1, 5, mom_batches(n, k, delta)):
             assert m % batches or batches == 1
             ref = np.array([reference_estimate(samples, p, batches) for p in paulis])
-            np.testing.assert_array_equal(estimate_paulis(resplit(samples, batches), paulis), ref)
-            assert estimate_paulis(resplit(samples, batches), paulis[-1:])[0] == ref[-1]
+            np.testing.assert_array_equal(estimate_paulis([resplit(samples, batches)], paulis)[0],
+                                          ref)
+            assert estimate_paulis([resplit(samples, batches)], paulis[-1:])[0][0] == ref[-1]
 
 
 def kron_joint_distribution(rho, n):
@@ -333,7 +335,7 @@ def test_joint_distribution_rejects_non_psd_state():
     with pytest.raises(ValueError, match="PSD"):
         _joint_distribution(rho, 1)
     with pytest.raises(ValueError, match="PSD"):
-        collect_shadows(rho, 10, 0)
+        born_table(rho)
     # rounding-level negative mass is clipped, as before
     probs = _joint_distribution(np.diag([1.0 + 1e-14, -1e-14]).astype(complex), 1)
     assert probs.min() == 0.0 and probs.sum() == pytest.approx(1.0)
@@ -346,12 +348,12 @@ def test_non_unit_trace_state_rejected(n):
         with pytest.raises(ValueError, match="unit trace"):
             _joint_distribution(scaled, n)
         with pytest.raises(ValueError, match="unit trace"):
-            collect_shadows(scaled, 10, 0)
+            born_table(scaled)
     # trace 1 up to rounding still draws, from the table _joint_distribution returns
     for nearly in (rho * (1 + 1e-12), rho * (1 - 1e-12)):
         probs = _joint_distribution(nearly, n)
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
-        assert_drawn_from(collect_shadows(nearly, 50, 3), probs, 50, 3)
+        assert_drawn_from(collect_shadows(born_table(nearly), 50, 3), probs, 50, 3)
 
 
 def bad_tables():
@@ -384,7 +386,7 @@ def test_bad_tables_refused_by_both_draws(table):
 def test_collect_shadows_equals_digit_loop_over_choice(n):
     rho = gibbs_density(random_hamiltonian(n, min(n, 2), 950 + n), 0.6)
     m = 2000
-    samples = collect_shadows(rho, m, np.random.default_rng(n), m)   # the index regime
+    samples = collect_shadows(born_table(rho), m, np.random.default_rng(n), m)   # the index regime
     flat = np.random.default_rng(n).choice(6**n, size=m, p=_joint_distribution(rho, n))
     b, o = flat // 2**n, flat % 2**n
     for i in range(n):
@@ -407,7 +409,7 @@ def test_index_kernel_equals_per_string_reference(n, m, batch_counts):
     for batches in batch_counts:
         assert batches == 1 or m % batches
         ref = np.array([reference_estimate(samples, p, batches) for p in paulis])
-        np.testing.assert_array_equal(estimate_paulis(resplit(samples, batches), paulis), ref)
+        np.testing.assert_array_equal(estimate_paulis([resplit(samples, batches)], paulis)[0], ref)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -423,8 +425,8 @@ def test_index_estimates_equal_their_bincounted_histograms(n):
         counts = np.array([np.bincount(r, minlength=6**n) for r in rows])
         hist = ShadowData.from_counts(counts, n)
         np.testing.assert_array_equal(hist.sizes, index.sizes)
-        expected = estimate_paulis(hist, paulis)
-        np.testing.assert_array_equal(estimate_paulis(index, paulis), expected)
+        expected = estimate_paulis([hist], paulis)[0]
+        np.testing.assert_array_equal(estimate_paulis([index], paulis)[0], expected)
         # one block that holds both forms gives each set its own row
         np.testing.assert_array_equal(estimate_paulis([index, hist], paulis),
                                       [expected, expected])
@@ -467,7 +469,7 @@ def test_half_tables_built_once_per_string_list(monkeypatch):
     for batches in (1, 6):
         for strings in (paulis, tuple(paulis), others):
             ref = np.array([reference_estimate(samples, p, batches) for p in strings])
-            np.testing.assert_array_equal(estimate_paulis(resplit(samples, batches), strings),
+            np.testing.assert_array_equal(estimate_paulis([resplit(samples, batches)], strings)[0],
                                           ref)
     assert len(built) == 4   # two halves of each distinct string list
     for table, pick in _half_tables(n, tuple(p.code for p in paulis)):
@@ -483,17 +485,11 @@ def test_collect_shadows_draws_histograms_iff_they_are_no_larger(n):
     for m, batches in ((6**n, 1), (6**n - 1, 1), (3 * 6**n, 3), (3 * 6**n - 1, 3),
                        (3 * 6**n + 2, 3), (20, 30)):
         ours = np.random.default_rng(m + batches)
-        samples = collect_shadows(rho, m, ours, batches)
+        samples = collect_shadows(probs, m, ours, batches)
         assert (samples.counts is not None) == (min(batches, m) * 6**n <= m)
         assert len(samples) == m
         ref = assert_drawn_from(samples, probs, m, m + batches, batches)
         assert ours.bit_generator.state == ref.bit_generator.state
-        # a table built once draws the same samples and leaves the same state
-        again = np.random.default_rng(m + batches)
-        from_table = collect_shadows(probs, m, again, batches)
-        for a, b in ((samples.counts, from_table.counts), (samples.index, from_table.index)):
-            np.testing.assert_array_equal(a, b)
-        assert ours.bit_generator.state == again.bit_generator.state
 
 
 def test_born_table_keeps_the_state_checks():
@@ -515,7 +511,7 @@ def test_histogram_estimates_equal_index_path_on_expanded_samples(n):
     paulis = enumerate_local_paulis(n, min(n, 3))
     # drawn histograms at several batch counts, then hand-made ones whose
     # batch count is cut to m (the clamp), which the draw never makes
-    cases = [collect_shadows(rho, m, rng, batches)
+    cases = [collect_shadows(born_table(rho), m, rng, batches)
              for m, batches in ((6**n, 1), (5 * 6**n + 3, 5), (18 * 6**n + 11, 18))]
     cases += [ShadowData.from_counts(rng.multinomial(batch_sizes(m, batches), probs), n)
               for m, batches in ((7, 10), (3, 40))]
@@ -526,17 +522,17 @@ def test_histogram_estimates_equal_index_path_on_expanded_samples(n):
         index = ShadowData.from_index(np.concatenate(rows).astype(np.min_scalar_type(6**n)),
                                       n, batches)
         np.testing.assert_array_equal(index.sizes, samples.sizes)
-        np.testing.assert_array_equal(estimate_paulis(samples, paulis),
-                                      estimate_paulis(index, paulis))
+        np.testing.assert_array_equal(estimate_paulis([samples], paulis)[0],
+                                      estimate_paulis([index], paulis)[0])
         ref = np.array([reference_estimate(index, p, batches) for p in paulis])
-        np.testing.assert_array_equal(estimate_paulis(samples, paulis), ref)
+        np.testing.assert_array_equal(estimate_paulis([samples], paulis)[0], ref)
 
 
 @pytest.mark.parametrize("n, m", [(2, 50000), (3, 200000)])
 def test_histogram_draw_law(n, m):
     rho = gibbs_density(random_hamiltonian(n, 2, 1300 + n), 1.0)
     batches = mom_batches(n, 2, 0.05)
-    samples = collect_shadows(rho, m, np.random.default_rng(1310 + n), batches)
+    samples = collect_shadows(born_table(rho), m, np.random.default_rng(1310 + n), batches)
     assert samples.counts.shape == (batches, 6**n)
     np.testing.assert_array_equal(samples.counts.sum(axis=1),
                                   [len(c) for c in np.array_split(np.arange(m), batches)])
@@ -555,11 +551,11 @@ def test_histogram_and_index_estimates_share_their_law():
     paulis = enumerate_local_paulis(n, 2, include_identity=False)
     hist, index = [], []
     for seed in range(reps):
-        drawn = collect_shadows(rho, m, np.random.default_rng((1401, seed)), batches)
+        drawn = collect_shadows(born_table(rho), m, np.random.default_rng((1401, seed)), batches)
         assert drawn.counts is not None
-        hist.append(estimate_paulis(drawn, paulis))
+        hist.append(estimate_paulis([drawn], paulis)[0])
         drawn = resplit(per_sample(rho, m, np.random.default_rng((1402, seed))), batches)
-        index.append(estimate_paulis(drawn, paulis))
+        index.append(estimate_paulis([drawn], paulis)[0])
     hist, index = np.array(hist), np.array(index)
 
     def moments(x):
@@ -611,8 +607,8 @@ def test_estimates_invariant_under_qubit_permutation(n):
             else:
                 permuted = ShadowData.from_index(where[samples.index].astype(samples.index.dtype),
                                                  n, batches)
-            np.testing.assert_array_equal(estimate_paulis(permuted, moved),
-                                          estimate_paulis(samples, paulis))
+            np.testing.assert_array_equal(estimate_paulis([permuted], moved)[0],
+                                          estimate_paulis([samples], paulis)[0])
             for one, moved_one in zip(_batch_sets(samples), _batch_sets(permuted)):
-                np.testing.assert_array_equal(estimate_paulis(moved_one, moved),
-                                              estimate_paulis(one, paulis))
+                np.testing.assert_array_equal(estimate_paulis([moved_one], moved)[0],
+                                              estimate_paulis([one], paulis)[0])
