@@ -20,8 +20,8 @@ profiles ship:
   3e14 experiments (2.6e14 at eps 0.05, 3.0e14 at eps 0.01), and its hit
   count is still one binomial draw, so a strict run costs what a calibrated
   one does.
-* "calibrated": t = 1/(c_t eps) with a threshold/accuracy pair fitted once on
-  the in-repo corpus; the cheap profile, about 1e4 experiments a level.
+* "calibrated": t = 1/(c_t eps) with a chosen threshold/accuracy pair (checked
+  by acceptance criterion 06); the cheap profile, ~1e4 experiments a level.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class CertProfile(NamedTuple):
 def strict_profile() -> CertProfile:
     return CertProfile(
         name="strict",
-        time_scale=60.0 * math.exp(3.0) * con.SERIES_TAIL_SUM,
+        time_scale=con.STRICT_TIME_SCALE,
         eps_trott=con.TROTTER_ERROR_STRICT,
         est_accuracy=con.EST_ACCURACY_STRICT,
         far_threshold=con.FAR_THRESHOLD_STRICT,

@@ -166,6 +166,9 @@ class GibbsCertConfig:
 
     @property
     def nominal_budget(self) -> int:
+        if self.per_pauli_accuracy >= 1:
+            raise ValueError(f"beta={self.beta} puts the per-Pauli accuracy eps^2/(800 beta n^k) "
+                             f"at {self.per_pauli_accuracy:.3g}, not below 1")
         return shadow_budget(self.n, self.k, self.per_pauli_accuracy, self.delta)
 
     @property

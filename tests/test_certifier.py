@@ -30,6 +30,7 @@ from isingcert.hamiltonians import LocalHamiltonian
 from isingcert.oracle import evolve_matrix, hermitian_eig, identity_coeff
 from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_sum_matrix
 from isingcert.reports import canonical_json, csv_text
+from pauli_reference import local_clifford_rows
 from rng_reference import trial_rng
 
 P = PauliString.from_label
@@ -330,6 +331,22 @@ def test_strict_time_bound_is_the_schedule_charge():
     assert evolution_time_bound(cal) == con.EVOLUTION_TIME_CONSTANT * math.log(1 / 0.005) / 0.05
 
 
+def test_evolution_time_constant_bounds_the_charge():
+    # a calibrated CLOSE run charges every level of its schedule, so the
+    # constant c of c ln(C_F / (eps delta)) / eps follows from the compile;
+    # over this grid c runs from 236 (eps 0.1, delta 0.1) to 439 (eps 0.01,
+    # delta 0.01), and the shipped 800 is 1.8x the largest
+    constants = []
+    for eps in (0.1, 0.05, 0.025, 0.01, 0.002):
+        for delta in (0.1, 0.01):
+            config = CertConfig(eps=eps, delta=delta)
+            ledger = ExperimentLedger()
+            for lvl in compile_levels(IterationSchedule(eps, delta, 1.0).levels, config):
+                charge_plan((lvl.fragment,), ledger, repeat=lvl.samples)
+            constants.append(ledger.total_evolution_time * eps / math.log(1 / (eps * delta)))
+    assert max(constants) * 1.8 <= con.EVOLUTION_TIME_CONSTANT
+
+
 def test_budget_overrun_at_any_level_raises_before_any_draw():
     # c_op = 6500 gives level 0 (eps 0.05) 1.14e7 Trotter steps, over the 1e7
     # budget; levels 5..1 need at most 8.2e6
@@ -459,37 +476,6 @@ def test_task_reports_equal_in_blocks_of_one_and_in_one_block(n, profile, arm, m
         texts.append([canonical_json(payload),
                       *(csv_text(*tables[name]) for name in ("levels", "verdicts"))])
     assert texts[0] == texts[1]
-
-
-# H, S and the identity as signed letter maps, X, Y, Z = 1, 2, 3:
-# g P g^dag = sign P' for the single-qubit Pauli P
-CLIFFORD_LETTERS = {
-    "I": ((1, 1), (2, 1), (3, 1)),
-    "H": ((3, 1), (2, -1), (1, 1)),
-    "S": ((2, 1), (1, -1), (3, 1)),
-}
-
-
-def local_clifford_rows(rows, n, rng):
-    """The coefficient rows, over the weight <= 2 strings, of C H C^dag for
-    each row's H, where C moves qubit q to perm[q] and then applies a random
-    H, S or identity on each qubit: a signed permutation of the rows, worked
-    out from the letter algebra alone."""
-    paulis = enumerate_local_paulis(n, 2, include_identity=False)
-    position = {p: i for i, p in enumerate(paulis)}
-    perm, gates = rng.permutation(n), rng.choice(list(CLIFFORD_LETTERS), n)
-    target, sign = [], []
-    for p in paulis:
-        letters, s = [0] * n, 1
-        for q, d in enumerate(p.digits()):
-            if d:
-                letters[perm[q]], flip = CLIFFORD_LETTERS[gates[perm[q]]][d - 1]
-                s *= flip
-        target.append(position[PauliString.from_label("".join("IXYZ"[d] for d in letters))])
-        sign.append(s)
-    out = np.empty_like(rows)
-    out[:, target] = rows * sign
-    return out
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -650,6 +650,16 @@ def test_largest_beta_max_below_the_float_maximum_runs(tmp_path):
     assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
+def test_certify_gibbs_small_beta_names_beta(tmp_path, monkeypatch, capsys):
+    # eps 0.3, n = k = 2: at beta <= eps^2 / (800 n^k) = 2.8e-5 the per-Pauli
+    # accuracy is >= 1, with eps and delta in range and explicit samples
+    err = _refused_before_any_trial(tmp_path, monkeypatch, capsys, "certify-gibbs",
+                                    {"beta": 1e-5, "samples": 100})
+    assert "beta=1e-05 puts the per-Pauli accuracy eps^2/(800 beta n^k) at 2.81, " \
+           "not below 1" in err
+    assert "eps and delta" not in err
+
+
 def test_shadow_estimate_bad_delta_and_n_name_their_ranges(tmp_path, monkeypatch, capsys):
     err = _refused_before_any_trial(tmp_path, monkeypatch, capsys, "shadow-estimate",
                                     {"delta": 0.0})
