@@ -43,7 +43,6 @@ CLOSE = "CLOSE"
 class CertProfile(NamedTuple):
     """Constants one subroutine call runs with; t(eps) = 1/(time_scale * eps)."""
 
-    name: str
     time_scale: float
     eps_trott: float
     est_accuracy: float
@@ -54,29 +53,17 @@ class CertProfile(NamedTuple):
         return 1.0 / (self.time_scale * eps)
 
 
+PROFILES = {
+    "strict": CertProfile(con.STRICT_TIME_SCALE, con.TROTTER_ERROR_STRICT,
+                          con.EST_ACCURACY_STRICT, con.FAR_THRESHOLD_STRICT,
+                          con.SPAM_BUDGET_STRICT),
+    "calibrated": CertProfile(con.CAL_TIME_SCALE, con.CAL_TROTTER_ERROR, con.CAL_EST_ACCURACY,
+                              con.CAL_FAR_THRESHOLD, con.CAL_EST_ACCURACY / 3.0),
+}
+
+
 def strict_profile() -> CertProfile:
-    return CertProfile(
-        name="strict",
-        time_scale=con.STRICT_TIME_SCALE,
-        eps_trott=con.TROTTER_ERROR_STRICT,
-        est_accuracy=con.EST_ACCURACY_STRICT,
-        far_threshold=con.FAR_THRESHOLD_STRICT,
-        spam_budget=con.SPAM_BUDGET_STRICT,
-    )
-
-
-def calibrated_profile() -> CertProfile:
-    return CertProfile(
-        name="calibrated",
-        time_scale=con.CAL_TIME_SCALE,
-        eps_trott=con.CAL_TROTTER_ERROR,
-        est_accuracy=con.CAL_EST_ACCURACY,
-        far_threshold=con.CAL_FAR_THRESHOLD,
-        spam_budget=con.CAL_EST_ACCURACY / 3.0,
-    )
-
-
-PROFILES = {"strict": strict_profile, "calibrated": calibrated_profile}
+    return PROFILES["strict"]
 
 
 def decide(estimate, far_threshold: float):
@@ -86,6 +73,10 @@ def decide(estimate, far_threshold: float):
 
 
 class CertConfig:
+    """One certification run: its accuracy, confidence, norm bounds and
+    profile, and the geometric schedule eps_l = (15/12)^l eps that removes
+    the promise, as `levels`, (l, eps_l, delta_l) from l = L down to 0."""
+
     def __init__(self, eps: float, delta: float, c_op: float = 1.0, c_frob: float = 1.0,
                  profile: str = "calibrated"):
         if not 0 < eps < c_frob:
@@ -98,29 +89,17 @@ class CertConfig:
         if profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}")
         self.eps, self.delta, self.c_op, self.c_frob = eps, delta, c_op, c_frob
-        self.profile = profile
-
-
-class IterationSchedule:
-    """Geometric relaxation eps_l = (15/12)^l eps, run from l = L down to 0."""
-
-    def __init__(self, eps: float, delta: float, c_frob: float):
-        ratio = 15.0 / 12.0
-        arg = 2.0 * c_frob / (15.0 * eps)
+        self.profile = PROFILES[profile]
+        ratio, arg = 15.0 / 12.0, 2.0 * c_frob / (15.0 * eps)
+        if arg == math.inf:
+            raise ValueError(f"eps={eps} is too small: 2 C_frob / (15 eps) overflows")
         big_l = max(0, math.ceil(math.log(arg) / math.log(ratio))) if arg > 1 else 0
-        delta_l = delta / (big_l + 1)
-        self.eps, self.delta, self.c_frob = eps, delta, c_frob
-        self.levels = tuple(
-            (l, ratio**l * eps, delta_l) for l in range(big_l, -1, -1)
-        )
-
-    @property
-    def big_l(self) -> int:
-        return self.levels[0][0]
+        self.levels = tuple((l, ratio**l * eps, delta / (big_l + 1))
+                            for l in range(big_l, -1, -1))
 
     def log_factor(self) -> float:
         """ln(2 (L+1) / delta), the per-level sample log factor."""
-        return math.log(2.0 * (self.big_l + 1) / self.delta)
+        return math.log(2.0 * len(self.levels) / self.delta)
 
 
 class CompiledLevel(NamedTuple):
@@ -142,7 +121,7 @@ def compile_levels(levels, config: CertConfig) -> list[CompiledLevel]:
     step count over TROTTER_STEP_BUDGET raises BudgetExceededError here, at
     any level.
     """
-    profile = PROFILES[config.profile]()
+    profile = config.profile
     return [CompiledLevel(level, eps_l, delta_l,
                           trotter_compile(None, profile.time_for(eps_l), profile.eps_trott,
                                           config.c_op),
@@ -175,11 +154,11 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
     per trial, the clamped estimates of the levels it ran: its stop level is
     the last of them, and `decide` of its last estimate is its verdict.
 
-    Run down a whole `IterationSchedule`, a trial's verdict is correct with
-    probability >= 1 - delta under the promise gap (||H - H0||_F <= eps
-    against >= 12 eps).  Without either promise, FAR still implies
-    ||H - H0||_F >= eps, and CLOSE implies ||H - H0||_F <= 12 eps, each with
-    probability >= 1 - delta.
+    Run down the whole schedule `config.levels`, a trial's verdict is
+    correct with probability >= 1 - delta under the promise gap
+    (||H - H0||_F <= eps against >= 12 eps).  Without either promise, FAR
+    still implies ||H - H0||_F >= eps, and CLOSE implies
+    ||H - H0||_F <= 12 eps, each with probability >= 1 - delta.
 
     `spectra` is (w0, v0, w, v), each trial's eigenvalues (B, 2^n) and
     eigenvectors (B, 2^n, 2^n) of H0 and of H.  Trial i draws from rngs[i]
@@ -197,7 +176,7 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
     w0, v0, w, v = spectra
     n = w.shape[-1].bit_length() - 1
     m = np.swapaxes(v.conj(), -1, -2) @ v0
-    threshold = PROFILES[config.profile]().far_threshold
+    threshold = config.profile.far_threshold
     estimates = [[] for _ in rngs]
     running, rngs = list(range(len(rngs))), list(rngs)
     for lvl in levels:
@@ -215,17 +194,14 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
     return estimates
 
 
-def evolution_time_bound(config: CertConfig) -> float:
-    """Bound on a run's total evolution time.
+def evolution_time_bound(config: CertConfig, levels: list[CompiledLevel]) -> float:
+    """Bound on a run's total evolution time, given the compiled schedule.
 
     Strict: the schedule's full charge sum_l m_l t_l, which a run that
     reaches CLOSE spends.  Calibrated: the shipped c log(C_F / (eps delta)) / eps.
     """
-    if config.profile == "strict":
-        profile = strict_profile()
-        schedule = IterationSchedule(config.eps, config.delta, config.c_frob)
-        return math.fsum(sample_count(profile.est_accuracy, delta_l) * profile.time_for(eps_l)
-                         for _, eps_l, delta_l in schedule.levels)
+    if config.profile == PROFILES["strict"]:
+        return math.fsum(lvl.samples * lvl.fragment.t for lvl in levels)
     return (
         con.EVOLUTION_TIME_CONSTANT
         * math.log(config.c_frob / (config.eps * config.delta))

@@ -112,35 +112,6 @@ def local_pauli_count(n: int, k: int) -> int:
     return sum(3**l * math.comb(n, l) for l in range(k + 1))
 
 
-@functools.lru_cache(maxsize=1024)
-def pauli_phases(p: PauliString) -> tuple[int, np.ndarray]:
-    """Action data for p: p|x> = phases[x] * |x ^ flip_mask>.
-
-    flip_mask has a bit per qubit where the letter is X or Y (qubit 0 is the
-    most significant bit, matching the tensor-product index convention).
-    phases[x] = i^{#Y} * (-1)^{popcount(x & zy_mask)}.  Results are cached
-    per string, so the phase array is read-only.
-    """
-    digits = p.digits()
-    n = p.n
-    flip = 0
-    zy = 0
-    num_y = 0
-    for i, d in enumerate(digits):
-        bit = 1 << (n - 1 - i)
-        if d in (1, 2):
-            flip |= bit
-        if d in (2, 3):
-            zy |= bit
-        if d == 2:
-            num_y += 1
-    x = np.arange(2**n, dtype=np.uint64)
-    parity = np.bitwise_count(x & np.uint64(zy)) & 1
-    phases = ((1j**num_y) * np.where(parity, -1.0, 1.0)).astype(complex)
-    phases.flags.writeable = False
-    return flip, phases
-
-
 class PauliPlan(NamedTuple):
     """The action of a list of T strings on n qubits, read-only.  String j
     puts its phase at the flat entry index[j, x] = (x ^ flip_j) 2^n + x of a
@@ -154,18 +125,27 @@ class PauliPlan(NamedTuple):
     signs: np.ndarray         # (T, 2^n)
 
 
+# i^k for k = 0..3 as Python's 1j**k, signs of zero included
+_I_POWERS = np.array([1j**k for k in range(4)])
+
+
 @functools.lru_cache(maxsize=64)
 def pauli_plan(n: int, codes: tuple[int, ...]) -> PauliPlan:
     """The action plan of the strings with these codes on n qubits, built
-    once per (n, codes) from `pauli_phases`."""
-    dim = 2**n
-    flips = np.zeros(len(codes), dtype=np.intp)
-    phases = np.zeros((len(codes), dim), dtype=complex)
-    for j, code in enumerate(codes):
-        flips[j], phases[j] = pauli_phases(PauliString(n, code))
+    once per (n, codes).  String j flips the qubits where its letter is X
+    or Y (qubit 0 is the most significant bit of x), and its phase at x is
+    i^{#Y} (-1)^{popcount(x & zy_j)}, with zy_j the qubits where it is Y or Z."""
+    dim, shifts = 2**n, np.arange(n - 1, -1, -1)
+    digits = np.array(codes, dtype=np.int64).reshape(-1, 1) >> 2 * shifts & 3
+    bits = 1 << shifts
+    flips = np.where((digits == 1) | (digits == 2), bits, 0).sum(axis=1)
+    zy = np.where(digits >= 2, bits, 0).sum(axis=1)
+    num_y = (digits == 2).sum(axis=1)
     cols = np.arange(dim)
+    phases = _I_POWERS[num_y % 4, None] * np.where(np.bitwise_count(cols & zy[:, None]) & 1,
+                                                   -1.0, 1.0)
     index = (cols ^ flips[:, None]) * dim + cols
-    odd = phases[:, :1].real == 0   # phases[:, 0] = i^{#Y}
+    odd = num_y[:, None] % 2 == 1
     plan = PauliPlan(index, phases.conj(), 2 * index + odd,
                      np.where(odd, phases.imag, phases.real))
     for a in plan:

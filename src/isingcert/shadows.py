@@ -27,6 +27,9 @@ from .constants import MOM_BATCH_CONSTANT, SHADOW_SAMPLE_CONSTANT
 from .oracle import clip_distribution
 from .paulis import PauliString
 
+# a Born table has 6^n entries, and building one holds complex arrays of that size
+MAX_SHADOW_QUBITS = 10
+
 _SQ2 = 1.0 / math.sqrt(2.0)
 _EIGVECS = np.array([
     [[_SQ2, _SQ2], [_SQ2, -_SQ2]],              # X

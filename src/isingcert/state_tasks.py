@@ -37,8 +37,8 @@ from .hamiltonians import HamiltonianNet, check_beta, frobenius_norms, gibbs_sta
 from .oracle import hermitian_eig, hermitian_eigvals, spectral_moments, trace_distance
 from .paulis import (PauliString, check_size, enumerate_local_paulis, local_pauli_count,
                      pauli_sum_matrix, pauli_trace_inners)
-from .shadows import (batch_sizes, born_table, collect_shadows, estimate_paulis,
-                      exact_batch_limit, mom_batches, shadow_budget)
+from .shadows import (MAX_SHADOW_QUBITS, batch_sizes, born_table, collect_shadows,
+                      estimate_paulis, exact_batch_limit, mom_batches, shadow_budget)
 from .tasks import MAX_TRIALS, config_boundary, task_arm, trial_rngs
 
 SLACK_TOL = -1e-9
@@ -51,7 +51,11 @@ def _resolve_samples(requested, nominal: int, n: int, batches: int) -> int:
     takes batch histograms (batches 6^n <= m) and O(m) once it takes
     per-sample indices, so a nominal budget is refused only in the second
     case and over SHADOW_SAMPLE_HARD_CAP.  Any count whose largest batch is
-    over `exact_batch_limit` is refused too, before any trial draws."""
+    over `exact_batch_limit` is refused too, before any trial draws, and so
+    is any n over MAX_SHADOW_QUBITS."""
+    if n > MAX_SHADOW_QUBITS:
+        raise ConfigError(f"n={n} is over the {MAX_SHADOW_QUBITS} qubits that shadow sampling "
+                          f"supports: a Born table has 6^n = {6**n} entries")
     if requested is not None and requested < 1:
         raise ConfigError(f"params.samples must be >= 1, got {requested}")
     m = nominal if requested is None else int(requested)

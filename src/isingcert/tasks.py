@@ -37,8 +37,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import oracle
-from .certifier import (CLOSE, PROFILES, CertConfig, IterationSchedule, certify_block,
-                        compile_levels, decide, evolution_time_bound)
+from .certifier import (CLOSE, CertConfig, certify_block, compile_levels, decide,
+                        evolution_time_bound)
 from .constants import constants_ledger
 from .dynamics import ExperimentLedger
 from .errors import ConfigError, PromiseViolationError
@@ -237,9 +237,8 @@ def task_certify_dynamics(params, trials, seed):
         raise ConfigError(
             f"{arm} arm needs ||H - H0||_F = {gap} below c_frob = {params['c_frob']}"
         )
-    schedule = IterationSchedule(params["eps"], params["delta"], params["c_frob"])
-    levels = compile_levels(schedule.levels, config)   # a budget overrun exits before any draw
-    threshold = PROFILES[config.profile]().far_threshold
+    levels = compile_levels(config.levels, config)   # a budget overrun exits before any draw
+    threshold = config.profile.far_threshold
     expected = "FAR" if arm == "far" else "CLOSE"
     # every trial charges the same compiled levels, so the ledgers of two
     # trials that stop at the same level are equal: one snapshot per stop
@@ -274,9 +273,9 @@ def task_certify_dynamics(params, trials, seed):
         "error_count": errors,
         "error_rate": errors / len(records),
         "mean_total_evolution_time": mean_time,
-        "normalized_time": mean_time * params["eps"] / schedule.log_factor(),
-        "time_bound": evolution_time_bound(config),
-        "schedule_levels": schedule.big_l + 1,
+        "normalized_time": mean_time * params["eps"] / config.log_factor(),
+        "time_bound": evolution_time_bound(config, levels),
+        "schedule_levels": len(levels),
         "trials": records,
     }
     table = [

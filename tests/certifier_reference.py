@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from isingcert.certifier import PROFILES, IterationSchedule, certify_block, compile_levels, decide
+from isingcert.certifier import certify_block, compile_levels, decide
 from isingcert.dynamics import ExperimentLedger
 from isingcert.hamiltonians import LocalHamiltonian
 from isingcert.paulis import enumerate_local_paulis
@@ -57,10 +57,9 @@ def certify_trial(h0: LocalHamiltonian, h: LocalHamiltonian, config, rng) -> Cer
     surviving every level means CLOSE.  The schedule is compiled before the
     first draw, so a budget overrun at any level raises BudgetExceededError
     with `rng` untouched."""
-    levels = compile_levels(IterationSchedule(config.eps, config.delta, config.c_frob).levels,
-                            config)
+    levels = compile_levels(config.levels, config)
     ledger = ExperimentLedger()
     spectra = tuple(a[None] for a in (*h0.spectrum(), *h.spectrum()))
     [estimates] = certify_block(spectra, levels, config, [np.random.default_rng(rng)], [ledger])
-    records = level_records(levels, estimates, PROFILES[config.profile]().far_threshold)
+    records = level_records(levels, estimates, config.profile.far_threshold)
     return CertReport(records[-1].verdict, records, ledger.snapshot())

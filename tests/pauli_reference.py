@@ -1,16 +1,62 @@
 """Literal references for the Pauli action kernels in paulis.py.
 
-`trace_inners` is the per-matrix gather loop that `pauli_trace_inners` ran
-before it gathered whole stacks: one (strings, 2^n) gather and one row sum
-per matrix.  `pauli_sum` adds the terms one by one into each matrix, and
-`pauli_matvec` applies one string to a state vector.  `local_clifford_rows`
-conjugates 2-local coefficient rows by a local Clifford, for the invariance
-tests.
+`pauli_phases` is one string's action, from its letters one by one, and
+`plan` is `pauli_plan` built from it string by string.  `trace_inners` is
+the per-matrix gather loop that `pauli_trace_inners` ran before it gathered
+whole stacks: one (strings, 2^n) gather and one row sum per matrix.
+`pauli_sum` adds the terms one by one into each matrix, and `pauli_matvec`
+applies one string to a state vector.  `local_clifford_rows` conjugates
+2-local coefficient rows by a local Clifford, for the invariance tests.
 """
+
+import functools
 
 import numpy as np
 
-from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_phases
+from isingcert.paulis import PauliPlan, PauliString, enumerate_local_paulis
+
+
+@functools.lru_cache(maxsize=1024)
+def pauli_phases(p: PauliString) -> tuple[int, np.ndarray]:
+    """Action data for p: p|x> = phases[x] * |x ^ flip_mask>.
+
+    flip_mask has a bit per qubit where the letter is X or Y (qubit 0 is the
+    most significant bit, matching the tensor-product index convention).
+    phases[x] = i^{#Y} * (-1)^{popcount(x & zy_mask)}.  Results are cached
+    per string, so the phase array is read-only.
+    """
+    digits = p.digits()
+    n = p.n
+    flip = 0
+    zy = 0
+    num_y = 0
+    for i, d in enumerate(digits):
+        bit = 1 << (n - 1 - i)
+        if d in (1, 2):
+            flip |= bit
+        if d in (2, 3):
+            zy |= bit
+        if d == 2:
+            num_y += 1
+    x = np.arange(2**n, dtype=np.uint64)
+    parity = np.bitwise_count(x & np.uint64(zy)) & 1
+    phases = ((1j**num_y) * np.where(parity, -1.0, 1.0)).astype(complex)
+    phases.flags.writeable = False
+    return flip, phases
+
+
+def plan(n, codes):
+    """The plan that `pauli_plan(n, codes)` returns, string by string."""
+    dim = 2**n
+    flips = np.zeros(len(codes), dtype=np.intp)
+    phases = np.zeros((len(codes), dim), dtype=complex)
+    for j, code in enumerate(codes):
+        flips[j], phases[j] = pauli_phases(PauliString(n, code))
+    cols = np.arange(dim)
+    index = (cols ^ flips[:, None]) * dim + cols
+    odd = phases[:, :1].real == 0   # phases[:, 0] = i^{#Y}
+    return PauliPlan(index, phases.conj(), 2 * index + odd,
+                     np.where(odd, phases.imag, phases.real))
 
 
 def trace_inners(paulis, a):

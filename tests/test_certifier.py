@@ -14,18 +14,15 @@ from isingcert.certifier import (
     FAR,
     PROFILES,
     CertConfig,
-    IterationSchedule,
-    calibrated_profile,
     certify_block,
     compile_levels,
     decide,
     eigenbasis_identity_sq,
     evolution_time_bound,
-    strict_profile,
 )
 from isingcert.dynamics import ExperimentLedger, charge_plan, trotter_compile
 from isingcert.errors import BudgetExceededError
-from isingcert.identity_estimator import estimate_identity_sq
+from isingcert.identity_estimator import estimate_identity_sq, sample_count
 from isingcert.hamiltonians import LocalHamiltonian
 from isingcert.oracle import evolve_matrix, hermitian_eig, identity_coeff
 from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_sum_matrix
@@ -44,7 +41,7 @@ def certify_at(h0, h, eps, delta, config, rng, ledger):
     levels = compile_levels(((-1, eps, delta),), config)
     spectra = tuple(a[None] for a in (*h0.spectrum(), *h.spectrum()))
     [estimates] = certify_block(spectra, levels, config, [rng], [ledger])
-    [record] = level_records(levels, estimates, PROFILES[config.profile]().far_threshold)
+    [record] = level_records(levels, estimates, config.profile.far_threshold)
     return record.verdict, record
 
 
@@ -52,10 +49,10 @@ def certify_literal(h0, h, config, rng) -> CertReport:
     """Per-level reference for `certify_trial`: compile each level as it is reached,
     realize its fragment and run the estimator on that one query step."""
     rng = np.random.default_rng(rng)
-    profile = PROFILES[config.profile]()
+    profile = config.profile
     ledger = ExperimentLedger()
     records, verdict = [], CLOSE
-    for level, eps_l, delta_l in IterationSchedule(config.eps, config.delta, config.c_frob).levels:
+    for level, eps_l, delta_l in config.levels:
         frag = trotter_compile(h0, profile.time_for(eps_l), profile.eps_trott, config.c_op)
         est = estimate_identity_sq((frag,), h, h0.n, profile.est_accuracy, delta_l, rng)
         charge_plan((frag,), ledger, repeat=est.samples_used)
@@ -68,7 +65,7 @@ def certify_literal(h0, h, config, rng) -> CertReport:
 
 
 def test_strict_constants_closed_forms():
-    prof = strict_profile()
+    prof = PROFILES["strict"]
     assert con.SERIES_TAIL_SUM == pytest.approx(1 / (1 - math.exp(-2)), rel=1e-15)
     assert prof.far_threshold == pytest.approx(1 - 23 / (2400 * E6C2), rel=1e-15)
     assert prof.est_accuracy == pytest.approx(1 / (4800 * E6C2), rel=1e-15)
@@ -81,7 +78,7 @@ def test_strict_constants_closed_forms():
 
 
 def test_decision_rule_at_paper_margins():
-    thr = strict_profile().far_threshold
+    thr = PROFILES["strict"].far_threshold
     unit = 1 / (2400 * E6C2)
     assert decide(1 - 24 / (2400 * E6C2), thr) == FAR
     assert decide(1 - 2 / (2400 * E6C2), thr) == CLOSE
@@ -90,24 +87,25 @@ def test_decision_rule_at_paper_margins():
 
 
 def test_decision_rule_bit_exact():
-    thr = calibrated_profile().far_threshold
+    thr = PROFILES["calibrated"].far_threshold
     assert decide(thr, thr) == FAR           # boundary belongs to FAR
     assert decide(thr - 1e-12, thr) == FAR
     assert decide(thr + 1e-12, thr) == CLOSE
 
 
 def test_schedule_example():
-    sched = IterationSchedule(0.1, 0.1, 1.0)
-    assert sched.big_l == 2
-    eps_seq = [lvl[1] for lvl in sched.levels]
+    config = CertConfig(eps=0.1, delta=0.1, c_frob=1.0)
+    assert [lvl[0] for lvl in config.levels] == [2, 1, 0]
+    eps_seq = [lvl[1] for lvl in config.levels]
     assert eps_seq == pytest.approx([0.15625, 0.125, 0.1])
-    for lvl in sched.levels:
+    for lvl in config.levels:
         assert lvl[2] == pytest.approx(0.1 / 3)
+    assert config.log_factor() == math.log(2.0 * 3 / 0.1)
 
 
 def test_schedule_invariants():
     for eps, c_frob in ((0.05, 1.0), (0.02, 3.0), (0.3, 1.0)):
-        sched = IterationSchedule(eps, 0.1, c_frob)
+        sched = CertConfig(eps=eps, delta=0.1, c_frob=c_frob)
         eps_top = sched.levels[0][1]
         assert eps_top >= 2 * c_frob / 15 - 1e-12
         seq = [lvl[1] for lvl in sched.levels]
@@ -159,7 +157,7 @@ def test_strict_profile_oracle_verdicts():
 
 
 def test_subroutine_trotter_error_within_profile():
-    prof = calibrated_profile()
+    prof = PROFILES["calibrated"]
     h0, h = certifier_instance(np.random.SeedSequence(5), 2, 0.05, True)
     from isingcert.dynamics import trotter_compile
 
@@ -173,7 +171,7 @@ def test_subroutine_trotter_error_within_profile():
 def test_monotone_suppression_in_perturbation_scale():
     # within the bounded-promise window, 1 - |u_I(t a dH)|^2 grows with a
     rng = np.random.default_rng(9)
-    prof = strict_profile()
+    prof = PROFILES["strict"]
     eps = 0.05
     t = prof.time_for(eps)
     for _ in range(10):
@@ -201,7 +199,7 @@ def test_identical_hamiltonians_close():
     config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, c_frob=1.0)
     report = certify_trial(h0, h0, config, np.random.default_rng(1))
     assert report.verdict == CLOSE
-    assert len(report.levels) == len(IterationSchedule(0.05, 0.1, 1.0).levels)
+    assert len(report.levels) == len(config.levels)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -255,7 +253,8 @@ def test_ledger_time_within_shipped_bound():
     config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, c_frob=1.0)
     h0, h = certifier_instance(np.random.SeedSequence(11), 2, 0.05, False)
     report = certify_trial(h0, h, config, np.random.default_rng(2))
-    assert report.ledger["total_evolution_time"] <= evolution_time_bound(config)
+    assert report.ledger["total_evolution_time"] <= evolution_time_bound(
+        config, compile_levels(config.levels, config))
 
 
 def test_report_payload_complete():
@@ -296,8 +295,8 @@ def test_oracle_estimates_match_realized_fragments(n, profile, eps):
     # the eigenbasis kernel at every schedule level against
     # |identity_coeff(realize)|^2 of the fragment compiled with H0
     config = CertConfig(eps=eps, delta=0.1, c_op=2.0, profile=profile)
-    prof = PROFILES[profile]()
-    levels = compile_levels(IterationSchedule(eps, 0.1, 1.0).levels, config)
+    prof = config.profile
+    levels = compile_levels(config.levels, config)
     steps = []
     for far in (False, True):
         h0, h = certifier_instance(np.random.SeedSequence((32, n, far)), n, eps, far)
@@ -316,7 +315,11 @@ def test_oracle_estimates_match_realized_fragments(n, profile, eps):
 
 def test_strict_time_bound_is_the_schedule_charge():
     config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, profile="strict")
-    bound = evolution_time_bound(config)
+    bound = evolution_time_bound(config, compile_levels(config.levels, config))
+    # the compiled levels' charge is sum_l m_l t_l, float for float
+    prof = config.profile
+    assert bound == math.fsum(sample_count(prof.est_accuracy, delta_l) * prof.time_for(eps_l)
+                              for _, eps_l, delta_l in config.levels)
     totals = {}
     for far in (False, True):
         h0, h = certifier_instance(np.random.SeedSequence((33, far)), 2, 0.05, far)
@@ -328,7 +331,8 @@ def test_strict_time_bound_is_the_schedule_charge():
     assert totals[True] <= bound
     # the calibrated bound is the shipped closed form
     cal = CertConfig(eps=0.05, delta=0.1, c_op=2.0)
-    assert evolution_time_bound(cal) == con.EVOLUTION_TIME_CONSTANT * math.log(1 / 0.005) / 0.05
+    assert evolution_time_bound(cal, compile_levels(cal.levels, cal)) == \
+        con.EVOLUTION_TIME_CONSTANT * math.log(1 / 0.005) / 0.05
 
 
 def test_evolution_time_constant_bounds_the_charge():
@@ -341,7 +345,7 @@ def test_evolution_time_constant_bounds_the_charge():
         for delta in (0.1, 0.01):
             config = CertConfig(eps=eps, delta=delta)
             ledger = ExperimentLedger()
-            for lvl in compile_levels(IterationSchedule(eps, delta, 1.0).levels, config):
+            for lvl in compile_levels(config.levels, config):
                 charge_plan((lvl.fragment,), ledger, repeat=lvl.samples)
             constants.append(ledger.total_evolution_time * eps / math.log(1 / (eps * delta)))
     assert max(constants) * 1.8 <= con.EVOLUTION_TIME_CONSTANT
@@ -413,7 +417,7 @@ def test_block_raises_each_trial_only_to_its_stop(monkeypatch):
     # far trials at growing gaps say FAR at earlier levels: each level raises
     # the steps of the trials still running, and no level runs after the last FAR
     config = CertConfig(eps=0.05, delta=0.1, c_op=2.0)
-    levels = compile_levels(IterationSchedule(0.05, 0.1, 1.0).levels, config)
+    levels = compile_levels(config.levels, config)
     h0 = random_fixed_norm(2, 2, 50, 0.3)
     direction = random_fixed_norm(2, 2, 51, 1.0)
     hams = [hamiltonian_sum(h0, direction.scaled(gap)) for gap in (0.6, 1.2, 0.9, 0.6)]
@@ -431,7 +435,7 @@ def test_block_raises_each_trial_only_to_its_stop(monkeypatch):
     results = certify_block(spectra, levels, config, [np.random.default_rng(i) for i in range(4)],
                             ledgers)
     stops = [len(estimates) for estimates in results]
-    threshold = PROFILES[config.profile]().far_threshold
+    threshold = config.profile.far_threshold
     assert decide([estimates[-1] for estimates in results], threshold) == [FAR] * 4
     assert len(set(stops)) > 1 and max(stops) < len(levels)
     assert calls == [(sum(stop > j for stop in stops), levels[j].fragment.steps)
@@ -484,7 +488,7 @@ def test_trace_kernel_invariant_under_local_cliffords(n):
     # C V C^dag, so |Tr V / 2^n|^2 stays; measured differences are at most
     # 2e-12 over 689 steps, and one flipped sign moves them by >= 2.7e-4
     config = CertConfig(eps=0.01, delta=0.1, c_op=2.0)
-    levels = compile_levels(IterationSchedule(0.01, 0.1, 1.0).levels, config)
+    levels = compile_levels(config.levels, config)
     assert len(levels) == 13 and max(lvl.fragment.steps for lvl in levels) == 689
     paulis = enumerate_local_paulis(n, 2, include_identity=False)
 

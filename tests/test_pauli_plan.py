@@ -1,9 +1,12 @@
 """The cached Pauli action plan and the kernels that read it, against the
-literal references in pauli_reference.py, at n = 1..6.
+literal references in pauli_reference.py, at n = 1..6 (the plan itself at
+n = 1..8).
 
 Results must be equal bit for bit (signs of zero included), whatever the
 stack a row or matrix sits in.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -122,6 +125,17 @@ def test_spectral_moments_equal_numpy_scalar_roots(n):
     literal = [[float(np.mean(np.abs(row) ** l) ** (1.0 / l)) for l in ls] for row in w]
     assert spectral_moments(w, ls) == literal
     assert spectral_moments(w[:0], ls) == []
+
+
+@pytest.mark.parametrize("n", NS + [7, 8])
+def test_plan_equals_per_string_reference(n):
+    # the strings of weight <= k for k = 0..3, with and without the
+    # identity, in code order and reversed
+    for k, identity in itertools.product(range(min(n, 3) + 1), (True, False)):
+        codes = tuple(p.code for p in enumerate_local_paulis(n, k, identity))
+        for order in (codes, codes[::-1]):
+            for mine, reference in zip(pauli_plan(n, order), ref.plan(n, order)):
+                assert_same_bits(mine, reference)
 
 
 def test_plan_is_cached_read_only_and_split_by_phase():

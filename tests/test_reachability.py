@@ -52,6 +52,7 @@ ALLOWLIST = {
     "paulis.PauliString.__str__": SAFETY,
     "calibration.trotter_corpus": ACCEPTANCE,
     "calibration._op_norm_capped": ACCEPTANCE,
+    "certifier.strict_profile": ACCEPTANCE,
     "dynamics.NoiseModel.retain_factor": ACCEPTANCE,
     "dynamics.QueryStep.__init__": ACCEPTANCE,
     "dynamics.TrotterFragment.realize": ACCEPTANCE,
@@ -73,6 +74,8 @@ ALLOWLIST = {
     "oracle.identity_coeff": ACCEPTANCE,
     "oracle.moment_tail_partial_sums": ACCEPTANCE,
     "oracle.operator_norm_distance": ACCEPTANCE,
+    # LocalHamiltonian's coefficient dicts are keyed by strings
+    "paulis.PauliString.__hash__": ACCEPTANCE,
     "stabilizers._phase_free": ACCEPTANCE,
     "stabilizers.stabilizer_state_matrix": ACCEPTANCE,
 }
@@ -119,6 +122,8 @@ MATRIX = (
     case(2, {"task": "certify-dynamics", "params": {"nope": 1}}),
     case(2, {"task": "learn-gibbs", "params": {"eta": None}}),
     case(2, {"task": "learn-gibbs", "params": {"support": ["ZI", "ZI"]}}),
+    # a Born table has 6^n entries: shadow tasks stop at n = 10
+    case(2, {"task": "shadow-estimate", "params": {"n": 11, "k": 1}}),
     case(3, _dynamics(c_op=1e50)),
     # a nominal budget over the hard cap, drawn as per-sample indices
     case(3, {"task": "shadow-estimate", "params": {"n": 9, "eps": 0.005}}),
