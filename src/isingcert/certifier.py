@@ -8,12 +8,12 @@ below a fixed threshold.  The estimator reads only |Tr V / 2^n|^2, so a run
 takes Tr V of every level from Trotter steps written in H's eigenbasis, from
 the two spectra, instead of building V.  `certify_block` runs a block of
 trials as arrays: the schedule, whose step and experiment counts are the
-same for every trial, compiles once, and each level raises the steps of the
-trials that have not yet said FAR with one stacked `matrix_power`.  It
-returns each trial's estimates of the levels it ran, and `decide` of the
-last is the trial's verdict.  One subroutine call at accuracy eps is a
-one-level block, `compile_levels(((-1, eps, delta),), config)`.  Two
-profiles ship:
+same for every trial, compiles once, with its `CertConfig`, and each level
+raises the steps of the trials that have not yet said FAR with one stacked
+`matrix_power`.  It returns each trial's estimates of the levels it ran,
+and `decide` of the last is the trial's verdict.  One subroutine call at
+accuracy eps is a block on a config whose `levels` hold that one level.
+Two profiles ship:
 
 * "strict": the closed-form constants (threshold 1 - 23/(2400 e^6 C^2),
   accuracy 1/(4800 e^6 C^2), t = 1/(60 eps e^3 C)).  A level charges about
@@ -72,10 +72,24 @@ def decide(estimate, far_threshold: float):
     return np.where(np.less_equal(estimate, far_threshold), FAR, CLOSE).tolist()
 
 
+class CompiledLevel(NamedTuple):
+    """One schedule level, compiled: its fragment and its experiment count."""
+
+    level: int
+    eps: float
+    delta: float
+    fragment: TrotterFragment
+    samples: int
+
+
 class CertConfig:
-    """One certification run: its accuracy, confidence, norm bounds and
-    profile, and the geometric schedule eps_l = (15/12)^l eps that removes
-    the promise, as `levels`, (l, eps_l, delta_l) from l = L down to 0."""
+    """One certification run, compiled: its accuracy, confidence, norm bounds
+    and profile, and the geometric schedule eps_l = (15/12)^l eps that
+    removes the promise, as `levels`, one CompiledLevel per level from l = L
+    down to 0.  Step and experiment counts depend on the config alone, so
+    one config serves every trial; its fragments carry no H0, and it builds
+    no matrices.  A Trotter step count over TROTTER_STEP_BUDGET raises
+    BudgetExceededError here, at any level."""
 
     def __init__(self, eps: float, delta: float, c_op: float = 1.0, c_frob: float = 1.0,
                  profile: str = "calibrated"):
@@ -89,44 +103,24 @@ class CertConfig:
         if profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}")
         self.eps, self.delta, self.c_op, self.c_frob = eps, delta, c_op, c_frob
-        self.profile = PROFILES[profile]
+        self.profile = prof = PROFILES[profile]
         ratio, arg = 15.0 / 12.0, 2.0 * c_frob / (15.0 * eps)
         if arg == math.inf:
             raise ValueError(f"eps={eps} is too small: 2 C_frob / (15 eps) overflows")
         big_l = max(0, math.ceil(math.log(arg) / math.log(ratio))) if arg > 1 else 0
-        self.levels = tuple((l, ratio**l * eps, delta / (big_l + 1))
-                            for l in range(big_l, -1, -1))
+        delta_l = delta / (big_l + 1)
+        if delta_l == 0 or 2.0 / delta_l == math.inf:
+            raise ValueError(f"delta={delta} is too small: split over {big_l + 1} levels, "
+                             "ln(2 / delta_l) is not finite")
+        self.levels = tuple(
+            CompiledLevel(l, eps_l, delta_l,
+                          trotter_compile(None, prof.time_for(eps_l), prof.eps_trott, c_op),
+                          sample_count(prof.est_accuracy, delta_l))
+            for l, eps_l in ((l, ratio**l * eps) for l in range(big_l, -1, -1)))
 
     def log_factor(self) -> float:
         """ln(2 (L+1) / delta), the per-level sample log factor."""
         return math.log(2.0 * len(self.levels) / self.delta)
-
-
-class CompiledLevel(NamedTuple):
-    """One schedule level, compiled: its fragment and its experiment count."""
-
-    level: int
-    eps: float
-    delta: float
-    fragment: TrotterFragment
-    samples: int
-
-
-def compile_levels(levels, config: CertConfig) -> list[CompiledLevel]:
-    """Compile every (level, eps, delta) of `levels`; builds no matrices.
-
-    Step and experiment counts depend on the config alone, so one compile
-    serves every trial, and its fragments carry no H0: the block kernel
-    reads their step counts and query times, and charges them.  A Trotter
-    step count over TROTTER_STEP_BUDGET raises BudgetExceededError here, at
-    any level.
-    """
-    profile = config.profile
-    return [CompiledLevel(level, eps_l, delta_l,
-                          trotter_compile(None, profile.time_for(eps_l), profile.eps_trott,
-                                          config.c_op),
-                          sample_count(profile.est_accuracy, delta_l))
-            for level, eps_l, delta_l in levels]
 
 
 def eigenbasis_identity_sq(m: np.ndarray, w0: np.ndarray, w: np.ndarray,
@@ -147,15 +141,14 @@ def eigenbasis_identity_sq(m: np.ndarray, w0: np.ndarray, w: np.ndarray,
     return np.array([abs(t / dim) ** 2 for t in np.trace(x, axis1=-2, axis2=-1).tolist()])
 
 
-def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs,
-                  ledgers) -> list[list[float]]:
-    """Certify a block of trials at each compiled level in order; a trial
-    stops at its first FAR, and survives every level as CLOSE.  Returns,
-    per trial, the clamped estimates of the levels it ran: its stop level is
-    the last of them, and `decide` of its last estimate is its verdict.
+def certify_block(spectra, config: CertConfig, rngs, ledgers) -> list[list[float]]:
+    """Certify a block of trials at each level of `config.levels` in order;
+    a trial stops at its first FAR, and survives every level as CLOSE.  It
+    returns, per trial, the clamped estimates of the levels it ran: its stop
+    level is the last of them, and `decide` of its last estimate is its verdict.
 
-    Run down the whole schedule `config.levels`, a trial's verdict is
-    correct with probability >= 1 - delta under the promise gap
+    Run down the whole schedule, a trial's verdict is correct with
+    probability >= 1 - delta under the promise gap
     (||H - H0||_F <= eps against >= 12 eps).  Without either promise, FAR
     still implies ||H - H0||_F >= eps, and CLOSE implies
     ||H - H0||_F <= 12 eps, each with probability >= 1 - delta.
@@ -179,7 +172,7 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
     threshold = config.profile.far_threshold
     estimates = [[] for _ in rngs]
     running, rngs = list(range(len(rngs))), list(rngs)
-    for lvl in levels:
+    for lvl in config.levels:
         identity_sq = eigenbasis_identity_sq(m, w0, w, lvl.fragment)
         values, _ = drawn_estimate(identity_sq, n, lvl.samples, rngs)
         for i, value in zip(running, values.tolist()):
@@ -194,14 +187,14 @@ def certify_block(spectra, levels: list[CompiledLevel], config: CertConfig, rngs
     return estimates
 
 
-def evolution_time_bound(config: CertConfig, levels: list[CompiledLevel]) -> float:
-    """Bound on a run's total evolution time, given the compiled schedule.
+def evolution_time_bound(config: CertConfig) -> float:
+    """Bound on a run's total evolution time.
 
     Strict: the schedule's full charge sum_l m_l t_l, which a run that
     reaches CLOSE spends.  Calibrated: the shipped c log(C_F / (eps delta)) / eps.
     """
     if config.profile == PROFILES["strict"]:
-        return math.fsum(lvl.samples * lvl.fragment.t for lvl in levels)
+        return math.fsum(lvl.samples * lvl.fragment.t for lvl in config.levels)
     return (
         con.EVOLUTION_TIME_CONSTANT
         * math.log(config.c_frob / (config.eps * config.delta))

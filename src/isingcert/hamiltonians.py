@@ -89,7 +89,7 @@ def gibbs_states(w: np.ndarray, v: np.ndarray, beta) -> np.ndarray:
     """rho = v exp(-beta (w - min w)) v^dag / Tr, made exactly Hermitian as
     (rho + rho^dag) / 2: the Gibbs state of each spectrum (w, v) of a stack
     on its last axes; beta is one value or one per spectrum."""
-    beta = np.asarray(beta)[..., None]
+    beta = np.asarray(beta, dtype=float)[..., None]   # an int past 2^63 would be uint64
     expw = np.exp(-beta * (w - w.min(axis=-1, keepdims=True)))
     expw /= expw.sum(axis=-1, keepdims=True)
     rho = (v * expw[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
@@ -138,7 +138,7 @@ class HamiltonianNet:
             raise ValueError(f"net has {2 * jmax + 1}^{len(support)} members, "
                              f"over the enumeration budget {NET_ENUMERATION_BUDGET}")
         self.support, self.eta = support, eta
-        self.grid = eta * np.arange(-jmax, jmax + 1)
+        self.grid = eta * np.arange(-jmax, jmax + 1, dtype=float)   # eta may be a Python int
 
     @property
     def n(self) -> int:

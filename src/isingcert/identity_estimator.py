@@ -42,7 +42,10 @@ def sample_count(eps: float, delta: float) -> int:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return math.ceil(HOEFFDING_CONSTANT * math.log(2.0 / delta) / eps**2)
+    count = HOEFFDING_CONSTANT * math.log(2.0 / delta) / eps**2
+    if count == math.inf:
+        raise ValueError(f"eps={eps} and delta={delta} put the sample count past the float range")
+    return math.ceil(count)
 
 
 def make_single_query_factory(steps, n: int) -> tuple:

@@ -19,9 +19,11 @@ fields a level's rows share are rendered once per task.  The drivers of the
 other five tasks are in `state_tasks`, which `run_task` imports the first
 time it dispatches to one of them, so a `certify-dynamics` run never loads
 it, nor the Gibbs and shadow modules.  Each driver builds what every trial
-shares (configs, the certification schedule, the net and its Gibbs table,
-sample counts, the Gibbs far arm's Born tables) once, before any trial
-runs; a ValueError raised there is a ConfigError.  Promise checks run
+shares (configs, the net and its Gibbs table, sample counts, the Gibbs far
+arm's Born tables) once, before any trial runs; a ValueError raised there
+is a ConfigError.  `certify-dynamics` refuses a config only in that step:
+its `CertConfig` compiles the schedule, so a budget overrun exits there
+too, and nothing runs between it and the first block.  Promise checks run
 against the exact dense oracle and raise PromiseViolationError when an
 instance falls outside its advertised regime, before any trial of its block
 is certified.
@@ -37,8 +39,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import oracle
-from .certifier import (CLOSE, CertConfig, certify_block, compile_levels, decide,
-                        evolution_time_bound)
+from .certifier import CLOSE, CertConfig, certify_block, decide, evolution_time_bound
 from .constants import constants_ledger
 from .dynamics import ExperimentLedger
 from .errors import ConfigError, PromiseViolationError
@@ -230,14 +231,12 @@ def task_certify_dynamics(params, trials, seed):
         if not 2 <= params["n"] <= MAX_QUBITS:
             raise ValueError(f"n={params['n']} out of range [2, {MAX_QUBITS}]: "
                              "certify-dynamics instances are 2-local")
+        gap = 12.0 * params["eps"] if arm == "far" else params["eps"]
+        if gap >= params["c_frob"]:
+            raise ValueError(f"{arm} arm needs ||H - H0||_F = {gap} below c_frob = "
+                             f"{params['c_frob']}")
         config = CertConfig(eps=params["eps"], delta=params["delta"], c_op=params["c_op"],
                             c_frob=params["c_frob"], profile=params["profile"])
-    gap = 12.0 * params["eps"] if arm == "far" else params["eps"]
-    if gap >= params["c_frob"]:
-        raise ConfigError(
-            f"{arm} arm needs ||H - H0||_F = {gap} below c_frob = {params['c_frob']}"
-        )
-    levels = compile_levels(config.levels, config)   # a budget overrun exits before any draw
     threshold = config.profile.far_threshold
     expected = "FAR" if arm == "far" else "CLOSE"
     # every trial charges the same compiled levels, so the ledgers of two
@@ -245,11 +244,11 @@ def task_certify_dynamics(params, trials, seed):
     snapshots = {}
     # the fields a level's rows share, as `reports.csv_text` writes them
     shared = [(str(lvl.level), str(lvl.eps), str(lvl.delta), str(threshold), str(lvl.samples),
-               str(lvl.fragment.steps)) for lvl in levels]
+               str(lvl.fragment.steps)) for lvl in config.levels]
     records, level_rows = [], []
     for block, deltas, spectra in _dynamics_blocks(params, seed, trials):
         ledgers = [ExperimentLedger() for _ in block]
-        estimates = certify_block(spectra, levels, config, list(trial_rngs(seed, block)), ledgers)
+        estimates = certify_block(spectra, config, list(trial_rngs(seed, block)), ledgers)
         verdicts = decide([values[-1] for values in estimates], threshold)
         for t, delta, ledger, values, verdict in zip(block, deltas, ledgers, estimates, verdicts):
             stop = len(values) - 1
@@ -274,8 +273,8 @@ def task_certify_dynamics(params, trials, seed):
         "error_rate": errors / len(records),
         "mean_total_evolution_time": mean_time,
         "normalized_time": mean_time * params["eps"] / config.log_factor(),
-        "time_bound": evolution_time_bound(config, levels),
-        "schedule_levels": len(levels),
+        "time_bound": evolution_time_bound(config),
+        "schedule_levels": len(config.levels),
         "trials": records,
     }
     table = [

@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from certifier_reference import (CertReport, LevelRecord, certifier_instance, certify_trial,
-                                  level_records)
+                                  level_records, one_level, uncompiled_schedule)
 from hamiltonian_reference import (frobenius_norm, hamiltonian_diff, hamiltonian_sum,
                                    random_fixed_norm)
 from isingcert import constants as con
@@ -15,7 +16,6 @@ from isingcert.certifier import (
     PROFILES,
     CertConfig,
     certify_block,
-    compile_levels,
     decide,
     eigenbasis_identity_sq,
     evolution_time_bound,
@@ -38,21 +38,23 @@ E6C2 = math.exp(6.0) * con.SERIES_TAIL_SUM**2
 def certify_at(h0, h, eps, delta, config, rng, ledger):
     """One bounded-promise call at accuracy eps: a one-level block whose
     record is level -1."""
-    levels = compile_levels(((-1, eps, delta),), config)
+    single = one_level(config, eps, delta)
     spectra = tuple(a[None] for a in (*h0.spectrum(), *h.spectrum()))
-    [estimates] = certify_block(spectra, levels, config, [rng], [ledger])
-    [record] = level_records(levels, estimates, config.profile.far_threshold)
+    [estimates] = certify_block(spectra, single, [rng], [ledger])
+    [record] = level_records(single.levels, estimates, config.profile.far_threshold)
     return record.verdict, record
 
 
 def certify_literal(h0, h, config, rng) -> CertReport:
-    """Per-level reference for `certify_trial`: compile each level as it is reached,
-    realize its fragment and run the estimator on that one query step."""
+    """Per-level reference for `certify_trial`: compile each level of the
+    uncompiled schedule as it is reached, realize its fragment and run the
+    estimator on that one query step.  `config` is a CertConfig, or any
+    object with its eps, delta, c_op, c_frob and profile."""
     rng = np.random.default_rng(rng)
     profile = config.profile
     ledger = ExperimentLedger()
     records, verdict = [], CLOSE
-    for level, eps_l, delta_l in config.levels:
+    for level, eps_l, delta_l in uncompiled_schedule(config.eps, config.delta, config.c_frob):
         frag = trotter_compile(h0, profile.time_for(eps_l), profile.eps_trott, config.c_op)
         est = estimate_identity_sq((frag,), h, h0.n, profile.est_accuracy, delta_l, rng)
         charge_plan((frag,), ledger, repeat=est.samples_used)
@@ -101,6 +103,8 @@ def test_schedule_example():
     for lvl in config.levels:
         assert lvl[2] == pytest.approx(0.1 / 3)
     assert config.log_factor() == math.log(2.0 * 3 / 0.1)
+    # the compiled levels keep the uncompiled schedule's floats
+    assert [lvl[:3] for lvl in config.levels] == uncompiled_schedule(0.1, 0.1)
 
 
 def test_schedule_invariants():
@@ -125,6 +129,10 @@ def test_config_validation():
         CertConfig(eps=0.1, delta=0.1, c_op=0.5)
     with pytest.raises(ValueError):
         CertConfig(eps=0.1, delta=0.1, profile="nope")
+    # delta / (L + 1) underflows to 0, or puts ln(2 / delta_l) past the float range
+    for delta in (5e-324, 1e-310):
+        with pytest.raises(ValueError, match=f"delta={delta} is too small: split over 3 levels"):
+            CertConfig(eps=0.1, delta=delta)
 
 
 def test_strict_profile_sampled_run_completes():
@@ -253,8 +261,7 @@ def test_ledger_time_within_shipped_bound():
     config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, c_frob=1.0)
     h0, h = certifier_instance(np.random.SeedSequence(11), 2, 0.05, False)
     report = certify_trial(h0, h, config, np.random.default_rng(2))
-    assert report.ledger["total_evolution_time"] <= evolution_time_bound(
-        config, compile_levels(config.levels, config))
+    assert report.ledger["total_evolution_time"] <= evolution_time_bound(config)
 
 
 def test_report_payload_complete():
@@ -296,13 +303,12 @@ def test_oracle_estimates_match_realized_fragments(n, profile, eps):
     # |identity_coeff(realize)|^2 of the fragment compiled with H0
     config = CertConfig(eps=eps, delta=0.1, c_op=2.0, profile=profile)
     prof = config.profile
-    levels = compile_levels(config.levels, config)
     steps = []
     for far in (False, True):
         h0, h = certifier_instance(np.random.SeedSequence((32, n, far)), n, eps, far)
         (w0, v0), (w, v) = h0.spectrum(), h.spectrum()
         m = (v.conj().T @ v0)[None]
-        for lvl in levels:
+        for lvl in config.levels:
             [mine] = eigenbasis_identity_sq(m, w0[None], w[None], lvl.fragment)
             frag = trotter_compile(h0, prof.time_for(lvl.eps), prof.eps_trott, config.c_op)
             assert (frag.steps, frag.query_time) == (lvl.fragment.steps, lvl.fragment.query_time)
@@ -315,11 +321,11 @@ def test_oracle_estimates_match_realized_fragments(n, profile, eps):
 
 def test_strict_time_bound_is_the_schedule_charge():
     config = CertConfig(eps=0.05, delta=0.1, c_op=2.0, profile="strict")
-    bound = evolution_time_bound(config, compile_levels(config.levels, config))
+    bound = evolution_time_bound(config)
     # the compiled levels' charge is sum_l m_l t_l, float for float
     prof = config.profile
     assert bound == math.fsum(sample_count(prof.est_accuracy, delta_l) * prof.time_for(eps_l)
-                              for _, eps_l, delta_l in config.levels)
+                              for _, eps_l, delta_l in uncompiled_schedule(0.05, 0.1))
     totals = {}
     for far in (False, True):
         h0, h = certifier_instance(np.random.SeedSequence((33, far)), 2, 0.05, far)
@@ -331,7 +337,7 @@ def test_strict_time_bound_is_the_schedule_charge():
     assert totals[True] <= bound
     # the calibrated bound is the shipped closed form
     cal = CertConfig(eps=0.05, delta=0.1, c_op=2.0)
-    assert evolution_time_bound(cal, compile_levels(cal.levels, cal)) == \
+    assert evolution_time_bound(cal) == \
         con.EVOLUTION_TIME_CONSTANT * math.log(1 / 0.005) / 0.05
 
 
@@ -345,7 +351,7 @@ def test_evolution_time_constant_bounds_the_charge():
         for delta in (0.1, 0.01):
             config = CertConfig(eps=eps, delta=delta)
             ledger = ExperimentLedger()
-            for lvl in compile_levels(config.levels, config):
+            for lvl in config.levels:
                 charge_plan((lvl.fragment,), ledger, repeat=lvl.samples)
             constants.append(ledger.total_evolution_time * eps / math.log(1 / (eps * delta)))
     assert max(constants) * 1.8 <= con.EVOLUTION_TIME_CONSTANT
@@ -354,16 +360,19 @@ def test_evolution_time_constant_bounds_the_charge():
 def test_budget_overrun_at_any_level_raises_before_any_draw():
     # c_op = 6500 gives level 0 (eps 0.05) 1.14e7 Trotter steps, over the 1e7
     # budget; levels 5..1 need at most 8.2e6
-    h0, h = certifier_instance(np.random.SeedSequence((40, 0)), 2, 0.05, True)
-    config = CertConfig(eps=0.05, delta=0.1, c_op=6500.0)
+    prof = PROFILES["calibrated"]
+    schedule = uncompiled_schedule(0.05, 0.1)
+    assert [level for level, _, _ in schedule] == [5, 4, 3, 2, 1, 0]
+    for _, eps_l, _ in schedule[:-1]:
+        assert trotter_compile(None, prof.time_for(eps_l), prof.eps_trott, 6500.0).steps <= 8.2e6
     # compiled level by level, the far arm stops at FAR before level 0
-    literal = certify_literal(h0, h, config, 3)
+    h0, h = certifier_instance(np.random.SeedSequence((40, 0)), 2, 0.05, True)
+    literal = certify_literal(h0, h, SimpleNamespace(eps=0.05, delta=0.1, c_op=6500.0,
+                                                     c_frob=1.0, profile=prof), 3)
     assert literal.verdict == FAR and literal.levels[-1].level > 0
-    rng = np.random.default_rng(3)
-    state = rng.bit_generator.state
+    # the config compiles every level, so it refuses the run before any draw
     with pytest.raises(BudgetExceededError, match="fragment needs"):
-        certify_trial(h0, h, config, rng)
-    assert rng.bit_generator.state == state
+        CertConfig(eps=0.05, delta=0.1, c_op=6500.0)
 
 
 def assert_task_equals_per_trial_reference(n, arm, profile, seed, trials, eps=0.05, delta=0.1):
@@ -417,7 +426,7 @@ def test_block_raises_each_trial_only_to_its_stop(monkeypatch):
     # far trials at growing gaps say FAR at earlier levels: each level raises
     # the steps of the trials still running, and no level runs after the last FAR
     config = CertConfig(eps=0.05, delta=0.1, c_op=2.0)
-    levels = compile_levels(config.levels, config)
+    levels = config.levels
     h0 = random_fixed_norm(2, 2, 50, 0.3)
     direction = random_fixed_norm(2, 2, 51, 1.0)
     hams = [hamiltonian_sum(h0, direction.scaled(gap)) for gap in (0.6, 1.2, 0.9, 0.6)]
@@ -432,8 +441,7 @@ def test_block_raises_each_trial_only_to_its_stop(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "matrix_power", counted)
     ledgers = [ExperimentLedger() for _ in hams]
-    results = certify_block(spectra, levels, config, [np.random.default_rng(i) for i in range(4)],
-                            ledgers)
+    results = certify_block(spectra, config, [np.random.default_rng(i) for i in range(4)], ledgers)
     stops = [len(estimates) for estimates in results]
     threshold = config.profile.far_threshold
     assert decide([estimates[-1] for estimates in results], threshold) == [FAR] * 4
@@ -487,8 +495,7 @@ def test_trace_kernel_invariant_under_local_cliffords(n):
     # conjugating H0 and H by one local Clifford C takes every level's V to
     # C V C^dag, so |Tr V / 2^n|^2 stays; measured differences are at most
     # 2e-12 over 689 steps, and one flipped sign moves them by >= 2.7e-4
-    config = CertConfig(eps=0.01, delta=0.1, c_op=2.0)
-    levels = compile_levels(config.levels, config)
+    levels = CertConfig(eps=0.01, delta=0.1, c_op=2.0).levels
     assert len(levels) == 13 and max(lvl.fragment.steps for lvl in levels) == 689
     paulis = enumerate_local_paulis(n, 2, include_identity=False)
 

@@ -258,7 +258,7 @@ def test_promise_violation_fires_before_its_block_is_certified(tmp_path, monkeyp
     # the two trials share a block
     certified = []
     monkeypatch.setattr(tasks, "certify_block", lambda *args: certified.append(args)
-                        or [[1.0] for _ in args[3]])
+                        or [[1.0] for _ in args[2]])
     cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": 2, "trials": 2,
            "params": {"arm": "far", "c_frob": 3.0, "eps": 0.2}}
     path = write_config(tmp_path, cfg)
@@ -571,6 +571,13 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
     pytest.param("certify-dynamics", {"eps": -1}, id="dynamics-eps"),
     # 2 c_frob / (15 eps), the schedule's top ratio, past the float range
     pytest.param("certify-dynamics", {"eps": 1e-310}, id="dynamics-eps-subnormal"),
+    # delta / (L + 1) underflows to 0, or puts ln(2 / delta_l) past the float range
+    pytest.param("certify-dynamics", {"delta": 5e-324}, id="dynamics-delta-5e-324"),
+    pytest.param("certify-dynamics", {"delta": 1e-310}, id="dynamics-delta-1e-310"),
+    # the arm's gap is checked before the schedule compiles: 12 eps >= c_frob
+    # exits 2 although c_op = 1e150 would overrun the step budget (exit 3)
+    pytest.param("certify-dynamics", {"arm": "far", "eps": 0.1, "c_op": 1e150},
+                 id="dynamics-far-gap-before-budget"),
     pytest.param("certify-dynamics", {"arm": "nope"}, id="dynamics-arm"),
     pytest.param("certify-dynamics", {"profile": "nope"}, id="dynamics-profile"),
     # certify-dynamics has one estimator: no param selects or perturbs it
@@ -724,6 +731,14 @@ def test_out_path_at_or_below_a_file_is_refused_before_any_trial(tmp_path, monke
     assert f"config error: out path {out_dir} cannot be a directory: {blocker} is not one" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report"]
     assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("delta", [5e-324, 1e-310])
+def test_dynamics_subnormal_delta_names_delta(tmp_path, monkeypatch, capsys, delta):
+    # eps 0.05 runs 6 levels
+    err = _refused_before_any_trial(tmp_path, monkeypatch, capsys, "certify-dynamics",
+                                    {"delta": delta})
+    assert f"delta={delta} is too small: split over 6 levels" in err
 
 
 def test_dynamics_n_1_names_n(tmp_path, monkeypatch, capsys):

@@ -45,6 +45,9 @@ def test_sample_count_formula():
         sample_count(0.0, 0.1)
     with pytest.raises(ValueError):
         sample_count(0.1, 1.0)
+    # ln(2 / delta) past the float range, where math.ceil(inf) would raise OverflowError
+    with pytest.raises(ValueError, match="sample count past the float range"):
+        sample_count(0.1, 1e-311)
 
 
 def test_exact_expectation_pauli_x():

@@ -124,6 +124,8 @@ MATRIX = (
     case(2, {"task": "learn-gibbs", "params": {"support": ["ZI", "ZI"]}}),
     # a Born table has 6^n entries: shadow tasks stop at n = 10
     case(2, {"task": "shadow-estimate", "params": {"n": 11, "k": 1}}),
+    # 2 / delta_l overflows: the schedule's confidence split is refused
+    case(2, _dynamics(delta=5e-324)),
     case(3, _dynamics(c_op=1e50)),
     # a nominal budget over the hard cap, drawn as per-sample indices
     case(3, {"task": "shadow-estimate", "params": {"n": 9, "eps": 0.005}}),
