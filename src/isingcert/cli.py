@@ -64,7 +64,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, an int past the digit limit,
+        # and nesting past the recursion limit
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if isinstance(raw, dict):

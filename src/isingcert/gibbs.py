@@ -1,18 +1,19 @@
 """Net-based learning and shadow-based certification of Gibbs states, plus
 the trace-distance bound diagnostics both protocols lean on.
 
-Learning scans a covering net of Gibbs states and returns the member whose
-exact observable values best match the shadow estimates; the pairwise
-max over net members reduces to two single scans because the objective is
-linear in the member coefficients (a unit test pins the reduction against
-the literal pairwise maximum).  Certification compares per-string shadow
-estimates of the two states against a threshold proportional to
-eps^2 / (beta n^k).
+Both protocols see a state only through per-Pauli estimates: from
+classical shadows (`shadows.estimate_paulis`, which the task drivers call)
+or exact (`paulis.pauli_trace_inners`, for a known state).  Learning scans a
+covering net of Gibbs states and returns the member whose exact observable
+values best match the estimates; the pairwise max over net members reduces
+to two single scans because the objective is linear in the member
+coefficients (a unit test pins the reduction against the literal pairwise
+maximum).  Certification compares per-string estimates of the two states
+against a threshold proportional to eps^2 / (beta n^k).
 
-Both protocols run a block of trials at once: the block's sample sets are
-estimated in one `estimate_paulis` product, and learning scans the net and
-builds the learned members' Gibbs states as stacks.  One trial is a block
-of one.
+Both protocols run a block of trials at once, one estimate row per trial:
+learning scans the net and builds the learned members' Gibbs states as
+stacks.  One trial is a block of one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .hamiltonians import HamiltonianNet, check_beta, gibbs_states
 from .oracle import hermitian_eig, trace_distance
 from .paulis import PauliString, check_size, enumerate_local_paulis, pauli_trace_inners
-from .shadows import batch_sizes, estimate_paulis, mom_batches, shadow_budget
+from .shadows import mom_batches, shadow_budget
 
 
 class GibbsLearnConfig:
@@ -90,14 +91,6 @@ class GibbsLearnConfig:
         return mom_batches(self.n, self.k, self.delta)
 
 
-def _check_split(sets, batches: int) -> None:
-    """Every sample set must come in the config's median-of-means batches."""
-    for samples in sets:
-        if not np.array_equal(samples.sizes, batch_sizes(len(samples), batches)):
-            raise ValueError(f"samples come in {len(samples.sizes)} batches, "
-                             f"the config estimates with {batches}")
-
-
 def scan_objective(net: HamiltonianNet, coeff_gaps: np.ndarray) -> np.ndarray | float:
     """max_{i,j} |sum_P ((h_i)_P - (h_j)_P) c_P| via the two-scan reduction.
 
@@ -110,29 +103,22 @@ def scan_objective(net: HamiltonianNet, coeff_gaps: np.ndarray) -> np.ndarray | 
     return 2.0 * gmax * np.sum(np.abs(coeff_gaps), axis=-1)
 
 
-def learn_gibbs(samples, net: HamiltonianNet, config: GibbsLearnConfig,
-                estimates: np.ndarray | None,
+def learn_gibbs(estimates: np.ndarray, net: HamiltonianNet, beta: float,
                 member_coeffs: np.ndarray) -> tuple[list[int], np.ndarray, list[float]]:
-    """For each trial of a block, pick the net member whose Gibbs state
-    matches its shadow estimates; returns the members' indices, their dense
+    """For each trial of a block, pick the net member whose Gibbs state at
+    `beta` matches its estimates; returns the members' indices, their dense
     Gibbs states (B, 2^n, 2^n) and their objectives.
 
-    `samples` holds one ShadowData per trial, collected in `config.batches`
-    batches (another split is a ValueError), all estimated in one
-    `estimate_paulis` product.  For each member tau the objective is the
-    pairwise-max deviation between the estimated and exact values of the net
-    observables; ties resolve to the lowest member index.  `estimates`
-    (B, |support|) of Tr[P rho], aligned with `net.support`, replaces the
-    shadow post-processing when it is not None, e.g. with exact values.
-    `member_coeffs` is `net.gibbs_coeff_matrix(config.beta)`, which callers
+    `estimates` (B, |support|) holds each trial's estimates of Tr[P rho],
+    aligned with `net.support`: from shadows, or exact.  For each member tau
+    the objective is the pairwise-max deviation between the estimated and
+    exact values of the net observables; ties resolve to the lowest member
+    index.  `member_coeffs` is `net.gibbs_coeff_matrix(beta)`, which callers
     that learn many times on one net build once.
     """
-    if estimates is None:
-        _check_split(samples, config.batches)
-        estimates = estimate_paulis(samples, net.support)
     objectives = scan_objective(net, estimates[:, None, :] - member_coeffs)   # (B, members)
     index = np.argmin(objectives, axis=-1)
-    states = gibbs_states(*hermitian_eig(net.matrices(net.values(index))), config.beta)
+    states = gibbs_states(*hermitian_eig(net.matrices(net.values(index))), beta)
     return index.tolist(), states, objectives[np.arange(len(index)), index].tolist()
 
 
@@ -177,35 +163,18 @@ class GibbsCertConfig:
         return mom_batches(self.n, self.k, self.delta)
 
 
-def certify_gibbs(samples, reference,
-                  config: GibbsCertConfig) -> list[tuple[str, float, PauliString]]:
-    """For each trial of a block: FAR iff some weight <= k string separates
-    its two estimate sets by at least 3 eps^2 / (400 beta n^k); returns per
-    trial the verdict, the max gap and the string attaining it (the
-    lowest-code one among ties).
+def certify_gibbs(estimates: np.ndarray, reference: np.ndarray,
+                  far_threshold: float) -> list[tuple[str, float]]:
+    """For each trial of a block: FAR iff some string separates its two
+    estimate rows by at least `far_threshold`, 3 eps^2 / (400 beta n^k) for
+    the weight <= k strings; returns per trial the verdict and the max gap.
 
-    `samples` holds one ShadowData per trial.  `reference` is one of:
-    - the same sequence object: each set against itself, estimated once;
-    - one ShadowData per trial, of the second state;
-    - dense density matrices (B, d, d), whose exact coefficients replace
-      estimates.
-    Each side's sets are estimated in one `estimate_paulis` product, and
-    must be collected in `config.batches` batches; another split is a
-    ValueError.
+    `estimates` and `reference` are (B, strings) arrays over the same
+    strings: shadow estimates of the two states, or exact values of a known
+    reference state.
     """
-    paulis = enumerate_local_paulis(config.n, config.k)
-    dense = isinstance(reference, np.ndarray)
-    sides = [samples] if dense or reference is samples else [samples, reference]
-    for side in sides:
-        _check_split(side, config.batches)
-    est = [estimate_paulis(side, paulis) for side in sides]
-    if dense:
-        est.append(pauli_trace_inners(paulis, reference).real)
-    gaps = np.abs(est[0] - est[-1])
-    witness = np.argmax(gaps, axis=-1)
-    max_gap = gaps[np.arange(len(gaps)), witness].tolist()
-    return [("FAR" if gap >= config.far_threshold else "CLOSE", gap, paulis[w])
-            for gap, w in zip(max_gap, witness.tolist())]
+    max_gap = np.max(np.abs(estimates - reference), axis=-1).tolist()
+    return [("FAR" if gap >= far_threshold else "CLOSE", gap) for gap in max_gap]
 
 
 class BoundDiagnostics(NamedTuple):

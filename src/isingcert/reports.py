@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from pathlib import Path
 
 from .errors import ConfigError
@@ -24,10 +25,17 @@ def default_out_dir() -> Path:
 def check_out_dir(out_dir: Path) -> None:
     """Raise ConfigError when `write_report` could not make `out_dir` a
     directory: it, or the nearest of its ancestors that exists, is no
-    directory."""
+    directory, or statting one of them fails other than by its absence
+    (a NUL in the path, a component too long, no permission)."""
     for path in (out_dir, *out_dir.parents):
-        if path.is_dir():
-            return
+        try:
+            if stat.S_ISDIR(os.stat(path).st_mode):
+                return
+        except (FileNotFoundError, NotADirectoryError):
+            pass
+        except (OSError, ValueError) as exc:
+            reason = getattr(exc, "strerror", None) or exc   # an OSError's names the path again
+            raise ConfigError(f"out path {str(out_dir)!r} is unusable: {reason}") from None
         if os.path.lexists(path):
             raise ConfigError(f"out path {out_dir} cannot be a directory: {path} is not one")
 

@@ -92,9 +92,6 @@ class ShadowData:
             raise ValueError("samples drawn as batch histograms have no per-sample rows")
         return self.index.astype(np.int64)
 
-    def __len__(self) -> int:
-        return int(self.sizes.sum())
-
 
 def _joint_distribution(rho: np.ndarray, n: int) -> np.ndarray:
     """Exact probabilities over (basis word, outcome word), flattened, of a

@@ -236,11 +236,13 @@ def _hist_bytes(n: int, batches: int, sets: int) -> int:
     return 8 * sets * batches * 6**n
 
 
-def _block_samples(seed: int, block, tables, m: int, batches: int, key: int) -> list:
-    """One sample set per trial of `block`, each drawn from its Born table
-    with its generator of trial_rngs(seed, block, key)."""
-    return [collect_shadows(table, m, rng, batches)
-            for table, rng in zip(tables, trial_rngs(seed, block, key))]
+def _block_estimates(seed: int, block, tables, m: int, batches: int, key: int,
+                     paulis) -> np.ndarray:
+    """(B, strings) estimates of `paulis` from one sample set per trial of
+    `block`, each drawn from its Born table with its generator of
+    trial_rngs(seed, block, key)."""
+    return estimate_paulis([collect_shadows(table, m, rng, batches)
+                            for table, rng in zip(tables, trial_rngs(seed, block, key))], paulis)
 
 
 def _learn_records(params, config, net, member_coeffs, m, seed, trials) -> list:
@@ -258,10 +260,9 @@ def _learn_records(params, config, net, member_coeffs, m, seed, trials) -> list:
         values = net.values(truth) if truth is not None else np.array(
             [rng.uniform(-1.0, 1.0, len(net.support)) for rng in rngs])
         rho = gibbs_states(*hermitian_eig(net.matrices(values)), config.beta)
-        samples = None if exact else _block_samples(seed, block, born_table(rho), m,
-                                                    config.batches, 1)
-        estimates = pauli_trace_inners(net.support, rho).real if exact else None
-        index, learned, objective = learn_gibbs(samples, net, config, estimates, member_coeffs)
+        estimates = pauli_trace_inners(net.support, rho).real if exact else _block_estimates(
+            seed, block, born_table(rho), m, config.batches, 1, net.support)
+        index, learned, objective = learn_gibbs(estimates, net, config.beta, member_coeffs)
         for i, (t, dist) in enumerate(zip(block, trace_distance(learned, rho))):
             rec = {
                 "trial": t,
@@ -314,6 +315,7 @@ def _gibbs_cert_records(config, m, far_tables, seed, trials) -> list:
     of key (1,) and one sample set from key (2,), compared with itself.  Far
     arm: the two fixed states' sample sets from keys (2,) and (3,)."""
     n, batches = config.n, config.batches
+    paulis = enumerate_local_paulis(n, config.k)
     results = []
     if far_tables is None:
         expected = "CLOSE"
@@ -321,16 +323,16 @@ def _gibbs_cert_records(config, m, far_tables, seed, trials) -> list:
                                                lambda rng: (n, None, 1),
                                                _hist_bytes(n, batches, 1)):
             tables = born_table(gibbs_states(*hermitian_eig(h[:, 0]), config.beta))
-            samples = _block_samples(seed, block, tables, m, batches, 2)
-            results += certify_gibbs(samples, samples, config)
+            estimates = _block_estimates(seed, block, tables, m, batches, 2, paulis)
+            results += certify_gibbs(estimates, estimates, config.far_threshold)
     else:
         expected = "FAR"
         size = oracle.stack_size(n, 0, 0, _hist_bytes(n, batches, 2))   # no Hamiltonians
         for start in range(0, trials, size):
             block = range(start, min(start + size, trials))
-            a, b = (_block_samples(seed, block, [table] * len(block), m, batches, key)
+            a, b = (_block_estimates(seed, block, [table] * len(block), m, batches, key, paulis)
                     for table, key in zip(far_tables, (2, 3)))
-            results += certify_gibbs(a, b, config)
+            results += certify_gibbs(a, b, config.far_threshold)
     return [{
         "trial": t,
         "verdict": verdict,
@@ -340,7 +342,7 @@ def _gibbs_cert_records(config, m, far_tables, seed, trials) -> list:
         "far_threshold": config.far_threshold,
         "samples_used": m,
         "nominal_budget": config.nominal_budget,
-    } for t, (verdict, max_gap, _) in enumerate(results)]
+    } for t, (verdict, max_gap) in enumerate(results)]
 
 
 def task_certify_gibbs(params, trials, seed):
@@ -385,8 +387,8 @@ def _shadow_records(params, m, batches, paulis, seed, trials) -> list:
     for _, block, _, _, h in _sweep_stacks(params["k"], seed, range(trials), (1,),
                                            lambda rng: (n, None, 1), _hist_bytes(n, batches, 1)):
         rho = gibbs_states(*hermitian_eig(h[:, 0]), params["beta"])
-        samples = _block_samples(seed, block, born_table(rho), m, batches, 2)
-        errors = np.abs(estimate_paulis(samples, paulis) - pauli_trace_inners(paulis, rho).real)
+        estimates = _block_estimates(seed, block, born_table(rho), m, batches, 2, paulis)
+        errors = np.abs(estimates - pauli_trace_inners(paulis, rho).real)
         records += [{
             "trial": t, "samples_used": m, "batches": batches,
             "max_abs_error": err, "all_within_eps": bool(err <= params["eps"]),

@@ -71,6 +71,19 @@ def test_invalid_json(tmp_path):
     assert main(["--config", str(path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("raw", [
+    pytest.param(b'{"schema_version": 1, "task": "verify-bonami", "seed": ' + b"9" * 5001 + b"}",
+                 id="int-past-the-digit-limit"),
+    pytest.param(b"[" * 100000, id="nested-past-the-recursion-limit"),
+    pytest.param(b"\xff\xfe{}", id="not-utf-8"),
+])
+def test_malformed_config_file_is_config_error(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["--config", str(path)]) == EXIT_CONFIG
+    assert "config error: invalid JSON: " in capsys.readouterr().err
+
+
 def test_schema_validation_errors(tmp_path, monkeypatch):
     forbid_trials(monkeypatch)
     bonami = {"schema_version": 1, "task": "verify-bonami", "params": {"n_max": 2}}
@@ -731,6 +744,32 @@ def test_out_path_at_or_below_a_file_is_refused_before_any_trial(tmp_path, monke
     assert f"config error: out path {out_dir} cannot be a directory: {blocker} is not one" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report"]
     assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("where, out, reason", [
+    pytest.param("config", "a\0b", "embedded null byte", id="config-nul"),
+    pytest.param("flag", "a\0b", "embedded null byte", id="flag-nul"),
+    pytest.param("config", "x" * 300, "File name too long", id="config-long-component"),
+    pytest.param("flag", "x" * 300 + "/sub", "File name too long", id="flag-long-component"),
+    pytest.param("env", "x" * 300, "File name too long", id="env-long-component"),
+])
+def test_unusable_out_path_is_refused_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                       where, out, reason):
+    forbid_trials(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    config = {"schema_version": 1, "task": "verify-bonami", "trials": 2, "params": {"n_max": 2}}
+    argv = []
+    if where == "config":
+        config["out"] = out
+    elif where == "flag":
+        argv = ["--out", out]
+    else:
+        monkeypatch.setenv("ISINGCERT_OUT", out)
+    path = write_config(tmp_path, config)
+    assert main(["--config", path, *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: out path {out!r} is unusable: {reason}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("delta", [5e-324, 1e-310])

@@ -21,16 +21,15 @@ from isingcert.hamiltonians import (
 )
 from isingcert.oracle import trace_distance
 from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_trace_inners
-from isingcert.shadows import born_table, collect_shadows, estimate_paulis, mom_batches
+from isingcert.shadows import born_table, collect_shadows, estimate_paulis
 from pauli_reference import local_clifford_rows
-from shadow_reference import encode_samples
 
 P = PauliString.from_label
 
 
 def learn_exact(net, cfg, estimates):
     """`learn_gibbs` on given estimates, with the net's Gibbs table."""
-    return learn_gibbs(None, net, cfg, estimates, net.gibbs_coeff_matrix(cfg.beta))
+    return learn_gibbs(estimates, net, cfg.beta, net.gibbs_coeff_matrix(cfg.beta))
 
 
 def pairwise_objective(net, coeff_gaps):
@@ -101,7 +100,8 @@ def test_learn_single_qubit_sampled():
     hits = 0
     for seed in range(20):
         samples = collect_shadows(table, 4000, np.random.default_rng(seed), cfg.batches)
-        _, [state], _ = learn_gibbs([samples], net, cfg, None, member_coeffs)
+        estimates = estimate_paulis([samples], support)
+        _, [state], _ = learn_gibbs(estimates, net, cfg.beta, member_coeffs)
         hits += trace_distance(state, rho) <= 0.3
     assert hits >= 18
 
@@ -190,35 +190,22 @@ def test_cert_config_thresholds():
         GibbsCertConfig(n=2, k=2, beta=0.0, eps=0.3, delta=0.1)
 
 
+def shadow_estimates(rho, m, seed, cfg):
+    """One row of estimates of the weight <= k strings, from m samples of rho
+    in the config's median-of-means batches."""
+    samples = collect_shadows(born_table(rho), m, np.random.default_rng(seed), cfg.batches)
+    return estimate_paulis([samples], enumerate_local_paulis(cfg.n, cfg.k))
+
+
 def test_certify_equal_states_same_seed_close():
     h = random_hamiltonian(2, 2, 5)
     rho = gibbs_density(h, 1.0)
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
-    a = collect_shadows(born_table(rho), 5000, np.random.default_rng(77), cfg.batches)
-    b = collect_shadows(born_table(rho), 5000, np.random.default_rng(77), cfg.batches)
-    [(verdict, max_gap, _)] = certify_gibbs([a], [b], cfg)
+    a = shadow_estimates(rho, 5000, 77, cfg)
+    b = shadow_estimates(rho, 5000, 77, cfg)
+    [(verdict, max_gap)] = certify_gibbs(a, b, cfg.far_threshold)
     assert verdict == "CLOSE"
     assert max_gap == 0.0
-
-
-def test_certify_one_sample_set_estimated_once(monkeypatch):
-    h = random_hamiltonian(2, 2, 6)
-    rho = gibbs_density(h, 1.0)
-    cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
-    a = collect_shadows(born_table(rho), 5000, np.random.default_rng(78), cfg.batches)
-    b = collect_shadows(born_table(rho), 5000, np.random.default_rng(78), cfg.batches)
-    twice = certify_gibbs([a], [b], cfg)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return estimate_paulis(*args)
-
-    monkeypatch.setattr("isingcert.gibbs.estimate_paulis", counted)
-    block = [a]
-    once = certify_gibbs(block, block, cfg)
-    assert len(calls) == 1
-    assert once == twice
 
 
 def test_certify_far_states():
@@ -228,11 +215,10 @@ def test_certify_far_states():
     assert trace_distance(rho, rho0) == pytest.approx(2 * math.tanh(1.0))
     cfg = GibbsCertConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1)
     wrong = 0
-    tables = born_table(np.array([rho, rho0]))
     for seed in range(20):
-        a = collect_shadows(tables[0], 3000, np.random.default_rng((seed, 0)), cfg.batches)
-        b = collect_shadows(tables[1], 3000, np.random.default_rng((seed, 1)), cfg.batches)
-        [(verdict, _, _)] = certify_gibbs([a], [b], cfg)
+        a = shadow_estimates(rho, 3000, (seed, 0), cfg)
+        b = shadow_estimates(rho0, 3000, (seed, 1), cfg)
+        [(verdict, _)] = certify_gibbs(a, b, cfg.far_threshold)
         wrong += verdict != "FAR"
     assert wrong == 0
 
@@ -242,51 +228,14 @@ def test_certify_known_reference_mode():
     hmz = LocalHamiltonian(1, 1, {P("Z"): -1.0})
     rho, rho0 = gibbs_density(hz, 1.0), gibbs_density(hmz, 1.0)
     cfg = GibbsCertConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1)
-    samples = collect_shadows(born_table(rho), 3000, np.random.default_rng(2), cfg.batches)
-    [(verdict, _, witness)] = certify_gibbs([samples], rho0[None], cfg)
+    paulis = enumerate_local_paulis(1, 1)
+    estimates = shadow_estimates(rho, 3000, 2, cfg)
+    reference = pauli_trace_inners(paulis, rho0[None]).real
+    [(verdict, max_gap)] = certify_gibbs(estimates, reference, cfg.far_threshold)
     assert verdict == "FAR"
-    assert witness == P("Z")
-
-
-def test_certify_witness_tie_names_lower_code_string():
-    # 16 batches of 4 samples, each two X and two Z, all outcome +1: the X and
-    # Z estimates are both exactly 1.5, against 0 for the maximally mixed rho0
-    cfg = GibbsCertConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1)
-    assert mom_batches(1, 1, cfg.delta) == 16
-    samples = encode_samples(np.array([[0], [2]] * 32), np.ones((64, 1), dtype=int), 16)
-    [(verdict, max_gap, witness)] = certify_gibbs([samples], np.eye(2)[None] / 2, cfg)
-    assert verdict == "FAR"
-    assert max_gap == 1.5
-    assert witness == P("X")
-
-
-def test_learn_rejects_samples_in_another_split():
-    support = (P("Z"),)
-    net = HamiltonianNet(support, 0.25)
-    cfg = GibbsLearnConfig(n=1, k=1, beta=1.0, eps=0.3, delta=0.1,
-                           support=support, eta=0.25)
-    rho = gibbs_density(LocalHamiltonian(1, 1, {P("Z"): 0.5}), 1.0)
-    assert cfg.batches == mom_batches(1, 1, 0.1) == 16
-    table, member_coeffs = born_table(rho), net.gibbs_coeff_matrix(cfg.beta)
-    for batches in (1, 15, 17):
-        samples = collect_shadows(table, 4000, np.random.default_rng(3), batches)
-        with pytest.raises(ValueError, match="batches"):
-            learn_gibbs([samples], net, cfg, None, member_coeffs)
-    samples = collect_shadows(table, 4000, np.random.default_rng(3), cfg.batches)
-    learn_gibbs([samples], net, cfg, None, member_coeffs)
-
-
-def test_certify_rejects_samples_in_another_split():
-    rho = gibbs_density(random_hamiltonian(2, 2, 5), 1.0)
-    cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
-    assert cfg.batches == mom_batches(2, 2, 0.1)
-    good = collect_shadows(born_table(rho), 5000, np.random.default_rng(4), cfg.batches)
-    for batches in (1, cfg.batches + 1):
-        bad = collect_shadows(born_table(rho), 5000, np.random.default_rng(4), batches)
-        for pair in (([bad], [good]), ([good], [bad]), ([bad], [bad]), ([bad], rho[None])):
-            with pytest.raises(ValueError, match="batches"):
-                certify_gibbs(*pair, cfg)
-    certify_gibbs([good], rho[None], cfg)
+    # the gap is attained on Z, where the two states differ
+    z = paulis.index(P("Z"))
+    assert max_gap == abs(estimates[0, z] - reference[0, z])
 
 
 def test_certify_symmetry_under_swap():
@@ -294,10 +243,10 @@ def test_certify_symmetry_under_swap():
     h0 = random_hamiltonian(2, 2, 9)
     rho, rho0 = gibbs_density(h, 1.0), gibbs_density(h0, 1.0)
     cfg = GibbsCertConfig(n=2, k=2, beta=1.0, eps=0.3, delta=0.1)
-    a = collect_shadows(born_table(rho), 4000, np.random.default_rng(30), cfg.batches)
-    b = collect_shadows(born_table(rho0), 4000, np.random.default_rng(31), cfg.batches)
-    [(v1, gap1, _)] = certify_gibbs([a], [b], cfg)
-    [(v2, gap2, _)] = certify_gibbs([b], [a], cfg)
+    a = shadow_estimates(rho, 4000, 30, cfg)
+    b = shadow_estimates(rho0, 4000, 31, cfg)
+    [(v1, gap1)] = certify_gibbs(a, b, cfg.far_threshold)
+    [(v2, gap2)] = certify_gibbs(b, a, cfg.far_threshold)
     assert v1 == v2
     assert gap1 == pytest.approx(gap2, abs=1e-14)
 

@@ -155,7 +155,7 @@ def test_block_estimates_equal_per_set_estimates(n, batches):
         np.testing.assert_array_equal(estimate_paulis(sets[2:3], paulis), expected[2:3])
     # histogram and index sets of one split in one block
     drawn = collect_shadows(table, batches * 6**n, rng, batches)
-    rows = np.full((len(drawn), n), 2)   # every sample in the Z basis, outcome +1
+    rows = np.full((int(drawn.sizes.sum()), n), 2)   # every sample in the Z basis, outcome +1
     index = encode_samples(rows, np.ones_like(rows), batches)
     mixed = estimate_paulis([drawn, index], paulis)
     np.testing.assert_array_equal(mixed[0], estimate_paulis([drawn], paulis)[0])

@@ -30,7 +30,7 @@ def single_sample_values(samples: ShadowData, p: PauliString) -> np.ndarray:
     digits = p.digits()
     supp = [i for i, d in enumerate(digits) if d != 0]
     if not supp:
-        return np.ones(len(samples))
+        return np.ones(int(samples.sizes.sum()))
     codes = np.array([digits[i] - 1 for i in supp], dtype=np.int8)  # X, Y, Z -> 0, 1, 2
     match = np.all(samples.bases[:, supp] == codes, axis=1)
     vals = 3.0 ** len(supp) * np.prod(samples.outcomes[:, supp], axis=1)
@@ -162,7 +162,7 @@ def test_random_gibbs_estimates_match_oracle():
     paulis = enumerate_local_paulis(2, 2, include_identity=False)
     errors = np.abs(estimate_paulis([samples], paulis)[0] - pauli_trace_inners(paulis, rho).real)
     # 5 sigma of the single-sample spread
-    sigma = math.sqrt(9.0 / len(samples))
+    sigma = math.sqrt(9.0 / int(samples.sizes.sum()))
     assert np.all(errors <= 5 * max(sigma, 1e-3) + 0.02)
 
 
@@ -487,7 +487,7 @@ def test_collect_shadows_draws_histograms_iff_they_are_no_larger(n):
         ours = np.random.default_rng(m + batches)
         samples = collect_shadows(probs, m, ours, batches)
         assert (samples.counts is not None) == (min(batches, m) * 6**n <= m)
-        assert len(samples) == m
+        assert int(samples.sizes.sum()) == m
         ref = assert_drawn_from(samples, probs, m, m + batches, batches)
         assert ours.bit_generator.state == ref.bit_generator.state
 
