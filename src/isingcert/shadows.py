@@ -201,8 +201,8 @@ def exact_batch_limit(n: int) -> int:
 def estimate_paulis(samples: Sequence[ShadowData], paulis: Sequence[PauliString]) -> np.ndarray:
     """Median of means of the single-sample estimator, for every string at
     once, over the batches the samples were drawn in: B sample sets of one
-    split (the same batch sizes) give (B, strings), from one contraction of
-    all their histograms.
+    split (the same batch sizes) and one form give (B, strings), from one
+    contraction of all their samples.
 
     A sample's value for a string depends only on its joint index, and it is
     the product of its values on the two halves of the qubits.  So each batch
@@ -217,12 +217,15 @@ def estimate_paulis(samples: Sequence[ShadowData], paulis: Sequence[PauliString]
 
     The sums are exact integers in any order, so the estimates equal the
     per-string loop's bit for bit on any samples with the same per-batch
-    histograms, in either form.  A batch over `exact_batch_limit` is a
-    ValueError.
+    histograms, in either form.  `collect_shadows` picks the form from m, the
+    batch count and n, so the sets it draws for one block share it; sets of
+    two forms, or a batch over `exact_batch_limit`, are a ValueError.
     """
-    n, sizes = samples[0].n, samples[0].sizes
-    if any(s.n != n or not np.array_equal(s.sizes, sizes) for s in samples):
-        raise ValueError("the sample sets of one block must share n and their batch sizes")
+    n, sizes, drawn = samples[0].n, samples[0].sizes, samples[0].counts is not None
+    if any(s.n != n or not np.array_equal(s.sizes, sizes) or (s.counts is not None) != drawn
+           for s in samples):
+        raise ValueError("the sample sets of one block must share n, their batch sizes "
+                         "and their form (histograms or per-sample indices)")
     if sizes.sum() == 0:
         raise ValueError("empty sample list")
     if sizes.max() > exact_batch_limit(n):
@@ -233,27 +236,25 @@ def estimate_paulis(samples: Sequence[ShadowData], paulis: Sequence[PauliString]
     batches = len(sizes)
     (table_a, pick_a), (table_b, pick_b) = _half_tables(n, tuple(p.code for p in paulis))
     h = n // 2   # qubits 0..h-1 form the first half, h..n-1 the second
-    pairs = np.empty((len(samples), batches, table_a.shape[1], table_b.shape[1]))
-    drawn = [i for i, s in enumerate(samples) if s.counts is not None]
+    shape = (len(samples), batches, table_a.shape[1], table_b.shape[1])
     if drawn:
         # b 2^n + o with b = (bA, bB) in base 3 and o = (oA, oB) in binary:
         # regroup the axes as ((bA, oA), (bB, oB)), the two half indices
-        hist = np.array([samples[i].counts for i in drawn], dtype=float)
+        hist = np.array([s.counts for s in samples], dtype=float)
         hist = hist.reshape(-1, 3**h, 3**(n - h), 2**h, 2**(n - h))
         hist = hist.transpose(0, 1, 3, 2, 4).reshape(-1, 6**(n - h))
-        pairs[drawn] = (table_a.T @ (hist @ table_b).reshape(-1, 6**h, table_b.shape[1])
-                        ).reshape(len(drawn), batches, *pairs.shape[2:])
-    for s, out in zip(samples, pairs):
-        if s.counts is not None:
-            continue
-        index = s.index.astype(np.intp)
-        words, bits = index >> n, index & (2**n - 1)
-        joint_a = words // 3**(n - h) << h | bits >> (n - h)
-        joint_b = words % 3**(n - h) << (n - h) | bits & (2**(n - h) - 1)
-        start = 0
-        for b, stop in enumerate(np.cumsum(sizes)):
-            out[b] = table_a[joint_a[start:stop]].T @ table_b[joint_b[start:stop]]
-            start = stop
+        pairs = (table_a.T @ (hist @ table_b).reshape(-1, 6**h, shape[3])).reshape(shape)
+    else:
+        pairs = np.empty(shape)
+        for s, out in zip(samples, pairs):
+            index = s.index.astype(np.intp)
+            words, bits = index >> n, index & (2**n - 1)
+            joint_a = words // 3**(n - h) << h | bits >> (n - h)
+            joint_b = words % 3**(n - h) << (n - h) | bits & (2**(n - h) - 1)
+            start = 0
+            for b, stop in enumerate(np.cumsum(sizes)):
+                out[b] = table_a[joint_a[start:stop]].T @ table_b[joint_b[start:stop]]
+                start = stop
     means = pairs[..., pick_a, pick_b] / sizes[:, None]
     # the median as np.median takes it (mean of the middle pair), without its
     # NaN check, which imports numpy.ma (1.3 MB); the means are finite

@@ -23,10 +23,10 @@ shares (configs, the net and its Gibbs table, sample counts, the Gibbs far
 arm's Born tables) once, before any trial runs; a ValueError raised there
 is a ConfigError.  `certify-dynamics` refuses a config only in that step:
 its `CertConfig` compiles the schedule, so a budget overrun exits there
-too, and nothing runs between it and the first block.  Promise checks run
-against the exact dense oracle and raise PromiseViolationError when an
-instance falls outside its advertised regime, before any trial of its block
-is certified.
+too, and nothing runs between it and the first block.  `certifier_coeffs`
+draws a block's instances and raises PromiseViolationError, naming the trial
+by its index in the run, when one falls outside its box or its gap, before
+any trial of its block is certified.
 """
 
 from __future__ import annotations
@@ -149,19 +149,12 @@ def task_arm(params: dict, allowed: tuple[str, str]) -> str:
 
 # ---------------------------------------------------------------- dynamics
 
-class InstanceError(ValueError):
-    """Row `row` of a block of drawn instances breaks its box or its gap."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
-def certifier_coeffs(rngs, n: int, eps: float, far: bool, c_frob: float = 1.0):
-    """(H0, H, ||H - H0||_F) of one instance per generator of `rngs`: coefficient
-    rows (B, T) over enumerate_local_paulis(n, 2, include_identity=False) and
-    the B gap norms.  ||H - H0||_F is eps (close arm) or 12 eps (far arm),
-    and both norms stay within c_frob.
+def certifier_coeffs(rngs, trials, n: int, eps: float, far: bool, c_frob: float = 1.0):
+    """(H0, H, ||H - H0||_F) of one instance per generator of `rngs`, the
+    generators of the trials `trials` of a block: coefficient rows (B, T) over
+    enumerate_local_paulis(n, 2, include_identity=False) and the B gap norms.
+    ||H - H0||_F is eps (close arm) or 12 eps (far arm), and both norms stay
+    within c_frob.
 
     Each generator draws H0 and then a unit direction as uniform draws
     rescaled to a fixed normalized Frobenius norm, with the arithmetic of
@@ -169,11 +162,13 @@ def certifier_coeffs(rngs, n: int, eps: float, far: bool, c_frob: float = 1.0):
     and H = H0 + gap * direction.
     The first row with a degenerate draw, with H0, the direction,
     gap * direction or H outside the box |h_P| <= 1, or with ||H - H0||_F off its
-    arm's gap by more than 1e-9, raises InstanceError.
+    arm's gap by more than 1e-9, raises PromiseViolationError naming its trial.
+    A gap at or past c_frob is a ValueError.
     """
     gap = 12.0 * eps if far else eps
     if gap >= c_frob:
-        raise ValueError(f"12 eps = {gap} leaves no room inside c_frob = {c_frob}")
+        raise ValueError(f"{'12 eps' if far else 'eps'} = {gap} leaves no room inside "
+                         f"c_frob = {c_frob}")
     target = np.array([min(0.35 * c_frob, 0.9 * (c_frob - gap)), 1.0])
     terms = local_pauli_count(n, 2) - 1
     draws = np.array([rng.uniform(-1.0, 1.0, (2, terms))
@@ -199,7 +194,7 @@ def certifier_coeffs(rngs, n: int, eps: float, far: bool, c_frob: float = 1.0):
         else:
             message = (f"{'far' if far else 'close'}-arm instance has ||dH||_F = {delta[row]}, "
                        f"{'below 12 eps' if far else 'above eps'} = {gap}")
-        raise InstanceError(row, message)
+        raise PromiseViolationError(f"trial {trials[row]}: {message}")
     return h0, h, delta
 
 
@@ -214,11 +209,8 @@ def _dynamics_blocks(params, seed, trials):
     size = oracle.stack_size(n, 2, len(paulis))
     for start in range(0, trials, size):
         block = range(start, min(start + size, trials))
-        try:
-            h0, h, delta = certifier_coeffs(trial_rngs(seed, block, 1), n, params["eps"],
-                                            params["arm"] == "far", params["c_frob"])
-        except InstanceError as exc:
-            raise PromiseViolationError(f"trial {block[exc.row]}: {exc}") from exc
+        h0, h, delta = certifier_coeffs(trial_rngs(seed, block, 1), block, n, params["eps"],
+                                        params["arm"] == "far", params["c_frob"])
         # H0 and H of each trial side by side, as the rows of one stack
         w, v = oracle.hermitian_eig(pauli_sum_matrix(n, paulis, np.stack([h0, h], axis=1)
                                                      .reshape(-1, len(paulis))))

@@ -66,7 +66,7 @@ def certifier_instance(rng, n: int, eps: float, far: bool,
                        c_frob: float = 1.0) -> tuple[LocalHamiltonian, LocalHamiltonian]:
     """The (H0, H) that `certifier_coeffs` draws from `rng`, as LocalHamiltonians."""
     paulis = enumerate_local_paulis(n, 2, include_identity=False)
-    h0, h, _ = certifier_coeffs([rng], n, eps, far, c_frob)
+    h0, h, _ = certifier_coeffs([rng], [0], n, eps, far, c_frob)
     return tuple(LocalHamiltonian(n, 2, dict(zip(paulis, row[0].tolist()))) for row in (h0, h))
 
 

@@ -507,8 +507,8 @@ def test_trace_kernel_invariant_under_local_cliffords(n):
 
     # three instances of each arm, each conjugated by its own C
     h0, h = (np.concatenate(rows) for rows in zip(*(
-        tasks.certifier_coeffs([np.random.default_rng((1500, n, t)) for t in range(3)], n,
-                               0.01, far)[:2] for far in (False, True))))
+        tasks.certifier_coeffs([np.random.default_rng((1500, n, t)) for t in range(3)],
+                               range(3), n, 0.01, far)[:2] for far in (False, True))))
     rng = np.random.default_rng(1500 + n)
     images = np.array([local_clifford_rows(np.stack(pair), n, rng) for pair in zip(h0, h)])
     difference = identity_sq(images[:, 0], images[:, 1]) - identity_sq(h0, h)

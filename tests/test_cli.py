@@ -280,6 +280,25 @@ def test_promise_violation_fires_before_its_block_is_certified(tmp_path, monkeyp
     assert certified == []
 
 
+def test_promise_violation_in_a_later_block_names_its_trial(tmp_path, monkeypatch, capsys):
+    # one trial per block; at seed 0 trials 0 and 1 stay in the box and trial 2
+    # leaves it, so its block is the third and the blocks before it are certified
+    monkeypatch.setattr(oracle, "stack_size", lambda *args: 1)
+    certified, certify_block = [], tasks.certify_block
+    monkeypatch.setattr(tasks, "certify_block",
+                        lambda *args: certified.append(len(args[2])) or certify_block(*args))
+    cfg = {"schema_version": 1, "task": "certify-dynamics", "seed": 0, "trials": 4,
+           "params": {"arm": "far", "c_frob": 2.0, "eps": 0.15}}
+    path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir)]) == EXIT_PROMISE
+    assert capsys.readouterr().err == (
+        "promise violation: trial 2: the instance drawn at c_frob = 2.0 leaves the box "
+        "|h_P| <= 1: H has |h_P| up to 1.010549106399133\n")
+    assert certified == [1, 1]
+    assert not out_dir.exists()
+
+
 def test_far_arm_gap_beyond_c_frob_is_config_error(tmp_path, monkeypatch, capsys):
     # 12 eps = 1.08 >= c_frob = 1: no far-arm instance exists
     forbid_trials(monkeypatch)

@@ -153,13 +153,14 @@ def test_block_estimates_equal_per_set_estimates(n, batches):
         expected = np.array([estimate_paulis([s], paulis)[0] for s in sets])
         np.testing.assert_array_equal(estimate_paulis(sets, paulis), expected)
         np.testing.assert_array_equal(estimate_paulis(sets[2:3], paulis), expected[2:3])
-    # histogram and index sets of one split in one block
+    # histogram and index sets of one split: one block holds one form
     drawn = collect_shadows(table, batches * 6**n, rng, batches)
     rows = np.full((int(drawn.sizes.sum()), n), 2)   # every sample in the Z basis, outcome +1
     index = encode_samples(rows, np.ones_like(rows), batches)
-    mixed = estimate_paulis([drawn, index], paulis)
-    np.testing.assert_array_equal(mixed[0], estimate_paulis([drawn], paulis)[0])
-    np.testing.assert_array_equal(mixed[1], estimate_paulis([index], paulis)[0])
+    np.testing.assert_array_equal(index.sizes, drawn.sizes)
+    for block in ([drawn, index], [index, drawn]):
+        with pytest.raises(ValueError, match="form"):
+            estimate_paulis(block, paulis)
 
 
 def test_block_estimates_need_one_split():

@@ -10,6 +10,8 @@ per-string shadow estimator, the kron-loop Born table and rng.choice are the
 references in test_shadows.py.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ import isingcert.tasks as tasks
 from certifier_reference import certifier_instance
 from hamiltonian_reference import (cache_spectra, frobenius_norm, hamiltonian_diff,
                                    hamiltonian_sum, net_member, random_fixed_norm, random_sparse)
+from isingcert.errors import PromiseViolationError
 from isingcert.hamiltonians import HamiltonianNet, gibbs_density, random_hamiltonian
 from isingcert.oracle import evolve, evolve_matrix, hermitian_eig, spectral_moments
 from isingcert.paulis import (PauliString, enumerate_local_paulis, pauli_sum_matrix,
@@ -287,6 +290,26 @@ def test_stacked_spectra_equal_per_hamiltonian_spectra(n, monkeypatch):
     assert len(calls) == 3
 
 
+def test_certifier_coeffs_names_the_trial_of_its_row():
+    # at seed 27 the block of trials 5, 6 and 7 first leaves the box at row 2
+    def draw(trials):
+        return tasks.certifier_coeffs(tasks.trial_rngs(27, trials, 1), trials, 2, 0.15, True,
+                                      2.0)
+
+    draw(range(5, 7))
+    with pytest.raises(PromiseViolationError, match=r"^trial 7: .* leaves the box"):
+        draw(range(5, 8))
+
+
+@pytest.mark.parametrize("far, eps, gap", [(False, 1.0, "eps = 1.0"),
+                                           (True, 0.09, f"12 eps = {12.0 * 0.09}")])
+def test_certifier_coeffs_gap_guard_names_the_arm_gap(far, eps, gap):
+    # the CLI refuses these in its config step; a direct call still needs c_frob > gap
+    rngs = [np.random.default_rng(0)]
+    with pytest.raises(ValueError, match=f"^{re.escape(gap)} leaves no room inside c_frob = 1.0$"):
+        tasks.certifier_coeffs(rngs, [0], 2, eps, far, 1.0)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_certifier_rows_equal_per_instance_draws(n):
     # a block's coefficient rows against one random_hamiltonian pair per trial,
@@ -295,7 +318,8 @@ def test_certifier_rows_equal_per_instance_draws(n):
     for far, c_frob in ((False, 1.0), (True, 1.0), (True, 1.5)):
         gap = 12.0 * 0.05 if far else 0.05   # as the arms compute it
         h0_rows, h_rows, delta = tasks.certifier_coeffs(
-            [np.random.default_rng((740, n, t)) for t in range(5)], n, 0.05, far, c_frob)
+            [np.random.default_rng((740, n, t)) for t in range(5)], range(5), n, 0.05, far,
+            c_frob)
         for t in range(5):
             rng = np.random.default_rng((740, n, t))
             h0 = random_fixed_norm(n, 2, rng, min(0.35 * c_frob, 0.9 * (c_frob - gap)))

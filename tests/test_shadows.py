@@ -427,9 +427,9 @@ def test_index_estimates_equal_their_bincounted_histograms(n):
         np.testing.assert_array_equal(hist.sizes, index.sizes)
         expected = estimate_paulis([hist], paulis)[0]
         np.testing.assert_array_equal(estimate_paulis([index], paulis)[0], expected)
-        # one block that holds both forms gives each set its own row
-        np.testing.assert_array_equal(estimate_paulis([index, hist], paulis),
-                                      [expected, expected])
+        # the sets of one block share one form: a block of both is refused
+        with pytest.raises(ValueError, match="form"):
+            estimate_paulis([index, hist], paulis)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
