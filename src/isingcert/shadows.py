@@ -12,7 +12,8 @@ estimate reads only each batch's histogram over the joint indices.  The
 histograms of iid samples cut at np.array_split boundaries are independent
 Multinomial(batch size, p) draws, so `collect_shadows` draws them directly
 when they hold no more entries than the samples would (batches 6^n <= m),
-and draws per-sample indices otherwise.
+and draws per-sample indices otherwise.  A draw is a plain array, and its
+shape gives its form: (batches, 6^n) histograms or (m,) joint indices.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .constants import MOM_BATCH_CONSTANT, SHADOW_SAMPLE_CONSTANT
+from .constants import MOM_BATCH_CONSTANT, SHADOW_SAMPLE_CONSTANT, SHADOW_SAMPLE_HARD_CAP
+from .errors import BudgetExceededError
 from .oracle import clip_distribution
 from .paulis import PauliString
 
@@ -54,43 +56,19 @@ def batch_sizes(m: int, batches: int) -> np.ndarray:
     return sizes
 
 
-class ShadowData:
-    """Shadow samples in their median-of-means batches (`sizes`, in
-    np.array_split order), held either as per-sample joint indices `index`
-    (m,) or as per-batch histograms `counts` (batches, 6^n); the other is None.
+def _takes_histograms(m: int, sizes: np.ndarray, n: int) -> bool:
+    """The form rule: m samples in the batches `sizes` are drawn as batch
+    histograms when those hold no more entries (batches 6^n <= m)."""
+    return len(sizes) * 6**n <= m
 
-    A joint index is b 2^n + o, with b the basis word in base 3 (X, Y, Z =
-    0, 1, 2, first qubit most significant) and o the outcome word in binary
-    (bit 1 for outcome -1); `bases` and `outcomes` decode per-sample indices.
-    """
 
-    def __init__(self, n: int, index, counts, sizes: np.ndarray):
-        self.n, self.index, self.counts, self.sizes = n, index, counts, sizes
-
-    @classmethod
-    def from_index(cls, index: np.ndarray, n: int, batches: int = 1) -> ShadowData:
-        return cls(n, index, None, batch_sizes(len(index), batches))
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray, n: int) -> ShadowData:
-        return cls(n, None, counts, counts.sum(axis=1))
-
-    @property
-    def bases(self) -> np.ndarray:
-        """(m, n) basis letters in {0, 1, 2}."""
-        shift = np.arange(self.n - 1, -1, -1)
-        return ((self._rows() >> self.n)[:, None] // 3**shift % 3).astype(np.int8)
-
-    @property
-    def outcomes(self) -> np.ndarray:
-        """(m, n) outcomes in {-1, +1}."""
-        shift = np.arange(self.n - 1, -1, -1)
-        return (1 - 2 * (self._rows()[:, None] >> shift & 1)).astype(np.int8)
-
-    def _rows(self) -> np.ndarray:
-        if self.index is None:
-            raise ValueError("samples drawn as batch histograms have no per-sample rows")
-        return self.index.astype(np.int64)
+def _decode(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n) basis letters in {0, 1, 2} and outcomes in {-1, +1} of n-qubit
+    joint indices b 2^n + o: b is the basis word in base 3 (X, Y, Z = 0, 1, 2,
+    first qubit most significant), o the outcome word in binary (bit 1 for -1)."""
+    shift = np.arange(n - 1, -1, -1)
+    index = np.asarray(index, dtype=np.int64)[:, None]
+    return (index >> n) // 3**shift % 3, 1 - 2 * (index >> shift & 1)
 
 
 def _joint_distribution(rho: np.ndarray, n: int) -> np.ndarray:
@@ -134,15 +112,16 @@ def born_table(rho: np.ndarray) -> np.ndarray:
     return _joint_distribution(rho, n)
 
 
-def collect_shadows(probs: np.ndarray, m: int, rng, batches: int = 1) -> ShadowData:
+def collect_shadows(probs: np.ndarray, m: int, rng, batches: int = 1) -> np.ndarray:
     """Draw m single-copy samples from a state's `born_table` `probs`, split
     into `batches` batches for median of means.
 
-    Each batch is one Multinomial(batch size, p) histogram when batches 6^n
-    <= m, so the histograms hold no more entries than the samples would;
-    otherwise the m joint indices are one rng.choice draw.  A table that is
-    not a distribution is a ValueError before either draw, with the
-    generator untouched.
+    The draw is the (batches, 6^n) Multinomial(batch size, p) histograms
+    when batches 6^n <= m, so the histograms hold no more entries than the
+    samples would; otherwise it is the (m,) joint indices of one rng.choice
+    draw, in batches of `batch_sizes(m, batches)`.  A table that is not a
+    distribution is a ValueError before either draw, with the generator
+    untouched.
     """
     if m < 1:
         raise ValueError(f"need at least one sample, got {m}")
@@ -152,10 +131,9 @@ def collect_shadows(probs: np.ndarray, m: int, rng, batches: int = 1) -> ShadowD
         raise ValueError(f"a Born table has 6^n entries, got {len(probs)}")
     sizes = batch_sizes(m, batches)
     _check_probs(probs)
-    if len(sizes) * len(probs) <= m:
-        return ShadowData.from_counts(rng.multinomial(sizes, probs), n)
-    index = rng.choice(len(probs), size=m, p=probs)
-    return ShadowData.from_index(index.astype(np.min_scalar_type(len(probs))), n, batches)
+    if _takes_histograms(m, sizes, n):
+        return rng.multinomial(sizes, probs)
+    return rng.choice(len(probs), size=m, p=probs).astype(np.min_scalar_type(len(probs)))
 
 
 def _value_table(letters: np.ndarray) -> np.ndarray:
@@ -166,10 +144,9 @@ def _value_table(letters: np.ndarray) -> np.ndarray:
     letter, 0 elsewhere.
     """
     q = letters.shape[1]
-    every = ShadowData.from_index(np.arange(6**q), q)
+    bases, outcomes = _decode(np.arange(6**q), q)
     tables = np.ones((q, 4, 6**q))   # [qubit, letter, joint index]
-    tables[:, 1:] = np.where(every.bases.T[:, None] == np.arange(3)[:, None],
-                             3 * every.outcomes.T[:, None], 0)
+    tables[:, 1:] = np.where(bases.T[:, None] == np.arange(3)[:, None], 3 * outcomes.T[:, None], 0)
     out = np.ones((6**q, len(letters)))
     for i in range(q):
         out *= tables[i, letters[:, i]].T
@@ -198,56 +175,54 @@ def exact_batch_limit(n: int) -> int:
     return (2**53 - 1) // 3**n
 
 
-def estimate_paulis(samples: Sequence[ShadowData], paulis: Sequence[PauliString]) -> np.ndarray:
+def estimate_paulis(samples: np.ndarray, n: int, batches: int,
+                    paulis: Sequence[PauliString]) -> np.ndarray:
     """Median of means of the single-sample estimator, for every string at
-    once, over the batches the samples were drawn in: B sample sets of one
-    split (the same batch sizes) and one form give (B, strings), from one
-    contraction of all their samples.
+    once: one block of B draws of `collect_shadows` on n qubits, stacked as
+    (B, batches, 6^n) histograms or as (B, m) joint indices cut into
+    `batch_sizes(m, batches)`, gives (B, strings) from one contraction.
 
     A sample's value for a string depends only on its joint index, and it is
     the product of its values on the two halves of the qubits.  So each batch
     needs only the (strings of the first half) x (strings of the second half)
     sums of products of half values:
 
-    - sets drawn as histograms over the 6^n joint indices take two matrix
-      products with the (6^(n/2), half strings) value tables, which contract
-      the histograms half by half;
-    - sets of per-sample indices gather each batch's half values and
-      multiply the two (batch, half strings) blocks.
+    - histograms over the 6^n joint indices take two matrix products with
+      the (6^(n/2), half strings) value tables, which contract them half by
+      half, and each batch's mean divides by its own histogram's total;
+    - per-sample indices gather each batch's half values and multiply the
+      two (batch, half strings) blocks.
 
     The sums are exact integers in any order, so the estimates equal the
     per-string loop's bit for bit on any samples with the same per-batch
-    histograms, in either form.  `collect_shadows` picks the form from m, the
-    batch count and n, so the sets it draws for one block share it; sets of
-    two forms, or a batch over `exact_batch_limit`, are a ValueError.
+    histograms, in either form.  A histogram block of another shape, an
+    empty batch, or a batch over `exact_batch_limit` is a ValueError.
     """
-    n, sizes, drawn = samples[0].n, samples[0].sizes, samples[0].counts is not None
-    if any(s.n != n or not np.array_equal(s.sizes, sizes) or (s.counts is not None) != drawn
-           for s in samples):
-        raise ValueError("the sample sets of one block must share n, their batch sizes "
-                         "and their form (histograms or per-sample indices)")
-    if sizes.sum() == 0:
-        raise ValueError("empty sample list")
+    drawn = samples.ndim == 3
+    if drawn and samples.shape[1:] != (batches, 6**n):
+        raise ValueError(f"a histogram block is (B, {batches} batches, 6^{n} = {6**n} "
+                         f"joint indices), got {samples.shape}")
+    sizes = samples.sum(axis=-1) if drawn else batch_sizes(samples.shape[-1], batches)
+    if sizes.min() < 1:
+        raise ValueError("every median-of-means batch needs at least one sample")
     if sizes.max() > exact_batch_limit(n):
         raise ValueError(f"a batch of {int(sizes.max())} samples on {n} qubits "
                          "takes the partial sums past 2^53, where floats stop being exact")
     if any(p.n != n for p in paulis):
         raise ValueError(f"every string must act on the samples' {n} qubits")
-    batches = len(sizes)
     (table_a, pick_a), (table_b, pick_b) = _half_tables(n, tuple(p.code for p in paulis))
     h = n // 2   # qubits 0..h-1 form the first half, h..n-1 the second
-    shape = (len(samples), batches, table_a.shape[1], table_b.shape[1])
+    shape = (len(samples), sizes.shape[-1], table_a.shape[1], table_b.shape[1])
     if drawn:
         # b 2^n + o with b = (bA, bB) in base 3 and o = (oA, oB) in binary:
         # regroup the axes as ((bA, oA), (bB, oB)), the two half indices
-        hist = np.array([s.counts for s in samples], dtype=float)
-        hist = hist.reshape(-1, 3**h, 3**(n - h), 2**h, 2**(n - h))
+        hist = samples.astype(float).reshape(-1, 3**h, 3**(n - h), 2**h, 2**(n - h))
         hist = hist.transpose(0, 1, 3, 2, 4).reshape(-1, 6**(n - h))
         pairs = (table_a.T @ (hist @ table_b).reshape(-1, 6**h, shape[3])).reshape(shape)
     else:
         pairs = np.empty(shape)
-        for s, out in zip(samples, pairs):
-            index = s.index.astype(np.intp)
+        for index, out in zip(samples, pairs):
+            index = index.astype(np.intp)
             words, bits = index >> n, index & (2**n - 1)
             joint_a = words // 3**(n - h) << h | bits >> (n - h)
             joint_b = words % 3**(n - h) << (n - h) | bits & (2**(n - h) - 1)
@@ -255,12 +230,12 @@ def estimate_paulis(samples: Sequence[ShadowData], paulis: Sequence[PauliString]
             for b, stop in enumerate(np.cumsum(sizes)):
                 out[b] = table_a[joint_a[start:stop]].T @ table_b[joint_b[start:stop]]
                 start = stop
-    means = pairs[..., pick_a, pick_b] / sizes[:, None]
+    means = pairs[..., pick_a, pick_b] / sizes[..., None]
     # the median as np.median takes it (mean of the middle pair), without its
     # NaN check, which imports numpy.ma (1.3 MB); the means are finite
     ranked = np.sort(means, axis=1)
-    mid = batches // 2
-    return ranked[:, mid] if batches % 2 else (ranked[:, mid - 1] + ranked[:, mid]) / 2
+    mid = shape[1] // 2
+    return ranked[:, mid] if shape[1] % 2 else (ranked[:, mid - 1] + ranked[:, mid]) / 2
 
 
 def mom_batches(n: int, k: int, delta: float) -> int:
@@ -281,3 +256,29 @@ def shadow_budget(n: int, k: int, eps: float, delta: float) -> int:
     if not math.isfinite(budget):
         raise ValueError(f"accuracy {eps:.3g} needs more samples than a float can count")
     return math.ceil(budget)
+
+
+def resolve_samples(requested, nominal: int, n: int, batches: int) -> int:
+    """The sample count of each shadow draw: `requested`, or the nominal
+    budget when it is None.  A draw of m samples costs O(batches 6^n) while it
+    takes batch histograms and O(m) once it takes per-sample indices, so a
+    nominal budget is refused (BudgetExceededError) only in the second case
+    and over SHADOW_SAMPLE_HARD_CAP.  Any count whose largest batch is over
+    `exact_batch_limit` is refused too, and any n over MAX_SHADOW_QUBITS or
+    requested count below 1 is a ValueError."""
+    if n > MAX_SHADOW_QUBITS:
+        raise ValueError(f"n={n} is over the {MAX_SHADOW_QUBITS} qubits that shadow sampling "
+                         f"supports: a Born table has 6^n = {6**n} entries")
+    if requested is not None and requested < 1:
+        raise ValueError(f"params.samples must be >= 1, got {requested}")
+    m = nominal if requested is None else int(requested)
+    sizes = batch_sizes(m, batches)
+    if requested is None and not _takes_histograms(m, sizes, n) and m > SHADOW_SAMPLE_HARD_CAP:
+        raise BudgetExceededError(
+            f"nominal sample budget {m} needs per-sample indices (batches 6^n > m) above "
+            f"the hard cap {SHADOW_SAMPLE_HARD_CAP}; set params.samples explicitly")
+    if sizes[0] > exact_batch_limit(n):
+        raise BudgetExceededError(
+            f"a batch of {int(sizes[0])} samples on {n} qubits takes the shadow estimates' "
+            "partial sums past 2^53, where floats stop being exact")
+    return m

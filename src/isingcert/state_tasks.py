@@ -8,11 +8,11 @@ modules it reads.  Seeding, the config boundary and dispatch are in tasks.py.
 
 The sweeps run stacks of one n: one Pauli scatter, eig and Gibbs map each.
 A Gibbs-task block builds its states with one scatter, eig and Gibbs map,
-its Born tables with one contraction, and estimates all its sample sets
-with one `estimate_paulis` product; only the draws run per trial, each on
-its trial's own generators.  Blocks are sized by `oracle.stack_size` and
-stay within `oracle.STACK_CHUNK_BYTES`, histograms included.  Cutting the
-trials into other blocks gives the same records.
+its Born tables with one contraction, and estimates all its trials' shadow
+draws, stacked, with one `estimate_paulis` product; only the draws run per
+trial, each on its trial's own generators.  Blocks are sized by
+`oracle.stack_size` and stay within `oracle.STACK_CHUNK_BYTES`, histograms
+included.  Cutting the trials into other blocks gives the same records.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import sys
 import numpy as np
 
 from . import oracle
-from .constants import SHADOW_SAMPLE_HARD_CAP
-from .errors import BudgetExceededError, ConfigError, PromiseViolationError
+from .errors import PromiseViolationError
 from .gibbs import (
     GibbsCertConfig,
     GibbsLearnConfig,
@@ -37,38 +36,12 @@ from .hamiltonians import HamiltonianNet, check_beta, frobenius_norms, gibbs_sta
 from .oracle import hermitian_eig, hermitian_eigvals, spectral_moments, trace_distance
 from .paulis import (PauliString, check_size, enumerate_local_paulis, local_pauli_count,
                      pauli_sum_matrix, pauli_trace_inners)
-from .shadows import (MAX_SHADOW_QUBITS, batch_sizes, born_table, collect_shadows,
-                      estimate_paulis, exact_batch_limit, mom_batches, shadow_budget)
+from .shadows import (born_table, collect_shadows, estimate_paulis, mom_batches,
+                      resolve_samples, shadow_budget)
 from .tasks import MAX_TRIALS, config_boundary, task_arm, trial_rngs
 
 SLACK_TOL = -1e-9
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def _resolve_samples(requested, nominal: int, n: int, batches: int) -> int:
-    """The sample count of each shadow draw: `requested`, or the nominal
-    budget when it is None.  A draw of m samples costs O(batches 6^n) while it
-    takes batch histograms (batches 6^n <= m) and O(m) once it takes
-    per-sample indices, so a nominal budget is refused only in the second
-    case and over SHADOW_SAMPLE_HARD_CAP.  Any count whose largest batch is
-    over `exact_batch_limit` is refused too, before any trial draws, and so
-    is any n over MAX_SHADOW_QUBITS."""
-    if n > MAX_SHADOW_QUBITS:
-        raise ConfigError(f"n={n} is over the {MAX_SHADOW_QUBITS} qubits that shadow sampling "
-                          f"supports: a Born table has 6^n = {6**n} entries")
-    if requested is not None and requested < 1:
-        raise ConfigError(f"params.samples must be >= 1, got {requested}")
-    m = nominal if requested is None else int(requested)
-    sizes = batch_sizes(m, batches)
-    if requested is None and len(sizes) * 6**n > m > SHADOW_SAMPLE_HARD_CAP:
-        raise BudgetExceededError(
-            f"nominal sample budget {m} needs per-sample indices (batches 6^n > m) above "
-            f"the hard cap {SHADOW_SAMPLE_HARD_CAP}; set params.samples explicitly")
-    if sizes[0] > exact_batch_limit(n):
-        raise BudgetExceededError(
-            f"a batch of {int(sizes[0])} samples on {n} qubits takes the shadow estimates' "
-            "partial sums past 2^53, where floats stop being exact")
-    return m
 
 
 def _check_sweep_sizes(params: dict) -> None:
@@ -236,13 +209,14 @@ def _hist_bytes(n: int, batches: int, sets: int) -> int:
     return 8 * sets * batches * 6**n
 
 
-def _block_estimates(seed: int, block, tables, m: int, batches: int, key: int,
+def _block_estimates(seed: int, block, tables, n: int, m: int, batches: int, key: int,
                      paulis) -> np.ndarray:
-    """(B, strings) estimates of `paulis` from one sample set per trial of
-    `block`, each drawn from its Born table with its generator of
-    trial_rngs(seed, block, key)."""
-    return estimate_paulis([collect_shadows(table, m, rng, batches)
-                            for table, rng in zip(tables, trial_rngs(seed, block, key))], paulis)
+    """(B, strings) estimates of `paulis` from one shadow draw per trial of
+    `block`, each drawn from its n-qubit Born table with its generator of
+    trial_rngs(seed, block, key), stacked into one block."""
+    draws = np.array([collect_shadows(table, m, rng, batches)
+                      for table, rng in zip(tables, trial_rngs(seed, block, key))])
+    return estimate_paulis(draws, n, batches, paulis)
 
 
 def _learn_records(params, config, net, member_coeffs, m, seed, trials) -> list:
@@ -261,7 +235,7 @@ def _learn_records(params, config, net, member_coeffs, m, seed, trials) -> list:
             [rng.uniform(-1.0, 1.0, len(net.support)) for rng in rngs])
         rho = gibbs_states(*hermitian_eig(net.matrices(values)), config.beta)
         estimates = pauli_trace_inners(net.support, rho).real if exact else _block_estimates(
-            seed, block, born_table(rho), m, config.batches, 1, net.support)
+            seed, block, born_table(rho), config.n, m, config.batches, 1, net.support)
         index, learned, objective = learn_gibbs(estimates, net, config.beta, member_coeffs)
         for i, (t, dist) in enumerate(zip(block, trace_distance(learned, rho))):
             rec = {
@@ -291,7 +265,7 @@ def task_learn_gibbs(params, trials, seed):
         net = HamiltonianNet(support, config.eta_used)
         nominal = config.nominal_budget   # every record reports it, exact ones too
         # exact estimates draw no samples, so no sample budget applies
-        m = None if params.get("exact_estimates") else _resolve_samples(
+        m = None if params.get("exact_estimates") else resolve_samples(
             params.get("samples"), nominal, config.n, config.batches)
         member_coeffs = net.gibbs_coeff_matrix(config.beta)   # the same in every trial
     records = _learn_records(params, config, net, member_coeffs, m, seed, trials)
@@ -312,8 +286,8 @@ def task_learn_gibbs(params, trials, seed):
 
 def _gibbs_cert_records(config, m, far_tables, seed, trials) -> list:
     """Equal arm (`far_tables` None): each trial draws H from its generator
-    of key (1,) and one sample set from key (2,), compared with itself.  Far
-    arm: the two fixed states' sample sets from keys (2,) and (3,)."""
+    of key (1,) and one shadow draw from key (2,), compared with itself.  Far
+    arm: the two fixed states' draws from keys (2,) and (3,)."""
     n, batches = config.n, config.batches
     paulis = enumerate_local_paulis(n, config.k)
     results = []
@@ -323,14 +297,15 @@ def _gibbs_cert_records(config, m, far_tables, seed, trials) -> list:
                                                lambda rng: (n, None, 1),
                                                _hist_bytes(n, batches, 1)):
             tables = born_table(gibbs_states(*hermitian_eig(h[:, 0]), config.beta))
-            estimates = _block_estimates(seed, block, tables, m, batches, 2, paulis)
+            estimates = _block_estimates(seed, block, tables, n, m, batches, 2, paulis)
             results += certify_gibbs(estimates, estimates, config.far_threshold)
     else:
         expected = "FAR"
         size = oracle.stack_size(n, 0, 0, _hist_bytes(n, batches, 2))   # no Hamiltonians
         for start in range(0, trials, size):
             block = range(start, min(start + size, trials))
-            a, b = (_block_estimates(seed, block, [table] * len(block), m, batches, key, paulis)
+            a, b = (_block_estimates(seed, block, [table] * len(block), n, m, batches, key,
+                                     paulis)
                     for table, key in zip(far_tables, (2, 3)))
             results += certify_gibbs(a, b, config.far_threshold)
     return [{
@@ -350,7 +325,7 @@ def task_certify_gibbs(params, trials, seed):
     n, k, beta, eps = params["n"], params["k"], params["beta"], params["eps"]
     with config_boundary():
         config = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=params["delta"])
-        m = _resolve_samples(params.get("samples"), config.nominal_budget, n, config.batches)
+        m = resolve_samples(params.get("samples"), config.nominal_budget, n, config.batches)
     far_tables = None
     if arm == "far":
         # the Gibbs states of +-sum_i Z_i, as two coefficient rows of one stack
@@ -387,7 +362,7 @@ def _shadow_records(params, m, batches, paulis, seed, trials) -> list:
     for _, block, _, _, h in _sweep_stacks(params["k"], seed, range(trials), (1,),
                                            lambda rng: (n, None, 1), _hist_bytes(n, batches, 1)):
         rho = gibbs_states(*hermitian_eig(h[:, 0]), params["beta"])
-        estimates = _block_estimates(seed, block, born_table(rho), m, batches, 2, paulis)
+        estimates = _block_estimates(seed, block, born_table(rho), n, m, batches, 2, paulis)
         errors = np.abs(estimates - pauli_trace_inners(paulis, rho).real)
         records += [{
             "trial": t, "samples_used": m, "batches": batches,
@@ -403,7 +378,7 @@ def task_shadow_estimate(params, trials, seed):
         check_size(n, k)
         nominal = shadow_budget(n, k, params["eps"], params["delta"])   # checks eps and delta
         batches = mom_batches(n, k, params["delta"])
-        m = _resolve_samples(params.get("samples"), nominal, n, batches)
+        m = resolve_samples(params.get("samples"), nominal, n, batches)
         paulis = enumerate_local_paulis(n, k)
     records = _shadow_records(params, m, batches, paulis, seed, trials)
     success = sum(1 for r in records if r["all_within_eps"])

@@ -2,7 +2,7 @@
 
 One trial at a time: a LocalHamiltonian from its own generator, its own
 eigendecomposition and Gibbs state, one `collect_shadows` call on that
-state's own Born table, one estimate per sample set, and
+state's own Born table, one estimate per draw (a block of one), and
 the net scan or the certification test on that trial's estimates alone.
 Each `*_records` function takes the arguments of its `state_tasks` counterpart and
 returns the records the CLI writes; the block drivers must return equal ones.
@@ -47,7 +47,7 @@ def learn_trial(params, config, net, member_coeffs, m, seed, trial):
         estimates = pauli_trace_inners(net.support, rho).real
     else:
         samples = collect_shadows(born_table(rho), m, trial_rng(seed, trial, 1), config.batches)
-        estimates = estimate_paulis([samples], net.support)[0]
+        estimates = estimate_paulis(samples[None], config.n, config.batches, net.support)[0]
     index, learned, objective = learn_one(estimates, net, config, member_coeffs)
     dist = trace_distance(learned, rho)
     rec = {
@@ -75,12 +75,13 @@ def gibbs_cert_trial(config, m, far_tables, seed, trial):
         h = random_hamiltonian(config.n, config.k, trial_rng(seed, trial, 1))
         rho = gibbs_density(h, config.beta)
         samples = collect_shadows(born_table(rho), m, trial_rng(seed, trial, 2), config.batches)
-        est_a = est_b = estimate_paulis([samples], paulis)[0]
+        est_a = est_b = estimate_paulis(samples[None], config.n, config.batches, paulis)[0]
         expected = "CLOSE"
     else:
         est_a, est_b = (
-            estimate_paulis([collect_shadows(table, m, trial_rng(seed, trial, key),
-                                             config.batches)], paulis)[0]
+            estimate_paulis(collect_shadows(table, m, trial_rng(seed, trial, key),
+                                            config.batches)[None], config.n, config.batches,
+                            paulis)[0]
             for table, key in zip(far_tables, (2, 3)))
         expected = "FAR"
     verdict, max_gap = certify_one(est_a, est_b, config)
@@ -104,7 +105,7 @@ def shadow_trial(params, m, batches, paulis, seed, trial):
     h = random_hamiltonian(params["n"], params["k"], trial_rng(seed, trial, 1))
     rho = gibbs_density(h, params["beta"])
     samples = collect_shadows(born_table(rho), m, trial_rng(seed, trial, 2), batches)
-    est = estimate_paulis([samples], paulis)[0]
+    est = estimate_paulis(samples[None], params["n"], batches, paulis)[0]
     max_err = float(np.max(np.abs(est - pauli_trace_inners(paulis, rho).real)))
     return {
         "trial": trial, "samples_used": m, "batches": batches,

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import isingcert.oracle as oracle
+import isingcert.shadows as shadows
 import isingcert.state_tasks as state_tasks
 import isingcert.tasks as tasks
 import rng_reference
@@ -165,15 +166,15 @@ def test_nominal_budget_refused_only_for_index_draws_over_the_cap():
     cap = SHADOW_SAMPLE_HARD_CAP
     # n=8, 20 batches: batches 6^n = 3.4e7 > m, so the draw takes per-sample indices
     with pytest.raises(BudgetExceededError, match="per-sample indices"):
-        state_tasks._resolve_samples(None, 2 * cap, 8, 20)
-    assert state_tasks._resolve_samples(None, cap, 8, 20) == cap
-    assert state_tasks._resolve_samples(2 * cap, 1, 8, 20) == 2 * cap   # an explicit count runs
-    assert state_tasks._resolve_samples(None, 10**12, 2, 20) == 10**12  # batch histograms
+        shadows.resolve_samples(None, 2 * cap, 8, 20)
+    assert shadows.resolve_samples(None, cap, 8, 20) == cap
+    assert shadows.resolve_samples(2 * cap, 1, 8, 20) == 2 * cap   # an explicit count runs
+    assert shadows.resolve_samples(None, 10**12, 2, 20) == 10**12  # batch histograms
     # 3^n times the largest batch reaches 2^53, nominal or explicit
-    assert state_tasks._resolve_samples(None, 2**53 // 9, 2, 1) == 2**53 // 9
+    assert shadows.resolve_samples(None, 2**53 // 9, 2, 1) == 2**53 // 9
     for requested, nominal in ((None, 2**53 // 9 + 1), (2**53 // 9 + 1, 1)):
         with pytest.raises(BudgetExceededError, match=r"past 2\^53"):
-            state_tasks._resolve_samples(requested, nominal, 2, 1)
+            shadows.resolve_samples(requested, nominal, 2, 1)
 
 
 @pytest.mark.parametrize("c_op", [1e5, 1e50, 1e150, 1e300], ids=["1e5", "1e50", "1e150", "1e300"])
@@ -841,8 +842,6 @@ def test_learn_gibbs_table_computed_once_per_task(tmp_path, monkeypatch):
 
 
 def test_certify_gibbs_far_born_tables_built_once_per_task(tmp_path, monkeypatch):
-    import isingcert.shadows as shadows
-
     built, drawn = [], []
     table, collect = shadows._joint_distribution, state_tasks.collect_shadows
     monkeypatch.setattr(shadows, "_joint_distribution",

@@ -100,7 +100,7 @@ def test_learn_single_qubit_sampled():
     hits = 0
     for seed in range(20):
         samples = collect_shadows(table, 4000, np.random.default_rng(seed), cfg.batches)
-        estimates = estimate_paulis([samples], support)
+        estimates = estimate_paulis(samples[None], cfg.n, cfg.batches, support)
         _, [state], _ = learn_gibbs(estimates, net, cfg.beta, member_coeffs)
         hits += trace_distance(state, rho) <= 0.3
     assert hits >= 18
@@ -194,7 +194,7 @@ def shadow_estimates(rho, m, seed, cfg):
     """One row of estimates of the weight <= k strings, from m samples of rho
     in the config's median-of-means batches."""
     samples = collect_shadows(born_table(rho), m, np.random.default_rng(seed), cfg.batches)
-    return estimate_paulis([samples], enumerate_local_paulis(cfg.n, cfg.k))
+    return estimate_paulis(samples[None], cfg.n, cfg.batches, enumerate_local_paulis(cfg.n, cfg.k))
 
 
 def test_certify_equal_states_same_seed_close():

@@ -3,7 +3,7 @@ and the stacked kernels they run on against one-item calls.
 
 Records and report files must be equal (==, byte for byte), whatever the
 block size; the stacked Born tables and the block estimator must equal the
-per-state and per-set calls bit for bit.
+per-state and per-draw calls bit for bit.
 """
 
 import json
@@ -20,7 +20,6 @@ from isingcert.cli import main
 from isingcert.hamiltonians import gibbs_density, random_hamiltonian
 from isingcert.paulis import enumerate_local_paulis
 from isingcert.shadows import born_table, collect_shadows, estimate_paulis, mom_batches
-from shadow_reference import encode_samples
 
 # out of code order, so that the scatter must sort the terms
 N3_SUPPORT = {"n": 3, "support": ["ZZI", "ZII", "IZI", "IIZ"], "eta": 0.5}
@@ -106,10 +105,10 @@ def test_blocks_stay_within_the_chunk_bytes(monkeypatch, task, params):
     monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", chunk)
     blocks, estimate, eig = [], estimate_paulis, oracle.hermitian_eig
 
-    def counted_estimate(samples, paulis):
+    def counted_estimate(samples, qubits, split, paulis):
         blocks.append(len(samples))
-        assert state_tasks._hist_bytes(n, len(samples[0].sizes), len(samples)) <= chunk
-        return estimate(samples, paulis)
+        assert state_tasks._hist_bytes(qubits, split, len(samples)) <= chunk
+        return estimate(samples, qubits, split, paulis)
 
     def counted_eig(a):
         assert a.nbytes <= chunk
@@ -149,23 +148,50 @@ def test_block_estimates_equal_per_set_estimates(n, batches):
     paulis = enumerate_local_paulis(n, min(n, 2))
     table = born_table(gibbs_density(random_hamiltonian(n, min(n, 2), rng), 0.7))
     for m in (batches * 6**n, batches * 6**n - 1):   # batch histograms, then indices
-        sets = [collect_shadows(table, m, rng, batches) for _ in range(5)]
-        expected = np.array([estimate_paulis([s], paulis)[0] for s in sets])
-        np.testing.assert_array_equal(estimate_paulis(sets, paulis), expected)
-        np.testing.assert_array_equal(estimate_paulis(sets[2:3], paulis), expected[2:3])
-    # histogram and index sets of one split: one block holds one form
+        draws = np.array([collect_shadows(table, m, rng, batches) for _ in range(5)])
+        assert draws.ndim == (3 if m == batches * 6**n else 2)
+        expected = np.array([estimate_paulis(d[None], n, batches, paulis)[0] for d in draws])
+        np.testing.assert_array_equal(estimate_paulis(draws, n, batches, paulis), expected)
+        np.testing.assert_array_equal(estimate_paulis(draws[2:3], n, batches, paulis),
+                                      expected[2:3])
+    # a histogram block whose last axis is not 6^n is refused
     drawn = collect_shadows(table, batches * 6**n, rng, batches)
-    rows = np.full((int(drawn.sizes.sum()), n), 2)   # every sample in the Z basis, outcome +1
-    index = encode_samples(rows, np.ones_like(rows), batches)
-    np.testing.assert_array_equal(index.sizes, drawn.sizes)
-    for block in ([drawn, index], [index, drawn]):
-        with pytest.raises(ValueError, match="form"):
-            estimate_paulis(block, paulis)
+    for bad in (drawn[None, :, :-1], np.concatenate([drawn, drawn], axis=1)[None]):
+        with pytest.raises(ValueError, match="histogram block"):
+            estimate_paulis(bad, n, batches, paulis)
 
 
 def test_block_estimates_need_one_split():
+    # draws of two splits stack into no block, and a histogram block's batch
+    # axis is its split
     rng = np.random.default_rng(1)
     table = born_table(np.eye(2, dtype=complex) / 2)
     sets = [collect_shadows(table, 500, rng, 5), collect_shadows(table, 500, rng, 4)]
-    with pytest.raises(ValueError, match="batch sizes"):
-        estimate_paulis(sets, enumerate_local_paulis(1, 1))
+    with pytest.raises(ValueError):
+        np.array(sets)
+    with pytest.raises(ValueError, match="histogram block"):
+        estimate_paulis(sets[0][None], 1, 4, enumerate_local_paulis(1, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_rows_equal_their_blocks_of_one(n):
+    # every row of a stacked block estimates as it does alone, in both forms;
+    # histogram rows of different totals each divide by their own
+    rng = np.random.default_rng(40 + n)
+    paulis = enumerate_local_paulis(n, min(n, 3))
+    probs = born_table(gibbs_density(random_hamiltonian(n, min(n, 2), rng), 0.6))
+    batches, rows = 5, 6
+    hist = rng.multinomial(rng.integers(1, 400, (rows, batches)), probs)
+    assert len(np.unique(hist.sum(axis=-1))) > 1
+    index = rng.choice(6**n, (rows, 997), p=probs).astype(np.min_scalar_type(6**n))
+    for block in (hist, index):
+        stacked = estimate_paulis(block, n, batches, paulis)
+        for row, estimates in zip(block, stacked):
+            np.testing.assert_array_equal(estimate_paulis(row[None], n, batches, paulis)[0],
+                                          estimates)
+    # a histogram row's estimate is the median of its batches' own means
+    values = np.array([estimate_paulis(np.eye(6**n, dtype=int)[None, [j]], n, 1, paulis)[0]
+                       for j in range(6**n)])   # each joint index's single-sample values
+    means = (hist @ values) / hist.sum(axis=-1, keepdims=True)
+    np.testing.assert_array_equal(estimate_paulis(hist, n, batches, paulis),
+                                  np.median(means, axis=1))

@@ -9,7 +9,6 @@ from isingcert import shadows
 from isingcert.hamiltonians import HamiltonianNet, gibbs_density, random_hamiltonian
 from isingcert.paulis import PauliString, enumerate_local_paulis, pauli_trace_inners
 from isingcert.shadows import (
-    ShadowData,
     batch_sizes,
     born_table,
     collect_shadows,
@@ -17,6 +16,7 @@ from isingcert.shadows import (
     mom_batches,
     shadow_budget,
     _EIGVECS,
+    _decode,
     _half_tables,
     _joint_distribution,
 )
@@ -25,20 +25,22 @@ from shadow_reference import encode_samples
 P = PauliString.from_label
 
 
-def single_sample_values(samples: ShadowData, p: PauliString) -> np.ndarray:
-    """Per-sample unbiased estimates of Tr[P rho] (zeros where bases mismatch)."""
+def single_sample_values(index: np.ndarray, p: PauliString) -> np.ndarray:
+    """Per-sample unbiased estimates of Tr[P rho] from joint indices (zeros
+    where bases mismatch)."""
     digits = p.digits()
     supp = [i for i, d in enumerate(digits) if d != 0]
     if not supp:
-        return np.ones(int(samples.sizes.sum()))
+        return np.ones(len(index))
+    bases, outcomes = _decode(index, p.n)
     codes = np.array([digits[i] - 1 for i in supp], dtype=np.int8)  # X, Y, Z -> 0, 1, 2
-    match = np.all(samples.bases[:, supp] == codes, axis=1)
-    vals = 3.0 ** len(supp) * np.prod(samples.outcomes[:, supp], axis=1)
+    match = np.all(bases[:, supp] == codes, axis=1)
+    vals = 3.0 ** len(supp) * np.prod(outcomes[:, supp], axis=1)
     return np.where(match, vals, 0.0)
 
 
-def reference_estimate(samples, p, batches):
-    vals = single_sample_values(samples, p)
+def reference_estimate(index, p, batches):
+    vals = single_sample_values(index, p)
     if batches <= 1:
         return float(np.mean(vals))
     batches = min(batches, len(vals))
@@ -46,37 +48,46 @@ def reference_estimate(samples, p, batches):
     return float(np.median(means))
 
 
-def per_sample(rho, m, rng) -> ShadowData:
-    """m samples as per-sample joint indices, in one batch.  collect_shadows
-    keeps indices when batches * 6^n > m, which one sample per batch forces,
-    and the indices it draws do not depend on the split."""
+def per_sample(rho, m, rng) -> np.ndarray:
+    """m samples as (m,) per-sample joint indices.  collect_shadows keeps
+    indices when batches * 6^n > m, which one sample per batch forces, and
+    the indices it draws do not depend on the split."""
     drawn = collect_shadows(born_table(rho), m, rng, m)
-    assert drawn.counts is None
-    return ShadowData.from_index(drawn.index, drawn.n)
+    assert drawn.shape == (m,)
+    return drawn
 
 
-def resplit(samples: ShadowData, batches: int) -> ShadowData:
-    """Per-sample indices cut into `batches` batches instead."""
-    return ShadowData.from_index(samples.index, samples.n, batches)
+def estimate(draw: np.ndarray, n: int, batches: int, paulis) -> np.ndarray:
+    """The estimates of one draw, as a block of one: (batches, 6^n)
+    histograms, or (m,) indices cut into `batches` batches (another split of
+    the same indices is the same array passed with another batch count)."""
+    return estimate_paulis(draw[None], n, batches, paulis)[0]
 
 
-def assert_drawn_from(samples: ShadowData, probs, m, seed, batches=1):
+def histograms(index: np.ndarray, n: int, batches: int) -> np.ndarray:
+    """(batches, 6^n) histograms of the batches of `index`; more batches than
+    samples are cut to one sample per batch."""
+    rows = np.split(index, np.cumsum(batch_sizes(len(index), batches))[:-1])
+    return np.array([np.bincount(r, minlength=6**n) for r in rows])
+
+
+def assert_drawn_from(samples: np.ndarray, probs, m, seed, batches=1):
     """`samples` are the draw of collect_shadows(., m, seed, batches) from the
     table probs: one rng.multinomial histogram per batch when batches * 6^n
     <= m, else rng.choice indices.  Returns the generator after that draw."""
     rng = np.random.default_rng(seed)
     sizes = batch_sizes(m, batches)
-    np.testing.assert_array_equal(samples.sizes, sizes)
     if len(sizes) * len(probs) <= m:
-        assert samples.index is None
-        np.testing.assert_array_equal(samples.counts, rng.multinomial(sizes, probs))
+        assert samples.shape == (len(sizes), len(probs))
+        np.testing.assert_array_equal(samples.sum(axis=1), sizes)
+        np.testing.assert_array_equal(samples, rng.multinomial(sizes, probs))
     else:
-        assert samples.counts is None
-        np.testing.assert_array_equal(samples.index, rng.choice(len(probs), size=m, p=probs))
+        assert samples.shape == (m,)
+        np.testing.assert_array_equal(samples, rng.choice(len(probs), size=m, p=probs))
     return rng
 
 
-def estimate_net_observables(samples: ShadowData, net,
+def estimate_net_observables(samples: np.ndarray, net,
                              max_pairs: int = 10**6) -> dict[tuple[int, int], float]:
     """Estimates of Tr[(H_i - H_j) rho] for every net member pair.
 
@@ -85,30 +96,30 @@ def estimate_net_observables(samples: ShadowData, net,
     """
     if net.size**2 > max_pairs:
         raise ValueError(f"net has {net.size}^2 pairs, over the cap {max_pairs}")
-    f = net.values(np.arange(net.size)) @ estimate_paulis([samples], net.support)[0]
+    f = net.values(np.arange(net.size)) @ estimate(samples, net.support[0].n, 1, net.support)
     return {(i, j): float(f[i] - f[j]) for i in range(net.size) for j in range(net.size)}
 
 
 def test_zero_state_z_basis_always_plus():
     rho = np.diag([1.0, 0.0]).astype(complex)
-    samples = per_sample(rho, 500, np.random.default_rng(0))
-    zmask = samples.bases[:, 0] == 2
+    bases, outcomes = _decode(per_sample(rho, 500, np.random.default_rng(0)), 1)
+    zmask = bases[:, 0] == 2
     assert zmask.sum() > 100
-    assert np.all(samples.outcomes[zmask, 0] == 1)
+    assert np.all(outcomes[zmask, 0] == 1)
 
 
 def test_maximally_mixed_outcomes_uniform():
     rho = np.eye(2, dtype=complex) / 2
-    samples = per_sample(rho, 10000, np.random.default_rng(1))
-    mean = samples.outcomes[:, 0].astype(float).mean()
+    _, outcomes = _decode(per_sample(rho, 10000, np.random.default_rng(1)), 1)
+    mean = outcomes[:, 0].astype(float).mean()
     assert abs(mean) <= 3 / math.sqrt(10000)
 
 
 def test_basis_words_uniform_chi_squared():
     rho = np.eye(4, dtype=complex) / 4
     m = 9000
-    samples = per_sample(rho, m, np.random.default_rng(2))
-    codes = samples.bases[:, 0].astype(int) * 3 + samples.bases[:, 1].astype(int)
+    bases, _ = _decode(per_sample(rho, m, np.random.default_rng(2)), 2)
+    codes = bases[:, 0] * 3 + bases[:, 1]
     counts = np.bincount(codes, minlength=9)
     expected = m / 9
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -120,7 +131,7 @@ def test_single_sample_estimator_examples():
     rho = np.diag([1.0, 0.0]).astype(complex)
     samples = collect_shadows(born_table(rho), 20000, np.random.default_rng(3))
     # P = Z: expectation 1 (3 * 1/3 * 1); P = X: expectation 0
-    assert estimate_paulis([samples], [P("Z"), P("X")])[0] == pytest.approx([1.0, 0.0], abs=0.05)
+    assert estimate(samples, 1, 1, [P("Z"), P("X")]) == pytest.approx([1.0, 0.0], abs=0.05)
 
 
 def test_unbiasedness_exact_enumeration():
@@ -146,10 +157,10 @@ def test_unbiasedness_exact_enumeration():
 
 def test_estimates_bounded_and_identity_exact():
     rho = gibbs_density(random_hamiltonian(2, 2, 5), 1.0)
-    samples = collect_shadows(born_table(rho), 2000, np.random.default_rng(6),
-                              mom_batches(2, 2, 0.05))
+    batches = mom_batches(2, 2, 0.05)
+    samples = collect_shadows(born_table(rho), 2000, np.random.default_rng(6), batches)
     paulis = enumerate_local_paulis(2, 2)
-    est = estimate_paulis([samples], paulis)[0]
+    est = estimate(samples, 2, batches, paulis)
     assert paulis[0] == P("II") and est[0] == 1.0
     for p, v in zip(paulis, est):
         assert abs(v) <= 3.0 ** p.weight + 1e-12
@@ -160,9 +171,9 @@ def test_random_gibbs_estimates_match_oracle():
     rho = gibbs_density(h, 1.0)
     samples = collect_shadows(born_table(rho), 60000, np.random.default_rng(7))
     paulis = enumerate_local_paulis(2, 2, include_identity=False)
-    errors = np.abs(estimate_paulis([samples], paulis)[0] - pauli_trace_inners(paulis, rho).real)
+    errors = np.abs(estimate(samples, 2, 1, paulis) - pauli_trace_inners(paulis, rho).real)
     # 5 sigma of the single-sample spread
-    sigma = math.sqrt(9.0 / int(samples.sizes.sum()))
+    sigma = math.sqrt(9.0 / int(samples.sum()))
     assert np.all(errors <= 5 * max(sigma, 1e-3) + 0.02)
 
 
@@ -210,9 +221,9 @@ def test_median_of_means_no_worse_on_coverage():
     truth = pauli_trace_inners(paulis, rho).real
     for _ in range(reps):
         samples = collect_shadows(born_table(rho), m, rng, batches)
-        pooled = ShadowData.from_counts(samples.counts.sum(axis=0, keepdims=True), 3)
-        mom_ok += np.max(np.abs(estimate_paulis([samples], paulis)[0] - truth)) <= eps
-        mean_ok += np.max(np.abs(estimate_paulis([pooled], paulis)[0] - truth)) <= eps
+        pooled = samples.sum(axis=0, keepdims=True)   # the batch histograms, summed
+        mom_ok += np.max(np.abs(estimate(samples, 3, batches, paulis) - truth)) <= eps
+        mean_ok += np.max(np.abs(estimate(pooled, 3, 1, paulis) - truth)) <= eps
     assert mom_ok >= mean_ok - 1
     assert mom_ok == reps
 
@@ -223,8 +234,8 @@ def test_mom_batch_formula():
 
 def test_empty_samples_rejected():
     with pytest.raises(ValueError):
-        estimate_paulis([encode_samples(np.zeros((0, 1), dtype=np.int8),
-                                        np.zeros((0, 1), dtype=np.int8))], [P("Z")])
+        estimate(encode_samples(np.zeros((0, 1), dtype=np.int8),
+                                np.zeros((0, 1), dtype=np.int8)), 1, 1, [P("Z")])
     with pytest.raises(ValueError):
         collect_shadows(born_table(np.eye(2, dtype=complex) / 2), 0, np.random.default_rng(0))
 
@@ -238,18 +249,18 @@ def test_estimates_exact_up_to_the_float_bound():
     paulis = enumerate_local_paulis(n, 2)
     under = (2**53 - 1) // 9
     counts = rng.multinomial([under, 1000, under - 7], probs)
-    every = ShadowData.from_index(np.arange(6**n), n)
+    every = np.arange(6**n)
     ref = []
     for p in paulis:
         values = single_sample_values(every, p).astype(int).tolist()
         means = sorted(sum(c * v for c, v in zip(row, values)) / sum(row)
                        for row in counts.tolist())
         ref.append(means[1])
-    assert estimate_paulis([ShadowData.from_counts(counts, n)], paulis)[0].tolist() == ref
+    assert estimate(counts, n, 3, paulis).tolist() == ref
     counts[2, 0] += 8   # batch 2 now holds under + 1 samples
     assert 9 * int(counts[2].sum()) >= 2**53
     with pytest.raises(ValueError, match="2\\^53"):
-        estimate_paulis([ShadowData.from_counts(counts, n)], paulis)
+        estimate(counts, n, 3, paulis)
 
 
 def test_batch_count_below_one_rejected_and_above_m_clamped():
@@ -260,11 +271,11 @@ def test_batch_count_below_one_rejected_and_above_m_clamped():
         with pytest.raises(ValueError, match="batch"):
             collect_shadows(born_table(rho), 5, np.random.default_rng(0), batches)
         with pytest.raises(ValueError, match="batch"):
-            resplit(samples, batches)
+            estimate(samples, 2, batches, paulis)
     clamped = collect_shadows(born_table(rho), 5, np.random.default_rng(0), 9)
-    np.testing.assert_array_equal(clamped.sizes, np.ones(5))
-    np.testing.assert_array_equal(estimate_paulis([clamped], paulis)[0],
-                                  estimate_paulis([resplit(samples, 5)], paulis)[0])
+    np.testing.assert_array_equal(clamped, samples)   # indices: the draw ignores the split
+    np.testing.assert_array_equal(batch_sizes(5, 9), np.ones(5))
+    np.testing.assert_array_equal(estimate(clamped, 2, 9, paulis), estimate(samples, 2, 5, paulis))
 
 
 def test_net_observable_estimates():
@@ -279,7 +290,7 @@ def test_net_observable_estimates():
         assert obs[(i, j)] == pytest.approx(-obs[(j, i)], abs=1e-12)
     # triangle bound against the exact values: 200 n^k max per-string error
     truth = pauli_trace_inners(support, rho).real
-    per_string_err = np.max(np.abs(estimate_paulis([samples], support)[0] - truth))
+    per_string_err = np.max(np.abs(estimate(samples, 2, 1, support) - truth))
     for i, j in itertools.product(range(net.size), repeat=2):
         hi, hj = net_member(net, i), net_member(net, j)
         exact = sum((hi.coeffs.get(p, 0.0) - hj.coeffs.get(p, 0.0)) * t
@@ -287,8 +298,10 @@ def test_net_observable_estimates():
         assert abs(obs[(i, j)] - exact) <= 200 * 2**2 * per_string_err + 1e-9
 
 
-@pytest.mark.parametrize("n, k, delta", [(2, 2, 0.1), (3, 2, 0.05)])
+@pytest.mark.parametrize("n, k, delta", [(1, 1, 0.1), (2, 2, 0.1), (3, 2, 0.05), (4, 3, 0.05)])
 def test_estimate_paulis_equals_per_string_loop(n, k, delta):
+    # n = 1 leaves the first half of the qubits empty; each split of the
+    # indices is also estimated from its bincounted batch histograms
     rho = gibbs_density(random_hamiltonian(n, k, 300 + n), 0.8)
     paulis = enumerate_local_paulis(n, k)
     for m in (7, 1001):
@@ -296,9 +309,10 @@ def test_estimate_paulis_equals_per_string_loop(n, k, delta):
         for batches in (1, 5, mom_batches(n, k, delta)):
             assert m % batches or batches == 1
             ref = np.array([reference_estimate(samples, p, batches) for p in paulis])
-            np.testing.assert_array_equal(estimate_paulis([resplit(samples, batches)], paulis)[0],
-                                          ref)
-            assert estimate_paulis([resplit(samples, batches)], paulis[-1:])[0][0] == ref[-1]
+            hist = histograms(samples, n, batches)
+            for draw, split in ((samples, batches), (hist, len(hist))):
+                np.testing.assert_array_equal(estimate(draw, n, split, paulis), ref)
+                assert estimate(draw, n, split, paulis[-1:])[0] == ref[-1]
 
 
 def kron_joint_distribution(rho, n):
@@ -387,11 +401,12 @@ def test_collect_shadows_equals_digit_loop_over_choice(n):
     rho = gibbs_density(random_hamiltonian(n, min(n, 2), 950 + n), 0.6)
     m = 2000
     samples = collect_shadows(born_table(rho), m, np.random.default_rng(n), m)   # the index regime
+    bases, outcomes = _decode(samples, n)
     flat = np.random.default_rng(n).choice(6**n, size=m, p=_joint_distribution(rho, n))
     b, o = flat // 2**n, flat % 2**n
     for i in range(n):
-        np.testing.assert_array_equal(samples.bases[:, i], (b // 3 ** (n - 1 - i)) % 3)
-        np.testing.assert_array_equal(samples.outcomes[:, i], 1 - 2 * ((o >> (n - 1 - i)) & 1))
+        np.testing.assert_array_equal(bases[:, i], (b // 3 ** (n - 1 - i)) % 3)
+        np.testing.assert_array_equal(outcomes[:, i], 1 - 2 * ((o >> (n - 1 - i)) & 1))
 
 
 @pytest.mark.parametrize("n, m, batch_counts", [
@@ -409,7 +424,7 @@ def test_index_kernel_equals_per_string_reference(n, m, batch_counts):
     for batches in batch_counts:
         assert batches == 1 or m % batches
         ref = np.array([reference_estimate(samples, p, batches) for p in paulis])
-        np.testing.assert_array_equal(estimate_paulis([resplit(samples, batches)], paulis)[0], ref)
+        np.testing.assert_array_equal(estimate(samples, n, batches, paulis), ref)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -420,16 +435,15 @@ def test_index_estimates_equal_their_bincounted_histograms(n):
     samples = per_sample(rho, 1001, np.random.default_rng(1510 + n))
     paulis = enumerate_local_paulis(n, min(n, 3))
     for batches in (1, 6, 7):
-        index = resplit(samples, batches)
-        rows = np.split(index.index, np.cumsum(index.sizes)[:-1])
-        counts = np.array([np.bincount(r, minlength=6**n) for r in rows])
-        hist = ShadowData.from_counts(counts, n)
-        np.testing.assert_array_equal(hist.sizes, index.sizes)
-        expected = estimate_paulis([hist], paulis)[0]
-        np.testing.assert_array_equal(estimate_paulis([index], paulis)[0], expected)
-        # the sets of one block share one form: a block of both is refused
-        with pytest.raises(ValueError, match="form"):
-            estimate_paulis([index, hist], paulis)
+        hist = histograms(samples, n, batches)
+        np.testing.assert_array_equal(hist.sum(axis=1), batch_sizes(1001, batches))
+        expected = estimate(hist, n, batches, paulis)
+        np.testing.assert_array_equal(estimate(samples, n, batches, paulis), expected)
+        # a histogram block is (B, batches, 6^n): any other last axis or split is refused
+        for bad, split in ((hist[:, :-1], batches), (np.pad(hist, ((0, 0), (0, 1))), batches),
+                           (hist, batches + 1)):
+            with pytest.raises(ValueError, match="histogram block"):
+                estimate(bad, n, split, paulis)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -438,16 +452,16 @@ def test_shadow_rows_round_trip_through_index(n):
     bases = rng.integers(0, 3, size=(300, n)).astype(np.int8)
     outcomes = (1 - 2 * rng.integers(0, 2, size=(300, n))).astype(np.int8)
     samples = encode_samples(bases, outcomes)
-    assert samples.index.shape == (300,) and samples.index.max() < 6**n
+    assert samples.shape == (300,) and samples.max() < 6**n
     shift = np.arange(n - 1, -1, -1)
     np.testing.assert_array_equal(
-        samples.index, (bases @ 3**shift) * 2**n + (outcomes < 0) @ 2**shift)
-    np.testing.assert_array_equal(samples.bases, bases)
-    np.testing.assert_array_equal(samples.outcomes, outcomes)
+        samples, (bases @ 3**shift) * 2**n + (outcomes < 0) @ 2**shift)
+    np.testing.assert_array_equal(_decode(samples, n)[0], bases)
+    np.testing.assert_array_equal(_decode(samples, n)[1], outcomes)
     drawn = per_sample(np.eye(2**n, dtype=complex) / 2**n, 300, rng)
-    back = encode_samples(drawn.bases, drawn.outcomes)
-    assert back.index.dtype == drawn.index.dtype
-    np.testing.assert_array_equal(back.index, drawn.index)
+    back = encode_samples(*_decode(drawn, n))
+    assert back.dtype == drawn.dtype
+    np.testing.assert_array_equal(back, drawn)
 
 
 def test_empty_shadow_file_rejected():
@@ -469,8 +483,7 @@ def test_half_tables_built_once_per_string_list(monkeypatch):
     for batches in (1, 6):
         for strings in (paulis, tuple(paulis), others):
             ref = np.array([reference_estimate(samples, p, batches) for p in strings])
-            np.testing.assert_array_equal(estimate_paulis([resplit(samples, batches)], strings)[0],
-                                          ref)
+            np.testing.assert_array_equal(estimate(samples, n, batches, strings), ref)
     assert len(built) == 4   # two halves of each distinct string list
     for table, pick in _half_tables(n, tuple(p.code for p in paulis)):
         assert not table.flags.writeable and not pick.flags.writeable
@@ -486,8 +499,8 @@ def test_collect_shadows_draws_histograms_iff_they_are_no_larger(n):
                        (3 * 6**n + 2, 3), (20, 30)):
         ours = np.random.default_rng(m + batches)
         samples = collect_shadows(probs, m, ours, batches)
-        assert (samples.counts is not None) == (min(batches, m) * 6**n <= m)
-        assert int(samples.sizes.sum()) == m
+        assert (samples.ndim == 2) == (min(batches, m) * 6**n <= m)
+        assert (int(samples.sum()) if samples.ndim == 2 else len(samples)) == m
         ref = assert_drawn_from(samples, probs, m, m + batches, batches)
         assert ours.bit_generator.state == ref.bit_generator.state
 
@@ -513,19 +526,17 @@ def test_histogram_estimates_equal_index_path_on_expanded_samples(n):
     # batch count is cut to m (the clamp), which the draw never makes
     cases = [collect_shadows(born_table(rho), m, rng, batches)
              for m, batches in ((6**n, 1), (5 * 6**n + 3, 5), (18 * 6**n + 11, 18))]
-    cases += [ShadowData.from_counts(rng.multinomial(batch_sizes(m, batches), probs), n)
-              for m, batches in ((7, 10), (3, 40))]
+    cases += [rng.multinomial(batch_sizes(m, batches), probs) for m, batches in ((7, 10), (3, 40))]
     for samples, batches in zip(cases, (1, 5, 18, 10, 40)):
-        assert samples.counts is not None
+        assert samples.ndim == 2
         # expand each batch's histogram to samples, in a shuffled order
-        rows = [rng.permutation(np.repeat(np.arange(6**n), row)) for row in samples.counts]
-        index = ShadowData.from_index(np.concatenate(rows).astype(np.min_scalar_type(6**n)),
-                                      n, batches)
-        np.testing.assert_array_equal(index.sizes, samples.sizes)
-        np.testing.assert_array_equal(estimate_paulis([samples], paulis)[0],
-                                      estimate_paulis([index], paulis)[0])
+        rows = [rng.permutation(np.repeat(np.arange(6**n), row)) for row in samples]
+        index = np.concatenate(rows).astype(np.min_scalar_type(6**n))
+        np.testing.assert_array_equal(batch_sizes(len(index), batches), samples.sum(axis=1))
+        np.testing.assert_array_equal(estimate(samples, n, len(samples), paulis),
+                                      estimate(index, n, batches, paulis))
         ref = np.array([reference_estimate(index, p, batches) for p in paulis])
-        np.testing.assert_array_equal(estimate_paulis([samples], paulis)[0], ref)
+        np.testing.assert_array_equal(estimate(samples, n, len(samples), paulis), ref)
 
 
 @pytest.mark.parametrize("n, m", [(2, 50000), (3, 200000)])
@@ -533,12 +544,12 @@ def test_histogram_draw_law(n, m):
     rho = gibbs_density(random_hamiltonian(n, 2, 1300 + n), 1.0)
     batches = mom_batches(n, 2, 0.05)
     samples = collect_shadows(born_table(rho), m, np.random.default_rng(1310 + n), batches)
-    assert samples.counts.shape == (batches, 6**n)
-    np.testing.assert_array_equal(samples.counts.sum(axis=1),
+    assert samples.shape == (batches, 6**n)
+    np.testing.assert_array_equal(samples.sum(axis=1),
                                   [len(c) for c in np.array_split(np.arange(m), batches)])
     # the pooled histogram against m p: a chi-square test over the bins
     expected = m * born_table(rho)
-    chi2 = float(np.sum((samples.counts.sum(axis=0) - expected) ** 2 / expected))
+    chi2 = float(np.sum((samples.sum(axis=0) - expected) ** 2 / expected))
     dof = 6**n - 1
     assert chi2 <= dof + 3 * math.sqrt(2 * dof)
 
@@ -552,10 +563,10 @@ def test_histogram_and_index_estimates_share_their_law():
     hist, index = [], []
     for seed in range(reps):
         drawn = collect_shadows(born_table(rho), m, np.random.default_rng((1401, seed)), batches)
-        assert drawn.counts is not None
-        hist.append(estimate_paulis([drawn], paulis)[0])
-        drawn = resplit(per_sample(rho, m, np.random.default_rng((1402, seed))), batches)
-        index.append(estimate_paulis([drawn], paulis)[0])
+        assert drawn.shape == (batches, 6**n)
+        hist.append(estimate(drawn, n, batches, paulis))
+        drawn = per_sample(rho, m, np.random.default_rng((1402, seed)))
+        index.append(estimate(drawn, n, batches, paulis))
     hist, index = np.array(hist), np.array(index)
 
     def moments(x):
@@ -569,13 +580,11 @@ def test_histogram_and_index_estimates_share_their_law():
     assert np.all(np.abs(var_h - var_i) <= 4 * np.sqrt(se2_var_h + se2_var_i))
 
 
-def _batch_sets(samples: ShadowData) -> list[ShadowData]:
-    """Each batch of `samples` as a one-batch set, whose estimate is its mean."""
-    if samples.counts is not None:
-        return [ShadowData.from_counts(row[None], samples.n) for row in samples.counts]
-    stops = np.cumsum(samples.sizes)
-    return [ShadowData.from_index(samples.index[stop - size:stop], samples.n)
-            for size, stop in zip(samples.sizes, stops)]
+def _batch_draws(samples: np.ndarray, batches: int) -> list[np.ndarray]:
+    """Each batch of a draw as a one-batch draw, whose estimate is its mean."""
+    if samples.ndim == 2:
+        return [row[None] for row in samples]
+    return np.split(samples, np.cumsum(batch_sizes(len(samples), batches))[:-1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -586,12 +595,12 @@ def test_estimates_invariant_under_qubit_permutation(n):
     rng = np.random.default_rng(930 + n)
     table = born_table(gibbs_density(random_hamiltonian(n, 2, rng), 0.8))
     paulis = enumerate_local_paulis(n, min(n, 3))
-    every = ShadowData.from_index(np.arange(6**n), n)
+    every = _decode(np.arange(6**n), n)
     batches = 4
     for perm in (rng.permutation(n), np.arange(n)[::-1]):
-        bases, outcomes = np.empty_like(every.bases), np.empty_like(every.outcomes)
-        bases[:, perm], outcomes[:, perm] = every.bases, every.outcomes
-        where = encode_samples(bases, outcomes).index   # joint index j moves to where[j]
+        bases, outcomes = np.empty_like(every[0]), np.empty_like(every[1])
+        bases[:, perm], outcomes[:, perm] = every
+        where = encode_samples(bases, outcomes)   # joint index j moves to where[j]
         moved = []
         for p in paulis:
             letters = np.empty(n, dtype=int)
@@ -599,16 +608,15 @@ def test_estimates_invariant_under_qubit_permutation(n):
             moved.append(PauliString.from_label("".join("IXYZ"[d] for d in letters)))
         for m in (batches * 6**n, batches * 6**n - 1):   # batch histograms, then indices
             samples = collect_shadows(table, m, rng, batches)
-            assert (samples.counts is not None) == (m == batches * 6**n)
-            if samples.counts is not None:
-                counts = np.zeros_like(samples.counts)
-                counts[:, where] = samples.counts
-                permuted = ShadowData.from_counts(counts, n)
+            assert (samples.ndim == 2) == (m == batches * 6**n)
+            if samples.ndim == 2:
+                permuted = np.zeros_like(samples)
+                permuted[:, where] = samples
             else:
-                permuted = ShadowData.from_index(where[samples.index].astype(samples.index.dtype),
-                                                 n, batches)
-            np.testing.assert_array_equal(estimate_paulis([permuted], moved)[0],
-                                          estimate_paulis([samples], paulis)[0])
-            for one, moved_one in zip(_batch_sets(samples), _batch_sets(permuted)):
-                np.testing.assert_array_equal(estimate_paulis([moved_one], moved)[0],
-                                              estimate_paulis([one], paulis)[0])
+                permuted = where[samples].astype(samples.dtype)
+            np.testing.assert_array_equal(estimate(permuted, n, batches, moved),
+                                          estimate(samples, n, batches, paulis))
+            for one, moved_one in zip(_batch_draws(samples, batches),
+                                      _batch_draws(permuted, batches)):
+                np.testing.assert_array_equal(estimate(moved_one, n, 1, moved),
+                                              estimate(one, n, 1, paulis))
