@@ -161,10 +161,9 @@ def certify_block(spectra, config: CertConfig, rngs, ledgers) -> list[list[float
     only; its stacks are at most half the size of the spectra's, so a block
     sized within STACK_CHUNK_BYTES keeps them there.  The level's hit
     probabilities and clamped estimates are arrays over those trials, and
-    one comparison with the threshold picks the trials that run on; a level
-    that stops none of them keeps its arrays as they are.  Each trial makes
-    one draw of its hit count, as `estimate_identity_sq` draws it, and one
-    `charge_plan`.
+    the trials that `decide` calls CLOSE run on; a level that stops none of
+    them keeps its arrays as they are.  Each trial makes one draw of its hit
+    count, as `estimate_identity_sq` draws it, and one `charge_plan`.
     """
     w0, v0, w, v = spectra
     n = w.shape[-1].bit_length() - 1
@@ -178,7 +177,7 @@ def certify_block(spectra, config: CertConfig, rngs, ledgers) -> list[list[float
         for i, value in zip(running, values.tolist()):
             charge_plan((lvl.fragment,), ledgers[i], repeat=lvl.samples)
             estimates[i].append(value)
-        close = values > threshold   # the trials `decide` calls CLOSE run on
+        close = np.equal(decide(values, threshold), CLOSE)   # the trials that run on
         if not close.any():
             break
         if not close.all():

@@ -1,17 +1,20 @@
-"""Print the sha256 of every report file that a fixed set of CLI runs writes.
+"""Print the sha256 of every report file that a fixed set of CLI runs writes,
+and of the printed constants ledger.
 
 The runs are every timed and warm-up call of every workload in
 perfbench/workloads.py, and every config of tests/test_reachability.MATRIX
 that is a dict and exits 0, each at seeds 1, 7 and 42.  Each output line is
 `sha256  label-seed/file`; a run that does not exit 0 prints
 `exit <code>  label-seed` instead.  The labels are the workload calls' own
-labels and `matrix<i>` for MATRIX row i.
+labels and `matrix<i>` for MATRIX row i.  A last line,
+`sha256  --constants`, digests the stdout of `isingcert --constants`, the
+printed ledger table.
 
     python tests/report_digests.py [ROOT]
 
 runs the checkout at ROOT (default: the one holding this file), from its own
 src/, perfbench/workloads.py and tests/test_reachability.py.  So a change
-keeps every report byte when
+keeps every report and ledger byte when
 
     diff <(python tests/report_digests.py PARENT) <(python tests/report_digests.py)
 
@@ -66,6 +69,9 @@ def digests(root: Path) -> list[str]:
                     continue
                 lines += [f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {name}/{f.name}"
                           for f in sorted(out.iterdir())]
+    with contextlib.redirect_stdout(io.StringIO()) as table:
+        main(["--constants"])
+    lines.append(f"{hashlib.sha256(table.getvalue().encode()).hexdigest()}  --constants")
     return lines
 
 

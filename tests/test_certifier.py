@@ -422,6 +422,35 @@ def test_task_trials_with_different_stops_equal_per_trial_reference(n):
     assert len(set(stops)) == 2
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("profile", ["calibrated", "strict"])
+def test_estimate_at_the_threshold_stops_the_trial_as_far(n, profile, monkeypatch):
+    # a tie is FAR: estimates exactly at the threshold at level index `tie`
+    # stop every trial there, and their level rows end with that FAR
+    threshold, tie, calls = PROFILES[profile].far_threshold, 2, []
+
+    def drawn(identity_sq, n, m, rngs):
+        calls.append(m)
+        values = np.full(len(identity_sq), threshold if len(calls) == tie + 1 else 1.0)
+        return values, values
+
+    monkeypatch.setattr(certifier, "drawn_estimate", drawn)
+    monkeypatch.setattr(oracle, "stack_size", lambda *args: 3)   # one block
+    params = {**tasks.TASKS["certify-dynamics"].params, "n": n, "profile": profile}
+    payload, tables = tasks.run_task({"task": "certify-dynamics", "seed": 4, "trials": 3,
+                                      "params": params})
+    levels = CertConfig(eps=params["eps"], delta=params["delta"], c_op=params["c_op"],
+                        profile=profile).levels
+    assert len(levels) > tie + 1 and len(calls) == tie + 1
+    assert decide(threshold, threshold) == FAR
+    assert [record["verdict"] for record in payload["trials"]] == [FAR] * 3
+    for t in range(3):
+        rows = [row for row in tables["levels"][1] if row[0] == t]
+        assert [row[1] for row in rows] == [str(lvl.level) for lvl in levels[:tie + 1]]
+        assert [row[6] for row in rows] == [CLOSE] * tie + [FAR]
+        assert rows[-1][4] == threshold
+
+
 def test_block_raises_each_trial_only_to_its_stop(monkeypatch):
     # far trials at growing gaps say FAR at earlier levels: each level raises
     # the steps of the trials still running, and no level runs after the last FAR

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import isingcert.constants as constants
 import isingcert.oracle as oracle
 import isingcert.shadows as shadows
 import isingcert.state_tasks as state_tasks
@@ -55,6 +56,16 @@ def test_constants_ledger_flag(capsys):
     # every constant appears exactly once
     names = [line.split()[0] for line in out.strip().splitlines()]
     assert len(names) == len(set(names))
+
+
+def test_every_shipped_constant_has_one_ledger_row():
+    # each public int or float of `constants` has exactly one row, named by
+    # its lowercased name and holding its value, and each row names one
+    shipped = {name.lower(): value for name, value in vars(constants).items()
+               if not name.startswith("_") and type(value) in (int, float)}
+    rows = constants.constants_ledger()
+    assert sorted(row["name"] for row in rows) == sorted(shipped)
+    assert all(row["value"] == shipped[row["name"]] for row in rows)
 
 
 def test_missing_config_is_usage_error():
