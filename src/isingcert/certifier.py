@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import constants as con
-from .dynamics import TrotterFragment, charge_plan, trotter_compile
+from .dynamics import TrotterFragment, trotter_compile
 from .identity_estimator import drawn_estimate, sample_count
 
 FAR = "FAR"
@@ -141,7 +141,7 @@ def eigenbasis_identity_sq(m: np.ndarray, w0: np.ndarray, w: np.ndarray,
     return np.array([abs(t / dim) ** 2 for t in np.trace(x, axis1=-2, axis2=-1).tolist()])
 
 
-def certify_block(spectra, config: CertConfig, rngs, ledgers) -> list[list[float]]:
+def certify_block(spectra, config: CertConfig, rngs) -> list[list[float]]:
     """Certify a block of trials at each level of `config.levels` in order;
     a trial stops at its first FAR, and survives every level as CLOSE.  It
     returns, per trial, the clamped estimates of the levels it ran: its stop
@@ -154,8 +154,8 @@ def certify_block(spectra, config: CertConfig, rngs, ledgers) -> list[list[float
     ||H - H0||_F <= 12 eps, each with probability >= 1 - delta.
 
     `spectra` is (w0, v0, w, v), each trial's eigenvalues (B, 2^n) and
-    eigenvectors (B, 2^n, 2^n) of H0 and of H.  Trial i draws from rngs[i]
-    and charges ledgers[i], one `charge_plan` per level it reaches.
+    eigenvectors (B, 2^n, 2^n) of H0 and of H.  Trial i draws from rngs[i];
+    it takes no ledger, and the driver charges the levels the trial ran.
 
     Each level takes `eigenbasis_identity_sq` of the trials still running
     only; its stacks are at most half the size of the spectra's, so a block
@@ -163,7 +163,7 @@ def certify_block(spectra, config: CertConfig, rngs, ledgers) -> list[list[float
     probabilities and clamped estimates are arrays over those trials, and
     the trials that `decide` calls CLOSE run on; a level that stops none of
     them keeps its arrays as they are.  Each trial makes one draw of its hit
-    count, as `estimate_identity_sq` draws it, and one `charge_plan`.
+    count, as `estimate_identity_sq` draws it.
     """
     w0, v0, w, v = spectra
     n = w.shape[-1].bit_length() - 1
@@ -175,7 +175,6 @@ def certify_block(spectra, config: CertConfig, rngs, ledgers) -> list[list[float
         identity_sq = eigenbasis_identity_sq(m, w0, w, lvl.fragment)
         values, _ = drawn_estimate(identity_sq, n, lvl.samples, rngs)
         for i, value in zip(running, values.tolist()):
-            charge_plan((lvl.fragment,), ledgers[i], repeat=lvl.samples)
             estimates[i].append(value)
         close = np.equal(decide(values, threshold), CLOSE)   # the trials that run on
         if not close.any():

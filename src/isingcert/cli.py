@@ -93,7 +93,7 @@ def main(argv=None) -> int:
         print(f"promise violation: {exc}", file=sys.stderr)
         return EXIT_PROMISE
     name = config["task"]
-    arm = config.get("params", {}).get("arm")
+    arm = payload["resolved_config"]["params"].get("arm")   # the default arm when not given
     if arm:
         name = f"{name}_{arm}"
     path = write_report(out_dir, name, payload, tables)

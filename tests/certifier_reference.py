@@ -4,9 +4,10 @@
 blocks and renders their `levels` rows directly.  These helpers build one
 trial's (H0, H) as LocalHamiltonians, run it as a one-trial `certify_block`
 down its whole schedule, and return its verdict, its per-level records and
-its ledger snapshot.  `uncompiled_schedule` and `one_level` build the
-schedules that `CertConfig` does not: its (l, eps_l, delta_l) before any
-compile, and one bounded-promise call as a one-level config.
+its ledger snapshot, charged as the driver charges it.
+`uncompiled_schedule` and `one_level` build the schedules that `CertConfig`
+does not: its (l, eps_l, delta_l) before any compile, and one
+bounded-promise call as a one-level config.
 """
 
 import copy
@@ -16,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from isingcert.certifier import CompiledLevel, certify_block, decide
-from isingcert.dynamics import ExperimentLedger, trotter_compile
+from isingcert.dynamics import ExperimentLedger, charge_plan, trotter_compile
 from isingcert.hamiltonians import LocalHamiltonian
 from isingcert.identity_estimator import sample_count
 from isingcert.paulis import enumerate_local_paulis
@@ -66,7 +67,7 @@ def certifier_instance(rng, n: int, eps: float, far: bool,
                        c_frob: float = 1.0) -> tuple[LocalHamiltonian, LocalHamiltonian]:
     """The (H0, H) that `certifier_coeffs` draws from `rng`, as LocalHamiltonians."""
     paulis = enumerate_local_paulis(n, 2, include_identity=False)
-    h0, h, _ = certifier_coeffs([rng], [0], n, eps, far, c_frob)
+    h0, h, _ = certifier_coeffs([rng], [0], n, 12.0 * eps if far else eps, c_frob)
     return tuple(LocalHamiltonian(n, 2, dict(zip(paulis, row[0].tolist()))) for row in (h0, h))
 
 
@@ -77,11 +78,20 @@ def level_records(levels, estimates: list[float], threshold: float) -> list[Leve
             for lvl, value, verdict in zip(levels, estimates, decide(estimates, threshold))]
 
 
+def charged_snapshot(levels, ran: int) -> dict:
+    """The ledger snapshot of a trial that ran the first `ran` of `levels`:
+    one `charge_plan` per level, as `tasks.task_certify_dynamics` charges it."""
+    ledger = ExperimentLedger()
+    for lvl in levels[:ran]:
+        charge_plan((lvl.fragment,), ledger, repeat=lvl.samples)
+    return ledger.snapshot()
+
+
 def certify_trial(h0: LocalHamiltonian, h: LocalHamiltonian, config, rng) -> CertReport:
     """One trial down the whole schedule `config.levels`: any FAR stops it
     with FAR, and surviving every level means CLOSE."""
-    ledger = ExperimentLedger()
     spectra = tuple(a[None] for a in (*h0.spectrum(), *h.spectrum()))
-    [estimates] = certify_block(spectra, config, [np.random.default_rng(rng)], [ledger])
+    [estimates] = certify_block(spectra, config, [np.random.default_rng(rng)])
     records = level_records(config.levels, estimates, config.profile.far_threshold)
-    return CertReport(records[-1].verdict, records, ledger.snapshot())
+    return CertReport(records[-1].verdict, records,
+                      charged_snapshot(config.levels, len(estimates)))

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 from types import SimpleNamespace
 
@@ -5,7 +7,8 @@ import numpy as np
 import pytest
 
 from certifier_reference import (CertReport, LevelRecord, certifier_instance, certify_trial,
-                                  level_records, one_level, uncompiled_schedule)
+                                  charged_snapshot, level_records, one_level,
+                                  uncompiled_schedule)
 from hamiltonian_reference import (frobenius_norm, hamiltonian_diff, hamiltonian_sum,
                                    random_fixed_norm)
 from isingcert import constants as con
@@ -20,6 +23,7 @@ from isingcert.certifier import (
     eigenbasis_identity_sq,
     evolution_time_bound,
 )
+from isingcert.cli import EXIT_OK, main
 from isingcert.dynamics import ExperimentLedger, charge_plan, trotter_compile
 from isingcert.errors import BudgetExceededError
 from isingcert.identity_estimator import estimate_identity_sq, sample_count
@@ -35,12 +39,12 @@ P = PauliString.from_label
 E6C2 = math.exp(6.0) * con.SERIES_TAIL_SUM**2
 
 
-def certify_at(h0, h, eps, delta, config, rng, ledger):
+def certify_at(h0, h, eps, delta, config, rng):
     """One bounded-promise call at accuracy eps: a one-level block whose
     record is level -1."""
     single = one_level(config, eps, delta)
     spectra = tuple(a[None] for a in (*h0.spectrum(), *h.spectrum()))
-    [estimates] = certify_block(spectra, single, [rng], [ledger])
+    [estimates] = certify_block(spectra, single, [rng])
     [record] = level_records(single.levels, estimates, config.profile.far_threshold)
     return record.verdict, record
 
@@ -155,8 +159,7 @@ def test_strict_profile_oracle_verdicts():
             h0, h = certifier_instance(np.random.SeedSequence((seed, far)), 2, 0.02, far)
             eps = 0.02
             config = CertConfig(eps=eps, delta=0.1, c_op=2.0, c_frob=1.0, profile="strict")
-            ledger = ExperimentLedger()
-            verdict, record = certify_at(h0, h, eps, 0.1, config, rng, ledger)
+            verdict, record = certify_at(h0, h, eps, 0.1, config, rng)
             gap = frobenius_norm(hamiltonian_diff(h, h0))
             if verdict == FAR:
                 assert gap >= eps
@@ -237,8 +240,7 @@ def test_zero_gap_subroutine_monte_carlo():
     rng = np.random.default_rng(44)
     close = 0
     for _ in range(50):
-        ledger = ExperimentLedger()
-        verdict, _ = certify_at(h0, h0, 0.05, 0.1, config, rng, ledger)
+        verdict, _ = certify_at(h0, h0, 0.05, 0.1, config, rng)
         close += verdict == CLOSE
     assert close >= 45
 
@@ -469,8 +471,7 @@ def test_block_raises_each_trial_only_to_its_stop(monkeypatch):
         return power(a, steps)
 
     monkeypatch.setattr(np.linalg, "matrix_power", counted)
-    ledgers = [ExperimentLedger() for _ in hams]
-    results = certify_block(spectra, config, [np.random.default_rng(i) for i in range(4)], ledgers)
+    results = certify_block(spectra, config, [np.random.default_rng(i) for i in range(4)])
     stops = [len(estimates) for estimates in results]
     threshold = config.profile.far_threshold
     assert decide([estimates[-1] for estimates in results], threshold) == [FAR] * 4
@@ -478,10 +479,36 @@ def test_block_raises_each_trial_only_to_its_stop(monkeypatch):
     assert calls == [(sum(stop > j for stop in stops), levels[j].fragment.steps)
                      for j in range(max(stops))]
     monkeypatch.undo()
-    for i, (h, ledger, estimates) in enumerate(zip(hams, ledgers, results)):
+    for i, (h, estimates) in enumerate(zip(hams, results)):
         literal = certify_literal(h0, h, config, np.random.default_rng(i))
         records = level_records(levels, estimates, threshold)
-        assert CertReport(records[-1].verdict, records, ledger.snapshot()) == literal
+        ledger = charged_snapshot(levels, len(estimates))
+        assert CertReport(records[-1].verdict, records, ledger) == literal
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("profile", ["calibrated", "strict"])
+@pytest.mark.parametrize("arm", ["close", "far"])
+def test_each_trial_is_charged_the_levels_it_ran(n, profile, arm, tmp_path):
+    # a report's ledger against its own `levels` rows: a trial is charged one
+    # experiment per sample and 2 queries per Trotter step of each, at every
+    # level it ran, including the one it stopped at
+    for seed in (1, 7, 42):
+        out_dir = tmp_path / str(seed)
+        config = tmp_path / f"{seed}.json"
+        config.write_text(json.dumps({"schema_version": 1, "task": "certify-dynamics",
+                                      "seed": seed, "trials": 4,
+                                      "params": {"n": n, "arm": arm, "profile": profile}}))
+        assert main(["--config", str(config), "--out", str(out_dir)]) == EXIT_OK
+        report = json.loads((out_dir / f"certify-dynamics_{arm}.json").read_text())
+        with open(out_dir / f"certify-dynamics_{arm}_levels.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for record in report["trials"]:
+            ran = [(int(row["samples"]), int(row["trotter_steps"])) for row in rows
+                   if int(row["trial"]) == record["trial"]]
+            assert ran
+            assert record["ledger"]["experiment_count"] == sum(m for m, _ in ran)
+            assert record["ledger"]["query_count"] == sum(2 * steps * m for m, steps in ran)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -490,13 +517,13 @@ def test_charge_plan_experiments_equal_the_ledgers(n, arm, monkeypatch):
     # the invariant the traced benchmark run checks: the `repeat` sum over the
     # `charge_plan` calls of a run is the experiment count its ledgers report
     repeats = []
-    charge_plan = certifier.charge_plan
+    charge_plan = tasks.charge_plan
 
     def counted(steps, ledger, repeat=1):
         repeats.append(repeat)
         return charge_plan(steps, ledger, repeat)
 
-    monkeypatch.setattr(certifier, "charge_plan", counted)
+    monkeypatch.setattr(tasks, "charge_plan", counted)
     payload, _ = tasks.run_task({"task": "certify-dynamics", "seed": 3, "trials": 6,
                                  "params": {"n": n, "arm": arm}})
     assert repeats
@@ -537,7 +564,7 @@ def test_trace_kernel_invariant_under_local_cliffords(n):
     # three instances of each arm, each conjugated by its own C
     h0, h = (np.concatenate(rows) for rows in zip(*(
         tasks.certifier_coeffs([np.random.default_rng((1500, n, t)) for t in range(3)],
-                               range(3), n, 0.01, far)[:2] for far in (False, True))))
+                               range(3), n, gap, 1.0)[:2] for gap in (0.01, 12.0 * 0.01))))
     rng = np.random.default_rng(1500 + n)
     images = np.array([local_clifford_rows(np.stack(pair), n, rng) for pair in zip(h0, h)])
     difference = identity_sq(images[:, 0], images[:, 1]) - identity_sq(h0, h)

@@ -939,6 +939,17 @@ def _report_files(tmp_path, name, task, params):
     return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
 
+@pytest.mark.parametrize("task, default, params", [("certify-dynamics", "close", {}),
+                                                   ("certify-gibbs", "equal", {"samples": 2000})])
+def test_report_named_from_the_resolved_arm(tmp_path, task, default, params):
+    # a run that omits `arm` writes the same files, names and bytes, as one
+    # that gives the default arm
+    omitted = _report_files(tmp_path, "omitted", task, params)
+    given = _report_files(tmp_path, "given", task, {**params, "arm": default})
+    assert f"{task}_{default}.json" in omitted
+    assert omitted == given
+
+
 def test_reports_equal_with_per_trial_seed_sequences(tmp_path, monkeypatch):
     # the bulk-seeded generators against one SeedSequence per trial and key,
     # on every task and both arms of each arm-taking task

@@ -10,7 +10,7 @@ per-string shadow estimator, the kron-loop Born table and rng.choice are the
 references in test_shadows.py.
 """
 
-import re
+import functools
 
 import numpy as np
 import pytest
@@ -277,7 +277,7 @@ def test_stacked_spectra_equal_per_hamiltonian_spectra(n, monkeypatch):
     monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", 3 * 2 * 16 * 2**n * terms)
     monkeypatch.setattr(oracle, "hermitian_eig", counted)
     params = {**tasks.TASKS["certify-dynamics"].params, "n": n}
-    blocks = list(tasks._dynamics_blocks(params, 5, 7))
+    blocks = list(tasks._dynamics_blocks(n, params["eps"], params["c_frob"], 5, 7))
     assert [t for block, *_ in blocks for t in block] == list(range(7))
     assert calls == [(6, 2**n, 2**n), (6, 2**n, 2**n), (2, 2**n, 2**n)]
     for block, _, (w0, v0, w1, v1) in blocks:
@@ -293,7 +293,7 @@ def test_stacked_spectra_equal_per_hamiltonian_spectra(n, monkeypatch):
 def test_certifier_coeffs_names_the_trial_of_its_row():
     # at seed 27 the block of trials 5, 6 and 7 first leaves the box at row 2
     def draw(trials):
-        return tasks.certifier_coeffs(tasks.trial_rngs(27, trials, 1), trials, 2, 0.15, True,
+        return tasks.certifier_coeffs(tasks.trial_rngs(27, trials, 1), trials, 2, 12.0 * 0.15,
                                       2.0)
 
     draw(range(5, 7))
@@ -301,13 +301,42 @@ def test_certifier_coeffs_names_the_trial_of_its_row():
         draw(range(5, 8))
 
 
-@pytest.mark.parametrize("far, eps, gap", [(False, 1.0, "eps = 1.0"),
-                                           (True, 0.09, f"12 eps = {12.0 * 0.09}")])
-def test_certifier_coeffs_gap_guard_names_the_arm_gap(far, eps, gap):
-    # the CLI refuses these in its config step; a direct call still needs c_frob > gap
-    rngs = [np.random.default_rng(0)]
-    with pytest.raises(ValueError, match=f"^{re.escape(gap)} leaves no room inside c_frob = 1.0$"):
-        tasks.certifier_coeffs(rngs, [0], 2, eps, far, 1.0)
+def test_certifier_coeffs_refuses_a_degenerate_draw(monkeypatch):
+    # a draw of norm 0 cannot be rescaled: row 1 of the block of trials 10-12
+    norms = tasks.frobenius_norms
+
+    def degenerate(draws):
+        out = norms(draws)
+        out[1, 1] = 0.0
+        return out
+
+    monkeypatch.setattr(tasks, "frobenius_norms", degenerate)
+    trials = range(10, 13)
+    with pytest.raises(PromiseViolationError, match=r"^trial 11: degenerate draw"):
+        tasks.certifier_coeffs(tasks.trial_rngs(3, trials, 1), trials, 2, 0.05, 1.0)
+
+
+@pytest.mark.parametrize("far", [False, True])
+@pytest.mark.parametrize("row, offset", [(1, 2e-9), (2, -2e-9), (1, 0.5e-9), (2, -0.5e-9)])
+def test_certifier_coeffs_refuses_an_instance_off_its_gap(monkeypatch, far, row, offset):
+    # ||H - H0||_F of one row of the block of trials 10-12, moved off the gap:
+    # more than 1e-9 either way names that row's trial, on either arm's gap
+    norm, gap, trials = np.linalg.norm, 12.0 * 0.05 if far else 0.05, range(10, 13)
+
+    def moved(a, *args, **kwargs):
+        out = norm(a, *args, **kwargs)
+        out[row] += offset
+        return out
+
+    monkeypatch.setattr(np.linalg, "norm", moved)
+    draw = functools.partial(tasks.certifier_coeffs, tasks.trial_rngs(3, trials, 1), trials, 2,
+                             gap, 1.0)
+    if abs(offset) < 1e-9:
+        assert draw()[2][row] == pytest.approx(gap + offset, abs=1e-15)
+        return
+    with pytest.raises(PromiseViolationError,
+                       match=rf"^trial {trials[row]}: \|\|H - H0\|\|_F = .* off the gap {gap}$"):
+        draw()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -318,8 +347,7 @@ def test_certifier_rows_equal_per_instance_draws(n):
     for far, c_frob in ((False, 1.0), (True, 1.0), (True, 1.5)):
         gap = 12.0 * 0.05 if far else 0.05   # as the arms compute it
         h0_rows, h_rows, delta = tasks.certifier_coeffs(
-            [np.random.default_rng((740, n, t)) for t in range(5)], range(5), n, 0.05, far,
-            c_frob)
+            [np.random.default_rng((740, n, t)) for t in range(5)], range(5), n, gap, c_frob)
         for t in range(5):
             rng = np.random.default_rng((740, n, t))
             h0 = random_fixed_norm(n, 2, rng, min(0.35 * c_frob, 0.9 * (c_frob - gap)))
