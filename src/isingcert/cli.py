@@ -92,10 +92,8 @@ def main(argv=None) -> int:
     except PromiseViolationError as exc:
         print(f"promise violation: {exc}", file=sys.stderr)
         return EXIT_PROMISE
-    name = config["task"]
-    arm = payload["resolved_config"]["params"].get("arm")   # the default arm when not given
-    if arm:
-        name = f"{name}_{arm}"
+    arm = payload.get("arm")   # the default arm when not given
+    name = f"{config['task']}_{arm}" if arm else config["task"]
     path = write_report(out_dir, name, payload, tables)
     print(path)
     return EXIT_OK

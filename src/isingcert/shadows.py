@@ -258,6 +258,11 @@ def shadow_budget(n: int, k: int, eps: float, delta: float) -> int:
     return math.ceil(budget)
 
 
+def check_samples(requested) -> None:
+    if requested is not None and requested < 1:
+        raise ValueError(f"params.samples must be >= 1, got {requested}")
+
+
 def resolve_samples(requested, nominal: int, n: int, batches: int) -> int:
     """The sample count of each shadow draw: `requested`, or the nominal
     budget when it is None.  A draw of m samples costs O(batches 6^n) while it
@@ -269,8 +274,7 @@ def resolve_samples(requested, nominal: int, n: int, batches: int) -> int:
     if n > MAX_SHADOW_QUBITS:
         raise ValueError(f"n={n} is over the {MAX_SHADOW_QUBITS} qubits that shadow sampling "
                          f"supports: a Born table has 6^n = {6**n} entries")
-    if requested is not None and requested < 1:
-        raise ValueError(f"params.samples must be >= 1, got {requested}")
+    check_samples(requested)
     m = nominal if requested is None else int(requested)
     sizes = batch_sizes(m, batches)
     if requested is None and not _takes_histograms(m, sizes, n) and m > SHADOW_SAMPLE_HARD_CAP:

@@ -4,7 +4,8 @@ the Gibbs tasks `learn-gibbs`, `certify-gibbs` and `shadow-estimate`.
 
 `tasks.run_task` imports this module the first time it dispatches to one of
 them, so a `certify-dynamics` run never loads it, nor the Gibbs and shadow
-modules it reads.  Seeding, the config boundary and dispatch are in tasks.py.
+modules it reads.  A driver's config step runs up to its yield; seeding,
+dispatch and the config boundary, `run_task`, are in tasks.py.
 
 The sweeps run stacks of one n: one Pauli scatter, eig and Gibbs map each.
 A Gibbs-task block builds its states with one scatter, eig and Gibbs map,
@@ -36,11 +37,12 @@ from .hamiltonians import HamiltonianNet, check_beta, frobenius_norms, gibbs_sta
 from .oracle import hermitian_eig, hermitian_eigvals, spectral_moments, trace_distance
 from .paulis import (PauliString, check_size, enumerate_local_paulis, local_pauli_count,
                      pauli_sum_matrix, pauli_trace_inners)
-from .shadows import (born_table, collect_shadows, estimate_paulis, mom_batches,
-                      resolve_samples, shadow_budget)
-from .tasks import MAX_TRIALS, config_boundary, task_arm, trial_rngs
+from .shadows import (born_table, check_samples, collect_shadows, estimate_paulis,
+                      mom_batches, resolve_samples, shadow_budget)
+from .tasks import MAX_TRIALS, trial_rngs
 
 SLACK_TOL = -1e-9
+SWEEP_CHUNK = 2**12   # trials a sweep seeds and draws at a time, then stacks by n
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -63,23 +65,25 @@ def _sweep_stacks(k: int, seed: int, trials, key: tuple, draw, extra: int = 0):
     """Draw each trial t of `trials` from its generator of trial_rngs(seed,
     trials, *key) as draw(rng) -> (n, beta, r), then r coefficient vectors of
     random_hamiltonian's law.  Yield (n, indices, betas,
-    c (m, r, terms), H (m, r, 2^n, 2^n)) per run of trials of one n, with the
-    run's scatter weights, and `extra` bytes per trial, within
-    STACK_CHUNK_BYTES."""
-    groups, terms = {}, {}
-    for t, rng in zip(trials, trial_rngs(seed, trials, *key)):
-        n, beta, r = draw(rng)
-        if n not in terms:
-            terms[n] = local_pauli_count(n, k) - 1
-        c = rng.uniform(-1.0, 1.0, (r, terms[n]))
-        groups.setdefault(n, []).append((t, beta, c))
-    for n, group in sorted(groups.items()):
-        size = oracle.stack_size(n, *group[0][2].shape, extra)
-        for start in range(0, len(group), size):
-            indices, betas, c = zip(*group[start:start + size])
-            c = np.array(c)
-            yield n, indices, list(betas), c, pauli_sum_matrix(
-                n, enumerate_local_paulis(n, k, include_identity=False), c)
+    c (m, r, terms), H (m, r, 2^n, 2^n)) per run of trials of one n in a
+    SWEEP_CHUNK, with the run's scatter weights, and `extra` bytes per
+    trial, within STACK_CHUNK_BYTES."""
+    terms = {}
+    for first in range(0, len(trials), SWEEP_CHUNK):
+        chunk, groups = trials[first:first + SWEEP_CHUNK], {}
+        for t, rng in zip(chunk, trial_rngs(seed, chunk, *key)):
+            n, beta, r = draw(rng)
+            if n not in terms:
+                terms[n] = local_pauli_count(n, k) - 1
+            c = rng.uniform(-1.0, 1.0, (r, terms[n]))
+            groups.setdefault(n, []).append((t, beta, c))
+        for n, group in sorted(groups.items()):
+            size = oracle.stack_size(n, *group[0][2].shape, extra)
+            for start in range(0, len(group), size):
+                indices, betas, c = zip(*group[start:start + size])
+                c = np.array(c)
+                yield n, indices, list(betas), c, pauli_sum_matrix(
+                    n, enumerate_local_paulis(n, k, include_identity=False), c)
 
 
 def _bonami_block(params, seed, trials) -> list:
@@ -102,29 +106,27 @@ def _bonami_block(params, seed, trials) -> list:
     return [records[t] for t in trials]
 
 
-def task_verify_bonami(params, trials, seed):
-    with config_boundary():
-        _check_sweep_sizes(params)
-        if not 2 <= params["l_min"] <= params["l_max"]:
-            raise ValueError(f"need 2 <= l_min <= l_max, got l_min={params['l_min']}, "
-                             f"l_max={params['l_max']}")
-        # |lambda| <= T, the count of strings of weight <= k, so the sum that
-        # np.mean takes over 2^n eigenvalues |lambda|^l stays below 2^n T^l
-        t = local_pauli_count(params["n_max"], params["k"])
-        if params["l_max"] >= (
-                _LOG_FLOAT_MAX - params["n_max"] * math.log(2)) / math.log(t):
-            raise ValueError(f"l_max={params['l_max']} lets 2^n_max T^l_max reach the float "
-                             f"maximum, with T = {t} strings of weight <= k")
+def task_verify_bonami(params):
+    _check_sweep_sizes(params)
+    if not 2 <= params["l_min"] <= params["l_max"]:
+        raise ValueError(f"need 2 <= l_min <= l_max, got l_min={params['l_min']}, "
+                         f"l_max={params['l_max']}")
+    # |lambda| <= T, the count of strings of weight <= k, so the sum that
+    # np.mean takes over 2^n eigenvalues |lambda|^l stays below 2^n T^l
+    t = local_pauli_count(params["n_max"], params["k"])
+    if params["l_max"] >= (_LOG_FLOAT_MAX - params["n_max"] * math.log(2)) / math.log(t):
+        raise ValueError(f"l_max={params['l_max']} lets 2^n_max T^l_max reach the float "
+                         f"maximum, with T = {t} strings of weight <= k")
+    trials, seed = yield
     records = _bonami_block(params, seed, range(trials))
     violations = sum(1 for r in records if r["min_slack"] < SLACK_TOL)
     payload = {
-        "task": "verify-bonami",
         "violations": violations,
         "min_slack": min(r["min_slack"] for r in records),
         "trials": [{k: v for k, v in r.items() if k != "rows"} for r in records],
     }
     table = [row for r in records for row in r["rows"]]
-    return payload, {"moments": (["trial", "n", "l", "moment", "bound", "slack"], table)}
+    yield payload, {"moments": (["trial", "n", "l", "moment", "bound", "slack"], table)}
 
 
 def _bounds_block(params, seed, trials) -> list:
@@ -157,30 +159,28 @@ def _footnote_block(params, seed, trials) -> list:
     return [records[t] for t in trials]
 
 
-def task_verify_bounds(params, trials, seed):
-    with config_boundary():
-        _check_sweep_sizes(params)
-        check_beta(params["beta_min"])
-        check_beta(params["beta_max"])
-        if params["beta_min"] > params["beta_max"]:
-            raise ValueError(f"beta_min={params['beta_min']} exceeds "
-                             f"beta_max={params['beta_max']}")
-        # the state form's 400 beta n^k sup, with sup <= 2, is the chain's largest product
-        if not math.isfinite(800.0 * params["beta_max"] * params["n_max"] ** params["k"]):
-            raise ValueError(f"beta_max={params['beta_max']} takes the bound chain's "
-                             f"800 beta n_max^k past the float range")
-        check_size(params["footnote_n"], params["k"])
-        if not 0 < params["footnote_eps"] < 1:
-            raise ValueError(f"footnote_eps must be in (0, 1), got {params['footnote_eps']}")
-        if not 0 <= params["footnote_pairs"] <= MAX_TRIALS:
-            raise ValueError(f"footnote_pairs must be in [0, {MAX_TRIALS}], "
-                             f"got {params['footnote_pairs']}")
+def task_verify_bounds(params):
+    _check_sweep_sizes(params)
+    check_beta(params["beta_min"])
+    check_beta(params["beta_max"])
+    if params["beta_min"] > params["beta_max"]:
+        raise ValueError(f"beta_min={params['beta_min']} exceeds beta_max={params['beta_max']}")
+    # the state form's 400 beta n^k sup, with sup <= 2, is the chain's largest product
+    if not math.isfinite(800.0 * params["beta_max"] * params["n_max"] ** params["k"]):
+        raise ValueError(f"beta_max={params['beta_max']} takes the bound chain's "
+                         f"800 beta n_max^k past the float range")
+    check_size(params["footnote_n"], params["k"])
+    if not 0 < params["footnote_eps"] < 1:
+        raise ValueError(f"footnote_eps must be in (0, 1), got {params['footnote_eps']}")
+    if not 0 <= params["footnote_pairs"] <= MAX_TRIALS:
+        raise ValueError(f"footnote_pairs must be in [0, {MAX_TRIALS}], "
+                         f"got {params['footnote_pairs']}")
+    trials, seed = yield
     records = _bounds_block(params, seed, range(trials))
     foot = _footnote_block(params, seed, range(params["footnote_pairs"]))
     violations = sum(1 for r in records if r["min_slack"] < SLACK_TOL)
     foot_violations = sum(1 for r in foot if not (r["regime"] and r["ok"]))
     payload = {
-        "task": "verify-bounds",
         "violations": violations,
         "footnote_violations": foot_violations,
         "min_slack": min(r["min_slack"] for r in records),
@@ -194,7 +194,7 @@ def task_verify_bounds(params, trials, seed):
     ]
     header = ["trial", "n", "beta", "lhs", "rhs_pinsker",
               "rhs_coeff_sup", "rhs_state_sup", "min_slack"]
-    return payload, {"bounds": (header, table)}
+    yield payload, {"bounds": (header, table)}
 
 
 # ---------------------------------------------------------------- Gibbs tasks
@@ -254,24 +254,24 @@ def _learn_records(params, config, net, member_coeffs, m, seed, trials) -> list:
     return records
 
 
-def task_learn_gibbs(params, trials, seed):
-    with config_boundary():
-        support = tuple(PauliString.from_label(s) for s in params["support"])
-        config = GibbsLearnConfig(
-            n=params["n"], k=params["k"], beta=params["beta"],
-            eps=params["eps"], delta=params["delta"], support=support,
-            eta=params.get("eta"),
-        )
-        net = HamiltonianNet(support, config.eta_used)
-        nominal = config.nominal_budget   # every record reports it, exact ones too
-        # exact estimates draw no samples, so no sample budget applies
-        m = None if params.get("exact_estimates") else resolve_samples(
-            params.get("samples"), nominal, config.n, config.batches)
-        member_coeffs = net.gibbs_coeff_matrix(config.beta)   # the same in every trial
+def task_learn_gibbs(params):
+    support = tuple(PauliString.from_label(s) for s in params["support"])
+    config = GibbsLearnConfig(
+        n=params["n"], k=params["k"], beta=params["beta"],
+        eps=params["eps"], delta=params["delta"], support=support,
+        eta=params.get("eta"),
+    )
+    net = HamiltonianNet(support, config.eta_used)
+    nominal = config.nominal_budget   # every record reports it, exact ones too
+    # exact estimates draw no samples, so no sample budget applies, only the floor
+    m = None if params.get("exact_estimates") else resolve_samples(
+        params.get("samples"), nominal, config.n, config.batches)
+    check_samples(params.get("samples"))
+    member_coeffs = net.gibbs_coeff_matrix(config.beta)   # the same in every trial
+    trials, seed = yield
     records = _learn_records(params, config, net, member_coeffs, m, seed, trials)
     success = sum(1 for r in records if r["within_eps"])
     payload = {
-        "task": "learn-gibbs",
         "success_count": success,
         "success_rate": success / len(records),
         "trials": records,
@@ -281,7 +281,7 @@ def task_learn_gibbs(params, trials, seed):
     header = ["trial", "index", "objective", "distance", "within_eps"]
     table = [[r["trial"], r["index"], r["objective"],
               r["distance_oracle_only"], int(r["within_eps"])] for r in records]
-    return payload, {"learned": (header, table)}
+    yield payload, {"learned": (header, table)}
 
 
 def _gibbs_cert_records(config, m, far_tables, seed, trials) -> list:
@@ -320,14 +320,13 @@ def _gibbs_cert_records(config, m, far_tables, seed, trials) -> list:
     } for t, (verdict, max_gap) in enumerate(results)]
 
 
-def task_certify_gibbs(params, trials, seed):
-    arm = task_arm(params, ("equal", "far"))
+def task_certify_gibbs(params):
     n, k, beta, eps = params["n"], params["k"], params["beta"], params["eps"]
-    with config_boundary():
-        config = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=params["delta"])
-        m = resolve_samples(params.get("samples"), config.nominal_budget, n, config.batches)
+    config = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=params["delta"])
+    m = resolve_samples(params.get("samples"), config.nominal_budget, n, config.batches)
+    trials, seed = yield
     far_tables = None
-    if arm == "far":
+    if params["arm"] == "far":
         # the Gibbs states of +-sum_i Z_i, as two coefficient rows of one stack
         z = [PauliString(n, 3 << 2 * i) for i in range(n)]
         far_states = gibbs_states(*hermitian_eig(pauli_sum_matrix(n, z, [[1.0] * n, [-1.0] * n])),
@@ -342,8 +341,6 @@ def task_certify_gibbs(params, trials, seed):
     records = _gibbs_cert_records(config, m, far_tables, seed, trials)
     errors = sum(1 for r in records if not r["correct"])
     payload = {
-        "task": "certify-gibbs",
-        "arm": arm,
         "error_count": errors,
         "error_rate": errors / len(records),
         "trials": records,
@@ -351,7 +348,7 @@ def task_certify_gibbs(params, trials, seed):
     header = ["trial", "verdict", "expected", "correct", "max_gap", "far_threshold"]
     table = [[r["trial"], r["verdict"], r["expected"], int(r["correct"]),
               r["max_gap"], r["far_threshold"]] for r in records]
-    return payload, {"verdicts": (header, table)}
+    yield payload, {"verdicts": (header, table)}
 
 
 def _shadow_records(params, m, batches, paulis, seed, trials) -> list:
@@ -371,19 +368,18 @@ def _shadow_records(params, m, batches, paulis, seed, trials) -> list:
     return records
 
 
-def task_shadow_estimate(params, trials, seed):
+def task_shadow_estimate(params):
     n, k = params["n"], params["k"]
-    with config_boundary():
-        check_beta(params["beta"])
-        check_size(n, k)
-        nominal = shadow_budget(n, k, params["eps"], params["delta"])   # checks eps and delta
-        batches = mom_batches(n, k, params["delta"])
-        m = resolve_samples(params.get("samples"), nominal, n, batches)
-        paulis = enumerate_local_paulis(n, k)
+    check_beta(params["beta"])
+    check_size(n, k)
+    nominal = shadow_budget(n, k, params["eps"], params["delta"])   # checks eps and delta
+    batches = mom_batches(n, k, params["delta"])
+    m = resolve_samples(params.get("samples"), nominal, n, batches)
+    paulis = enumerate_local_paulis(n, k)
+    trials, seed = yield
     records = _shadow_records(params, m, batches, paulis, seed, trials)
     success = sum(1 for r in records if r["all_within_eps"])
     payload = {
-        "task": "shadow-estimate",
         "success_count": success,
         "success_rate": success / len(records),
         "budget": m,
@@ -392,4 +388,4 @@ def task_shadow_estimate(params, trials, seed):
     header = ["trial", "samples", "batches", "max_abs_error", "all_within_eps"]
     table = [[r["trial"], r["samples_used"], r["batches"],
               r["max_abs_error"], int(r["all_within_eps"])] for r in records]
-    return payload, {"coverage": (header, table)}
+    yield payload, {"coverage": (header, table)}

@@ -19,20 +19,22 @@ trial with the same stop, and the fields a level's rows share are rendered
 once per task.  The drivers of the other five tasks are in `state_tasks`,
 which `run_task` imports the first time it dispatches to one of them, so a
 `certify-dynamics` run never loads it, nor the Gibbs and shadow modules.
-Each driver builds what every trial shares (configs, the net and its Gibbs
-table, sample counts, the Gibbs far arm's Born tables) once, before any trial
-runs; a ValueError raised there is a ConfigError.  `certify-dynamics` refuses
-a config, and its arm's gap, only in that step: its `CertConfig` compiles the
-schedule, so a budget overrun exits there too, and nothing runs between it
-and the first block.  `certifier_coeffs` draws a block's instances at that
-gap and raises PromiseViolationError, naming the trial by its index in the
-run, when one leaves its box or its gap, before its block is certified.
+A driver is a generator: its config step, up to the yield that takes (trials,
+seed), builds what every trial shares (configs, the net and its Gibbs table,
+sample counts) once.  `run_task` makes a ValueError there a ConfigError, and
+writes each report's `task` and `arm`; trials refuse with BudgetExceededError
+or PromiseViolationError, so a ValueError out of one is a fault.
+`certify-dynamics` refuses a config, and its arm's gap, only in its config
+step: its `CertConfig` compiles the schedule, so a budget overrun exits there
+too, and nothing runs between it and the first block.  `certifier_coeffs`
+draws a block's instances at that gap and raises PromiseViolationError, naming
+the trial by its index in the run, when one leaves its box or its gap, before
+its block is certified.
 """
 
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -130,23 +132,6 @@ def trial_rngs(seed: int, trials, *key: int):
             for row in _seed_words(seed, trials, key))
 
 
-@contextmanager
-def config_boundary():
-    """A ValueError raised while a task builds its configs is a config error.
-    Trials refuse what they cannot run with BudgetExceededError or
-    PromiseViolationError, so a ValueError out of a trial is a fault."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def task_arm(params: dict, allowed: tuple[str, str]) -> str:
-    if params["arm"] not in allowed:
-        raise ConfigError(f"params.arm must be one of {list(allowed)}, got {params['arm']!r}")
-    return params["arm"]
-
-
 # ---------------------------------------------------------------- dynamics
 
 def certifier_coeffs(rngs, trials, n: int, gap: float, c_frob: float):
@@ -209,20 +194,19 @@ def _dynamics_blocks(n, gap, c_frob, seed, trials):
         yield block, delta.tolist(), (w[0::2], v[0::2], w[1::2], v[1::2])
 
 
-def task_certify_dynamics(params, trials, seed):
-    arm = task_arm(params, ("close", "far"))
-    with config_boundary():
-        if not 2 <= params["n"] <= MAX_QUBITS:
-            raise ValueError(f"n={params['n']} out of range [2, {MAX_QUBITS}]: "
-                             "certify-dynamics instances are 2-local")
-        gap = 12.0 * params["eps"] if arm == "far" else params["eps"]
-        if gap >= params["c_frob"]:
-            raise ValueError(f"{arm} arm needs ||H - H0||_F = {gap} below c_frob = "
-                             f"{params['c_frob']}")
-        config = CertConfig(eps=params["eps"], delta=params["delta"], c_op=params["c_op"],
-                            c_frob=params["c_frob"], profile=params["profile"])
+def task_certify_dynamics(params):
+    if not 2 <= params["n"] <= MAX_QUBITS:
+        raise ValueError(f"n={params['n']} out of range [2, {MAX_QUBITS}]: "
+                         "certify-dynamics instances are 2-local")
+    gap = 12.0 * params["eps"] if params["arm"] == "far" else params["eps"]
+    if gap >= params["c_frob"]:
+        raise ValueError(f"{params['arm']} arm needs ||H - H0||_F = {gap} below c_frob = "
+                         f"{params['c_frob']}")
+    config = CertConfig(eps=params["eps"], delta=params["delta"], c_op=params["c_op"],
+                        c_frob=params["c_frob"], profile=params["profile"])
+    trials, seed = yield
     threshold = config.profile.far_threshold
-    expected = "FAR" if arm == "far" else "CLOSE"
+    expected = "FAR" if params["arm"] == "far" else "CLOSE"
     # every trial charges the same compiled levels, so the ledgers of two
     # trials that stop at the same level are equal: one snapshot per stop.  Each
     # trial still charges its own, as `perfbench/run.py --trace 1` sums the
@@ -255,8 +239,6 @@ def task_certify_dynamics(params, trials, seed):
     total_time = [r["ledger"]["total_evolution_time"] for r in records]
     mean_time = float(np.mean(total_time))
     payload = {
-        "task": "certify-dynamics",
-        "arm": arm,
         "error_count": errors,
         "error_rate": errors / len(records),
         "mean_total_evolution_time": mean_time,
@@ -275,30 +257,30 @@ def task_certify_dynamics(params, trials, seed):
               "total_evolution_time", "query_count", "experiment_count"]
     level_header = ["trial", "level", "eps", "delta", "estimate", "threshold", "verdict",
                     "samples", "trotter_steps"]
-    return payload, {"verdicts": (header, table), "levels": (level_header, level_rows)}
+    yield payload, {"verdicts": (header, table), "levels": (level_header, level_rows)}
 
 
 # ---------------------------------------------------------------- dispatch
 
 class Task(NamedTuple):
-    """A CLI task: its driver (params, trials, seed) -> (payload, tables), its
-    default trial count and default params, plus the params it reads only
-    when given.  Each param is typed by its value here; its range is checked
-    where the driver builds its configs."""
+    """A CLI task: its driver, its default trial count and default params,
+    the params it reads only when given, and its arms.  Each param is typed
+    by its value here; its range is checked in the driver's config step."""
 
     driver: Callable
     trials: int
     params: dict
     optional: dict = {}
+    arms: tuple = ()
 
 
 def _state_task(name: str) -> Callable:
     """The driver `name` of `state_tasks`, which is imported at the driver's
     first call: a `certify-dynamics` run never loads it."""
-    def driver(params, trials, seed):
+    def driver(params):
         from . import state_tasks
 
-        return getattr(state_tasks, name)(params, trials, seed)
+        return getattr(state_tasks, name)(params)
     return driver
 
 
@@ -306,7 +288,7 @@ TASKS = {
     "certify-dynamics": Task(task_certify_dynamics, 50, {
         "n": 2, "eps": 0.05, "delta": 0.1, "arm": "close", "c_frob": 1.0,
         "c_op": 2.0, "profile": "calibrated",
-    }),
+    }, arms=("close", "far")),
     "learn-gibbs": Task(_state_task("task_learn_gibbs"), 20, {
         "n": 2, "k": 2, "beta": 1.0, "eps": 0.3, "delta": 0.1,
         "support": ["ZI", "IZ", "ZZ"], "eta": 0.25, "samples": 20000,
@@ -315,7 +297,7 @@ TASKS = {
     "certify-gibbs": Task(_state_task("task_certify_gibbs"), 50, {
         "n": 2, "k": 2, "beta": 1.0, "eps": 0.3, "delta": 0.1,
         "arm": "equal", "samples": 20000,
-    }),
+    }, arms=("equal", "far")),
     "verify-bonami": Task(_state_task("task_verify_bonami"), 1000, {
         "n_min": 2, "n_max": 5, "k": 2, "l_min": 3, "l_max": 8,
     }),
@@ -342,7 +324,15 @@ def run_task(config: dict) -> tuple[dict, dict]:
     params = {**spec.params, **config.get("params", {})}
     trials = config.get("trials") or spec.trials
     seed = config.get("seed", 0)
-    payload, tables = spec.driver(params, trials, seed)
+    driver = spec.driver(params)
+    try:
+        next(driver)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    payload, tables = driver.send((trials, seed))
+    payload["task"] = task
+    if spec.arms:
+        payload["arm"] = params["arm"]
     payload["resolved_config"] = {
         "task": task, "seed": seed, "trials": trials,
         "parallelism": config.get("parallelism", 1), "params": params,
@@ -391,6 +381,8 @@ def validate_config(raw: dict) -> dict:
             ok = type(val) is kind or (kind is float and type(val) is int)
         if not ok:
             raise ConfigError(f"params.{key} must be like {schema[key]!r}, got {val!r}")
+    if "arm" in params and params["arm"] not in spec.arms:
+        raise ConfigError(f"params.arm must be one of {list(spec.arms)}, got {params['arm']!r}")
     out["params"] = params
     if "out" in raw:
         if not isinstance(raw["out"], str):

@@ -629,6 +629,9 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
                  id="dynamics-estimator-params"),
     pytest.param("certify-gibbs", {"beta": 0.0}, id="gibbs-beta"),
     pytest.param("certify-gibbs", {"samples": -5}, id="gibbs-samples"),
+    # exact estimates draw no samples, but a count below 1 is still refused
+    pytest.param("learn-gibbs", {"exact_estimates": True, "samples": -5},
+                 id="learn-exact-samples"),
     pytest.param("shadow-estimate", {"eps": 1.5}, id="shadow-eps"),
     pytest.param("shadow-estimate", {"n": 13}, id="shadow-n"),
     # the median-of-means batch count divides by delta and takes ln(200 n^k / delta)
@@ -682,6 +685,24 @@ def _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params, flags
 ])
 def test_out_of_range_param_is_config_error(tmp_path, monkeypatch, capsys, task, params):
     _refused_before_any_trial(tmp_path, monkeypatch, capsys, task, params)
+
+
+@pytest.mark.parametrize("task, module, kernel", [
+    pytest.param("certify-dynamics", tasks, "certify_block", id="dynamics"),
+    pytest.param("shadow-estimate", state_tasks, "estimate_paulis", id="shadow"),
+])
+def test_value_error_in_a_trial_is_a_fault(tmp_path, monkeypatch, task, module, kernel):
+    # run_task's config boundary covers the driver's config step only: a
+    # ValueError out of a trial propagates out of main, and never exits 2
+    def fault(*args):
+        raise ValueError("a fault in a trial")
+
+    monkeypatch.setattr(module, kernel, fault)
+    path = write_config(tmp_path, {"schema_version": 1, "task": task, "trials": 2,
+                                   "params": SMALL_PARAMS[task]})
+    with pytest.raises(ValueError, match="a fault in a trial") as raised:
+        main(["--config", path, "--out", str(tmp_path / "out")])
+    assert not isinstance(raised.value, ConfigError)
 
 
 def test_largest_l_max_below_the_float_maximum_runs(tmp_path, monkeypatch, capsys):

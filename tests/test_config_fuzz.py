@@ -48,9 +48,8 @@ def edge_values(default):
 def base_configs():
     """(task, params) per task, and per arm for a task with arms."""
     for task, spec in tasks.TASKS.items():
-        if "arm" in spec.params:
-            arms = ("close", "far") if task == "certify-dynamics" else ("equal", "far")
-            yield from ((task, {"arm": arm}) for arm in arms)
+        if spec.arms:
+            yield from ((task, {"arm": arm}) for arm in spec.arms)
         else:
             yield task, {}
 

@@ -76,6 +76,17 @@ def test_partial_last_chunk(block_fn, trial_fn, params, monkeypatch):
     monkeypatch.setattr(oracle, "STACK_CHUNK_BYTES", 3 * 2 * 16 * 8 * 36)
     expected = [trial_fn(params, 9, t) for t in range(8)]
     assert block_fn(params, 9, range(8)) == expected
+    # and sweep chunks of 3 trials, the last partial: no chunk seeds more
+    seeded = []
+
+    def counted_rngs(seed, trials, *key):
+        seeded.append(len(trials))
+        return tasks.trial_rngs(seed, trials, *key)
+
+    monkeypatch.setattr(state_tasks, "SWEEP_CHUNK", 3)
+    monkeypatch.setattr(state_tasks, "trial_rngs", counted_rngs)
+    assert block_fn(params, 9, range(8)) == expected
+    assert seeded == [3, 3, 2]
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
