@@ -1,13 +1,13 @@
 """Simulated time-evolution access: an experiment runs a sequence of query
-steps (queries to exp(-i t H) and compiled Trotter fragments), and every
-queried second is charged to a ledger.
+steps, each a query to exp(-i t H) or a compiled Trotter fragment.  A step
+charges `query_count` queries of `query_time` each to a ledger, and
+`realize(h_true)` gives its unitary.
 
 Noise is depolarizing only.  SPAM splits a diamond-norm budget evenly between
 a channel after preparation and one before measurement; per-query noise
-attaches one depolarizing channel to each logical query (a compiled Trotter
-fragment counts as a single logical query even though it charges all of its
-internal evolution segments to the ledger).  Depolarizing channels commute
-with unitaries, so the final state is always
+attaches one depolarizing channel to each step, which is one logical query
+even when it charges many (a Trotter fragment's segments).  Depolarizing
+channels commute with unitaries, so the final state is always
 (1 - Lambda) U rho U^dag + Lambda I/2^n for an accumulated Lambda, which is
 how outcome probabilities are computed exactly.
 """
@@ -56,9 +56,6 @@ class ExperimentLedger:
     def min_query_time(self) -> float:
         return min(self.queries_by_time, default=math.inf)
 
-    def charge_experiments(self, count: int = 1) -> None:
-        self.experiment_count += count
-
     def snapshot(self) -> dict:
         return {
             "total_evolution_time": self.total_evolution_time,
@@ -77,11 +74,11 @@ class NoiseModel:
         self.spam_diamond_budget = spam_diamond_budget
         self.per_query_diamond_budget = per_query_diamond_budget
 
-    def retain_factor(self, n: int, logical_queries: int) -> float:
+    def retain_factor(self, n: int, queries: int) -> float:
         """Product of (1 - lambda) over all channels in one experiment."""
         lam_spam = diamond_to_depolarizing(0.5 * self.spam_diamond_budget, n)
         lam_q = diamond_to_depolarizing(self.per_query_diamond_budget, n)
-        return (1.0 - lam_spam) ** 2 * (1.0 - lam_q) ** logical_queries
+        return (1.0 - lam_spam) ** 2 * (1.0 - lam_q) ** queries
 
 
 NO_NOISE = NoiseModel()
@@ -102,10 +99,15 @@ def diamond_to_depolarizing(budget: float, n: int) -> float:
 class QueryStep:
     """One query to the unknown evolution exp(-i t H); t < 0 uses the inverse."""
 
+    query_count = 1
+
     def __init__(self, t: float):
         if t == 0:
             raise ValueError("query time must be nonzero")
-        self.t = t
+        self.t = self.query_time = t
+
+    def realize(self, h_true: LocalHamiltonian) -> np.ndarray:
+        return evolve(h_true, self.t)
 
 
 class TrotterFragment:
@@ -167,29 +169,16 @@ def trotter_compile(h0: LocalHamiltonian, t: float, eps_trott: float,
     return TrotterFragment(h0, t, steps)
 
 
-def logical_queries(steps) -> int:
-    """Logical queries in a step sequence: a fragment counts once."""
-    return sum(1 for s in steps if isinstance(s, (QueryStep, TrotterFragment)))
-
-
 def net_unitary(steps, h_true: LocalHamiltonian, n: int) -> np.ndarray:
     """Product of the steps' unitaries, first step rightmost."""
     u = np.eye(2**n, dtype=complex)
     for step in steps:
-        if isinstance(step, QueryStep):
-            u = evolve(h_true, step.t) @ u
-        elif isinstance(step, TrotterFragment):
-            u = step.realize(h_true) @ u
-        else:
-            raise TypeError(f"unknown plan step {step!r}")
+        u = step.realize(h_true) @ u
     return u
 
 
 def charge_plan(steps, ledger: ExperimentLedger, repeat: int = 1) -> None:
     """Charge `repeat` experiments that each run `steps` once."""
     for step in steps:
-        if isinstance(step, QueryStep):
-            ledger.charge_queries(repeat, step.t)
-        elif isinstance(step, TrotterFragment):
-            ledger.charge_queries(repeat * step.query_count, step.query_time)
-    ledger.charge_experiments(repeat)
+        ledger.charge_queries(repeat * step.query_count, step.query_time)
+    ledger.experiment_count += repeat

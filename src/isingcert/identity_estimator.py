@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import HOEFFDING_CONSTANT
-from .dynamics import NO_NOISE, NoiseModel, logical_queries, net_unitary
+from .dynamics import NO_NOISE, NoiseModel, net_unitary
 from .hamiltonians import LocalHamiltonian
 from .oracle import identity_coeff
 
@@ -79,7 +79,7 @@ def estimate_identity_sq(
     steps = tuple(steps)
     identity_sq = abs(identity_coeff(net_unitary(steps, h_true, n))) ** 2
     (value,), (raw,) = drawn_estimate(np.array([identity_sq]), n, m, [rng],
-                                      noise.retain_factor(n, logical_queries(steps)))
+                                      noise.retain_factor(n, len(steps)))
     return IdentityCoeffEstimate(float(value), float(raw), m, eps, delta)
 
 

@@ -31,6 +31,8 @@ from .paulis import PauliString
 
 # a Born table has 6^n entries, and building one holds complex arrays of that size
 MAX_SHADOW_QUBITS = 10
+# the most entries of one shadow draw, and of each array of one Pauli plan
+MAX_ARRAY_ENTRIES = 2**26
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _EIGVECS = np.array([
@@ -269,8 +271,9 @@ def resolve_samples(requested, nominal: int, n: int, batches: int) -> int:
     takes batch histograms and O(m) once it takes per-sample indices, so a
     nominal budget is refused (BudgetExceededError) only in the second case
     and over SHADOW_SAMPLE_HARD_CAP.  Any count whose largest batch is over
-    `exact_batch_limit` is refused too, and any n over MAX_SHADOW_QUBITS or
-    requested count below 1 is a ValueError."""
+    `exact_batch_limit`, or whose draw holds over MAX_ARRAY_ENTRIES entries,
+    is refused too, and any n over MAX_SHADOW_QUBITS or requested count
+    below 1 is a ValueError."""
     if n > MAX_SHADOW_QUBITS:
         raise ValueError(f"n={n} is over the {MAX_SHADOW_QUBITS} qubits that shadow sampling "
                          f"supports: a Born table has 6^n = {6**n} entries")
@@ -285,4 +288,8 @@ def resolve_samples(requested, nominal: int, n: int, batches: int) -> int:
         raise BudgetExceededError(
             f"a batch of {int(sizes[0])} samples on {n} qubits takes the shadow estimates' "
             "partial sums past 2^53, where floats stop being exact")
+    entries = min(m, len(sizes) * 6**n)   # the form rule draws the smaller form
+    if entries > MAX_ARRAY_ENTRIES:
+        raise BudgetExceededError(f"a draw of {m} samples on {n} qubits holds {entries} "
+                                  f"entries, over the cap {MAX_ARRAY_ENTRIES}")
     return m

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import oracle
-from .errors import PromiseViolationError
+from .errors import BudgetExceededError, PromiseViolationError
 from .gibbs import (
     GibbsCertConfig,
     GibbsLearnConfig,
@@ -37,8 +37,8 @@ from .hamiltonians import HamiltonianNet, check_beta, frobenius_norms, gibbs_sta
 from .oracle import hermitian_eig, hermitian_eigvals, spectral_moments, trace_distance
 from .paulis import (PauliString, check_size, enumerate_local_paulis, local_pauli_count,
                      pauli_sum_matrix, pauli_trace_inners)
-from .shadows import (born_table, check_samples, collect_shadows, estimate_paulis,
-                      mom_batches, resolve_samples, shadow_budget)
+from .shadows import (MAX_ARRAY_ENTRIES, born_table, check_samples, collect_shadows,
+                      estimate_paulis, mom_batches, resolve_samples, shadow_budget)
 from .tasks import MAX_TRIALS, trial_rngs
 
 SLACK_TOL = -1e-9
@@ -55,6 +55,14 @@ def _check_sweep_sizes(params: dict) -> None:
     check_size(params["n_max"], params["k"])
     if params["k"] < 1:
         raise ValueError(f"k must be >= 1, got {params['k']}: at k = 0 every instance is H = 0")
+
+
+def _check_plan_size(n: int, k: int) -> None:
+    """The Pauli plan of the strings of weight <= k on n qubits has 2^n
+    entries per string in each array; over MAX_ARRAY_ENTRIES it is refused."""
+    if (entries := local_pauli_count(n, k) * 2**n) > MAX_ARRAY_ENTRIES:
+        raise BudgetExceededError(f"the strings of weight <= {k} on {n} qubits need a Pauli "
+                                  f"plan of {entries} entries, over the cap {MAX_ARRAY_ENTRIES}")
 
 
 # ---------------------------------------------------------------- sweeps
@@ -117,6 +125,7 @@ def task_verify_bonami(params):
     if params["l_max"] >= (_LOG_FLOAT_MAX - params["n_max"] * math.log(2)) / math.log(t):
         raise ValueError(f"l_max={params['l_max']} lets 2^n_max T^l_max reach the float "
                          f"maximum, with T = {t} strings of weight <= k")
+    _check_plan_size(params["n_max"], params["k"])
     trials, seed = yield
     records = _bonami_block(params, seed, range(trials))
     violations = sum(1 for r in records if r["min_slack"] < SLACK_TOL)
@@ -175,6 +184,7 @@ def task_verify_bounds(params):
     if not 0 <= params["footnote_pairs"] <= MAX_TRIALS:
         raise ValueError(f"footnote_pairs must be in [0, {MAX_TRIALS}], "
                          f"got {params['footnote_pairs']}")
+    _check_plan_size(max(params["n_max"], params["footnote_n"]), params["k"])
     trials, seed = yield
     records = _bounds_block(params, seed, range(trials))
     foot = _footnote_block(params, seed, range(params["footnote_pairs"]))
@@ -324,6 +334,7 @@ def task_certify_gibbs(params):
     n, k, beta, eps = params["n"], params["k"], params["beta"], params["eps"]
     config = GibbsCertConfig(n=n, k=k, beta=beta, eps=eps, delta=params["delta"])
     m = resolve_samples(params.get("samples"), config.nominal_budget, n, config.batches)
+    _check_plan_size(n, k)
     trials, seed = yield
     far_tables = None
     if params["arm"] == "far":
@@ -375,6 +386,7 @@ def task_shadow_estimate(params):
     nominal = shadow_budget(n, k, params["eps"], params["delta"])   # checks eps and delta
     batches = mom_batches(n, k, params["delta"])
     m = resolve_samples(params.get("samples"), nominal, n, batches)
+    _check_plan_size(n, k)
     paulis = enumerate_local_paulis(n, k)
     trials, seed = yield
     records = _shadow_records(params, m, batches, paulis, seed, trials)

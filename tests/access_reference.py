@@ -23,7 +23,6 @@ from isingcert.dynamics import (
     ExperimentLedger,
     NoiseModel,
     charge_plan,
-    logical_queries,
     net_unitary,
 )
 from isingcert.hamiltonians import HamiltonianNet, LocalHamiltonian, gibbs_density
@@ -287,7 +286,7 @@ class ExperimentPlan:
         return dim.bit_length() - 1
 
     def logical_queries(self) -> int:
-        return logical_queries(self.steps)
+        return len(self.steps)
 
 
 def single_query_plan(steps, state: StabilizerState) -> ExperimentPlan:

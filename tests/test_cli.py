@@ -173,6 +173,50 @@ def test_nominal_budget_past_exact_partial_sums_exits_before_any_trial(tmp_path,
     assert not out_dir.exists()
 
 
+def test_draw_over_the_entry_cap_exits_before_any_trial(tmp_path, monkeypatch, capsys):
+    # n=10, eps 7e-4: the nominal 1.8e9 samples take 26 x 6^10 = 1.6e9 histogram entries
+    forbid_trials(monkeypatch)
+    cfg = {"schema_version": 1, "task": "shadow-estimate", "trials": 1,
+           "params": {"n": 10, "eps": 0.0007}}
+    out_dir = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out_dir)]) == EXIT_BUDGET
+    assert "1572120576 entries, over the cap" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_draw_entry_cap_counts_the_drawn_form():
+    cap = shadows.MAX_ARRAY_ENTRIES
+    # n=9, 26 batches: 26 x 6^9 > cap, so the draw takes m per-sample indices
+    assert shadows.resolve_samples(cap, 1, 9, 26) == cap
+    with pytest.raises(BudgetExceededError, match="over the cap"):
+        shadows.resolve_samples(cap + 1, 1, 9, 26)
+    # n=10: one batch histogram holds 6^10 <= cap entries, two hold more
+    assert shadows.resolve_samples(10**11, 1, 10, 1) == 10**11
+    with pytest.raises(BudgetExceededError, match="over the cap"):
+        shadows.resolve_samples(10**11, 1, 10, 2)
+
+
+@pytest.mark.parametrize("task, params", [
+    ("verify-bonami", {"n_min": 12, "n_max": 12, "k": 4}),
+    ("verify-bonami", {"n_min": 12, "n_max": 12, "k": 12}),
+    ("verify-bounds", {"n_min": 12, "n_max": 12, "k": 4, "footnote_n": 4}),
+    ("verify-bounds", {"n_min": 4, "n_max": 4, "k": 4, "footnote_n": 12}),
+    ("shadow-estimate", {"n": 10, "k": 6, "samples": 100}),
+    ("certify-gibbs", {"n": 10, "k": 6, "samples": 100}),
+], ids=["bonami-k4", "bonami-k12", "bounds-n_max", "bounds-footnote_n", "shadow", "gibbs"])
+def test_pauli_plan_over_the_entry_cap_exits_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                              task, params):
+    # every string of weight <= k puts 2^n entries in each array of the plan:
+    # 1.9e8 to 6.9e10 entries here, over the 2^26 cap
+    forbid_trials(monkeypatch)
+    cfg = {"schema_version": 1, "task": task, "trials": 1, "params": params}
+    out_dir = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out_dir)]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.startswith("budget overrun: ") and "Pauli plan" in err
+    assert not out_dir.exists()
+
+
 def test_nominal_budget_refused_only_for_index_draws_over_the_cap():
     cap = SHADOW_SAMPLE_HARD_CAP
     # n=8, 20 batches: batches 6^n = 3.4e7 > m, so the draw takes per-sample indices

@@ -188,6 +188,14 @@ def test_batched_charge_equals_repeated_single_charges():
     assert led_a.min_query_time == frag.query_time
 
 
+def test_net_unitary_runs_the_first_step_first():
+    # H does not commute with the fragment's H0, so the product's order shows
+    frag = TrotterFragment(LocalHamiltonian(1, 1, {P("Z"): 0.5}), 0.7, 3)
+    h = LocalHamiltonian(1, 1, {P("X"): 0.8, P("Z"): 0.3})
+    u = dynamics.net_unitary((frag, QueryStep(0.3)), h, 1)
+    np.testing.assert_array_equal(u, evolve(h, 0.3) @ frag.realize(h))
+
+
 def test_outcome_distribution_rejects_non_psd_state():
     plan = ExperimentPlan(np.diag([1.5, -0.5]).astype(complex), (), "computational")
     with pytest.raises(ValueError, match="PSD"):

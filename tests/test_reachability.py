@@ -55,9 +55,9 @@ ALLOWLIST = {
     "certifier.strict_profile": ACCEPTANCE,
     "dynamics.NoiseModel.retain_factor": ACCEPTANCE,
     "dynamics.QueryStep.__init__": ACCEPTANCE,
+    "dynamics.QueryStep.realize": ACCEPTANCE,
     "dynamics.TrotterFragment.realize": ACCEPTANCE,
     "dynamics.diamond_to_depolarizing": ACCEPTANCE,
-    "dynamics.logical_queries": ACCEPTANCE,
     "dynamics.net_unitary": ACCEPTANCE,
     "hamiltonians.LocalHamiltonian.__init__": ACCEPTANCE,
     "hamiltonians.LocalHamiltonian.operator_norm": ACCEPTANCE,
